@@ -2,9 +2,17 @@
 
 Every operation records one node onto the active :class:`Tape`; `backward`
 replays the tape in reverse recording order exactly once. Only 2-D matrix
-products and same-shape elementwise arithmetic exist -- there is no implicit
-broadcasting beyond scaling/shifting by a Python scalar, so shape mistakes
-fail loudly at the op that caused them. All data is float64.
+products, same-shape elementwise arithmetic and row-wise reductions exist --
+there is no implicit broadcasting beyond scaling/shifting by a Python
+scalar, so shape mistakes fail loudly at the op that caused them. All data
+is float64.
+
+The recurrence is one op, `lstm_sequence`, that runs a batch of sequences
+through an LSTM cell as a single node, with backpropagation through time
+inside its rule. Its int `index` [T, B] names the row of the input matrix
+that sequence b reads at step t; -1 reads nothing and carries the state.
+Ragged batches pad with -1, and the reverse direction is the same index
+with its rows reversed (leading -1s carry the initial state).
 """
 
 from __future__ import annotations
@@ -499,6 +507,33 @@ def cross_entropy(logits: Tensor, target_index: int) -> Tensor:
     return _record(out, (logits,), rule)
 
 
+def cross_entropy_rows(logits: Tensor, targets: Sequence[int]) -> Tensor:
+    """Per-row -log softmax(logits[m])[targets[m]] of an [M, V] matrix, [M]."""
+    if logits.data.ndim != 2:
+        raise DimensionError(f"cross_entropy_rows expects a matrix, got shape {logits.shape}")
+    m_rows, n = logits.shape
+    tgt = np.asarray(targets, dtype=np.intp)
+    if tgt.shape != (m_rows,):
+        raise DimensionError(f"{tgt.shape[0] if tgt.ndim == 1 else tgt.shape} targets "
+                             f"for {m_rows} rows of logits")
+    if tgt.size and (tgt.min() < 0 or tgt.max() >= n):
+        raise IndexError(f"target index out of range for {n} logits")
+    z = logits.data
+    rows = np.arange(m_rows)
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=1, keepdims=True)
+    out = Tensor(np.log(s[:, 0]) + m[:, 0] - z[rows, tgt])
+    probs = e / s
+
+    def rule(g):
+        d = probs * g[:, None]
+        d[rows, tgt] -= g
+        return (d,)
+
+    return _record(out, (logits,), rule)
+
+
 def add_chain(terms: Sequence[Tensor]) -> Tensor:
     """Left-to-right sum of scalar tensors (deterministic order)."""
     terms = list(terms)
@@ -516,63 +551,109 @@ def mean_of(terms: Sequence[Tensor]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# fused recurrent cell
+# fused recurrence
 
-def lstm_step(xs: Tensor, row: int, hc: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
-    """One LSTM step, fused into a single tape node.
+def lstm_sequence(xs: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """B sequences through one LSTM cell, fused into a single tape node.
 
-    xs: [m, d_in] input matrix, consuming row `row`; hc: [1, 2H] packed
-    state (h then c); wx: [d_in, 4H]; wh: [H, 4H]; b: [1, 4H] with gate
-    order i, f, o, g. Returns the next packed [1, 2H] state.
+    xs: [N, d_in] input rows; index: int [T, B], the row of xs that sequence
+    b reads at step t, or -1 where it reads none and its state is carried
+    unchanged (after its end, or before its start when the index is
+    reversed for the backward direction); hc0: [B, 2H] packed initial
+    states (h then c); wx: [d_in, 4H]; wh: [H, 4H]; b: [1, 4H] with gate
+    order i, f, o, g. Returns every step's h as [T*B, H], row t*B + b.
+
+    The input projection xs @ wx + b is made once for all steps, so the
+    loop over t does only the [B, H] @ [H, 4H] recurrence. Activations are
+    kept for backpropagation through time only while a tape records.
     """
-    H = hc.shape[1] // 2
-    if wx.shape != (xs.shape[1], 4 * H) or wh.shape != (H, 4 * H) or b.shape != (1, 4 * H):
+    idx = np.asarray(index, dtype=np.intp)
+    if idx.ndim != 2:
+        raise DimensionError(f"lstm_sequence index must be [T, B], got shape {idx.shape}")
+    T, B = idx.shape
+    H = wh.shape[0]
+    if (xs.data.ndim != 2 or wx.shape != (xs.shape[1], 4 * H) or wh.shape != (H, 4 * H)
+            or b.shape != (1, 4 * H) or hc0.shape != (B, 2 * H)):
         raise DimensionError(
-            f"lstm_step shapes: xs {xs.shape}, hc {hc.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}"
+            f"lstm_sequence shapes: xs {xs.shape}, index {idx.shape}, hc0 {hc0.shape}, "
+            f"wx {wx.shape}, wh {wh.shape}, b {b.shape}"
         )
-    x = xs.data[row:row + 1]
-    h = hc.data[:, :H]
-    c = hc.data[:, H:]
-    z = x @ wx.data + h @ wh.data + b.data
-    i = 1.0 / (1.0 + np.exp(-z[:, :H]))
-    f = 1.0 / (1.0 + np.exp(-z[:, H:2 * H]))
-    o = 1.0 / (1.0 + np.exp(-z[:, 2 * H:3 * H]))
-    gg = np.tanh(z[:, 3 * H:])
-    c2 = f * c + i * gg
-    t2 = np.tanh(c2)
-    h2 = o * t2
-    out = Tensor(np.concatenate([h2, c2], axis=1))
-    m_rows = xs.shape[0]
-    wxd, whd = wx.data, wh.data
+    if idx.size and (idx.min() < -1 or idx.max() >= xs.shape[0]):
+        raise IndexError(f"lstm_sequence index outside [-1, {xs.shape[0]})")
+    inputs = (xs, hc0, wx, wh, b)
+    record = _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
+    live = idx >= 0
+    full = live.all(axis=1)
+    proj = xs.data @ wx.data + b.data                      # [N, 4H]
+    whd = wh.data
+    h = hc0.data[:, :H]
+    c = hc0.data[:, H:]
+    hs = np.empty((T, B, H))
+    if record:
+        gates = np.empty((T, B, 4 * H))                    # i, f, o, g after activation
+        h_prev = np.empty((T, B, H))
+        c_prev = np.empty((T, B, H))
+        tanh_c = np.empty((T, B, H))
+    for t in range(T):
+        # a -1 row reads proj[-1]; its result is discarded below
+        z = proj[idx[t]] + h @ whd
+        ifo = 1.0 / (1.0 + np.exp(-z[:, :3 * H]))          # sigmoid of i, f, o
+        gg = np.tanh(z[:, 3 * H:])
+        c2 = ifo[:, H:2 * H] * c + ifo[:, :H] * gg
+        tc = np.tanh(c2)
+        h2 = ifo[:, 2 * H:] * tc
+        if not full[t]:
+            keep = ~live[t, :, None]
+            c2 = np.where(keep, c, c2)
+            h2 = np.where(keep, h, h2)
+        if record:
+            gates[t, :, :3 * H] = ifo
+            gates[t, :, 3 * H:] = gg
+            h_prev[t] = h
+            c_prev[t] = c
+            tanh_c[t] = tc
+        hs[t] = h2
+        h, c = h2, c2
+    out = Tensor(hs.reshape(T * B, H))
+    if not record:
+        return out
+    xd, wxd = xs.data, wx.data
+    n_rows = xs.shape[0]
+    rows = idx[live]                                       # step-major, as dz below
 
     def rule(g):
-        gh = g[:, :H]
-        gc_in = g[:, H:]
-        do = gh * t2
-        dc2 = gc_in + gh * o * (1.0 - t2 * t2)
-        df = dc2 * c
-        dc = dc2 * f
-        di = dc2 * gg
-        dgg = dc2 * i
-        dz = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                do * o * (1.0 - o),
-                dgg * (1.0 - gg * gg),
-            ],
-            axis=1,
-        )
-        dx = dz @ wxd.T
-        dh = dz @ whd.T
-        dxs = np.zeros((m_rows, x.shape[1]))
-        dxs[row] = dx[0]
-        dhc = np.concatenate([dh, dc], axis=1)
-        dwx = x.T @ dz
-        dwh = h.T @ dz
-        return dxs, dhc, dwx, dwh, dz.copy()
+        g = g.reshape(T, B, H)
+        dz = np.zeros((T, B, 4 * H))
+        dh_next = np.zeros((B, H))
+        dc_next = np.zeros((B, H))
+        for t in range(T - 1, -1, -1):
+            dh = g[t] + dh_next
+            i = gates[t, :, :H]
+            f = gates[t, :, H:2 * H]
+            o = gates[t, :, 2 * H:3 * H]
+            gg = gates[t, :, 3 * H:]
+            tc = tanh_c[t]
+            dc = dc_next + dh * o * (1.0 - tc * tc)
+            dzt = dz[t]
+            dzt[:, :H] = dc * gg * i * (1.0 - i)
+            dzt[:, H:2 * H] = dc * c_prev[t] * f * (1.0 - f)
+            dzt[:, 2 * H:3 * H] = dh * tc * o * (1.0 - o)
+            dzt[:, 3 * H:] = dc * i * (1.0 - gg * gg)
+            dh_prev = dzt @ whd.T
+            dc_prev = dc * f
+            if not full[t]:
+                keep = ~live[t, :, None]
+                dzt[~live[t]] = 0.0
+                dh_prev = np.where(keep, dh, dh_prev)
+                dc_prev = np.where(keep, dc_next, dc_prev)
+            dh_next, dc_next = dh_prev, dc_prev
+        dwh = h_prev.reshape(T * B, H).T @ dz.reshape(T * B, 4 * H)
+        dproj = np.zeros((n_rows, 4 * H))
+        np.add.at(dproj, rows, dz[live])
+        return (dproj @ wxd.T, np.concatenate([dh_next, dc_next], axis=1),
+                xd.T @ dproj, dwh, dproj.sum(axis=0, keepdims=True))
 
-    return _record(out, (xs, hc, wx, wh, b), rule)
+    return _record(out, inputs, rule)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ContractError, DegenerateSliceError, Tensor
 from .data import BOS_ID, EOS_ID
-from .encoders import BiEncoderParams, LstmCellParams, init_bi_encoder, init_lstm_cell
+from .encoders import (
+    BiEncoderParams,
+    LstmCellParams,
+    encode_sentences,
+    init_bi_encoder,
+    init_lstm_cell,
+    pack_sequences,
+)
 
 
 @dataclass
@@ -62,33 +69,40 @@ def fuse_for_decoder(x: Tensor, mask_x: Sequence[bool], v_star: Tensor,
     return ad.reshape(fused, (d_q,))
 
 
-def _teacher_forced_position_losses(fused: Tensor, answer_tokens: Sequence[int],
-                                    embedding: Tensor, params: DecoderParams) -> list[Tensor]:
-    """Per-position -log p(token) under teacher forcing; answer ends with EOS."""
-    tokens = list(answer_tokens)
-    if not tokens:
-        raise ContractError("generative decoding needs a non-empty answer")
-    if tokens[-1] != EOS_ID:
-        raise ContractError("answer token sequence must end with EOS")
+def _teacher_forced_position_losses(fused: Tensor, sequences: Sequence[Sequence[int]],
+                                    embedding: Tensor, params: DecoderParams) -> Tensor:
+    """Per-position -log p(token) under teacher forcing, every sequence in one batch.
+
+    Each sequence ends with EOS and starts from the state (fused, 0). The
+    result is one vector with each sequence's positions contiguous, in order.
+    """
+    seqs = [list(s) for s in sequences]
+    for tokens in seqs:
+        if not tokens:
+            raise ContractError("generative decoding needs a non-empty answer")
+        if tokens[-1] != EOS_ID:
+            raise ContractError("answer token sequence must end with EOS")
+    n = len(seqs)
     d_q = fused.shape[0]
-    vocab = params.out_w.shape[1]
-    inputs = [BOS_ID] + tokens[:-1]
+    inputs, index = pack_sequences([[BOS_ID] + tokens[:-1] for tokens in seqs])
     emb = ad.take_rows(embedding, inputs)
-    hc = ad.concat([ad.reshape(fused, (1, d_q)), ad.zeros_const((1, d_q))], axis=1)
-    losses = []
-    for t, target in enumerate(tokens):
-        hc = ad.lstm_step(emb, t, hc, params.gen.wx, params.gen.wh, params.gen.b)
-        h = ad.slice_cols(hc, 0, d_q)
-        logits = ad.add(ad.matmul(h, params.out_w), params.out_b)
-        losses.append(ad.cross_entropy(ad.reshape(logits, (vocab,)), target))
-    return losses
+    h0 = ad.reshape(fused, (1, d_q))
+    if n > 1:
+        h0 = ad.tile_rows(h0, n)
+    hc0 = ad.concat([h0, ad.zeros_const((n, d_q))], axis=1)
+    hs = ad.lstm_sequence(emb, index, hc0, params.gen.wx, params.gen.wh, params.gen.b)
+    if n > 1:
+        # step-major rows t*n + b, regrouped sequence by sequence
+        hs = ad.take_rows(hs, [t * n + b for b, s in enumerate(seqs) for t in range(len(s))])
+    m = len(inputs)
+    logits = ad.add(ad.matmul(hs, params.out_w), ad.tile_rows(params.out_b, m))
+    return ad.cross_entropy_rows(logits, [t for tokens in seqs for t in tokens])
 
 
 def generative_loss(fused: Tensor, answer_tokens: Sequence[int], embedding: Tensor,
                     params: DecoderParams) -> Tensor:
     """Mean over target positions of -log p(token)."""
-    losses = _teacher_forced_position_losses(fused, answer_tokens, embedding, params)
-    return ad.mean_of(losses)
+    return ad.mean_all(_teacher_forced_position_losses(fused, [answer_tokens], embedding, params))
 
 
 def generative_rank(fused: Tensor, candidates: Sequence[Sequence[int]], embedding: Tensor,
@@ -100,49 +114,36 @@ def generative_rank(fused: Tensor, candidates: Sequence[Sequence[int]], embeddin
     """
     if score_norm not in ("mean", "sum"):
         raise ValueError(f"unknown score_norm {score_norm!r}")
-    scores = []
+    if not candidates:
+        raise ContractError("generative ranking needs at least one candidate")
+    seqs = []
     for cand in candidates:
         tokens = list(cand)
         if not tokens or tokens[-1] != EOS_ID:
             tokens = tokens + [EOS_ID]
-        losses = _teacher_forced_position_losses(fused, tokens, embedding, params)
-        total = 0.0
-        for l in losses:
-            total = total + l.item()
-        # mean matches generative_loss bit-for-bit: sum * (1/n), negated
-        scores.append(-(total * (1.0 / len(losses))) if score_norm == "mean" else -total)
+        seqs.append(tokens)
+    losses = _teacher_forced_position_losses(fused, seqs, embedding, params).data
+    scores = []
+    start = 0
+    for tokens in seqs:
+        seg = losses[start:start + len(tokens)]
+        start += len(tokens)
+        # mean matches generative_loss bit-for-bit on a single candidate, negated
+        scores.append(-seg.mean() if score_norm == "mean" else -seg.sum())
     return Tensor(np.asarray(scores))
-
-
-def encode_candidate(tokens: Sequence[int], embedding: Tensor,
-                     params: DecoderParams) -> Tensor:
-    """Final-state pooled candidate vector, [1, d_q]."""
-    enc = params.cand
-    hidden = enc.fwd.wh.shape[0]
-    ids = list(tokens)
-    if not ids:
-        return ad.zeros_const((1, 2 * hidden))
-    emb = ad.take_rows(embedding, ids)
-    hc = ad.zeros_const((1, 2 * hidden))
-    for t in range(len(ids)):
-        hc = ad.lstm_step(emb, t, hc, enc.fwd.wx, enc.fwd.wh, enc.fwd.b)
-    final_f = ad.slice_cols(hc, 0, hidden)
-    hc = ad.zeros_const((1, 2 * hidden))
-    for t in range(len(ids) - 1, -1, -1):
-        hc = ad.lstm_step(emb, t, hc, enc.bwd.wx, enc.bwd.wh, enc.bwd.b)
-    final_b = ad.slice_cols(hc, 0, hidden)
-    state = ad.concat([final_f, final_b], axis=1)
-    return ad.add(ad.matmul(state, enc.proj_w), enc.proj_b)
 
 
 def discriminative_scores(fused: Tensor, candidates: Sequence[Sequence[int]],
                           embedding: Tensor, params: DecoderParams) -> Tensor:
-    """Bilinear scores fusedᵀ B cand_i over all candidates, [N]."""
+    """Bilinear scores fusedᵀ B cand_i over all candidates, [N].
+
+    Every candidate is encoded in one batch by the candidate encoder's own
+    BiLSTM (final states, projected); an empty candidate is a zero row.
+    """
     n = len(candidates)
     if n < 1:
         raise ContractError("discriminative scoring needs at least one candidate")
-    rows = [encode_candidate(c, embedding, params) for c in candidates]
-    cand_mat = ad.concat(rows, axis=0)                       # [N, d_q]
+    cand_mat = encode_sentences(candidates, params.cand, embedding)   # [N, d_q]
     d_q = fused.shape[0]
     left = ad.matmul(ad.reshape(fused, (1, d_q)), params.bilinear)
     return ad.reshape(ad.matmul(left, ad.transpose(cand_mat)), (n,))

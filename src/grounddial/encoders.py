@@ -115,20 +115,55 @@ def _bi_lstm_states(ids: Sequence[int], enc: BiEncoderParams, embedding: Tensor)
     n = len(ids)
     hidden = enc.fwd.wh.shape[0]
     emb = ad.take_rows(embedding, list(ids))
-    hc = ad.zeros_const((1, 2 * hidden))
-    fwd_states = []
-    for t in range(n):
-        hc = ad.lstm_step(emb, t, hc, enc.fwd.wx, enc.fwd.wh, enc.fwd.b)
-        fwd_states.append(hc)
-    hc = ad.zeros_const((1, 2 * hidden))
-    bwd_states = []
-    for t in range(n - 1, -1, -1):
-        hc = ad.lstm_step(emb, t, hc, enc.bwd.wx, enc.bwd.wh, enc.bwd.b)
-        bwd_states.append(hc)
-    h_f = ad.slice_cols(ad.concat(fwd_states, axis=0), 0, hidden)
-    h_b_rev = ad.slice_cols(ad.concat(bwd_states, axis=0), 0, hidden)
-    h_b = ad.take_rows(h_b_rev, list(range(n - 1, -1, -1))) if n > 1 else h_b_rev
+    index = np.arange(n).reshape(n, 1)
+    zero = ad.zeros_const((1, 2 * hidden))
+    h_f = ad.lstm_sequence(emb, index, zero, enc.fwd.wx, enc.fwd.wh, enc.fwd.b)
+    h_b_rev = ad.lstm_sequence(emb, index[::-1], zero, enc.bwd.wx, enc.bwd.wh, enc.bwd.b)
+    h_b = ad.take_rows(h_b_rev, list(range(n - 1, -1, -1)))
     return ad.concat([h_f, h_b], axis=1)
+
+
+def pack_sequences(seqs: Sequence[Sequence[int]]) -> tuple[list[int], np.ndarray]:
+    """Concatenated tokens and the [T, B] `lstm_sequence` index reading them.
+
+    Sequence b reads its own tokens in order at steps 0..len-1 and -1 after
+    its end; T is the longest length.
+    """
+    flat: list[int] = []
+    index = np.full((max(len(s) for s in seqs), len(seqs)), -1, dtype=np.intp)
+    for b, s in enumerate(seqs):
+        index[:len(s), b] = np.arange(len(flat), len(flat) + len(s))
+        flat.extend(s)
+    return flat, index
+
+
+def encode_sentences(seqs: Sequence[Sequence[int]], enc: BiEncoderParams,
+                     embedding: Tensor) -> Tensor:
+    """One projected final-state vector per sentence, [B, d_q], in one batch.
+
+    The final forward and backward states are concatenated and projected;
+    an empty sentence gives an exactly zero row.
+    """
+    seqs = [list(s) for s in seqs]
+    d_q = enc.proj_w.shape[1]
+    hidden = enc.fwd.wh.shape[0]
+    n = len(seqs)
+    if not any(seqs):
+        return ad.zeros_const((n, d_q))
+    flat, index = pack_sequences(seqs)
+    _check_ids(flat, embedding.shape[0])
+    emb = ad.take_rows(embedding, flat)
+    zero = ad.zeros_const((n, 2 * hidden))
+    h_f = ad.lstm_sequence(emb, index, zero, enc.fwd.wx, enc.fwd.wh, enc.fwd.b)
+    h_b = ad.lstm_sequence(emb, index[::-1], zero, enc.bwd.wx, enc.bwd.wh, enc.bwd.b)
+    # a state is carried past its sequence's end, so step T-1 holds every final state
+    last = list(range(index.size - n, index.size))
+    state = ad.concat([ad.take_rows(h_f, last), ad.take_rows(h_b, last)], axis=1)
+    out = ad.add(ad.matmul(state, enc.proj_w), ad.tile_rows(enc.proj_b, n))
+    if not all(seqs):
+        keep = np.array([[1.0] if s else [0.0] for s in seqs])
+        out = ad.mul(out, Tensor(np.repeat(keep, d_q, axis=1)))
+    return out
 
 
 def encode_tokens(ids: Sequence[int], mask: Sequence[bool], params: EncoderParams,
@@ -163,33 +198,12 @@ def encode_history(elements: Sequence[Sequence[int]], params: EncoderParams) -> 
     """One sentence-level vector per history element, [T, d_q].
 
     Each element (caption, or a concatenated question-answer pair) gets its
-    own bi-directional pass; the final forward/backward states are
-    concatenated and projected.
+    own bi-directional pass, all elements in one batch; the final
+    forward/backward states are concatenated and projected.
     """
     if not elements:
         raise ValueError("history needs at least the caption")
-    enc = params.history
-    hidden = enc.fwd.wh.shape[0]
-    rows = []
-    for ids in elements:
-        ids = list(ids)
-        if not ids:
-            rows.append(ad.zeros_const((1, params.d_q)))
-            continue
-        _check_ids(ids, params.embedding.shape[0])
-        n = len(ids)
-        emb = ad.take_rows(params.embedding, ids)
-        hc = ad.zeros_const((1, 2 * hidden))
-        for t in range(n):
-            hc = ad.lstm_step(emb, t, hc, enc.fwd.wx, enc.fwd.wh, enc.fwd.b)
-        final_f = ad.slice_cols(hc, 0, hidden)
-        hc = ad.zeros_const((1, 2 * hidden))
-        for t in range(n - 1, -1, -1):
-            hc = ad.lstm_step(emb, t, hc, enc.bwd.wx, enc.bwd.wh, enc.bwd.b)
-        final_b = ad.slice_cols(hc, 0, hidden)
-        state = ad.concat([final_f, final_b], axis=1)
-        rows.append(ad.add(ad.matmul(state, enc.proj_w), enc.proj_b))
-    return ad.concat(rows, axis=0)
+    return encode_sentences(elements, params.history, params.embedding)
 
 
 def layer_norm_rows(t: Tensor, eps: float = 1e-5) -> Tensor:

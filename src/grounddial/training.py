@@ -124,7 +124,14 @@ class OptimizerState:
 
 def adam_step(named: dict[str, Tensor], state: OptimizerState, lr: float,
               cfg: TrainConfig) -> None:
-    """Bias-corrected Adam; parameters without a gradient are left alone."""
+    """Bias-corrected Adam; parameters without a gradient are left alone.
+
+    Every gradient is checked before any update, so a non-finite one raises
+    with the parameters and the optimizer state untouched.
+    """
+    for name, p in named.items():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise DivergenceError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
@@ -132,8 +139,6 @@ def adam_step(named: dict[str, Tensor], state: OptimizerState, lr: float,
         g = p.grad
         if g is None:
             continue
-        if not np.isfinite(g).all():
-            raise DivergenceError(f"non-finite gradient for parameter {name!r}")
         m = state.m.get(name)
         if m is None:
             m = np.zeros_like(p.data)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grounddial import autodiff as ad
 from grounddial.autodiff import (
@@ -15,6 +16,7 @@ from grounddial.autodiff import (
     backward,
     grad_check,
 )
+from reference_lstm import step_sequence
 
 
 def rng():
@@ -309,22 +311,120 @@ def test_grad_check_composites(build):
     assert grad_check(build, x) < 1e-6
 
 
-def test_grad_check_lstm_step():
-    g = rng()
-    H = 3
-    xs = Tensor(g.normal(size=(2, 4)))
-    hc = Tensor(g.normal(size=(1, 2 * H)))
-    wx = Tensor(g.normal(size=(4, 4 * H)))
-    wh = Tensor(g.normal(size=(H, 4 * H)))
-    b = Tensor(g.normal(size=(1, 4 * H)))
-
-    parts = {"xs": xs, "hc": hc, "wx": wx, "wh": wh, "b": b}
+def _grad_check_each_input(parts: dict, build) -> None:
+    """grad_check the scalar build(**parts) in every input of `parts` in turn."""
     for name, t in parts.items():
         def f(v, _name=name):
-            args = {k: (v if k == _name else p) for k, p in parts.items()}
-            out = ad.lstm_step(args["xs"], 1, args["hc"], args["wx"], args["wh"], args["b"])
-            return ad.sum_all(ad.tanh(out))
+            return build(**{k: (v if k == _name else p) for k, p in parts.items()})
         assert grad_check(f, t) < 1e-7, name
+
+
+def test_grad_check_lstm_step():
+    """One step of the cell: a one-step lstm_sequence reading row 1."""
+    g = rng()
+    H = 3
+    parts = {
+        "xs": Tensor(g.normal(size=(2, 4))),
+        "hc": Tensor(g.normal(size=(1, 2 * H))),
+        "wx": Tensor(g.normal(size=(4, 4 * H))),
+        "wh": Tensor(g.normal(size=(H, 4 * H))),
+        "b": Tensor(g.normal(size=(1, 4 * H))),
+    }
+
+    def build(xs, hc, wx, wh, b):
+        return ad.sum_all(ad.tanh(ad.lstm_sequence(xs, [[1]], hc, wx, wh, b)))
+
+    _grad_check_each_input(parts, build)
+
+
+RAGGED_INDEX = np.array([[0, 1, 5],
+                         [-1, 2, 6],
+                         [-1, 3, -1],
+                         [-1, 4, -1]])   # lengths 1, 4, 2 over the rows of a [7, d_in] xs
+
+
+@pytest.mark.parametrize("index", [RAGGED_INDEX, RAGGED_INDEX[::-1]], ids=["forward", "reversed"])
+def test_grad_check_lstm_sequence_ragged(index):
+    g = rng()
+    H, d_in = 3, 4
+    T, B = index.shape
+    parts = {
+        "xs": Tensor(g.normal(size=(7, d_in))),
+        "hc0": Tensor(g.normal(size=(B, 2 * H))),
+        "wx": Tensor(g.normal(size=(d_in, 4 * H)) * 0.5),
+        "wh": Tensor(g.normal(size=(H, 4 * H)) * 0.5),
+        "b": Tensor(g.normal(size=(1, 4 * H))),
+    }
+    weights = Tensor(g.normal(size=(T * B, H)))  # every step's h reaches the loss differently
+
+    def build(xs, hc0, wx, wh, b):
+        out = ad.lstm_sequence(xs, index, hc0, wx, wh, b)
+        return ad.sum_all(ad.mul(ad.tanh(out), weights))
+
+    _grad_check_each_input(parts, build)
+
+
+def test_lstm_sequence_carries_state_through_minus_one():
+    g = rng()
+    H = 2
+    xs = Tensor(g.normal(size=(3, 4)))
+    hc0 = Tensor(g.normal(size=(2, 2 * H)))
+    w = [Tensor(g.normal(size=s)) for s in [(4, 4 * H), (H, 4 * H), (1, 4 * H)]]
+    out = ad.lstm_sequence(xs, [[-1, 0], [1, -1], [-1, 2]], hc0, *w).data.reshape(3, 2, H)
+    assert np.array_equal(out[0, 0], hc0.data[0, :H])   # leading -1 keeps the initial state
+    assert np.array_equal(out[2, 0], out[1, 0])
+    assert np.array_equal(out[1, 1], out[0, 1])
+
+
+def test_lstm_sequence_index_errors():
+    H = 2
+    xs = Tensor(np.zeros((3, 4)))
+    w = [Tensor(np.zeros(s)) for s in [(4, 4 * H), (H, 4 * H), (1, 4 * H)]]
+    with pytest.raises(IndexError):
+        ad.lstm_sequence(xs, [[3]], Tensor(np.zeros((1, 2 * H))), *w)
+    with pytest.raises(DimensionError):
+        ad.lstm_sequence(xs, [[0, 1]], Tensor(np.zeros((1, 2 * H))), *w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lstm_sequence_matches_stepping_the_reference(data):
+    lengths = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5), label="lengths")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    g = np.random.default_rng(seed)
+    H, d_in = 3, 4
+    B, T = len(lengths), max(lengths)
+    xs = Tensor(g.normal(size=(sum(lengths), d_in)))
+    hc0 = Tensor(g.normal(size=(B, 2 * H)))
+    w = [Tensor(g.normal(size=s)) for s in [(d_in, 4 * H), (H, 4 * H), (1, 4 * H)]]
+    index = np.full((T, B), -1)
+    start = 0
+    for col, n in enumerate(lengths):
+        index[:n, col] = np.arange(start, start + n)
+        start += n
+    for idx in (index, index[::-1]):
+        got = ad.lstm_sequence(xs, idx, hc0, *w).data
+        assert np.abs(got - step_sequence(xs, idx, hc0, *w)).max() <= 1e-12
+
+
+def test_grad_check_cross_entropy_rows():
+    g = rng()
+    targets = [2, 0, 4, 2]
+    weights = Tensor(g.normal(size=4))
+    x = Tensor(g.normal(size=(4, 5)))
+    assert grad_check(lambda t: ad.sum_all(ad.mul(ad.cross_entropy_rows(t, targets), weights)),
+                      x) < 1e-7
+
+
+def test_cross_entropy_rows_matches_per_row_cross_entropy():
+    z = rng().normal(size=(3, 6))
+    rows = ad.cross_entropy_rows(Tensor(z), [5, 0, 3]).data
+    for m, target in enumerate([5, 0, 3]):
+        assert rows[m] == ad.cross_entropy(Tensor(z[m]), target).item()
+    with pytest.raises(IndexError):
+        ad.cross_entropy_rows(Tensor(z), [6, 0, 0])
+    with pytest.raises(DimensionError):
+        ad.cross_entropy_rows(Tensor(z), [0, 0])
 
 
 def test_grad_check_random_points_under_tolerance():

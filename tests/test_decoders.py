@@ -8,6 +8,7 @@ from grounddial.autodiff import ContractError, DegenerateSliceError, Tensor, gra
 from grounddial.data import BOS_ID, EOS_ID
 from grounddial.decoders import (
     discriminative_loss_and_rank,
+    discriminative_scores,
     fuse_for_decoder,
     generative_loss,
     generative_rank,
@@ -96,9 +97,9 @@ def test_generative_single_token_normalization(params, embedding):
     """'yes EOS' is two positions; the loss is their mean."""
     fused = Tensor(rng().normal(size=(D_Q,)))
     from grounddial.decoders import _teacher_forced_position_losses
-    losses = _teacher_forced_position_losses(fused, [7, EOS_ID], embedding, params)
-    assert len(losses) == 2
-    total = sum(l.item() for l in losses)
+    losses = _teacher_forced_position_losses(fused, [[7, EOS_ID]], embedding, params)
+    assert losses.shape == (2,)
+    total = sum(losses.data)
     mean = generative_loss(fused, [7, EOS_ID], embedding, params).item()
     assert abs(mean - total / 2) < 1e-12
 
@@ -171,6 +172,18 @@ def test_discriminative_hand_softmax(params, embedding):
     z = scores.data
     expect = -math.log(math.exp(z[1] - z.max()) / np.exp(z - z.max()).sum()) + 0.0
     assert abs(L.item() - expect) < 1e-10
+
+
+def test_discriminative_empty_candidate_is_zero_row_in_mixed_batch(params, embedding):
+    """An empty candidate encodes to a zero row, so its bilinear score is exactly 0."""
+    params.cand.proj_b.data[:] = 0.5  # an empty candidate must not pick up the bias
+    fused = Tensor(rng().normal(size=(D_Q,)))
+    cands = [[4], [], [5, 6]]
+    scores = discriminative_scores(fused, cands, embedding, params).data
+    assert scores[1] == 0.0
+    for i in (0, 2):
+        solo = discriminative_scores(fused, [cands[i]], embedding, params).data[0]
+        assert abs(scores[i] - solo) < 1e-12
 
 
 def test_discriminative_index_error(params, embedding):

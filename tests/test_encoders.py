@@ -75,6 +75,17 @@ def test_history_row_locality(params):
     assert np.allclose(permuted[2], base[1])
 
 
+def test_history_empty_element_is_zero_row_in_mixed_batch(params):
+    params.history.proj_b.data[:] = 0.5  # an empty element must not pick up the bias
+    elems = [[4, 5], [], [6, 7, 8]]
+    out = encode_history(elems, params).data
+    assert out.shape == (3, D_Q)
+    assert np.array_equal(out[1], np.zeros(D_Q))
+    assert np.allclose(out[0], encode_history([elems[0]], params).data[0], rtol=0, atol=1e-12)
+    assert np.allclose(out[2], encode_history([elems[2]], params).data[0], rtol=0, atol=1e-12)
+    assert np.array_equal(encode_history([[], []], params).data, np.zeros((2, D_Q)))
+
+
 def test_history_round_count():
     # round t sees caption + t-1 pairs; exercised through model.prepare_unit
     from grounddial.data import SyntheticConfig, generate_synthetic

@@ -129,6 +129,26 @@ def test_adam_nan_gradient_names_parameter():
     assert "bad_param" in str(e.value)
 
 
+def test_adam_nan_in_last_gradient_leaves_everything_unchanged():
+    named = {name: Tensor(np.full(2, float(k + 1)), requires_grad=True)
+             for k, name in enumerate(["first", "second", "last"])}
+    for p in named.values():
+        p.grad = np.ones(2)
+    state = OptimizerState()
+    adam_step(named, state, 0.1, TrainConfig())
+    before = ({n: p.data.copy() for n, p in named.items()},
+              {n: m.copy() for n, m in state.m.items()},
+              {n: v.copy() for n, v in state.v.items()}, state.step)
+    named["last"].grad = np.array([0.0, np.nan])
+    with pytest.raises(DivergenceError) as e:
+        adam_step(named, state, 0.1, TrainConfig())
+    assert "last" in str(e.value)
+    params, m, v, step = before
+    assert all(np.array_equal(named[n].data, params[n]) for n in named)
+    assert all(np.array_equal(state.m[n], m[n]) and np.array_equal(state.v[n], v[n]) for n in named)
+    assert state.step == step
+
+
 def test_adam_deterministic_trajectory():
     def run():
         rng = np.random.default_rng(0)
