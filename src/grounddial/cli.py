@@ -2,8 +2,9 @@
 ablations, and attention export.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric divergence.
-A JSON config file (--config) mirrors every flag; explicit flags override
-the file. All randomness flows from --seed.
+A JSON config file (train --config) uses TrainConfig field names, as
+recorded in a run's manifest.json; explicit flags override the file, and
+the file overrides TrainConfig's defaults. All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .autodiff import ContractError
 from .data import (
     GenerationError,
     FeatureFileError,
@@ -29,8 +32,9 @@ from .data import (
     load_dataset,
     write_features,
 )
-from .evaluation import ablate_distribution, evaluate, export_attention
-from .model import init_model_params, named_parameters, prepare_units
+from .evaluation import evaluate, export_attention
+from .grounding import BRIDGE_VARIANTS
+from .model import init_model_params, prepare_units
 from .training import DivergenceError, TrainConfig, load_checkpoint, restore_params, train
 
 EXIT_OK = 0
@@ -40,6 +44,18 @@ EXIT_DIVERGENCE = 4
 
 _LOSS_FLAG = {"gen": "generative", "disc": "discriminative", "multitask": "multitask"}
 _POLICY_FLAG = {"post-train": "post_train_prior_eval", "always-prior": "always_prior"}
+_DECODER_FLAG = {"gen": "generative", "disc": "discriminative"}
+
+
+class _Spelled(argparse.Action):
+    """Store the value that a flag's short spelling stands for."""
+
+    def __init__(self, *args, spellings: dict, **kw):
+        super().__init__(*args, choices=sorted(spellings), **kw)
+        self.spellings = spellings
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, self.spellings[value])
 
 
 class DataError(RuntimeError):
@@ -58,23 +74,6 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
         "artifacts": sorted(artifacts),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-
-
-def _merge_config_file(args: argparse.Namespace, parser_defaults: dict) -> argparse.Namespace:
-    """Layer precedence: explicit flag > config file > parser default."""
-    if not getattr(args, "config", None):
-        for k, v in parser_defaults.items():
-            if getattr(args, k, None) is None:
-                setattr(args, k, v)
-        return args
-    try:
-        file_cfg = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read config file {args.config}: {e}") from e
-    for k, default in parser_defaults.items():
-        if getattr(args, k, None) is None:
-            setattr(args, k, file_cfg.get(k, default))
-    return args
 
 
 # ---------------------------------------------------------------------------
@@ -119,77 +118,67 @@ def cmd_gen_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-_TRAIN_DEFAULTS = {
-    "loss": "gen", "kl_weight": 1.0, "bridge": "attn_kl", "detach_posterior": True,
-    "axis_mode": "columns", "decoder_features": "post-train", "batch": 32,
-    "epochs": 20, "lr": 1e-3, "decay_factor": 0.75, "warmup_epochs": 1,
-    "decay_every": 2, "seed": 0, "d_q": 64, "d_e": 64, "heads": 4, "d_h": 64,
-    "seq_len": 20, "max_history": 11, "score_norm": "mean",
-}
-
-
 def _train_parser(sub) -> argparse.ArgumentParser:
+    """Every run-setting flag stores into the TrainConfig field it sets and
+    defaults to None, so cmd_train can tell a given flag from an absent one."""
     p = sub.add_parser("train", help="train on a dataset, checkpoint best-by-val-MRR")
     p.add_argument("--data", required=True, help="training dataset JSON")
     p.add_argument("--features", default=None, help="feature file (default: features.bin beside the data)")
     p.add_argument("--val-data", default=None, help="validation dataset JSON (default: reuse training data)")
     p.add_argument("--val-features", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None, help="JSON file mirroring these flags")
-    p.add_argument("--loss", choices=sorted(_LOSS_FLAG), default=None)
-    p.add_argument("--kl-weight", dest="kl_weight", type=float, default=None)
-    p.add_argument("--bridge", choices=["attn_kl", "attn_mse", "image_kl", "image_mse",
-                                        "attn_kl_image_mse"], default=None)
+    p.add_argument("--config", default=None,
+                   help="JSON object of TrainConfig fields, e.g. a run's manifest.json \"config\"")
+    p.add_argument("--loss", dest="loss_mode", action=_Spelled, spellings=_LOSS_FLAG)
+    p.add_argument("--kl-weight", dest="kl_weight", type=float)
+    p.add_argument("--bridge", dest="bridge_variant", choices=BRIDGE_VARIANTS)
     det = p.add_mutually_exclusive_group()
     det.add_argument("--detach-posterior", dest="detach_posterior", action="store_true", default=None)
     det.add_argument("--no-detach-posterior", dest="detach_posterior", action="store_false")
-    p.add_argument("--axis-mode", dest="axis_mode", choices=["columns", "rows"], default=None)
-    p.add_argument("--decoder-features", dest="decoder_features",
-                   choices=sorted(_POLICY_FLAG), default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--decay-factor", dest="decay_factor", type=float, default=None)
-    p.add_argument("--warmup-epochs", dest="warmup_epochs", type=int, default=None)
-    p.add_argument("--decay-every", dest="decay_every", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--d-q", dest="d_q", type=int, default=None)
-    p.add_argument("--d-e", dest="d_e", type=int, default=None)
-    p.add_argument("--heads", type=int, default=None)
-    p.add_argument("--d-h", dest="d_h", type=int, default=None)
-    p.add_argument("--seq-len", dest="seq_len", type=int, default=None)
-    p.add_argument("--max-history", dest="max_history", type=int, default=None)
-    p.add_argument("--score-norm", dest="score_norm", choices=["mean", "sum"], default=None)
+    p.add_argument("--axis-mode", dest="axis_mode", choices=["columns", "rows"])
+    p.add_argument("--decoder-features", dest="decoder_feature_policy", action=_Spelled,
+                   spellings=_POLICY_FLAG)
+    p.add_argument("--batch", dest="batch_size", type=int)
+    p.add_argument("--epochs", dest="max_epochs", type=int)
+    p.add_argument("--lr", dest="base_lr", type=float)
+    p.add_argument("--decay-factor", dest="decay_factor", type=float)
+    p.add_argument("--warmup-epochs", dest="warmup_epochs", type=int)
+    p.add_argument("--decay-every", dest="decay_every", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--d-q", dest="d_q", type=int)
+    p.add_argument("--d-e", dest="d_e", type=int)
+    p.add_argument("--heads", dest="n_heads", type=int)
+    p.add_argument("--d-h", dest="d_h", type=int)
+    p.add_argument("--seq-len", dest="seq_len", type=int)
+    p.add_argument("--max-history", dest="max_history", type=int)
+    p.add_argument("--score-norm", dest="score_norm", choices=["mean", "sum"])
     p.add_argument("--verbose", action="store_true")
     return p
 
 
+def _train_config(args) -> TrainConfig:
+    """Layer precedence: explicit flag > config file > TrainConfig default."""
+    settings = {}
+    if args.config:
+        try:
+            settings = json.loads(Path(args.config).read_text())
+        except (OSError, json.JSONDecodeError) as e:
+            raise DataError(f"cannot read config file {args.config}: {e}") from e
+        if not isinstance(settings, dict):
+            raise ContractError(f"config file {args.config} must hold a JSON object")
+    for f in fields(TrainConfig):
+        if getattr(args, f.name, None) is not None:
+            settings[f.name] = getattr(args, f.name)
+    return TrainConfig.from_dict(settings)
+
+
 def cmd_train(args) -> int:
     started = time.time()
-    args = _merge_config_file(args, _TRAIN_DEFAULTS)
-    cfg = TrainConfig(
-        loss_mode=_LOSS_FLAG[args.loss],
-        kl_weight=args.kl_weight,
-        bridge_variant=args.bridge,
-        detach_posterior=args.detach_posterior,
-        decoder_feature_policy=_POLICY_FLAG[args.decoder_features],
-        axis_mode=args.axis_mode,
-        score_norm=args.score_norm,
-        base_lr=args.lr,
-        warmup_epochs=args.warmup_epochs,
-        decay_every=args.decay_every,
-        decay_factor=args.decay_factor,
-        max_epochs=args.epochs,
-        batch_size=args.batch,
-        seed=args.seed,
-        d_q=args.d_q,
-        d_e=args.d_e,
-        n_heads=args.heads,
-        d_h=args.d_h,
-        seq_len=args.seq_len,
-        max_history=args.max_history,
-    )
-    cfg.validate()
+    try:
+        cfg = _train_config(args)
+    except ContractError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     ds_train = load_dataset(args.data, "train", args.features)
     if args.val_data:
         ds_val = load_dataset(args.val_data, "val", args.val_features, vocab=ds_train.vocab)
@@ -220,9 +209,9 @@ def _eval_parser(sub) -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--features", default=None)
     p.add_argument("--split", default="val")
-    p.add_argument("--decoder", choices=["gen", "disc"], default=None,
+    p.add_argument("--decoder", action=_Spelled, spellings=_DECODER_FLAG,
                    help="override the decoder implied by the training mode")
-    p.add_argument("--ablate", choices=["mean", "random", "oracle"], default=None)
+    p.add_argument("--ablate", choices=["mean", "random", "oracle"], default="learned")
     p.add_argument("--export-attention", dest="export_attention", default=None,
                    help="write one JSON line per (image, round) to this path")
     p.add_argument("--with-answers", dest="with_answers", action="store_true",
@@ -240,6 +229,8 @@ def cmd_eval(args) -> int:
         tensors, cfg, vocab_tokens = load_checkpoint(base)
     except FileNotFoundError as e:
         raise DataError(f"checkpoint not found: {e}") from e
+    except ContractError as e:
+        raise DataError(f"checkpoint {base} has an invalid config: {e}") from e
     vocab = Vocabulary(vocab_tokens)
     ds = load_dataset(args.data, args.split, args.features, vocab=vocab)
     if any(ex.region_features is None for ex in ds.examples):
@@ -253,15 +244,9 @@ def cmd_eval(args) -> int:
     except ValueError as e:
         raise DataError(f"manifest mismatch between checkpoint and model: {e}") from e
 
-    decoder = {"gen": "generative", "disc": "discriminative"}.get(args.decoder) or (
-        "discriminative" if cfg.loss_mode == "discriminative" else "generative")
     units = prepare_units(ds, cfg.seq_len, cfg.max_history)
-    eval_kw = dict(decoder=decoder, seq_len=cfg.seq_len, max_history=cfg.max_history,
-                   axis_mode=cfg.axis_mode, score_norm=cfg.score_norm, units=units)
-    if args.ablate:
-        report = ablate_distribution(params, ds, args.ablate, seed=args.seed, **eval_kw)
-    else:
-        report = evaluate(params, ds, **eval_kw)
+    report = evaluate(params, ds, cfg, decoder=args.decoder, ablate=args.ablate,
+                      seed=args.seed, units=units)
 
     text = json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n"
     if args.report:
@@ -270,9 +255,8 @@ def cmd_eval(args) -> int:
         sys.stdout.write(text)
 
     if args.export_attention:
-        records = export_attention(params, ds, seq_len=cfg.seq_len,
-                                   max_history=cfg.max_history, axis_mode=cfg.axis_mode,
-                                   with_posterior=args.with_answers, units=units)
+        records = export_attention(params, ds, cfg, with_posterior=args.with_answers,
+                                   units=units)
         with open(args.export_attention, "w") as fh:
             for rec in records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")

@@ -165,20 +165,13 @@ def _parse_round(obj, path: str) -> Round:
     )
 
 
-def load_dataset(path, split: str = "train", features_path=None,
-                 vocab: Optional[Vocabulary] = None) -> DialogDataset:
-    """Materialize a dataset file; example order is file order.
+def dataset_from_dict(raw, split: str = "train",
+                      vocab: Optional[Vocabulary] = None) -> DialogDataset:
+    """Validate a parsed dataset object and encode its text; no features yet.
 
-    When `vocab` is None a vocabulary is built from this file's text; pass
-    the training vocabulary for val/test so ids line up. `features_path`
-    defaults to features.bin next to the dataset file.
+    When `vocab` is None a vocabulary is built from this dataset's text; pass
+    the training vocabulary for val/test so ids line up.
     """
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"$: not valid JSON ({e})") from e
     _expect(isinstance(raw, dict), "$", "top level must be an object")
     _expect("dialogs" in raw, "$", "missing key 'dialogs'")
     declared = raw.get("split")
@@ -212,18 +205,34 @@ def load_dataset(path, split: str = "train", features_path=None,
             r.question_tokens = vocab.encode_text(r.question)
             r.answer_tokens = vocab.encode_text(r.answer)
             r.candidates = [vocab.encode_text(c) for c in r.candidate_texts]
+    return DialogDataset(examples=examples, vocab=vocab, split=split)
+
+
+def load_dataset(path, split: str = "train", features_path=None,
+                 vocab: Optional[Vocabulary] = None) -> DialogDataset:
+    """Materialize a dataset file; example order is file order.
+
+    `vocab` is as for dataset_from_dict. `features_path` defaults to
+    features.bin next to the dataset file.
+    """
+    path = Path(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"$: not valid JSON ({e})") from e
+    ds = dataset_from_dict(raw, split, vocab)
 
     if features_path is None:
         features_path = path.parent / "features.bin"
     features_path = Path(features_path)
     if features_path.exists():
         feats = load_features(features_path)
-        for ex in examples:
+        for ex in ds.examples:
             if ex.image_id not in feats:
                 raise MissingFeatureError(f"no features for image_id {ex.image_id!r} in {features_path}")
             ex.region_features = feats[ex.image_id]
-
-    return DialogDataset(examples=examples, vocab=vocab, split=split)
+    return ds
 
 
 # ---------------------------------------------------------------------------
@@ -499,41 +508,10 @@ def generate_synthetic_raw(cfg: SyntheticConfig) -> tuple[dict, dict[str, np.nda
 def generate_synthetic(cfg: SyntheticConfig, split: str = "train") -> DialogDataset:
     """In-memory dataset with features attached; deterministic given cfg."""
     raw, features = generate_synthetic_raw(cfg)
-    ds = _dataset_from_raw(raw, split)
-    feats = {k: Tensor(v) for k, v in features.items()}
+    ds = dataset_from_dict(raw, split)
     for ex in ds.examples:
-        ex.region_features = feats[ex.image_id]
+        ex.region_features = Tensor(features[ex.image_id])
     return ds
-
-
-def _dataset_from_raw(raw: dict, split: str) -> DialogDataset:
-    examples = []
-    for d in raw["dialogs"]:
-        rounds = [
-            Round(
-                question=r["question"],
-                answer=r["answer"],
-                candidate_texts=list(r["answer_options"]),
-                gt_index=r["gt_index"],
-                relevance=list(r["relevance"]) if r.get("relevance") is not None else None,
-                gt_grounding=list(r["gt_grounding"]) if r.get("gt_grounding") is not None else None,
-            )
-            for r in d["rounds"]
-        ]
-        examples.append(DialogExample(image_id=d["image_id"], caption=d["caption"], rounds=rounds))
-    texts = []
-    for ex in examples:
-        texts.append(ex.caption)
-        for r in ex.rounds:
-            texts.extend([r.question, r.answer, *r.candidate_texts])
-    vocab = Vocabulary.from_texts(texts)
-    for ex in examples:
-        ex.caption_tokens = vocab.encode_text(ex.caption)
-        for r in ex.rounds:
-            r.question_tokens = vocab.encode_text(r.question)
-            r.answer_tokens = vocab.encode_text(r.answer)
-            r.candidates = [vocab.encode_text(c) for c in r.candidate_texts]
-    return DialogDataset(examples=examples, vocab=vocab, split=split)
 
 
 def dump_dataset_json(dataset_dict: dict) -> str:

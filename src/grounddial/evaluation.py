@@ -19,6 +19,7 @@ from .data import DialogDataset
 from .grounding import attention_record
 from .model import (
     ModelParams,
+    TrainConfig,
     Unit,
     infer_unit_scores,
     prepare_units,
@@ -128,11 +129,9 @@ ABLATION_MODES = ("learned", "mean", "random", "oracle")
 
 
 def _ablated_weights(units: list[Unit], learned: list[np.ndarray], mode: str,
-                     batch_size: int, seed: int) -> list[Optional[np.ndarray]]:
-    """Replacement distribution per unit: None keeps the learned one."""
-    if mode == "learned":
-        return [None] * len(units)
-    out: list[Optional[np.ndarray]] = []
+                     batch_size: int, seed: int) -> list[np.ndarray]:
+    """Replacement distribution per unit for the mean, oracle and random modes."""
+    out: list[np.ndarray] = []
     if mode == "mean":
         for u in units:
             mu = u.features.shape[0]
@@ -147,38 +146,41 @@ def _ablated_weights(units: list[Unit], learned: list[np.ndarray], mode: str,
             w[list(u.gt_grounding)] = 1.0 / len(u.gt_grounding)
             out.append(w)
         return out
-    if mode == "random":
-        rng = np.random.default_rng(seed)
-        out = [None] * len(units)
-        for start in range(0, len(units), batch_size):
-            idx = list(range(start, min(start + batch_size, len(units))))
-            perm = rng.permutation(len(idx))
-            for pos, j in enumerate(idx):
-                out[j] = learned[idx[int(perm[pos])]].copy()
-        return out
-    raise ValueError(f"unknown ablation mode {mode!r}")
+    # random: the learned distributions shuffled within each batch
+    rng = np.random.default_rng(seed)
+    for start in range(0, len(units), batch_size):
+        idx = range(start, min(start + batch_size, len(units)))
+        perm = rng.permutation(len(idx))
+        out += [learned[idx[int(k)]].copy() for k in perm]
+    return out
 
 
-def evaluate(params: ModelParams, ds: DialogDataset, *, decoder: str,
-             seq_len: int = 20, max_history: int = 11, axis_mode: str = "columns",
-             score_norm: str = "mean", ablate: str = "learned", seed: int = 0,
-             batch_size: int = 32, posterior_diagnostics: bool = False,
-             cross_residual: bool = True,
+def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainConfig(), *,
+             decoder: Optional[str] = None, ablate: str = "learned", seed: int = 0,
+             posterior_diagnostics: bool = False,
              units: Optional[list[Unit]] = None) -> EvalReport:
     """Inference-condition evaluation: ranking and grounding from the prior.
 
+    `cfg` is the configuration the model was trained with. `decoder` defaults
+    to the discriminative one only when that run trained the discriminative
+    loss alone. `ablate` replaces the prior before
+    pooling: uniform ("mean"), shuffled within each batch of cfg.batch_size
+    units ("random", seeded by `seed`) or the ground truth ("oracle").
     posterior_diagnostics additionally runs the answer-aware branch to report
     its entropy (the Table-3 "with answers" protocol); it never affects the
     ranking metrics.
     """
+    if ablate not in ABLATION_MODES:
+        raise ValueError(f"unknown ablation mode {ablate!r}; know {ABLATION_MODES}")
+    decoder = decoder or ("discriminative" if cfg.loss_mode == "discriminative" else "generative")
     if units is None:
-        units = prepare_units(ds, seq_len, max_history)
+        units = prepare_units(ds, cfg.seq_len, cfg.max_history)
     if not units:
         raise ContractError("evaluate on an empty dataset")
 
     if ablate != "learned":
-        learned = [unit_prior_weights(params, u, axis_mode, cross_residual) for u in units]
-        overrides = _ablated_weights(units, learned, ablate, batch_size, seed)
+        learned = [unit_prior_weights(params, u, cfg) for u in units]
+        overrides = _ablated_weights(units, learned, ablate, cfg.batch_size, seed)
     else:
         overrides = [None] * len(units)
 
@@ -187,9 +189,7 @@ def evaluate(params: ModelParams, ds: DialogDataset, *, decoder: str,
     records: list[dict] = []
     entropies: list[float] = []
     for u, g_override in zip(units, overrides):
-        scores, g = infer_unit_scores(params, u, decoder=decoder, axis_mode=axis_mode,
-                                      score_norm=score_norm, cross_residual=cross_residual,
-                                      g_override=g_override)
+        scores, g = infer_unit_scores(params, u, cfg, decoder=decoder, g_override=g_override)
         ranks.append(rank_of_gt(scores, u.gt_index))
         if u.relevance is not None:
             ndcgs.append(ndcg(scores, u.relevance))
@@ -211,36 +211,22 @@ def evaluate(params: ModelParams, ds: DialogDataset, *, decoder: str,
         report.grounding_top1 = grounding_accuracy(records, top_k=1)
         report.grounding_top3 = grounding_accuracy(records, top_k=3)
     if posterior_diagnostics:
-        post_entropies = [
-            distribution_entropy(unit_posterior_weights(params, u, axis_mode,
-                                                        cross_residual=cross_residual))
-            for u in units
-        ]
+        post_entropies = [distribution_entropy(unit_posterior_weights(params, u, cfg))
+                          for u in units]
         report.entropy_posterior = float(np.mean(post_entropies))
     return report
 
 
-def ablate_distribution(params: ModelParams, ds: DialogDataset, mode: str, *,
-                        decoder: str, seed: int = 0, **kw) -> EvalReport:
-    """Evaluate with the prior replaced before pooling (uniform, in-batch
-    shuffled, or the ground-truth oracle)."""
-    if mode not in ABLATION_MODES:
-        raise ValueError(f"unknown ablation mode {mode!r}; know {ABLATION_MODES}")
-    return evaluate(params, ds, decoder=decoder, ablate=mode, seed=seed, **kw)
-
-
-def export_attention(params: ModelParams, ds: DialogDataset, *, seq_len: int = 20,
-                     max_history: int = 11, axis_mode: str = "columns",
-                     with_posterior: bool = False, cross_residual: bool = True,
+def export_attention(params: ModelParams, ds: DialogDataset, cfg: TrainConfig, *,
+                     with_posterior: bool = False,
                      units: Optional[list[Unit]] = None) -> list[dict]:
     """Per-(image, round) attention records for offline analysis."""
     if units is None:
-        units = prepare_units(ds, seq_len, max_history)
+        units = prepare_units(ds, cfg.seq_len, cfg.max_history)
     records = []
     for u in units:
-        g = unit_prior_weights(params, u, axis_mode, cross_residual)
-        G = unit_posterior_weights(params, u, axis_mode,
-                                   cross_residual=cross_residual) if with_posterior else None
+        g = unit_prior_weights(params, u, cfg)
+        G = unit_posterior_weights(params, u, cfg) if with_posterior else None
         records.append(attention_record(u.image_id, u.round_index, g, G=G,
                                         gt_grounding=u.gt_grounding))
     return records

@@ -2,8 +2,8 @@
 losses that pull the prior toward the answer-informed posterior.
 
 The prior pipeline is cross-attention of projected regions over the context
-followed by self-attention pooling; the posterior runs the identical
-pipeline with the answer encoding added onto the context, sharing every
+followed by self-attention pooling; the posterior runs the same pipeline
+with the answer encoding added onto the context queries, sharing every
 parameter.
 """
 
@@ -39,8 +39,7 @@ class GroundingParams:
     att_wx: Tensor  # [d_q, d_q] context-side projection of f_cv
     w1: Tensor      # [d_q, d_h] pooling
     b1: Tensor      # [1, d_h]
-    w2: Tensor      # [d_h, 1]
-    b2: Tensor      # [1, 1]
+    w2: Tensor      # [d_h, 1]; no bias: a shift shared by every region leaves the softmax unchanged
 
 
 def init_grounding_params(rng: np.random.Generator, d_q: int, d_h: Optional[int] = None) -> GroundingParams:
@@ -58,7 +57,6 @@ def init_grounding_params(rng: np.random.Generator, d_q: int, d_h: Optional[int]
         # zero-init scores: both distributions start exactly uniform, with no
         # arbitrary region preferences to unlearn
         w2=Tensor(np.zeros((d_h, 1)), requires_grad=True),
-        b2=Tensor(np.zeros((1, 1)), requires_grad=True),
     )
 
 
@@ -125,12 +123,12 @@ def cross_attend(I: Tensor, x: Tensor, mask_x: Sequence[bool],
 def pool_regions(I_x: Tensor, params: GroundingParams) -> tuple[Tensor, Tensor]:
     """Self-attention pooling: weights over regions and the pooled vector.
 
-    weights = softmax over mu of ReLU(I_x W1 + b1) W2 + b2; pooled is the
+    weights = softmax over mu of ReLU(I_x W1 + b1) W2; pooled is the
     weight-averaged row of I_x.
     """
     mu, d_q = I_x.shape
     h = ad.relu(ad.add(ad.matmul(I_x, params.w1), ad.tile_rows(params.b1, mu)))
-    scores = ad.add(ad.matmul(h, params.w2), ad.tile_rows(params.b2, mu))  # [mu, 1]
+    scores = ad.matmul(h, params.w2)  # [mu, 1]
     w_col = ad.masked_softmax(scores, axis=0)
     weights = ad.reshape(w_col, (mu,))
     pooled = ad.reshape(ad.matmul(ad.transpose(w_col), I_x), (d_q,))
@@ -138,43 +136,29 @@ def pool_regions(I_x: Tensor, params: GroundingParams) -> tuple[Tensor, Tensor]:
 
 
 def prior_ground(I: Tensor, x: Tensor, mask_x: Sequence[bool], params: GroundingParams,
-                 axis_mode: str = "columns",
-                 cross_residual: bool = True) -> tuple[Tensor, Tensor, Tensor]:
+                 axis_mode: str = "columns") -> tuple[Tensor, Tensor, Tensor]:
     """Context-only grounding: returns (g, v_prior, I_x)."""
-    _, I_x = cross_attend(I, x, mask_x, axis_mode, residual=cross_residual,
+    _, I_x = cross_attend(I, x, mask_x, axis_mode, residual=True,
                           att_wi=params.att_wi, att_wx=params.att_wx)
     g, v_prior = pool_regions(I_x, params)
     return g, v_prior, I_x
 
 
 def posterior_ground(I: Tensor, x: Tensor, y: Tensor, mask_x: Sequence[bool],
-                     params: GroundingParams, axis_mode: str = "columns",
-                     share_cross_attention: bool = False,
-                     cross_residual: bool = True,
-                     posterior_values: str = "context") -> tuple[Tensor, Tensor, Tensor]:
-    """Answer-informed grounding: the prior pipeline run with x + y.
+                     params: GroundingParams,
+                     axis_mode: str = "columns") -> tuple[Tensor, Tensor, Tensor]:
+    """Answer-informed grounding: the prior pipeline queried with x + y.
 
     Shares every parameter with the prior. The answer steers where the
-    attention looks (the x + y queries); with posterior_values="context"
-    (default) the attended content stays x, so the answer cannot tunnel
-    straight into v_post and the posterior is forced to earn its sharpness
-    by selecting answer-consistent regions. "context_plus_answer" attends
-    over x + y content too (the literal full-replacement reading).
-    With share_cross_attention the attended regions are recomputed from x
-    alone (sensitivity analysis; the posterior then collapses onto the
-    prior because pooling sees the same input).
+    attention looks (the x + y queries) while the attended content stays x,
+    so the answer cannot tunnel straight into v_post and the posterior is
+    forced to earn its sharpness by selecting answer-consistent regions.
     """
     global _POSTERIOR_CALLS
     _POSTERIOR_CALLS += 1
     if x.shape != y.shape:
         raise DimensionError(f"x and y must match: {x.shape} vs {y.shape}")
-    if posterior_values not in ("context", "context_plus_answer"):
-        raise ValueError(f"unknown posterior_values {posterior_values!r}")
-    x_y = ad.add(x, y)
-    queries = x if share_cross_attention else x_y
-    values = queries if posterior_values == "context_plus_answer" else x
-    _, I_x_post = cross_attend(I, queries, mask_x, axis_mode,
-                               residual=cross_residual, values=values,
+    _, I_x_post = cross_attend(I, ad.add(x, y), mask_x, axis_mode, residual=True, values=x,
                                att_wi=params.att_wi, att_wx=params.att_wx)
     G, v_post = pool_regions(I_x_post, params)
     return G, v_post, I_x_post

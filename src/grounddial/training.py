@@ -9,7 +9,7 @@ posterior branch) and the best checkpoint is selected by validation MRR.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -19,66 +19,12 @@ from . import autodiff as ad
 from . import grounding
 from .autodiff import ContractError, Tape, Tensor, backward, read_tensor, write_tensor
 from .data import DialogDataset, batch_iterator
-from .evaluation import EvalReport, evaluate
-from .model import ModelParams, forward_unit, init_model_params, named_parameters, prepare_units, zero_grads
-
-LOSS_MODES = ("generative", "discriminative", "multitask")
-FEATURE_POLICIES = ("post_train_prior_eval", "always_prior")
+from .evaluation import evaluate
+from .model import ModelParams, TrainConfig, forward_unit, named_parameters, prepare_units, zero_grads
 
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or gradient."""
-
-
-@dataclass
-class TrainConfig:
-    loss_mode: str = "generative"
-    kl_weight: float = 1.0
-    bridge_variant: str = "attn_kl"
-    detach_posterior: bool = True
-    decoder_feature_policy: str = "post_train_prior_eval"
-    axis_mode: str = "columns"
-    score_norm: str = "mean"
-    fusion_residual: bool = True
-    share_cross_attention: bool = False
-    cross_residual: bool = True
-    posterior_values: str = "context"
-    base_lr: float = 1e-3
-    warmup_epochs: int = 1
-    decay_every: int = 2
-    decay_factor: float = 0.75
-    max_epochs: int = 20
-    batch_size: int = 32
-    seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    d_q: int = 64
-    d_e: int = 64
-    n_heads: int = 4
-    d_h: int = 64
-    seq_len: int = 20
-    max_history: int = 11
-
-    def validate(self) -> None:
-        if self.loss_mode not in LOSS_MODES:
-            raise ContractError(f"loss_mode must be one of {LOSS_MODES}")
-        if self.decoder_feature_policy not in FEATURE_POLICIES:
-            raise ContractError(f"decoder_feature_policy must be one of {FEATURE_POLICIES}")
-        if self.kl_weight < 0:
-            raise ContractError("kl_weight must be >= 0")
-        if not 0 < self.decay_factor <= 1:
-            raise ContractError("decay_factor must lie in (0, 1]")
-        if self.max_epochs < 1:
-            raise ContractError("max_epochs must be >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in known})
 
 
 def compose_loss(L_G: Optional[Tensor], L_D: Optional[Tensor], L_KL: Tensor,
@@ -222,12 +168,10 @@ def train(ds_train: DialogDataset, ds_val: DialogDataset, params: ModelParams,
     With out_dir set, writes metrics.jsonl plus best/final checkpoints as it
     goes, so the best checkpoint survives a later divergence abort.
     """
-    cfg.validate()
     named = named_parameters(params)
     state = OptimizerState()
-    train_units = prepare_units(ds_train, cfg.seq_len, cfg.max_history)
+    train_units = dict(zip(ds_train.units(), prepare_units(ds_train, cfg.seq_len, cfg.max_history)))
     val_units = prepare_units(ds_val, cfg.seq_len, cfg.max_history)
-    eval_decoder = "discriminative" if cfg.loss_mode == "discriminative" else "generative"
 
     log_path = None
     if out_dir is not None:
@@ -243,26 +187,14 @@ def train(ds_train: DialogDataset, ds_val: DialogDataset, params: ModelParams,
         lr = lr_at(epoch, cfg)
         sums = {"L_G": 0.0, "L_D": 0.0, "L_KL": 0.0}
         n_seen = 0
-        epoch_seed = cfg.seed * 1_000_003 + epoch
-        order = np.random.default_rng(epoch_seed).permutation(len(train_units))
-        for start in range(0, len(train_units), cfg.batch_size):
-            batch = [train_units[int(i)] for i in order[start:start + cfg.batch_size]]
+        for keys in batch_iterator(ds_train, cfg.batch_size, seed=cfg.seed * 1_000_003 + epoch,
+                                   shuffle=True):
+            batch = [train_units[key] for key in keys]
             zero_grads(params)
             with Tape() as tape:
                 parts_g, parts_d, parts_kl = [], [], []
                 for unit in batch:
-                    fw = forward_unit(
-                        params, unit,
-                        loss_mode=cfg.loss_mode,
-                        bridge_variant=cfg.bridge_variant,
-                        kl_weight=cfg.kl_weight,
-                        detach_posterior=cfg.detach_posterior,
-                        axis_mode=cfg.axis_mode,
-                        decoder_feature_policy=cfg.decoder_feature_policy,
-                        share_cross_attention=cfg.share_cross_attention,
-                        cross_residual=cfg.cross_residual,
-                        posterior_values=cfg.posterior_values,
-                    )
+                    fw = forward_unit(params, unit, cfg)
                     if fw.L_G is not None:
                         parts_g.append(fw.L_G)
                     if fw.L_D is not None:
@@ -287,10 +219,7 @@ def train(ds_train: DialogDataset, ds_val: DialogDataset, params: ModelParams,
 
         # inference-condition validation: the posterior branch must stay cold
         posterior_before = grounding.posterior_call_count()
-        report = evaluate(params, ds_val, decoder=eval_decoder, seq_len=cfg.seq_len,
-                          max_history=cfg.max_history, axis_mode=cfg.axis_mode,
-                          score_norm=cfg.score_norm, cross_residual=cfg.cross_residual,
-                          units=val_units)
+        report = evaluate(params, ds_val, cfg, units=val_units)
         if grounding.posterior_call_count() != posterior_before:
             raise ContractError("validation touched the posterior branch")
 

@@ -1,10 +1,16 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from grounddial.cli import main
+from grounddial.data import Vocabulary, load_dataset
+from grounddial.evaluation import evaluate
+from grounddial.model import init_model_params
+from grounddial.training import load_checkpoint, restore_params
 
 
 def run_cli(argv):
@@ -83,8 +89,8 @@ def test_train_determinism_byte_identical(synth_dir, tmp_path):
 
 def test_train_config_file_with_flag_override(synth_dir, tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"epochs": 1, "batch": 4, "d_q": 8, "d_e": 8,
-                                    "heads": 2, "d_h": 8, "seq_len": 10,
+    cfg_path.write_text(json.dumps({"max_epochs": 1, "batch_size": 4, "d_q": 8, "d_e": 8,
+                                    "n_heads": 2, "d_h": 8, "seq_len": 10,
                                     "max_history": 4, "seed": 3, "kl_weight": 0.5}))
     out = tmp_path / "cfgrun"
     code = run_cli(["train", "--data", str(synth_dir / "dataset.json"),
@@ -94,6 +100,79 @@ def test_train_config_file_with_flag_override(synth_dir, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["kl_weight"] == 0.0   # flag beats file
     assert manifest["config"]["max_epochs"] == 1    # file beats default
+
+
+def test_manifest_config_reproduces_the_run(synth_dir, tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli(small_train_args(synth_dir, first, extra=["--loss", "multitask"])) == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(json.loads((first / "manifest.json").read_text())["config"]))
+    assert run_cli(["train", "--data", str(synth_dir / "dataset.json"),
+                    "--out", str(second), "--config", str(cfg_path)]) == 0
+    assert (first / "metrics.jsonl").read_bytes() == (second / "metrics.jsonl").read_bytes()
+    assert (first / "best.bin").read_bytes() == (second / "best.bin").read_bytes()
+
+
+@pytest.mark.parametrize("extra, field", [
+    (["--epochs", "0"], "max_epochs"),
+    (["--d-q", "6", "--heads", "4"], "d_q"),
+])
+def test_train_invalid_config_flag_exits_2(synth_dir, tmp_path, capsys, extra, field):
+    out = tmp_path / "t"
+    assert run_cli(small_train_args(synth_dir, out, extra=extra)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("settings, field", [
+    ({"epocs": 1}, "epocs"),
+    ({"max_epochs": "1"}, "max_epochs"),
+])
+def test_train_bad_config_file_exits_2(synth_dir, tmp_path, capsys, settings, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(settings))
+    out = tmp_path / "t"
+    code = run_cli(["train", "--data", str(synth_dir / "dataset.json"),
+                    "--out", str(out), "--config", str(cfg_path)])
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_unknown_checkpoint_config_key_exits_3(synth_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli(small_train_args(synth_dir, out)) == 0
+    manifest_path = out / "best.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["share_cross_attention"] = True
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = run_cli(["eval", "--ckpt", str(out / "best"),
+                    "--data", str(synth_dir / "dataset.json"), "--split", "train"])
+    assert code == 3
+    assert "share_cross_attention" in capsys.readouterr().err
+
+
+def test_eval_uses_the_checkpoint_config(synth_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    extra = ["--axis-mode", "rows", "--score-norm", "sum"]
+    assert run_cli(small_train_args(synth_dir, out, extra=extra)) == 0
+    capsys.readouterr()
+    assert run_cli(["eval", "--ckpt", str(out / "best"),
+                    "--data", str(synth_dir / "dataset.json"), "--split", "train"]) == 0
+    reported = json.loads(capsys.readouterr().out)
+
+    tensors, cfg, vocab = load_checkpoint(out / "best")
+    assert (cfg.axis_mode, cfg.score_norm) == ("rows", "sum")
+    ds = load_dataset(synth_dir / "dataset.json", "train", vocab=Vocabulary(vocab))
+    params = init_model_params(np.random.default_rng(0), len(vocab),
+                               d_v=ds.examples[0].region_features.shape[1], d_e=cfg.d_e,
+                               d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
+    restore_params(params, tensors)
+    assert reported == evaluate(params, ds, cfg).to_dict()
+    defaults = dataclasses.replace(cfg, axis_mode="columns", score_norm="mean")
+    assert reported != evaluate(params, ds, defaults).to_dict()
 
 
 def test_eval_ablate_and_export(synth_dir, tmp_path, capsys):

@@ -1,13 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from grounddial import evaluation
 from grounddial.autodiff import ContractError, InvalidDistributionError
 from grounddial.data import SyntheticConfig, generate_synthetic
 from grounddial.evaluation import (
     EvalReport,
-    ablate_distribution,
     distribution_entropy,
     evaluate,
     export_attention,
@@ -18,7 +19,7 @@ from grounddial.evaluation import (
     rank_of_gt,
     recall_at_k,
 )
-from grounddial.model import init_model_params
+from grounddial.model import TrainConfig, init_model_params
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +192,16 @@ def test_entropy_invalid():
 @pytest.fixture(scope="module")
 def tiny_setup():
     ds = generate_synthetic(SyntheticConfig(num_images=3, seed=9))
+    cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4)
     params = init_model_params(np.random.default_rng(0), len(ds.vocab),
                                d_v=ds.examples[0].region_features.shape[1],
-                               d_e=8, d_q=8, n_heads=2, d_h=8)
-    return ds, params
+                               d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
+    return ds, params, cfg
 
 
 def test_evaluate_report_fields(tiny_setup):
-    ds, params = tiny_setup
-    rep = evaluate(params, ds, decoder="generative", seq_len=10, max_history=4)
+    ds, params, cfg = tiny_setup
+    rep = evaluate(params, ds, cfg, decoder="generative")
     assert 0 < rep.mrr <= 1
     assert rep.r_at_1 <= rep.r_at_5 <= rep.r_at_10
     assert 1 <= rep.mean_rank <= 10
@@ -210,48 +212,62 @@ def test_evaluate_report_fields(tiny_setup):
     assert rep.entropy_posterior is None
 
 
+def test_evaluate_decoder_follows_loss_mode(tiny_setup):
+    ds, params, cfg = tiny_setup
+    for mode, decoder in [("generative", "generative"), ("multitask", "generative"),
+                          ("discriminative", "discriminative")]:
+        run = dataclasses.replace(cfg, loss_mode=mode)
+        assert evaluate(params, ds, run) == evaluate(params, ds, cfg, decoder=decoder)
+
+
 def test_evaluate_posterior_diagnostics(tiny_setup):
-    ds, params = tiny_setup
-    rep = evaluate(params, ds, decoder="generative", seq_len=10, max_history=4,
-                   posterior_diagnostics=True)
+    ds, params, cfg = tiny_setup
+    rep = evaluate(params, ds, cfg, posterior_diagnostics=True)
     assert rep.entropy_posterior is not None
 
 
 def test_ablate_mean_mode_is_uniform(tiny_setup):
-    ds, params = tiny_setup
-    rep = ablate_distribution(params, ds, "mean", decoder="generative",
-                              seq_len=10, max_history=4)
+    ds, params, cfg = tiny_setup
+    rep = evaluate(params, ds, cfg, ablate="mean")
     assert isinstance(rep, EvalReport)
     mu = ds.examples[0].region_features.shape[0]
     assert rep.entropy_prior == pytest.approx(math.log(mu))
 
 
 def test_ablate_oracle_and_random(tiny_setup):
-    ds, params = tiny_setup
-    oracle = ablate_distribution(params, ds, "oracle", decoder="generative",
-                                 seq_len=10, max_history=4)
+    ds, params, cfg = tiny_setup
+    oracle = evaluate(params, ds, cfg, ablate="oracle")
     assert oracle.grounding_top1 == 1.0
-    rnd = ablate_distribution(params, ds, "random", decoder="generative",
-                              seq_len=10, max_history=4, seed=3)
+    rnd = evaluate(params, ds, cfg, ablate="random", seed=3)
     assert isinstance(rnd.mrr, float)
     with pytest.raises(ValueError):
-        ablate_distribution(params, ds, "nope", decoder="generative")
+        evaluate(params, ds, cfg, ablate="nope")
+
+
+def test_ablate_unknown_mode_rejected_before_any_work(tiny_setup, monkeypatch):
+    ds, params, cfg = tiny_setup
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("evaluate ran the model before checking the ablation mode")
+
+    for name in ("prepare_units", "unit_prior_weights", "infer_unit_scores"):
+        monkeypatch.setattr(evaluation, name, no_work)
+    with pytest.raises(ValueError, match="nope"):
+        evaluate(params, ds, cfg, ablate="nope")
 
 
 def test_ablate_deterministic(tiny_setup):
-    ds, params = tiny_setup
-    a = ablate_distribution(params, ds, "random", decoder="generative",
-                            seq_len=10, max_history=4, seed=5)
-    b = ablate_distribution(params, ds, "random", decoder="generative",
-                            seq_len=10, max_history=4, seed=5)
+    ds, params, cfg = tiny_setup
+    a = evaluate(params, ds, cfg, ablate="random", seed=5)
+    b = evaluate(params, ds, cfg, ablate="random", seed=5)
     assert a.to_dict() == b.to_dict()
 
 
 def test_export_attention_records(tiny_setup):
-    ds, params = tiny_setup
-    recs = export_attention(params, ds, seq_len=10, max_history=4)
+    ds, params, cfg = tiny_setup
+    recs = export_attention(params, ds, cfg)
     assert len(recs) == 9
     assert {"image_id", "round", "prior", "top3_prior", "gt_grounding"} <= set(recs[0])
     assert "posterior" not in recs[0]
-    recs2 = export_attention(params, ds, seq_len=10, max_history=4, with_posterior=True)
+    recs2 = export_attention(params, ds, cfg, with_posterior=True)
     assert "posterior" in recs2[0]

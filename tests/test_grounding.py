@@ -98,9 +98,9 @@ def test_pool_dominant_row_limit(params):
     I_x_arr = g.normal(size=(4, D_Q))
     I_x = Tensor(I_x_arr)
     w, _ = pool_regions(I_x, params)
-    # push row 2's score up by +30 via b2-equivalent shift on its hidden activation
+    # push row 2's score up by +30 via a shift on its hidden activation
     h = np.maximum(I_x_arr @ params.w1.data + params.b1.data, 0.0)
-    scores = h @ params.w2.data + params.b2.data
+    scores = h @ params.w2.data
     scores[2, 0] += 30.0
     e = np.exp(scores - scores.max())
     w_hand = (e / e.sum()).reshape(-1)
@@ -116,13 +116,12 @@ def test_pool_hand_evaluation_toy():
     p.w1.data = np.array([[1.0, 0.0], [0.0, 1.0]])
     p.b1.data = np.array([[0.0, 0.0]])
     p.w2.data = np.array([[1.0], [-1.0]])
-    p.b2.data = np.array([[0.5]])
     I_x = Tensor([[1.0, 2.0], [0.0, 0.0], [-3.0, 1.0]])
     w, pooled = pool_regions(I_x, p)
     scores = np.array([
-        max(1.0, 0) * 1 + max(2.0, 0) * -1 + 0.5,
-        0.5,
-        max(-3.0, 0) * 1 + max(1.0, 0) * -1 + 0.5,
+        max(1.0, 0) * 1 + max(2.0, 0) * -1,
+        0.0,
+        max(-3.0, 0) * 1 + max(1.0, 0) * -1,
     ])
     e = np.exp(scores - scores.max())
     expect = e / e.sum()

@@ -57,10 +57,10 @@ def per_step_path():
 def loss_and_grads(params, unit, cfg, mode):
     for t in named_parameters(params).values():
         t.grad = None
+    cfg = dataclasses.replace(cfg, loss_mode=mode)
     with Tape() as tape:
-        fw = forward_unit(params, unit, loss_mode=mode, bridge_variant=cfg.bridge_variant,
-                          kl_weight=cfg.kl_weight, detach_posterior=cfg.detach_posterior)
-        loss = compose_loss(fw.L_G, fw.L_D, fw.L_KL, dataclasses.replace(cfg, loss_mode=mode))
+        fw = forward_unit(params, unit, cfg)
+        loss = compose_loss(fw.L_G, fw.L_D, fw.L_KL, cfg)
     backward(loss, tape)
     grads = {name: t.grad for name, t in named_parameters(params).items()}
     return loss.item(), grads, len(tape.nodes)
@@ -94,11 +94,11 @@ def test_forward_unit_matches_per_step_path(request, fixture, mode, rounds):
 
 @pytest.mark.parametrize("decoder", ["generative", "discriminative"])
 def test_inference_scores_match_per_step_path(three_rounds, decoder):
-    params, units, _ = three_rounds
+    params, units, cfg = three_rounds
     for unit in units:
-        got = infer_unit_scores(params, unit, decoder=decoder)[0]
+        got = infer_unit_scores(params, unit, cfg, decoder=decoder)[0]
         with per_step_path():
-            want = infer_unit_scores(params, unit, decoder=decoder)[0]
+            want = infer_unit_scores(params, unit, cfg, decoder=decoder)[0]
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
 

@@ -199,9 +199,7 @@ def test_first_batch_generative_loss_independent_of_kl_weight():
 
     def first_lg(kl_weight):
         params = tiny_model(ds, cfg, seed=3)
-        fw = forward_unit(params, units[0], loss_mode="generative",
-                          bridge_variant="attn_kl", kl_weight=kl_weight,
-                          detach_posterior=True)
+        fw = forward_unit(params, units[0], tiny_cfg(kl_weight=kl_weight))
         return fw.L_G.item()
 
     assert first_lg(0.0) == first_lg(1.0)
@@ -213,8 +211,7 @@ def test_validation_never_calls_posterior():
     cfg = tiny_cfg()
     params = tiny_model(ds, cfg, seed=4)
     grounding.reset_posterior_call_count()
-    evaluate(params, ds, decoder="generative", seq_len=cfg.seq_len,
-             max_history=cfg.max_history)
+    evaluate(params, ds, cfg)
     assert grounding.posterior_call_count() == 0
 
 
