@@ -1,7 +1,7 @@
 import sys
 import numpy as np
 from grounddial.data import SyntheticConfig, generate_synthetic
-from grounddial.model import init_model_params, prepare_units, encode_unit_context, named_parameters, zero_grads
+from grounddial.model import init_model_params, prepare_units, encode_context, named_parameters, pack_batch, zero_grads
 from grounddial.grounding import cross_attend
 from grounddial.encoders import encode_tokens
 from grounddial.decoders import fuse_for_decoder, generative_loss
@@ -19,19 +19,24 @@ state = OptimizerState()
 train_units = prepare_units(ds_train, cfg.seq_len, cfg.max_history)
 val_units = prepare_units(ds_val, cfg.seq_len, cfg.max_history)
 
-def unit_loss(u, params):
-    x, I = encode_unit_context(params, u)
-    y = encode_tokens(u.a_ids, u.a_mask, params.encoder, "answer")
-    x_y = ad.add(x, y)
-    _, I_x_post = cross_attend(I, x_y, u.q_mask, "rows", residual=True, values=x,
-                               att_wi=params.grounding.att_wi, att_wx=params.grounding.att_wx)
+def batch_loss(units, params):
+    batch = pack_batch(units)
+    x, I = encode_context(params, batch)
+    y = encode_tokens(batch.answers, batch.q_mask.shape[1], params.encoder, "answer")
+    _, I_x_post = cross_attend(I, ad.add(x, y), batch.q_mask, "rows", residual=True, values=x,
+                               att_wi=params.grounding.att_wi, att_wx=params.grounding.att_wx,
+                               mask_i=batch.region_mask)
+    B, mu, d_q = I_x_post.shape
     if mode == "oracle":
-        G = Tensor(np.eye(8)[u.gt_grounding[0]].reshape(8, 1))
+        G = np.zeros((B, mu))
+        for b, u in enumerate(units):
+            G[b, u.gt_grounding[0]] = 1.0
     else:
-        G = Tensor(np.full((8, 1), 1/8))
-    v_post = ad.reshape(ad.matmul(ad.transpose(G), I_x_post), (64,))
-    fused = fuse_for_decoder(x, u.q_mask, v_post, params.decoder)
-    return generative_loss(fused, u.answer_targets, params.encoder.embedding, params.decoder)
+        G = batch.region_mask / batch.region_mask.sum(axis=1, keepdims=True)
+    v_post = ad.reshape(ad.bmm(Tensor(G.reshape(B, 1, mu)), I_x_post), (B, d_q))
+    fused = fuse_for_decoder(x, batch.q_mask, v_post, params.decoder)
+    return generative_loss(fused, [u.answer_targets for u in units], params.encoder.embedding,
+                           params.decoder)
 
 rng = np.random.default_rng(0)
 for epoch in range(20):
@@ -42,10 +47,11 @@ for epoch in range(20):
         batch = [train_units[int(i)] for i in order[start:start+32]]
         zero_grads(params)
         with Tape() as tape:
-            loss = ad.mean_of([unit_loss(u, params) for u in batch])
+            loss = batch_loss(batch, params)
         backward(loss, tape)
         adam_step(named, state, lr, cfg)
         tot += loss.item() * len(batch); n += len(batch)
     if epoch % 3 == 0 or epoch == 19:
-        vl = np.mean([unit_loss(u, params).item() for u in val_units])
+        vl = sum(batch_loss(val_units[s:s+32], params).item() * len(val_units[s:s+32])
+                 for s in range(0, len(val_units), 32)) / len(val_units)
         print(f"{mode} ep{epoch:2d}: train L_G={tot/n:.3f} val L_G={vl:.3f}", flush=True)

@@ -1,18 +1,24 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 Every operation records one node onto the active :class:`Tape`; `backward`
-replays the tape in reverse recording order exactly once. Only 2-D matrix
-products, same-shape elementwise arithmetic and row-wise reductions exist --
+replays the tape in reverse recording order exactly once. `matmul` is 2-D;
+same-shape elementwise arithmetic and reductions work on any rank --
 there is no implicit broadcasting beyond scaling/shifting by a Python
 scalar, so shape mistakes fail loudly at the op that caused them. All data
 is float64.
+
+`bmm` is the one op beyond 2-D: a batched matrix product over a leading
+axis, [B, m, k] @ [B, k, n]. With it, `masked_softmax` along any axis and
+the elementwise ops, a batch of units runs each attention step as one node
+on [B, ., .] stacks; ragged rows are masked, never packed block-diagonally.
 
 The recurrence is one op, `lstm_sequence`, that runs a batch of sequences
 through an LSTM cell as a single node, with backpropagation through time
 inside its rule. Its int `index` [T, B] names the row of the input matrix
 that sequence b reads at step t; -1 reads nothing and carries the state.
 Ragged batches pad with -1, and the reverse direction is the same index
-with its rows reversed (leading -1s carry the initial state).
+with its rows reversed (leading -1s carry the initial state). Each row of
+the input is read at most once.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ class ContractError(ValueError):
 
 
 _LOG_FLOOR = 1e-12  # floor inside log(q) for KL; p entries of 0 contribute 0
+_STEP_BLOCK = 128   # sequences lstm_sequence steps together
 
 
 class Tensor:
@@ -143,29 +150,16 @@ def backward(loss: Tensor, tape: Tape) -> None:
 # ---------------------------------------------------------------------------
 # constants and constructors
 
-_CONST_CACHE: dict = {}
-
-
 def const(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
 def zeros_const(shape) -> Tensor:
-    key = ("z", tuple(np.atleast_1d(shape))) if not isinstance(shape, tuple) else ("z", shape)
-    t = _CONST_CACHE.get(key)
-    if t is None:
-        t = Tensor(np.zeros(key[1]))
-        _CONST_CACHE[key] = t
-    return t
+    return Tensor(np.zeros(shape))
 
 
-def ones_const(shape: tuple) -> Tensor:
-    key = ("o", shape)
-    t = _CONST_CACHE.get(key)
-    if t is None:
-        t = Tensor(np.ones(shape))
-        _CONST_CACHE[key] = t
-    return t
+def ones_const(shape) -> Tensor:
+    return Tensor(np.ones(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +178,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), rule)
 
 
+def bmm(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+    """Batched matrix product over the leading axis: [B, m, k] @ [B, k, n].
+
+    With transpose_b, b is [B, n, k] and each slice multiplies by its
+    transpose. dA = dC Bᵀ, dB = Aᵀ dC, slice by slice.
+    """
+    k_axis = 2 if transpose_b else 1
+    if (a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0]
+            or a.shape[2] != b.shape[k_axis]):
+        raise DimensionError(f"bmm shapes do not agree: {a.shape} x {b.shape}"
+                             f"{' transposed' if transpose_b else ''}")
+    ad_ = a.data
+    bd = b.data.transpose(0, 2, 1) if transpose_b else b.data
+    out = Tensor(np.matmul(ad_, bd))
+
+    def rule(g):
+        da = np.matmul(g, bd.transpose(0, 2, 1))
+        if transpose_b:
+            return da, np.matmul(g.transpose(0, 2, 1), ad_)
+        return da, np.matmul(ad_.transpose(0, 2, 1), g)
+
+    return _record(out, (a, b), rule)
+
+
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise DimensionError(f"transpose needs a matrix, got shape {a.shape}")
@@ -196,8 +214,9 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
+    """Same data in a new shape (a view: no op writes into its operands)."""
     shape = tuple(shape)
-    out = Tensor(a.data.reshape(shape).copy())
+    out = Tensor(a.data.reshape(shape))
     orig = a.shape
 
     def rule(g):
@@ -559,13 +578,18 @@ def lstm_sequence(xs: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor, b: Ten
     xs: [N, d_in] input rows; index: int [T, B], the row of xs that sequence
     b reads at step t, or -1 where it reads none and its state is carried
     unchanged (after its end, or before its start when the index is
-    reversed for the backward direction); hc0: [B, 2H] packed initial
+    reversed for the backward direction), with each row of xs read at most
+    once (IndexError otherwise); hc0: [B, 2H] packed initial
     states (h then c); wx: [d_in, 4H]; wh: [H, 4H]; b: [1, 4H] with gate
     order i, f, o, g. Returns every step's h as [T*B, H], row t*B + b.
 
-    The input projection xs @ wx + b is made once for all steps, so the
-    loop over t does only the [B, H] @ [H, 4H] recurrence. Activations are
-    kept for backpropagation through time only while a tape records.
+    Each step projects only the rows it reads: as no row is read twice,
+    that is the multiply-adds of one hoisted xs @ wx without its [N, 4H]
+    buffer, which dominated peak memory when every candidate of a batch
+    ran at once. Wide batches step in blocks of _STEP_BLOCK sequences for
+    the same reason. Activations are kept for backpropagation through time
+    only while a tape records; the backward rule makes dwx, dwh, db and
+    dxs one matmul or sum each over all steps.
     """
     idx = np.asarray(index, dtype=np.intp)
     if idx.ndim != 2:
@@ -580,46 +604,59 @@ def lstm_sequence(xs: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor, b: Ten
         )
     if idx.size and (idx.min() < -1 or idx.max() >= xs.shape[0]):
         raise IndexError(f"lstm_sequence index outside [-1, {xs.shape[0]})")
+    live = idx >= 0
+    rows = idx[live]                                       # step-major, as dz in the rule
+    if rows.size:
+        reads = np.bincount(rows)
+        if reads.max() > 1:
+            raise IndexError(f"lstm_sequence reads row {int(reads.argmax())} of xs "
+                             f"{int(reads.max())} times; each row may be read at most once")
     inputs = (xs, hc0, wx, wh, b)
     record = _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
-    live = idx >= 0
-    full = live.all(axis=1)
-    proj = xs.data @ wx.data + b.data                      # [N, 4H]
-    whd = wh.data
-    h = hc0.data[:, :H]
-    c = hc0.data[:, H:]
+    xd, wxd, bd, whd = xs.data, wx.data, b.data, wh.data
     hs = np.empty((T, B, H))
     if record:
         gates = np.empty((T, B, 4 * H))                    # i, f, o, g after activation
         h_prev = np.empty((T, B, H))
         c_prev = np.empty((T, B, H))
         tanh_c = np.empty((T, B, H))
-    for t in range(T):
-        # a -1 row reads proj[-1]; its result is discarded below
-        z = proj[idx[t]] + h @ whd
-        ifo = 1.0 / (1.0 + np.exp(-z[:, :3 * H]))          # sigmoid of i, f, o
-        gg = np.tanh(z[:, 3 * H:])
-        c2 = ifo[:, H:2 * H] * c + ifo[:, :H] * gg
-        tc = np.tanh(c2)
-        h2 = ifo[:, 2 * H:] * tc
-        if not full[t]:
-            keep = ~live[t, :, None]
-            c2 = np.where(keep, c, c2)
-            h2 = np.where(keep, h, h2)
-        if record:
-            gates[t, :, :3 * H] = ifo
-            gates[t, :, 3 * H:] = gg
-            h_prev[t] = h
-            c_prev[t] = c
-            tanh_c[t] = tc
-        hs[t] = h2
-        h, c = h2, c2
+    # a wide batch steps in blocks of sequences, which bounds the loop's temporaries
+    for lo in range(0, B, _STEP_BLOCK):
+        cols = slice(lo, lo + _STEP_BLOCK)
+        h = hc0.data[cols, :H]
+        c = hc0.data[cols, H:]
+        z = np.empty((h.shape[0], 4 * H))                  # step buffers, reused
+        zh = np.empty((h.shape[0], 4 * H))
+        for t in range(T):
+            # a -1 row reads xs[-1]; its result is discarded below
+            np.matmul(xd[idx[t, cols]], wxd, out=z)
+            z += bd
+            z += np.matmul(h, whd, out=zh)
+            ifo = z[:, :3 * H]                             # sigmoid of i, f, o, in place
+            np.negative(ifo, out=ifo)
+            np.exp(ifo, out=ifo)
+            ifo += 1.0
+            np.reciprocal(ifo, out=ifo)
+            gg = np.tanh(z[:, 3 * H:], out=z[:, 3 * H:])
+            c2 = ifo[:, H:2 * H] * c
+            c2 += ifo[:, :H] * gg
+            tc = np.tanh(c2)
+            h2 = np.multiply(ifo[:, 2 * H:], tc, out=hs[t, cols])
+            keep = ~live[t, cols, None]
+            if keep.any():
+                np.copyto(c2, c, where=keep)
+                np.copyto(h2, h, where=keep)
+            if record:
+                gates[t, cols] = z
+                h_prev[t, cols] = h
+                c_prev[t, cols] = c
+                tanh_c[t, cols] = tc
+            h, c = h2, c2
     out = Tensor(hs.reshape(T * B, H))
     if not record:
         return out
-    xd, wxd = xs.data, wx.data
     n_rows = xs.shape[0]
-    rows = idx[live]                                       # step-major, as dz below
+    full = live.all(axis=1)
 
     def rule(g):
         g = g.reshape(T, B, H)
@@ -649,7 +686,7 @@ def lstm_sequence(xs: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor, b: Ten
             dh_next, dc_next = dh_prev, dc_prev
         dwh = h_prev.reshape(T * B, H).T @ dz.reshape(T * B, 4 * H)
         dproj = np.zeros((n_rows, 4 * H))
-        np.add.at(dproj, rows, dz[live])
+        dproj[rows] = dz[live]                             # rows are distinct
         return (dproj @ wxd.T, np.concatenate([dh_next, dc_next], axis=1),
                 xd.T @ dproj, dwh, dproj.sum(axis=0, keepdims=True))
 

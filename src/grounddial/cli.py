@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .autodiff import ContractError
+from .autodiff import ContractError, DegenerateSliceError, InvalidDistributionError
 from .data import (
     GenerationError,
     FeatureFileError,
@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (ParseError, MissingFeatureError, FeatureFileError, GenerationError,
-            DataError, FileNotFoundError) as e:
+            DataError, FileNotFoundError, DegenerateSliceError, InvalidDistributionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except DivergenceError as e:

@@ -134,33 +134,45 @@ def _expect(cond: bool, path: str, msg: str) -> None:
         raise ParseError(f"{path}: {msg}")
 
 
-def _parse_round(obj, path: str) -> Round:
-    _expect(isinstance(obj, dict), path, "round must be an object")
+def _parse_round(obj, dialog: int, index: int) -> Round:
+    """One validated round; its path is spelled out only if a check fails."""
+    def fail(field: str, msg: str):
+        raise ParseError(f"$.dialogs[{dialog}].rounds[{index}]{field}: {msg}")
+
+    if not isinstance(obj, dict):
+        fail("", "round must be an object")
     for key in ("question", "answer", "answer_options", "gt_index"):
-        _expect(key in obj, path, f"missing key {key!r}")
+        if key not in obj:
+            fail("", f"missing key {key!r}")
     options = obj["answer_options"]
-    _expect(isinstance(options, list) and options, f"{path}.answer_options", "must be a non-empty list")
+    if not (isinstance(options, list) and options):
+        fail(".answer_options", "must be a non-empty list")
     gt = obj["gt_index"]
-    _expect(isinstance(gt, int) and 0 <= gt < len(options),
-            f"{path}.gt_index", f"must be in [0, {len(options)})")
+    if not (isinstance(gt, int) and 0 <= gt < len(options)):
+        fail(".gt_index", f"must be in [0, {len(options)})")
     relevance = obj.get("relevance")
     if relevance is not None:
-        _expect(isinstance(relevance, list) and len(relevance) == len(options),
-                f"{path}.relevance", "must align with answer_options")
-        _expect(all(0.0 <= float(r) <= 1.0 for r in relevance),
-                f"{path}.relevance", "entries must lie in [0, 1]")
-        _expect(float(relevance[gt]) >= max(float(r) for r in relevance) - 1e-12,
-                f"{path}.relevance", "gt_index relevance must be maximal or tied-maximal")
+        if not (isinstance(relevance, list) and len(relevance) == len(options)):
+            fail(".relevance", "must align with answer_options")
+        values = []
+        for r in relevance:
+            v = float(r)
+            if not 0.0 <= v <= 1.0:
+                fail(".relevance", "entries must lie in [0, 1]")
+            values.append(v)
+        if values[gt] < max(values) - 1e-12:
+            fail(".relevance", "gt_index relevance must be maximal or tied-maximal")
+        relevance = values
     grounding = obj.get("gt_grounding")
     if grounding is not None:
-        _expect(isinstance(grounding, list) and all(isinstance(i, int) for i in grounding),
-                f"{path}.gt_grounding", "must be a list of region indices")
+        if not (isinstance(grounding, list) and all(isinstance(i, int) for i in grounding)):
+            fail(".gt_grounding", "must be a list of region indices")
     return Round(
         question=str(obj["question"]),
         answer=str(obj["answer"]),
         candidate_texts=[str(o) for o in options],
         gt_index=gt,
-        relevance=[float(r) for r in relevance] if relevance is not None else None,
+        relevance=relevance,
         gt_grounding=list(grounding) if grounding is not None else None,
     )
 
@@ -182,11 +194,12 @@ def dataset_from_dict(raw, split: str = "train",
 
     examples: list[DialogExample] = []
     for i, d in enumerate(dialogs):
-        dpath = f"$.dialogs[{i}]"
-        _expect(isinstance(d, dict), dpath, "dialog must be an object")
+        if not isinstance(d, dict):
+            raise ParseError(f"$.dialogs[{i}]: dialog must be an object")
         for key in ("image_id", "caption", "rounds"):
-            _expect(key in d, dpath, f"missing key {key!r}")
-        rounds = [_parse_round(r, f"{dpath}.rounds[{j}]") for j, r in enumerate(d["rounds"])]
+            if key not in d:
+                raise ParseError(f"$.dialogs[{i}]: missing key {key!r}")
+        rounds = [_parse_round(r, i, j) for j, r in enumerate(d["rounds"])]
         examples.append(DialogExample(image_id=str(d["image_id"]), caption=str(d["caption"]), rounds=rounds))
 
     if vocab is None:

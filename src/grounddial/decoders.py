@@ -3,7 +3,8 @@
 The generative decoder is a teacher-forced LSTM language model initialized
 from the fused context+visual vector; the discriminative decoder encodes
 each candidate with its own bi-directional LSTM and scores it bilinearly
-against the fused vector.
+against the fused vector. Every function takes a batch of units: fused
+vectors are [B, d_q] and candidates come as one list per unit.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .encoders import (
     BiEncoderParams,
     LstmCellParams,
     encode_sentences,
+    gather_rows,
     init_bi_encoder,
     init_lstm_cell,
     pack_sequences,
@@ -53,28 +55,31 @@ def init_decoder_params(rng: np.random.Generator, vocab_size: int,
     )
 
 
-def fuse_for_decoder(x: Tensor, mask_x: Sequence[bool], v_star: Tensor,
+def fuse_for_decoder(x: Tensor, mask_x: np.ndarray, v_star: Tensor,
                      params: DecoderParams) -> Tensor:
-    """Mask-aware mean pool of x concatenated with v_star, projected with tanh."""
-    lam, d_q = x.shape
+    """Mask-aware mean pool of x concatenated with v_star, projected with tanh.
+
+    x: [B, lam, d_q], mask_x: bool [B, lam], v_star: [B, d_q]; returns [B, d_q].
+    """
+    B, lam, d_q = x.shape
     mask = np.asarray(mask_x, dtype=float)
-    count = mask.sum()
-    if count == 0:
-        raise DegenerateSliceError("fuse_for_decoder with every context position masked")
-    pool_row = Tensor((mask / count).reshape(1, lam))
-    ctx = ad.matmul(pool_row, x)                      # [1, d_q]
-    v_row = ad.reshape(v_star, (1, d_q))
-    cat = ad.concat([ctx, v_row], axis=1)             # [1, 2 d_q]
-    fused = ad.tanh(ad.add(ad.matmul(cat, params.fuse_w), params.fuse_b))
-    return ad.reshape(fused, (d_q,))
+    counts = mask.sum(axis=1, keepdims=True)
+    if (counts == 0).any():
+        raise DegenerateSliceError(f"fuse_for_decoder with every context position of batch row "
+                                   f"{int((counts[:, 0] == 0).argmax())} masked")
+    pool = Tensor((mask / counts).reshape(B, 1, lam))
+    ctx = ad.reshape(ad.bmm(pool, x), (B, d_q))
+    cat = ad.concat([ctx, v_star], axis=1)            # [B, 2 d_q]
+    return ad.tanh(ad.add(ad.matmul(cat, params.fuse_w), ad.tile_rows(params.fuse_b, B)))
 
 
-def _teacher_forced_position_losses(fused: Tensor, sequences: Sequence[Sequence[int]],
+def _teacher_forced_position_losses(h0: Tensor, sequences: Sequence[Sequence[int]],
                                     embedding: Tensor, params: DecoderParams) -> Tensor:
     """Per-position -log p(token) under teacher forcing, every sequence in one batch.
 
-    Each sequence ends with EOS and starts from the state (fused, 0). The
-    result is one vector with each sequence's positions contiguous, in order.
+    Sequence s ends with EOS and starts from the state (h0[s], 0); h0 is
+    [len(sequences), d_q]. The result is one vector with each sequence's
+    positions contiguous, in order.
     """
     seqs = [list(s) for s in sequences]
     for tokens in seqs:
@@ -83,78 +88,89 @@ def _teacher_forced_position_losses(fused: Tensor, sequences: Sequence[Sequence[
         if tokens[-1] != EOS_ID:
             raise ContractError("answer token sequence must end with EOS")
     n = len(seqs)
-    d_q = fused.shape[0]
     inputs, index = pack_sequences([[BOS_ID] + tokens[:-1] for tokens in seqs])
     emb = ad.take_rows(embedding, inputs)
-    h0 = ad.reshape(fused, (1, d_q))
-    if n > 1:
-        h0 = ad.tile_rows(h0, n)
-    hc0 = ad.concat([h0, ad.zeros_const((n, d_q))], axis=1)
+    hc0 = ad.concat([h0, ad.zeros_const((n, h0.shape[1]))], axis=1)
     hs = ad.lstm_sequence(emb, index, hc0, params.gen.wx, params.gen.wh, params.gen.b)
-    if n > 1:
-        # step-major rows t*n + b, regrouped sequence by sequence
-        hs = ad.take_rows(hs, [t * n + b for b, s in enumerate(seqs) for t in range(len(s))])
-    m = len(inputs)
-    logits = ad.add(ad.matmul(hs, params.out_w), ad.tile_rows(params.out_b, m))
+    # step-major rows t*n + s, regrouped sequence by sequence
+    seq_of, step = np.nonzero(index.T >= 0)
+    hs = ad.take_rows(hs, step * n + seq_of)
+    logits = ad.add(ad.matmul(hs, params.out_w), ad.tile_rows(params.out_b, seq_of.size))
     return ad.cross_entropy_rows(logits, [t for tokens in seqs for t in tokens])
 
 
-def generative_loss(fused: Tensor, answer_tokens: Sequence[int], embedding: Tensor,
+def generative_loss(fused: Tensor, answers: Sequence[Sequence[int]], embedding: Tensor,
                     params: DecoderParams) -> Tensor:
-    """Mean over target positions of -log p(token)."""
-    return ad.mean_all(_teacher_forced_position_losses(fused, [answer_tokens], embedding, params))
+    """Mean over the batch of each answer's mean -log p(token); fused is [B, d_q]."""
+    losses = _teacher_forced_position_losses(fused, answers, embedding, params)
+    lengths = np.array([len(a) for a in answers])
+    weights = np.repeat(1.0 / (lengths * len(lengths)), lengths)
+    return ad.sum_all(ad.mul(losses, Tensor(weights)))
 
 
-def generative_rank(fused: Tensor, candidates: Sequence[Sequence[int]], embedding: Tensor,
-                    params: DecoderParams, score_norm: str = "mean") -> Tensor:
-    """Score each candidate by its per-token log-likelihood (higher is better).
+def generative_rank(fused: Tensor, candidates: Sequence[Sequence[Sequence[int]]],
+                    embedding: Tensor, params: DecoderParams,
+                    score_norm: str = "mean") -> list[np.ndarray]:
+    """Score each unit's candidates by their per-token log-likelihood (higher
+    is better); fused is [B, d_q], candidates[b] the list of unit b's.
 
-    "mean" normalizes by candidate length (the default, removing length
-    bias); "sum" totals the log-likelihoods instead.
+    Every candidate of the batch runs in one teacher-forced pass. "mean"
+    normalizes by candidate length (the default, removing length bias);
+    "sum" totals the log-likelihoods instead.
     """
     if score_norm not in ("mean", "sum"):
         raise ValueError(f"unknown score_norm {score_norm!r}")
-    if not candidates:
-        raise ContractError("generative ranking needs at least one candidate")
-    seqs = []
-    for cand in candidates:
-        tokens = list(cand)
-        if not tokens or tokens[-1] != EOS_ID:
-            tokens = tokens + [EOS_ID]
-        seqs.append(tokens)
-    losses = _teacher_forced_position_losses(fused, seqs, embedding, params).data
-    scores = []
-    start = 0
-    for tokens in seqs:
-        seg = losses[start:start + len(tokens)]
-        start += len(tokens)
-        # mean matches generative_loss bit-for-bit on a single candidate, negated
-        scores.append(-seg.mean() if score_norm == "mean" else -seg.sum())
-    return Tensor(np.asarray(scores))
+    seqs, owner = [], []
+    for b, cands in enumerate(candidates):
+        if not cands:
+            raise ContractError("generative ranking needs at least one candidate")
+        for cand in cands:
+            tokens = list(cand)
+            if not tokens or tokens[-1] != EOS_ID:
+                tokens = tokens + [EOS_ID]
+            seqs.append(tokens)
+            owner.append(b)
+    losses = _teacher_forced_position_losses(ad.take_rows(fused, owner), seqs, embedding,
+                                             params).data
+    lengths = np.array([len(s) for s in seqs])
+    if score_norm == "mean":
+        # weights as in generative_loss, so a lone candidate's score is its loss negated bit for bit
+        losses = losses * np.repeat(1.0 / lengths, lengths)
+    scores = -np.add.reduceat(losses, np.cumsum(lengths) - lengths)
+    return np.split(scores, np.cumsum([len(c) for c in candidates])[:-1])
 
 
-def discriminative_scores(fused: Tensor, candidates: Sequence[Sequence[int]],
+def discriminative_scores(fused: Tensor, candidates: Sequence[Sequence[Sequence[int]]],
                           embedding: Tensor, params: DecoderParams) -> Tensor:
-    """Bilinear scores fusedᵀ B cand_i over all candidates, [N].
+    """Bilinear scores fusedᵀ B cand over each unit's candidates, [B, N].
 
-    Every candidate is encoded in one batch by the candidate encoder's own
-    BiLSTM (final states, projected); an empty candidate is a zero row.
+    N is the most candidates of any unit; a unit with fewer scores -inf past
+    its last. The batch's distinct candidates are encoded once, in one batch,
+    by the candidate encoder's own BiLSTM (final states, projected); an empty
+    candidate is a zero row.
     """
-    n = len(candidates)
-    if n < 1:
+    distinct: dict[tuple, int] = {}
+    which = [[distinct.setdefault(tuple(c), len(distinct)) for c in cands] for cands in candidates]
+    if not all(which):
         raise ContractError("discriminative scoring needs at least one candidate")
-    cand_mat = encode_sentences(candidates, params.cand, embedding)   # [N, d_q]
-    d_q = fused.shape[0]
-    left = ad.matmul(ad.reshape(fused, (1, d_q)), params.bilinear)
-    return ad.reshape(ad.matmul(left, ad.transpose(cand_mat)), (n,))
+    n_units, n_max = len(which), max(len(w) for w in which)
+    cand_mat = encode_sentences(list(distinct), params.cand, embedding)   # [S, d_q]
+    left = ad.matmul(fused, params.bilinear)                              # [B, d_q]
+    every = ad.matmul(left, ad.transpose(cand_mat))                       # [B, S]
+    n_distinct = len(distinct)
+    index = np.full((n_units, n_max), n_units * n_distinct, dtype=np.intp)
+    for b, w in enumerate(which):
+        index[b, :len(w)] = b * n_distinct + np.asarray(w)
+    flat = ad.reshape(every, (n_units * n_distinct, 1))
+    return ad.reshape(gather_rows(flat, index, fill=-np.inf), (n_units, n_max))
 
 
-def discriminative_loss_and_rank(fused: Tensor, candidates: Sequence[Sequence[int]],
-                                 gt_index: int, embedding: Tensor,
+def discriminative_loss_and_rank(fused: Tensor, candidates: Sequence[Sequence[Sequence[int]]],
+                                 gt_indices: Sequence[int], embedding: Tensor,
                                  params: DecoderParams) -> tuple[Tensor, Tensor]:
-    """(cross-entropy loss over candidate scores, the scores themselves)."""
-    n = len(candidates)
-    if not 0 <= gt_index < n:
-        raise IndexError(f"gt_index {gt_index} out of range for {n} candidates")
+    """(mean over the batch of the cross-entropy over candidate scores, the scores)."""
+    for cands, gt in zip(candidates, gt_indices):
+        if not 0 <= gt < len(cands):
+            raise IndexError(f"gt_index {gt} out of range for {len(cands)} candidates")
     scores = discriminative_scores(fused, candidates, embedding, params)
-    return ad.cross_entropy(scores, gt_index), scores
+    return ad.mean_all(ad.cross_entropy_rows(scores, gt_indices)), scores

@@ -104,23 +104,10 @@ def init_encoder_params(rng: np.random.Generator, vocab_size: int, d_v: int,
     )
 
 
-def _check_ids(ids: Sequence[int], vocab_size: int) -> None:
-    for t in ids:
-        if not 0 <= t < vocab_size:
-            raise IndexError(f"token id {t} outside vocabulary of size {vocab_size}")
-
-
-def _bi_lstm_states(ids: Sequence[int], enc: BiEncoderParams, embedding: Tensor) -> Tensor:
-    """Per-position concat of forward/backward hidden states, [n, 2H]."""
-    n = len(ids)
-    hidden = enc.fwd.wh.shape[0]
-    emb = ad.take_rows(embedding, list(ids))
-    index = np.arange(n).reshape(n, 1)
-    zero = ad.zeros_const((1, 2 * hidden))
-    h_f = ad.lstm_sequence(emb, index, zero, enc.fwd.wx, enc.fwd.wh, enc.fwd.b)
-    h_b_rev = ad.lstm_sequence(emb, index[::-1], zero, enc.bwd.wx, enc.bwd.wh, enc.bwd.b)
-    h_b = ad.take_rows(h_b_rev, list(range(n - 1, -1, -1)))
-    return ad.concat([h_f, h_b], axis=1)
+def _check_ids(ids: np.ndarray, vocab_size: int) -> None:
+    bad = (ids < 0) | (ids >= vocab_size)
+    if bad.any():
+        raise IndexError(f"token id {int(ids[bad][0])} outside vocabulary of size {vocab_size}")
 
 
 def pack_sequences(seqs: Sequence[Sequence[int]]) -> tuple[list[int], np.ndarray]:
@@ -137,6 +124,33 @@ def pack_sequences(seqs: Sequence[Sequence[int]]) -> tuple[list[int], np.ndarray
     return flat, index
 
 
+def _bi_lstm(seqs: Sequence[Sequence[int]], enc: BiEncoderParams,
+             embedding: Tensor) -> tuple[Tensor, Tensor, np.ndarray]:
+    """Both directions over a batch of sequences, in one `lstm_sequence` call each.
+
+    Returns the forward states, the backward states and the [T, B] index;
+    state rows are step-major (t*B + b), the backward ones in reversed step
+    order, so position p of sequence b is forward row p*B + b and backward
+    row (T-1-p)*B + b.
+    """
+    flat, index = pack_sequences(seqs)
+    flat = np.asarray(flat, dtype=np.intp)
+    _check_ids(flat, embedding.shape[0])
+    emb = ad.take_rows(embedding, flat)
+    zero = ad.zeros_const((len(seqs), 2 * enc.fwd.wh.shape[0]))
+    h_f = ad.lstm_sequence(emb, index, zero, enc.fwd.wx, enc.fwd.wh, enc.fwd.b)
+    h_b = ad.lstm_sequence(emb, index[::-1], zero, enc.bwd.wx, enc.bwd.wh, enc.bwd.b)
+    return h_f, h_b, index
+
+
+def gather_rows(rows: Tensor, index: np.ndarray, fill: float = 0.0) -> Tensor:
+    """rows[index] stacked to index.shape + [d]; an index equal to len(rows)
+    reads a constant row of `fill` (the padding of ragged stacks)."""
+    index = np.asarray(index, dtype=np.intp)
+    padded = ad.concat([rows, ad.const(np.full((1, rows.shape[1]), fill))], axis=0)
+    return ad.reshape(ad.take_rows(padded, index.reshape(-1)), index.shape + (rows.shape[1],))
+
+
 def encode_sentences(seqs: Sequence[Sequence[int]], enc: BiEncoderParams,
                      embedding: Tensor) -> Tensor:
     """One projected final-state vector per sentence, [B, d_q], in one batch.
@@ -146,18 +160,12 @@ def encode_sentences(seqs: Sequence[Sequence[int]], enc: BiEncoderParams,
     """
     seqs = [list(s) for s in seqs]
     d_q = enc.proj_w.shape[1]
-    hidden = enc.fwd.wh.shape[0]
     n = len(seqs)
     if not any(seqs):
         return ad.zeros_const((n, d_q))
-    flat, index = pack_sequences(seqs)
-    _check_ids(flat, embedding.shape[0])
-    emb = ad.take_rows(embedding, flat)
-    zero = ad.zeros_const((n, 2 * hidden))
-    h_f = ad.lstm_sequence(emb, index, zero, enc.fwd.wx, enc.fwd.wh, enc.fwd.b)
-    h_b = ad.lstm_sequence(emb, index[::-1], zero, enc.bwd.wx, enc.bwd.wh, enc.bwd.b)
+    h_f, h_b, index = _bi_lstm(seqs, enc, embedding)
     # a state is carried past its sequence's end, so step T-1 holds every final state
-    last = list(range(index.size - n, index.size))
+    last = np.arange(index.size - n, index.size)
     state = ad.concat([ad.take_rows(h_f, last), ad.take_rows(h_b, last)], axis=1)
     out = ad.add(ad.matmul(state, enc.proj_w), ad.tile_rows(enc.proj_b, n))
     if not all(seqs):
@@ -166,12 +174,15 @@ def encode_sentences(seqs: Sequence[Sequence[int]], enc: BiEncoderParams,
     return out
 
 
-def encode_tokens(ids: Sequence[int], mask: Sequence[bool], params: EncoderParams,
+def encode_tokens(seqs: Sequence[Sequence[int]], length: int, params: EncoderParams,
                   which: str) -> Tensor:
-    """Token-level encoding [len(ids), d_q]; PAD rows come out exactly zero.
+    """Token-level encodings of a batch of sentences, [B, length, d_q].
 
-    Rows are layer-normalized so question and answer encodings share one
-    scale; their sum in the posterior branch then perturbs meaningfully.
+    Each sentence runs through the bi-directional LSTM whole; its first
+    `length` positions are kept and the positions past its end are exactly
+    zero rows. Rows are layer-normalized so question and answer encodings
+    share one scale; their sum in the posterior branch then perturbs
+    meaningfully.
     """
     if which == "question":
         enc = params.question
@@ -179,19 +190,22 @@ def encode_tokens(ids: Sequence[int], mask: Sequence[bool], params: EncoderParam
         enc = params.answer
     else:
         raise ValueError(f"unknown encoder {which!r}")
-    lam = len(ids)
-    if lam < 1:
+    if length < 1:
         raise ValueError("encode_tokens needs at least one position")
-    _check_ids(ids, params.embedding.shape[0])
-    n = int(np.count_nonzero(np.asarray(mask, dtype=bool)))
-    if n == 0:
-        return ad.zeros_const((lam, params.d_q))
-    states = _bi_lstm_states(ids[:n], enc, params.embedding)
-    out = ad.add(ad.matmul(states, enc.proj_w), ad.tile_rows(enc.proj_b, n))
-    out = layer_norm_rows(out)
-    if n < lam:
-        out = ad.concat([out, ad.zeros_const((lam - n, params.d_q))], axis=0)
-    return out
+    seqs = [list(s) for s in seqs]
+    n_seq = len(seqs)
+    if not any(seqs):
+        return ad.zeros_const((n_seq, length, params.d_q))
+    h_f, h_b, index = _bi_lstm(seqs, enc, params.embedding)
+    T = index.shape[0]
+    seq_of, pos = np.nonzero(index.T[:, :length] >= 0)            # kept positions, sentence by sentence
+    states = ad.concat([ad.take_rows(h_f, pos * n_seq + seq_of),
+                        ad.take_rows(h_b, (T - 1 - pos) * n_seq + seq_of)], axis=1)
+    n = seq_of.size
+    out = layer_norm_rows(ad.add(ad.matmul(states, enc.proj_w), ad.tile_rows(enc.proj_b, n)))
+    grid = np.full((n_seq, length), n, dtype=np.intp)
+    grid[seq_of, pos] = np.arange(n)
+    return gather_rows(out, grid)
 
 
 def encode_history(elements: Sequence[Sequence[int]], params: EncoderParams) -> Tensor:
@@ -218,33 +232,45 @@ def layer_norm_rows(t: Tensor, eps: float = 1e-5) -> Tensor:
     return ad.mul(centered, ad.matmul(inv, row))
 
 
-def fuse_context(Q: Tensor, H: Tensor, mask_q: Sequence[bool], params: EncoderParams) -> Tensor:
+def fuse_context(Q: Tensor, H: Tensor, mask_q: np.ndarray, mask_h: np.ndarray,
+                 params: EncoderParams) -> Tensor:
     """Multi-head attention from question positions over history rows.
 
+    Q: [B, lam, d_q] question encodings; H: [B, T, d_q] history rows;
+    mask_q [B, lam] and mask_h [B, T] mark the real positions and rows.
     Heads are concatenated and output-projected, residual-added to Q (when
     enabled) and layer-normalized; PAD question rows stay zero.
     """
-    lam, d_q = Q.shape
-    if H.shape[1] != d_q or d_q != params.d_q:
+    B, lam, d_q = Q.shape
+    T = H.shape[1]
+    if H.data.ndim != 3 or H.shape[0] != B or H.shape[2] != d_q or d_q != params.d_q:
         raise DimensionError(f"fuse_context shapes: Q {Q.shape}, H {H.shape}, d_q {params.d_q}")
+    mask_q = np.asarray(mask_q, dtype=bool)
+    mask_h = np.asarray(mask_h, dtype=bool)
+    if mask_q.shape != (B, lam) or mask_h.shape != (B, T):
+        raise DimensionError(f"fuse_context masks {mask_q.shape}, {mask_h.shape} "
+                             f"for Q {Q.shape}, H {H.shape}")
     n_h = params.n_heads
     dh = d_q // n_h
-    qp = ad.matmul(Q, params.w_q)
-    kp = ad.matmul(H, params.w_k)
-    vp = ad.matmul(H, params.w_v)
+    q_rows = ad.reshape(Q, (B * lam, d_q))
+    h_rows = ad.reshape(H, (B * T, d_q))
+    qp = ad.matmul(q_rows, params.w_q)
+    kp = ad.matmul(h_rows, params.w_k)
+    vp = ad.matmul(h_rows, params.w_v)
+    keys = Tensor(np.broadcast_to(mask_h[:, None, :], (B, lam, T)))
     heads = []
     for h in range(n_h):
-        q_h = ad.slice_cols(qp, h * dh, (h + 1) * dh)
-        k_h = ad.slice_cols(kp, h * dh, (h + 1) * dh)
-        v_h = ad.slice_cols(vp, h * dh, (h + 1) * dh)
-        logits = ad.scale(ad.matmul(q_h, ad.transpose(k_h)), 1.0 / math.sqrt(dh))
-        attn = ad.masked_softmax(logits, axis=1)
-        heads.append(ad.matmul(attn, v_h))
+        q_h = ad.reshape(ad.slice_cols(qp, h * dh, (h + 1) * dh), (B, lam, dh))
+        k_h = ad.reshape(ad.slice_cols(kp, h * dh, (h + 1) * dh), (B, T, dh))
+        v_h = ad.reshape(ad.slice_cols(vp, h * dh, (h + 1) * dh), (B, T, dh))
+        logits = ad.scale(ad.bmm(q_h, k_h, transpose_b=True), 1.0 / math.sqrt(dh))
+        attn = ad.masked_softmax(logits, axis=2, mask=keys)
+        heads.append(ad.reshape(ad.bmm(attn, v_h), (B * lam, dh)))
     out = ad.matmul(ad.concat(heads, axis=1), params.w_o)
     if params.fusion_residual:
-        out = layer_norm_rows(ad.add(out, Q))
-    mask_mat = np.repeat(np.asarray(mask_q, dtype=float).reshape(lam, 1), d_q, axis=1)
-    return ad.mul(out, Tensor(mask_mat))
+        out = layer_norm_rows(ad.add(out, q_rows))
+    keep = np.repeat(mask_q.reshape(B * lam, 1).astype(float), d_q, axis=1)
+    return ad.reshape(ad.mul(out, Tensor(keep)), (B, lam, d_q))
 
 
 def project_regions(raw: Tensor, params: EncoderParams) -> Tensor:

@@ -21,10 +21,10 @@ from .model import (
     ModelParams,
     TrainConfig,
     Unit,
-    infer_unit_scores,
+    batch_posterior_weights,
+    batch_prior_weights,
+    infer_batch_scores,
     prepare_units,
-    unit_posterior_weights,
-    unit_prior_weights,
 )
 
 
@@ -155,11 +155,16 @@ def _ablated_weights(units: list[Unit], learned: list[np.ndarray], mode: str,
     return out
 
 
+def _batches(items: list, size: int) -> list[list]:
+    return [items[i:i + size] for i in range(0, len(items), size)]
+
+
 def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainConfig(), *,
              decoder: Optional[str] = None, ablate: str = "learned", seed: int = 0,
              posterior_diagnostics: bool = False,
              units: Optional[list[Unit]] = None) -> EvalReport:
-    """Inference-condition evaluation: ranking and grounding from the prior.
+    """Inference-condition evaluation: ranking and grounding from the prior,
+    over batches of cfg.batch_size units.
 
     `cfg` is the configuration the model was trained with. `decoder` defaults
     to the discriminative one only when that run trained the discriminative
@@ -178,24 +183,27 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
     if not units:
         raise ContractError("evaluate on an empty dataset")
 
+    batches = _batches(units, cfg.batch_size)
+    overrides: list = [None] * len(batches)
     if ablate != "learned":
-        learned = [unit_prior_weights(params, u, cfg) for u in units]
-        overrides = _ablated_weights(units, learned, ablate, cfg.batch_size, seed)
-    else:
-        overrides = [None] * len(units)
+        learned = [g for batch in batches for g in batch_prior_weights(params, batch, cfg)]
+        overrides = _batches(_ablated_weights(units, learned, ablate, cfg.batch_size, seed),
+                             cfg.batch_size)
 
     ranks: list[int] = []
     ndcgs: list[float] = []
     records: list[dict] = []
     entropies: list[float] = []
-    for u, g_override in zip(units, overrides):
-        scores, g = infer_unit_scores(params, u, cfg, decoder=decoder, g_override=g_override)
-        ranks.append(rank_of_gt(scores, u.gt_index))
-        if u.relevance is not None:
-            ndcgs.append(ndcg(scores, u.relevance))
-        entropies.append(distribution_entropy(g))
-        records.append(attention_record(u.image_id, u.round_index, g,
-                                        gt_grounding=u.gt_grounding))
+    for batch, g_override in zip(batches, overrides):
+        scores, weights = infer_batch_scores(params, batch, cfg, decoder=decoder,
+                                             g_override=g_override)
+        for u, s, g in zip(batch, scores, weights):
+            ranks.append(rank_of_gt(s, u.gt_index))
+            if u.relevance is not None:
+                ndcgs.append(ndcg(s, u.relevance))
+            entropies.append(distribution_entropy(g))
+            records.append(attention_record(u.image_id, u.round_index, g,
+                                            gt_grounding=u.gt_grounding))
 
     report = EvalReport(
         mrr=mrr(ranks),
@@ -211,8 +219,8 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
         report.grounding_top1 = grounding_accuracy(records, top_k=1)
         report.grounding_top3 = grounding_accuracy(records, top_k=3)
     if posterior_diagnostics:
-        post_entropies = [distribution_entropy(unit_posterior_weights(params, u, cfg))
-                          for u in units]
+        post_entropies = [distribution_entropy(G) for batch in batches
+                          for G in batch_posterior_weights(params, batch, cfg)]
         report.entropy_posterior = float(np.mean(post_entropies))
     return report
 
@@ -220,13 +228,16 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
 def export_attention(params: ModelParams, ds: DialogDataset, cfg: TrainConfig, *,
                      with_posterior: bool = False,
                      units: Optional[list[Unit]] = None) -> list[dict]:
-    """Per-(image, round) attention records for offline analysis."""
+    """Per-(image, round) attention records for offline analysis, computed in
+    batches of cfg.batch_size units."""
     if units is None:
         units = prepare_units(ds, cfg.seq_len, cfg.max_history)
     records = []
-    for u in units:
-        g = unit_prior_weights(params, u, cfg)
-        G = unit_posterior_weights(params, u, cfg) if with_posterior else None
-        records.append(attention_record(u.image_id, u.round_index, g, G=G,
-                                        gt_grounding=u.gt_grounding))
+    for batch in _batches(units, cfg.batch_size):
+        priors = batch_prior_weights(params, batch, cfg)
+        posteriors = (batch_posterior_weights(params, batch, cfg) if with_posterior
+                      else [None] * len(batch))
+        for u, g, G in zip(batch, priors, posteriors):
+            records.append(attention_record(u.image_id, u.round_index, g, G=G,
+                                            gt_grounding=u.gt_grounding))
     return records

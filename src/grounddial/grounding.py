@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -62,20 +62,36 @@ def init_grounding_params(rng: np.random.Generator, d_q: int, d_h: Optional[int]
 
 @dataclass
 class GroundingOutput:
-    I_x: Tensor                      # [mu, d_q] attended regions, context branch
-    g: Tensor                        # [mu] prior distribution
-    v_prior: Tensor                  # [d_q]
-    G: Optional[Tensor] = None       # [mu] posterior distribution
-    v_post: Optional[Tensor] = None  # [d_q]
+    """Both branches over a batch of B units; mu is the largest region count.
+
+    Padding regions (mask_i False) have weight exactly 0 in g and G.
+    """
+    I_x: Tensor                          # [B, mu, d_q] attended regions, context branch
+    g: Tensor                            # [B, mu] prior distributions
+    v_prior: Tensor                      # [B, d_q]
+    G: Optional[Tensor] = None           # [B, mu] posterior distributions
+    v_post: Optional[Tensor] = None      # [B, d_q]
     I_x_post: Optional[Tensor] = None
+    mask_i: Optional[np.ndarray] = None  # [B, mu] real regions; None: every region is real
 
 
-def cross_attend(I: Tensor, x: Tensor, mask_x: Sequence[bool],
+def _project_rows(t: Tensor, w: Tensor) -> Tensor:
+    """[B, n, d] @ [d, d'] applied row by row, [B, n, d']."""
+    B, n, d = t.shape
+    return ad.reshape(ad.matmul(ad.reshape(t, (B * n, d)), w), (B, n, w.shape[1]))
+
+
+def cross_attend(I: Tensor, x: Tensor, mask_x: np.ndarray,
                  axis_mode: str = "columns", residual: bool = False,
                  values: Optional[Tensor] = None,
                  att_wi: Optional[Tensor] = None,
-                 att_wx: Optional[Tensor] = None) -> tuple[Tensor, Tensor]:
+                 att_wx: Optional[Tensor] = None,
+                 mask_i: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor]:
     """Interaction weights P and attended regions I_x = P v (+ I when residual).
+
+    I: [B, mu, d] regions, x: [B, lam, d] context, mask_x: bool [B, lam]
+    real tokens, mask_i: bool [B, mu] real regions (default: all). Returns
+    P [B, mu, lam] and I_x [B, mu, d]; padding regions give zero rows of P.
 
     Without projections P = softmax(I xᵀ), the bare dot-product form. The
     grounding pipeline passes its learned att_wi/att_wx, giving
@@ -91,62 +107,69 @@ def cross_attend(I: Tensor, x: Tensor, mask_x: Sequence[bool],
     each attended row keeps its own region content (without it the pooled
     vector is a pure token mix and carries no region information at all).
     """
-    mu = I.shape[0]
-    lam = x.shape[0]
-    if I.shape[1] != x.shape[1]:
-        raise DimensionError(f"cross_attend widths differ: I {I.shape}, x {x.shape}")
+    if I.data.ndim != 3 or x.data.ndim != 3 or I.shape[0] != x.shape[0] or I.shape[2] != x.shape[2]:
+        raise DimensionError(f"cross_attend shapes do not fit: I {I.shape}, x {x.shape}")
+    B, mu, d = I.shape
+    lam = x.shape[1]
     mask = np.asarray(mask_x, dtype=bool)
-    if mask.shape != (lam,):
-        raise DimensionError(f"mask length {mask.shape} vs {lam} tokens")
-    if not mask.any():
-        raise DegenerateSliceError("cross_attend with every token masked")
+    if mask.shape != (B, lam):
+        raise DimensionError(f"mask shape {mask.shape} vs {B} x {lam} tokens")
+    empty = ~mask.any(axis=1)
+    if empty.any():
+        raise DegenerateSliceError(f"cross_attend with every token of batch row "
+                                   f"{int(empty.argmax())} masked")
     if att_wi is not None:
-        queries = ad.matmul(I, att_wi)
-        keys = ad.matmul(x, att_wx)
-        logits = ad.scale(ad.matmul(queries, ad.transpose(keys)), 1.0 / math.sqrt(I.shape[1]))
+        logits = ad.scale(ad.bmm(_project_rows(I, att_wi), _project_rows(x, att_wx), transpose_b=True),
+                          1.0 / math.sqrt(d))
     else:
-        logits = ad.matmul(I, ad.transpose(x))  # [mu, lam]
+        logits = ad.bmm(I, x, transpose_b=True)            # [B, mu, lam]
+    tokens = np.broadcast_to(mask[:, None, :], (B, mu, lam))
+    regions = None if mask_i is None else np.broadcast_to(
+        np.asarray(mask_i, dtype=bool)[:, :, None], (B, mu, lam))
     if axis_mode == "columns":
-        P = ad.masked_softmax(logits, axis=0)
-        P = ad.mul(P, Tensor(np.repeat(mask.reshape(1, lam), mu, axis=0).astype(float)))
+        P = ad.masked_softmax(logits, axis=1, mask=None if regions is None else Tensor(regions))
+        P = ad.mul(P, Tensor(tokens))
     elif axis_mode == "rows":
-        mask_mat = Tensor(np.repeat(mask.reshape(1, lam), mu, axis=0).astype(float))
-        P = ad.masked_softmax(logits, axis=1, mask=mask_mat)
+        P = ad.masked_softmax(logits, axis=2, mask=Tensor(tokens))
+        if regions is not None:
+            P = ad.mul(P, Tensor(regions))
     else:
         raise ValueError(f"unknown axis_mode {axis_mode!r}")
-    I_x = ad.matmul(P, x if values is None else values)
+    I_x = ad.bmm(P, x if values is None else values)
     if residual:
         I_x = ad.add(I_x, I)
     return P, I_x
 
 
-def pool_regions(I_x: Tensor, params: GroundingParams) -> tuple[Tensor, Tensor]:
+def pool_regions(I_x: Tensor, params: GroundingParams,
+                 mask_i: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor]:
     """Self-attention pooling: weights over regions and the pooled vector.
 
-    weights = softmax over mu of ReLU(I_x W1 + b1) W2; pooled is the
-    weight-averaged row of I_x.
+    weights [B, mu] = softmax over the real regions of ReLU(I_x W1 + b1) W2;
+    pooled [B, d_q] is the weight-averaged row of I_x.
     """
-    mu, d_q = I_x.shape
-    h = ad.relu(ad.add(ad.matmul(I_x, params.w1), ad.tile_rows(params.b1, mu)))
-    scores = ad.matmul(h, params.w2)  # [mu, 1]
-    w_col = ad.masked_softmax(scores, axis=0)
-    weights = ad.reshape(w_col, (mu,))
-    pooled = ad.reshape(ad.matmul(ad.transpose(w_col), I_x), (d_q,))
+    B, mu, d_q = I_x.shape
+    rows = ad.reshape(I_x, (B * mu, d_q))
+    h = ad.relu(ad.add(ad.matmul(rows, params.w1), ad.tile_rows(params.b1, B * mu)))
+    scores = ad.reshape(ad.matmul(h, params.w2), (B, mu))
+    weights = ad.masked_softmax(scores, axis=1, mask=None if mask_i is None else Tensor(mask_i))
+    pooled = ad.reshape(ad.bmm(ad.reshape(weights, (B, 1, mu)), I_x), (B, d_q))
     return weights, pooled
 
 
-def prior_ground(I: Tensor, x: Tensor, mask_x: Sequence[bool], params: GroundingParams,
-                 axis_mode: str = "columns") -> tuple[Tensor, Tensor, Tensor]:
-    """Context-only grounding: returns (g, v_prior, I_x)."""
+def prior_ground(I: Tensor, x: Tensor, mask_x: np.ndarray, params: GroundingParams,
+                 axis_mode: str = "columns",
+                 mask_i: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor, Tensor]:
+    """Context-only grounding of a batch: returns (g, v_prior, I_x)."""
     _, I_x = cross_attend(I, x, mask_x, axis_mode, residual=True,
-                          att_wi=params.att_wi, att_wx=params.att_wx)
-    g, v_prior = pool_regions(I_x, params)
+                          att_wi=params.att_wi, att_wx=params.att_wx, mask_i=mask_i)
+    g, v_prior = pool_regions(I_x, params, mask_i)
     return g, v_prior, I_x
 
 
-def posterior_ground(I: Tensor, x: Tensor, y: Tensor, mask_x: Sequence[bool],
-                     params: GroundingParams,
-                     axis_mode: str = "columns") -> tuple[Tensor, Tensor, Tensor]:
+def posterior_ground(I: Tensor, x: Tensor, y: Tensor, mask_x: np.ndarray,
+                     params: GroundingParams, axis_mode: str = "columns",
+                     mask_i: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor, Tensor]:
     """Answer-informed grounding: the prior pipeline queried with x + y.
 
     Shares every parameter with the prior. The answer steers where the
@@ -159,14 +182,26 @@ def posterior_ground(I: Tensor, x: Tensor, y: Tensor, mask_x: Sequence[bool],
     if x.shape != y.shape:
         raise DimensionError(f"x and y must match: {x.shape} vs {y.shape}")
     _, I_x_post = cross_attend(I, ad.add(x, y), mask_x, axis_mode, residual=True, values=x,
-                               att_wi=params.att_wi, att_wx=params.att_wx)
-    G, v_post = pool_regions(I_x_post, params)
+                               att_wi=params.att_wi, att_wx=params.att_wx, mask_i=mask_i)
+    G, v_post = pool_regions(I_x_post, params, mask_i)
     return G, v_post, I_x_post
+
+
+def _row_mean_mse(a: Tensor, b: Tensor, mask: Optional[np.ndarray]) -> Tensor:
+    """Mean over rows of each row's mean squared gap; `mask` marks the real
+    entries of ragged rows (None: every entry is real)."""
+    if mask is None or mask.all():
+        return ad.mse(a, b)
+    counts = mask.sum(axis=1, keepdims=True)
+    weights = np.where(mask, 1.0 / (counts * mask.shape[0]), 0.0)
+    diff = ad.sub(a, b)
+    return ad.sum_all(ad.mul(ad.mul(diff, diff), Tensor(weights)))
 
 
 def bridge_loss(out: GroundingOutput, variant: str = "attn_kl",
                 detach_posterior: bool = True) -> Tensor:
-    """Distance between the posterior and prior branches (the auxiliary loss).
+    """Distance between the posterior and prior branches (the auxiliary loss),
+    averaged over the units of the batch.
 
     attn_kl is KL(posterior, prior) over region weights; attn_mse the mean
     squared gap of the weights; image_* compare the pooled vectors (softmaxed
@@ -182,13 +217,13 @@ def bridge_loss(out: GroundingOutput, variant: str = "attn_kl",
     if variant == "attn_kl":
         return ad.kl_divergence(G, out.g)
     if variant == "attn_mse":
-        return ad.mse(G, out.g)
+        return _row_mean_mse(G, out.g, out.mask_i)
     if variant == "image_mse":
         return ad.mse(v_post, out.v_prior)
     if variant == "image_kl":
         return ad.kl_divergence(
-            ad.masked_softmax(v_post, axis=0),
-            ad.masked_softmax(out.v_prior, axis=0),
+            ad.masked_softmax(v_post, axis=-1),
+            ad.masked_softmax(out.v_prior, axis=-1),
         )
     return ad.add(ad.kl_divergence(G, out.g), ad.mse(v_post, out.v_prior))
 

@@ -1,9 +1,11 @@
-"""Run configuration, model parameter container and the per-unit forward pass.
+"""Run configuration, model parameter container and the batched forward pass.
 
 A training/evaluation unit is one (dialog, round): history is the caption
 plus all earlier question-answer pairs, exactly the per-round prediction
 setup. Units are prepared once per dataset (token padding, masks, constant
-feature tensors) and reused across epochs.
+feature tensors) and reused across epochs. A batch of units is packed and
+runs through every layer together: one op sequence per batch, whatever its
+size, with masks for ragged questions, histories and region counts.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ContractError, Tensor
+from .autodiff import ContractError, DegenerateSliceError, Tensor
 from .data import EOS_ID, DialogDataset, DialogExample
 from .decoders import (
     DecoderParams,
@@ -25,7 +27,15 @@ from .decoders import (
     generative_rank,
     init_decoder_params,
 )
-from .encoders import EncoderParams, encode_history, encode_tokens, fuse_context, init_encoder_params, project_regions
+from .encoders import (
+    EncoderParams,
+    encode_history,
+    encode_tokens,
+    fuse_context,
+    gather_rows,
+    init_encoder_params,
+    project_regions,
+)
 from .grounding import (
     BRIDGE_VARIANTS,
     GroundingOutput,
@@ -212,82 +222,174 @@ def prepare_units(ds: DialogDataset, seq_len: int, max_history: int) -> list[Uni
 
 
 @dataclass
-class UnitForward:
-    x: Tensor
-    I: Tensor
-    grounding: GroundingOutput
+class Batch:
+    """Units packed for one forward pass: token lists, masks and row indices.
+
+    lam is the longest question of the batch, T its most history elements
+    and mu its most regions; the masks mark what is real in each padded row.
+    """
+    units: list[Unit]
+    questions: list[list[int]]
+    answers: list[list[int]]
+    q_mask: np.ndarray         # [B, lam]
+    history: list[list[int]]   # the batch's distinct history sentences
+    history_rows: np.ndarray   # [B, T] row of `history`; len(history) pads
+    history_mask: np.ndarray   # [B, T]
+    regions: Tensor            # [sum of mu, d_v] every unit's features, unit by unit
+    region_rows: np.ndarray    # [B, mu] row of `regions`; len(regions) pads
+    region_mask: np.ndarray    # [B, mu]
+
+
+def _padded_rows(lengths: Sequence[int], rows: Sequence[int], pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """[B, max length] grid of the given rows, one unit after another, and its mask."""
+    lengths = np.asarray(lengths)
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    grid = np.full(mask.shape, pad, dtype=np.intp)
+    grid[mask] = rows
+    return grid, mask
+
+
+def pack_batch(units: Sequence[Unit]) -> Batch:
+    """Pack a batch; a unit no batched op can take raises, naming it.
+
+    History sentences are deduplicated by their tokens: a sentence's
+    encoding depends on nothing else, so each is encoded once per batch.
+    """
+    units = list(units)
+    if not units:
+        raise ContractError("a batch needs at least one unit")
+    for u in units:
+        if not any(u.q_mask):
+            raise DegenerateSliceError(f"unit {u.image_id!r} round {u.round_index}: "
+                                       "empty question (every position masked)")
+    questions = [u.q_ids[:sum(u.q_mask)] for u in units]
+    lengths = [len(q) for q in questions]
+    q_mask = np.arange(max(lengths)) < np.asarray(lengths)[:, None]
+    distinct: dict[tuple, int] = {}
+    sentence_rows = [distinct.setdefault(tuple(h), len(distinct)) for u in units for h in u.history]
+    history_rows, history_mask = _padded_rows([len(u.history) for u in units], sentence_rows,
+                                              len(distinct))
+    mus = [u.features.shape[0] for u in units]
+    region_rows, region_mask = _padded_rows(mus, np.arange(sum(mus)), sum(mus))
+    return Batch(
+        units=units,
+        questions=questions,
+        answers=[u.a_ids[:sum(u.a_mask)] for u in units],
+        q_mask=q_mask,
+        history=[list(h) for h in distinct],
+        history_rows=history_rows,
+        history_mask=history_mask,
+        regions=Tensor(np.concatenate([u.features.data for u in units], axis=0)),
+        region_rows=region_rows,
+        region_mask=region_mask,
+    )
+
+
+@dataclass
+class BatchForward:
+    """The batch-mean losses; L_G and L_D are None when the mode skips them."""
+    L_KL: Tensor
     L_G: Optional[Tensor] = None
     L_D: Optional[Tensor] = None
-    L_KL: Optional[Tensor] = None
 
 
-def encode_unit_context(params: ModelParams, unit: Unit) -> tuple[Tensor, Tensor]:
-    """Context representation x and projected regions I for one unit."""
-    Q = encode_tokens(unit.q_ids, unit.q_mask, params.encoder, "question")
-    H = encode_history(unit.history, params.encoder)
-    x = fuse_context(Q, H, unit.q_mask, params.encoder)
-    I = project_regions(unit.features, params.encoder)
+def encode_context(params: ModelParams, batch: Batch) -> tuple[Tensor, Tensor]:
+    """Context representations x and projected regions I of a packed batch."""
+    enc = params.encoder
+    Q = encode_tokens(batch.questions, batch.q_mask.shape[1], enc, "question")
+    H = gather_rows(encode_history(batch.history, enc), batch.history_rows)
+    x = fuse_context(Q, H, batch.q_mask, batch.history_mask, enc)
+    I = gather_rows(project_regions(batch.regions, enc), batch.region_rows)
     return x, I
 
 
-def forward_unit(params: ModelParams, unit: Unit, cfg: TrainConfig) -> UnitForward:
-    """Training forward pass: losses for one unit under the configured mode."""
-    x, I = encode_unit_context(params, unit)
-    g, v_prior, I_x = prior_ground(I, x, unit.q_mask, params.grounding, cfg.axis_mode)
-    y = encode_tokens(unit.a_ids, unit.a_mask, params.encoder, "answer")
-    G, v_post, I_x_post = posterior_ground(I, x, y, unit.q_mask, params.grounding, cfg.axis_mode)
-    out = GroundingOutput(I_x=I_x, g=g, v_prior=v_prior, G=G, v_post=v_post, I_x_post=I_x_post)
+def _prior(params: ModelParams, batch: Batch, cfg: TrainConfig):
+    x, I = encode_context(params, batch)
+    g, v_prior, I_x = prior_ground(I, x, batch.q_mask, params.grounding, cfg.axis_mode,
+                                   batch.region_mask)
+    return x, I, g, v_prior, I_x
+
+
+def _posterior(params: ModelParams, batch: Batch, cfg: TrainConfig, x: Tensor, I: Tensor):
+    y = encode_tokens(batch.answers, batch.q_mask.shape[1], params.encoder, "answer")
+    return posterior_ground(I, x, y, batch.q_mask, params.grounding, cfg.axis_mode,
+                            batch.region_mask)
+
+
+def _per_unit(rows: np.ndarray, lengths: Sequence[int]) -> list[np.ndarray]:
+    return [rows[b, :n].copy() for b, n in enumerate(lengths)]
+
+
+def forward_batch(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig) -> BatchForward:
+    """Training forward pass over a batch; each loss is the mean of the
+    per-unit losses under the configured mode."""
+    batch = pack_batch(units)
+    x, I, g, v_prior, I_x = _prior(params, batch, cfg)
+    G, v_post, I_x_post = _posterior(params, batch, cfg, x, I)
+    out = GroundingOutput(I_x=I_x, g=g, v_prior=v_prior, G=G, v_post=v_post,
+                          I_x_post=I_x_post, mask_i=batch.region_mask)
     L_KL = bridge_loss(out, cfg.bridge_variant, cfg.detach_posterior)
 
     v_star = v_post if cfg.decoder_feature_policy == "post_train_prior_eval" else v_prior
-    fused = fuse_for_decoder(x, unit.q_mask, v_star, params.decoder)
+    fused = fuse_for_decoder(x, batch.q_mask, v_star, params.decoder)
+    embedding = params.encoder.embedding
     L_G = L_D = None
     if cfg.loss_mode in ("generative", "multitask"):
-        L_G = generative_loss(fused, unit.answer_targets, params.encoder.embedding, params.decoder)
+        L_G = generative_loss(fused, [u.answer_targets for u in batch.units], embedding,
+                              params.decoder)
     if cfg.loss_mode in ("discriminative", "multitask"):
         L_D, _ = discriminative_loss_and_rank(
-            fused, unit.candidates, unit.gt_index, params.encoder.embedding, params.decoder)
-    return UnitForward(x=x, I=I, grounding=out, L_G=L_G, L_D=L_D, L_KL=L_KL)
+            fused, [u.candidates for u in batch.units], [u.gt_index for u in batch.units],
+            embedding, params.decoder)
+    return BatchForward(L_KL=L_KL, L_G=L_G, L_D=L_D)
 
 
-def infer_unit_scores(params: ModelParams, unit: Unit, cfg: TrainConfig, *, decoder: str,
-                      g_override: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Inference pass: candidate scores and the prior weights for one unit.
+def infer_batch_scores(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig, *,
+                       decoder: str, g_override: Optional[Sequence[np.ndarray]] = None
+                       ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Inference pass over a batch: per unit, candidate scores and the prior weights.
 
-    Uses v_prior only (no answer information). `g_override` substitutes the
-    distribution before pooling, for the ablation protocols.
+    Uses v_prior only (no answer information). `g_override`, one
+    distribution per unit, substitutes the prior before pooling, for the
+    ablation protocols.
     """
-    x, I = encode_unit_context(params, unit)
-    g, v_prior, I_x = prior_ground(I, x, unit.q_mask, params.grounding, cfg.axis_mode)
-    if g_override is not None:
-        mu, d_q = I_x.shape
-        g_col = ad.const(np.asarray(g_override, dtype=float).reshape(mu, 1))
-        v_prior = ad.reshape(ad.matmul(ad.transpose(g_col), I_x), (d_q,))
-        g_used = np.asarray(g_override, dtype=float)
-    else:
-        g_used = g.data
-    fused = fuse_for_decoder(x, unit.q_mask, v_prior, params.decoder)
-    if decoder == "generative":
-        scores = generative_rank(fused, unit.candidates, params.encoder.embedding,
-                                 params.decoder, cfg.score_norm)
-    elif decoder == "discriminative":
-        scores = discriminative_scores(fused, unit.candidates, params.encoder.embedding,
-                                       params.decoder)
-    else:
+    if decoder not in ("generative", "discriminative"):
         raise ValueError(f"unknown decoder {decoder!r}")
-    return scores.data.copy(), g_used.copy()
+    batch = pack_batch(units)
+    mus = batch.region_mask.sum(axis=1)
+    x, I, g, v_prior, I_x = _prior(params, batch, cfg)
+    if g_override is not None:
+        weights = np.zeros(batch.region_mask.shape)
+        for b, w in enumerate(g_override):
+            weights[b, :mus[b]] = w            # a distribution of the wrong length raises
+        B, mu, d_q = I_x.shape
+        v_prior = ad.reshape(ad.bmm(ad.const(weights.reshape(B, 1, mu)), I_x), (B, d_q))
+        g_used = _per_unit(weights, mus)
+    else:
+        g_used = _per_unit(g.data, mus)
+    fused = fuse_for_decoder(x, batch.q_mask, v_prior, params.decoder)
+    candidates = [u.candidates for u in batch.units]
+    embedding = params.encoder.embedding
+    if decoder == "generative":
+        scores = generative_rank(fused, candidates, embedding, params.decoder, cfg.score_norm)
+    else:
+        scores = _per_unit(discriminative_scores(fused, candidates, embedding, params.decoder).data,
+                           [len(c) for c in candidates])
+    return scores, g_used
 
 
-def unit_prior_weights(params: ModelParams, unit: Unit, cfg: TrainConfig) -> np.ndarray:
-    """Prior weights only (no decoding); used by exports and ablations."""
-    x, I = encode_unit_context(params, unit)
-    g, _, _ = prior_ground(I, x, unit.q_mask, params.grounding, cfg.axis_mode)
-    return g.data.copy()
+def batch_prior_weights(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig
+                        ) -> list[np.ndarray]:
+    """Prior weights only (no decoding), one array per unit; used by exports and ablations."""
+    batch = pack_batch(units)
+    g = _prior(params, batch, cfg)[2]
+    return _per_unit(g.data, batch.region_mask.sum(axis=1))
 
 
-def unit_posterior_weights(params: ModelParams, unit: Unit, cfg: TrainConfig) -> np.ndarray:
-    """Posterior weights for diagnostics and the answer-aware grounding export."""
-    x, I = encode_unit_context(params, unit)
-    y = encode_tokens(unit.a_ids, unit.a_mask, params.encoder, "answer")
-    G, _, _ = posterior_ground(I, x, y, unit.q_mask, params.grounding, cfg.axis_mode)
-    return G.data.copy()
+def batch_posterior_weights(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig
+                            ) -> list[np.ndarray]:
+    """Posterior weights per unit, for diagnostics and the answer-aware grounding export."""
+    batch = pack_batch(units)
+    x, I = encode_context(params, batch)
+    G = _posterior(params, batch, cfg, x, I)[0]
+    return _per_unit(G.data, batch.region_mask.sum(axis=1))

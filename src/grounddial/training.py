@@ -20,7 +20,7 @@ from . import grounding
 from .autodiff import ContractError, Tape, Tensor, backward, read_tensor, write_tensor
 from .data import DialogDataset, batch_iterator
 from .evaluation import evaluate
-from .model import ModelParams, TrainConfig, forward_unit, named_parameters, prepare_units, zero_grads
+from .model import ModelParams, TrainConfig, forward_batch, named_parameters, prepare_units, zero_grads
 
 
 class DivergenceError(RuntimeError):
@@ -192,17 +192,8 @@ def train(ds_train: DialogDataset, ds_val: DialogDataset, params: ModelParams,
             batch = [train_units[key] for key in keys]
             zero_grads(params)
             with Tape() as tape:
-                parts_g, parts_d, parts_kl = [], [], []
-                for unit in batch:
-                    fw = forward_unit(params, unit, cfg)
-                    if fw.L_G is not None:
-                        parts_g.append(fw.L_G)
-                    if fw.L_D is not None:
-                        parts_d.append(fw.L_D)
-                    parts_kl.append(fw.L_KL)
-                L_G = ad.mean_of(parts_g) if parts_g else None
-                L_D = ad.mean_of(parts_d) if parts_d else None
-                L_KL = ad.mean_of(parts_kl)
+                fw = forward_batch(params, batch, cfg)
+                L_G, L_D, L_KL = fw.L_G, fw.L_D, fw.L_KL
                 loss = compose_loss(L_G, L_D, L_KL, cfg)
             if not np.isfinite(loss.data).all():
                 raise DivergenceError(

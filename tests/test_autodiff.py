@@ -59,6 +59,53 @@ def test_matmul_backward():
     assert np.allclose(b.grad, a.data.T @ g)
 
 
+@pytest.mark.parametrize("transpose_b", [False, True])
+def test_grad_check_bmm(transpose_b):
+    g = rng()
+    a_arr = g.normal(size=(3, 4, 2))
+    b_arr = g.normal(size=(3, 5, 2) if transpose_b else (3, 2, 5))
+    weights = Tensor(g.normal(size=(3, 4, 5)))
+
+    def loss(a, b):
+        return ad.sum_all(ad.mul(ad.bmm(a, b, transpose_b=transpose_b), weights))
+
+    assert grad_check(lambda t: loss(t, Tensor(b_arr)), Tensor(a_arr)) < 1e-8
+    assert grad_check(lambda t: loss(Tensor(a_arr), t), Tensor(b_arr)) < 1e-8
+
+
+def test_bmm_shape_errors():
+    a = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(DimensionError):
+        ad.bmm(a, Tensor(np.zeros((2, 5, 4))))
+    with pytest.raises(DimensionError):
+        ad.bmm(a, Tensor(np.zeros((3, 4, 5))))
+    with pytest.raises(DimensionError):
+        ad.bmm(a, Tensor(np.zeros((4, 5))))
+    assert ad.bmm(a, Tensor(np.zeros((2, 5, 4))), transpose_b=True).shape == (2, 3, 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bmm_random_shapes_match_slice_products_and_grad_check(data):
+    B, m, k, n = (data.draw(st.integers(1, 4), label=name) for name in "Bmkn")
+    transpose_b = data.draw(st.booleans(), label="transpose_b")
+    g = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    a = g.normal(size=(B, m, k))
+    b = g.normal(size=(B, n, k) if transpose_b else (B, k, n))
+    weights = Tensor(g.normal(size=(B, m, n)))
+    out = ad.bmm(Tensor(a), Tensor(b), transpose_b=transpose_b).data
+    for i in range(B):
+        want = a[i] @ (b[i].T if transpose_b else b[i])
+        assert np.allclose(out[i], want, rtol=1e-12, atol=1e-12)
+
+    def loss(t, other, first):
+        pair = (t, other) if first else (other, t)
+        return ad.sum_all(ad.mul(ad.bmm(*pair, transpose_b=transpose_b), weights))
+
+    assert grad_check(lambda t: loss(t, Tensor(b), True), Tensor(a)) < 1e-7
+    assert grad_check(lambda t: loss(t, Tensor(a), False), Tensor(b)) < 1e-7
+
+
 # ---------------------------------------------------------------------------
 # elementwise
 
@@ -384,6 +431,53 @@ def test_lstm_sequence_index_errors():
         ad.lstm_sequence(xs, [[3]], Tensor(np.zeros((1, 2 * H))), *w)
     with pytest.raises(DimensionError):
         ad.lstm_sequence(xs, [[0, 1]], Tensor(np.zeros((1, 2 * H))), *w)
+
+
+def test_lstm_sequence_rejects_a_row_read_twice():
+    H = 2
+    xs = Tensor(np.zeros((3, 4)))
+    w = [Tensor(np.zeros(s)) for s in [(4, 4 * H), (H, 4 * H), (1, 4 * H)]]
+    with pytest.raises(IndexError, match="row 1 of xs 2 times"):
+        ad.lstm_sequence(xs, [[0, 1], [1, -1]], Tensor(np.zeros((2, 2 * H))), *w)
+
+
+def test_lstm_sequence_wide_batch_matches_narrow_batches():
+    """A batch wider than one block of the step loop: every sequence's states
+    and every gradient match running the sequences a few at a time."""
+    g = rng()
+    H, d_in = 3, 4
+    lengths = g.integers(1, 5, size=2 * ad._STEP_BLOCK + 5)
+    B, T = len(lengths), int(lengths.max())
+    xs = Tensor(g.normal(size=(int(lengths.sum()), d_in)), requires_grad=True)
+    hc0 = Tensor(g.normal(size=(B, 2 * H)), requires_grad=True)
+    w = [Tensor(g.normal(size=s), requires_grad=True)
+         for s in [(d_in, 4 * H), (H, 4 * H), (1, 4 * H)]]
+    index = np.full((T, B), -1)
+    ends = np.cumsum(lengths)
+    for col, n in enumerate(lengths):
+        index[:n, col] = np.arange(ends[col] - n, ends[col])
+    weights = g.normal(size=(T, B, H))
+    index = index[::-1]
+
+    def run(cols):
+        with Tape() as tape:
+            out = ad.lstm_sequence(xs, index[:, cols], ad.take_rows(hc0, cols), *w)
+            loss = ad.sum_all(ad.mul(out, Tensor(weights[:, cols].reshape(-1, H))))
+        backward(loss, tape)
+        grads = [t.grad for t in (xs, hc0, *w)]
+        for t in (xs, hc0, *w):
+            t.grad = None
+        return out.data.reshape(T, len(cols), H), grads
+
+    wide, wide_grads = run(np.arange(B))
+    narrow_grads = None
+    for start in range(0, B, 7):
+        cols = np.arange(start, min(start + 7, B))
+        got, grads = run(cols)
+        assert np.allclose(wide[:, cols], got, rtol=1e-12, atol=1e-14)
+        narrow_grads = grads if narrow_grads is None else [a + b for a, b in zip(narrow_grads, grads)]
+    for got, want in zip(wide_grads, narrow_grads):
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

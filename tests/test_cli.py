@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 import subprocess
 import sys
 
@@ -191,6 +192,31 @@ def test_eval_ablate_and_export(synth_dir, tmp_path, capsys):
     assert len(lines) == 12  # 4 images x 3 rounds
     rec = json.loads(lines[0])
     assert {"image_id", "round", "prior", "top3_prior", "posterior", "gt_grounding"} <= set(rec)
+
+
+def test_empty_question_exits_3_naming_the_unit(synth_dir, tmp_path, capsys):
+    raw = json.loads((synth_dir / "dataset.json").read_text())
+    raw["dialogs"][2]["rounds"][1]["question"] = ""
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "dataset.json").write_text(json.dumps(raw))
+    shutil.copy(synth_dir / "features.bin", bad / "features.bin")
+    unit = f"'{raw['dialogs'][2]['image_id']}' round 1"
+
+    def one_error_line():
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        return lines[0]
+
+    capsys.readouterr()
+    assert run_cli(small_train_args(bad, tmp_path / "bad_run")) == 3
+    assert unit in one_error_line()
+    out = tmp_path / "run"
+    assert run_cli(small_train_args(synth_dir, out)) == 0
+    capsys.readouterr()
+    assert run_cli(["eval", "--ckpt", str(out / "best"), "--data", str(bad / "dataset.json"),
+                    "--split", "train"]) == 3
+    assert unit in one_error_line()
 
 
 def test_eval_missing_checkpoint_exits_3(synth_dir, tmp_path, capsys):

@@ -13,6 +13,7 @@ from grounddial.data import (
     SyntheticConfig,
     Vocabulary,
     batch_iterator,
+    dataset_from_dict,
     generate_synthetic,
     generate_synthetic_raw,
     load_dataset,
@@ -146,6 +147,46 @@ def test_relevance_validation(tmp_path):
     p = write_dataset(tmp_path, raw)
     with pytest.raises(ParseError):
         load_dataset(p, "train")
+
+
+def _round_at(raw, dialog, index):
+    return raw["dialogs"][dialog]["rounds"][index]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["dialogs"][1]["rounds"].__setitem__(0, [1]),
+     "$.dialogs[1].rounds[0]: round must be an object"),
+    (lambda d: _round_at(d, 1, 0).pop("question"), "$.dialogs[1].rounds[0]: missing key 'question'"),
+    (lambda d: _round_at(d, 0, 0).pop("gt_index"), "$.dialogs[0].rounds[0]: missing key 'gt_index'"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("answer_options", []),
+     "$.dialogs[1].rounds[0].answer_options: must be a non-empty list"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("gt_index", 2),
+     "$.dialogs[1].rounds[0].gt_index: must be in [0, 2)"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("gt_index", "0"),
+     "$.dialogs[1].rounds[0].gt_index: must be in [0, 2)"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("relevance", [1.0]),
+     "$.dialogs[1].rounds[0].relevance: must align with answer_options"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("relevance", [2.0, "x"]),
+     "$.dialogs[1].rounds[0].relevance: entries must lie in [0, 1]"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("relevance", [0.2, 0.5]),
+     "$.dialogs[1].rounds[0].relevance: gt_index relevance must be maximal or tied-maximal"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("gt_grounding", [1.0]),
+     "$.dialogs[1].rounds[0].gt_grounding: must be a list of region indices"),
+    (lambda d: d["dialogs"].__setitem__(1, 3), "$.dialogs[1]: dialog must be an object"),
+    (lambda d: d["dialogs"][1].pop("rounds"), "$.dialogs[1]: missing key 'rounds'"),
+])
+def test_bad_round_parse_errors_name_the_path(mutate, message):
+    raw = two_image_raw()
+    mutate(raw)
+    with pytest.raises(ParseError) as e:
+        dataset_from_dict(raw)
+    assert str(e.value) == message
+
+
+def test_relevance_entries_parse_to_floats():
+    raw = two_image_raw()
+    _round_at(raw, 0, 0)["relevance"] = [1, "0.5"]
+    assert dataset_from_dict(raw).examples[0].rounds[0].relevance == [1.0, 0.5]
 
 
 # ---------------------------------------------------------------------------

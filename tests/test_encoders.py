@@ -26,21 +26,21 @@ def params():
 
 
 def test_all_pad_input_gives_zero_matrix(params):
-    out = encode_tokens([0, 0, 0], [False, False, False], params, "question")
-    assert out.shape == (3, D_Q)
-    assert np.array_equal(out.data, np.zeros((3, D_Q)))
+    out = encode_tokens([[]], 3, params, "question")
+    assert out.shape == (1, 3, D_Q)
+    assert np.array_equal(out.data, np.zeros((1, 3, D_Q)))
 
 
 def test_output_shape_and_pad_rows_zero(params):
-    out = encode_tokens([4, 5, 0, 0], [True, True, False, False], params, "question")
-    assert out.shape == (4, D_Q)
-    assert np.array_equal(out.data[2:], np.zeros((2, D_Q)))
-    assert np.abs(out.data[:2]).max() > 0
+    out = encode_tokens([[4, 5]], 4, params, "question")
+    assert out.shape == (1, 4, D_Q)
+    assert np.array_equal(out.data[0, 2:], np.zeros((2, D_Q)))
+    assert np.abs(out.data[0, :2]).max() > 0
 
 
 def test_token_id_out_of_vocab(params):
     with pytest.raises(IndexError):
-        encode_tokens([99], [True], params, "question")
+        encode_tokens([[99]], 1, params, "question")
 
 
 def test_reverse_symmetry_with_swapped_directions(params):
@@ -48,8 +48,7 @@ def test_reverse_symmetry_with_swapped_directions(params):
     halves) swapped must produce the position-reversed encoding."""
     import copy
     ids = [4, 5, 6]
-    mask = [True, True, True]
-    fwd_out = encode_tokens(ids, mask, params, "question")
+    fwd_out = encode_tokens([ids], 3, params, "question")
 
     swapped = copy.deepcopy(params)
     q = swapped.question
@@ -57,8 +56,36 @@ def test_reverse_symmetry_with_swapped_directions(params):
     h = D_Q // 2
     pw = q.proj_w.data.copy()
     q.proj_w.data = np.concatenate([pw[h:], pw[:h]], axis=0)
-    rev_out = encode_tokens(ids[::-1], mask, swapped, "question")
-    assert np.allclose(rev_out.data, fwd_out.data[::-1], atol=1e-12)
+    rev_out = encode_tokens([ids[::-1]], 3, swapped, "question")
+    assert np.allclose(rev_out.data[0], fwd_out.data[0, ::-1], atol=1e-12)
+
+
+def test_batched_tokens_match_one_sentence_at_a_time(params):
+    """Ragged sentences in one batch: each keeps its first `length` positions
+    (the recurrence still reads it whole) and zero rows past its end."""
+    seqs = [[4, 5, 6, 7, 8], [9], [], [10, 11, 4]]
+    out = encode_tokens(seqs, 4, params, "answer").data
+    assert out.shape == (4, 4, D_Q)
+    for b, s in enumerate(seqs):
+        alone = encode_tokens([s], max(len(s), 1), params, "answer").data[0]
+        n = min(len(s), 4)
+        assert np.allclose(out[b, :n], alone[:n], rtol=1e-12, atol=1e-13)
+        assert np.array_equal(out[b, n:], np.zeros((4 - n, D_Q)))
+
+
+def test_fuse_ragged_history_matches_one_unit_at_a_time(params):
+    """Padding history rows hold garbage here; the history mask keeps them out."""
+    rng = np.random.default_rng(10)
+    Q = rng.normal(size=(2, 3, D_Q))
+    H = rng.normal(size=(2, 4, D_Q))
+    mask_q = np.array([[True, True, True], [True, False, False]])
+    rows = [4, 2]
+    mask_h = np.array([[t < n for t in range(4)] for n in rows])
+    x = fuse_context(Tensor(Q), Tensor(H), mask_q, mask_h, params).data
+    for b, n in enumerate(rows):
+        alone = fuse_context(Tensor(Q[b:b + 1]), Tensor(H[b:b + 1, :n]), mask_q[b:b + 1],
+                             [[True] * n], params).data[0]
+        assert np.allclose(x[b], alone, rtol=1e-12, atol=1e-13)
 
 
 def test_history_caption_only_shape(params):
@@ -102,32 +129,32 @@ def test_fuse_single_history_row_is_value_projection(params):
     is that row's value projection regardless of the question."""
     rng = np.random.default_rng(1)
     lam = 3
-    Q = Tensor(rng.normal(size=(lam, D_Q)))
-    H = Tensor(rng.normal(size=(1, D_Q)))
+    Q = Tensor(rng.normal(size=(1, lam, D_Q)))
+    H = Tensor(rng.normal(size=(1, 1, D_Q)))
     params.fusion_residual = False
-    x = fuse_context(Q, H, [True] * lam, params)
-    vp = H.data @ params.w_v.data
+    x = fuse_context(Q, H, [[True] * lam], [[True]], params)
+    vp = H.data[0] @ params.w_v.data
     expect = vp @ params.w_o.data
-    assert np.allclose(x.data, np.repeat(expect, lam, axis=0))
+    assert np.allclose(x.data[0], np.repeat(expect, lam, axis=0))
 
 
 def test_fuse_output_shape_and_masked_rows_zero(params):
     rng = np.random.default_rng(2)
-    Q = Tensor(rng.normal(size=(4, D_Q)))
-    H = Tensor(rng.normal(size=(2, D_Q)))
-    x = fuse_context(Q, H, [True, True, False, False], params)
-    assert x.shape == (4, D_Q)
-    assert np.array_equal(x.data[2:], np.zeros((2, D_Q)))
+    Q = Tensor(rng.normal(size=(1, 4, D_Q)))
+    H = Tensor(rng.normal(size=(1, 2, D_Q)))
+    x = fuse_context(Q, H, [[True, True, False, False]], [[True, True]], params)
+    assert x.shape == (1, 4, D_Q)
+    assert np.array_equal(x.data[0, 2:], np.zeros((2, D_Q)))
 
 
 def test_fuse_duplicate_history_row_invariant(params):
     """Duplicating a history row renormalizes but leaves the output unchanged."""
     rng = np.random.default_rng(3)
-    Q = Tensor(rng.normal(size=(2, D_Q)))
-    H1 = Tensor(rng.normal(size=(1, D_Q)))
-    H2 = Tensor(np.concatenate([H1.data, H1.data], axis=0))
-    a = fuse_context(Q, H1, [True, True], params)
-    b = fuse_context(Q, H2, [True, True], params)
+    Q = Tensor(rng.normal(size=(1, 2, D_Q)))
+    H1 = Tensor(rng.normal(size=(1, 1, D_Q)))
+    H2 = Tensor(np.concatenate([H1.data, H1.data], axis=1))
+    a = fuse_context(Q, H1, [[True, True]], [[True]], params)
+    b = fuse_context(Q, H2, [[True, True]], [[True, True]], params)
     assert np.allclose(a.data, b.data, atol=1e-12)
 
 
@@ -179,14 +206,14 @@ def test_layer_norm_rows_stats():
 
 
 def test_encoder_outputs_finite_and_grad_checks(params):
-    ids = [4, 5, 6, 0]
-    mask = [True, True, True, False]
+    ids = [4, 5, 6]
+    mask = [[True, True, True, False]]
 
     def f(emb):
         params.embedding = emb
-        Q = encode_tokens(ids, mask, params, "question")
-        H = encode_history([[7, 8], [9, 10]], params)
-        x = fuse_context(Q, H, mask, params)
+        Q = encode_tokens([ids], 4, params, "question")
+        H = ad.reshape(encode_history([[7, 8], [9, 10]], params), (1, 2, D_Q))
+        x = fuse_context(Q, H, mask, [[True, True]], params)
         return ad.mean_all(ad.mul(x, x))
 
     err = grad_check(f, params.embedding, coords=range(0, 96, 7))
@@ -196,7 +223,7 @@ def test_encoder_outputs_finite_and_grad_checks(params):
 
     def f2(t):
         params.question.fwd.wx = t
-        Q = encode_tokens(ids, mask, params, "question")
+        Q = encode_tokens([ids], 4, params, "question")
         return ad.mean_all(ad.tanh(Q))
 
     assert grad_check(f2, w, coords=range(0, w.size, 11)) < 1e-6

@@ -250,7 +250,7 @@ def test_ablate_unknown_mode_rejected_before_any_work(tiny_setup, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("evaluate ran the model before checking the ablation mode")
 
-    for name in ("prepare_units", "unit_prior_weights", "infer_unit_scores"):
+    for name in ("prepare_units", "batch_prior_weights", "infer_batch_scores"):
         monkeypatch.setattr(evaluation, name, no_work)
     with pytest.raises(ValueError, match="nope"):
         evaluate(params, ds, cfg, ablate="nope")

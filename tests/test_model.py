@@ -1,5 +1,7 @@
-"""Model-level checks of the batched recurrence: equivalence with the per-step
-reference path, and a tape whose size does not grow with sentence length."""
+"""Model-level checks of the batched forward pass: equivalence with the
+per-unit oracle (`reference_model`, itself checked against the per-step
+recurrences of `reference_lstm`), invariance to the order of a batch, and a
+tape whose size depends neither on the batch size nor on sentence length."""
 
 import contextlib
 import dataclasses
@@ -8,14 +10,18 @@ import numpy as np
 import pytest
 
 import reference_lstm as ref
-from grounddial import decoders, encoders, model
-from grounddial.autodiff import Tape, backward
+import reference_model as oracle
+from grounddial import autodiff as ad
+from grounddial.autodiff import DegenerateSliceError, Tape, Tensor, backward
 from grounddial.data import EOS_ID, SyntheticConfig, generate_synthetic
 from grounddial.model import (
-    forward_unit,
-    infer_unit_scores,
+    batch_posterior_weights,
+    batch_prior_weights,
+    forward_batch,
+    infer_batch_scores,
     init_model_params,
     named_parameters,
+    pack_batch,
     prepare_units,
 )
 from grounddial.training import TrainConfig, compose_loss
@@ -23,11 +29,17 @@ from grounddial.training import TrainConfig, compose_loss
 LONG_HISTORY = dict(rounds=10, mu=12, num_colors=12, num_shapes=12, d_v=24)
 
 
-def setup(rounds_cfg: dict, seed: int):
-    ds = generate_synthetic(SyntheticConfig(num_images=1, seed=seed, **rounds_cfg))
+def setup(rounds_cfg: dict, seed: int, num_images: int = 1, region_counts=()):
+    """Params, units and config; image i keeps only region_counts[i] regions."""
+    ds = generate_synthetic(SyntheticConfig(num_images=num_images, seed=seed, **rounds_cfg))
+    for ex, mu in zip(ds.examples, region_counts):
+        ex.region_features = Tensor(ex.region_features.data[:mu])
     cfg = TrainConfig()
     params = init_model_params(np.random.default_rng(seed), len(ds.vocab),
                                d_v=ds.examples[0].region_features.shape[1])
+    # zero-initialized pooling scores make every prior uniform; give them structure
+    params.grounding.w2.data = np.random.default_rng(seed + 1).uniform(
+        -1.0, 1.0, size=params.grounding.w2.shape)
     return params, prepare_units(ds, cfg.seq_len, cfg.max_history), cfg
 
 
@@ -39,67 +51,6 @@ def three_rounds():
 @pytest.fixture(scope="module")
 def ten_rounds():
     return setup(LONG_HISTORY, seed=5)
-
-
-@contextlib.contextmanager
-def per_step_path():
-    """Route every recurrence through the per-step reference."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(encoders, "_bi_lstm_states", ref.ref_bi_lstm_states)
-        m.setattr(model, "encode_history", ref.ref_encode_history)
-        m.setattr(model, "generative_loss", ref.ref_generative_loss)
-        m.setattr(model, "generative_rank", ref.ref_generative_rank)
-        m.setattr(model, "discriminative_scores", ref.ref_discriminative_scores)
-        m.setattr(decoders, "discriminative_scores", ref.ref_discriminative_scores)
-        yield
-
-
-def loss_and_grads(params, unit, cfg, mode):
-    for t in named_parameters(params).values():
-        t.grad = None
-    cfg = dataclasses.replace(cfg, loss_mode=mode)
-    with Tape() as tape:
-        fw = forward_unit(params, unit, cfg)
-        loss = compose_loss(fw.L_G, fw.L_D, fw.L_KL, cfg)
-    backward(loss, tape)
-    grads = {name: t.grad for name, t in named_parameters(params).items()}
-    return loss.item(), grads, len(tape.nodes)
-
-
-def assert_same_loss_and_grads(got, want):
-    (loss, grads, _), (ref_loss, ref_grads, _) = got, want
-    assert loss == pytest.approx(ref_loss, rel=1e-12)
-    assert {n for n, g in grads.items() if g is None} == {n for n, g in ref_grads.items() if g is None}
-    # some gradients vanish in theory at init (uniform pooling makes the grounded
-    # feature independent of the weights) and are rounding noise in practice, so
-    # the absolute floor scales with the largest gradient
-    atol = 1e-12 * max(np.abs(g).max() for g in ref_grads.values() if g is not None)
-    for name, g in grads.items():
-        if g is not None:
-            assert np.allclose(g, ref_grads[name], rtol=1e-9, atol=atol), name
-
-
-@pytest.mark.parametrize("fixture, mode, rounds", [
-    ("three_rounds", "multitask", [0, 1, 2]),
-    ("ten_rounds", "generative", [0, 4, 9]),
-])
-def test_forward_unit_matches_per_step_path(request, fixture, mode, rounds):
-    params, units, cfg = request.getfixturevalue(fixture)
-    for r in rounds:
-        got = loss_and_grads(params, units[r], cfg, mode)
-        with per_step_path():
-            want = loss_and_grads(params, units[r], cfg, mode)
-        assert_same_loss_and_grads(got, want)
-
-
-@pytest.mark.parametrize("decoder", ["generative", "discriminative"])
-def test_inference_scores_match_per_step_path(three_rounds, decoder):
-    params, units, cfg = three_rounds
-    for unit in units:
-        got = infer_unit_scores(params, unit, cfg, decoder=decoder)[0]
-        with per_step_path():
-            want = infer_unit_scores(params, unit, cfg, decoder=decoder)[0]
-        assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 def lengthened(unit, extra):
@@ -117,12 +68,202 @@ def lengthened(unit, extra):
         candidates=[c + extra for c in unit.candidates])
 
 
+@pytest.fixture(scope="module")
+def mixed():
+    """Twelve units: rounds 0-9 of three 10-round dialogs whose images keep
+    12, 8 and 6 regions, some with every sentence two tokens longer."""
+    params, units, cfg = setup(LONG_HISTORY, seed=6, num_images=3, region_counts=(12, 8, 6))
+    picks = [units[0], units[9], units[13], units[18], units[21], units[27], units[4],
+             units[15], units[22], units[10], units[6], units[23]]
+    extra = units[0].q_ids[:2]
+    batch = [lengthened(u, extra) if k % 3 == 1 else u for k, u in enumerate(picks)]
+    assert {u.features.shape[0] for u in batch} == {12, 8, 6}
+    assert {u.round_index for u in batch} == set(range(10))
+    assert len({sum(u.q_mask) for u in batch}) > 2
+    return params, batch, cfg
+
+
+@contextlib.contextmanager
+def per_step_path():
+    """Route every recurrence of the per-unit oracle through the per-step reference."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_bi_lstm_states", ref.ref_bi_lstm_states)
+        m.setattr(oracle, "encode_history", ref.ref_encode_history)
+        m.setattr(oracle, "generative_loss", ref.ref_generative_loss)
+        m.setattr(oracle, "generative_rank", ref.ref_generative_rank)
+        m.setattr(oracle, "discriminative_scores", ref.ref_discriminative_scores)
+        yield
+
+
+def grads_of(params, run):
+    """(loss, every parameter gradient, tape nodes) of the scalar `run()` builds."""
+    for t in named_parameters(params).values():
+        t.grad = None
+    with Tape() as tape:
+        loss = run()
+    backward(loss, tape)
+    grads = {name: t.grad for name, t in named_parameters(params).items()}
+    return loss.item(), grads, len(tape.nodes)
+
+
+def unit_loss_and_grads(params, unit, cfg):
+    def run():
+        fw = oracle.forward_unit(params, unit, cfg)
+        return compose_loss(fw.L_G, fw.L_D, fw.L_KL, cfg)
+    return grads_of(params, run)
+
+
+def oracle_loss_and_grads(params, units, cfg):
+    """The per-unit losses averaged over the batch, as training did unit by unit."""
+    def run():
+        fws = [oracle.forward_unit(params, u, cfg) for u in units]
+        mean = lambda name: (ad.mean_of([getattr(f, name) for f in fws])
+                             if getattr(fws[0], name) is not None else None)
+        return compose_loss(mean("L_G"), mean("L_D"), mean("L_KL"), cfg)
+    return grads_of(params, run)
+
+
+def batch_loss_and_grads(params, units, cfg):
+    def run():
+        fw = forward_batch(params, units, cfg)
+        return compose_loss(fw.L_G, fw.L_D, fw.L_KL, cfg)
+    return grads_of(params, run)
+
+
+def assert_same_loss_and_grads(got, want, rtol=1e-9):
+    (loss, grads, _), (ref_loss, ref_grads, _) = got, want
+    assert loss == pytest.approx(ref_loss, rel=rtol)
+    assert {n for n, g in grads.items() if g is None} == {n for n, g in ref_grads.items() if g is None}
+    # some gradients vanish in theory at init (uniform pooling makes the grounded
+    # feature independent of the weights) and are rounding noise in practice, so
+    # the absolute floor scales with the largest gradient
+    atol = 1e-12 * max(np.abs(g).max() for g in ref_grads.values() if g is not None)
+    for name, g in grads.items():
+        if g is not None:
+            assert np.allclose(g, ref_grads[name], rtol=rtol, atol=atol), name
+
+
+# ---------------------------------------------------------------------------
+# the per-unit oracle against the per-step recurrences
+
+@pytest.mark.parametrize("fixture, mode, rounds", [
+    ("three_rounds", "multitask", [0, 1, 2]),
+    ("ten_rounds", "generative", [0, 4, 9]),
+])
+def test_forward_unit_matches_per_step_path(request, fixture, mode, rounds):
+    params, units, cfg = request.getfixturevalue(fixture)
+    cfg = dataclasses.replace(cfg, loss_mode=mode)
+    for r in rounds:
+        got = unit_loss_and_grads(params, units[r], cfg)
+        with per_step_path():
+            want = unit_loss_and_grads(params, units[r], cfg)
+        assert_same_loss_and_grads(got, want)
+
+
+@pytest.mark.parametrize("decoder", ["generative", "discriminative"])
+def test_inference_scores_match_per_step_path(three_rounds, decoder):
+    params, units, cfg = three_rounds
+    for unit in units:
+        got = oracle.infer_unit_scores(params, unit, cfg, decoder=decoder)[0]
+        with per_step_path():
+            want = oracle.infer_unit_scores(params, unit, cfg, decoder=decoder)[0]
+        assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the batched path against the per-unit oracle
+
+@pytest.mark.parametrize("settings", [
+    dict(loss_mode="multitask"),
+    dict(loss_mode="generative", axis_mode="rows", bridge_variant="attn_mse"),
+    dict(loss_mode="discriminative", bridge_variant="attn_kl_image_mse",
+         decoder_feature_policy="always_prior"),
+    dict(loss_mode="multitask", axis_mode="rows", bridge_variant="image_kl",
+         detach_posterior=False),
+    dict(loss_mode="generative", bridge_variant="image_mse", detach_posterior=False),
+])
+def test_forward_batch_matches_per_unit_oracle(mixed, settings):
+    params, units, cfg = mixed
+    cfg = dataclasses.replace(cfg, **settings)
+    assert_same_loss_and_grads(batch_loss_and_grads(params, units, cfg),
+                               oracle_loss_and_grads(params, units, cfg))
+
+
+@pytest.mark.parametrize("axis_mode", ["columns", "rows"])
+@pytest.mark.parametrize("decoder", ["generative", "discriminative"])
+def test_inference_matches_per_unit_oracle(mixed, decoder, axis_mode):
+    params, units, base = mixed
+    cfg = dataclasses.replace(base, axis_mode=axis_mode, score_norm="sum")
+    scores, g = infer_batch_scores(params, units, cfg, decoder=decoder)
+    rng = np.random.default_rng(0)
+    override = [rng.dirichlet(np.ones(u.features.shape[0])) for u in units]
+    scores_o, g_o = infer_batch_scores(params, units, cfg, decoder=decoder, g_override=override)
+    priors = batch_prior_weights(params, units, cfg)
+    posteriors = batch_posterior_weights(params, units, cfg)
+    for k, u in enumerate(units):
+        want_s, want_g = oracle.infer_unit_scores(params, u, cfg, decoder=decoder)
+        assert np.allclose(scores[k], want_s, rtol=1e-9, atol=1e-12)
+        assert np.allclose(g[k], want_g, rtol=1e-9, atol=1e-15)
+        assert np.allclose(priors[k], want_g, rtol=1e-9, atol=1e-15)
+        want_s, want_g = oracle.infer_unit_scores(params, u, cfg, decoder=decoder,
+                                                  g_override=override[k])
+        assert np.allclose(scores_o[k], want_s, rtol=1e-9, atol=1e-12)
+        assert np.array_equal(g_o[k], want_g)
+        assert np.allclose(posteriors[k], oracle.unit_posterior_weights(params, u, cfg),
+                           rtol=1e-9, atol=1e-15)
+
+
+def test_batch_loss_does_not_depend_on_unit_order(mixed):
+    params, units, cfg = mixed
+    cfg = dataclasses.replace(cfg, loss_mode="multitask")
+    loss, grads, _ = batch_loss_and_grads(params, units, cfg)
+    order = np.random.default_rng(1).permutation(len(units))
+    loss_p, grads_p, _ = batch_loss_and_grads(params, [units[int(i)] for i in order], cfg)
+    assert abs(loss_p - loss) <= 1e-12 * abs(loss)
+    for name, g in grads.items():
+        assert np.allclose(grads_p[name], g, rtol=1e-9, atol=1e-12), name
+
+
+# ---------------------------------------------------------------------------
+# tape size
+
+@pytest.mark.parametrize("mode", ["multitask", "generative"])
+def test_tape_nodes_per_batch_do_not_depend_on_batch_size(mode):
+    params, units, cfg = setup(LONG_HISTORY, seed=7, num_images=2)
+    cfg = dataclasses.replace(cfg, loss_mode=mode)
+    small = batch_loss_and_grads(params, units[:4], cfg)[2]
+    assert batch_loss_and_grads(params, units[4:20], cfg)[2] == small
+
+
 @pytest.mark.parametrize("mode", ["multitask", "generative"])
 def test_tape_size_does_not_grow_with_sentence_length(three_rounds, mode):
     params, units, cfg = three_rounds
-    unit = units[2]
-    extra = unit.q_ids[:3]
-    longer = lengthened(unit, extra)
-    assert sum(longer.q_mask) == sum(unit.q_mask) + 3 < len(unit.q_mask)
-    assert all(len(a) == len(b) + 3 for a, b in zip(longer.history, unit.history))
-    assert loss_and_grads(params, longer, cfg, mode)[2] == loss_and_grads(params, unit, cfg, mode)[2]
+    cfg = dataclasses.replace(cfg, loss_mode=mode)
+    extra = units[2].q_ids[:3]
+    longer = [lengthened(u, extra) for u in units]
+    assert all(sum(a.q_mask) == sum(b.q_mask) + 3 < len(b.q_mask) for a, b in zip(longer, units))
+    assert all(len(a) == len(b) + 3 for a, b in zip(longer[2].history, units[2].history))
+    assert (batch_loss_and_grads(params, longer, cfg)[2]
+            == batch_loss_and_grads(params, units, cfg)[2])
+
+
+# ---------------------------------------------------------------------------
+# packing
+
+def test_pack_batch_encodes_each_distinct_history_sentence_once(ten_rounds):
+    _, units, _ = ten_rounds
+    batch = pack_batch(units)
+    assert len(batch.history) == 10                       # the caption and nine pairs
+    assert sum(len(u.history) for u in units) == 55
+    for b, u in enumerate(units):
+        rows = batch.history_rows[b][batch.history_mask[b]]
+        assert [batch.history[r] for r in rows] == u.history
+
+
+def test_pack_batch_names_a_unit_with_an_empty_question(three_rounds):
+    params, units, cfg = three_rounds
+    empty = dataclasses.replace(units[1], q_mask=[False] * len(units[1].q_mask))
+    with pytest.raises(DegenerateSliceError, match=rf"'{units[1].image_id}' round 1"):
+        forward_batch(params, [units[0], empty], cfg)
+    with pytest.raises(DegenerateSliceError, match="round 1"):
+        infer_batch_scores(params, [empty], cfg, decoder="generative")

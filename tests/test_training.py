@@ -6,7 +6,7 @@ import pytest
 from grounddial import grounding
 from grounddial.autodiff import ContractError, Tape, Tensor, backward
 from grounddial.data import SyntheticConfig, generate_synthetic
-from grounddial.model import forward_unit, init_model_params, named_parameters, prepare_units
+from grounddial.model import forward_batch, init_model_params, named_parameters, prepare_units
 from grounddial.training import (
     DivergenceError,
     OptimizerState,
@@ -199,7 +199,7 @@ def test_first_batch_generative_loss_independent_of_kl_weight():
 
     def first_lg(kl_weight):
         params = tiny_model(ds, cfg, seed=3)
-        fw = forward_unit(params, units[0], tiny_cfg(kl_weight=kl_weight))
+        fw = forward_batch(params, units[:4], tiny_cfg(kl_weight=kl_weight))
         return fw.L_G.item()
 
     assert first_lg(0.0) == first_lg(1.0)
