@@ -23,7 +23,6 @@ the input is read at most once.
 
 from __future__ import annotations
 
-import math
 import struct
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -47,7 +46,6 @@ class ContractError(ValueError):
 
 
 _LOG_FLOOR = 1e-12  # floor inside log(q) for KL; p entries of 0 contribute 0
-_STEP_BLOCK = 128   # sequences lstm_sequence steps together
 
 
 class Tensor:
@@ -504,28 +502,6 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), rule)
 
 
-def cross_entropy(logits: Tensor, target_index: int) -> Tensor:
-    """-log softmax(logits)[target_index] for a rank-1 logits vector."""
-    if logits.data.ndim != 1:
-        raise DimensionError(f"cross_entropy expects a vector, got shape {logits.shape}")
-    n = logits.shape[0]
-    if not (0 <= target_index < n):
-        raise IndexError(f"target index {target_index} out of range for {n} logits")
-    z = logits.data
-    m = z.max()
-    e = np.exp(z - m)
-    s = e.sum()
-    out = Tensor(math.log(s) + m - z[target_index])
-    probs = e / s
-
-    def rule(g):
-        d = probs * float(g)
-        d[target_index] -= float(g)
-        return (d,)
-
-    return _record(out, (logits,), rule)
-
-
 def cross_entropy_rows(logits: Tensor, targets: Sequence[int]) -> Tensor:
     """Per-row -log softmax(logits[m])[targets[m]] of an [M, V] matrix, [M]."""
     if logits.data.ndim != 2:
@@ -553,22 +529,6 @@ def cross_entropy_rows(logits: Tensor, targets: Sequence[int]) -> Tensor:
     return _record(out, (logits,), rule)
 
 
-def add_chain(terms: Sequence[Tensor]) -> Tensor:
-    """Left-to-right sum of scalar tensors (deterministic order)."""
-    terms = list(terms)
-    if not terms:
-        raise ContractError("add_chain of zero terms")
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = add(acc, t)
-    return acc
-
-
-def mean_of(terms: Sequence[Tensor]) -> Tensor:
-    terms = list(terms)
-    return scale(add_chain(terms), 1.0 / len(terms))
-
-
 # ---------------------------------------------------------------------------
 # fused recurrence
 
@@ -586,8 +546,7 @@ def lstm_sequence(xs: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor, b: Ten
     Each step projects only the rows it reads: as no row is read twice,
     that is the multiply-adds of one hoisted xs @ wx without its [N, 4H]
     buffer, which dominated peak memory when every candidate of a batch
-    ran at once. Wide batches step in blocks of _STEP_BLOCK sequences for
-    the same reason. Activations are kept for backpropagation through time
+    ran at once. Activations are kept for backpropagation through time
     only while a tape records; the backward rule makes dwx, dwh, db and
     dxs one matmul or sum each over all steps.
     """
@@ -605,6 +564,7 @@ def lstm_sequence(xs: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor, b: Ten
     if idx.size and (idx.min() < -1 or idx.max() >= xs.shape[0]):
         raise IndexError(f"lstm_sequence index outside [-1, {xs.shape[0]})")
     live = idx >= 0
+    full = live.all(axis=1)
     rows = idx[live]                                       # step-major, as dz in the rule
     if rows.size:
         reads = np.bincount(rows)
@@ -620,43 +580,39 @@ def lstm_sequence(xs: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor, b: Ten
         h_prev = np.empty((T, B, H))
         c_prev = np.empty((T, B, H))
         tanh_c = np.empty((T, B, H))
-    # a wide batch steps in blocks of sequences, which bounds the loop's temporaries
-    for lo in range(0, B, _STEP_BLOCK):
-        cols = slice(lo, lo + _STEP_BLOCK)
-        h = hc0.data[cols, :H]
-        c = hc0.data[cols, H:]
-        z = np.empty((h.shape[0], 4 * H))                  # step buffers, reused
-        zh = np.empty((h.shape[0], 4 * H))
-        for t in range(T):
-            # a -1 row reads xs[-1]; its result is discarded below
-            np.matmul(xd[idx[t, cols]], wxd, out=z)
-            z += bd
-            z += np.matmul(h, whd, out=zh)
-            ifo = z[:, :3 * H]                             # sigmoid of i, f, o, in place
-            np.negative(ifo, out=ifo)
-            np.exp(ifo, out=ifo)
-            ifo += 1.0
-            np.reciprocal(ifo, out=ifo)
-            gg = np.tanh(z[:, 3 * H:], out=z[:, 3 * H:])
-            c2 = ifo[:, H:2 * H] * c
-            c2 += ifo[:, :H] * gg
-            tc = np.tanh(c2)
-            h2 = np.multiply(ifo[:, 2 * H:], tc, out=hs[t, cols])
-            keep = ~live[t, cols, None]
-            if keep.any():
-                np.copyto(c2, c, where=keep)
-                np.copyto(h2, h, where=keep)
-            if record:
-                gates[t, cols] = z
-                h_prev[t, cols] = h
-                c_prev[t, cols] = c
-                tanh_c[t, cols] = tc
-            h, c = h2, c2
+    h = hc0.data[:, :H]
+    c = hc0.data[:, H:]
+    z = np.empty((B, 4 * H))                               # step buffers, reused
+    zh = np.empty((B, 4 * H))
+    for t in range(T):
+        # a -1 row reads xs[-1]; its result is discarded below
+        np.matmul(xd[idx[t]], wxd, out=z)
+        z += bd
+        z += np.matmul(h, whd, out=zh)
+        ifo = z[:, :3 * H]                                 # sigmoid of i, f, o, in place
+        np.negative(ifo, out=ifo)
+        np.exp(ifo, out=ifo)
+        ifo += 1.0
+        np.reciprocal(ifo, out=ifo)
+        gg = np.tanh(z[:, 3 * H:], out=z[:, 3 * H:])
+        c2 = ifo[:, H:2 * H] * c
+        c2 += ifo[:, :H] * gg
+        tc = np.tanh(c2)
+        h2 = np.multiply(ifo[:, 2 * H:], tc, out=hs[t])
+        if not full[t]:
+            keep = ~live[t, :, None]
+            np.copyto(c2, c, where=keep)
+            np.copyto(h2, h, where=keep)
+        if record:
+            gates[t] = z
+            h_prev[t] = h
+            c_prev[t] = c
+            tanh_c[t] = tc
+        h, c = h2, c2
     out = Tensor(hs.reshape(T * B, H))
     if not record:
         return out
     n_rows = xs.shape[0]
-    full = live.all(axis=1)
 
     def rule(g):
         g = g.reshape(T, B, H)

@@ -26,6 +26,7 @@ from .encoders import (
     init_bi_encoder,
     init_lstm_cell,
     pack_sequences,
+    padded_rows,
 )
 
 
@@ -145,24 +146,23 @@ def discriminative_scores(fused: Tensor, candidates: Sequence[Sequence[Sequence[
     """Bilinear scores fusedᵀ B cand over each unit's candidates, [B, N].
 
     N is the most candidates of any unit; a unit with fewer scores -inf past
-    its last. The batch's distinct candidates are encoded once, in one batch,
-    by the candidate encoder's own BiLSTM (final states, projected); an empty
-    candidate is a zero row.
+    its last. Every candidate of the batch is encoded in one batch by the
+    candidate encoder's own BiLSTM (final states, projected); an empty
+    candidate is a zero row. Each unit is scored against its own candidates
+    only.
     """
-    distinct: dict[tuple, int] = {}
-    which = [[distinct.setdefault(tuple(c), len(distinct)) for c in cands] for cands in candidates]
-    if not all(which):
+    counts = [len(cands) for cands in candidates]
+    if not all(counts):
         raise ContractError("discriminative scoring needs at least one candidate")
-    n_units, n_max = len(which), max(len(w) for w in which)
-    cand_mat = encode_sentences(list(distinct), params.cand, embedding)   # [S, d_q]
-    left = ad.matmul(fused, params.bilinear)                              # [B, d_q]
-    every = ad.matmul(left, ad.transpose(cand_mat))                       # [B, S]
-    n_distinct = len(distinct)
-    index = np.full((n_units, n_max), n_units * n_distinct, dtype=np.intp)
-    for b, w in enumerate(which):
-        index[b, :len(w)] = b * n_distinct + np.asarray(w)
-    flat = ad.reshape(every, (n_units * n_distinct, 1))
-    return ad.reshape(gather_rows(flat, index, fill=-np.inf), (n_units, n_max))
+    n_units, n_max = len(counts), max(counts)
+    every = [cand for cands in candidates for cand in cands]
+    cand_mat = encode_sentences(every, params.cand, embedding)           # [sum N, d_q]
+    rows, real = padded_rows(counts, np.arange(len(every)), len(every))
+    cand = gather_rows(cand_mat, rows)                                    # [B, N, d_q]
+    d_q = cand.shape[2]
+    left = ad.reshape(ad.matmul(fused, params.bilinear), (n_units, 1, d_q))
+    scores = ad.reshape(ad.bmm(left, cand, transpose_b=True), (n_units, n_max))
+    return ad.add(scores, Tensor(np.where(real, 0.0, -np.inf)))
 
 
 def discriminative_loss_and_rank(fused: Tensor, candidates: Sequence[Sequence[Sequence[int]]],

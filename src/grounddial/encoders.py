@@ -143,12 +143,22 @@ def _bi_lstm(seqs: Sequence[Sequence[int]], enc: BiEncoderParams,
     return h_f, h_b, index
 
 
-def gather_rows(rows: Tensor, index: np.ndarray, fill: float = 0.0) -> Tensor:
+def gather_rows(rows: Tensor, index: np.ndarray) -> Tensor:
     """rows[index] stacked to index.shape + [d]; an index equal to len(rows)
-    reads a constant row of `fill` (the padding of ragged stacks)."""
+    reads a zero row (the padding of ragged stacks)."""
     index = np.asarray(index, dtype=np.intp)
-    padded = ad.concat([rows, ad.const(np.full((1, rows.shape[1]), fill))], axis=0)
+    padded = ad.concat([rows, ad.zeros_const((1, rows.shape[1]))], axis=0)
     return ad.reshape(ad.take_rows(padded, index.reshape(-1)), index.shape + (rows.shape[1],))
+
+
+def padded_rows(lengths: Sequence[int], rows: Sequence[int], pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """[B, max length] grid of the given rows, one unit after another, and its
+    mask; positions past a unit's length hold `pad` (for `gather_rows`)."""
+    lengths = np.asarray(lengths)
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    grid = np.full(mask.shape, pad, dtype=np.intp)
+    grid[mask] = rows
+    return grid, mask
 
 
 def encode_sentences(seqs: Sequence[Sequence[int]], enc: BiEncoderParams,

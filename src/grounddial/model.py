@@ -34,6 +34,7 @@ from .encoders import (
     fuse_context,
     gather_rows,
     init_encoder_params,
+    padded_rows,
     project_regions,
 )
 from .grounding import (
@@ -240,15 +241,6 @@ class Batch:
     region_mask: np.ndarray    # [B, mu]
 
 
-def _padded_rows(lengths: Sequence[int], rows: Sequence[int], pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """[B, max length] grid of the given rows, one unit after another, and its mask."""
-    lengths = np.asarray(lengths)
-    mask = np.arange(lengths.max()) < lengths[:, None]
-    grid = np.full(mask.shape, pad, dtype=np.intp)
-    grid[mask] = rows
-    return grid, mask
-
-
 def pack_batch(units: Sequence[Unit]) -> Batch:
     """Pack a batch; a unit no batched op can take raises, naming it.
 
@@ -267,10 +259,10 @@ def pack_batch(units: Sequence[Unit]) -> Batch:
     q_mask = np.arange(max(lengths)) < np.asarray(lengths)[:, None]
     distinct: dict[tuple, int] = {}
     sentence_rows = [distinct.setdefault(tuple(h), len(distinct)) for u in units for h in u.history]
-    history_rows, history_mask = _padded_rows([len(u.history) for u in units], sentence_rows,
-                                              len(distinct))
+    history_rows, history_mask = padded_rows([len(u.history) for u in units], sentence_rows,
+                                             len(distinct))
     mus = [u.features.shape[0] for u in units]
-    region_rows, region_mask = _padded_rows(mus, np.arange(sum(mus)), sum(mus))
+    region_rows, region_mask = padded_rows(mus, np.arange(sum(mus)), sum(mus))
     return Batch(
         units=units,
         questions=questions,
@@ -359,9 +351,15 @@ def infer_batch_scores(params: ModelParams, units: Sequence[Unit], cfg: TrainCon
     mus = batch.region_mask.sum(axis=1)
     x, I, g, v_prior, I_x = _prior(params, batch, cfg)
     if g_override is not None:
+        if len(g_override) != len(batch.units):
+            raise ContractError(f"{len(g_override)} g_override distributions "
+                                f"for {len(batch.units)} units")
         weights = np.zeros(batch.region_mask.shape)
-        for b, w in enumerate(g_override):
-            weights[b, :mus[b]] = w            # a distribution of the wrong length raises
+        for b, (u, w) in enumerate(zip(batch.units, g_override)):
+            if np.shape(w) != (mus[b],):
+                raise ContractError(f"g_override for unit {u.image_id!r} round {u.round_index} "
+                                    f"has shape {np.shape(w)}, expected ({mus[b]},)")
+            weights[b, :mus[b]] = w
         B, mu, d_q = I_x.shape
         v_prior = ad.reshape(ad.bmm(ad.const(weights.reshape(B, 1, mu)), I_x), (B, d_q))
         g_used = _per_unit(weights, mus)

@@ -4,18 +4,59 @@
 input matrix. `step_sequence` steps it through an `lstm_sequence` index, and
 the `ref_*` functions are the encoders and decoders written one sequence
 and one step at a time on top of it, so a model forward can be compared
-against the batched path by patching them in.
+against the batched path by patching them in. `cross_entropy` (one logits
+vector), `add_chain` and `mean_of` are the scalar-at-a-time loss ops the
+oracles sum their per-position and per-unit losses with.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from grounddial import autodiff as ad
-from grounddial.autodiff import DimensionError, Tensor, _record
+from grounddial.autodiff import ContractError, DimensionError, Tensor, _record
 from grounddial.data import BOS_ID, EOS_ID
+
+
+def cross_entropy(logits: Tensor, target_index: int) -> Tensor:
+    """-log softmax(logits)[target_index] for a rank-1 logits vector."""
+    if logits.data.ndim != 1:
+        raise DimensionError(f"cross_entropy expects a vector, got shape {logits.shape}")
+    n = logits.shape[0]
+    if not (0 <= target_index < n):
+        raise IndexError(f"target index {target_index} out of range for {n} logits")
+    z = logits.data
+    m = z.max()
+    e = np.exp(z - m)
+    s = e.sum()
+    out = Tensor(math.log(s) + m - z[target_index])
+    probs = e / s
+
+    def rule(g):
+        d = probs * float(g)
+        d[target_index] -= float(g)
+        return (d,)
+
+    return _record(out, (logits,), rule)
+
+
+def add_chain(terms: Sequence[Tensor]) -> Tensor:
+    """Left-to-right sum of scalar tensors (deterministic order)."""
+    terms = list(terms)
+    if not terms:
+        raise ContractError("add_chain of zero terms")
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = ad.add(acc, t)
+    return acc
+
+
+def mean_of(terms: Sequence[Tensor]) -> Tensor:
+    terms = list(terms)
+    return ad.scale(add_chain(terms), 1.0 / len(terms))
 
 
 def lstm_step(xs: Tensor, row: int, hc: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
@@ -158,12 +199,12 @@ def ref_position_losses(fused: Tensor, tokens: Sequence[int], embedding: Tensor,
         hc = lstm_step(emb, t, hc, params.gen.wx, params.gen.wh, params.gen.b)
         h = ad.slice_cols(hc, 0, d_q)
         logits = ad.add(ad.matmul(h, params.out_w), params.out_b)
-        losses.append(ad.cross_entropy(ad.reshape(logits, (vocab,)), target))
+        losses.append(cross_entropy(ad.reshape(logits, (vocab,)), target))
     return losses
 
 
 def ref_generative_loss(fused: Tensor, answer_tokens, embedding: Tensor, params) -> Tensor:
-    return ad.mean_of(ref_position_losses(fused, answer_tokens, embedding, params))
+    return mean_of(ref_position_losses(fused, answer_tokens, embedding, params))
 
 
 def ref_generative_rank(fused: Tensor, candidates, embedding: Tensor, params,

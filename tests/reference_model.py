@@ -28,6 +28,7 @@ from grounddial.encoders import (
     project_regions,
 )
 from grounddial.grounding import BRIDGE_VARIANTS, GroundingOutput
+from reference_lstm import cross_entropy
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +251,7 @@ def forward_unit(params, unit, cfg) -> UnitForward:
         L_G = generative_loss(fused, unit.answer_targets, embedding, params.decoder)
     if cfg.loss_mode in ("discriminative", "multitask"):
         scores = discriminative_scores(fused, unit.candidates, embedding, params.decoder)
-        L_D = ad.cross_entropy(scores, unit.gt_index)
+        L_D = cross_entropy(scores, unit.gt_index)
     return UnitForward(x=x, I=I, grounding=out, L_G=L_G, L_D=L_D, L_KL=L_KL)
 
 

@@ -16,7 +16,7 @@ from grounddial.autodiff import (
     backward,
     grad_check,
 )
-from reference_lstm import step_sequence
+from reference_lstm import cross_entropy, step_sequence
 
 
 def rng():
@@ -246,23 +246,23 @@ def test_mse_cases():
 
 
 def test_cross_entropy_uniform():
-    val = ad.cross_entropy(Tensor([0.0, 0.0, 0.0, 0.0]), 0).item()
+    val = ad.cross_entropy_rows(Tensor([[0.0, 0.0, 0.0, 0.0]]), [0]).item()
     assert abs(val - math.log(4.0)) < 1e-12
 
 
 def test_cross_entropy_confident():
-    val = ad.cross_entropy(Tensor([10.0, -10.0]), 0).item()
+    val = ad.cross_entropy_rows(Tensor([[10.0, -10.0]]), [0]).item()
     assert abs(val - 2.06e-9) < 2e-11
 
 
 def test_cross_entropy_from_softmax_example():
-    val = ad.cross_entropy(Tensor([0.0, math.log(3.0)]), 1).item()
+    val = ad.cross_entropy_rows(Tensor([[0.0, math.log(3.0)]]), [1]).item()
     assert abs(val - (-math.log(0.75))) < 1e-12
 
 
 def test_cross_entropy_index_error():
     with pytest.raises(IndexError):
-        ad.cross_entropy(Tensor([0.0, 1.0]), 2)
+        ad.cross_entropy_rows(Tensor([[0.0, 1.0]]), [2])
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +347,7 @@ def test_grad_check_constant_function():
         ad.masked_softmax(ad.reshape(t, (t.size,)), axis=0),
         Tensor(np.full(t.size, 1.0 / t.size)),
     ),
-    lambda t: ad.cross_entropy(ad.reshape(ad.sigmoid(t), (t.size,)), 1),
+    lambda t: ad.sum_all(ad.cross_entropy_rows(ad.reshape(ad.sigmoid(t), (1, t.size)), [1])),
     lambda t: ad.mse(ad.relu(ad.add_const(t, 0.7)), Tensor(np.ones((2, 3)))),
     lambda t: ad.sum_all(ad.power(ad.add_const(ad.mul(t, t), 1.0), -0.5)),
     lambda t: ad.sum_all(ad.slice_cols(ad.concat([t, t], axis=0), 1, 3)),
@@ -442,11 +442,11 @@ def test_lstm_sequence_rejects_a_row_read_twice():
 
 
 def test_lstm_sequence_wide_batch_matches_narrow_batches():
-    """A batch wider than one block of the step loop: every sequence's states
-    and every gradient match running the sequences a few at a time."""
+    """A wide ragged batch: every sequence's states and every gradient match
+    running the sequences a few at a time."""
     g = rng()
     H, d_in = 3, 4
-    lengths = g.integers(1, 5, size=2 * ad._STEP_BLOCK + 5)
+    lengths = g.integers(1, 5, size=40)
     B, T = len(lengths), int(lengths.max())
     xs = Tensor(g.normal(size=(int(lengths.sum()), d_in)), requires_grad=True)
     hc0 = Tensor(g.normal(size=(B, 2 * H)), requires_grad=True)
@@ -514,7 +514,7 @@ def test_cross_entropy_rows_matches_per_row_cross_entropy():
     z = rng().normal(size=(3, 6))
     rows = ad.cross_entropy_rows(Tensor(z), [5, 0, 3]).data
     for m, target in enumerate([5, 0, 3]):
-        assert rows[m] == ad.cross_entropy(Tensor(z[m]), target).item()
+        assert rows[m] == cross_entropy(Tensor(z[m]), target).item()
     with pytest.raises(IndexError):
         ad.cross_entropy_rows(Tensor(z), [6, 0, 0])
     with pytest.raises(DimensionError):

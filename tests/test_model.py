@@ -12,7 +12,7 @@ import pytest
 import reference_lstm as ref
 import reference_model as oracle
 from grounddial import autodiff as ad
-from grounddial.autodiff import DegenerateSliceError, Tape, Tensor, backward
+from grounddial.autodiff import ContractError, DegenerateSliceError, Tape, Tensor, backward
 from grounddial.data import EOS_ID, SyntheticConfig, generate_synthetic
 from grounddial.model import (
     batch_posterior_weights,
@@ -117,7 +117,7 @@ def oracle_loss_and_grads(params, units, cfg):
     """The per-unit losses averaged over the batch, as training did unit by unit."""
     def run():
         fws = [oracle.forward_unit(params, u, cfg) for u in units]
-        mean = lambda name: (ad.mean_of([getattr(f, name) for f in fws])
+        mean = lambda name: (ref.mean_of([getattr(f, name) for f in fws])
                              if getattr(fws[0], name) is not None else None)
         return compose_loss(mean("L_G"), mean("L_D"), mean("L_KL"), cfg)
     return grads_of(params, run)
@@ -211,6 +211,16 @@ def test_inference_matches_per_unit_oracle(mixed, decoder, axis_mode):
         assert np.array_equal(g_o[k], want_g)
         assert np.allclose(posteriors[k], oracle.unit_posterior_weights(params, u, cfg),
                            rtol=1e-9, atol=1e-15)
+
+
+def test_g_override_of_the_wrong_length_raises_naming_the_unit(mixed):
+    params, units, cfg = mixed
+    override = [np.full(u.features.shape[0], 1.0 / u.features.shape[0]) for u in units]
+    override[2] = np.ones(1)           # would broadcast over every real region
+    with pytest.raises(ContractError, match=f"unit {units[2].image_id!r} round {units[2].round_index}"):
+        infer_batch_scores(params, units, cfg, decoder="generative", g_override=override)
+    with pytest.raises(ContractError, match="g_override distributions"):
+        infer_batch_scores(params, units, cfg, decoder="generative", g_override=override[:-1])
 
 
 def test_batch_loss_does_not_depend_on_unit_order(mixed):
