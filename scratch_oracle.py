@@ -23,9 +23,8 @@ def batch_loss(units, params):
     batch = pack_batch(units)
     x, I = encode_context(params, batch)
     y = encode_tokens(batch.answers, batch.q_mask.shape[1], params.encoder, "answer")
-    _, I_x_post = cross_attend(I, ad.add(x, y), batch.q_mask, "rows", residual=True, values=x,
-                               att_wi=params.grounding.att_wi, att_wx=params.grounding.att_wx,
-                               mask_i=batch.region_mask)
+    _, I_x_post = cross_attend(I, ad.add(x, y), x, batch.q_mask, params.grounding, "rows",
+                               batch.region_mask)
     B, mu, d_q = I_x_post.shape
     if mode == "oracle":
         G = np.zeros((B, mu))

@@ -112,10 +112,6 @@ class Tape:
         _ACTIVE_TAPE = None
 
 
-def active_tape() -> Optional[Tape]:
-    return _ACTIVE_TAPE
-
-
 def _record(out: Tensor, inputs: tuple, rule: Callable) -> Tensor:
     tape = _ACTIVE_TAPE
     if tape is not None and any(t.requires_grad for t in inputs):
@@ -198,17 +194,6 @@ def bmm(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
         return da, np.matmul(ad_.transpose(0, 2, 1), g)
 
     return _record(out, (a, b), rule)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose needs a matrix, got shape {a.shape}")
-    out = Tensor(a.data.T.copy())
-
-    def rule(g):
-        return (g.T.copy(),)
-
-    return _record(out, (a,), rule)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -308,35 +293,6 @@ def tanh(a: Tensor) -> Tensor:
         return (g * (1.0 - t * t),)
 
     return _record(out, (a,), rule)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(s)
-
-    def rule(g):
-        return (g * s * (1.0 - s),)
-
-    return _record(out, (a,), rule)
-
-
-_ELEMENTWISE = {
-    "add": add,
-    "mul": mul,
-    "relu": relu,
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "scale": scale,
-}
-
-
-def elementwise(kind: str, *inputs):
-    """Dispatch by kind name: add, mul, relu, tanh, sigmoid, scale."""
-    try:
-        fn = _ELEMENTWISE[kind]
-    except KeyError:
-        raise ContractError(f"unknown elementwise kind {kind!r}") from None
-    return fn(*inputs)
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:

@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .autodiff import ContractError, DegenerateSliceError, InvalidDistributionError
 from .data import (
+    DialogDataset,
     GenerationError,
     FeatureFileError,
     MissingFeatureError,
@@ -60,6 +61,16 @@ class _Spelled(argparse.Action):
 
 class DataError(RuntimeError):
     pass
+
+
+def _load(path, split: str, features, vocab) -> DialogDataset:
+    """A dataset with its features attached and at least one round."""
+    ds = load_dataset(path, split, features, vocab=vocab)
+    if not ds.units():
+        raise DataError(f"{path} holds no dialog rounds")
+    if any(ex.region_features is None for ex in ds.examples):
+        raise DataError(f"no feature file found for {path}")
+    return ds
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
@@ -179,13 +190,11 @@ def cmd_train(args) -> int:
     except ContractError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    ds_train = load_dataset(args.data, "train", args.features)
+    ds_train = _load(args.data, "train", args.features, None)
     if args.val_data:
-        ds_val = load_dataset(args.val_data, "val", args.val_features, vocab=ds_train.vocab)
+        ds_val = _load(args.val_data, "val", args.val_features, ds_train.vocab)
     else:
         ds_val = ds_train
-    if any(ex.region_features is None for ex in ds_train.examples):
-        raise DataError(f"no feature file found for {args.data}; pass --features")
     d_v = ds_train.examples[0].region_features.shape[1]
     params = init_model_params(np.random.default_rng(cfg.seed), len(ds_train.vocab),
                                d_v=d_v, d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads,
@@ -232,9 +241,13 @@ def cmd_eval(args) -> int:
     except ContractError as e:
         raise DataError(f"checkpoint {base} has an invalid config: {e}") from e
     vocab = Vocabulary(vocab_tokens)
-    ds = load_dataset(args.data, args.split, args.features, vocab=vocab)
-    if any(ex.region_features is None for ex in ds.examples):
-        raise DataError(f"no feature file found for {args.data}; pass --features")
+    ds = _load(args.data, args.split, args.features, vocab)
+    if args.ablate == "oracle":
+        for ex in ds.examples:
+            for t, rnd in enumerate(ex.rounds):
+                if rnd.gt_grounding is None:
+                    raise DataError(f"--ablate oracle needs gt_grounding, which image_id "
+                                    f"{ex.image_id!r} round {t} of {args.data} lacks")
     d_v = ds.examples[0].region_features.shape[1]
     params = init_model_params(np.random.default_rng(0), len(vocab), d_v=d_v,
                                d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads,

@@ -79,16 +79,6 @@ class Vocabulary:
         return len(self.id_to_token)
 
 
-def tokenize_and_pad(text: str, vocab: Vocabulary, max_len: int) -> tuple[list[int], list[bool]]:
-    """Token ids truncated to max_len, right-padded with PAD; mask marks real tokens."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    ids = vocab.encode_text(text)[:max_len]
-    mask = [True] * len(ids) + [False] * (max_len - len(ids))
-    ids = ids + [PAD_ID] * (max_len - len(ids))
-    return ids, mask
-
-
 @dataclass
 class Round:
     question: str
@@ -109,10 +99,6 @@ class DialogExample:
     rounds: list[Round]
     caption_tokens: list[int] = field(default_factory=list)
     region_features: Optional[Tensor] = None
-
-    @property
-    def gt_grounding(self) -> list[Optional[list[int]]]:
-        return [r.gt_grounding for r in self.rounds]
 
 
 @dataclass
@@ -162,11 +148,15 @@ def _parse_round(obj, dialog: int, index: int) -> Round:
             values.append(v)
         if values[gt] < max(values) - 1e-12:
             fail(".relevance", "gt_index relevance must be maximal or tied-maximal")
+        if max(values) <= 0.0:
+            fail(".relevance", "needs at least one positive entry")
         relevance = values
     grounding = obj.get("gt_grounding")
     if grounding is not None:
         if not (isinstance(grounding, list) and all(isinstance(i, int) for i in grounding)):
             fail(".gt_grounding", "must be a list of region indices")
+        if not grounding:
+            fail(".gt_grounding", "must name at least one region")
     return Round(
         question=str(obj["question"]),
         answer=str(obj["answer"]),
@@ -226,25 +216,34 @@ def load_dataset(path, split: str = "train", features_path=None,
     """Materialize a dataset file; example order is file order.
 
     `vocab` is as for dataset_from_dict. `features_path` defaults to
-    features.bin next to the dataset file.
+    features.bin next to the dataset file. A ParseError names the file.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as e:
-            raise ParseError(f"$: not valid JSON ({e})") from e
-    ds = dataset_from_dict(raw, split, vocab)
+            raise ParseError(f"{path}: $: not valid JSON ({e})") from e
+    try:
+        ds = dataset_from_dict(raw, split, vocab)
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from None
 
     if features_path is None:
         features_path = path.parent / "features.bin"
     features_path = Path(features_path)
     if features_path.exists():
         feats = load_features(features_path)
-        for ex in ds.examples:
+        for i, ex in enumerate(ds.examples):
             if ex.image_id not in feats:
                 raise MissingFeatureError(f"no features for image_id {ex.image_id!r} in {features_path}")
             ex.region_features = feats[ex.image_id]
+            mu = ex.region_features.shape[0]
+            for j, r in enumerate(ex.rounds):
+                if r.gt_grounding is not None and not all(0 <= k < mu for k in r.gt_grounding):
+                    raise ParseError(f"{path}: $.dialogs[{i}].rounds[{j}].gt_grounding: region "
+                                     f"indices must lie in [0, {mu}), the regions of image_id "
+                                     f"{ex.image_id!r}")
     return ds
 
 
@@ -535,18 +534,17 @@ def dump_dataset_json(dataset_dict: dict) -> str:
 # ---------------------------------------------------------------------------
 # batching
 
-def batch_iterator(ds: DialogDataset, batch_size: int, seed: int,
-                   shuffle: bool) -> Iterator[list[tuple[int, int]]]:
-    """Yield batches of (example_index, round_index) units for one epoch.
+def batch_iterator(items: Sequence, batch_size: int, seed: Optional[int]) -> Iterator[list]:
+    """Yield one pass over `items` in batches of batch_size.
 
-    A seeded permutation when shuffle is on, file order otherwise; the final
-    partial batch is kept.
+    A permutation seeded by `seed`, or the given order when seed is None;
+    the final partial batch is kept.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    units = ds.units()
-    if shuffle:
-        order = np.random.default_rng(seed).permutation(len(units))
-        units = [units[int(i)] for i in order]
-    for start in range(0, len(units), batch_size):
-        yield units[start:start + batch_size]
+    items = list(items)
+    if seed is not None:
+        order = np.random.default_rng(seed).permutation(len(items))
+        items = [items[int(i)] for i in order]
+    for start in range(0, len(items), batch_size):
+        yield items[start:start + batch_size]

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .autodiff import ContractError, InvalidDistributionError
-from .data import DialogDataset
+from .data import DialogDataset, batch_iterator
 from .grounding import attention_record
 from .model import (
     ModelParams,
@@ -128,35 +128,32 @@ def distribution_entropy(dist: Sequence[float]) -> float:
 ABLATION_MODES = ("learned", "mean", "random", "oracle")
 
 
-def _ablated_weights(units: list[Unit], learned: list[np.ndarray], mode: str,
-                     batch_size: int, seed: int) -> list[np.ndarray]:
-    """Replacement distribution per unit for the mean, oracle and random modes."""
-    out: list[np.ndarray] = []
+def _ablated_weights(params: ModelParams, batch: list[Unit], cfg: TrainConfig, mode: str,
+                     rng: np.random.Generator) -> list[np.ndarray]:
+    """Replacement distribution per unit of a batch for the mean, oracle and
+    random modes."""
+    mus = [u.features.shape[0] for u in batch]
     if mode == "mean":
-        for u in units:
-            mu = u.features.shape[0]
-            out.append(np.full(mu, 1.0 / mu))
-        return out
+        return [np.full(mu, 1.0 / mu) for mu in mus]
     if mode == "oracle":
-        for u in units:
+        out = []
+        for u, mu in zip(batch, mus):
             if u.gt_grounding is None:
-                raise ContractError(f"oracle ablation needs gt_grounding on {u.image_id!r}")
-            mu = u.features.shape[0]
+                raise ContractError(f"oracle ablation needs gt_grounding on unit "
+                                    f"{u.image_id!r} round {u.round_index}")
             w = np.zeros(mu)
             w[list(u.gt_grounding)] = 1.0 / len(u.gt_grounding)
             out.append(w)
         return out
-    # random: the learned distributions shuffled within each batch
-    rng = np.random.default_rng(seed)
-    for start in range(0, len(units), batch_size):
-        idx = range(start, min(start + batch_size, len(units)))
-        perm = rng.permutation(len(idx))
-        out += [learned[idx[int(k)]].copy() for k in perm]
+    # random: the learned distributions shuffled among the batch's units
+    # with the same region count
+    learned = batch_prior_weights(params, batch, cfg)
+    out = [None] * len(batch)
+    for mu in dict.fromkeys(mus):
+        same = [b for b, m in enumerate(mus) if m == mu]
+        for b, k in zip(same, rng.permutation(len(same))):
+            out[b] = learned[same[int(k)]]
     return out
-
-
-def _batches(items: list, size: int) -> list[list]:
-    return [items[i:i + size] for i in range(0, len(items), size)]
 
 
 def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainConfig(), *,
@@ -168,9 +165,9 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
 
     `cfg` is the configuration the model was trained with. `decoder` defaults
     to the discriminative one only when that run trained the discriminative
-    loss alone. `ablate` replaces the prior before
-    pooling: uniform ("mean"), shuffled within each batch of cfg.batch_size
-    units ("random", seeded by `seed`) or the ground truth ("oracle").
+    loss alone. `ablate` replaces the prior before pooling: uniform ("mean"),
+    shuffled among the units of a batch that have the same region count
+    ("random", seeded by `seed`) or the ground truth ("oracle").
     posterior_diagnostics additionally runs the answer-aware branch to report
     its entropy (the Table-3 "with answers" protocol); it never affects the
     ranking metrics.
@@ -183,18 +180,15 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
     if not units:
         raise ContractError("evaluate on an empty dataset")
 
-    batches = _batches(units, cfg.batch_size)
-    overrides: list = [None] * len(batches)
-    if ablate != "learned":
-        learned = [g for batch in batches for g in batch_prior_weights(params, batch, cfg)]
-        overrides = _batches(_ablated_weights(units, learned, ablate, cfg.batch_size, seed),
-                             cfg.batch_size)
-
+    rng = np.random.default_rng(seed)
     ranks: list[int] = []
     ndcgs: list[float] = []
     records: list[dict] = []
     entropies: list[float] = []
-    for batch, g_override in zip(batches, overrides):
+    post_entropies: list[float] = []
+    for batch in batch_iterator(units, cfg.batch_size, seed=None):
+        g_override = (None if ablate == "learned"
+                      else _ablated_weights(params, batch, cfg, ablate, rng))
         scores, weights = infer_batch_scores(params, batch, cfg, decoder=decoder,
                                              g_override=g_override)
         for u, s, g in zip(batch, scores, weights):
@@ -204,6 +198,9 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
             entropies.append(distribution_entropy(g))
             records.append(attention_record(u.image_id, u.round_index, g,
                                             gt_grounding=u.gt_grounding))
+        if posterior_diagnostics:
+            post_entropies += [distribution_entropy(G)
+                               for G in batch_posterior_weights(params, batch, cfg)]
 
     report = EvalReport(
         mrr=mrr(ranks),
@@ -219,8 +216,6 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
         report.grounding_top1 = grounding_accuracy(records, top_k=1)
         report.grounding_top3 = grounding_accuracy(records, top_k=3)
     if posterior_diagnostics:
-        post_entropies = [distribution_entropy(G) for batch in batches
-                          for G in batch_posterior_weights(params, batch, cfg)]
         report.entropy_posterior = float(np.mean(post_entropies))
     return report
 
@@ -233,7 +228,7 @@ def export_attention(params: ModelParams, ds: DialogDataset, cfg: TrainConfig, *
     if units is None:
         units = prepare_units(ds, cfg.seq_len, cfg.max_history)
     records = []
-    for batch in _batches(units, cfg.batch_size):
+    for batch in batch_iterator(units, cfg.batch_size, seed=None):
         priors = batch_prior_weights(params, batch, cfg)
         posteriors = (batch_posterior_weights(params, batch, cfg) if with_posterior
                       else [None] * len(batch))

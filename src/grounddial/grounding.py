@@ -28,11 +28,6 @@ def posterior_call_count() -> int:
     return _POSTERIOR_CALLS
 
 
-def reset_posterior_call_count() -> None:
-    global _POSTERIOR_CALLS
-    _POSTERIOR_CALLS = 0
-
-
 @dataclass
 class GroundingParams:
     att_wi: Tensor  # [d_q, d_q] region-side projection of the interaction f_cv
@@ -43,7 +38,6 @@ class GroundingParams:
 
 
 def init_grounding_params(rng: np.random.Generator, d_q: int, d_h: Optional[int] = None) -> GroundingParams:
-    import math
     d_h = d_q if d_h is None else d_h
     s1 = 1.0 / math.sqrt(d_q)
     # near-identity interaction projections: the raw region/context dot
@@ -66,13 +60,11 @@ class GroundingOutput:
 
     Padding regions (mask_i False) have weight exactly 0 in g and G.
     """
-    I_x: Tensor                          # [B, mu, d_q] attended regions, context branch
-    g: Tensor                            # [B, mu] prior distributions
-    v_prior: Tensor                      # [B, d_q]
-    G: Optional[Tensor] = None           # [B, mu] posterior distributions
-    v_post: Optional[Tensor] = None      # [B, d_q]
-    I_x_post: Optional[Tensor] = None
-    mask_i: Optional[np.ndarray] = None  # [B, mu] real regions; None: every region is real
+    g: Tensor               # [B, mu] prior distributions
+    v_prior: Tensor         # [B, d_q]
+    G: Tensor               # [B, mu] posterior distributions
+    v_post: Tensor          # [B, d_q]
+    mask_i: np.ndarray      # [B, mu] real regions
 
 
 def _project_rows(t: Tensor, w: Tensor) -> Tensor:
@@ -81,36 +73,34 @@ def _project_rows(t: Tensor, w: Tensor) -> Tensor:
     return ad.reshape(ad.matmul(ad.reshape(t, (B * n, d)), w), (B, n, w.shape[1]))
 
 
-def cross_attend(I: Tensor, x: Tensor, mask_x: np.ndarray,
-                 axis_mode: str = "columns", residual: bool = False,
-                 values: Optional[Tensor] = None,
-                 att_wi: Optional[Tensor] = None,
-                 att_wx: Optional[Tensor] = None,
-                 mask_i: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor]:
-    """Interaction weights P and attended regions I_x = P v (+ I when residual).
+def cross_attend(I: Tensor, queries: Tensor, values: Tensor, mask_x: np.ndarray,
+                 params: GroundingParams, axis_mode: str,
+                 mask_i: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Interaction weights P and attended regions I_x = P values + I.
 
-    I: [B, mu, d] regions, x: [B, lam, d] context, mask_x: bool [B, lam]
-    real tokens, mask_i: bool [B, mu] real regions (default: all). Returns
-    P [B, mu, lam] and I_x [B, mu, d]; padding regions give zero rows of P.
+    I: [B, mu, d] regions; queries and values: [B, lam, d] context rows;
+    mask_x: bool [B, lam] real tokens; mask_i: bool [B, mu] real regions.
+    Returns P [B, mu, lam] and I_x [B, mu, d]; padding regions give zero
+    rows of P.
 
-    Without projections P = softmax(I xᵀ), the bare dot-product form. The
-    grounding pipeline passes its learned att_wi/att_wx, giving
-    P = softmax((I Wi)(x Wx)ᵀ / sqrt(d_q)) so the region/word alignment
-    lives in one directly-trained matrix pair.
+    P = softmax((I Wi)(queries Wx)ᵀ / sqrt(d)) with the learned att_wi and
+    att_wx, so the region/word alignment lives in one directly-trained
+    matrix pair. axis_mode="columns" normalizes over the mu regions within
+    each token column (the stated convention); "rows" normalizes over tokens
+    within each region row. PAD token positions never contribute: their
+    columns of P are zeroed (columns mode) or masked out of the softmax
+    (rows mode).
 
-    axis_mode="columns" normalizes over the mu regions within each token
-    column (the stated convention); "rows" normalizes over tokens within
-    each region row. PAD token positions never contribute: their columns of
-    P are zeroed (columns mode) or masked out of the softmax (rows mode).
-
-    `values` defaults to x; the grounding pipeline passes residual=True so
-    each attended row keeps its own region content (without it the pooled
-    vector is a pure token mix and carries no region information at all).
+    The residual I keeps each attended row's own region content (without it
+    the pooled vector is a pure token mix and carries no region information
+    at all).
     """
-    if I.data.ndim != 3 or x.data.ndim != 3 or I.shape[0] != x.shape[0] or I.shape[2] != x.shape[2]:
-        raise DimensionError(f"cross_attend shapes do not fit: I {I.shape}, x {x.shape}")
+    if (I.data.ndim != 3 or queries.data.ndim != 3 or I.shape[0] != queries.shape[0]
+            or I.shape[2] != queries.shape[2]):
+        raise DimensionError(f"cross_attend shapes do not fit: I {I.shape}, "
+                             f"queries {queries.shape}")
     B, mu, d = I.shape
-    lam = x.shape[1]
+    lam = queries.shape[1]
     mask = np.asarray(mask_x, dtype=bool)
     if mask.shape != (B, lam):
         raise DimensionError(f"mask shape {mask.shape} vs {B} x {lam} tokens")
@@ -118,31 +108,21 @@ def cross_attend(I: Tensor, x: Tensor, mask_x: np.ndarray,
     if empty.any():
         raise DegenerateSliceError(f"cross_attend with every token of batch row "
                                    f"{int(empty.argmax())} masked")
-    if att_wi is not None:
-        logits = ad.scale(ad.bmm(_project_rows(I, att_wi), _project_rows(x, att_wx), transpose_b=True),
-                          1.0 / math.sqrt(d))
-    else:
-        logits = ad.bmm(I, x, transpose_b=True)            # [B, mu, lam]
-    tokens = np.broadcast_to(mask[:, None, :], (B, mu, lam))
-    regions = None if mask_i is None else np.broadcast_to(
-        np.asarray(mask_i, dtype=bool)[:, :, None], (B, mu, lam))
+    logits = ad.scale(ad.bmm(_project_rows(I, params.att_wi), _project_rows(queries, params.att_wx),
+                             transpose_b=True), 1.0 / math.sqrt(d))
+    tokens = Tensor(np.broadcast_to(mask[:, None, :], (B, mu, lam)))
+    regions = Tensor(np.broadcast_to(np.asarray(mask_i, dtype=bool)[:, :, None], (B, mu, lam)))
     if axis_mode == "columns":
-        P = ad.masked_softmax(logits, axis=1, mask=None if regions is None else Tensor(regions))
-        P = ad.mul(P, Tensor(tokens))
+        P = ad.mul(ad.masked_softmax(logits, axis=1, mask=regions), tokens)
     elif axis_mode == "rows":
-        P = ad.masked_softmax(logits, axis=2, mask=Tensor(tokens))
-        if regions is not None:
-            P = ad.mul(P, Tensor(regions))
+        P = ad.mul(ad.masked_softmax(logits, axis=2, mask=tokens), regions)
     else:
         raise ValueError(f"unknown axis_mode {axis_mode!r}")
-    I_x = ad.bmm(P, x if values is None else values)
-    if residual:
-        I_x = ad.add(I_x, I)
-    return P, I_x
+    return P, ad.add(ad.bmm(P, values), I)
 
 
 def pool_regions(I_x: Tensor, params: GroundingParams,
-                 mask_i: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor]:
+                 mask_i: np.ndarray) -> tuple[Tensor, Tensor]:
     """Self-attention pooling: weights over regions and the pooled vector.
 
     weights [B, mu] = softmax over the real regions of ReLU(I_x W1 + b1) W2;
@@ -152,25 +132,24 @@ def pool_regions(I_x: Tensor, params: GroundingParams,
     rows = ad.reshape(I_x, (B * mu, d_q))
     h = ad.relu(ad.add(ad.matmul(rows, params.w1), ad.tile_rows(params.b1, B * mu)))
     scores = ad.reshape(ad.matmul(h, params.w2), (B, mu))
-    weights = ad.masked_softmax(scores, axis=1, mask=None if mask_i is None else Tensor(mask_i))
+    weights = ad.masked_softmax(scores, axis=1, mask=Tensor(mask_i))
     pooled = ad.reshape(ad.bmm(ad.reshape(weights, (B, 1, mu)), I_x), (B, d_q))
     return weights, pooled
 
 
 def prior_ground(I: Tensor, x: Tensor, mask_x: np.ndarray, params: GroundingParams,
-                 axis_mode: str = "columns",
-                 mask_i: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor, Tensor]:
+                 axis_mode: str, mask_i: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
     """Context-only grounding of a batch: returns (g, v_prior, I_x)."""
-    _, I_x = cross_attend(I, x, mask_x, axis_mode, residual=True,
-                          att_wi=params.att_wi, att_wx=params.att_wx, mask_i=mask_i)
+    _, I_x = cross_attend(I, x, x, mask_x, params, axis_mode, mask_i)
     g, v_prior = pool_regions(I_x, params, mask_i)
     return g, v_prior, I_x
 
 
 def posterior_ground(I: Tensor, x: Tensor, y: Tensor, mask_x: np.ndarray,
-                     params: GroundingParams, axis_mode: str = "columns",
-                     mask_i: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor, Tensor]:
-    """Answer-informed grounding: the prior pipeline queried with x + y.
+                     params: GroundingParams, axis_mode: str,
+                     mask_i: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Answer-informed grounding: the prior pipeline queried with x + y;
+    returns (G, v_post).
 
     Shares every parameter with the prior. The answer steers where the
     attention looks (the x + y queries) while the attended content stays x,
@@ -181,16 +160,14 @@ def posterior_ground(I: Tensor, x: Tensor, y: Tensor, mask_x: np.ndarray,
     _POSTERIOR_CALLS += 1
     if x.shape != y.shape:
         raise DimensionError(f"x and y must match: {x.shape} vs {y.shape}")
-    _, I_x_post = cross_attend(I, ad.add(x, y), mask_x, axis_mode, residual=True, values=x,
-                               att_wi=params.att_wi, att_wx=params.att_wx, mask_i=mask_i)
-    G, v_post = pool_regions(I_x_post, params, mask_i)
-    return G, v_post, I_x_post
+    _, I_x_post = cross_attend(I, ad.add(x, y), x, mask_x, params, axis_mode, mask_i)
+    return pool_regions(I_x_post, params, mask_i)
 
 
-def _row_mean_mse(a: Tensor, b: Tensor, mask: Optional[np.ndarray]) -> Tensor:
+def _row_mean_mse(a: Tensor, b: Tensor, mask: np.ndarray) -> Tensor:
     """Mean over rows of each row's mean squared gap; `mask` marks the real
-    entries of ragged rows (None: every entry is real)."""
-    if mask is None or mask.all():
+    entries of ragged rows."""
+    if mask.all():
         return ad.mse(a, b)
     counts = mask.sum(axis=1, keepdims=True)
     weights = np.where(mask, 1.0 / (counts * mask.shape[0]), 0.0)
@@ -210,8 +187,6 @@ def bridge_loss(out: GroundingOutput, variant: str = "attn_kl",
     """
     if variant not in BRIDGE_VARIANTS:
         raise ValueError(f"unknown bridge variant {variant!r}; know {BRIDGE_VARIANTS}")
-    if out.G is None or out.v_post is None:
-        raise ValueError("bridge_loss needs a populated posterior branch")
     G = out.G.detach() if detach_posterior else out.G
     v_post = out.v_post.detach() if detach_posterior else out.v_post
     if variant == "attn_kl":

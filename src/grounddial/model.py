@@ -2,15 +2,17 @@
 
 A training/evaluation unit is one (dialog, round): history is the caption
 plus all earlier question-answer pairs, exactly the per-round prediction
-setup. Units are prepared once per dataset (token padding, masks, constant
-feature tensors) and reused across epochs. A batch of units is packed and
-runs through every layer together: one op sequence per batch, whatever its
-size, with masks for ragged questions, histories and region counts.
+setup. Units are prepared once per dataset (tokens cut to seq_len, the
+history, constant feature tensors) and reused across epochs. A batch of
+units is packed and runs through every layer together: one op sequence per
+batch, whatever its size, with masks for ragged questions, histories and
+region counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -165,13 +167,10 @@ def zero_grads(params: ModelParams) -> None:
 
 @dataclass
 class Unit:
-    example_index: int
     round_index: int
     image_id: str
-    q_ids: list[int]
-    q_mask: list[bool]
-    a_ids: list[int]            # answer padded like the question, for y
-    a_mask: list[bool]
+    question: list[int]         # question tokens, at most seq_len
+    answer: list[int]           # answer tokens, at most seq_len, for y
     answer_targets: list[int]   # trimmed answer tokens + EOS
     history: list[list[int]]
     candidates: list[list[int]]
@@ -181,33 +180,22 @@ class Unit:
     features: Tensor
 
 
-def _pad(tokens: Sequence[int], length: int) -> tuple[list[int], list[bool]]:
-    ids = list(tokens)[:length]
-    mask = [True] * len(ids) + [False] * (length - len(ids))
-    return ids + [0] * (length - len(ids)), mask
-
-
 def prepare_unit(ds: DialogDataset, example_index: int, round_index: int,
                  seq_len: int, max_history: int) -> Unit:
     ex: DialogExample = ds.examples[example_index]
     rnd = ex.rounds[round_index]
     if ex.region_features is None:
         raise ValueError(f"example {ex.image_id!r} has no region features attached")
-    q_ids, q_mask = _pad(rnd.question_tokens, seq_len)
-    a_ids, a_mask = _pad(rnd.answer_tokens, seq_len)
     history = [list(ex.caption_tokens)[:seq_len]]
     for prev in ex.rounds[:round_index]:
         history.append((list(prev.question_tokens) + list(prev.answer_tokens))[:seq_len])
     history = history[:1] + history[1:][-(max_history - 1):]
     targets = list(rnd.answer_tokens)[: seq_len - 1] + [EOS_ID]
     return Unit(
-        example_index=example_index,
         round_index=round_index,
         image_id=ex.image_id,
-        q_ids=q_ids,
-        q_mask=q_mask,
-        a_ids=a_ids,
-        a_mask=a_mask,
+        question=list(rnd.question_tokens)[:seq_len],
+        answer=list(rnd.answer_tokens)[:seq_len],
         answer_targets=targets,
         history=history,
         candidates=[list(c) for c in rnd.candidates],
@@ -251,11 +239,10 @@ def pack_batch(units: Sequence[Unit]) -> Batch:
     if not units:
         raise ContractError("a batch needs at least one unit")
     for u in units:
-        if not any(u.q_mask):
+        if not u.question:
             raise DegenerateSliceError(f"unit {u.image_id!r} round {u.round_index}: "
-                                       "empty question (every position masked)")
-    questions = [u.q_ids[:sum(u.q_mask)] for u in units]
-    lengths = [len(q) for q in questions]
+                                       "empty question")
+    lengths = [len(u.question) for u in units]
     q_mask = np.arange(max(lengths)) < np.asarray(lengths)[:, None]
     distinct: dict[tuple, int] = {}
     sentence_rows = [distinct.setdefault(tuple(h), len(distinct)) for u in units for h in u.history]
@@ -265,8 +252,8 @@ def pack_batch(units: Sequence[Unit]) -> Batch:
     region_rows, region_mask = padded_rows(mus, np.arange(sum(mus)), sum(mus))
     return Batch(
         units=units,
-        questions=questions,
-        answers=[u.a_ids[:sum(u.a_mask)] for u in units],
+        questions=[u.question for u in units],
+        answers=[u.answer for u in units],
         q_mask=q_mask,
         history=[list(h) for h in distinct],
         history_rows=history_rows,
@@ -279,10 +266,10 @@ def pack_batch(units: Sequence[Unit]) -> Batch:
 
 @dataclass
 class BatchForward:
-    """The batch-mean losses; L_G and L_D are None when the mode skips them."""
-    L_KL: Tensor
-    L_G: Optional[Tensor] = None
-    L_D: Optional[Tensor] = None
+    """The training loss and the batch-mean losses it sums, by name: L_G
+    and/or L_D as loss_mode selects, then L_KL."""
+    loss: Tensor
+    losses: dict[str, Tensor]
 
 
 def encode_context(params: ModelParams, batch: Batch) -> tuple[Tensor, Tensor]:
@@ -314,26 +301,28 @@ def _per_unit(rows: np.ndarray, lengths: Sequence[int]) -> list[np.ndarray]:
 
 def forward_batch(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig) -> BatchForward:
     """Training forward pass over a batch; each loss is the mean of the
-    per-unit losses under the configured mode."""
+    per-unit losses, and the training loss is the decoder losses that
+    loss_mode selects plus kl_weight times the bridge."""
     batch = pack_batch(units)
-    x, I, g, v_prior, I_x = _prior(params, batch, cfg)
-    G, v_post, I_x_post = _posterior(params, batch, cfg, x, I)
-    out = GroundingOutput(I_x=I_x, g=g, v_prior=v_prior, G=G, v_post=v_post,
-                          I_x_post=I_x_post, mask_i=batch.region_mask)
+    x, I, g, v_prior, _ = _prior(params, batch, cfg)
+    G, v_post = _posterior(params, batch, cfg, x, I)
+    out = GroundingOutput(g=g, v_prior=v_prior, G=G, v_post=v_post, mask_i=batch.region_mask)
     L_KL = bridge_loss(out, cfg.bridge_variant, cfg.detach_posterior)
 
     v_star = v_post if cfg.decoder_feature_policy == "post_train_prior_eval" else v_prior
     fused = fuse_for_decoder(x, batch.q_mask, v_star, params.decoder)
     embedding = params.encoder.embedding
-    L_G = L_D = None
+    losses: dict[str, Tensor] = {}
     if cfg.loss_mode in ("generative", "multitask"):
-        L_G = generative_loss(fused, [u.answer_targets for u in batch.units], embedding,
-                              params.decoder)
+        losses["L_G"] = generative_loss(fused, [u.answer_targets for u in batch.units],
+                                        embedding, params.decoder)
     if cfg.loss_mode in ("discriminative", "multitask"):
-        L_D, _ = discriminative_loss_and_rank(
+        losses["L_D"], _ = discriminative_loss_and_rank(
             fused, [u.candidates for u in batch.units], [u.gt_index for u in batch.units],
             embedding, params.decoder)
-    return BatchForward(L_KL=L_KL, L_G=L_G, L_D=L_D)
+    loss = reduce(ad.add, [*losses.values(), ad.scale(L_KL, cfg.kl_weight)])
+    losses["L_KL"] = L_KL
+    return BatchForward(loss=loss, losses=losses)
 
 
 def infer_batch_scores(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig, *,

@@ -1,5 +1,5 @@
-"""Optimizer, learning-rate schedule, loss composition, and the training
-loop with its train/inference feature switch.
+"""Optimizer, learning-rate schedule, checkpoints, and the training loop
+with its train/inference feature switch.
 
 During training the decoder consumes the posterior visual feature; per-epoch
 validation runs strictly in the inference condition (prior only, never the
@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import autodiff as ad
 from . import grounding
 from .autodiff import ContractError, Tape, Tensor, backward, read_tensor, write_tensor
 from .data import DialogDataset, batch_iterator
@@ -25,25 +24,6 @@ from .model import ModelParams, TrainConfig, forward_batch, named_parameters, pr
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or gradient."""
-
-
-def compose_loss(L_G: Optional[Tensor], L_D: Optional[Tensor], L_KL: Tensor,
-                 cfg: TrainConfig) -> Tensor:
-    """Mode-selected sum of decoder losses plus kl_weight times the bridge."""
-    bridge = ad.scale(L_KL, cfg.kl_weight)
-    if cfg.loss_mode == "generative":
-        if L_G is None:
-            raise ContractError("generative mode needs L_G")
-        return ad.add(L_G, bridge)
-    if cfg.loss_mode == "discriminative":
-        if L_D is None:
-            raise ContractError("discriminative mode needs L_D")
-        return ad.add(L_D, bridge)
-    if cfg.loss_mode == "multitask":
-        if L_G is None or L_D is None:
-            raise ContractError("multitask mode needs both L_G and L_D")
-        return ad.add(ad.add(L_G, L_D), bridge)
-    raise ContractError(f"unknown loss_mode {cfg.loss_mode!r}")
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -170,7 +150,7 @@ def train(ds_train: DialogDataset, ds_val: DialogDataset, params: ModelParams,
     """
     named = named_parameters(params)
     state = OptimizerState()
-    train_units = dict(zip(ds_train.units(), prepare_units(ds_train, cfg.seq_len, cfg.max_history)))
+    train_units = prepare_units(ds_train, cfg.seq_len, cfg.max_history)
     val_units = prepare_units(ds_val, cfg.seq_len, cfg.max_history)
 
     log_path = None
@@ -185,28 +165,22 @@ def train(ds_train: DialogDataset, ds_val: DialogDataset, params: ModelParams,
     best_params = _snapshot(named)
     for epoch in range(cfg.max_epochs):
         lr = lr_at(epoch, cfg)
-        sums = {"L_G": 0.0, "L_D": 0.0, "L_KL": 0.0}
+        sums: dict[str, float] = {}
         n_seen = 0
-        for keys in batch_iterator(ds_train, cfg.batch_size, seed=cfg.seed * 1_000_003 + epoch,
-                                   shuffle=True):
-            batch = [train_units[key] for key in keys]
+        for batch in batch_iterator(train_units, cfg.batch_size,
+                                    seed=cfg.seed * 1_000_003 + epoch):
             zero_grads(params)
             with Tape() as tape:
                 fw = forward_batch(params, batch, cfg)
-                L_G, L_D, L_KL = fw.L_G, fw.L_D, fw.L_KL
-                loss = compose_loss(L_G, L_D, L_KL, cfg)
-            if not np.isfinite(loss.data).all():
+            if not np.isfinite(fw.loss.data).all():
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}; best checkpoint retained")
-            backward(loss, tape)
+            backward(fw.loss, tape)
             adam_step(named, state, lr, cfg)
             b = len(batch)
             n_seen += b
-            if L_G is not None:
-                sums["L_G"] += L_G.item() * b
-            if L_D is not None:
-                sums["L_D"] += L_D.item() * b
-            sums["L_KL"] += L_KL.item() * b
+            for name, value in fw.losses.items():
+                sums[name] = sums.get(name, 0.0) + value.item() * b
 
         # inference-condition validation: the posterior branch must stay cold
         posterior_before = grounding.posterior_call_count()
@@ -214,12 +188,8 @@ def train(ds_train: DialogDataset, ds_val: DialogDataset, params: ModelParams,
         if grounding.posterior_call_count() != posterior_before:
             raise ContractError("validation touched the posterior branch")
 
-        entry: dict = {"epoch": epoch, "lr": lr, "L_KL": sums["L_KL"] / n_seen,
-                       "val": report.to_dict()}
-        if cfg.loss_mode in ("generative", "multitask"):
-            entry["L_G"] = sums["L_G"] / n_seen
-        if cfg.loss_mode in ("discriminative", "multitask"):
-            entry["L_D"] = sums["L_D"] / n_seen
+        entry: dict = {"epoch": epoch, "lr": lr, "val": report.to_dict()}
+        entry.update({name: total / n_seen for name, total in sums.items()})
         epochs.append(entry)
         if not quiet:
             print(json.dumps(entry, sort_keys=True))

@@ -6,7 +6,8 @@ the `ref_*` functions are the encoders and decoders written one sequence
 and one step at a time on top of it, so a model forward can be compared
 against the batched path by patching them in. `cross_entropy` (one logits
 vector), `add_chain` and `mean_of` are the scalar-at-a-time loss ops the
-oracles sum their per-position and per-unit losses with.
+oracles sum their per-position and per-unit losses with, and `transpose` the
+2-D transpose the per-unit oracles take their dot products with.
 """
 
 from __future__ import annotations
@@ -57,6 +58,17 @@ def add_chain(terms: Sequence[Tensor]) -> Tensor:
 def mean_of(terms: Sequence[Tensor]) -> Tensor:
     terms = list(terms)
     return ad.scale(add_chain(terms), 1.0 / len(terms))
+
+
+def transpose(a: Tensor) -> Tensor:
+    if a.data.ndim != 2:
+        raise DimensionError(f"transpose needs a matrix, got shape {a.shape}")
+    out = Tensor(a.data.T.copy())
+
+    def rule(g):
+        return (g.T.copy(),)
+
+    return _record(out, (a,), rule)
 
 
 def lstm_step(xs: Tensor, row: int, hc: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
@@ -184,7 +196,7 @@ def ref_discriminative_scores(fused: Tensor, candidates, embedding: Tensor, para
                          axis=0)
     d_q = fused.shape[0]
     left = ad.matmul(ad.reshape(fused, (1, d_q)), params.bilinear)
-    return ad.reshape(ad.matmul(left, ad.transpose(cand_mat)), (n,))
+    return ad.reshape(ad.matmul(left, transpose(cand_mat)), (n,))
 
 
 def ref_position_losses(fused: Tensor, tokens: Sequence[int], embedding: Tensor,

@@ -28,7 +28,7 @@ from grounddial.encoders import (
     project_regions,
 )
 from grounddial.grounding import BRIDGE_VARIANTS, GroundingOutput
-from reference_lstm import cross_entropy
+from reference_lstm import cross_entropy, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,7 @@ def fuse_context(Q: Tensor, H: Tensor, mask_q: Sequence[bool], params) -> Tensor
         q_h = ad.slice_cols(qp, h * dh, (h + 1) * dh)
         k_h = ad.slice_cols(kp, h * dh, (h + 1) * dh)
         v_h = ad.slice_cols(vp, h * dh, (h + 1) * dh)
-        logits = ad.scale(ad.matmul(q_h, ad.transpose(k_h)), 1.0 / math.sqrt(dh))
+        logits = ad.scale(ad.matmul(q_h, transpose(k_h)), 1.0 / math.sqrt(dh))
         attn = ad.masked_softmax(logits, axis=1)
         heads.append(ad.matmul(attn, v_h))
     out = ad.matmul(ad.concat(heads, axis=1), params.w_o)
@@ -101,9 +101,9 @@ def cross_attend(I: Tensor, x: Tensor, mask_x: Sequence[bool], axis_mode: str = 
     if att_wi is not None:
         queries = ad.matmul(I, att_wi)
         keys = ad.matmul(x, att_wx)
-        logits = ad.scale(ad.matmul(queries, ad.transpose(keys)), 1.0 / math.sqrt(I.shape[1]))
+        logits = ad.scale(ad.matmul(queries, transpose(keys)), 1.0 / math.sqrt(I.shape[1]))
     else:
-        logits = ad.matmul(I, ad.transpose(x))
+        logits = ad.matmul(I, transpose(x))
     mask_mat = Tensor(np.repeat(mask.reshape(1, lam), mu, axis=0).astype(float))
     if axis_mode == "columns":
         P = ad.mul(ad.masked_softmax(logits, axis=0), mask_mat)
@@ -121,7 +121,7 @@ def pool_regions(I_x: Tensor, params) -> tuple[Tensor, Tensor]:
     h = ad.relu(ad.add(ad.matmul(I_x, params.w1), ad.tile_rows(params.b1, mu)))
     w_col = ad.masked_softmax(ad.matmul(h, params.w2), axis=0)
     weights = ad.reshape(w_col, (mu,))
-    pooled = ad.reshape(ad.matmul(ad.transpose(w_col), I_x), (d_q,))
+    pooled = ad.reshape(ad.matmul(transpose(w_col), I_x), (d_q,))
     return weights, pooled
 
 
@@ -212,7 +212,7 @@ def discriminative_scores(fused: Tensor, candidates, embedding: Tensor, params) 
     cand_mat = encode_sentences(candidates, params.cand, embedding)
     d_q = fused.shape[0]
     left = ad.matmul(ad.reshape(fused, (1, d_q)), params.bilinear)
-    return ad.reshape(ad.matmul(left, ad.transpose(cand_mat)), (n,))
+    return ad.reshape(ad.matmul(left, transpose(cand_mat)), (n,))
 
 
 # ---------------------------------------------------------------------------
@@ -228,23 +228,37 @@ class UnitForward:
     L_KL: Optional[Tensor] = None
 
 
-def encode_unit_context(params, unit) -> tuple[Tensor, Tensor]:
-    Q = encode_tokens(unit.q_ids, unit.q_mask, params.encoder, "question")
+def padded_tokens(unit, which: str) -> tuple[list[int], list[bool]]:
+    """The unit's question or answer ids padded to the longer of the two, and
+    the mask of the real ones: the form the per-unit oracle takes."""
+    length = max(len(unit.question), len(unit.answer))
+    ids = unit.question if which == "question" else unit.answer
+    return ids + [0] * (length - len(ids)), [True] * len(ids) + [False] * (length - len(ids))
+
+
+def encode_unit_context(params, unit) -> tuple[Tensor, Tensor, list[bool]]:
+    q_ids, q_mask = padded_tokens(unit, "question")
+    Q = encode_tokens(q_ids, q_mask, params.encoder, "question")
     H = encode_history(unit.history, params.encoder)
-    x = fuse_context(Q, H, unit.q_mask, params.encoder)
+    x = fuse_context(Q, H, q_mask, params.encoder)
     I = project_regions(unit.features, params.encoder)
-    return x, I
+    return x, I, q_mask
+
+
+def encode_unit_answer(params, unit) -> Tensor:
+    return encode_tokens(*padded_tokens(unit, "answer"), params.encoder, "answer")
 
 
 def forward_unit(params, unit, cfg) -> UnitForward:
-    x, I = encode_unit_context(params, unit)
-    g, v_prior, I_x = prior_ground(I, x, unit.q_mask, params.grounding, cfg.axis_mode)
-    y = encode_tokens(unit.a_ids, unit.a_mask, params.encoder, "answer")
-    G, v_post, I_x_post = posterior_ground(I, x, y, unit.q_mask, params.grounding, cfg.axis_mode)
-    out = GroundingOutput(I_x=I_x, g=g, v_prior=v_prior, G=G, v_post=v_post, I_x_post=I_x_post)
+    x, I, q_mask = encode_unit_context(params, unit)
+    g, v_prior, I_x = prior_ground(I, x, q_mask, params.grounding, cfg.axis_mode)
+    y = encode_unit_answer(params, unit)
+    G, v_post, I_x_post = posterior_ground(I, x, y, q_mask, params.grounding, cfg.axis_mode)
+    out = GroundingOutput(g=g, v_prior=v_prior, G=G, v_post=v_post,
+                          mask_i=np.ones(g.shape, dtype=bool))
     L_KL = bridge_loss(out, cfg.bridge_variant, cfg.detach_posterior)
     v_star = v_post if cfg.decoder_feature_policy == "post_train_prior_eval" else v_prior
-    fused = fuse_for_decoder(x, unit.q_mask, v_star, params.decoder)
+    fused = fuse_for_decoder(x, q_mask, v_star, params.decoder)
     L_G = L_D = None
     embedding = params.encoder.embedding
     if cfg.loss_mode in ("generative", "multitask"):
@@ -257,16 +271,16 @@ def forward_unit(params, unit, cfg) -> UnitForward:
 
 def infer_unit_scores(params, unit, cfg, *, decoder: str,
                       g_override: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-    x, I = encode_unit_context(params, unit)
-    g, v_prior, I_x = prior_ground(I, x, unit.q_mask, params.grounding, cfg.axis_mode)
+    x, I, q_mask = encode_unit_context(params, unit)
+    g, v_prior, I_x = prior_ground(I, x, q_mask, params.grounding, cfg.axis_mode)
     if g_override is not None:
         mu, d_q = I_x.shape
         g_col = ad.const(np.asarray(g_override, dtype=float).reshape(mu, 1))
-        v_prior = ad.reshape(ad.matmul(ad.transpose(g_col), I_x), (d_q,))
+        v_prior = ad.reshape(ad.matmul(transpose(g_col), I_x), (d_q,))
         g_used = np.asarray(g_override, dtype=float)
     else:
         g_used = g.data
-    fused = fuse_for_decoder(x, unit.q_mask, v_prior, params.decoder)
+    fused = fuse_for_decoder(x, q_mask, v_prior, params.decoder)
     embedding = params.encoder.embedding
     if decoder == "generative":
         scores = generative_rank(fused, unit.candidates, embedding, params.decoder, cfg.score_norm)
@@ -276,12 +290,11 @@ def infer_unit_scores(params, unit, cfg, *, decoder: str,
 
 
 def unit_prior_weights(params, unit, cfg) -> np.ndarray:
-    x, I = encode_unit_context(params, unit)
-    return prior_ground(I, x, unit.q_mask, params.grounding, cfg.axis_mode)[0].data.copy()
+    x, I, q_mask = encode_unit_context(params, unit)
+    return prior_ground(I, x, q_mask, params.grounding, cfg.axis_mode)[0].data.copy()
 
 
 def unit_posterior_weights(params, unit, cfg) -> np.ndarray:
-    x, I = encode_unit_context(params, unit)
-    y = encode_tokens(unit.a_ids, unit.a_mask, params.encoder, "answer")
-    return posterior_ground(I, x, y, unit.q_mask, params.grounding,
-                            cfg.axis_mode)[0].data.copy()
+    x, I, q_mask = encode_unit_context(params, unit)
+    y = encode_unit_answer(params, unit)
+    return posterior_ground(I, x, y, q_mask, params.grounding, cfg.axis_mode)[0].data.copy()

@@ -219,6 +219,55 @@ def test_empty_question_exits_3_naming_the_unit(synth_dir, tmp_path, capsys):
     assert unit in one_error_line()
 
 
+def _bad_copy(synth_dir, tmp_path, mutate, features=True):
+    """A copy of the synthetic set with `mutate` applied to its dataset JSON."""
+    raw = json.loads((synth_dir / "dataset.json").read_text())
+    mutate(raw)
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "dataset.json").write_text(json.dumps(raw))
+    if features:
+        shutil.copy(synth_dir / "features.bin", bad / "features.bin")
+    return bad / "dataset.json"
+
+
+def _val_without_features(synth_dir, tmp_path):
+    bad = _bad_copy(synth_dir, tmp_path, lambda raw: raw.update(split="val"), features=False)
+    return (small_train_args(synth_dir, tmp_path / "run", extra=["--val-data", str(bad)]),
+            f"no feature file found for {bad}")
+
+
+def _no_dialogs(synth_dir, tmp_path):
+    bad = _bad_copy(synth_dir, tmp_path, lambda raw: raw["dialogs"].clear())
+    return small_train_args(bad.parent, tmp_path / "run"), f"{bad} holds no dialog rounds"
+
+
+def _oracle_without_gt_grounding(synth_dir, tmp_path):
+    bad = _bad_copy(synth_dir, tmp_path, lambda raw: raw["dialogs"][2]["rounds"][1].pop("gt_grounding"))
+    image_id = json.loads(bad.read_text())["dialogs"][2]["image_id"]
+    assert run_cli(small_train_args(synth_dir, tmp_path / "run")) == 0
+    return (["eval", "--ckpt", str(tmp_path / "run" / "best"), "--data", str(bad),
+             "--split", "train", "--ablate", "oracle"], f"{image_id!r} round 1")
+
+
+def _all_zero_relevance(synth_dir, tmp_path):
+    def zero(raw):
+        rnd = raw["dialogs"][2]["rounds"][1]
+        rnd["relevance"] = [0.0] * len(rnd["answer_options"])
+    bad = _bad_copy(synth_dir, tmp_path, zero)
+    return small_train_args(bad.parent, tmp_path / "run"), f"{bad}: $.dialogs[2].rounds[1].relevance"
+
+
+@pytest.mark.parametrize("case", [_val_without_features, _no_dialogs,
+                                  _oracle_without_gt_grounding, _all_zero_relevance])
+def test_data_errors_exit_3_naming_the_input(synth_dir, tmp_path, capsys, case):
+    argv, named = case(synth_dir, tmp_path)
+    capsys.readouterr()
+    assert run_cli(argv) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0]
+
+
 def test_eval_missing_checkpoint_exits_3(synth_dir, tmp_path, capsys):
     code = run_cli(["eval", "--ckpt", str(tmp_path / "nope.bin"),
                     "--data", str(synth_dir / "dataset.json"), "--split", "train"])

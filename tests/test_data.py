@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grounddial import data as D
+from grounddial.model import pack_batch, prepare_units
 from grounddial.data import (
     DialogDataset,
     FeatureFileError,
@@ -18,7 +19,6 @@ from grounddial.data import (
     generate_synthetic_raw,
     load_dataset,
     load_features,
-    tokenize_and_pad,
     write_features,
 )
 
@@ -55,44 +55,30 @@ def two_image_raw():
 # ---------------------------------------------------------------------------
 # tokenization
 
-def test_tokenize_and_pad_basic():
+def test_encode_text_known_words():
     vocab = Vocabulary.from_texts(["is he standing ?"])
-    ids, mask = tokenize_and_pad("Is he standing ?", vocab, 6)
-    assert len(ids) == 6
-    assert mask == [True, True, True, True, False, False]
-    assert ids[4] == D.PAD_ID and ids[5] == D.PAD_ID
-    assert all(i != D.UNK_ID for i in ids[:4])
-
-
-def test_tokenize_and_pad_empty():
-    vocab = Vocabulary.from_texts(["hello"])
-    ids, mask = tokenize_and_pad("", vocab, 4)
-    assert ids == [D.PAD_ID] * 4
-    assert mask == [False] * 4
-
-
-def test_tokenize_and_pad_truncation():
-    vocab = Vocabulary.from_texts(["a b c d e f g"])
-    ids, mask = tokenize_and_pad("a b c d e f g", vocab, 4)
-    assert len(ids) == 4 and all(mask)
-    assert D.PAD_ID not in ids
+    ids = vocab.encode_text("Is he standing ?")
+    assert len(ids) == 4
+    assert all(i >= len(D.RESERVED) for i in ids)
+    assert vocab.encode_text("") == []
 
 
 def test_mask_true_entries_form_prefix():
-    vocab = Vocabulary.from_texts(["x y z"])
-    for text in ["", "x", "x y", "x y z", "x y z x y z"]:
-        _, mask = tokenize_and_pad(text, vocab, 5)
-        seen_false = False
-        for m in mask:
-            if not m:
-                seen_false = True
-            assert not (m and seen_false)
+    """A packed batch's masks mark a prefix of each padded row."""
+    ds = generate_synthetic(small_cfg(num_images=2))
+    units = prepare_units(ds, seq_len=20, max_history=3)
+    batch = pack_batch(units)
+    for mask, lengths in [(batch.q_mask, [len(u.question) for u in units]),
+                          (batch.history_mask, [len(u.history) for u in units]),
+                          (batch.region_mask, [u.features.shape[0] for u in units])]:
+        for row, n in zip(mask, lengths):
+            assert row.tolist() == [True] * n + [False] * (len(row) - n)
 
 
 def test_unknown_words_map_to_unk():
     vocab = Vocabulary.from_texts(["known words"])
-    ids, _ = tokenize_and_pad("unknown thing", vocab, 3)
-    assert ids[0] == D.UNK_ID and ids[1] == D.UNK_ID
+    ids = vocab.encode_text("unknown thing")
+    assert ids == [D.UNK_ID, D.UNK_ID]
 
 
 def test_vocabulary_reserved_and_bijective():
@@ -141,6 +127,20 @@ def test_missing_feature_error(tmp_path):
         load_dataset(p, "train")
 
 
+@pytest.mark.parametrize("region", [-1, 3])
+def test_gt_grounding_outside_the_image_is_parse_error(tmp_path, region):
+    raw = two_image_raw()
+    _round_at(raw, 1, 0)["gt_grounding"] = [0, region]
+    feats = {"a": np.zeros((2, 4), dtype=np.float32), "b": np.zeros((3, 4), dtype=np.float32)}
+    p = write_dataset(tmp_path, raw, feats)
+    with pytest.raises(ParseError) as e:
+        load_dataset(p, "train")
+    assert str(e.value) == (f"{p}: $.dialogs[1].rounds[0].gt_grounding: region indices "
+                            "must lie in [0, 3), the regions of image_id 'b'")
+    _round_at(raw, 1, 0)["gt_grounding"] = [0, 2]
+    load_dataset(write_dataset(tmp_path, raw, feats), "train")
+
+
 def test_relevance_validation(tmp_path):
     raw = two_image_raw()
     raw["dialogs"][0]["rounds"][0]["relevance"] = [0.0, 1.0]  # gt at 0 not maximal
@@ -170,8 +170,12 @@ def _round_at(raw, dialog, index):
      "$.dialogs[1].rounds[0].relevance: entries must lie in [0, 1]"),
     (lambda d: _round_at(d, 1, 0).__setitem__("relevance", [0.2, 0.5]),
      "$.dialogs[1].rounds[0].relevance: gt_index relevance must be maximal or tied-maximal"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("relevance", [0.0, 0.0]),
+     "$.dialogs[1].rounds[0].relevance: needs at least one positive entry"),
     (lambda d: _round_at(d, 1, 0).__setitem__("gt_grounding", [1.0]),
      "$.dialogs[1].rounds[0].gt_grounding: must be a list of region indices"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("gt_grounding", []),
+     "$.dialogs[1].rounds[0].gt_grounding: must name at least one region"),
     (lambda d: d["dialogs"].__setitem__(1, 3), "$.dialogs[1]: dialog must be an object"),
     (lambda d: d["dialogs"][1].pop("rounds"), "$.dialogs[1]: missing key 'rounds'"),
 ])
@@ -324,34 +328,35 @@ def test_synthetic_loader_roundtrip(tmp_path):
 # ---------------------------------------------------------------------------
 # batching
 
-def _tiny_ds(n_units):
-    cfg = small_cfg(num_images=(n_units + 2) // 3)
-    return generate_synthetic(cfg)
+def _tiny_units():
+    """The 12 (example, round) keys of 4 images x 3 rounds, in file order."""
+    return generate_synthetic(small_cfg(num_images=4)).units()
 
 
 def test_batch_sizes_partial_kept():
-    ds = _tiny_ds(12)  # 4 images x 3 rounds
-    sizes = [len(b) for b in batch_iterator(ds, 4, seed=0, shuffle=True)]
+    units = _tiny_units()
+    sizes = [len(b) for b in batch_iterator(units, 4, seed=0)]
     assert sizes == [4, 4, 4]
-    sizes = [len(b) for b in batch_iterator(ds, 5, seed=0, shuffle=True)]
+    sizes = [len(b) for b in batch_iterator(units, 5, seed=0)]
     assert sizes == [5, 5, 2]
 
 
 def test_batch_same_seed_same_order():
-    ds = _tiny_ds(12)
-    a = list(batch_iterator(ds, 4, seed=3, shuffle=True))
-    b = list(batch_iterator(ds, 4, seed=3, shuffle=True))
+    units = _tiny_units()
+    a = list(batch_iterator(units, 4, seed=3))
+    b = list(batch_iterator(units, 4, seed=3))
     assert a == b
-    c = list(batch_iterator(ds, 4, seed=4, shuffle=True))
+    c = list(batch_iterator(units, 4, seed=4))
     assert a != c
+    assert sorted(u for batch in a for u in batch) == units
 
 
 def test_batch_no_shuffle_is_file_order():
-    ds = _tiny_ds(12)
-    flat = [u for b in batch_iterator(ds, 4, seed=9, shuffle=False) for u in b]
-    assert flat == ds.units()
+    units = _tiny_units()
+    flat = [u for b in batch_iterator(units, 4, seed=None) for u in b]
+    assert flat == units
 
 
 def test_batch_empty_dataset():
     ds = DialogDataset(examples=[], vocab=Vocabulary([]), split="train")
-    assert list(batch_iterator(ds, 4, seed=0, shuffle=True)) == []
+    assert list(batch_iterator(ds.units(), 4, seed=0)) == []

@@ -13,6 +13,7 @@ from grounddial.encoders import (
     layer_norm_rows,
     project_regions,
 )
+from reference_lstm import transpose
 
 D_Q = 8
 D_E = 8
@@ -163,7 +164,7 @@ def test_fuse_attention_rows_sum_to_one(params):
     rng = np.random.default_rng(4)
     q_h = Tensor(rng.normal(size=(5, 4)))
     k_h = Tensor(rng.normal(size=(3, 4)))
-    attn = ad.masked_softmax(ad.scale(ad.matmul(q_h, ad.transpose(k_h)), 0.5), axis=1)
+    attn = ad.masked_softmax(ad.scale(ad.matmul(q_h, transpose(k_h)), 0.5), axis=1)
     assert np.abs(attn.data.sum(axis=1) - 1).max() < 1e-9
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from grounddial import evaluation
-from grounddial.autodiff import ContractError, InvalidDistributionError
+from grounddial.autodiff import ContractError, InvalidDistributionError, Tensor
 from grounddial.data import SyntheticConfig, generate_synthetic
 from grounddial.evaluation import (
     EvalReport,
@@ -19,7 +19,12 @@ from grounddial.evaluation import (
     rank_of_gt,
     recall_at_k,
 )
-from grounddial.model import TrainConfig, init_model_params
+from grounddial.model import (
+    TrainConfig,
+    batch_prior_weights,
+    infer_batch_scores,
+    init_model_params,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +266,52 @@ def test_ablate_deterministic(tiny_setup):
     a = evaluate(params, ds, cfg, ablate="random", seed=5)
     b = evaluate(params, ds, cfg, ablate="random", seed=5)
     assert a.to_dict() == b.to_dict()
+
+
+def random_overrides(monkeypatch, params, ds, cfg, seed):
+    """(batch, g_override) of every batch that evaluate(ablate="random") ranks."""
+    seen = []
+
+    def recording(params, batch, cfg, *, decoder, g_override):
+        seen.append((batch, g_override))
+        return infer_batch_scores(params, batch, cfg, decoder=decoder, g_override=g_override)
+
+    monkeypatch.setattr(evaluation, "infer_batch_scores", recording)
+    evaluate(params, ds, cfg, ablate="random", seed=seed)
+    return seen
+
+
+def test_ablate_random_with_one_region_count_permutes_each_batch(tiny_setup, monkeypatch):
+    ds, params, cfg = tiny_setup
+    cfg = dataclasses.replace(cfg, batch_size=4)
+    seen = random_overrides(monkeypatch, params, ds, cfg, seed=7)
+    assert [len(batch) for batch, _ in seen] == [4, 4, 1]
+    rng = np.random.default_rng(7)
+    for batch, override in seen:
+        learned = batch_prior_weights(params, batch, cfg)
+        want = [learned[int(k)] for k in rng.permutation(len(batch))]
+        assert all(np.array_equal(w, v) for w, v in zip(override, want))
+
+
+def test_ablate_random_shuffles_among_units_with_the_same_region_count(monkeypatch):
+    ds = generate_synthetic(SyntheticConfig(num_images=4, seed=9))
+    for ex in ds.examples[1::2]:
+        ex.region_features = Tensor(ex.region_features.data[:6])
+    cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4, batch_size=5)
+    params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16,
+                               d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
+    params.grounding.w2.data = np.random.default_rng(1).uniform(-1, 1, size=(cfg.d_h, 1))
+    seen = random_overrides(monkeypatch, params, ds, cfg, seed=3)
+    assert [{u.features.shape[0] for u in batch} for batch, _ in seen] == [{6, 8}, {6, 8}, {6}]
+    moved = 0
+    for batch, override in seen:
+        learned = batch_prior_weights(params, batch, cfg)
+        for mu in {u.features.shape[0] for u in batch}:
+            same = [b for b, u in enumerate(batch) if u.features.shape[0] == mu]
+            got = sorted(tuple(override[b]) for b in same)
+            assert got == sorted(tuple(learned[b]) for b in same)
+            moved += sum(not np.array_equal(override[b], learned[b]) for b in same)
+    assert moved > 0
 
 
 def test_export_attention_records(tiny_setup):

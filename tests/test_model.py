@@ -5,6 +5,7 @@ tape whose size depends neither on the batch size nor on sentence length."""
 
 import contextlib
 import dataclasses
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from grounddial.model import (
     pack_batch,
     prepare_units,
 )
-from grounddial.training import TrainConfig, compose_loss
+from grounddial.training import TrainConfig
 
 LONG_HISTORY = dict(rounds=10, mu=12, num_colors=12, num_shapes=12, d_v=24)
 
@@ -55,14 +56,8 @@ def ten_rounds():
 
 def lengthened(unit, extra):
     """The unit with every question, answer, history sentence and candidate longer."""
-    def grow(ids, mask):
-        n, k = sum(mask), len(extra)
-        return ids[:n] + extra + ids[n + k:], mask[:n] + [True] * k + mask[n + k:]
-
-    q_ids, q_mask = grow(unit.q_ids, unit.q_mask)
-    a_ids, a_mask = grow(unit.a_ids, unit.a_mask)
     return dataclasses.replace(
-        unit, q_ids=q_ids, q_mask=q_mask, a_ids=a_ids, a_mask=a_mask,
+        unit, question=unit.question + extra, answer=unit.answer + extra,
         answer_targets=unit.answer_targets[:-1] + extra + [EOS_ID],
         history=[h + extra for h in unit.history],
         candidates=[c + extra for c in unit.candidates])
@@ -75,11 +70,11 @@ def mixed():
     params, units, cfg = setup(LONG_HISTORY, seed=6, num_images=3, region_counts=(12, 8, 6))
     picks = [units[0], units[9], units[13], units[18], units[21], units[27], units[4],
              units[15], units[22], units[10], units[6], units[23]]
-    extra = units[0].q_ids[:2]
+    extra = units[0].question[:2]
     batch = [lengthened(u, extra) if k % 3 == 1 else u for k, u in enumerate(picks)]
     assert {u.features.shape[0] for u in batch} == {12, 8, 6}
     assert {u.round_index for u in batch} == set(range(10))
-    assert len({sum(u.q_mask) for u in batch}) > 2
+    assert len({len(u.question) for u in batch}) > 2
     return params, batch, cfg
 
 
@@ -106,10 +101,16 @@ def grads_of(params, run):
     return loss.item(), grads, len(tape.nodes)
 
 
+def total_loss(L_G, L_D, L_KL, cfg):
+    """The decoder losses the mode trains, then + kl_weight * L_KL."""
+    decoder = [loss for loss in (L_G, L_D) if loss is not None]
+    return reduce(ad.add, [*decoder, ad.scale(L_KL, cfg.kl_weight)])
+
+
 def unit_loss_and_grads(params, unit, cfg):
     def run():
         fw = oracle.forward_unit(params, unit, cfg)
-        return compose_loss(fw.L_G, fw.L_D, fw.L_KL, cfg)
+        return total_loss(fw.L_G, fw.L_D, fw.L_KL, cfg)
     return grads_of(params, run)
 
 
@@ -119,15 +120,12 @@ def oracle_loss_and_grads(params, units, cfg):
         fws = [oracle.forward_unit(params, u, cfg) for u in units]
         mean = lambda name: (ref.mean_of([getattr(f, name) for f in fws])
                              if getattr(fws[0], name) is not None else None)
-        return compose_loss(mean("L_G"), mean("L_D"), mean("L_KL"), cfg)
+        return total_loss(mean("L_G"), mean("L_D"), mean("L_KL"), cfg)
     return grads_of(params, run)
 
 
 def batch_loss_and_grads(params, units, cfg):
-    def run():
-        fw = forward_batch(params, units, cfg)
-        return compose_loss(fw.L_G, fw.L_D, fw.L_KL, cfg)
-    return grads_of(params, run)
+    return grads_of(params, lambda: forward_batch(params, units, cfg).loss)
 
 
 def assert_same_loss_and_grads(got, want, rtol=1e-9):
@@ -249,9 +247,9 @@ def test_tape_nodes_per_batch_do_not_depend_on_batch_size(mode):
 def test_tape_size_does_not_grow_with_sentence_length(three_rounds, mode):
     params, units, cfg = three_rounds
     cfg = dataclasses.replace(cfg, loss_mode=mode)
-    extra = units[2].q_ids[:3]
+    extra = units[2].question[:3]
     longer = [lengthened(u, extra) for u in units]
-    assert all(sum(a.q_mask) == sum(b.q_mask) + 3 < len(b.q_mask) for a, b in zip(longer, units))
+    assert all(len(a.question) == len(b.question) + 3 < cfg.seq_len for a, b in zip(longer, units))
     assert all(len(a) == len(b) + 3 for a, b in zip(longer[2].history, units[2].history))
     assert (batch_loss_and_grads(params, longer, cfg)[2]
             == batch_loss_and_grads(params, units, cfg)[2])
@@ -270,9 +268,19 @@ def test_pack_batch_encodes_each_distinct_history_sentence_once(ten_rounds):
         assert [batch.history[r] for r in rows] == u.history
 
 
+def test_prepare_units_cut_tokens_to_seq_len():
+    ds = generate_synthetic(SyntheticConfig(num_images=2, seed=4))
+    for unit, (i, t) in zip(prepare_units(ds, seq_len=3, max_history=4), ds.units()):
+        rnd = ds.examples[i].rounds[t]
+        assert unit.question == rnd.question_tokens[:3] and len(rnd.question_tokens) > 3
+        assert unit.answer == rnd.answer_tokens[:3]
+        assert unit.answer_targets == rnd.answer_tokens[:2] + [EOS_ID]
+        assert all(len(h) <= 3 for h in unit.history)
+
+
 def test_pack_batch_names_a_unit_with_an_empty_question(three_rounds):
     params, units, cfg = three_rounds
-    empty = dataclasses.replace(units[1], q_mask=[False] * len(units[1].q_mask))
+    empty = dataclasses.replace(units[1], question=[])
     with pytest.raises(DegenerateSliceError, match=rf"'{units[1].image_id}' round 1"):
         forward_batch(params, [units[0], empty], cfg)
     with pytest.raises(DegenerateSliceError, match="round 1"):
