@@ -151,6 +151,8 @@ def train(ds_train: DialogDataset, ds_val: DialogDataset, params: ModelParams,
     named = named_parameters(params)
     state = OptimizerState()
     train_units = prepare_units(ds_train, cfg.seq_len, cfg.max_history)
+    if not train_units:
+        raise ContractError("train on an empty dataset")
     val_units = prepare_units(ds_val, cfg.seq_len, cfg.max_history)
 
     log_path = None

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from grounddial import grounding
-from grounddial.autodiff import Tensor
-from grounddial.data import SyntheticConfig, generate_synthetic
+from grounddial.autodiff import ContractError, Tensor
+from grounddial.data import DialogDataset, SyntheticConfig, generate_synthetic
 from grounddial.model import forward_batch, init_model_params, named_parameters, prepare_units
 from grounddial.training import (
     DivergenceError,
@@ -212,6 +212,14 @@ def test_validation_never_calls_posterior():
     before = grounding.posterior_call_count()
     evaluate(params, ds, cfg)
     assert grounding.posterior_call_count() == before
+
+
+def test_train_on_an_empty_dataset_raises():
+    ds = tiny_data()
+    cfg = tiny_cfg()
+    empty = DialogDataset(examples=[], vocab=ds.vocab, split="train")
+    with pytest.raises(ContractError, match="empty"):
+        train(empty, ds, tiny_model(ds, cfg), cfg)
 
 
 def test_multitask_mode_trains():
