@@ -312,7 +312,10 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def take_rows(a: Tensor, indices) -> Tensor:
-    """Rows a[indices]; gradient scatter-adds back (duplicates accumulate)."""
+    """Rows a[indices]; gradient scatter-adds back (duplicates accumulate).
+
+    When no row is read twice, the scatter is a plain assignment.
+    """
     if a.data.ndim != 2:
         raise DimensionError(f"take_rows needs a matrix, got shape {a.shape}")
     idx = np.asarray(indices, dtype=np.intp)
@@ -324,7 +327,10 @@ def take_rows(a: Tensor, indices) -> Tensor:
 
     def rule(g):
         acc = np.zeros((nrows, ncols))
-        np.add.at(acc, idx, g)
+        if idx.size and np.bincount(idx).max() > 1:
+            np.add.at(acc, idx, g)
+        else:
+            acc[idx] = g
         return (acc,)
 
     return _record(out, (a,), rule)

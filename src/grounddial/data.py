@@ -37,7 +37,11 @@ class ParseError(ValueError):
 
 
 class MissingFeatureError(KeyError):
-    """An image_id in the dataset has no block in the feature file."""
+    """A given feature file does not exist, or an image_id in the dataset
+    has no block in the feature file."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])      # the message, without KeyError's quotes
 
 
 class FeatureFileError(ValueError):
@@ -216,7 +220,9 @@ def load_dataset(path, split: str = "train", features_path=None,
     """Materialize a dataset file; example order is file order.
 
     `vocab` is as for dataset_from_dict. `features_path` defaults to
-    features.bin next to the dataset file. A ParseError names the file.
+    features.bin next to the dataset file; without that file the examples
+    get no features, while a given `features_path` that does not exist
+    raises MissingFeatureError naming it. A ParseError names the file.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -229,21 +235,23 @@ def load_dataset(path, split: str = "train", features_path=None,
     except ParseError as e:
         raise ParseError(f"{path}: {e}") from None
 
-    if features_path is None:
-        features_path = path.parent / "features.bin"
-    features_path = Path(features_path)
-    if features_path.exists():
-        feats = load_features(features_path)
-        for i, ex in enumerate(ds.examples):
-            if ex.image_id not in feats:
-                raise MissingFeatureError(f"no features for image_id {ex.image_id!r} in {features_path}")
-            ex.region_features = feats[ex.image_id]
-            mu = ex.region_features.shape[0]
-            for j, r in enumerate(ex.rounds):
-                if r.gt_grounding is not None and not all(0 <= k < mu for k in r.gt_grounding):
-                    raise ParseError(f"{path}: $.dialogs[{i}].rounds[{j}].gt_grounding: region "
-                                     f"indices must lie in [0, {mu}), the regions of image_id "
-                                     f"{ex.image_id!r}")
+    given = features_path is not None
+    features_path = Path(features_path) if given else path.parent / "features.bin"
+    if not features_path.exists():
+        if given:
+            raise MissingFeatureError(f"feature file {features_path} does not exist")
+        return ds
+    feats = load_features(features_path)
+    for i, ex in enumerate(ds.examples):
+        if ex.image_id not in feats:
+            raise MissingFeatureError(f"no features for image_id {ex.image_id!r} in {features_path}")
+        ex.region_features = feats[ex.image_id]
+        mu = ex.region_features.shape[0]
+        for j, r in enumerate(ex.rounds):
+            if r.gt_grounding is not None and not all(0 <= k < mu for k in r.gt_grounding):
+                raise ParseError(f"{path}: $.dialogs[{i}].rounds[{j}].gt_grounding: region "
+                                 f"indices must lie in [0, {mu}), the regions of image_id "
+                                 f"{ex.image_id!r}")
     return ds
 
 

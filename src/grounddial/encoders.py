@@ -3,6 +3,13 @@
 Token-level bi-directional LSTM encodings for questions and answers,
 sentence-level history encoding, multi-head fusion of question and history,
 and row-wise MLP projection of raw region features.
+
+A sentence's encoding depends only on its tokens and its encoder. This
+module is where that rule lives: `encode_sentences` and `encode_tokens`,
+which serve the question, answer, history and candidate encoders, run each
+distinct sentence of a batch through the BiLSTM once and hand every input
+its rows through one gather. Callers pass sentences as they come, repeats
+included.
 """
 
 from __future__ import annotations
@@ -124,6 +131,14 @@ def pack_sequences(seqs: Sequence[Sequence[int]]) -> tuple[list[int], np.ndarray
     return flat, index
 
 
+def _distinct(seqs: Sequence[Sequence[int]]) -> tuple[list[list[int]], np.ndarray]:
+    """The distinct sequences in order of first occurrence, and for each
+    input the row of its sequence among them."""
+    rows: dict[tuple, int] = {}
+    row_of = np.array([rows.setdefault(tuple(s), len(rows)) for s in seqs], dtype=np.intp)
+    return [list(s) for s in rows], row_of
+
+
 def _bi_lstm(seqs: Sequence[Sequence[int]], enc: BiEncoderParams,
              embedding: Tensor) -> tuple[Tensor, Tensor, np.ndarray]:
     """Both directions over a batch of sequences, in one `lstm_sequence` call each.
@@ -166,22 +181,24 @@ def encode_sentences(seqs: Sequence[Sequence[int]], enc: BiEncoderParams,
     """One projected final-state vector per sentence, [B, d_q], in one batch.
 
     The final forward and backward states are concatenated and projected;
-    an empty sentence gives an exactly zero row.
+    an empty sentence gives an exactly zero row. Each distinct sentence is
+    encoded once and its row read by every sentence equal to it.
     """
     seqs = [list(s) for s in seqs]
     d_q = enc.proj_w.shape[1]
-    n = len(seqs)
     if not any(seqs):
-        return ad.zeros_const((n, d_q))
-    h_f, h_b, index = _bi_lstm(seqs, enc, embedding)
+        return ad.zeros_const((len(seqs), d_q))
+    distinct, row_of = _distinct(seqs)
+    n = len(distinct)
+    h_f, h_b, index = _bi_lstm(distinct, enc, embedding)
     # a state is carried past its sequence's end, so step T-1 holds every final state
     last = np.arange(index.size - n, index.size)
     state = ad.concat([ad.take_rows(h_f, last), ad.take_rows(h_b, last)], axis=1)
     out = ad.add(ad.matmul(state, enc.proj_w), ad.tile_rows(enc.proj_b, n))
-    if not all(seqs):
-        keep = np.array([[1.0] if s else [0.0] for s in seqs])
+    if not all(distinct):
+        keep = np.array([[1.0] if s else [0.0] for s in distinct])
         out = ad.mul(out, Tensor(np.repeat(keep, d_q, axis=1)))
-    return out
+    return ad.take_rows(out, row_of)
 
 
 def encode_tokens(seqs: Sequence[Sequence[int]], length: int, params: EncoderParams,
@@ -192,7 +209,8 @@ def encode_tokens(seqs: Sequence[Sequence[int]], length: int, params: EncoderPar
     `length` positions are kept and the positions past its end are exactly
     zero rows. Rows are layer-normalized so question and answer encodings
     share one scale; their sum in the posterior branch then perturbs
-    meaningfully.
+    meaningfully. Each distinct sentence is encoded once and its rows read
+    by every sentence equal to it.
     """
     if which == "question":
         enc = params.question
@@ -203,10 +221,11 @@ def encode_tokens(seqs: Sequence[Sequence[int]], length: int, params: EncoderPar
     if length < 1:
         raise ValueError("encode_tokens needs at least one position")
     seqs = [list(s) for s in seqs]
-    n_seq = len(seqs)
     if not any(seqs):
-        return ad.zeros_const((n_seq, length, params.d_q))
-    h_f, h_b, index = _bi_lstm(seqs, enc, params.embedding)
+        return ad.zeros_const((len(seqs), length, params.d_q))
+    distinct, row_of = _distinct(seqs)
+    n_seq = len(distinct)
+    h_f, h_b, index = _bi_lstm(distinct, enc, params.embedding)
     T = index.shape[0]
     seq_of, pos = np.nonzero(index.T[:, :length] >= 0)            # kept positions, sentence by sentence
     states = ad.concat([ad.take_rows(h_f, pos * n_seq + seq_of),
@@ -215,7 +234,7 @@ def encode_tokens(seqs: Sequence[Sequence[int]], length: int, params: EncoderPar
     out = layer_norm_rows(ad.add(ad.matmul(states, enc.proj_w), ad.tile_rows(enc.proj_b, n)))
     grid = np.full((n_seq, length), n, dtype=np.intp)
     grid[seq_of, pos] = np.arange(n)
-    return gather_rows(out, grid)
+    return gather_rows(out, grid[row_of])
 
 
 def encode_history(elements: Sequence[Sequence[int]], params: EncoderParams) -> Tensor:

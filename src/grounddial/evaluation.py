@@ -128,10 +128,10 @@ def distribution_entropy(dist: Sequence[float]) -> float:
 ABLATION_MODES = ("learned", "mean", "random", "oracle")
 
 
-def _ablated_weights(params: ModelParams, batch: list[Unit], cfg: TrainConfig, mode: str,
+def _ablated_weights(batch: list[Unit], learned: list[np.ndarray], mode: str,
                      rng: np.random.Generator) -> list[np.ndarray]:
     """Replacement distribution per unit of a batch for the mean, oracle and
-    random modes."""
+    random modes, given the batch's learned prior distributions."""
     mus = [u.features.shape[0] for u in batch]
     if mode == "mean":
         return [np.full(mu, 1.0 / mu) for mu in mus]
@@ -147,7 +147,6 @@ def _ablated_weights(params: ModelParams, batch: list[Unit], cfg: TrainConfig, m
         return out
     # random: the learned distributions shuffled among the batch's units
     # with the same region count
-    learned = batch_prior_weights(params, batch, cfg)
     out = [None] * len(batch)
     for mu in dict.fromkeys(mus):
         same = [b for b, m in enumerate(mus) if m == mu]
@@ -188,7 +187,7 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
     post_entropies: list[float] = []
     for batch in batch_iterator(units, cfg.batch_size, seed=None):
         g_override = (None if ablate == "learned"
-                      else _ablated_weights(params, batch, cfg, ablate, rng))
+                      else lambda learned: _ablated_weights(batch, learned, ablate, rng))
         scores, weights = infer_batch_scores(params, batch, cfg, decoder=decoder,
                                              g_override=g_override)
         for u, s, g in zip(batch, scores, weights):

@@ -7,13 +7,18 @@ history, constant feature tensors) and reused across epochs. A batch of
 units is packed and runs through every layer together: one op sequence per
 batch, whatever its size, with masks for ragged questions, histories and
 region counts.
+
+Packing passes every sentence on as it is, repeats included: that each
+distinct sentence is encoded once per batch is the encoders' rule
+(`encoders.encode_sentences` and `encoders.encode_tokens`), not this
+module's.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -221,7 +226,7 @@ class Batch:
     questions: list[list[int]]
     answers: list[list[int]]
     q_mask: np.ndarray         # [B, lam]
-    history: list[list[int]]   # the batch's distinct history sentences
+    history: list[list[int]]   # every unit's history sentences, unit by unit
     history_rows: np.ndarray   # [B, T] row of `history`; len(history) pads
     history_mask: np.ndarray   # [B, T]
     regions: Tensor            # [sum of mu, d_v] every unit's features, unit by unit
@@ -230,11 +235,7 @@ class Batch:
 
 
 def pack_batch(units: Sequence[Unit]) -> Batch:
-    """Pack a batch; a unit no batched op can take raises, naming it.
-
-    History sentences are deduplicated by their tokens: a sentence's
-    encoding depends on nothing else, so each is encoded once per batch.
-    """
+    """Pack a batch; a unit no batched op can take raises, naming it."""
     units = list(units)
     if not units:
         raise ContractError("a batch needs at least one unit")
@@ -244,10 +245,9 @@ def pack_batch(units: Sequence[Unit]) -> Batch:
                                        "empty question")
     lengths = [len(u.question) for u in units]
     q_mask = np.arange(max(lengths)) < np.asarray(lengths)[:, None]
-    distinct: dict[tuple, int] = {}
-    sentence_rows = [distinct.setdefault(tuple(h), len(distinct)) for u in units for h in u.history]
-    history_rows, history_mask = padded_rows([len(u.history) for u in units], sentence_rows,
-                                             len(distinct))
+    history = [h for u in units for h in u.history]
+    history_rows, history_mask = padded_rows([len(u.history) for u in units],
+                                             np.arange(len(history)), len(history))
     mus = [u.features.shape[0] for u in units]
     region_rows, region_mask = padded_rows(mus, np.arange(sum(mus)), sum(mus))
     return Batch(
@@ -255,7 +255,7 @@ def pack_batch(units: Sequence[Unit]) -> Batch:
         questions=[u.question for u in units],
         answers=[u.answer for u in units],
         q_mask=q_mask,
-        history=[list(h) for h in distinct],
+        history=history,
         history_rows=history_rows,
         history_mask=history_mask,
         regions=Tensor(np.concatenate([u.features.data for u in units], axis=0)),
@@ -326,25 +326,28 @@ def forward_batch(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig) 
 
 
 def infer_batch_scores(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig, *,
-                       decoder: str, g_override: Optional[Sequence[np.ndarray]] = None
-                       ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Inference pass over a batch: per unit, candidate scores and the prior weights.
+                       decoder: str,
+                       g_override: Optional[Callable[[list[np.ndarray]], Sequence[np.ndarray]]]
+                       = None) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Inference pass over a batch: per unit, candidate scores and the weights pooled with.
 
-    Uses v_prior only (no answer information). `g_override`, one
-    distribution per unit, substitutes the prior before pooling, for the
-    ablation protocols.
+    Uses v_prior only (no answer information). `g_override`, for the
+    ablation protocols, is given the prior's distributions, one per unit,
+    and returns the ones to pool with instead.
     """
     if decoder not in ("generative", "discriminative"):
         raise ValueError(f"unknown decoder {decoder!r}")
     batch = pack_batch(units)
     mus = batch.region_mask.sum(axis=1)
     x, I, g, v_prior, I_x = _prior(params, batch, cfg)
+    g_used = _per_unit(g.data, mus)
     if g_override is not None:
-        if len(g_override) != len(batch.units):
-            raise ContractError(f"{len(g_override)} g_override distributions "
+        override = g_override(g_used)
+        if len(override) != len(batch.units):
+            raise ContractError(f"{len(override)} g_override distributions "
                                 f"for {len(batch.units)} units")
         weights = np.zeros(batch.region_mask.shape)
-        for b, (u, w) in enumerate(zip(batch.units, g_override)):
+        for b, (u, w) in enumerate(zip(batch.units, override)):
             if np.shape(w) != (mus[b],):
                 raise ContractError(f"g_override for unit {u.image_id!r} round {u.round_index} "
                                     f"has shape {np.shape(w)}, expected ({mus[b]},)")
@@ -352,8 +355,6 @@ def infer_batch_scores(params: ModelParams, units: Sequence[Unit], cfg: TrainCon
         B, mu, d_q = I_x.shape
         v_prior = ad.reshape(ad.bmm(ad.const(weights.reshape(B, 1, mu)), I_x), (B, d_q))
         g_used = _per_unit(weights, mus)
-    else:
-        g_used = _per_unit(g.data, mus)
     fused = fuse_for_decoder(x, batch.q_mask, v_prior, params.decoder)
     candidates = [u.candidates for u in batch.units]
     embedding = params.encoder.embedding

@@ -545,6 +545,19 @@ def test_take_rows_duplicate_accumulation():
     assert a.grad.tolist() == [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]]
 
 
+@pytest.mark.parametrize("indices", [[4, 0, 2, 5], [], [1, 4, 1, 0, 4, 4]],
+                         ids=["distinct", "none", "repeated"])
+def test_take_rows_gradient_is_the_add_at_scatter_bit_for_bit(indices):
+    a = Tensor(rng().normal(size=(6, 3)), requires_grad=True)
+    g = rng().normal(size=(len(indices), 3))
+    with Tape() as tape:
+        loss = ad.sum_all(ad.mul(ad.take_rows(a, indices), Tensor(g)))
+    backward(loss, tape)
+    want = np.zeros((6, 3))
+    np.add.at(want, np.asarray(indices, dtype=np.intp), g)
+    assert a.grad.tobytes() == want.tobytes()
+
+
 def test_tile_rows():
     row = Tensor([[1.0, 2.0, 3.0]], requires_grad=True)
     with Tape() as tape:

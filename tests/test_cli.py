@@ -237,6 +237,11 @@ def _val_without_features(synth_dir, tmp_path):
             f"no feature file found for {bad}")
 
 
+def _mistyped_features(synth_dir, tmp_path):
+    typo = tmp_path / "s" / "typo.bin"
+    return small_train_args(synth_dir, tmp_path / "run", extra=["--features", str(typo)]), str(typo)
+
+
 def _no_dialogs(synth_dir, tmp_path):
     bad = _bad_copy(synth_dir, tmp_path, lambda raw: raw["dialogs"].clear())
     return small_train_args(bad.parent, tmp_path / "run"), f"{bad} holds no dialog rounds"
@@ -258,7 +263,7 @@ def _all_zero_relevance(synth_dir, tmp_path):
     return small_train_args(bad.parent, tmp_path / "run"), f"{bad}: $.dialogs[2].rounds[1].relevance"
 
 
-@pytest.mark.parametrize("case", [_val_without_features, _no_dialogs,
+@pytest.mark.parametrize("case", [_val_without_features, _mistyped_features, _no_dialogs,
                                   _oracle_without_gt_grounding, _all_zero_relevance])
 def test_data_errors_exit_3_naming_the_input(synth_dir, tmp_path, capsys, case):
     argv, named = case(synth_dir, tmp_path)

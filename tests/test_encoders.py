@@ -5,6 +5,7 @@ import pytest
 
 from grounddial import autodiff as ad
 from grounddial.autodiff import DimensionError, Tensor, grad_check
+from grounddial.data import SyntheticConfig, generate_synthetic
 from grounddial.encoders import (
     encode_history,
     encode_tokens,
@@ -12,6 +13,14 @@ from grounddial.encoders import (
     init_encoder_params,
     layer_norm_rows,
     project_regions,
+)
+from grounddial.model import (
+    TrainConfig,
+    forward_batch,
+    infer_batch_scores,
+    init_model_params,
+    pack_batch,
+    prepare_units,
 )
 from reference_lstm import transpose
 
@@ -228,3 +237,86 @@ def test_encoder_outputs_finite_and_grad_checks(params):
         return ad.mean_all(ad.tanh(Q))
 
     assert grad_check(f2, w, coords=range(0, w.size, 11)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# each distinct sentence is encoded once per batch
+
+@pytest.fixture
+def lstm_rows(monkeypatch):
+    """Rows (sequences) of every `lstm_sequence` call, keyed by id of the cell's wx."""
+    rows: dict[int, list[int]] = {}
+    real = ad.lstm_sequence
+
+    def counting(xs, index, hc0, wx, wh, b):
+        rows.setdefault(id(wx), []).append(np.shape(index)[1])
+        return real(xs, index, hc0, wx, wh, b)
+
+    monkeypatch.setattr(ad, "lstm_sequence", counting)
+    return rows
+
+
+def n_distinct(seqs) -> int:
+    return len({tuple(s) for s in seqs})
+
+
+def test_encode_history_encodes_each_distinct_sentence_once(lstm_rows):
+    """The ten rounds of one dialog hand 55 history sentences to the history
+    encoder, in each unit's order; only the caption and nine pairs run."""
+    ds = generate_synthetic(SyntheticConfig(num_images=1, seed=5, rounds=10, mu=12, num_colors=12,
+                                            num_shapes=12, d_v=24))
+    units = prepare_units(ds, seq_len=20, max_history=11)
+    batch = pack_batch(units)
+    assert len(batch.history) == 55
+    for b, u in enumerate(units):
+        rows = batch.history_rows[b][batch.history_mask[b]]
+        assert [batch.history[r] for r in rows] == u.history
+    params = init_encoder_params(np.random.default_rng(0), vocab_size=len(ds.vocab), d_v=24,
+                                 d_e=D_E, d_q=D_Q, n_heads=N_H)
+    out = encode_history(batch.history, params).data
+    cells = (params.history.fwd.wx, params.history.bwd.wx)
+    assert [lstm_rows[id(wx)] for wx in cells] == [[10], [10]]
+    first = {}
+    for r, sentence in enumerate(batch.history):
+        k = first.setdefault(tuple(sentence), r)
+        assert np.array_equal(out[r], out[k])
+    alone = encode_history(batch.history[-1:], params).data[0]
+    assert np.allclose(out[-1], alone, rtol=1e-12, atol=1e-13)
+
+
+def test_every_encoder_runs_each_distinct_sentence_once(lstm_rows):
+    """A batch with repeated questions, answers, history sentences and
+    candidates: each BiLSTM encoder runs the distinct ones only, and the
+    teacher-forced decoder one sequence per unit."""
+    ds = generate_synthetic(SyntheticConfig(num_images=4, seed=2))
+    cfg = TrainConfig(loss_mode="multitask", d_e=D_E, d_q=D_Q, n_heads=N_H, d_h=8)
+    units = prepare_units(ds, cfg.seq_len, cfg.max_history)
+    units = units + units[:3]
+    params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16, d_e=D_E,
+                               d_q=D_Q, n_heads=N_H, d_h=8)
+    sentences = {
+        "question": [u.question for u in units],
+        "answer": [u.answer for u in units],
+        "history": [h for u in units for h in u.history],
+        "cand": [c for u in units for c in u.candidates],
+    }
+    enc, dec = params.encoder, params.decoder
+    cells = {"question": enc.question, "answer": enc.answer, "history": enc.history,
+             "cand": dec.cand}
+    for name, seqs in sentences.items():
+        assert n_distinct(seqs) < len(seqs), name
+
+    def rows_of(name):
+        return [lstm_rows.pop(id(cells[name].fwd.wx)), lstm_rows.pop(id(cells[name].bwd.wx))]
+
+    with ad.Tape():
+        forward_batch(params, units, cfg)
+    for name, seqs in sentences.items():
+        assert rows_of(name) == [[n_distinct(seqs)]] * 2, name
+    assert lstm_rows == {id(dec.gen.wx): [len(units)]}
+    lstm_rows.clear()
+
+    infer_batch_scores(params, units, cfg, decoder="discriminative")
+    for name in ("question", "history", "cand"):
+        assert rows_of(name) == [[n_distinct(sentences[name])]] * 2, name
+    assert lstm_rows == {}

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from grounddial import evaluation
+from grounddial import evaluation, model
 from grounddial.autodiff import ContractError, InvalidDistributionError, Tensor
 from grounddial.data import SyntheticConfig, generate_synthetic
 from grounddial.evaluation import (
+    ABLATION_MODES,
     EvalReport,
     distribution_entropy,
     evaluate,
@@ -261,6 +262,25 @@ def test_ablate_unknown_mode_rejected_before_any_work(tiny_setup, monkeypatch):
         evaluate(params, ds, cfg, ablate="nope")
 
 
+@pytest.mark.parametrize("ablate", ABLATION_MODES)
+def test_every_ablation_encodes_each_batch_once(ablate, monkeypatch):
+    """24 units in batches of 8: one context encoding and one prior per batch."""
+    ds = generate_synthetic(SyntheticConfig(num_images=8, seed=9))
+    cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4, batch_size=8)
+    params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16,
+                               d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
+    calls = []
+    real = model.encode_context
+
+    def counting(params, batch):
+        calls.append(len(batch.units))
+        return real(params, batch)
+
+    monkeypatch.setattr(model, "encode_context", counting)
+    evaluate(params, ds, cfg, ablate=ablate, seed=3)
+    assert calls == [8, 8, 8]
+
+
 def test_ablate_deterministic(tiny_setup):
     ds, params, cfg = tiny_setup
     a = evaluate(params, ds, cfg, ablate="random", seed=5)
@@ -269,12 +289,15 @@ def test_ablate_deterministic(tiny_setup):
 
 
 def random_overrides(monkeypatch, params, ds, cfg, seed):
-    """(batch, g_override) of every batch that evaluate(ablate="random") ranks."""
+    """(batch, distributions pooled with) of every batch that
+    evaluate(ablate="random") ranks."""
     seen = []
 
     def recording(params, batch, cfg, *, decoder, g_override):
-        seen.append((batch, g_override))
-        return infer_batch_scores(params, batch, cfg, decoder=decoder, g_override=g_override)
+        def record(learned):
+            seen.append((batch, g_override(learned)))
+            return seen[-1][1]
+        return infer_batch_scores(params, batch, cfg, decoder=decoder, g_override=record)
 
     monkeypatch.setattr(evaluation, "infer_batch_scores", recording)
     evaluate(params, ds, cfg, ablate="random", seed=seed)

@@ -22,7 +22,6 @@ from grounddial.model import (
     infer_batch_scores,
     init_model_params,
     named_parameters,
-    pack_batch,
     prepare_units,
 )
 from grounddial.training import TrainConfig
@@ -195,7 +194,8 @@ def test_inference_matches_per_unit_oracle(mixed, decoder, axis_mode):
     scores, g = infer_batch_scores(params, units, cfg, decoder=decoder)
     rng = np.random.default_rng(0)
     override = [rng.dirichlet(np.ones(u.features.shape[0])) for u in units]
-    scores_o, g_o = infer_batch_scores(params, units, cfg, decoder=decoder, g_override=override)
+    scores_o, g_o = infer_batch_scores(params, units, cfg, decoder=decoder,
+                                       g_override=lambda learned: override)
     priors = batch_prior_weights(params, units, cfg)
     posteriors = batch_posterior_weights(params, units, cfg)
     for k, u in enumerate(units):
@@ -216,9 +216,11 @@ def test_g_override_of_the_wrong_length_raises_naming_the_unit(mixed):
     override = [np.full(u.features.shape[0], 1.0 / u.features.shape[0]) for u in units]
     override[2] = np.ones(1)           # would broadcast over every real region
     with pytest.raises(ContractError, match=f"unit {units[2].image_id!r} round {units[2].round_index}"):
-        infer_batch_scores(params, units, cfg, decoder="generative", g_override=override)
+        infer_batch_scores(params, units, cfg, decoder="generative",
+                           g_override=lambda learned: override)
     with pytest.raises(ContractError, match="g_override distributions"):
-        infer_batch_scores(params, units, cfg, decoder="generative", g_override=override[:-1])
+        infer_batch_scores(params, units, cfg, decoder="generative",
+                           g_override=lambda learned: override[:-1])
 
 
 def test_batch_loss_does_not_depend_on_unit_order(mixed):
@@ -257,16 +259,6 @@ def test_tape_size_does_not_grow_with_sentence_length(three_rounds, mode):
 
 # ---------------------------------------------------------------------------
 # packing
-
-def test_pack_batch_encodes_each_distinct_history_sentence_once(ten_rounds):
-    _, units, _ = ten_rounds
-    batch = pack_batch(units)
-    assert len(batch.history) == 10                       # the caption and nine pairs
-    assert sum(len(u.history) for u in units) == 55
-    for b, u in enumerate(units):
-        rows = batch.history_rows[b][batch.history_mask[b]]
-        assert [batch.history[r] for r in rows] == u.history
-
 
 def test_prepare_units_cut_tokens_to_seq_len():
     ds = generate_synthetic(SyntheticConfig(num_images=2, seed=4))
