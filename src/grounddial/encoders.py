@@ -131,12 +131,12 @@ def pack_sequences(seqs: Sequence[Sequence[int]]) -> tuple[list[int], np.ndarray
     return flat, index
 
 
-def _distinct(seqs: Sequence[Sequence[int]]) -> tuple[list[list[int]], np.ndarray]:
+def _distinct(seqs: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """The distinct sequences in order of first occurrence, and for each
     input the row of its sequence among them."""
     rows: dict[tuple, int] = {}
     row_of = np.array([rows.setdefault(tuple(s), len(rows)) for s in seqs], dtype=np.intp)
-    return [list(s) for s in rows], row_of
+    return list(rows), row_of
 
 
 def _bi_lstm(seqs: Sequence[Sequence[int]], enc: BiEncoderParams,
