@@ -48,7 +48,7 @@ for epoch in range(20):
         with Tape() as tape:
             loss = batch_loss(batch, params)
         backward(loss, tape)
-        adam_step(named, state, lr, cfg)
+        adam_step(named, state, lr)
         tot += loss.item() * len(batch); n += len(batch)
     if epoch % 3 == 0 or epoch == 19:
         vl = sum(batch_loss(val_units[s:s+32], params).item() * len(val_units[s:s+32])

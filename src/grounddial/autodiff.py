@@ -381,36 +381,32 @@ def tile_rows(row: Tensor, n: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # probability / loss ops
 
-def masked_softmax(logits: Tensor, axis: int, mask: Optional[Tensor] = None) -> Tensor:
+def masked_softmax(logits: Tensor, axis: int, mask: Tensor) -> Tensor:
     """Exp-normalize each slice along `axis`, stabilized by max-subtraction.
 
-    Masked positions (mask False) come out exactly 0; a slice with no
-    unmasked entry raises DegenerateSliceError rather than producing NaN.
+    `mask` has the logits' shape. Masked positions (mask False) come out
+    exactly 0; a slice with no unmasked entry raises DegenerateSliceError
+    rather than producing NaN.
     """
     z = logits.data
     if axis >= z.ndim or axis < -z.ndim:
         raise DimensionError(f"axis {axis} out of range for shape {logits.shape}")
-    if mask is None:
-        m = z.max(axis=axis, keepdims=True)
-        e = np.exp(z - m)
-    else:
-        mk = mask.data.astype(bool)
-        if mk.shape != z.shape:
-            raise DimensionError(f"mask shape {mask.shape} != logits shape {logits.shape}")
-        if (mk.sum(axis=axis) == 0).any():
-            raise DegenerateSliceError("softmax slice with every entry masked")
-        m = np.where(mk, z, -np.inf).max(axis=axis, keepdims=True)
-        e = np.where(mk, np.exp(z - m), 0.0)
+    mk = mask.data.astype(bool)
+    if mk.shape != z.shape:
+        raise DimensionError(f"mask shape {mask.shape} != logits shape {logits.shape}")
+    if (mk.sum(axis=axis) == 0).any():
+        raise DegenerateSliceError("softmax slice with every entry masked")
+    m = np.where(mk, z, -np.inf).max(axis=axis, keepdims=True)
+    e = np.where(mk, np.exp(z - m), 0.0)
     s = e.sum(axis=axis, keepdims=True)
     y = e / s
     out = Tensor(y)
 
     def rule(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot), None) if mask is not None else (y * (g - dot),)
+        return y * (g - dot), None
 
-    inputs = (logits,) if mask is None else (logits, mask)
-    return _record(out, inputs, rule)
+    return _record(out, (logits, mask), rule)
 
 
 def _check_simplex(arr: np.ndarray, name: str) -> None:
@@ -448,20 +444,6 @@ def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
         return dp, dq
 
     return _record(out, (p, q), rule)
-
-
-def mse(a: Tensor, b: Tensor) -> Tensor:
-    """Mean over all entries of (a - b)**2."""
-    _same_shape(a, b, "mse")
-    diff = a.data - b.data
-    n = a.size
-    out = Tensor(float((diff * diff).sum()) / n)
-
-    def rule(g):
-        d = (2.0 / n) * float(g) * diff
-        return d, -d
-
-    return _record(out, (a, b), rule)
 
 
 def cross_entropy_rows(logits: Tensor, targets: Sequence[int]) -> Tensor:

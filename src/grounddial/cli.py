@@ -33,9 +33,8 @@ from .data import (
     load_dataset,
     write_features,
 )
-from .evaluation import evaluate, export_attention
-from .grounding import BRIDGE_VARIANTS
-from .model import init_model_params, prepare_units
+from .evaluation import evaluate
+from .model import init_model_params
 from .training import DivergenceError, TrainConfig, load_checkpoint, restore_params, train
 
 EXIT_OK = 0
@@ -44,7 +43,6 @@ EXIT_DATA = 3
 EXIT_DIVERGENCE = 4
 
 _LOSS_FLAG = {"gen": "generative", "disc": "discriminative", "multitask": "multitask"}
-_POLICY_FLAG = {"post-train": "post_train_prior_eval", "always-prior": "always_prior"}
 _DECODER_FLAG = {"gen": "generative", "disc": "discriminative"}
 
 
@@ -142,13 +140,10 @@ def _train_parser(sub) -> argparse.ArgumentParser:
                    help="JSON object of TrainConfig fields, e.g. a run's manifest.json \"config\"")
     p.add_argument("--loss", dest="loss_mode", action=_Spelled, spellings=_LOSS_FLAG)
     p.add_argument("--kl-weight", dest="kl_weight", type=float)
-    p.add_argument("--bridge", dest="bridge_variant", choices=BRIDGE_VARIANTS)
     det = p.add_mutually_exclusive_group()
     det.add_argument("--detach-posterior", dest="detach_posterior", action="store_true", default=None)
     det.add_argument("--no-detach-posterior", dest="detach_posterior", action="store_false")
     p.add_argument("--axis-mode", dest="axis_mode", choices=["columns", "rows"])
-    p.add_argument("--decoder-features", dest="decoder_feature_policy", action=_Spelled,
-                   spellings=_POLICY_FLAG)
     p.add_argument("--batch", dest="batch_size", type=int)
     p.add_argument("--epochs", dest="max_epochs", type=int)
     p.add_argument("--lr", dest="base_lr", type=float)
@@ -162,7 +157,6 @@ def _train_parser(sub) -> argparse.ArgumentParser:
     p.add_argument("--d-h", dest="d_h", type=int)
     p.add_argument("--seq-len", dest="seq_len", type=int)
     p.add_argument("--max-history", dest="max_history", type=int)
-    p.add_argument("--score-norm", dest="score_norm", choices=["mean", "sum"])
     p.add_argument("--verbose", action="store_true")
     return p
 
@@ -221,10 +215,11 @@ def _eval_parser(sub) -> argparse.ArgumentParser:
     p.add_argument("--decoder", action=_Spelled, spellings=_DECODER_FLAG,
                    help="override the decoder implied by the training mode")
     p.add_argument("--ablate", choices=["mean", "random", "oracle"], default="learned")
-    p.add_argument("--export-attention", dest="export_attention", default=None,
+    p.add_argument("--export-attention", dest="attention_out", default=None,
                    help="write one JSON line per (image, round) to this path")
     p.add_argument("--with-answers", dest="with_answers", action="store_true",
-                   help="include the answer-aware posterior in the attention export")
+                   help="also run the answer-aware posterior: its weights in the attention "
+                        "export, its mean entropy in the report")
     p.add_argument("--report", default=None, help="write the EvalReport JSON here (default stdout)")
     p.add_argument("--seed", type=int, default=0)
     return p
@@ -257,9 +252,8 @@ def cmd_eval(args) -> int:
     except ValueError as e:
         raise DataError(f"manifest mismatch between checkpoint and model: {e}") from e
 
-    units = prepare_units(ds, cfg.seq_len, cfg.max_history)
     report = evaluate(params, ds, cfg, decoder=args.decoder, ablate=args.ablate,
-                      seed=args.seed, units=units)
+                      seed=args.seed, with_posterior=args.with_answers)
 
     text = json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n"
     if args.report:
@@ -267,11 +261,9 @@ def cmd_eval(args) -> int:
     else:
         sys.stdout.write(text)
 
-    if args.export_attention:
-        records = export_attention(params, ds, cfg, with_posterior=args.with_answers,
-                                   units=units)
-        with open(args.export_attention, "w") as fh:
-            for rec in records:
+    if args.attention_out:
+        with open(args.attention_out, "w") as fh:
+            for rec in report.attention:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
     return EXIT_OK
 

@@ -124,6 +124,11 @@ def _expect(cond: bool, path: str, msg: str) -> None:
         raise ParseError(f"{path}: {msg}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; a bool is not one, although Python counts it as an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_round(obj, dialog: int, index: int) -> Round:
     """One validated round; its path is spelled out only if a check fails."""
     def fail(field: str, msg: str):
@@ -138,7 +143,7 @@ def _parse_round(obj, dialog: int, index: int) -> Round:
     if not (isinstance(options, list) and options):
         fail(".answer_options", "must be a non-empty list")
     gt = obj["gt_index"]
-    if not (isinstance(gt, int) and 0 <= gt < len(options)):
+    if not (_is_int(gt) and 0 <= gt < len(options)):
         fail(".gt_index", f"must be in [0, {len(options)})")
     relevance = obj.get("relevance")
     if relevance is not None:
@@ -146,10 +151,11 @@ def _parse_round(obj, dialog: int, index: int) -> Round:
             fail(".relevance", "must align with answer_options")
         values = []
         for r in relevance:
-            v = float(r)
-            if not 0.0 <= v <= 1.0:
+            if not (_is_int(r) or isinstance(r, float)):
+                fail(".relevance", "entries must be numbers")
+            if not 0.0 <= r <= 1.0:
                 fail(".relevance", "entries must lie in [0, 1]")
-            values.append(v)
+            values.append(float(r))
         if values[gt] < max(values) - 1e-12:
             fail(".relevance", "gt_index relevance must be maximal or tied-maximal")
         if max(values) <= 0.0:
@@ -157,7 +163,7 @@ def _parse_round(obj, dialog: int, index: int) -> Round:
         relevance = values
     grounding = obj.get("gt_grounding")
     if grounding is not None:
-        if not (isinstance(grounding, list) and all(isinstance(i, int) for i in grounding)):
+        if not (isinstance(grounding, list) and all(_is_int(i) for i in grounding)):
             fail(".gt_grounding", "must be a list of region indices")
         if not grounding:
             fail(".gt_grounding", "must name at least one region")
@@ -193,6 +199,8 @@ def dataset_from_dict(raw, split: str = "train",
         for key in ("image_id", "caption", "rounds"):
             if key not in d:
                 raise ParseError(f"$.dialogs[{i}]: missing key {key!r}")
+        if not isinstance(d["rounds"], list):
+            raise ParseError(f"$.dialogs[{i}].rounds: must be a list")
         rounds = [_parse_round(r, i, j) for j, r in enumerate(d["rounds"])]
         examples.append(DialogExample(image_id=str(d["image_id"]), caption=str(d["caption"]), rounds=rounds))
 
@@ -277,7 +285,12 @@ def write_features(path, features: dict[str, np.ndarray]) -> None:
 
 
 def load_features(path) -> dict[str, Tensor]:
-    """Read a feature file into image_id -> Tensor[mu, d_v] (float64)."""
+    """Read a feature file into image_id -> Tensor[mu, d_v] (float64).
+
+    A file that is cut short, has bytes past its declared images, holds an
+    id that is not UTF-8 or holds one id twice raises FeatureFileError
+    naming the byte offset.
+    """
     data = Path(path).read_bytes()
 
     def need(offset: int, count: int) -> None:
@@ -297,7 +310,13 @@ def load_features(path) -> dict[str, Tensor]:
         (id_len,) = struct.unpack_from("<H", data, offset)
         offset += 2
         need(offset, id_len)
-        image_id = data[offset:offset + id_len].decode("utf-8")
+        try:
+            image_id = data[offset:offset + id_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FeatureFileError(f"{path}: image id at byte {offset} is not UTF-8") from None
+        if image_id in out:
+            raise FeatureFileError(f"{path}: image id {image_id!r} at byte {offset} "
+                                   "appears twice")
         offset += id_len
         need(offset, 8)
         mu, d_v = struct.unpack_from("<II", data, offset)
@@ -307,6 +326,9 @@ def load_features(path) -> dict[str, Tensor]:
         block = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
         offset += 4 * count
         out[image_id] = Tensor(block.astype(np.float64).reshape(mu, d_v))
+    if offset != len(data):
+        raise FeatureFileError(f"{path}: {len(data) - offset} bytes past the last of "
+                               f"{num_images} images, at byte {offset}")
     return out
 
 

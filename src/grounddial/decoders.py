@@ -110,17 +110,13 @@ def generative_loss(fused: Tensor, answers: Sequence[Sequence[int]], embedding: 
 
 
 def generative_rank(fused: Tensor, candidates: Sequence[Sequence[Sequence[int]]],
-                    embedding: Tensor, params: DecoderParams,
-                    score_norm: str = "mean") -> list[np.ndarray]:
-    """Score each unit's candidates by their per-token log-likelihood (higher
-    is better); fused is [B, d_q], candidates[b] the list of unit b's.
+                    embedding: Tensor, params: DecoderParams) -> list[np.ndarray]:
+    """Score each unit's candidates by their mean per-token log-likelihood
+    (higher is better); fused is [B, d_q], candidates[b] the list of unit b's.
 
-    Every candidate of the batch runs in one teacher-forced pass. "mean"
-    normalizes by candidate length (the default, removing length bias);
-    "sum" totals the log-likelihoods instead.
+    Every candidate of the batch runs in one teacher-forced pass. The mean
+    over a candidate's tokens removes the bias toward short candidates.
     """
-    if score_norm not in ("mean", "sum"):
-        raise ValueError(f"unknown score_norm {score_norm!r}")
     seqs, owner = [], []
     for b, cands in enumerate(candidates):
         if not cands:
@@ -134,9 +130,8 @@ def generative_rank(fused: Tensor, candidates: Sequence[Sequence[Sequence[int]]]
     losses = _teacher_forced_position_losses(ad.take_rows(fused, owner), seqs, embedding,
                                              params).data
     lengths = np.array([len(s) for s in seqs])
-    if score_norm == "mean":
-        # weights as in generative_loss, so a lone candidate's score is its loss negated bit for bit
-        losses = losses * np.repeat(1.0 / lengths, lengths)
+    # weights as in generative_loss, so a lone candidate's score is its loss negated bit for bit
+    losses = losses * np.repeat(1.0 / lengths, lengths)
     scores = -np.add.reduceat(losses, np.cumsum(lengths) - lengths)
     return np.split(scores, np.cumsum([len(c) for c in candidates])[:-1])
 

@@ -9,7 +9,7 @@ as fractions in [0, 1]; multiply by 100 only when formatting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +22,6 @@ from .model import (
     TrainConfig,
     Unit,
     batch_posterior_weights,
-    batch_prior_weights,
     infer_batch_scores,
     prepare_units,
 )
@@ -41,9 +40,13 @@ class EvalReport:
     grounding_top3: Optional[float] = None
     entropy_prior: Optional[float] = None
     entropy_posterior: Optional[float] = None
+    # one grounding.attention_record per unit, in unit order; not a metric,
+    # so to_dict leaves it out
+    attention: list[dict] = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "attention" and getattr(self, f.name) is not None}
 
 
 def rank_of_gt(scores: Sequence[float], gt_index: int) -> int:
@@ -157,7 +160,7 @@ def _ablated_weights(batch: list[Unit], learned: list[np.ndarray], mode: str,
 
 def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainConfig(), *,
              decoder: Optional[str] = None, ablate: str = "learned", seed: int = 0,
-             posterior_diagnostics: bool = False,
+             with_posterior: bool = False,
              units: Optional[list[Unit]] = None) -> EvalReport:
     """Inference-condition evaluation: ranking and grounding from the prior,
     over batches of cfg.batch_size units.
@@ -167,9 +170,12 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
     loss alone. `ablate` replaces the prior before pooling: uniform ("mean"),
     shuffled among the units of a batch that have the same region count
     ("random", seeded by `seed`) or the ground truth ("oracle").
-    posterior_diagnostics additionally runs the answer-aware branch to report
-    its entropy (the Table-3 "with answers" protocol); it never affects the
-    ranking metrics.
+
+    The report keeps each unit's attention record, holding the weights the
+    unit was ranked with. with_posterior additionally runs the answer-aware
+    branch: each record gets its "posterior" and the report its mean entropy
+    (the Table-3 "with answers" protocol); it never affects the ranking
+    metrics.
     """
     if ablate not in ABLATION_MODES:
         raise ValueError(f"unknown ablation mode {ablate!r}; know {ABLATION_MODES}")
@@ -190,16 +196,17 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
                       else lambda learned: _ablated_weights(batch, learned, ablate, rng))
         scores, weights = infer_batch_scores(params, batch, cfg, decoder=decoder,
                                              g_override=g_override)
-        for u, s, g in zip(batch, scores, weights):
+        posteriors = (batch_posterior_weights(params, batch, cfg) if with_posterior
+                      else [None] * len(batch))
+        for u, s, g, G in zip(batch, scores, weights, posteriors):
             ranks.append(rank_of_gt(s, u.gt_index))
             if u.relevance is not None:
                 ndcgs.append(ndcg(s, u.relevance))
             entropies.append(distribution_entropy(g))
-            records.append(attention_record(u.image_id, u.round_index, g,
+            if with_posterior:
+                post_entropies.append(distribution_entropy(G))
+            records.append(attention_record(u.image_id, u.round_index, g, G=G,
                                             gt_grounding=u.gt_grounding))
-        if posterior_diagnostics:
-            post_entropies += [distribution_entropy(G)
-                               for G in batch_posterior_weights(params, batch, cfg)]
 
     report = EvalReport(
         mrr=mrr(ranks),
@@ -210,28 +217,12 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
         n_units=len(units),
         ndcg=float(np.mean(ndcgs)) if len(ndcgs) == len(units) else None,
         entropy_prior=float(np.mean(entropies)),
+        attention=records,
     )
     if all(u.gt_grounding is not None for u in units):
         report.grounding_top1 = grounding_accuracy(records, top_k=1)
         report.grounding_top3 = grounding_accuracy(records, top_k=3)
-    if posterior_diagnostics:
+    if with_posterior:
         report.entropy_posterior = float(np.mean(post_entropies))
     return report
 
-
-def export_attention(params: ModelParams, ds: DialogDataset, cfg: TrainConfig, *,
-                     with_posterior: bool = False,
-                     units: Optional[list[Unit]] = None) -> list[dict]:
-    """Per-(image, round) attention records for offline analysis, computed in
-    batches of cfg.batch_size units."""
-    if units is None:
-        units = prepare_units(ds, cfg.seq_len, cfg.max_history)
-    records = []
-    for batch in batch_iterator(units, cfg.batch_size, seed=None):
-        priors = batch_prior_weights(params, batch, cfg)
-        posteriors = (batch_posterior_weights(params, batch, cfg) if with_posterior
-                      else [None] * len(batch))
-        for u, g, G in zip(batch, priors, posteriors):
-            records.append(attention_record(u.image_id, u.round_index, g, G=G,
-                                            gt_grounding=u.gt_grounding))
-    return records

@@ -1,5 +1,5 @@
-"""Prior and posterior distributions over visual objects and the bridging
-losses that pull the prior toward the answer-informed posterior.
+"""Prior and posterior distributions over visual objects and the bridge,
+the KL that pulls the prior toward the answer-informed posterior.
 
 The prior pipeline is cross-attention of projected regions over the context
 followed by self-attention pooling; the posterior runs the same pipeline
@@ -17,16 +17,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DegenerateSliceError, DimensionError, Tensor
-
-BRIDGE_VARIANTS = ("attn_kl", "attn_mse", "image_kl", "image_mse", "attn_kl_image_mse")
-
-# instrumentation: validation must never touch the posterior branch
-_POSTERIOR_CALLS = 0
-
-
-def posterior_call_count() -> int:
-    return _POSTERIOR_CALLS
-
 
 @dataclass
 class GroundingParams:
@@ -52,19 +42,6 @@ def init_grounding_params(rng: np.random.Generator, d_q: int, d_h: Optional[int]
         # arbitrary region preferences to unlearn
         w2=Tensor(np.zeros((d_h, 1)), requires_grad=True),
     )
-
-
-@dataclass
-class GroundingOutput:
-    """Both branches over a batch of B units; mu is the largest region count.
-
-    Padding regions (mask_i False) have weight exactly 0 in g and G.
-    """
-    g: Tensor               # [B, mu] prior distributions
-    v_prior: Tensor         # [B, d_q]
-    G: Tensor               # [B, mu] posterior distributions
-    v_post: Tensor          # [B, d_q]
-    mask_i: np.ndarray      # [B, mu] real regions
 
 
 def _project_rows(t: Tensor, w: Tensor) -> Tensor:
@@ -156,51 +133,20 @@ def posterior_ground(I: Tensor, x: Tensor, y: Tensor, mask_x: np.ndarray,
     so the answer cannot tunnel straight into v_post and the posterior is
     forced to earn its sharpness by selecting answer-consistent regions.
     """
-    global _POSTERIOR_CALLS
-    _POSTERIOR_CALLS += 1
     if x.shape != y.shape:
         raise DimensionError(f"x and y must match: {x.shape} vs {y.shape}")
     _, I_x_post = cross_attend(I, ad.add(x, y), x, mask_x, params, axis_mode, mask_i)
     return pool_regions(I_x_post, params, mask_i)
 
 
-def _row_mean_mse(a: Tensor, b: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean over rows of each row's mean squared gap; `mask` marks the real
-    entries of ragged rows."""
-    if mask.all():
-        return ad.mse(a, b)
-    counts = mask.sum(axis=1, keepdims=True)
-    weights = np.where(mask, 1.0 / (counts * mask.shape[0]), 0.0)
-    diff = ad.sub(a, b)
-    return ad.sum_all(ad.mul(ad.mul(diff, diff), Tensor(weights)))
+def bridge_loss(G: Tensor, g: Tensor, detach_posterior: bool = True) -> Tensor:
+    """KL(posterior G, prior g) over region weights, [B, mu] each, averaged
+    over the units of the batch; padding regions weigh 0 on both sides.
 
-
-def bridge_loss(out: GroundingOutput, variant: str = "attn_kl",
-                detach_posterior: bool = True) -> Tensor:
-    """Distance between the posterior and prior branches (the auxiliary loss),
-    averaged over the units of the batch.
-
-    attn_kl is KL(posterior, prior) over region weights; attn_mse the mean
-    squared gap of the weights; image_* compare the pooled vectors (softmaxed
-    for the KL form). With detach_posterior the posterior side is a constant
-    target, so no gradient reaches tensors only the posterior branch uses.
+    With detach_posterior the posterior is a constant target, so no gradient
+    reaches tensors only the posterior branch uses.
     """
-    if variant not in BRIDGE_VARIANTS:
-        raise ValueError(f"unknown bridge variant {variant!r}; know {BRIDGE_VARIANTS}")
-    G = out.G.detach() if detach_posterior else out.G
-    v_post = out.v_post.detach() if detach_posterior else out.v_post
-    if variant == "attn_kl":
-        return ad.kl_divergence(G, out.g)
-    if variant == "attn_mse":
-        return _row_mean_mse(G, out.g, out.mask_i)
-    if variant == "image_mse":
-        return ad.mse(v_post, out.v_prior)
-    if variant == "image_kl":
-        return ad.kl_divergence(
-            ad.masked_softmax(v_post, axis=-1),
-            ad.masked_softmax(out.v_prior, axis=-1),
-        )
-    return ad.add(ad.kl_divergence(G, out.g), ad.mse(v_post, out.v_prior))
+    return ad.kl_divergence(G.detach() if detach_posterior else G, g)
 
 
 def attention_record(image_id: str, round_idx: int, g: np.ndarray,

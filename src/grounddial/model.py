@@ -45,8 +45,6 @@ from .encoders import (
     project_regions,
 )
 from .grounding import (
-    BRIDGE_VARIANTS,
-    GroundingOutput,
     GroundingParams,
     bridge_loss,
     init_grounding_params,
@@ -55,7 +53,6 @@ from .grounding import (
 )
 
 LOSS_MODES = ("generative", "discriminative", "multitask")
-FEATURE_POLICIES = ("post_train_prior_eval", "always_prior")
 
 
 @dataclass(frozen=True)
@@ -67,11 +64,8 @@ class TrainConfig:
     """
     loss_mode: str = "generative"
     kl_weight: float = 1.0
-    bridge_variant: str = "attn_kl"
     detach_posterior: bool = True
-    decoder_feature_policy: str = "post_train_prior_eval"
     axis_mode: str = "columns"
-    score_norm: str = "mean"
     fusion_residual: bool = True
     base_lr: float = 1e-3
     warmup_epochs: int = 1
@@ -80,9 +74,6 @@ class TrainConfig:
     max_epochs: int = 20
     batch_size: int = 32
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     d_q: int = 64
     d_e: int = 64
     n_heads: int = 4
@@ -96,9 +87,7 @@ class TrainConfig:
             allowed = (int, float) if kind is float else kind
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
                 raise ContractError(f"{f.name} must be a {kind.__name__}, got {value!r}")
-        choices = {"loss_mode": LOSS_MODES, "decoder_feature_policy": FEATURE_POLICIES,
-                   "bridge_variant": BRIDGE_VARIANTS, "axis_mode": ("columns", "rows"),
-                   "score_norm": ("mean", "sum")}
+        choices = {"loss_mode": LOSS_MODES, "axis_mode": ("columns", "rows")}
         for name, allowed in choices.items():
             if getattr(self, name) not in allowed:
                 raise ContractError(f"{name} must be one of {allowed}")
@@ -302,15 +291,17 @@ def _per_unit(rows: np.ndarray, lengths: Sequence[int]) -> list[np.ndarray]:
 def forward_batch(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig) -> BatchForward:
     """Training forward pass over a batch; each loss is the mean of the
     per-unit losses, and the training loss is the decoder losses that
-    loss_mode selects plus kl_weight times the bridge."""
-    batch = pack_batch(units)
-    x, I, g, v_prior, _ = _prior(params, batch, cfg)
-    G, v_post = _posterior(params, batch, cfg, x, I)
-    out = GroundingOutput(g=g, v_prior=v_prior, G=G, v_post=v_post, mask_i=batch.region_mask)
-    L_KL = bridge_loss(out, cfg.bridge_variant, cfg.detach_posterior)
+    loss_mode selects plus kl_weight times the bridge.
 
-    v_star = v_post if cfg.decoder_feature_policy == "post_train_prior_eval" else v_prior
-    fused = fuse_for_decoder(x, batch.q_mask, v_star, params.decoder)
+    The decoder reads the posterior's pooled regions v_post; inference
+    (`infer_batch_scores`) reads the prior's in their place.
+    """
+    batch = pack_batch(units)
+    x, I, g, _, _ = _prior(params, batch, cfg)
+    G, v_post = _posterior(params, batch, cfg, x, I)
+    L_KL = bridge_loss(G, g, cfg.detach_posterior)
+
+    fused = fuse_for_decoder(x, batch.q_mask, v_post, params.decoder)
     embedding = params.encoder.embedding
     losses: dict[str, Tensor] = {}
     if cfg.loss_mode in ("generative", "multitask"):
@@ -359,24 +350,17 @@ def infer_batch_scores(params: ModelParams, units: Sequence[Unit], cfg: TrainCon
     candidates = [u.candidates for u in batch.units]
     embedding = params.encoder.embedding
     if decoder == "generative":
-        scores = generative_rank(fused, candidates, embedding, params.decoder, cfg.score_norm)
+        scores = generative_rank(fused, candidates, embedding, params.decoder)
     else:
         scores = _per_unit(discriminative_scores(fused, candidates, embedding, params.decoder).data,
                            [len(c) for c in candidates])
     return scores, g_used
 
 
-def batch_prior_weights(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig
-                        ) -> list[np.ndarray]:
-    """Prior weights only (no decoding), one array per unit; used by exports and ablations."""
-    batch = pack_batch(units)
-    g = _prior(params, batch, cfg)[2]
-    return _per_unit(g.data, batch.region_mask.sum(axis=1))
-
-
 def batch_posterior_weights(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig
                             ) -> list[np.ndarray]:
-    """Posterior weights per unit, for diagnostics and the answer-aware grounding export."""
+    """Posterior weights per unit, for the entropy diagnostic and the
+    answer-aware attention records."""
     batch = pack_batch(units)
     x, I = encode_context(params, batch)
     G = _posterior(params, batch, cfg, x, I)[0]

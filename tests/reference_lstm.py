@@ -219,13 +219,12 @@ def ref_generative_loss(fused: Tensor, answer_tokens, embedding: Tensor, params)
     return mean_of(ref_position_losses(fused, answer_tokens, embedding, params))
 
 
-def ref_generative_rank(fused: Tensor, candidates, embedding: Tensor, params,
-                        score_norm: str = "mean") -> Tensor:
+def ref_generative_rank(fused: Tensor, candidates, embedding: Tensor, params) -> Tensor:
     scores = []
     for cand in candidates:
         tokens = list(cand)
         if not tokens or tokens[-1] != EOS_ID:
             tokens = tokens + [EOS_ID]
         total = sum(l.item() for l in ref_position_losses(fused, tokens, embedding, params))
-        scores.append(-total / len(tokens) if score_norm == "mean" else -total)
+        scores.append(-total / len(tokens))
     return Tensor(np.asarray(scores))

@@ -27,7 +27,6 @@ from grounddial.encoders import (
     pack_sequences,
     project_regions,
 )
-from grounddial.grounding import BRIDGE_VARIANTS, GroundingOutput
 from reference_lstm import cross_entropy, transpose
 
 
@@ -76,7 +75,7 @@ def fuse_context(Q: Tensor, H: Tensor, mask_q: Sequence[bool], params) -> Tensor
         k_h = ad.slice_cols(kp, h * dh, (h + 1) * dh)
         v_h = ad.slice_cols(vp, h * dh, (h + 1) * dh)
         logits = ad.scale(ad.matmul(q_h, transpose(k_h)), 1.0 / math.sqrt(dh))
-        attn = ad.masked_softmax(logits, axis=1)
+        attn = ad.masked_softmax(logits, axis=1, mask=ad.ones_const(logits.shape))
         heads.append(ad.matmul(attn, v_h))
     out = ad.matmul(ad.concat(heads, axis=1), params.w_o)
     if params.fusion_residual:
@@ -106,7 +105,7 @@ def cross_attend(I: Tensor, x: Tensor, mask_x: Sequence[bool], axis_mode: str = 
         logits = ad.matmul(I, transpose(x))
     mask_mat = Tensor(np.repeat(mask.reshape(1, lam), mu, axis=0).astype(float))
     if axis_mode == "columns":
-        P = ad.mul(ad.masked_softmax(logits, axis=0), mask_mat)
+        P = ad.mul(ad.masked_softmax(logits, axis=0, mask=ad.ones_const(logits.shape)), mask_mat)
     else:
         P = ad.masked_softmax(logits, axis=1, mask=mask_mat)
     I_x = ad.matmul(P, x if values is None else values)
@@ -119,7 +118,8 @@ def pool_regions(I_x: Tensor, params) -> tuple[Tensor, Tensor]:
     """Weights [mu] over regions and the pooled vector [d_q]."""
     mu, d_q = I_x.shape
     h = ad.relu(ad.add(ad.matmul(I_x, params.w1), ad.tile_rows(params.b1, mu)))
-    w_col = ad.masked_softmax(ad.matmul(h, params.w2), axis=0)
+    scores = ad.matmul(h, params.w2)
+    w_col = ad.masked_softmax(scores, axis=0, mask=ad.ones_const(scores.shape))
     weights = ad.reshape(w_col, (mu,))
     pooled = ad.reshape(ad.matmul(transpose(w_col), I_x), (d_q,))
     return weights, pooled
@@ -137,23 +137,6 @@ def posterior_ground(I, x, y, mask_x, params, axis_mode="columns"):
                                att_wi=params.att_wi, att_wx=params.att_wx)
     G, v_post = pool_regions(I_x_post, params)
     return G, v_post, I_x_post
-
-
-def bridge_loss(out: GroundingOutput, variant: str = "attn_kl",
-                detach_posterior: bool = True) -> Tensor:
-    assert variant in BRIDGE_VARIANTS
-    G = out.G.detach() if detach_posterior else out.G
-    v_post = out.v_post.detach() if detach_posterior else out.v_post
-    if variant == "attn_kl":
-        return ad.kl_divergence(G, out.g)
-    if variant == "attn_mse":
-        return ad.mse(G, out.g)
-    if variant == "image_mse":
-        return ad.mse(v_post, out.v_prior)
-    if variant == "image_kl":
-        return ad.kl_divergence(ad.masked_softmax(v_post, axis=0),
-                                ad.masked_softmax(out.v_prior, axis=0))
-    return ad.add(ad.kl_divergence(G, out.g), ad.mse(v_post, out.v_prior))
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +173,7 @@ def generative_loss(fused: Tensor, answer_tokens, embedding: Tensor, params) -> 
     return ad.mean_all(_position_losses(fused, [list(answer_tokens)], embedding, params))
 
 
-def generative_rank(fused: Tensor, candidates, embedding: Tensor, params,
-                    score_norm: str = "mean") -> Tensor:
+def generative_rank(fused: Tensor, candidates, embedding: Tensor, params) -> Tensor:
     seqs = []
     for cand in candidates:
         tokens = list(cand)
@@ -203,7 +185,7 @@ def generative_rank(fused: Tensor, candidates, embedding: Tensor, params,
     for tokens in seqs:
         seg = losses[start:start + len(tokens)]
         start += len(tokens)
-        scores.append(-seg.mean() if score_norm == "mean" else -seg.sum())
+        scores.append(-seg.mean())
     return Tensor(np.asarray(scores))
 
 
@@ -220,9 +202,6 @@ def discriminative_scores(fused: Tensor, candidates, embedding: Tensor, params) 
 
 @dataclass
 class UnitForward:
-    x: Tensor
-    I: Tensor
-    grounding: GroundingOutput
     L_G: Optional[Tensor] = None
     L_D: Optional[Tensor] = None
     L_KL: Optional[Tensor] = None
@@ -251,14 +230,11 @@ def encode_unit_answer(params, unit) -> Tensor:
 
 def forward_unit(params, unit, cfg) -> UnitForward:
     x, I, q_mask = encode_unit_context(params, unit)
-    g, v_prior, I_x = prior_ground(I, x, q_mask, params.grounding, cfg.axis_mode)
+    g, _, _ = prior_ground(I, x, q_mask, params.grounding, cfg.axis_mode)
     y = encode_unit_answer(params, unit)
-    G, v_post, I_x_post = posterior_ground(I, x, y, q_mask, params.grounding, cfg.axis_mode)
-    out = GroundingOutput(g=g, v_prior=v_prior, G=G, v_post=v_post,
-                          mask_i=np.ones(g.shape, dtype=bool))
-    L_KL = bridge_loss(out, cfg.bridge_variant, cfg.detach_posterior)
-    v_star = v_post if cfg.decoder_feature_policy == "post_train_prior_eval" else v_prior
-    fused = fuse_for_decoder(x, q_mask, v_star, params.decoder)
+    G, v_post, _ = posterior_ground(I, x, y, q_mask, params.grounding, cfg.axis_mode)
+    L_KL = ad.kl_divergence(G.detach() if cfg.detach_posterior else G, g)
+    fused = fuse_for_decoder(x, q_mask, v_post, params.decoder)
     L_G = L_D = None
     embedding = params.encoder.embedding
     if cfg.loss_mode in ("generative", "multitask"):
@@ -266,7 +242,7 @@ def forward_unit(params, unit, cfg) -> UnitForward:
     if cfg.loss_mode in ("discriminative", "multitask"):
         scores = discriminative_scores(fused, unit.candidates, embedding, params.decoder)
         L_D = cross_entropy(scores, unit.gt_index)
-    return UnitForward(x=x, I=I, grounding=out, L_G=L_G, L_D=L_D, L_KL=L_KL)
+    return UnitForward(L_G=L_G, L_D=L_D, L_KL=L_KL)
 
 
 def infer_unit_scores(params, unit, cfg, *, decoder: str,
@@ -283,15 +259,10 @@ def infer_unit_scores(params, unit, cfg, *, decoder: str,
     fused = fuse_for_decoder(x, q_mask, v_prior, params.decoder)
     embedding = params.encoder.embedding
     if decoder == "generative":
-        scores = generative_rank(fused, unit.candidates, embedding, params.decoder, cfg.score_norm)
+        scores = generative_rank(fused, unit.candidates, embedding, params.decoder)
     else:
         scores = discriminative_scores(fused, unit.candidates, embedding, params.decoder)
     return scores.data.copy(), g_used.copy()
-
-
-def unit_prior_weights(params, unit, cfg) -> np.ndarray:
-    x, I, q_mask = encode_unit_context(params, unit)
-    return prior_ground(I, x, q_mask, params.grounding, cfg.axis_mode)[0].data.copy()
 
 
 def unit_posterior_weights(params, unit, cfg) -> np.ndarray:

@@ -23,6 +23,17 @@ def rng():
     return np.random.default_rng(0)
 
 
+def softmax(logits, axis):
+    """masked_softmax with every entry real."""
+    return ad.masked_softmax(logits, axis=axis, mask=ad.ones_const(logits.shape))
+
+
+def squared_gap(a, b):
+    """Mean over all entries of (a - b)**2."""
+    diff = ad.sub(a, b)
+    return ad.mean_all(ad.mul(diff, diff))
+
+
 # ---------------------------------------------------------------------------
 # matmul
 
@@ -134,18 +145,18 @@ def test_add_identity():
 # masked softmax
 
 def test_softmax_uniform_logits():
-    out = ad.masked_softmax(Tensor([0.0, 0.0]), axis=0)
+    out = softmax(Tensor([0.0, 0.0]), axis=0)
     assert np.allclose(out.data, [0.5, 0.5])
 
 
 def test_softmax_large_equal_logits_stable():
-    out = ad.masked_softmax(Tensor([1000.0, 1000.0, 1000.0]), axis=0)
+    out = softmax(Tensor([1000.0, 1000.0, 1000.0]), axis=0)
     assert np.allclose(out.data, [1 / 3] * 3)
     assert np.isfinite(out.data).all()
 
 
 def test_softmax_hand_value():
-    out = ad.masked_softmax(Tensor([0.0, math.log(3.0)]), axis=0)
+    out = softmax(Tensor([0.0, math.log(3.0)]), axis=0)
     assert np.allclose(out.data, [0.25, 0.75], atol=1e-12)
 
 
@@ -167,7 +178,7 @@ def test_softmax_slices_sum_to_one_and_nonnegative():
     for _ in range(50):
         z = Tensor(g.normal(size=(4, 6)) * 10)
         for axis in (0, 1):
-            y = ad.masked_softmax(z, axis=axis).data
+            y = softmax(z, axis=axis).data
             assert (y >= 0).all()
             assert np.abs(y.sum(axis=axis) - 1.0).max() < 1e-9
 
@@ -176,8 +187,8 @@ def test_softmax_argmax_shift_invariant():
     g = rng()
     for _ in range(20):
         z = g.normal(size=7)
-        a = ad.masked_softmax(Tensor(z), axis=0).data
-        b = ad.masked_softmax(Tensor(z + 123.456), axis=0).data
+        a = softmax(Tensor(z), axis=0).data
+        b = softmax(Tensor(z + 123.456), axis=0).data
         assert a.argmax() == b.argmax()
 
 
@@ -226,13 +237,7 @@ def test_kl_invalid_inputs():
 
 
 # ---------------------------------------------------------------------------
-# mse / cross entropy
-
-def test_mse_cases():
-    assert ad.mse(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])).item() == 0.0
-    assert ad.mse(Tensor([0.0, 0.0]), Tensor([1.0, 1.0])).item() == 1.0
-    assert ad.mse(Tensor([1.0, 2.0]), Tensor([3.0, 2.0])).item() == 2.0
-
+# cross entropy
 
 def test_cross_entropy_uniform():
     val = ad.cross_entropy_rows(Tensor([[0.0, 0.0, 0.0, 0.0]]), [0]).item()
@@ -333,11 +338,11 @@ def test_grad_check_constant_function():
 @pytest.mark.parametrize("build", [
     lambda t: ad.mean_all(ad.tanh(ad.matmul(t, transpose(t)))),
     lambda t: ad.kl_divergence(
-        ad.masked_softmax(ad.reshape(t, (t.size,)), axis=0),
+        softmax(ad.reshape(t, (t.size,)), axis=0),
         Tensor(np.full(t.size, 1.0 / t.size)),
     ),
     lambda t: ad.sum_all(ad.cross_entropy_rows(ad.reshape(ad.tanh(t), (1, t.size)), [1])),
-    lambda t: ad.mse(ad.relu(ad.add_const(t, 0.7)), Tensor(np.ones((2, 3)))),
+    lambda t: squared_gap(ad.relu(ad.add_const(t, 0.7)), Tensor(np.ones((2, 3)))),
     lambda t: ad.sum_all(ad.power(ad.add_const(ad.mul(t, t), 1.0), -0.5)),
     lambda t: ad.sum_all(ad.slice_cols(ad.concat([t, t], axis=0), 1, 3)),
     lambda t: ad.sum_all(ad.take_rows(t, [0, 1, 0])),
@@ -516,7 +521,7 @@ def test_grad_check_random_points_under_tolerance():
 
     def f(t):
         h = ad.relu(ad.add_const(ad.matmul(t, w), 0.5))
-        p = ad.masked_softmax(ad.reshape(h, (h.size,)), axis=0)
+        p = softmax(ad.reshape(h, (h.size,)), axis=0)
         return ad.kl_divergence(p, Tensor(np.full(h.size, 1.0 / h.size)))
 
     for seed in range(5):

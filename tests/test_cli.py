@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import shutil
@@ -7,11 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from grounddial.cli import main
+from grounddial.cli import build_parser, main
 from grounddial.data import Vocabulary, load_dataset
 from grounddial.evaluation import evaluate
 from grounddial.model import init_model_params
-from grounddial.training import load_checkpoint, restore_params
+from grounddial.training import TrainConfig, load_checkpoint, restore_params
 
 
 def run_cli(argv):
@@ -141,23 +142,35 @@ def test_train_bad_config_file_exits_2(synth_dir, tmp_path, capsys, settings, fi
     assert not out.exists()
 
 
+def test_every_train_flag_sets_a_config_field():
+    """A flag whose field is gone would otherwise be ignored without a word."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices["train"]._actions}
+    not_config = {"help", "data", "features", "val_data", "val_features", "out", "config",
+                  "verbose"}
+    assert dests - not_config <= {f.name for f in dataclasses.fields(TrainConfig)}
+
+
 def test_eval_unknown_checkpoint_config_key_exits_3(synth_dir, tmp_path, capsys):
+    """Keys of deleted settings included: such a checkpoint is refused, naming the key."""
     out = tmp_path / "run"
     assert run_cli(small_train_args(synth_dir, out)) == 0
     manifest_path = out / "best.manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["config"]["share_cross_attention"] = True
-    manifest_path.write_text(json.dumps(manifest))
-    capsys.readouterr()
-    code = run_cli(["eval", "--ckpt", str(out / "best"),
-                    "--data", str(synth_dir / "dataset.json"), "--split", "train"])
-    assert code == 3
-    assert "share_cross_attention" in capsys.readouterr().err
+    for key, value in [("share_cross_attention", True), ("bridge_variant", "attn_kl"),
+                       ("adam_beta1", 0.9)]:
+        config = dict(manifest["config"], **{key: value})
+        manifest_path.write_text(json.dumps(dict(manifest, config=config)))
+        capsys.readouterr()
+        code = run_cli(["eval", "--ckpt", str(out / "best"),
+                        "--data", str(synth_dir / "dataset.json"), "--split", "train"])
+        assert code == 3
+        assert key in capsys.readouterr().err
 
 
 def test_eval_uses_the_checkpoint_config(synth_dir, tmp_path, capsys):
     out = tmp_path / "run"
-    extra = ["--axis-mode", "rows", "--score-norm", "sum"]
+    extra = ["--axis-mode", "rows"]
     assert run_cli(small_train_args(synth_dir, out, extra=extra)) == 0
     capsys.readouterr()
     assert run_cli(["eval", "--ckpt", str(out / "best"),
@@ -165,14 +178,14 @@ def test_eval_uses_the_checkpoint_config(synth_dir, tmp_path, capsys):
     reported = json.loads(capsys.readouterr().out)
 
     tensors, cfg, vocab = load_checkpoint(out / "best")
-    assert (cfg.axis_mode, cfg.score_norm) == ("rows", "sum")
+    assert cfg.axis_mode == "rows"
     ds = load_dataset(synth_dir / "dataset.json", "train", vocab=Vocabulary(vocab))
     params = init_model_params(np.random.default_rng(0), len(vocab),
                                d_v=ds.examples[0].region_features.shape[1], d_e=cfg.d_e,
                                d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
     restore_params(params, tensors)
     assert reported == evaluate(params, ds, cfg).to_dict()
-    defaults = dataclasses.replace(cfg, axis_mode="columns", score_norm="mean")
+    defaults = dataclasses.replace(cfg, axis_mode="columns")
     assert reported != evaluate(params, ds, defaults).to_dict()
 
 
@@ -242,6 +255,15 @@ def _mistyped_features(synth_dir, tmp_path):
     return small_train_args(synth_dir, tmp_path / "run", extra=["--features", str(typo)]), str(typo)
 
 
+def _non_utf8_feature_id(synth_dir, tmp_path):
+    bad = _bad_copy(synth_dir, tmp_path, lambda raw: None)
+    features = bytearray((bad.parent / "features.bin").read_bytes())
+    features[14] = 0xFF                 # the first image id, after the header and its length
+    (bad.parent / "features.bin").write_bytes(bytes(features))
+    return (small_train_args(bad.parent, tmp_path / "run"),
+            f"{bad.parent / 'features.bin'}: image id at byte 14 is not UTF-8")
+
+
 def _no_dialogs(synth_dir, tmp_path):
     bad = _bad_copy(synth_dir, tmp_path, lambda raw: raw["dialogs"].clear())
     return small_train_args(bad.parent, tmp_path / "run"), f"{bad} holds no dialog rounds"
@@ -263,7 +285,8 @@ def _all_zero_relevance(synth_dir, tmp_path):
     return small_train_args(bad.parent, tmp_path / "run"), f"{bad}: $.dialogs[2].rounds[1].relevance"
 
 
-@pytest.mark.parametrize("case", [_val_without_features, _mistyped_features, _no_dialogs,
+@pytest.mark.parametrize("case", [_val_without_features, _mistyped_features,
+                                  _non_utf8_feature_id, _no_dialogs,
                                   _oracle_without_gt_grounding, _all_zero_relevance])
 def test_data_errors_exit_3_naming_the_input(synth_dir, tmp_path, capsys, case):
     argv, named = case(synth_dir, tmp_path)

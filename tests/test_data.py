@@ -1,7 +1,9 @@
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grounddial import data as D
 from grounddial.model import pack_batch, prepare_units
@@ -178,6 +180,17 @@ def _round_at(raw, dialog, index):
      "$.dialogs[1].rounds[0].gt_grounding: must name at least one region"),
     (lambda d: d["dialogs"].__setitem__(1, 3), "$.dialogs[1]: dialog must be an object"),
     (lambda d: d["dialogs"][1].pop("rounds"), "$.dialogs[1]: missing key 'rounds'"),
+    (lambda d: d["dialogs"][1].__setitem__("rounds", 5), "$.dialogs[1].rounds: must be a list"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("relevance", ["abc", 1.0]),
+     "$.dialogs[1].rounds[0].relevance: entries must be numbers"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("relevance", [None, 1.0]),
+     "$.dialogs[1].rounds[0].relevance: entries must be numbers"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("relevance", [True, 1.0]),
+     "$.dialogs[1].rounds[0].relevance: entries must be numbers"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("gt_index", True),
+     "$.dialogs[1].rounds[0].gt_index: must be in [0, 2)"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("gt_grounding", [False]),
+     "$.dialogs[1].rounds[0].gt_grounding: must be a list of region indices"),
 ])
 def test_bad_round_parse_errors_name_the_path(mutate, message):
     raw = two_image_raw()
@@ -189,8 +202,46 @@ def test_bad_round_parse_errors_name_the_path(mutate, message):
 
 def test_relevance_entries_parse_to_floats():
     raw = two_image_raw()
-    _round_at(raw, 0, 0)["relevance"] = [1, "0.5"]
+    _round_at(raw, 0, 0)["relevance"] = [1, 0.5]
     assert dataset_from_dict(raw).examples[0].rounds[0].relevance == [1.0, 0.5]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                               max_size=3),
+    max_leaves=6)
+
+
+def _value_paths(node, path=()):
+    """The path of every value nested anywhere in a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _value_paths(child, path + (key,))
+
+
+def _full_raw():
+    """two_image_raw with every optional key present."""
+    raw = two_image_raw()
+    _round_at(raw, 0, 0).update(relevance=[1.0, 0.5], gt_grounding=[0])
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(_value_paths(_full_raw()))), JSON_VALUES)
+def test_any_one_value_replaced_parses_or_raises_parse_error(path, value):
+    raw = _full_raw()
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        dataset_from_dict(raw)
+    except ParseError as e:
+        assert str(e).startswith("$")
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +274,49 @@ def test_feature_truncation_reports_offset(tmp_path):
     with pytest.raises(FeatureFileError) as e:
         load_features(tmp_path / "cut.bin")
     assert "byte" in str(e.value)
+
+
+def _image_block(image_id: bytes, block: np.ndarray) -> bytes:
+    return (struct.pack("<H", len(image_id)) + image_id + struct.pack("<II", *block.shape)
+            + block.astype("<f4").tobytes())
+
+
+@pytest.mark.parametrize("blocks, trailer, message", [
+    ([b"a", b"\xff\xfe"], b"", "image id at byte 41 is not UTF-8"),
+    ([b"a"], b"\x00\x01", "2 bytes past the last of 1 images, at byte 39"),
+    ([b"a", b"a"], b"", "image id 'a' at byte 41 appears twice"),
+])
+def test_corrupt_feature_file_names_the_byte(tmp_path, blocks, trailer, message):
+    block = np.ones((2, 2), dtype=np.float32)
+    blob = (b"VFEA" + struct.pack("<II", 1, len(blocks))
+            + b"".join(_image_block(i, block) for i in blocks) + trailer)
+    (tmp_path / "f.bin").write_bytes(blob)
+    with pytest.raises(FeatureFileError, match=message):
+        load_features(tmp_path / "f.bin")
+
+
+@pytest.fixture(scope="module")
+def feature_file(tmp_path_factory):
+    """(scratch path, the bytes of a valid two-image feature file)."""
+    folder = tmp_path_factory.mktemp("features")
+    write_features(folder / "valid.bin", {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
+                                          "bé": np.ones((1, 3), dtype=np.float32)})
+    return folder / "corrupt.bin", (folder / "valid.bin").read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_cut_or_changed_byte_loads_or_raises_feature_file_error(feature_file, data):
+    path, blob = feature_file
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    at = data.draw(st.integers(0, len(blob) - 1), label="at")
+    byte = data.draw(st.integers(0, 255), label="byte")
+    for corrupt in (blob[:cut], blob[:at] + bytes([byte]) + blob[at + 1:]):
+        path.write_bytes(corrupt)
+        try:
+            load_features(path)
+        except FeatureFileError as e:
+            assert "byte" in str(e)
 
 
 def test_feature_roundtrip_identity_on_maps():

@@ -135,14 +135,6 @@ def test_generative_rank_negates_loss_exactly(params, embedding):
     assert score == -loss
 
 
-def test_generative_rank_sum_variant(params, embedding):
-    fused = Tensor(rng().normal(size=(1, D_Q)))
-    cand = [[[4, 9]]]
-    mean_s = generative_rank(fused, cand, embedding, params, "mean")[0][0]
-    sum_s = generative_rank(fused, cand, embedding, params, "sum")[0][0]
-    assert abs(sum_s - mean_s * 3) < 1e-12  # 2 tokens + EOS
-
-
 # ---------------------------------------------------------------------------
 # discriminative decoder
 

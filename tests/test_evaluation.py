@@ -6,13 +6,19 @@ import pytest
 
 from grounddial import evaluation, model
 from grounddial.autodiff import ContractError, InvalidDistributionError, Tensor
-from grounddial.data import SyntheticConfig, generate_synthetic
+from grounddial.cli import main
+from grounddial.data import (
+    SyntheticConfig,
+    dump_dataset_json,
+    generate_synthetic,
+    generate_synthetic_raw,
+    write_features,
+)
 from grounddial.evaluation import (
     ABLATION_MODES,
     EvalReport,
     distribution_entropy,
     evaluate,
-    export_attention,
     grounding_accuracy,
     mean_rank,
     mrr,
@@ -20,12 +26,8 @@ from grounddial.evaluation import (
     rank_of_gt,
     recall_at_k,
 )
-from grounddial.model import (
-    TrainConfig,
-    batch_prior_weights,
-    infer_batch_scores,
-    init_model_params,
-)
+from grounddial.model import TrainConfig, infer_batch_scores, init_model_params, named_parameters
+from grounddial.training import save_checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +230,11 @@ def test_evaluate_decoder_follows_loss_mode(tiny_setup):
 
 def test_evaluate_posterior_diagnostics(tiny_setup):
     ds, params, cfg = tiny_setup
-    rep = evaluate(params, ds, cfg, posterior_diagnostics=True)
+    rep = evaluate(params, ds, cfg, with_posterior=True)
     assert rep.entropy_posterior is not None
+    assert all("posterior" in rec for rec in rep.attention)
+    assert rep.entropy_posterior == pytest.approx(
+        np.mean([distribution_entropy(rec["posterior"]) for rec in rep.attention]))
 
 
 def test_ablate_mean_mode_is_uniform(tiny_setup):
@@ -256,16 +261,18 @@ def test_ablate_unknown_mode_rejected_before_any_work(tiny_setup, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("evaluate ran the model before checking the ablation mode")
 
-    for name in ("prepare_units", "batch_prior_weights", "infer_batch_scores"):
+    for name in ("prepare_units", "batch_posterior_weights", "infer_batch_scores"):
         monkeypatch.setattr(evaluation, name, no_work)
     with pytest.raises(ValueError, match="nope"):
         evaluate(params, ds, cfg, ablate="nope")
 
 
 @pytest.mark.parametrize("ablate", ABLATION_MODES)
-def test_every_ablation_encodes_each_batch_once(ablate, monkeypatch):
-    """24 units in batches of 8: one context encoding and one prior per batch."""
-    ds = generate_synthetic(SyntheticConfig(num_images=8, seed=9))
+def test_every_ablation_encodes_each_batch_once(ablate, monkeypatch, tmp_path):
+    """24 units in batches of 8: one context encoding and one prior per batch,
+    in evaluate and in `eval --export-attention`."""
+    synthetic = SyntheticConfig(num_images=8, seed=9)
+    ds = generate_synthetic(synthetic)
     cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4, batch_size=8)
     params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16,
                                d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
@@ -280,12 +287,28 @@ def test_every_ablation_encodes_each_batch_once(ablate, monkeypatch):
     evaluate(params, ds, cfg, ablate=ablate, seed=3)
     assert calls == [8, 8, 8]
 
+    raw, features = generate_synthetic_raw(synthetic)
+    (tmp_path / "dataset.json").write_text(dump_dataset_json(raw))
+    write_features(tmp_path / "features.bin", features)
+    save_checkpoint(tmp_path / "best", named_parameters(params), cfg, ds.vocab.id_to_token)
+    exported = tmp_path / "attention.jsonl"
+    calls.clear()
+    assert main(["eval", "--ckpt", str(tmp_path / "best"), "--data", str(tmp_path / "dataset.json"),
+                 "--report", str(tmp_path / "report.json"), "--export-attention", str(exported),
+                 *(["--ablate", ablate] if ablate != "learned" else [])]) == 0
+    assert calls == [8, 8, 8]
+    assert len(exported.read_text().splitlines()) == 24
+
 
 def test_ablate_deterministic(tiny_setup):
     ds, params, cfg = tiny_setup
     a = evaluate(params, ds, cfg, ablate="random", seed=5)
     b = evaluate(params, ds, cfg, ablate="random", seed=5)
     assert a.to_dict() == b.to_dict()
+
+
+def prior_weights(params, batch, cfg):
+    return infer_batch_scores(params, batch, cfg, decoder="generative")[1]
 
 
 def random_overrides(monkeypatch, params, ds, cfg, seed):
@@ -311,7 +334,7 @@ def test_ablate_random_with_one_region_count_permutes_each_batch(tiny_setup, mon
     assert [len(batch) for batch, _ in seen] == [4, 4, 1]
     rng = np.random.default_rng(7)
     for batch, override in seen:
-        learned = batch_prior_weights(params, batch, cfg)
+        learned = prior_weights(params, batch, cfg)
         want = [learned[int(k)] for k in rng.permutation(len(batch))]
         assert all(np.array_equal(w, v) for w, v in zip(override, want))
 
@@ -328,7 +351,7 @@ def test_ablate_random_shuffles_among_units_with_the_same_region_count(monkeypat
     assert [{u.features.shape[0] for u in batch} for batch, _ in seen] == [{6, 8}, {6, 8}, {6}]
     moved = 0
     for batch, override in seen:
-        learned = batch_prior_weights(params, batch, cfg)
+        learned = prior_weights(params, batch, cfg)
         for mu in {u.features.shape[0] for u in batch}:
             same = [b for b, u in enumerate(batch) if u.features.shape[0] == mu]
             got = sorted(tuple(override[b]) for b in same)
@@ -337,11 +360,12 @@ def test_ablate_random_shuffles_among_units_with_the_same_region_count(monkeypat
     assert moved > 0
 
 
-def test_export_attention_records(tiny_setup):
+def test_evaluate_keeps_attention_records(tiny_setup):
     ds, params, cfg = tiny_setup
-    recs = export_attention(params, ds, cfg)
+    rep = evaluate(params, ds, cfg)
+    recs = rep.attention
     assert len(recs) == 9
     assert {"image_id", "round", "prior", "top3_prior", "gt_grounding"} <= set(recs[0])
     assert "posterior" not in recs[0]
-    recs2 = export_attention(params, ds, cfg, with_posterior=True)
-    assert "posterior" in recs2[0]
+    assert "attention" not in rep.to_dict()
+    assert "posterior" in evaluate(params, ds, cfg, with_posterior=True).attention[0]

@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from grounddial import autodiff as ad
 from grounddial import grounding as gr
 from grounddial.autodiff import DegenerateSliceError, Tape, Tensor, backward, grad_check
 from grounddial.grounding import (
-    GroundingOutput,
     bridge_loss,
     cross_attend,
     init_grounding_params,
@@ -200,18 +198,6 @@ def test_posterior_differs_with_nonzero_answer(params):
     assert not np.allclose(G.data, gp.data)
 
 
-def test_posterior_call_counter(params):
-    g = rng()
-    before = gr.posterior_call_count()
-    I = one(g.normal(size=(4, D_Q)))
-    x = one(g.normal(size=(2, D_Q)))
-    y = one(g.normal(size=(2, D_Q)))
-    prior_ground(I, x, [[True, True]], params, "columns", every(I))
-    assert gr.posterior_call_count() == before
-    posterior_ground(I, x, y, [[True, True]], params, "columns", every(I))
-    assert gr.posterior_call_count() == before + 1
-
-
 @pytest.mark.parametrize("axis_mode", ["columns", "rows"])
 def test_ragged_batch_rows_match_single_unit_calls(params, axis_mode):
     """Padding regions and tokens hold garbage here; the masks keep it out."""
@@ -234,54 +220,45 @@ def test_ragged_batch_rows_match_single_unit_calls(params, axis_mode):
         assert np.allclose(vb.data[b], v1.data[0], rtol=1e-12, atol=1e-14)
         assert np.allclose(Gb.data[b, :mu], G1.data[0], rtol=1e-12, atol=1e-15)
         assert np.allclose(vpb.data[b], vp1.data[0], rtol=1e-12, atol=1e-14)
-        singles.append(GroundingOutput(g=g1, v_prior=v1, G=G1, v_post=vp1, mask_i=every(I1)))
-    out = GroundingOutput(g=gb, v_prior=vb, G=Gb, v_post=vpb, mask_i=mask_i)
-    for variant in gr.BRIDGE_VARIANTS:
-        want = np.mean([bridge_loss(o, variant).item() for o in singles])
-        assert bridge_loss(out, variant).item() == pytest.approx(want, rel=1e-12)
+        singles.append(bridge_loss(G1, g1).item())
+    assert bridge_loss(Gb, gb).item() == pytest.approx(np.mean(singles), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # bridge loss
 
-def _output_for(params, I_arr, x_arr, y_arr, mask):
+def _branches_for(params, I_arr, x_arr, y_arr, mask):
+    """(posterior G, prior g) of one unit."""
     I, x, y = one(I_arr), one(x_arr), one(y_arr)
-    g, v_prior, _ = prior_ground(I, x, mask, params, "columns", every(I))
-    G, v_post = posterior_ground(I, x, y, mask, params, "columns", every(I))
-    return GroundingOutput(g=g, v_prior=v_prior, G=G, v_post=v_post, mask_i=every(I))
+    g, _, _ = prior_ground(I, x, mask, params, "columns", every(I))
+    G, _ = posterior_ground(I, x, y, mask, params, "columns", every(I))
+    return G, g
 
 
 def test_bridge_zero_answer_all_variants_zero(params):
+    """A zero answer makes the posterior equal the prior, so the bridge, the
+    one KL, is zero."""
     g = rng()
-    out = _output_for(params, g.normal(size=(4, D_Q)), g.normal(size=(2, D_Q)),
-                      np.zeros((2, D_Q)), [[True, True]])
-    for variant in gr.BRIDGE_VARIANTS:
-        assert abs(bridge_loss(out, variant).item()) < 1e-12
+    G, gp = _branches_for(params, g.normal(size=(4, D_Q)), g.normal(size=(2, D_Q)),
+                          np.zeros((2, D_Q)), [[True, True]])
+    assert abs(bridge_loss(G, gp).item()) < 1e-12
 
 
 def test_bridge_attn_kl_hand_value(params):
-    out = GroundingOutput(
-        g=Tensor([[0.5, 0.5]]),
-        v_prior=Tensor(np.zeros((1, D_Q))),
-        G=Tensor([[0.25, 0.75]]),
-        v_post=Tensor(np.zeros((1, D_Q))),
-        mask_i=np.ones((1, 2), dtype=bool),
-    )
-    val = bridge_loss(out, "attn_kl").item()
+    val = bridge_loss(Tensor([[0.25, 0.75]]), Tensor([[0.5, 0.5]])).item()
     expect = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
     assert abs(val - expect) < 1e-12
     # swapped-direction sanity: the spec's 0.14384 example with posterior [0.25,0.75] as p
-    out2 = GroundingOutput(g=Tensor([[0.25, 0.75]]), v_prior=out.v_prior,
-                           G=Tensor([[0.5, 0.5]]), v_post=out.v_post, mask_i=out.mask_i)
-    assert abs(bridge_loss(out2, "attn_kl").item() - 0.14384) < 5e-6
+    assert abs(bridge_loss(Tensor([[0.5, 0.5]]), Tensor([[0.25, 0.75]])).item()
+               - 0.14384) < 5e-6
 
 
 def test_bridge_nonnegative_kl(params):
     g = rng()
     for _ in range(50):
-        out = _output_for(params, g.normal(size=(5, D_Q)), g.normal(size=(3, D_Q)),
-                          g.normal(size=(3, D_Q)), [[True, True, True]])
-        assert bridge_loss(out, "attn_kl").item() >= 0.0
+        G, gp = _branches_for(params, g.normal(size=(5, D_Q)), g.normal(size=(3, D_Q)),
+                              g.normal(size=(3, D_Q)), [[True, True, True]])
+        assert bridge_loss(G, gp).item() >= 0.0
 
 
 def test_bridge_detach_blocks_posterior_gradient(params):
@@ -291,10 +268,9 @@ def test_bridge_detach_blocks_posterior_gradient(params):
     y = one(g.normal(size=(2, D_Q)), requires_grad=True)
     mask = [[True, True]]
     with Tape() as tape:
-        gp, vp, _ = prior_ground(I, x, mask, params, "columns", every(I))
-        G, v_post = posterior_ground(I, x, y, mask, params, "columns", every(I))
-        out = GroundingOutput(g=gp, v_prior=vp, G=G, v_post=v_post, mask_i=every(I))
-        loss = bridge_loss(out, "attn_kl", detach_posterior=True)
+        gp, _, _ = prior_ground(I, x, mask, params, "columns", every(I))
+        G, _ = posterior_ground(I, x, y, mask, params, "columns", every(I))
+        loss = bridge_loss(G, gp, detach_posterior=True)
     backward(loss, tape)
     # y feeds only the posterior branch; detached target -> no gradient at all
     assert y.grad is None
@@ -308,20 +284,11 @@ def test_bridge_joint_gradient_reaches_posterior(params):
     y = one(g.normal(size=(2, D_Q)), requires_grad=True)
     mask = [[True, True]]
     with Tape() as tape:
-        gp, vp, _ = prior_ground(I, x, mask, params, "columns", every(I))
-        G, v_post = posterior_ground(I, x, y, mask, params, "columns", every(I))
-        out = GroundingOutput(g=gp, v_prior=vp, G=G, v_post=v_post, mask_i=every(I))
-        loss = bridge_loss(out, "attn_kl", detach_posterior=False)
+        gp, _, _ = prior_ground(I, x, mask, params, "columns", every(I))
+        G, _ = posterior_ground(I, x, y, mask, params, "columns", every(I))
+        loss = bridge_loss(G, gp, detach_posterior=False)
     backward(loss, tape)
     assert y.grad is not None and np.abs(y.grad).max() > 0
-
-
-def test_bridge_unknown_variant(params):
-    g = rng()
-    out = _output_for(params, g.normal(size=(4, D_Q)), g.normal(size=(2, D_Q)),
-                      g.normal(size=(2, D_Q)), [[True, True]])
-    with pytest.raises(ValueError):
-        bridge_loss(out, "nope")
 
 
 def test_end_to_end_grad_check_prior_plus_bridge(params):
@@ -330,14 +297,12 @@ def test_end_to_end_grad_check_prior_plus_bridge(params):
     g = rng()
     I_arr = g.normal(size=(4, D_Q))
     G_fixed = Tensor(np.array([[0.1, 0.4, 0.3, 0.2]]))
-    v_fixed = Tensor(g.normal(size=(1, D_Q)))
     mask = [[True, True]]
 
     def f(x):
         I = one(I_arr)
-        gp, vp, _ = prior_ground(I, x, mask, params, "columns", every(I))
-        out = GroundingOutput(g=gp, v_prior=vp, G=G_fixed, v_post=v_fixed, mask_i=every(I))
-        return bridge_loss(out, "attn_kl", detach_posterior=True)
+        gp, _, _ = prior_ground(I, x, mask, params, "columns", every(I))
+        return bridge_loss(G_fixed, gp, detach_posterior=True)
 
     for seed in range(5):
         x = Tensor(np.random.default_rng(seed).normal(size=(1, 2, D_Q)))
@@ -355,10 +320,9 @@ def test_end_to_end_grad_check_joint_posterior(params):
     def f(x):
         I = one(I_arr)
         y = one(y_arr)
-        gp, vp, _ = prior_ground(I, x, mask, params, "columns", every(I))
-        G, v_post = posterior_ground(I, x, y, mask, params, "columns", every(I))
-        out = GroundingOutput(g=gp, v_prior=vp, G=G, v_post=v_post, mask_i=every(I))
-        return bridge_loss(out, "attn_kl", detach_posterior=False)
+        gp, _, _ = prior_ground(I, x, mask, params, "columns", every(I))
+        G, _ = posterior_ground(I, x, y, mask, params, "columns", every(I))
+        return bridge_loss(G, gp, detach_posterior=False)
 
     for seed in range(5):
         x = Tensor(np.random.default_rng(seed).normal(size=(1, 2, D_Q)))

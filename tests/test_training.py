@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from grounddial import grounding
+from grounddial import model
 from grounddial.autodiff import ContractError, Tensor
 from grounddial.data import DialogDataset, SyntheticConfig, generate_synthetic
 from grounddial.model import forward_batch, init_model_params, named_parameters, prepare_units
@@ -105,16 +106,15 @@ def test_adam_zero_gradients_leave_params():
     p = Tensor(np.ones((2, 2)), requires_grad=True)
     p.grad = np.zeros((2, 2))
     before = p.data.copy()
-    adam_step({"p": p}, OptimizerState(), 0.1, TrainConfig())
+    adam_step({"p": p}, OptimizerState(), 0.1)
     assert np.array_equal(p.data, before)
 
 
 def test_adam_single_step_magnitude():
     """One step on f(w) = w^2 from w=1 moves toward 0 by about lr."""
-    cfg = TrainConfig()
     p = Tensor(np.array([1.0]), requires_grad=True)
     p.grad = 2.0 * p.data
-    adam_step({"w": p}, OptimizerState(), 0.01, cfg)
+    adam_step({"w": p}, OptimizerState(), 0.01)
     delta = 1.0 - p.data[0]
     assert delta > 0
     assert abs(delta - 0.01) < 1e-6
@@ -124,7 +124,7 @@ def test_adam_nan_gradient_names_parameter():
     p = Tensor(np.ones(2), requires_grad=True)
     p.grad = np.array([np.nan, 0.0])
     with pytest.raises(DivergenceError) as e:
-        adam_step({"bad_param": p}, OptimizerState(), 0.1, TrainConfig())
+        adam_step({"bad_param": p}, OptimizerState(), 0.1)
     assert "bad_param" in str(e.value)
 
 
@@ -134,13 +134,13 @@ def test_adam_nan_in_last_gradient_leaves_everything_unchanged():
     for p in named.values():
         p.grad = np.ones(2)
     state = OptimizerState()
-    adam_step(named, state, 0.1, TrainConfig())
+    adam_step(named, state, 0.1)
     before = ({n: p.data.copy() for n, p in named.items()},
               {n: m.copy() for n, m in state.m.items()},
               {n: v.copy() for n, v in state.v.items()}, state.step)
     named["last"].grad = np.array([0.0, np.nan])
     with pytest.raises(DivergenceError) as e:
-        adam_step(named, state, 0.1, TrainConfig())
+        adam_step(named, state, 0.1)
     assert "last" in str(e.value)
     params, m, v, step = before
     assert all(np.array_equal(named[n].data, params[n]) for n in named)
@@ -155,7 +155,7 @@ def test_adam_deterministic_trajectory():
         st = OptimizerState()
         for i in range(5):
             p.grad = p.data * 0.5 + i
-            adam_step({"p": p}, st, 0.01, TrainConfig())
+            adam_step({"p": p}, st, 0.01)
         return p.data.copy()
 
     assert np.array_equal(run(), run())
@@ -204,14 +204,23 @@ def test_first_batch_generative_loss_independent_of_kl_weight():
     assert first_lg(0.0) == first_lg(1.0)
 
 
-def test_validation_never_calls_posterior():
-    from grounddial.evaluation import evaluate
+def test_validation_never_calls_posterior(monkeypatch):
+    """train() runs the posterior once per training batch, and per-epoch
+    validation never does."""
     ds = tiny_data()
     cfg = tiny_cfg()
-    params = tiny_model(ds, cfg, seed=4)
-    before = grounding.posterior_call_count()
-    evaluate(params, ds, cfg)
-    assert grounding.posterior_call_count() == before
+    batch_sizes = []
+    real = model.posterior_ground
+
+    def counting(I, *args):
+        batch_sizes.append(I.shape[0])
+        return real(I, *args)
+
+    monkeypatch.setattr(model, "posterior_ground", counting)
+    train(ds, ds, tiny_model(ds, cfg, seed=4), cfg)
+    units = len(ds.units())
+    assert len(batch_sizes) == cfg.max_epochs * math.ceil(units / cfg.batch_size)
+    assert sum(batch_sizes) == cfg.max_epochs * units
 
 
 def test_train_on_an_empty_dataset_raises():
