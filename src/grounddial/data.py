@@ -139,9 +139,15 @@ def _parse_round(obj, dialog: int, index: int) -> Round:
     for key in ("question", "answer", "answer_options", "gt_index"):
         if key not in obj:
             fail("", f"missing key {key!r}")
+    for key in ("question", "answer"):
+        if not isinstance(obj[key], str):
+            fail(f".{key}", "must be a string")
     options = obj["answer_options"]
     if not (isinstance(options, list) and options):
         fail(".answer_options", "must be a non-empty list")
+    for k, option in enumerate(options):
+        if not isinstance(option, str):
+            fail(f".answer_options[{k}]", "must be a string")
     gt = obj["gt_index"]
     if not (_is_int(gt) and 0 <= gt < len(options)):
         fail(".gt_index", f"must be in [0, {len(options)})")
@@ -168,9 +174,9 @@ def _parse_round(obj, dialog: int, index: int) -> Round:
         if not grounding:
             fail(".gt_grounding", "must name at least one region")
     return Round(
-        question=str(obj["question"]),
-        answer=str(obj["answer"]),
-        candidate_texts=[str(o) for o in options],
+        question=obj["question"],
+        answer=obj["answer"],
+        candidate_texts=list(options),
         gt_index=gt,
         relevance=relevance,
         gt_grounding=list(grounding) if grounding is not None else None,
@@ -199,10 +205,13 @@ def dataset_from_dict(raw, split: str = "train",
         for key in ("image_id", "caption", "rounds"):
             if key not in d:
                 raise ParseError(f"$.dialogs[{i}]: missing key {key!r}")
+        for key in ("image_id", "caption"):
+            if not isinstance(d[key], str):
+                raise ParseError(f"$.dialogs[{i}].{key}: must be a string")
         if not isinstance(d["rounds"], list):
             raise ParseError(f"$.dialogs[{i}].rounds: must be a list")
         rounds = [_parse_round(r, i, j) for j, r in enumerate(d["rounds"])]
-        examples.append(DialogExample(image_id=str(d["image_id"]), caption=str(d["caption"]), rounds=rounds))
+        examples.append(DialogExample(image_id=d["image_id"], caption=d["caption"], rounds=rounds))
 
     if vocab is None:
         texts: list[str] = []

@@ -8,7 +8,6 @@ as fractions in [0, 1]; multiply by 100 only when formatting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
@@ -16,15 +15,7 @@ import numpy as np
 
 from .autodiff import ContractError, InvalidDistributionError
 from .data import DialogDataset, batch_iterator
-from .grounding import attention_record
-from .model import (
-    ModelParams,
-    TrainConfig,
-    Unit,
-    batch_posterior_weights,
-    infer_batch_scores,
-    prepare_units,
-)
+from .model import ModelParams, TrainConfig, Unit, infer_batch_scores, prepare_units
 
 
 @dataclass
@@ -40,7 +31,7 @@ class EvalReport:
     grounding_top3: Optional[float] = None
     entropy_prior: Optional[float] = None
     entropy_posterior: Optional[float] = None
-    # one grounding.attention_record per unit, in unit order; not a metric,
+    # one attention_record per unit, in unit order; not a metric,
     # so to_dict leaves it out
     attention: list[dict] = field(default_factory=list, repr=False)
 
@@ -104,19 +95,27 @@ def ndcg(scores: Sequence[float], relevance: Sequence[float]) -> float:
     return dcg / ideal
 
 
-def grounding_accuracy(records: Sequence[dict], top_k: int = 3) -> float:
-    """Fraction of records whose top-k prior regions intersect gt_grounding."""
-    if not records:
-        raise ContractError("grounding_accuracy over zero records")
-    hits = 0
-    for rec in records:
-        if "gt_grounding" not in rec or rec["gt_grounding"] is None:
-            raise ContractError(f"record for {rec.get('image_id')!r} lacks gt_grounding")
-        prior = np.asarray(rec["prior"], dtype=float)
-        top = set(int(i) for i in _descending_order(prior)[:top_k])
-        if top & set(rec["gt_grounding"]):
-            hits += 1
-    return hits / len(records)
+def grounding_hit(g: np.ndarray, gt_grounding: Sequence[int], top_k: int) -> bool:
+    """Whether the top_k regions of g, ties to the lower index, include a
+    ground-truth one."""
+    return not set(_descending_order(g)[:top_k].tolist()).isdisjoint(gt_grounding)
+
+
+def attention_record(image_id: str, round_idx: int, g: np.ndarray,
+                     G: Optional[np.ndarray] = None,
+                     gt_grounding: Optional[list[int]] = None) -> dict:
+    """One exportable JSON record per (image, round)."""
+    rec = {
+        "image_id": image_id,
+        "round": round_idx,
+        "prior": [float(v) for v in g],
+        "top3_prior": _descending_order(g)[:3].tolist(),
+    }
+    if G is not None:
+        rec["posterior"] = [float(v) for v in G]
+    if gt_grounding is not None:
+        rec["gt_grounding"] = [int(i) for i in gt_grounding]
+    return rec
 
 
 def distribution_entropy(dist: Sequence[float]) -> float:
@@ -131,30 +130,27 @@ def distribution_entropy(dist: Sequence[float]) -> float:
 ABLATION_MODES = ("learned", "mean", "random", "oracle")
 
 
-def _ablated_weights(batch: list[Unit], learned: list[np.ndarray], mode: str,
-                     rng: np.random.Generator) -> list[np.ndarray]:
-    """Replacement distribution per unit of a batch for the mean, oracle and
-    random modes, given the batch's learned prior distributions."""
-    mus = [u.features.shape[0] for u in batch]
+def _ablated_weights(batch: list[Unit], learned: np.ndarray, mode: str,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Replacement [B, mu] weights of a batch for the mean, oracle and random
+    modes, given its learned prior weights; rows are zero past each unit's
+    regions."""
+    mus = np.array([u.features.shape[0] for u in batch])
     if mode == "mean":
-        return [np.full(mu, 1.0 / mu) for mu in mus]
+        return (np.arange(learned.shape[1]) < mus[:, None]) / mus[:, None]
+    out = np.zeros_like(learned)
     if mode == "oracle":
-        out = []
-        for u, mu in zip(batch, mus):
+        for b, u in enumerate(batch):
             if u.gt_grounding is None:
                 raise ContractError(f"oracle ablation needs gt_grounding on unit "
                                     f"{u.image_id!r} round {u.round_index}")
-            w = np.zeros(mu)
-            w[list(u.gt_grounding)] = 1.0 / len(u.gt_grounding)
-            out.append(w)
+            out[b, :mus[b]][list(u.gt_grounding)] = 1.0 / len(u.gt_grounding)
         return out
-    # random: the learned distributions shuffled among the batch's units
-    # with the same region count
-    out = [None] * len(batch)
-    for mu in dict.fromkeys(mus):
-        same = [b for b, m in enumerate(mus) if m == mu]
-        for b, k in zip(same, rng.permutation(len(same))):
-            out[b] = learned[same[int(k)]]
+    # random: the learned rows shuffled among the batch's units with the
+    # same region count
+    for mu in dict.fromkeys(mus.tolist()):
+        same = np.flatnonzero(mus == mu)
+        out[same] = learned[same[rng.permutation(len(same))]]
     return out
 
 
@@ -171,11 +167,13 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
     shuffled among the units of a batch that have the same region count
     ("random", seeded by `seed`) or the ground truth ("oracle").
 
-    The report keeps each unit's attention record, holding the weights the
-    unit was ranked with. with_posterior additionally runs the answer-aware
-    branch: each record gets its "posterior" and the report its mean entropy
-    (the Table-3 "with answers" protocol); it never affects the ranking
-    metrics.
+    Each batch is one inference pass (`infer_batch_scores`): ranking, the
+    grounding hits, the entropies and the attention records all read the
+    weights the batch was ranked with. The report keeps each unit's attention
+    record. with_posterior additionally runs the answer-aware posterior on
+    the same context encoding: each record gets its "posterior" and the
+    report its mean entropy (the Table-3 "with answers" protocol); it never
+    affects the ranking metrics.
     """
     if ablate not in ABLATION_MODES:
         raise ValueError(f"unknown ablation mode {ablate!r}; know {ABLATION_MODES}")
@@ -191,20 +189,26 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
     records: list[dict] = []
     entropies: list[float] = []
     post_entropies: list[float] = []
+    hits = {1: 0, 3: 0}
     for batch in batch_iterator(units, cfg.batch_size, seed=None):
         g_override = (None if ablate == "learned"
                       else lambda learned: _ablated_weights(batch, learned, ablate, rng))
-        scores, weights = infer_batch_scores(params, batch, cfg, decoder=decoder,
-                                             g_override=g_override)
-        posteriors = (batch_posterior_weights(params, batch, cfg) if with_posterior
-                      else [None] * len(batch))
-        for u, s, g, G in zip(batch, scores, weights, posteriors):
+        scores, weights, posteriors = infer_batch_scores(
+            params, batch, cfg, decoder=decoder, with_posterior=with_posterior,
+            g_override=g_override)
+        for b, (u, s) in enumerate(zip(batch, scores)):
+            mu = u.features.shape[0]
+            g = weights[b, :mu]
+            G = posteriors[b, :mu] if with_posterior else None
             ranks.append(rank_of_gt(s, u.gt_index))
             if u.relevance is not None:
                 ndcgs.append(ndcg(s, u.relevance))
             entropies.append(distribution_entropy(g))
             if with_posterior:
                 post_entropies.append(distribution_entropy(G))
+            if u.gt_grounding is not None:
+                for k in hits:
+                    hits[k] += grounding_hit(g, u.gt_grounding, k)
             records.append(attention_record(u.image_id, u.round_index, g, G=G,
                                             gt_grounding=u.gt_grounding))
 
@@ -220,9 +224,8 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
         attention=records,
     )
     if all(u.gt_grounding is not None for u in units):
-        report.grounding_top1 = grounding_accuracy(records, top_k=1)
-        report.grounding_top3 = grounding_accuracy(records, top_k=3)
+        report.grounding_top1 = hits[1] / len(units)
+        report.grounding_top3 = hits[3] / len(units)
     if with_posterior:
         report.entropy_posterior = float(np.mean(post_entropies))
     return report
-

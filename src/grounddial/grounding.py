@@ -148,21 +148,3 @@ def bridge_loss(G: Tensor, g: Tensor, detach_posterior: bool = True) -> Tensor:
     """
     return ad.kl_divergence(G.detach() if detach_posterior else G, g)
 
-
-def attention_record(image_id: str, round_idx: int, g: np.ndarray,
-                     G: Optional[np.ndarray] = None,
-                     gt_grounding: Optional[list[int]] = None,
-                     top_k: int = 3) -> dict:
-    """One exportable JSON record per (image, round)."""
-    order = np.lexsort((np.arange(len(g)), -g))
-    rec = {
-        "image_id": image_id,
-        "round": round_idx,
-        "prior": [float(v) for v in g],
-        "top3_prior": [int(i) for i in order[:top_k]],
-    }
-    if G is not None:
-        rec["posterior"] = [float(v) for v in G]
-    if gt_grounding is not None:
-        rec["gt_grounding"] = [int(i) for i in gt_grounding]
-    return rec

@@ -284,10 +284,6 @@ def _posterior(params: ModelParams, batch: Batch, cfg: TrainConfig, x: Tensor, I
                             batch.region_mask)
 
 
-def _per_unit(rows: np.ndarray, lengths: Sequence[int]) -> list[np.ndarray]:
-    return [rows[b, :n].copy() for b, n in enumerate(lengths)]
-
-
 def forward_batch(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig) -> BatchForward:
     """Training forward pass over a batch; each loss is the mean of the
     per-unit losses, and the training loss is the decoder losses that
@@ -317,51 +313,38 @@ def forward_batch(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig) 
 
 
 def infer_batch_scores(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig, *,
-                       decoder: str,
-                       g_override: Optional[Callable[[list[np.ndarray]], Sequence[np.ndarray]]]
-                       = None) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Inference pass over a batch: per unit, candidate scores and the weights pooled with.
+                       decoder: str, with_posterior: bool = False,
+                       g_override: Optional[Callable[[np.ndarray], np.ndarray]] = None
+                       ) -> tuple[list[np.ndarray], np.ndarray, Optional[np.ndarray]]:
+    """Inference pass over a batch: per-unit candidate scores, the [B, mu]
+    region weights pooled with, and the posterior's [B, mu] weights when
+    `with_posterior` is set (None otherwise). Weight rows are zero past each
+    unit's regions.
 
-    Uses v_prior only (no answer information). `g_override`, for the
-    ablation protocols, is given the prior's distributions, one per unit,
-    and returns the ones to pool with instead.
+    Ranking pools with the prior (no answer information). `g_override`, for
+    the ablation protocols, is given the prior's weights and returns the
+    weights to pool with instead. The posterior reads the same context
+    encoding as the prior and never affects the scores.
     """
     if decoder not in ("generative", "discriminative"):
         raise ValueError(f"unknown decoder {decoder!r}")
     batch = pack_batch(units)
-    mus = batch.region_mask.sum(axis=1)
     x, I, g, v_prior, I_x = _prior(params, batch, cfg)
-    g_used = _per_unit(g.data, mus)
+    weights = g.data
     if g_override is not None:
-        override = g_override(g_used)
-        if len(override) != len(batch.units):
-            raise ContractError(f"{len(override)} g_override distributions "
-                                f"for {len(batch.units)} units")
-        weights = np.zeros(batch.region_mask.shape)
-        for b, (u, w) in enumerate(zip(batch.units, override)):
-            if np.shape(w) != (mus[b],):
-                raise ContractError(f"g_override for unit {u.image_id!r} round {u.round_index} "
-                                    f"has shape {np.shape(w)}, expected ({mus[b]},)")
-            weights[b, :mus[b]] = w
+        weights = np.asarray(g_override(weights), dtype=float)
+        if weights.shape != g.shape:
+            raise ContractError(f"g_override returned weights of shape {weights.shape}, "
+                                f"expected {g.shape}")
         B, mu, d_q = I_x.shape
         v_prior = ad.reshape(ad.bmm(ad.const(weights.reshape(B, 1, mu)), I_x), (B, d_q))
-        g_used = _per_unit(weights, mus)
+    posterior = _posterior(params, batch, cfg, x, I)[0].data if with_posterior else None
     fused = fuse_for_decoder(x, batch.q_mask, v_prior, params.decoder)
     candidates = [u.candidates for u in batch.units]
     embedding = params.encoder.embedding
     if decoder == "generative":
         scores = generative_rank(fused, candidates, embedding, params.decoder)
     else:
-        scores = _per_unit(discriminative_scores(fused, candidates, embedding, params.decoder).data,
-                           [len(c) for c in candidates])
-    return scores, g_used
-
-
-def batch_posterior_weights(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig
-                            ) -> list[np.ndarray]:
-    """Posterior weights per unit, for the entropy diagnostic and the
-    answer-aware attention records."""
-    batch = pack_batch(units)
-    x, I = encode_context(params, batch)
-    G = _posterior(params, batch, cfg, x, I)[0]
-    return _per_unit(G.data, batch.region_mask.sum(axis=1))
+        rows = discriminative_scores(fused, candidates, embedding, params.decoder).data
+        scores = [rows[b, :len(c)] for b, c in enumerate(candidates)]
+    return scores, weights, posterior

@@ -155,6 +155,8 @@ def train(ds_train: DialogDataset, ds_val: DialogDataset, params: ModelParams,
     if not train_units:
         raise ContractError("train on an empty dataset")
     val_units = prepare_units(ds_val, cfg.seq_len, cfg.max_history)
+    if not val_units:
+        raise ContractError("validate on an empty dataset")
 
     log_path = None
     if out_dir is not None:

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -285,9 +286,15 @@ def _all_zero_relevance(synth_dir, tmp_path):
     return small_train_args(bad.parent, tmp_path / "run"), f"{bad}: $.dialogs[2].rounds[1].relevance"
 
 
+def _numeric_image_id(synth_dir, tmp_path):
+    bad = _bad_copy(synth_dir, tmp_path, lambda raw: raw["dialogs"][2].update(image_id=7))
+    return small_train_args(bad.parent, tmp_path / "run"), f"{bad}: $.dialogs[2].image_id"
+
+
 @pytest.mark.parametrize("case", [_val_without_features, _mistyped_features,
                                   _non_utf8_feature_id, _no_dialogs,
-                                  _oracle_without_gt_grounding, _all_zero_relevance])
+                                  _oracle_without_gt_grounding, _all_zero_relevance,
+                                  _numeric_image_id])
 def test_data_errors_exit_3_naming_the_input(synth_dir, tmp_path, capsys, case):
     argv, named = case(synth_dir, tmp_path)
     capsys.readouterr()
@@ -316,6 +323,8 @@ def test_eval_shape_mismatch_exits_3(synth_dir, tmp_path, capsys):
 
 
 def test_console_entrypoint():
+    # the child imports the package from where this process found it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-m", "grounddial.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0

@@ -191,6 +191,14 @@ def _round_at(raw, dialog, index):
      "$.dialogs[1].rounds[0].gt_index: must be in [0, 2)"),
     (lambda d: _round_at(d, 1, 0).__setitem__("gt_grounding", [False]),
      "$.dialogs[1].rounds[0].gt_grounding: must be a list of region indices"),
+    (lambda d: d["dialogs"][1].__setitem__("image_id", 7), "$.dialogs[1].image_id: must be a string"),
+    (lambda d: d["dialogs"][0].__setitem__("caption", None), "$.dialogs[0].caption: must be a string"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("question", None),
+     "$.dialogs[1].rounds[0].question: must be a string"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("answer", 3),
+     "$.dialogs[1].rounds[0].answer: must be a string"),
+    (lambda d: _round_at(d, 1, 0)["answer_options"].__setitem__(1, ["blue"]),
+     "$.dialogs[1].rounds[0].answer_options[1]: must be a string"),
 ])
 def test_bad_round_parse_errors_name_the_path(mutate, message):
     raw = two_image_raw()
@@ -230,9 +238,17 @@ def _full_raw():
     return raw
 
 
+def _is_text(path) -> bool:
+    """Whether the value at `path` is text the parser must get as a JSON string."""
+    return (path[-1] in ("image_id", "caption", "question", "answer")
+            or (len(path) > 1 and path[-2] == "answer_options"))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(list(_value_paths(_full_raw()))), JSON_VALUES)
 def test_any_one_value_replaced_parses_or_raises_parse_error(path, value):
+    """Any value put anywhere parses or raises ParseError naming a path; a
+    non-string put where text belongs always raises."""
     raw = _full_raw()
     node = raw
     for key in path[:-1]:
@@ -242,6 +258,8 @@ def test_any_one_value_replaced_parses_or_raises_parse_error(path, value):
         dataset_from_dict(raw)
     except ParseError as e:
         assert str(e).startswith("$")
+    else:
+        assert isinstance(value, str) or not _is_text(path), f"{value!r} parsed as text"
 
 
 # ---------------------------------------------------------------------------

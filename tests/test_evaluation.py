@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -17,9 +18,10 @@ from grounddial.data import (
 from grounddial.evaluation import (
     ABLATION_MODES,
     EvalReport,
+    attention_record,
     distribution_entropy,
     evaluate,
-    grounding_accuracy,
+    grounding_hit,
     mean_rank,
     mrr,
     ndcg,
@@ -153,23 +155,34 @@ def test_recall_monotonicity_random_runs():
 # grounding accuracy
 
 def test_grounding_one_hot_correct():
-    recs = [{"image_id": "a", "round": 0, "prior": [0.0, 1.0, 0.0], "gt_grounding": [1]}]
-    assert grounding_accuracy(recs, top_k=1) == 1.0
+    assert grounding_hit(np.array([0.0, 1.0, 0.0]), [1], top_k=1)
+    assert not grounding_hit(np.array([0.0, 1.0, 0.0]), [2], top_k=1)
 
 
 def test_grounding_uniform_expected_three_eighths():
     """Uniform prior over 8 regions, top-3 by the index tie rule, gt cycling
-    over every index: exactly 3/8 of the records hit."""
-    recs = [
-        {"image_id": "u", "round": i, "prior": [1.0 / 8] * 8, "gt_grounding": [i]}
-        for i in range(8)
-    ]
-    assert grounding_accuracy(recs, top_k=3) == pytest.approx(3 / 8)
+    over every index: exactly 3 of the 8 hit."""
+    uniform = np.full(8, 1.0 / 8)
+    assert [grounding_hit(uniform, [i], top_k=3) for i in range(8)] == [True] * 3 + [False] * 5
 
 
-def test_grounding_missing_annotation_errors():
-    with pytest.raises(ContractError):
-        grounding_accuracy([{"image_id": "a", "round": 0, "prior": [1.0]}])
+def test_grounding_top1_needs_every_unit_annotated():
+    ds = generate_synthetic(SyntheticConfig(num_images=2, seed=9))
+    cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4)
+    params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16,
+                               d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
+    ds.examples[1].rounds[2].gt_grounding = None
+    rep = evaluate(params, ds, cfg)
+    assert rep.grounding_top1 is None and rep.grounding_top3 is None
+    assert "gt_grounding" not in rep.attention[-1]
+
+
+def test_attention_record_shape():
+    rec = attention_record("img1", 2, np.array([0.1, 0.6, 0.2, 0.1]),
+                           G=np.array([0.0, 1.0, 0.0, 0.0]), gt_grounding=[1])
+    assert rec["top3_prior"] == [1, 2, 0]
+    assert rec["gt_grounding"] == [1]
+    assert len(rec["prior"]) == 4 and len(rec["posterior"]) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +248,8 @@ def test_evaluate_posterior_diagnostics(tiny_setup):
     assert all("posterior" in rec for rec in rep.attention)
     assert rep.entropy_posterior == pytest.approx(
         np.mean([distribution_entropy(rec["posterior"]) for rec in rep.attention]))
+    ranking = {k: v for k, v in rep.to_dict().items() if k != "entropy_posterior"}
+    assert ranking == evaluate(params, ds, cfg).to_dict()
 
 
 def test_ablate_mean_mode_is_uniform(tiny_setup):
@@ -261,16 +276,17 @@ def test_ablate_unknown_mode_rejected_before_any_work(tiny_setup, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("evaluate ran the model before checking the ablation mode")
 
-    for name in ("prepare_units", "batch_posterior_weights", "infer_batch_scores"):
+    for name in ("prepare_units", "infer_batch_scores"):
         monkeypatch.setattr(evaluation, name, no_work)
     with pytest.raises(ValueError, match="nope"):
         evaluate(params, ds, cfg, ablate="nope")
 
 
+@pytest.mark.parametrize("with_posterior", [False, True])
 @pytest.mark.parametrize("ablate", ABLATION_MODES)
-def test_every_ablation_encodes_each_batch_once(ablate, monkeypatch, tmp_path):
-    """24 units in batches of 8: one context encoding and one prior per batch,
-    in evaluate and in `eval --export-attention`."""
+def test_every_ablation_encodes_each_batch_once(ablate, with_posterior, monkeypatch, tmp_path):
+    """24 units in batches of 8: one context encoding per batch, the posterior
+    included, in evaluate and in `eval --export-attention [--with-answers]`."""
     synthetic = SyntheticConfig(num_images=8, seed=9)
     ds = generate_synthetic(synthetic)
     cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4, batch_size=8)
@@ -284,7 +300,7 @@ def test_every_ablation_encodes_each_batch_once(ablate, monkeypatch, tmp_path):
         return real(params, batch)
 
     monkeypatch.setattr(model, "encode_context", counting)
-    evaluate(params, ds, cfg, ablate=ablate, seed=3)
+    evaluate(params, ds, cfg, ablate=ablate, seed=3, with_posterior=with_posterior)
     assert calls == [8, 8, 8]
 
     raw, features = generate_synthetic_raw(synthetic)
@@ -295,9 +311,12 @@ def test_every_ablation_encodes_each_batch_once(ablate, monkeypatch, tmp_path):
     calls.clear()
     assert main(["eval", "--ckpt", str(tmp_path / "best"), "--data", str(tmp_path / "dataset.json"),
                  "--report", str(tmp_path / "report.json"), "--export-attention", str(exported),
-                 *(["--ablate", ablate] if ablate != "learned" else [])]) == 0
+                 *(["--ablate", ablate] if ablate != "learned" else []),
+                 *(["--with-answers"] if with_posterior else [])]) == 0
     assert calls == [8, 8, 8]
-    assert len(exported.read_text().splitlines()) == 24
+    records = [json.loads(line) for line in exported.read_text().splitlines()]
+    assert len(records) == 24
+    assert all(("posterior" in rec) == with_posterior for rec in records)
 
 
 def test_ablate_deterministic(tiny_setup):
@@ -316,11 +335,12 @@ def random_overrides(monkeypatch, params, ds, cfg, seed):
     evaluate(ablate="random") ranks."""
     seen = []
 
-    def recording(params, batch, cfg, *, decoder, g_override):
+    def recording(params, batch, cfg, *, decoder, with_posterior, g_override):
         def record(learned):
             seen.append((batch, g_override(learned)))
             return seen[-1][1]
-        return infer_batch_scores(params, batch, cfg, decoder=decoder, g_override=record)
+        return infer_batch_scores(params, batch, cfg, decoder=decoder,
+                                  with_posterior=with_posterior, g_override=record)
 
     monkeypatch.setattr(evaluation, "infer_batch_scores", recording)
     evaluate(params, ds, cfg, ablate="random", seed=seed)
@@ -369,3 +389,15 @@ def test_evaluate_keeps_attention_records(tiny_setup):
     assert "posterior" not in recs[0]
     assert "attention" not in rep.to_dict()
     assert "posterior" in evaluate(params, ds, cfg, with_posterior=True).attention[0]
+
+
+@pytest.mark.parametrize("ablate", ABLATION_MODES)
+def test_grounding_hits_match_the_records(tiny_setup, ablate):
+    """The top-1 and top-3 accuracies count the same hits as the exported
+    records' top-3 regions."""
+    ds, params, cfg = tiny_setup
+    rep = evaluate(params, ds, cfg, ablate=ablate, seed=2)
+    for k, value in ((1, rep.grounding_top1), (3, rep.grounding_top3)):
+        want = np.mean([bool(set(rec["top3_prior"][:k]) & set(rec["gt_grounding"]))
+                        for rec in rep.attention])
+        assert value == want

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from grounddial import grounding as gr
 from grounddial.autodiff import DegenerateSliceError, Tape, Tensor, backward, grad_check
 from grounddial.grounding import (
     bridge_loss,
@@ -328,10 +327,3 @@ def test_end_to_end_grad_check_joint_posterior(params):
         x = Tensor(np.random.default_rng(seed).normal(size=(1, 2, D_Q)))
         assert grad_check(f, x) < 1e-4
 
-
-def test_attention_record_shape():
-    rec = gr.attention_record("img1", 2, np.array([0.1, 0.6, 0.2, 0.1]),
-                              G=np.array([0.0, 1.0, 0.0, 0.0]), gt_grounding=[1])
-    assert rec["top3_prior"] == [1, 2, 0]
-    assert rec["gt_grounding"] == [1]
-    assert len(rec["prior"]) == 4 and len(rec["posterior"]) == 4

@@ -16,7 +16,6 @@ from grounddial import autodiff as ad
 from grounddial.autodiff import ContractError, DegenerateSliceError, Tape, Tensor, backward
 from grounddial.data import EOS_ID, SyntheticConfig, generate_synthetic
 from grounddial.model import (
-    batch_posterior_weights,
     forward_batch,
     infer_batch_scores,
     init_model_params,
@@ -188,34 +187,37 @@ def test_forward_batch_matches_per_unit_oracle(mixed, settings):
 def test_inference_matches_per_unit_oracle(mixed, decoder, axis_mode):
     params, units, base = mixed
     cfg = dataclasses.replace(base, axis_mode=axis_mode)
-    scores, g = infer_batch_scores(params, units, cfg, decoder=decoder)
+    scores, g, posteriors = infer_batch_scores(params, units, cfg, decoder=decoder,
+                                               with_posterior=True)
     rng = np.random.default_rng(0)
-    override = [rng.dirichlet(np.ones(u.features.shape[0])) for u in units]
-    scores_o, g_o = infer_batch_scores(params, units, cfg, decoder=decoder,
-                                       g_override=lambda learned: override)
-    posteriors = batch_posterior_weights(params, units, cfg)
+    override = np.zeros(g.shape)
     for k, u in enumerate(units):
+        override[k, :u.features.shape[0]] = rng.dirichlet(np.ones(u.features.shape[0]))
+    scores_o, g_o, no_posterior = infer_batch_scores(params, units, cfg, decoder=decoder,
+                                                     g_override=lambda learned: override)
+    assert no_posterior is None
+    assert np.array_equal(g_o, override)
+    for k, u in enumerate(units):
+        mu = u.features.shape[0]
+        assert not g[k, mu:].any() and not posteriors[k, mu:].any()
         want_s, want_g = oracle.infer_unit_scores(params, u, cfg, decoder=decoder)
         assert np.allclose(scores[k], want_s, rtol=1e-9, atol=1e-12)
-        assert np.allclose(g[k], want_g, rtol=1e-9, atol=1e-15)
+        assert np.allclose(g[k, :mu], want_g, rtol=1e-9, atol=1e-15)
         want_s, want_g = oracle.infer_unit_scores(params, u, cfg, decoder=decoder,
-                                                  g_override=override[k])
+                                                  g_override=override[k, :mu])
         assert np.allclose(scores_o[k], want_s, rtol=1e-9, atol=1e-12)
-        assert np.array_equal(g_o[k], want_g)
-        assert np.allclose(posteriors[k], oracle.unit_posterior_weights(params, u, cfg),
+        assert np.allclose(posteriors[k, :mu], oracle.unit_posterior_weights(params, u, cfg),
                            rtol=1e-9, atol=1e-15)
 
 
-def test_g_override_of_the_wrong_length_raises_naming_the_unit(mixed):
+def test_g_override_of_the_wrong_shape_raises(mixed):
     params, units, cfg = mixed
-    override = [np.full(u.features.shape[0], 1.0 / u.features.shape[0]) for u in units]
-    override[2] = np.ones(1)           # would broadcast over every real region
-    with pytest.raises(ContractError, match=f"unit {units[2].image_id!r} round {units[2].round_index}"):
+    with pytest.raises(ContractError, match=r"shape \(12, 11\), expected \(12, 12\)"):
         infer_batch_scores(params, units, cfg, decoder="generative",
-                           g_override=lambda learned: override)
-    with pytest.raises(ContractError, match="g_override distributions"):
+                           g_override=lambda learned: learned[:, :-1])
+    with pytest.raises(ContractError, match="g_override returned weights of shape"):
         infer_batch_scores(params, units, cfg, decoder="generative",
-                           g_override=lambda learned: override[:-1])
+                           g_override=lambda learned: learned[:-1])
 
 
 def test_batch_loss_does_not_depend_on_unit_order(mixed):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from grounddial import model
+from grounddial import model, training
 from grounddial.autodiff import ContractError, Tensor
 from grounddial.data import DialogDataset, SyntheticConfig, generate_synthetic
 from grounddial.model import forward_batch, init_model_params, named_parameters, prepare_units
@@ -229,6 +229,19 @@ def test_train_on_an_empty_dataset_raises():
     empty = DialogDataset(examples=[], vocab=ds.vocab, split="train")
     with pytest.raises(ContractError, match="empty"):
         train(empty, ds, tiny_model(ds, cfg), cfg)
+
+
+def test_train_on_an_empty_validation_set_raises_before_the_first_epoch(monkeypatch):
+    ds = tiny_data()
+    cfg = tiny_cfg()
+    empty = DialogDataset(examples=[], vocab=ds.vocab, split="val")
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("train ran a step before checking the validation set")
+
+    monkeypatch.setattr(training, "forward_batch", no_step)
+    with pytest.raises(ContractError, match="validate on an empty dataset"):
+        train(ds, empty, tiny_model(ds, cfg), cfg)
 
 
 def test_multitask_mode_trains():
