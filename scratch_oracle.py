@@ -39,7 +39,7 @@ def batch_loss(units, params):
 
 rng = np.random.default_rng(0)
 for epoch in range(20):
-    lr = lr_at(epoch, cfg)
+    lr = lr_at(epoch)
     order = rng.permutation(len(train_units))
     tot, n = 0.0, 0
     for start in range(0, len(train_units), 32):

@@ -41,6 +41,10 @@ class InvalidDistributionError(ValueError):
     """An input that must lie on the probability simplex does not."""
 
 
+class DivergenceError(RuntimeError):
+    """A loss, gradient, score or weight came out non-finite."""
+
+
 class ContractError(ValueError):
     """An operation precondition was violated."""
 

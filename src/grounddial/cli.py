@@ -146,10 +146,6 @@ def _train_parser(sub) -> argparse.ArgumentParser:
     p.add_argument("--axis-mode", dest="axis_mode", choices=["columns", "rows"])
     p.add_argument("--batch", dest="batch_size", type=int)
     p.add_argument("--epochs", dest="max_epochs", type=int)
-    p.add_argument("--lr", dest="base_lr", type=float)
-    p.add_argument("--decay-factor", dest="decay_factor", type=float)
-    p.add_argument("--warmup-epochs", dest="warmup_epochs", type=int)
-    p.add_argument("--decay-every", dest="decay_every", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--d-q", dest="d_q", type=int)
     p.add_argument("--d-e", dest="d_e", type=int)
@@ -190,6 +186,10 @@ def cmd_train(args) -> int:
     else:
         ds_val = ds_train
     d_v = ds_train.examples[0].region_features.shape[1]
+    val_d_v = ds_val.examples[0].region_features.shape[1]
+    if val_d_v != d_v:
+        raise DataError(f"the features of {args.val_data} have {val_d_v} values per region, "
+                        f"those of {args.data} {d_v}")
     params = init_model_params(np.random.default_rng(cfg.seed), len(ds_train.vocab),
                                d_v=d_v, d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads,
                                d_h=cfg.d_h, fusion_residual=cfg.fusion_residual)
@@ -226,6 +226,9 @@ def _eval_parser(sub) -> argparse.ArgumentParser:
 
 
 def cmd_eval(args) -> int:
+    if args.seed < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
     base = Path(args.ckpt)
     if base.suffix == ".bin":
         base = base.with_suffix("")
@@ -233,8 +236,8 @@ def cmd_eval(args) -> int:
         tensors, cfg, vocab_tokens = load_checkpoint(base)
     except FileNotFoundError as e:
         raise DataError(f"checkpoint not found: {e}") from e
-    except ContractError as e:
-        raise DataError(f"checkpoint {base} has an invalid config: {e}") from e
+    except ValueError as e:  # a corrupt blob or manifest, or an invalid config
+        raise DataError(f"checkpoint {base} cannot be loaded: {e}") from e
     vocab = Vocabulary(vocab_tokens)
     ds = _load(args.data, args.split, args.features, vocab)
     if args.ablate == "oracle":

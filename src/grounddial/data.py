@@ -297,8 +297,8 @@ def load_features(path) -> dict[str, Tensor]:
     """Read a feature file into image_id -> Tensor[mu, d_v] (float64).
 
     A file that is cut short, has bytes past its declared images, holds an
-    id that is not UTF-8 or holds one id twice raises FeatureFileError
-    naming the byte offset.
+    id that is not UTF-8, holds one id twice or has blocks of different
+    widths (d_v) raises FeatureFileError naming the byte offset.
     """
     data = Path(path).read_bytes()
 
@@ -314,6 +314,7 @@ def load_features(path) -> dict[str, Tensor]:
         raise FeatureFileError(f"{path}: unsupported version {version} at byte 4")
     offset = 12
     out: dict[str, Tensor] = {}
+    width: Optional[int] = None
     for _ in range(num_images):
         need(offset, 2)
         (id_len,) = struct.unpack_from("<H", data, offset)
@@ -329,6 +330,10 @@ def load_features(path) -> dict[str, Tensor]:
         offset += id_len
         need(offset, 8)
         mu, d_v = struct.unpack_from("<II", data, offset)
+        if width is not None and d_v != width:
+            raise FeatureFileError(f"{path}: image id {image_id!r} at byte {offset} has "
+                                   f"{d_v} values per region, the first image {width}")
+        width = d_v
         offset += 8
         count = mu * d_v
         need(offset, 4 * count)
@@ -364,6 +369,8 @@ class SyntheticConfig:
         for name in ("num_images", "mu", "num_colors", "num_shapes", "rounds", "candidates", "d_v"):
             if getattr(self, name) < 1:
                 raise GenerationError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise GenerationError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.noise <= 1.0:
             raise GenerationError("noise must lie in [0, 1]")
         if self.mu > self.num_colors * self.num_shapes:

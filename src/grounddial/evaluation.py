@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import ContractError, InvalidDistributionError
+from .autodiff import ContractError, DivergenceError, InvalidDistributionError
 from .data import DialogDataset, batch_iterator
 from .model import ModelParams, TrainConfig, Unit, infer_batch_scores, prepare_units
 
@@ -121,8 +121,9 @@ def attention_record(image_id: str, round_idx: int, g: np.ndarray,
 def distribution_entropy(dist: Sequence[float]) -> float:
     """Shannon entropy in nats with 0 ln 0 := 0."""
     p = np.asarray(dist, dtype=float)
-    if (p < 0).any() or abs(p.sum() - 1.0) > 1e-6:
-        raise InvalidDistributionError("entropy needs a simplex vector")
+    # phrased so that a NaN or infinite entry fails the test
+    if not ((p >= 0).all() and abs(p.sum() - 1.0) <= 1e-6):
+        raise InvalidDistributionError("entropy needs a finite simplex vector")
     support = p > 0
     return float(-(p[support] * np.log(p[support])).sum())
 
@@ -200,6 +201,10 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
             mu = u.features.shape[0]
             g = weights[b, :mu]
             G = posteriors[b, :mu] if with_posterior else None
+            outputs = (s, g) if G is None else (s, g, G)
+            if not all(np.isfinite(out).all() for out in outputs):
+                raise DivergenceError(f"non-finite score or region weight for image_id "
+                                      f"{u.image_id!r} round {u.round_index}")
             ranks.append(rank_of_gt(s, u.gt_index))
             if u.relevance is not None:
                 ndcgs.append(ndcg(s, u.relevance))

@@ -57,20 +57,16 @@ LOSS_MODES = ("generative", "discriminative", "multitask")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """The one description of a run: model shape, grounding, decoding and
-    optimisation. Training records it in every checkpoint, and evaluation
-    reads it back from there, so the prior used at inference is the pipeline
-    that was trained. Invalid values raise ContractError naming the field.
-    """
+    """The one description of a run: loss, grounding, model shape, epochs,
+    batches and seed; the optimiser is fixed in `training`. Training records
+    it in every checkpoint, and evaluation reads it back from there, so the
+    prior used at inference is the pipeline that was trained. Invalid values
+    raise ContractError naming the field."""
     loss_mode: str = "generative"
     kl_weight: float = 1.0
     detach_posterior: bool = True
     axis_mode: str = "columns"
     fusion_residual: bool = True
-    base_lr: float = 1e-3
-    warmup_epochs: int = 1
-    decay_every: int = 2
-    decay_factor: float = 0.75
     max_epochs: int = 20
     batch_size: int = 32
     seed: int = 0
@@ -91,11 +87,11 @@ class TrainConfig:
         for name, allowed in choices.items():
             if getattr(self, name) not in allowed:
                 raise ContractError(f"{name} must be one of {allowed}")
-        if self.kl_weight < 0:
-            raise ContractError("kl_weight must be >= 0")
-        if not 0 < self.decay_factor <= 1:
-            raise ContractError("decay_factor must lie in (0, 1]")
-        for name in ("max_epochs", "batch_size", "decay_every", "d_q", "d_e", "n_heads", "d_h",
+        if not 0 <= self.kl_weight < np.inf:
+            raise ContractError(f"kl_weight must be finite and >= 0, got {self.kl_weight}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
+        for name in ("max_epochs", "batch_size", "d_q", "d_e", "n_heads", "d_h",
                      "seq_len", "max_history"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1")

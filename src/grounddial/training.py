@@ -1,4 +1,4 @@
-"""Optimizer, learning-rate schedule, checkpoints, and the training loop.
+"""Adam and its fixed learning-rate schedule, checkpoints, and the training loop.
 
 During training the decoder consumes the posterior visual feature
 (`model.forward_batch`); per-epoch validation is `evaluation.evaluate`,
@@ -15,32 +15,37 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import ContractError, Tape, Tensor, backward, read_tensor, write_tensor
+from .autodiff import (
+    ContractError,
+    DivergenceError,
+    Tape,
+    Tensor,
+    backward,
+    read_tensor,
+    write_tensor,
+)
 from .data import DialogDataset, batch_iterator
 from .evaluation import evaluate
 from .model import ModelParams, TrainConfig, forward_batch, named_parameters, prepare_units, zero_grads
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+BASE_LR, WARMUP_EPOCHS, DECAY_EVERY, DECAY_FACTOR = 1e-3, 1, 2, 0.75
 
 
-class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss or gradient."""
+def lr_at(epoch: int) -> float:
+    """The learning rate of a 0-based epoch: linear warm-up, then stepwise decay.
 
-
-def lr_at(epoch: int, cfg: TrainConfig) -> float:
-    """Linear warm-up from base_lr/10, then stepwise decay.
-
-    During warmup_epochs the rate ramps from base_lr/10 toward base_lr;
-    afterwards lr = base_lr * decay_factor ** floor((epoch - warmup) / decay_every).
+    During WARMUP_EPOCHS the rate ramps from BASE_LR/10 toward BASE_LR;
+    afterwards lr = BASE_LR * DECAY_FACTOR ** floor((epoch - WARMUP_EPOCHS) / DECAY_EVERY).
     """
     if epoch < 0:
         raise ContractError("epoch must be >= 0")
-    lo = cfg.base_lr / 10.0
-    if epoch < cfg.warmup_epochs:
-        return lo + (cfg.base_lr - lo) * (epoch / cfg.warmup_epochs)
-    steps = (epoch - cfg.warmup_epochs) // cfg.decay_every
-    return cfg.base_lr * cfg.decay_factor ** steps
+    lo = BASE_LR / 10.0
+    if epoch < WARMUP_EPOCHS:
+        return lo + (BASE_LR - lo) * (epoch / WARMUP_EPOCHS)
+    steps = (epoch - WARMUP_EPOCHS) // DECAY_EVERY
+    return BASE_LR * DECAY_FACTOR ** steps
 
 
 @dataclass
@@ -102,8 +107,17 @@ def save_checkpoint(base: Path, named: dict[str, Tensor], cfg: TrainConfig,
 
 
 def load_checkpoint(base: Path) -> tuple[dict[str, np.ndarray], TrainConfig, list[str]]:
+    """Read what save_checkpoint wrote. A manifest that is not a JSON object
+    with "tensors", "config" and "vocab", or a blob that is cut short,
+    disagrees with it or has bytes past its last tensor, raises ValueError;
+    an invalid config raises ContractError, itself a ValueError."""
     base = Path(base)
     manifest = json.loads(base.with_suffix(".manifest.json").read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest is not a JSON object")
+    missing = {"tensors", "config", "vocab"} - set(manifest)
+    if missing:
+        raise ValueError(f"manifest lacks {sorted(missing)}")
     cfg = TrainConfig.from_dict(manifest["config"])
     tensors: dict[str, np.ndarray] = {}
     with open(base.with_suffix(".bin"), "rb") as fh:
@@ -114,6 +128,9 @@ def load_checkpoint(base: Path) -> tuple[dict[str, np.ndarray], TrainConfig, lis
                     f"manifest mismatch for {entry['name']!r}: "
                     f"file has {t.shape}, manifest says {entry['shape']}")
             tensors[entry["name"]] = t.data
+        trailing = len(fh.read())
+    if trailing:
+        raise ValueError(f"{trailing} bytes past the last tensor")
     return tensors, cfg, manifest["vocab"]
 
 
@@ -128,23 +145,17 @@ def restore_params(params: ModelParams, tensors: dict[str, np.ndarray]) -> None:
         named[name].data = arr.copy()
 
 
-def _snapshot(named: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    return {k: v.data.copy() for k, v in named.items()}
-
-
 @dataclass
 class TrainResult:
     epochs: list[dict]
     best_epoch: int
     best_mrr: float
-    best_params: dict[str, np.ndarray]
-    final_params: dict[str, np.ndarray]
 
 
 def train(ds_train: DialogDataset, ds_val: DialogDataset, params: ModelParams,
           cfg: TrainConfig, out_dir: Optional[Path] = None,
           quiet: bool = True) -> TrainResult:
-    """Run the full loop; returns per-epoch logs and best/final snapshots.
+    """Run the full loop; returns per-epoch logs and the best epoch and MRR.
 
     With out_dir set, writes metrics.jsonl plus best/final checkpoints as it
     goes, so the best checkpoint survives a later divergence abort.
@@ -167,9 +178,8 @@ def train(ds_train: DialogDataset, ds_val: DialogDataset, params: ModelParams,
 
     epochs: list[dict] = []
     best_epoch, best_mrr = -1, -1.0
-    best_params = _snapshot(named)
     for epoch in range(cfg.max_epochs):
-        lr = lr_at(epoch, cfg)
+        lr = lr_at(epoch)
         sums: dict[str, float] = {}
         n_seen = 0
         for batch in batch_iterator(train_units, cfg.batch_size,
@@ -201,14 +211,11 @@ def train(ds_train: DialogDataset, ds_val: DialogDataset, params: ModelParams,
         if report.mrr > best_mrr:
             best_mrr = report.mrr
             best_epoch = epoch
-            best_params = _snapshot(named)
             if out_dir is not None:
                 save_checkpoint(out_dir / "best", named, cfg, ds_train.vocab.id_to_token,
                                 {"epoch": epoch})
 
-    final_params = _snapshot(named)
     if out_dir is not None:
         save_checkpoint(out_dir / "final", named, cfg, ds_train.vocab.id_to_token,
                         {"epoch": cfg.max_epochs - 1})
-    return TrainResult(epochs=epochs, best_epoch=best_epoch, best_mrr=best_mrr,
-                       best_params=best_params, final_params=final_params)
+    return TrainResult(epochs=epochs, best_epoch=best_epoch, best_mrr=best_mrr)

@@ -9,11 +9,12 @@ import sys
 import numpy as np
 import pytest
 
+from grounddial.autodiff import Tensor
 from grounddial.cli import build_parser, main
-from grounddial.data import Vocabulary, load_dataset
+from grounddial.data import Vocabulary, load_dataset, load_features, write_features
 from grounddial.evaluation import evaluate
 from grounddial.model import init_model_params
-from grounddial.training import TrainConfig, load_checkpoint, restore_params
+from grounddial.training import TrainConfig, load_checkpoint, restore_params, save_checkpoint
 
 
 def run_cli(argv):
@@ -119,6 +120,8 @@ def test_manifest_config_reproduces_the_run(synth_dir, tmp_path):
 @pytest.mark.parametrize("extra, field", [
     (["--epochs", "0"], "max_epochs"),
     (["--d-q", "6", "--heads", "4"], "d_q"),
+    (["--seed", "-1"], "seed"),
+    (["--kl-weight", "nan"], "kl_weight"),
 ])
 def test_train_invalid_config_flag_exits_2(synth_dir, tmp_path, capsys, extra, field):
     out = tmp_path / "t"
@@ -131,6 +134,7 @@ def test_train_invalid_config_flag_exits_2(synth_dir, tmp_path, capsys, extra, f
 @pytest.mark.parametrize("settings, field", [
     ({"epocs": 1}, "epocs"),
     ({"max_epochs": "1"}, "max_epochs"),
+    ({"base_lr": 0.001}, "base_lr"),
 ])
 def test_train_bad_config_file_exits_2(synth_dir, tmp_path, capsys, settings, field):
     cfg_path = tmp_path / "cfg.json"
@@ -159,7 +163,7 @@ def test_eval_unknown_checkpoint_config_key_exits_3(synth_dir, tmp_path, capsys)
     manifest_path = out / "best.manifest.json"
     manifest = json.loads(manifest_path.read_text())
     for key, value in [("share_cross_attention", True), ("bridge_variant", "attn_kl"),
-                       ("adam_beta1", 0.9)]:
+                       ("adam_beta1", 0.9), ("base_lr", 0.001)]:
         config = dict(manifest["config"], **{key: value})
         manifest_path.write_text(json.dumps(dict(manifest, config=config)))
         capsys.readouterr()
@@ -291,16 +295,113 @@ def _numeric_image_id(synth_dir, tmp_path):
     return small_train_args(bad.parent, tmp_path / "run"), f"{bad}: $.dialogs[2].image_id"
 
 
+def _with_features(synth_dir, tmp_path, split, widen):
+    """A copy of the synthetic set, as `split`, whose feature blocks are
+    those of `widen(image_id, block)`."""
+    bad = _bad_copy(synth_dir, tmp_path, lambda raw: raw.update(split=split), features=False)
+    feats = {k: widen(k, t.data) for k, t in load_features(synth_dir / "features.bin").items()}
+    write_features(bad.parent / "features.bin", feats)
+    return bad
+
+
+def _mixed_feature_widths(synth_dir, tmp_path):
+    second = list(load_features(synth_dir / "features.bin"))[1]
+    bad = _with_features(synth_dir, tmp_path, "train",
+                         lambda k, a: np.pad(a, ((0, 0), (0, k == second))))
+    return small_train_args(bad.parent, tmp_path / "run"), f"image id {second!r} at byte"
+
+
+def _wider_val_features(synth_dir, tmp_path):
+    bad = _with_features(synth_dir, tmp_path, "val", lambda k, a: np.pad(a, ((0, 0), (0, 1))))
+    return (small_train_args(synth_dir, tmp_path / "run", extra=["--val-data", str(bad)]),
+            f"the features of {bad} have 17 values per region, "
+            f"those of {synth_dir / 'dataset.json'} 16")
+
+
+def _negative_synth_seed(synth_dir, tmp_path):
+    return ["gen-synth", "--images", "4", "--seed", "-1", "--out", str(tmp_path / "x")], "seed"
+
+
+def _corrupt_checkpoint(mutate):
+    """A case: eval of a freshly trained best checkpoint after mutate(base)."""
+    def case(synth_dir, tmp_path):
+        assert run_cli(small_train_args(synth_dir, tmp_path / "run")) == 0
+        base = tmp_path / "run" / "best"
+        mutate(base)
+        return (["eval", "--ckpt", str(base), "--data", str(synth_dir / "dataset.json"),
+                 "--split", "train"], f"checkpoint {base}")
+    case.__name__ = mutate.__name__
+    return case
+
+
+def _edit_manifest(base, edit):
+    path = base.with_suffix(".manifest.json")
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def _truncated_blob(base):
+    blob = base.with_suffix(".bin")
+    blob.write_bytes(blob.read_bytes()[:-5])
+
+
+def _trailing_byte(base):
+    blob = base.with_suffix(".bin")
+    blob.write_bytes(blob.read_bytes() + b"\0")
+
+
+def _manifest_not_json(base):
+    base.with_suffix(".manifest.json").write_text('{"tensors": [')
+
+
+def _manifest_shape_disagrees(base):
+    _edit_manifest(base, lambda m: m["tensors"][0]["shape"].append(1))
+
+
+def _manifest_without_vocab(base):
+    _edit_manifest(base, lambda m: m.pop("vocab"))
+
+
 @pytest.mark.parametrize("case", [_val_without_features, _mistyped_features,
                                   _non_utf8_feature_id, _no_dialogs,
                                   _oracle_without_gt_grounding, _all_zero_relevance,
-                                  _numeric_image_id])
+                                  _numeric_image_id, _mixed_feature_widths,
+                                  _wider_val_features, _negative_synth_seed,
+                                  *map(_corrupt_checkpoint, [
+                                      _truncated_blob, _trailing_byte, _manifest_not_json,
+                                      _manifest_shape_disagrees, _manifest_without_vocab])])
 def test_data_errors_exit_3_naming_the_input(synth_dir, tmp_path, capsys, case):
     argv, named = case(synth_dir, tmp_path)
     capsys.readouterr()
     assert run_cli(argv) == 3
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0]
+
+
+def test_eval_negative_seed_exits_2(synth_dir, tmp_path, capsys):
+    code = run_cli(["eval", "--ckpt", str(tmp_path / "nope"), "--seed", "-1",
+                    "--data", str(synth_dir / "dataset.json"), "--split", "train"])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "--seed" in lines[0]
+
+
+def test_eval_of_a_nan_weight_exits_4_naming_the_unit(synth_dir, tmp_path, capsys):
+    """A NaN score would otherwise rank the gt first and report a perfect MRR."""
+    out = tmp_path / "run"
+    assert run_cli(small_train_args(synth_dir, out)) == 0
+    tensors, cfg, vocab = load_checkpoint(out / "best")
+    tensors["decoder.bilinear"][0, 0] = np.nan
+    save_checkpoint(out / "best", {k: Tensor(v) for k, v in tensors.items()}, cfg, vocab)
+    first = json.loads((synth_dir / "dataset.json").read_text())["dialogs"][0]["image_id"]
+    capsys.readouterr()
+    code = run_cli(["eval", "--ckpt", str(out / "best"), "--decoder", "disc",
+                    "--data", str(synth_dir / "dataset.json"), "--split", "train"])
+    assert code == 4
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert f"image_id {first!r} round 0" in lines[0]
 
 
 def test_eval_missing_checkpoint_exits_3(synth_dir, tmp_path, capsys):

@@ -203,8 +203,9 @@ def test_entropy_hand_value():
 
 
 def test_entropy_invalid():
-    with pytest.raises(InvalidDistributionError):
-        distribution_entropy([0.5, 0.2])
+    for dist in ([0.5, 0.2], [float("nan"), 1.0], [0.5, 0.5, float("nan")], [math.inf, 0.0]):
+        with pytest.raises(InvalidDistributionError):
+            distribution_entropy(dist)
 
 
 # ---------------------------------------------------------------------------

@@ -77,25 +77,19 @@ def test_compose_discriminative():
 # schedule
 
 def test_lr_schedule_reference_points():
-    cfg = TrainConfig()  # base_lr 0.001, warmup 1, decay_every 2, factor 0.75
-    assert lr_at(1, cfg) == 0.001
-    assert lr_at(3, cfg) == 0.00075
+    # BASE_LR 0.001, WARMUP_EPOCHS 1, DECAY_EVERY 2, DECAY_FACTOR 0.75
+    assert lr_at(1) == 0.001
+    assert lr_at(3) == 0.00075
     # the closed form 0.001 * 0.75**2 sits one ulp from the decimal literal
-    assert lr_at(5, cfg) == pytest.approx(0.0005625, rel=1e-12)
+    assert lr_at(5) == pytest.approx(0.0005625, rel=1e-12)
 
 
 def test_lr_warmup_start_is_tenth():
-    assert lr_at(0, TrainConfig()) == pytest.approx(0.0001, abs=0)
-
-
-def test_lr_constant_when_factor_one():
-    cfg = TrainConfig(decay_factor=1.0)
-    assert {lr_at(e, cfg) for e in range(1, 10)} == {0.001}
+    assert lr_at(0) == pytest.approx(0.0001, abs=0)
 
 
 def test_lr_non_increasing_after_warmup():
-    cfg = TrainConfig()
-    rates = [lr_at(e, cfg) for e in range(cfg.warmup_epochs, 30)]
+    rates = [lr_at(e) for e in range(training.WARMUP_EPOCHS, 30)]
     assert all(a >= b for a, b in zip(rates, rates[1:]))
 
 
