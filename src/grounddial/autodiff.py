@@ -23,6 +23,7 @@ the input is read at most once.
 
 from __future__ import annotations
 
+import io
 import struct
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -651,22 +652,23 @@ def write_tensor(fh, t: Tensor) -> None:
     fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
+def _read_exactly(fh, n: int, what: str) -> bytes:
+    """n bytes of a seekable stream, compared with the bytes it has left
+    before reading, so that a corrupt header cannot ask for gigabytes."""
+    here = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - here
+    fh.seek(here)
+    if n > left:
+        raise ValueError(f"truncated tensor stream: {what} needs {n} bytes, {left} remain")
+    return fh.read(n)
+
+
 def read_tensor(fh) -> Tensor:
-    head = fh.read(4)
-    if len(head) < 4:
-        raise ValueError("truncated tensor stream: missing rank")
-    (rank,) = struct.unpack("<I", head)
-    dims = ()
-    if rank:
-        raw = fh.read(4 * rank)
-        if len(raw) < 4 * rank:
-            raise ValueError("truncated tensor stream: missing dims")
-        dims = struct.unpack(f"<{rank}I", raw)
+    (rank,) = struct.unpack("<I", _read_exactly(fh, 4, "the rank"))
+    dims = struct.unpack(f"<{rank}I", _read_exactly(fh, 4 * rank, "the dims"))
     count = 1
     for d in dims:
         count *= d
-    payload = fh.read(8 * count)
-    if len(payload) < 8 * count:
-        raise ValueError("truncated tensor stream: missing data")
+    payload = _read_exactly(fh, 8 * count, f"the data of shape {dims}")
     arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
     return Tensor(arr)

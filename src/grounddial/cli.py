@@ -2,9 +2,13 @@
 ablations, and attention export.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric divergence.
-A JSON config file (train --config) uses TrainConfig field names, as
-recorded in a run's manifest.json; explicit flags override the file, and
-the file overrides TrainConfig's defaults. All randomness flows from --seed.
+Each field of SyntheticConfig (gen-synth) and TrainConfig (train) is one
+flag, spelled like the field with dashes for underscores: `--max-epochs`
+sets max_epochs and `--no-detach-posterior` clears detach_posterior. The
+defaults live only in the dataclasses. A JSON config file (train --config)
+uses TrainConfig field names, as recorded in a run's manifest.json; given
+flags override the file, and the file overrides TrainConfig's defaults. All
+randomness flows from the seed.
 """
 
 from __future__ import annotations
@@ -42,20 +46,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DIVERGENCE = 4
 
-_LOSS_FLAG = {"gen": "generative", "disc": "discriminative", "multitask": "multitask"}
-_DECODER_FLAG = {"gen": "generative", "disc": "discriminative"}
-
-
-class _Spelled(argparse.Action):
-    """Store the value that a flag's short spelling stands for."""
-
-    def __init__(self, *args, spellings: dict, **kw):
-        super().__init__(*args, choices=sorted(spellings), **kw)
-        self.spellings = spellings
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        setattr(namespace, self.dest, self.spellings[value])
-
 
 class DataError(RuntimeError):
     pass
@@ -69,6 +59,21 @@ def _load(path, split: str, features, vocab) -> DialogDataset:
     if any(ex.region_features is None for ex in ds.examples):
         raise DataError(f"no feature file found for {path}")
     return ds
+
+
+def _add_config_flags(p: argparse.ArgumentParser, config_cls) -> None:
+    """One flag per field of config_cls, typed like the field's default and
+    defaulting to None, so that a given flag can be told from an absent one."""
+    for f in fields(config_cls):
+        kind = type(f.default)
+        how = {"action": argparse.BooleanOptionalAction} if kind is bool else {"type": kind}
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, help=f"default: {f.default}", **how)
+
+
+def _given(args, config_cls) -> dict:
+    """The config fields whose flags were given."""
+    return {f.name: getattr(args, f.name) for f in fields(config_cls)
+            if getattr(args, f.name) is not None}
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
@@ -90,15 +95,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
 
 def _gen_synth_parser(sub) -> argparse.ArgumentParser:
     p = sub.add_parser("gen-synth", help="write a synthetic dataset + feature file")
-    p.add_argument("--images", type=int, default=500)
-    p.add_argument("--objects", type=int, default=8)
-    p.add_argument("--colors", type=int, default=6)
-    p.add_argument("--shapes", type=int, default=6)
-    p.add_argument("--rounds", type=int, default=3)
-    p.add_argument("--candidates", type=int, default=10)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--dv", type=int, default=16)
-    p.add_argument("--seed", type=int, default=7)
+    _add_config_flags(p, SyntheticConfig)
     p.add_argument("--split", default="train")
     p.add_argument("--out", required=True)
     return p
@@ -106,18 +103,14 @@ def _gen_synth_parser(sub) -> argparse.ArgumentParser:
 
 def cmd_gen_synth(args) -> int:
     started = time.time()
-    cfg = SyntheticConfig(
-        num_images=args.images, mu=args.objects, num_colors=args.colors,
-        num_shapes=args.shapes, rounds=args.rounds, candidates=args.candidates,
-        noise=args.noise, d_v=args.dv, seed=args.seed,
-    )
+    cfg = SyntheticConfig(**_given(args, SyntheticConfig))
     raw, features = generate_synthetic_raw(cfg)
     raw["split"] = args.split
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "dataset.json").write_text(dump_dataset_json(raw))
     write_features(out_dir / "features.bin", features)
-    _write_manifest(out_dir, "gen-synth", cfg.__dict__, args.seed,
+    _write_manifest(out_dir, "gen-synth", cfg.__dict__, cfg.seed,
                     ["dataset.json", "features.bin"], started)
     print(f"wrote {out_dir / 'dataset.json'} and {out_dir / 'features.bin'} "
           f"({cfg.num_images} images, {cfg.mu} objects each)")
@@ -128,8 +121,6 @@ def cmd_gen_synth(args) -> int:
 # train
 
 def _train_parser(sub) -> argparse.ArgumentParser:
-    """Every run-setting flag stores into the TrainConfig field it sets and
-    defaults to None, so cmd_train can tell a given flag from an absent one."""
     p = sub.add_parser("train", help="train on a dataset, checkpoint best-by-val-MRR")
     p.add_argument("--data", required=True, help="training dataset JSON")
     p.add_argument("--features", default=None, help="feature file (default: features.bin beside the data)")
@@ -138,21 +129,7 @@ def _train_parser(sub) -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None,
                    help="JSON object of TrainConfig fields, e.g. a run's manifest.json \"config\"")
-    p.add_argument("--loss", dest="loss_mode", action=_Spelled, spellings=_LOSS_FLAG)
-    p.add_argument("--kl-weight", dest="kl_weight", type=float)
-    det = p.add_mutually_exclusive_group()
-    det.add_argument("--detach-posterior", dest="detach_posterior", action="store_true", default=None)
-    det.add_argument("--no-detach-posterior", dest="detach_posterior", action="store_false")
-    p.add_argument("--axis-mode", dest="axis_mode", choices=["columns", "rows"])
-    p.add_argument("--batch", dest="batch_size", type=int)
-    p.add_argument("--epochs", dest="max_epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--d-q", dest="d_q", type=int)
-    p.add_argument("--d-e", dest="d_e", type=int)
-    p.add_argument("--heads", dest="n_heads", type=int)
-    p.add_argument("--d-h", dest="d_h", type=int)
-    p.add_argument("--seq-len", dest="seq_len", type=int)
-    p.add_argument("--max-history", dest="max_history", type=int)
+    _add_config_flags(p, TrainConfig)
     p.add_argument("--verbose", action="store_true")
     return p
 
@@ -167,14 +144,14 @@ def _train_config(args) -> TrainConfig:
             raise DataError(f"cannot read config file {args.config}: {e}") from e
         if not isinstance(settings, dict):
             raise ContractError(f"config file {args.config} must hold a JSON object")
-    for f in fields(TrainConfig):
-        if getattr(args, f.name, None) is not None:
-            settings[f.name] = getattr(args, f.name)
-    return TrainConfig.from_dict(settings)
+    return TrainConfig.from_dict({**settings, **_given(args, TrainConfig)})
 
 
 def cmd_train(args) -> int:
     started = time.time()
+    if args.val_features and not args.val_data:
+        print("error: --val-features needs --val-data", file=sys.stderr)
+        return EXIT_USAGE
     try:
         cfg = _train_config(args)
     except ContractError as e:
@@ -212,7 +189,7 @@ def _eval_parser(sub) -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--features", default=None)
     p.add_argument("--split", default="val")
-    p.add_argument("--decoder", action=_Spelled, spellings=_DECODER_FLAG,
+    p.add_argument("--decoder", choices=["generative", "discriminative"],
                    help="override the decoder implied by the training mode")
     p.add_argument("--ablate", choices=["mean", "random", "oracle"], default="learned")
     p.add_argument("--export-attention", dest="attention_out", default=None,
@@ -234,11 +211,11 @@ def cmd_eval(args) -> int:
         base = base.with_suffix("")
     try:
         tensors, cfg, vocab_tokens = load_checkpoint(base)
+        vocab = Vocabulary(vocab_tokens)
     except FileNotFoundError as e:
         raise DataError(f"checkpoint not found: {e}") from e
-    except ValueError as e:  # a corrupt blob or manifest, or an invalid config
+    except ValueError as e:  # a corrupt blob or manifest, an invalid config or vocabulary
         raise DataError(f"checkpoint {base} cannot be loaded: {e}") from e
-    vocab = Vocabulary(vocab_tokens)
     ds = _load(args.data, args.split, args.features, vocab)
     if args.ablate == "oracle":
         for ex in ds.examples:

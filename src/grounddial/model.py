@@ -179,7 +179,7 @@ def prepare_unit(ds: DialogDataset, example_index: int, round_index: int,
     history = [list(ex.caption_tokens)[:seq_len]]
     for prev in ex.rounds[:round_index]:
         history.append((list(prev.question_tokens) + list(prev.answer_tokens))[:seq_len])
-    history = history[:1] + history[1:][-(max_history - 1):]
+    history = history[:1] + history[max(1, len(history) - max_history + 1):]
     targets = list(rnd.answer_tokens)[: seq_len - 1] + [EOS_ID]
     return Unit(
         round_index=round_index,

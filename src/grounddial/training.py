@@ -108,9 +108,10 @@ def save_checkpoint(base: Path, named: dict[str, Tensor], cfg: TrainConfig,
 
 def load_checkpoint(base: Path) -> tuple[dict[str, np.ndarray], TrainConfig, list[str]]:
     """Read what save_checkpoint wrote. A manifest that is not a JSON object
-    with "tensors", "config" and "vocab", or a blob that is cut short,
-    disagrees with it or has bytes past its last tensor, raises ValueError;
-    an invalid config raises ContractError, itself a ValueError."""
+    with "tensors" (a list of {"name": str, "shape": list}), "config" and
+    "vocab" (a list of strings), or a blob that is cut short, disagrees with
+    it or has bytes past its last tensor, raises ValueError; an invalid
+    config raises ContractError, itself a ValueError."""
     base = Path(base)
     manifest = json.loads(base.with_suffix(".manifest.json").read_text())
     if not isinstance(manifest, dict):
@@ -118,10 +119,17 @@ def load_checkpoint(base: Path) -> tuple[dict[str, np.ndarray], TrainConfig, lis
     missing = {"tensors", "config", "vocab"} - set(manifest)
     if missing:
         raise ValueError(f"manifest lacks {sorted(missing)}")
+    entries, vocab = manifest["tensors"], manifest["vocab"]
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("name"), str) and isinstance(e.get("shape"), list)
+            for e in entries):
+        raise ValueError('"tensors" is not a list of objects with a string "name" and a list "shape"')
+    if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab):
+        raise ValueError('"vocab" is not a list of strings')
     cfg = TrainConfig.from_dict(manifest["config"])
     tensors: dict[str, np.ndarray] = {}
     with open(base.with_suffix(".bin"), "rb") as fh:
-        for entry in manifest["tensors"]:
+        for entry in entries:
             t = read_tensor(fh)
             if list(t.shape) != entry["shape"]:
                 raise ValueError(
@@ -131,7 +139,7 @@ def load_checkpoint(base: Path) -> tuple[dict[str, np.ndarray], TrainConfig, lis
         trailing = len(fh.read())
     if trailing:
         raise ValueError(f"{trailing} bytes past the last tensor")
-    return tensors, cfg, manifest["vocab"]
+    return tensors, cfg, vocab
 
 
 def restore_params(params: ModelParams, tensors: dict[str, np.ndarray]) -> None:

@@ -11,7 +11,13 @@ import pytest
 
 from grounddial.autodiff import Tensor
 from grounddial.cli import build_parser, main
-from grounddial.data import Vocabulary, load_dataset, load_features, write_features
+from grounddial.data import (
+    SyntheticConfig,
+    Vocabulary,
+    load_dataset,
+    load_features,
+    write_features,
+)
 from grounddial.evaluation import evaluate
 from grounddial.model import init_model_params
 from grounddial.training import TrainConfig, load_checkpoint, restore_params, save_checkpoint
@@ -24,7 +30,7 @@ def run_cli(argv):
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth")
-    code = run_cli(["gen-synth", "--images", "4", "--objects", "8", "--rounds", "3",
+    code = run_cli(["gen-synth", "--num-images", "4", "--mu", "8", "--rounds", "3",
                     "--candidates", "10", "--seed", "7", "--out", str(out)])
     assert code == 0
     return out
@@ -32,8 +38,8 @@ def synth_dir(tmp_path_factory):
 
 def small_train_args(synth_dir, out, extra=()):
     return ["train", "--data", str(synth_dir / "dataset.json"),
-            "--out", str(out), "--epochs", "1", "--batch", "4",
-            "--d-q", "8", "--d-e", "8", "--heads", "2", "--d-h", "8",
+            "--out", str(out), "--max-epochs", "1", "--batch-size", "4",
+            "--d-q", "8", "--d-e", "8", "--n-heads", "2", "--d-h", "8",
             "--seq-len", "10", "--max-history", "4", "--seed", "3", *extra]
 
 
@@ -47,15 +53,15 @@ def test_gen_synth_outputs(synth_dir):
 
 def test_gen_synth_idempotent_bytes(synth_dir, tmp_path):
     out2 = tmp_path / "again"
-    assert run_cli(["gen-synth", "--images", "4", "--objects", "8", "--rounds", "3",
+    assert run_cli(["gen-synth", "--num-images", "4", "--mu", "8", "--rounds", "3",
                     "--candidates", "10", "--seed", "7", "--out", str(out2)]) == 0
     assert (out2 / "dataset.json").read_bytes() == (synth_dir / "dataset.json").read_bytes()
     assert (out2 / "features.bin").read_bytes() == (synth_dir / "features.bin").read_bytes()
 
 
 def test_gen_synth_unsatisfiable_exits_3(tmp_path, capsys):
-    code = run_cli(["gen-synth", "--images", "1", "--objects", "20", "--colors", "4",
-                    "--shapes", "4", "--out", str(tmp_path / "x")])
+    code = run_cli(["gen-synth", "--num-images", "1", "--mu", "20", "--num-colors", "4",
+                    "--num-shapes", "4", "--out", str(tmp_path / "x")])
     assert code == 3
     assert "error" in capsys.readouterr().err
 
@@ -108,7 +114,7 @@ def test_train_config_file_with_flag_override(synth_dir, tmp_path):
 
 def test_manifest_config_reproduces_the_run(synth_dir, tmp_path):
     first, second = tmp_path / "first", tmp_path / "second"
-    assert run_cli(small_train_args(synth_dir, first, extra=["--loss", "multitask"])) == 0
+    assert run_cli(small_train_args(synth_dir, first, extra=["--loss-mode", "multitask"])) == 0
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(json.loads((first / "manifest.json").read_text())["config"]))
     assert run_cli(["train", "--data", str(synth_dir / "dataset.json"),
@@ -118,10 +124,13 @@ def test_manifest_config_reproduces_the_run(synth_dir, tmp_path):
 
 
 @pytest.mark.parametrize("extra, field", [
-    (["--epochs", "0"], "max_epochs"),
-    (["--d-q", "6", "--heads", "4"], "d_q"),
+    (["--max-epochs", "0"], "max_epochs"),
+    (["--d-q", "6", "--n-heads", "4"], "d_q"),
     (["--seed", "-1"], "seed"),
     (["--kl-weight", "nan"], "kl_weight"),
+    (["--loss-mode", "gen"], "loss_mode"),
+    (["--axis-mode", "diagonal"], "axis_mode"),
+    (["--val-features", "val.bin"], "--val-features"),
 ])
 def test_train_invalid_config_flag_exits_2(synth_dir, tmp_path, capsys, extra, field):
     out = tmp_path / "t"
@@ -154,6 +163,57 @@ def test_every_train_flag_sets_a_config_field():
     not_config = {"help", "data", "features", "val_data", "val_features", "out", "config",
                   "verbose"}
     assert dests - not_config <= {f.name for f in dataclasses.fields(TrainConfig)}
+
+
+TRAIN_FLAGS = [  # (argv, field, value): each TrainConfig field away from its default
+    (["--loss-mode", "discriminative"], "loss_mode", "discriminative"),
+    (["--kl-weight", "0.5"], "kl_weight", 0.5),
+    (["--no-detach-posterior"], "detach_posterior", False),
+    (["--axis-mode", "rows"], "axis_mode", "rows"),
+    (["--no-fusion-residual"], "fusion_residual", False),
+    (["--max-epochs", "2"], "max_epochs", 2),
+    (["--batch-size", "3"], "batch_size", 3),
+    (["--seed", "5"], "seed", 5),
+    (["--d-q", "4"], "d_q", 4),
+    (["--d-e", "6"], "d_e", 6),
+    (["--n-heads", "1"], "n_heads", 1),
+    (["--d-h", "6"], "d_h", 6),
+    (["--seq-len", "9"], "seq_len", 9),
+    (["--max-history", "2"], "max_history", 2),
+]
+
+SYNTH_FLAGS = [  # (argv, field, value): each SyntheticConfig field away from its default
+    (["--num-images", "3"], "num_images", 3),
+    (["--mu", "5"], "mu", 5),
+    (["--num-colors", "5"], "num_colors", 5),
+    (["--num-shapes", "5"], "num_shapes", 5),
+    (["--rounds", "2"], "rounds", 2),
+    (["--candidates", "8"], "candidates", 8),
+    (["--noise", "0.25"], "noise", 0.25),
+    (["--d-v", "20"], "d_v", 20),
+    (["--seed", "11"], "seed", 11),
+]
+
+
+def test_the_flag_tables_cover_every_config_field():
+    assert [f for _, f, _ in TRAIN_FLAGS] == [f.name for f in dataclasses.fields(TrainConfig)]
+    assert [f for _, f, _ in SYNTH_FLAGS] == [f.name for f in dataclasses.fields(SyntheticConfig)]
+
+
+@pytest.mark.parametrize("flag, field, value", TRAIN_FLAGS, ids=[f for _, f, _ in TRAIN_FLAGS])
+def test_each_train_flag_sets_its_field_in_the_manifest(synth_dir, tmp_path, flag, field, value):
+    out = tmp_path / "run"
+    assert run_cli(small_train_args(synth_dir, out, extra=flag)) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config[field] == value and type(config[field]) is type(value)
+
+
+@pytest.mark.parametrize("flag, field, value", SYNTH_FLAGS, ids=[f for _, f, _ in SYNTH_FLAGS])
+def test_each_gen_synth_flag_sets_its_field_in_the_manifest(tmp_path, flag, field, value):
+    out = tmp_path / "synth"
+    assert run_cli(["gen-synth", "--num-images", "2", *flag, "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config[field] == value and type(config[field]) is type(value)
 
 
 def test_eval_unknown_checkpoint_config_key_exits_3(synth_dir, tmp_path, capsys):
@@ -319,7 +379,7 @@ def _wider_val_features(synth_dir, tmp_path):
 
 
 def _negative_synth_seed(synth_dir, tmp_path):
-    return ["gen-synth", "--images", "4", "--seed", "-1", "--out", str(tmp_path / "x")], "seed"
+    return ["gen-synth", "--num-images", "4", "--seed", "-1", "--out", str(tmp_path / "x")], "seed"
 
 
 def _corrupt_checkpoint(mutate):
@@ -363,6 +423,32 @@ def _manifest_without_vocab(base):
     _edit_manifest(base, lambda m: m.pop("vocab"))
 
 
+def _tensors_not_objects(base):
+    _edit_manifest(base, lambda m: m.update(tensors=[1]))
+
+
+def _tensors_an_object(base):
+    _edit_manifest(base, lambda m: m.update(tensors={"a": 1}))
+
+
+def _tensor_without_name(base):
+    _edit_manifest(base, lambda m: m["tensors"][0].pop("name"))
+
+
+def _vocab_not_a_list(base):
+    _edit_manifest(base, lambda m: m.update(vocab=5))
+
+
+def _vocab_repeats_a_token(base):
+    _edit_manifest(base, lambda m: m["vocab"].append(m["vocab"][-1]))
+
+
+def _huge_first_dim(base):
+    blob = bytearray(base.with_suffix(".bin").read_bytes())
+    blob[4:8] = (4_000_000_000).to_bytes(4, "little")  # 32 GB of data declared
+    base.with_suffix(".bin").write_bytes(bytes(blob))
+
+
 @pytest.mark.parametrize("case", [_val_without_features, _mistyped_features,
                                   _non_utf8_feature_id, _no_dialogs,
                                   _oracle_without_gt_grounding, _all_zero_relevance,
@@ -370,7 +456,10 @@ def _manifest_without_vocab(base):
                                   _wider_val_features, _negative_synth_seed,
                                   *map(_corrupt_checkpoint, [
                                       _truncated_blob, _trailing_byte, _manifest_not_json,
-                                      _manifest_shape_disagrees, _manifest_without_vocab])])
+                                      _manifest_shape_disagrees, _manifest_without_vocab,
+                                      _tensors_not_objects, _tensors_an_object,
+                                      _tensor_without_name, _vocab_not_a_list,
+                                      _vocab_repeats_a_token, _huge_first_dim])])
 def test_data_errors_exit_3_naming_the_input(synth_dir, tmp_path, capsys, case):
     argv, named = case(synth_dir, tmp_path)
     capsys.readouterr()
@@ -396,7 +485,7 @@ def test_eval_of_a_nan_weight_exits_4_naming_the_unit(synth_dir, tmp_path, capsy
     save_checkpoint(out / "best", {k: Tensor(v) for k, v in tensors.items()}, cfg, vocab)
     first = json.loads((synth_dir / "dataset.json").read_text())["dialogs"][0]["image_id"]
     capsys.readouterr()
-    code = run_cli(["eval", "--ckpt", str(out / "best"), "--decoder", "disc",
+    code = run_cli(["eval", "--ckpt", str(out / "best"), "--decoder", "discriminative",
                     "--data", str(synth_dir / "dataset.json"), "--split", "train"])
     assert code == 4
     lines = capsys.readouterr().err.strip().splitlines()
@@ -414,7 +503,7 @@ def test_eval_shape_mismatch_exits_3(synth_dir, tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli(small_train_args(synth_dir, out)) == 0
     other = tmp_path / "otherdata"
-    assert run_cli(["gen-synth", "--images", "2", "--objects", "8", "--dv", "20",
+    assert run_cli(["gen-synth", "--num-images", "2", "--mu", "8", "--d-v", "20",
                     "--seed", "1", "--out", str(other)]) == 0
     capsys.readouterr()
     code = run_cli(["eval", "--ckpt", str(out / "best"),

@@ -267,6 +267,18 @@ def test_prepare_units_cut_tokens_to_seq_len():
         assert all(len(h) <= 3 for h in unit.history)
 
 
+@pytest.mark.parametrize("max_history", [1, 2, 3])
+def test_prepare_units_keep_the_caption_and_the_latest_rounds(max_history):
+    ds = generate_synthetic(SyntheticConfig(num_images=1, rounds=4, seed=4))
+    units = prepare_units(ds, seq_len=20, max_history=max_history)
+    for t, unit in enumerate(units):
+        assert len(unit.history) == min(t + 1, max_history)
+        assert unit.history[0] == ds.examples[0].caption_tokens[:20]
+        if t and max_history > 1:
+            prev = ds.examples[0].rounds[t - 1]
+            assert unit.history[-1] == (prev.question_tokens + prev.answer_tokens)[:20]
+
+
 def test_pack_batch_names_a_unit_with_an_empty_question(three_rounds):
     params, units, cfg = three_rounds
     empty = dataclasses.replace(units[1], question=[])
