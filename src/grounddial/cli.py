@@ -1,7 +1,8 @@
 """Command-line surface: synthetic data generation, training, evaluation,
 ablations, and attention export.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric divergence.
+Exit codes: 0 success, 2 usage error (a flag or config value out of range),
+3 data error, 4 numeric divergence.
 Each field of SyntheticConfig (gen-synth) and TrainConfig (train) is one
 flag, spelled like the field with dashes for underscores: `--max-epochs`
 sets max_epochs and `--no-detach-posterior` clears detach_posterior. The
@@ -104,6 +105,11 @@ def _gen_synth_parser(sub) -> argparse.ArgumentParser:
 def cmd_gen_synth(args) -> int:
     started = time.time()
     cfg = SyntheticConfig(**_given(args, SyntheticConfig))
+    try:
+        cfg.validate()
+    except GenerationError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     raw, features = generate_synthetic_raw(cfg)
     raw["split"] = args.split
     out_dir = Path(args.out)

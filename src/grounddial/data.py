@@ -297,8 +297,9 @@ def load_features(path) -> dict[str, Tensor]:
     """Read a feature file into image_id -> Tensor[mu, d_v] (float64).
 
     A file that is cut short, has bytes past its declared images, holds an
-    id that is not UTF-8, holds one id twice or has blocks of different
-    widths (d_v) raises FeatureFileError naming the byte offset.
+    id that is not UTF-8, holds one id twice, has blocks of different widths
+    (d_v) or holds a NaN or infinite value raises FeatureFileError naming the
+    byte offset.
     """
     data = Path(path).read_bytes()
 
@@ -338,6 +339,10 @@ def load_features(path) -> dict[str, Tensor]:
         count = mu * d_v
         need(offset, 4 * count)
         block = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
+        finite = np.isfinite(block)
+        if not finite.all():
+            raise FeatureFileError(f"{path}: image id {image_id!r} has a non-finite value "
+                                   f"at byte {offset + 4 * int(finite.argmin())}")
         offset += 4 * count
         out[image_id] = Tensor(block.astype(np.float64).reshape(mu, d_v))
     if offset != len(data):
@@ -366,22 +371,28 @@ class SyntheticConfig:
     seed: int = 7
 
     def validate(self) -> None:
+        """Raise GenerationError naming the first field that cannot be generated."""
         for name in ("num_images", "mu", "num_colors", "num_shapes", "rounds", "candidates", "d_v"):
             if getattr(self, name) < 1:
-                raise GenerationError(f"{name} must be >= 1")
+                raise GenerationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise GenerationError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.noise <= 1.0:
-            raise GenerationError("noise must lie in [0, 1]")
+            raise GenerationError(f"noise must lie in [0, 1], got {self.noise}")
         if self.mu > self.num_colors * self.num_shapes:
             raise GenerationError(
-                f"cannot place {self.mu} objects with unique (color, shape) pairs: "
-                f"only {self.num_colors}x{self.num_shapes} combinations exist"
+                f"mu {self.mu}: cannot place {self.mu} objects with unique (color, shape) "
+                f"pairs, only num_colors x num_shapes = {self.num_colors}x{self.num_shapes} "
+                "combinations exist"
             )
         if self.d_v < self.num_colors + self.num_shapes:
-            raise GenerationError("d_v too small for one-hot color+shape coding")
-        if self.candidates > self.num_colors * self.num_shapes + self.num_colors + self.num_shapes:
-            raise GenerationError("candidate count exceeds the distinct answers the vocabulary can supply")
+            raise GenerationError(f"d_v {self.d_v} is below num_colors + num_shapes = "
+                                  f"{self.num_colors + self.num_shapes}, too small for one-hot "
+                                  "color+shape coding")
+        answers = self.num_colors * self.num_shapes + self.num_colors + self.num_shapes
+        if self.candidates > answers:
+            raise GenerationError(f"candidates {self.candidates} exceeds the {answers} distinct "
+                                  "answers the vocabulary can supply")
 
 
 def _attribute_words(cfg: SyntheticConfig) -> tuple[list[str], list[str]]:

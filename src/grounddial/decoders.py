@@ -110,12 +110,15 @@ def generative_loss(fused: Tensor, answers: Sequence[Sequence[int]], embedding: 
 
 
 def generative_rank(fused: Tensor, candidates: Sequence[Sequence[Sequence[int]]],
-                    embedding: Tensor, params: DecoderParams) -> list[np.ndarray]:
+                    embedding: Tensor, params: DecoderParams) -> np.ndarray:
     """Score each unit's candidates by their mean per-token log-likelihood
-    (higher is better); fused is [B, d_q], candidates[b] the list of unit b's.
+    (higher is better), [B, N]; fused is [B, d_q], candidates[b] the list of
+    unit b's.
 
-    Every candidate of the batch runs in one teacher-forced pass. The mean
-    over a candidate's tokens removes the bias toward short candidates.
+    N is the most candidates of any unit; a unit with fewer scores -inf past
+    its last. Every candidate of the batch runs in one teacher-forced pass.
+    The mean over a candidate's tokens removes the bias toward short
+    candidates.
     """
     seqs, owner = [], []
     for b, cands in enumerate(candidates):
@@ -132,8 +135,11 @@ def generative_rank(fused: Tensor, candidates: Sequence[Sequence[Sequence[int]]]
     lengths = np.array([len(s) for s in seqs])
     # weights as in generative_loss, so a lone candidate's score is its loss negated bit for bit
     losses = losses * np.repeat(1.0 / lengths, lengths)
-    scores = -np.add.reduceat(losses, np.cumsum(lengths) - lengths)
-    return np.split(scores, np.cumsum([len(c) for c in candidates])[:-1])
+    counts = np.array([len(c) for c in candidates])
+    real = np.arange(counts.max()) < counts[:, None]
+    scores = np.full(real.shape, -np.inf)
+    scores[real] = -np.add.reduceat(losses, np.cumsum(lengths) - lengths)
+    return scores
 
 
 def discriminative_scores(fused: Tensor, candidates: Sequence[Sequence[Sequence[int]]],

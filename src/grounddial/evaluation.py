@@ -9,6 +9,7 @@ as fractions in [0, 1]; multiply by 100 only when formatting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -75,41 +76,80 @@ def mean_rank(ranks: Sequence[int]) -> float:
 
 
 def _descending_order(scores: np.ndarray) -> np.ndarray:
-    # stable sort on (-score, index): ties keep the lower index first
-    return np.lexsort((np.arange(scores.shape[0]), -scores))
+    # stable sort on -score along the last axis: ties keep the lower index first
+    return np.argsort(-scores, axis=-1, kind="stable")
 
 
-def ndcg(scores: Sequence[float], relevance: Sequence[float]) -> float:
-    """DCG of the score ordering over ideal DCG, discount 1/log2(pos + 1)."""
-    s = np.asarray(scores, dtype=float)
-    rel = np.asarray(relevance, dtype=float)
+def _as_rows(x) -> tuple[np.ndarray, bool]:
+    """(x as a float matrix, whether x was one 1-D row)."""
+    a = np.asarray(x, dtype=float)
+    return (a[None], True) if a.ndim == 1 else (a, False)
+
+
+def ndcg(scores, relevance) -> float | np.ndarray:
+    """Per row, DCG of the score ordering over ideal DCG, discount
+    1/log2(pos + 1); a float for a 1-D input, else one value per row.
+
+    A row may be padded past its candidates with -inf scores and 0 relevance.
+    """
+    s, one = _as_rows(scores)
+    rel, _ = _as_rows(relevance)
     if s.shape != rel.shape:
-        raise ContractError(f"scores {s.shape} vs relevance {rel.shape}")
+        raise ContractError(f"scores {np.shape(scores)} vs relevance {np.shape(relevance)}")
     if (rel < 0).any() or (rel > 1).any():
         raise ContractError("relevance entries must lie in [0, 1]")
-    if rel.max() <= 0:
+    if (rel.max(axis=1) <= 0).any():
         raise ContractError("ndcg needs at least one positive relevance")
-    discounts = 1.0 / np.log2(np.arange(2, s.shape[0] + 2))
-    dcg = float((rel[_descending_order(s)] * discounts).sum())
-    ideal = float((np.sort(rel)[::-1] * discounts).sum())
-    return dcg / ideal
+    discounts = 1.0 / np.log2(np.arange(2, s.shape[1] + 2))
+    dcg = (np.take_along_axis(rel, _descending_order(s), axis=1) * discounts).sum(axis=1)
+    ideal = (np.sort(rel, axis=1)[:, ::-1] * discounts).sum(axis=1)
+    out = dcg / ideal
+    return float(out[0]) if one else out
 
 
-def grounding_hit(g: np.ndarray, gt_grounding: Sequence[int], top_k: int) -> bool:
-    """Whether the top_k regions of g, ties to the lower index, include a
-    ground-truth one."""
-    return not set(_descending_order(g)[:top_k].tolist()).isdisjoint(gt_grounding)
+def _gt_mask(gt_grounding: Sequence[Optional[Sequence[int]]], g: np.ndarray) -> np.ndarray:
+    """[B, mu] bool: the ground-truth regions of each row of g. An index
+    outside the row, or at a -inf (padding) entry, marks nothing; a None
+    row marks none."""
+    lists = [() if gt is None else gt for gt in gt_grounding]
+    owner = np.repeat(np.arange(len(lists)), [len(gt) for gt in lists])
+    index = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=owner.size)
+    keep = (index >= 0) & (index < g.shape[1])
+    mask = np.zeros(g.shape, dtype=bool)
+    mask[owner[keep], index[keep]] = True
+    return mask & (g != -np.inf)
 
 
-def attention_record(image_id: str, round_idx: int, g: np.ndarray,
-                     G: Optional[np.ndarray] = None,
+def _top_k_hits(order: np.ndarray, gt_mask: np.ndarray, top_k: int) -> np.ndarray:
+    return np.take_along_axis(gt_mask, order[:, :top_k], axis=1).any(axis=1)
+
+
+def grounding_hit(g, gt_grounding, top_k: int) -> bool | np.ndarray:
+    """Per row of g, whether its top_k regions, ties to the lower index,
+    include one of the row's ground-truth regions.
+
+    A 1-D g is one row, gt_grounding its list of indices, and gives a bool;
+    a [B, mu] g takes one list (or None) per row and gives [B] bools. A row
+    may be padded past its regions with -inf; an index outside a row's
+    regions never hits.
+    """
+    rows, one = _as_rows(g)
+    if one:
+        gt_grounding = [gt_grounding]
+    hits = _top_k_hits(_descending_order(rows), _gt_mask(gt_grounding, rows), top_k)
+    return bool(hits[0]) if one else hits
+
+
+def attention_record(image_id: str, round_idx: int, g: Sequence[float], top3: list[int],
+                     G: Optional[Sequence[float]] = None,
                      gt_grounding: Optional[list[int]] = None) -> dict:
-    """One exportable JSON record per (image, round)."""
+    """One exportable JSON record per (image, round); `top3` is the first
+    three regions of g's descending order (`_descending_order`)."""
     rec = {
         "image_id": image_id,
         "round": round_idx,
         "prior": [float(v) for v in g],
-        "top3_prior": _descending_order(g)[:3].tolist(),
+        "top3_prior": top3,
     }
     if G is not None:
         rec["posterior"] = [float(v) for v in G]
@@ -118,14 +158,15 @@ def attention_record(image_id: str, round_idx: int, g: np.ndarray,
     return rec
 
 
-def distribution_entropy(dist: Sequence[float]) -> float:
-    """Shannon entropy in nats with 0 ln 0 := 0."""
-    p = np.asarray(dist, dtype=float)
+def distribution_entropy(dist) -> float | np.ndarray:
+    """Shannon entropy in nats with 0 ln 0 := 0, per row; a float for a 1-D
+    input, else one value per row. A row may be padded with zeros."""
+    p, one = _as_rows(dist)
     # phrased so that a NaN or infinite entry fails the test
-    if not ((p >= 0).all() and abs(p.sum() - 1.0) <= 1e-6):
+    if not ((p >= 0).all() and (np.abs(p.sum(axis=1) - 1.0) <= 1e-6).all()):
         raise InvalidDistributionError("entropy needs a finite simplex vector")
-    support = p > 0
-    return float(-(p[support] * np.log(p[support])).sum())
+    h = -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)
+    return float(h[0]) if one else h
 
 
 ABLATION_MODES = ("learned", "mean", "random", "oracle")
@@ -168,13 +209,18 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
     shuffled among the units of a batch that have the same region count
     ("random", seeded by `seed`) or the ground truth ("oracle").
 
-    Each batch is one inference pass (`infer_batch_scores`): ranking, the
-    grounding hits, the entropies and the attention records all read the
-    weights the batch was ranked with. The report keeps each unit's attention
-    record. with_posterior additionally runs the answer-aware posterior on
-    the same context encoding: each record gets its "posterior" and the
-    report its mean entropy (the Table-3 "with answers" protocol); it never
-    affects the ranking metrics.
+    Each batch is one inference pass (`infer_batch_scores`), scored once on
+    its [B, N] candidate scores and [B, mu] region weights: one finiteness
+    check over the real entries (a non-finite one raises DivergenceError
+    naming the first such unit), and row-wise NDCG, entropies and grounding
+    hits read the weights the batch was ranked with. One stable descending
+    order of the weights gives the top-1 and top-3 hits and each record's
+    top-3 regions. `rank_of_gt` is still called once per unit, on the unit's
+    own scores. The report keeps each unit's attention record.
+    with_posterior additionally runs the answer-aware posterior on the same
+    context encoding: each record gets its "posterior" and the report its
+    mean entropy (the Table-3 "with answers" protocol); it never affects the
+    ranking metrics.
     """
     if ablate not in ABLATION_MODES:
         raise ValueError(f"unknown ablation mode {ablate!r}; know {ABLATION_MODES}")
@@ -185,11 +231,12 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
         raise ContractError("evaluate on an empty dataset")
 
     rng = np.random.default_rng(seed)
+    rated = all(u.relevance is not None for u in units)
     ranks: list[int] = []
-    ndcgs: list[float] = []
+    ndcgs: list[np.ndarray] = []
+    entropies: list[np.ndarray] = []
+    post_entropies: list[np.ndarray] = []
     records: list[dict] = []
-    entropies: list[float] = []
-    post_entropies: list[float] = []
     hits = {1: 0, 3: 0}
     for batch in batch_iterator(units, cfg.batch_size, seed=None):
         g_override = (None if ablate == "learned"
@@ -197,24 +244,44 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
         scores, weights, posteriors = infer_batch_scores(
             params, batch, cfg, decoder=decoder, with_posterior=with_posterior,
             g_override=g_override)
-        for b, (u, s) in enumerate(zip(batch, scores)):
-            mu = u.features.shape[0]
-            g = weights[b, :mu]
-            G = posteriors[b, :mu] if with_posterior else None
-            outputs = (s, g) if G is None else (s, g, G)
-            if not all(np.isfinite(out).all() for out in outputs):
-                raise DivergenceError(f"non-finite score or region weight for image_id "
-                                      f"{u.image_id!r} round {u.round_index}")
-            ranks.append(rank_of_gt(s, u.gt_index))
-            if u.relevance is not None:
-                ndcgs.append(ndcg(s, u.relevance))
-            entropies.append(distribution_entropy(g))
-            if with_posterior:
-                post_entropies.append(distribution_entropy(G))
-            if u.gt_grounding is not None:
-                for k in hits:
-                    hits[k] += grounding_hit(g, u.gt_grounding, k)
-            records.append(attention_record(u.image_id, u.round_index, g, G=G,
+        n_cands = [len(u.candidates) for u in batch]
+        mus = [u.features.shape[0] for u in batch]
+        real = np.arange(scores.shape[1]) < np.array(n_cands)[:, None]
+        regions = np.arange(weights.shape[1]) < np.array(mus)[:, None]
+        outputs = [(scores, real), (weights, regions)]
+        if with_posterior:
+            outputs.append((posteriors, regions))
+        bad = np.logical_or.reduce([(~np.isfinite(out) & mask).any(axis=1)
+                                    for out, mask in outputs])
+        if bad.any():
+            u = batch[int(bad.argmax())]
+            raise DivergenceError(f"non-finite score or region weight for image_id "
+                                  f"{u.image_id!r} round {u.round_index}")
+
+        for u, s, n in zip(batch, scores, n_cands):
+            ranks.append(rank_of_gt(s[:n], u.gt_index))
+        if rated:
+            wrong = [u for u, n in zip(batch, n_cands) if len(u.relevance) != n]
+            if wrong:
+                raise ContractError(f"relevance of image_id {wrong[0].image_id!r} round "
+                                    f"{wrong[0].round_index} does not align with its candidates")
+            rel = np.zeros(scores.shape)
+            rel[real] = np.fromiter(chain.from_iterable(u.relevance for u in batch), dtype=float)
+            ndcgs.append(ndcg(scores, rel))
+        entropies.append(distribution_entropy(weights))
+        if with_posterior:
+            post_entropies.append(distribution_entropy(posteriors))
+
+        masked = np.where(regions, weights, -np.inf)
+        order = _descending_order(masked)
+        gt_mask = _gt_mask([u.gt_grounding for u in batch], masked)
+        for k in hits:
+            hits[k] += int(_top_k_hits(order, gt_mask, k).sum())
+        priors, top3 = weights.tolist(), order[:, :3].tolist()
+        post = posteriors.tolist() if with_posterior else None
+        for b, (u, mu) in enumerate(zip(batch, mus)):
+            records.append(attention_record(u.image_id, u.round_index, priors[b][:mu],
+                                            top3[b][:mu], G=post[b][:mu] if post else None,
                                             gt_grounding=u.gt_grounding))
 
     report = EvalReport(
@@ -224,13 +291,13 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
         r_at_10=recall_at_k(ranks, 10),
         mean_rank=mean_rank(ranks),
         n_units=len(units),
-        ndcg=float(np.mean(ndcgs)) if len(ndcgs) == len(units) else None,
-        entropy_prior=float(np.mean(entropies)),
+        ndcg=float(np.mean(np.concatenate(ndcgs))) if rated else None,
+        entropy_prior=float(np.mean(np.concatenate(entropies))),
         attention=records,
     )
     if all(u.gt_grounding is not None for u in units):
         report.grounding_top1 = hits[1] / len(units)
         report.grounding_top3 = hits[3] / len(units)
     if with_posterior:
-        report.entropy_posterior = float(np.mean(post_entropies))
+        report.entropy_posterior = float(np.mean(np.concatenate(post_entropies)))
     return report

@@ -311,11 +311,11 @@ def forward_batch(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig) 
 def infer_batch_scores(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig, *,
                        decoder: str, with_posterior: bool = False,
                        g_override: Optional[Callable[[np.ndarray], np.ndarray]] = None
-                       ) -> tuple[list[np.ndarray], np.ndarray, Optional[np.ndarray]]:
-    """Inference pass over a batch: per-unit candidate scores, the [B, mu]
+                       ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Inference pass over a batch: the [B, N] candidate scores, the [B, mu]
     region weights pooled with, and the posterior's [B, mu] weights when
-    `with_posterior` is set (None otherwise). Weight rows are zero past each
-    unit's regions.
+    `with_posterior` is set (None otherwise). Score rows are -inf past each
+    unit's candidates, weight rows zero past each unit's regions.
 
     Ranking pools with the prior (no answer information). `g_override`, for
     the ablation protocols, is given the prior's weights and returns the
@@ -341,6 +341,5 @@ def infer_batch_scores(params: ModelParams, units: Sequence[Unit], cfg: TrainCon
     if decoder == "generative":
         scores = generative_rank(fused, candidates, embedding, params.decoder)
     else:
-        rows = discriminative_scores(fused, candidates, embedding, params.decoder).data
-        scores = [rows[b, :len(c)] for b, c in enumerate(candidates)]
+        scores = discriminative_scores(fused, candidates, embedding, params.decoder).data
     return scores, weights, posterior

@@ -196,8 +196,9 @@ def train(ds_train: DialogDataset, ds_val: DialogDataset, params: ModelParams,
             with Tape() as tape:
                 fw = forward_batch(params, batch, cfg)
             if not np.isfinite(fw.loss.data).all():
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}; best checkpoint retained")
+                kept = (f"the best checkpoint, of epoch {best_epoch}, is retained"
+                        if out_dir is not None and best_epoch >= 0 else "no checkpoint was written")
+                raise DivergenceError(f"non-finite loss at epoch {epoch}; {kept}")
             backward(fw.loss, tape)
             adam_step(named, state, lr)
             b = len(batch)

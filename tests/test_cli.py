@@ -59,11 +59,29 @@ def test_gen_synth_idempotent_bytes(synth_dir, tmp_path):
     assert (out2 / "features.bin").read_bytes() == (synth_dir / "features.bin").read_bytes()
 
 
-def test_gen_synth_unsatisfiable_exits_3(tmp_path, capsys):
+def test_gen_synth_unsatisfiable_exits_2(tmp_path, capsys):
     code = run_cli(["gen-synth", "--num-images", "1", "--mu", "20", "--num-colors", "4",
                     "--num-shapes", "4", "--out", str(tmp_path / "x")])
-    assert code == 3
-    assert "error" in capsys.readouterr().err
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: mu 20")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("extra, field", [
+    (["--num-images", "0"], "num_images"),
+    (["--seed", "-1"], "seed"),
+    (["--noise", "2.0"], "noise"),
+    (["--d-v", "4"], "d_v"),
+    (["--candidates", "60", "--num-colors", "2", "--num-shapes", "2", "--mu", "3",
+      "--rounds", "2"], "candidates"),
+])
+def test_gen_synth_invalid_setting_exits_2_naming_the_field(tmp_path, capsys, extra, field):
+    code = run_cli(["gen-synth", "--num-images", "4", *extra, "--out", str(tmp_path / "x")])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {field} ")
+    assert not (tmp_path / "x").exists()
 
 
 def test_unknown_flag_usage_error(synth_dir, tmp_path):
@@ -378,8 +396,29 @@ def _wider_val_features(synth_dir, tmp_path):
             f"those of {synth_dir / 'dataset.json'} 16")
 
 
-def _negative_synth_seed(synth_dir, tmp_path):
-    return ["gen-synth", "--num-images", "4", "--seed", "-1", "--out", str(tmp_path / "x")], "seed"
+def _non_finite_feature(value, command):
+    """A case: `command` on a copy of the synthetic set with one feature of
+    its fourth image set to float(value)."""
+    def case(synth_dir, tmp_path):
+        fourth = list(load_features(synth_dir / "features.bin"))[3]
+
+        def poison(image_id, block):
+            block = block.copy()
+            if image_id == fourth:
+                block.flat[5] = float(value)
+            return block
+
+        bad = _with_features(synth_dir, tmp_path, "train", poison)
+        if command == "train":
+            argv = small_train_args(bad.parent, tmp_path / "run")
+        else:
+            assert run_cli(small_train_args(synth_dir, tmp_path / "run")) == 0
+            argv = ["eval", "--ckpt", str(tmp_path / "run" / "best"), "--data", str(bad),
+                    "--split", "train"]
+        return argv, (f"{bad.parent / 'features.bin'}: image id {fourth!r} has a non-finite "
+                      "value at byte")
+    case.__name__ = f"_{value}_feature_in_{command}"
+    return case
 
 
 def _corrupt_checkpoint(mutate):
@@ -453,7 +492,9 @@ def _huge_first_dim(base):
                                   _non_utf8_feature_id, _no_dialogs,
                                   _oracle_without_gt_grounding, _all_zero_relevance,
                                   _numeric_image_id, _mixed_feature_widths,
-                                  _wider_val_features, _negative_synth_seed,
+                                  _wider_val_features,
+                                  _non_finite_feature("nan", "train"),
+                                  _non_finite_feature("inf", "eval"),
                                   *map(_corrupt_checkpoint, [
                                       _truncated_blob, _trailing_byte, _manifest_not_json,
                                       _manifest_shape_disagrees, _manifest_without_vocab,

@@ -313,6 +313,18 @@ def test_corrupt_feature_file_names_the_byte(tmp_path, blocks, trailer, message)
         load_features(tmp_path / "f.bin")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_feature_names_the_image_and_the_byte(tmp_path, value):
+    block = np.ones((2, 2), dtype=np.float32)
+    block[1, 0] = value
+    blob = (b"VFEA" + struct.pack("<II", 1, 2) + _image_block(b"a", np.ones((2, 2)))
+            + _image_block(b"b", block))
+    (tmp_path / "f.bin").write_bytes(blob)
+    # header 12 bytes, image "a" 2 + 1 + 8 + 16, image "b" 2 + 1 + 8, then two values
+    with pytest.raises(FeatureFileError, match="image id 'b' has a non-finite value at byte 58"):
+        load_features(tmp_path / "f.bin")
+
+
 @pytest.fixture(scope="module")
 def feature_file(tmp_path_factory):
     """(scratch path, the bytes of a valid two-image feature file)."""

@@ -208,8 +208,9 @@ def test_batch_losses_and_scores_match_one_unit_at_a_time(params, embedding):
         n = len(cands[b])
         assert np.allclose(scores.data[b, :n], s1.data[0], rtol=1e-12, atol=1e-14)
         assert np.all(scores.data[b, n:] == -np.inf)
-        assert np.allclose(ranked[b], generative_rank(rows[b], [cands[b]], embedding, params)[0],
+        assert np.allclose(ranked[b, :n], generative_rank(rows[b], [cands[b]], embedding, params)[0],
                            rtol=1e-12, atol=1e-14)
+        assert np.all(ranked[b, n:] == -np.inf)
     assert L_D.item() == pytest.approx(np.mean(alone), rel=1e-12)
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grounddial import evaluation, model
 from grounddial.autodiff import ContractError, InvalidDistributionError, Tensor
@@ -28,7 +29,13 @@ from grounddial.evaluation import (
     rank_of_gt,
     recall_at_k,
 )
-from grounddial.model import TrainConfig, infer_batch_scores, init_model_params, named_parameters
+from grounddial.model import (
+    TrainConfig,
+    infer_batch_scores,
+    init_model_params,
+    named_parameters,
+    prepare_units,
+)
 from grounddial.training import save_checkpoint
 
 
@@ -59,6 +66,19 @@ def oracle_ndcg(scores, relevance):
     ideal_order = sorted(range(len(scores)), key=lambda i: -relevance[i])
     idcg = sum(relevance[i] / math.log2(pos + 2) for pos, i in enumerate(ideal_order))
     return dcg / idcg
+
+
+def oracle_entropy(dist):
+    return -math.fsum(p * math.log(p) for p in dist if p > 0)
+
+
+def oracle_top(g, k):
+    """The k regions of highest weight, ties to the lower index."""
+    return sorted(range(len(g)), key=lambda i: (-g[i], i))[:k]
+
+
+def oracle_hit(g, gt_grounding, k):
+    return bool(set(oracle_top(g, k)) & set(gt_grounding or ()))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +198,8 @@ def test_grounding_top1_needs_every_unit_annotated():
 
 
 def test_attention_record_shape():
-    rec = attention_record("img1", 2, np.array([0.1, 0.6, 0.2, 0.1]),
+    g = np.array([0.1, 0.6, 0.2, 0.1])
+    rec = attention_record("img1", 2, g, evaluation._descending_order(g)[:3].tolist(),
                            G=np.array([0.0, 1.0, 0.0, 0.0]), gt_grounding=[1])
     assert rec["top3_prior"] == [1, 2, 0]
     assert rec["gt_grounding"] == [1]
@@ -206,6 +227,79 @@ def test_entropy_invalid():
     for dist in ([0.5, 0.2], [float("nan"), 1.0], [0.5, 0.5, float("nan")], [math.inf, 0.0]):
         with pytest.raises(InvalidDistributionError):
             distribution_entropy(dist)
+
+
+# ---------------------------------------------------------------------------
+# the row-wise helpers on ragged batches
+
+TIED = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.floats(-5, 5))
+
+
+@st.composite
+def ragged_units(draw):
+    """One dict per unit: scores (tied often), relevance with a positive
+    entry, region weights with zeros and ties, and gt_grounding indices that
+    may fall outside the unit's regions."""
+    units = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 12))
+        mu = draw(st.integers(1, 12))
+        relevance = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 1.0]), min_size=n, max_size=n))
+        relevance[draw(st.integers(0, n - 1))] = 1.0
+        counts = draw(st.lists(st.integers(0, 3), min_size=mu, max_size=mu))
+        counts[draw(st.integers(0, mu - 1))] += 1
+        units.append(dict(
+            scores=draw(st.lists(TIED, min_size=n, max_size=n)),
+            relevance=relevance,
+            weights=[c / sum(counts) for c in counts],
+            gt_grounding=draw(st.one_of(st.none(),
+                                        st.lists(st.integers(-2, mu + 2), max_size=3))),
+        ))
+    return units
+
+
+def padded(rows, fill):
+    out = np.full((len(rows), max(map(len, rows))), fill)
+    for b, row in enumerate(rows):
+        out[b, :len(row)] = row
+    return out
+
+
+def assert_rowwise(got, per_unit, is_padded):
+    """Equal to the per-unit values bit for bit, or within 1e-12 where padding
+    changed the summation order."""
+    if is_padded:
+        assert np.allclose(got, per_unit, rtol=0, atol=1e-12)
+    else:
+        assert got.tolist() == per_unit
+
+
+@settings(max_examples=200, deadline=None)
+@given(ragged_units())
+def test_rowwise_helpers_match_the_per_unit_oracles(units):
+    scores = [u["scores"] for u in units]
+    weights = [u["weights"] for u in units]
+    gts = [u["gt_grounding"] for u in units]
+    scores_padded = any(len(s) != len(scores[0]) for s in scores)
+    weights_padded = any(len(w) != len(weights[0]) for w in weights)
+
+    got = ndcg(padded(scores, -np.inf), padded([u["relevance"] for u in units], 0.0))
+    assert_rowwise(got, [ndcg(u["scores"], u["relevance"]) for u in units], scores_padded)
+    assert np.allclose(got, [oracle_ndcg(u["scores"], u["relevance"]) for u in units],
+                       rtol=0, atol=1e-12)
+
+    got = distribution_entropy(padded(weights, 0.0))
+    assert_rowwise(got, [distribution_entropy(w) for w in weights], weights_padded)
+    assert np.allclose(got, [oracle_entropy(w) for w in weights], rtol=0, atol=1e-12)
+
+    g = padded(weights, -np.inf)
+    for k in (1, 3):
+        want = [oracle_hit(w, gt, k) for w, gt in zip(weights, gts)]
+        assert grounding_hit(g, gts, k).tolist() == want
+        assert [grounding_hit(w, gt, k) for w, gt in zip(weights, gts)] == want
+    order = evaluation._descending_order(g)
+    for b, w in enumerate(weights):
+        assert order[b, :min(3, len(w))].tolist() == oracle_top(w, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -402,3 +496,37 @@ def test_grounding_hits_match_the_records(tiny_setup, ablate):
         want = np.mean([bool(set(rec["top3_prior"][:k]) & set(rec["gt_grounding"]))
                         for rec in rep.attention])
         assert value == want
+
+
+@pytest.mark.parametrize("decoder", ["generative", "discriminative"])
+def test_evaluate_ranks_each_unit_once_on_its_own_scores(monkeypatch, decoder):
+    """The benchmark wraps evaluation.rank_of_gt to check every rank: evaluate
+    calls it once per unit, in unit order, with the unit's own scores and no
+    -inf padding, also in batches whose units have different candidate counts."""
+    ds = generate_synthetic(SyntheticConfig(num_images=4, seed=9))
+    cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4, batch_size=5)
+    params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16,
+                               d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
+    units = []
+    for k, u in enumerate(prepare_units(ds, cfg.seq_len, cfg.max_history)):
+        n = max(u.gt_index + 1, 10 - 3 * (k % 3))
+        units.append(dataclasses.replace(u, candidates=u.candidates[:n], relevance=u.relevance[:n]))
+    batches = [units[k:k + cfg.batch_size] for k in range(0, len(units), cfg.batch_size)]
+    assert all(len({len(u.candidates) for u in batch}) > 1 for batch in batches)
+    calls = []
+    real = evaluation.rank_of_gt
+
+    def recording(scores, gt_index):
+        calls.append((np.array(scores), gt_index))
+        return real(scores, gt_index)
+
+    monkeypatch.setattr(evaluation, "rank_of_gt", recording)
+    evaluate(params, ds, cfg, decoder=decoder, units=units)
+    assert len(calls) == len(units)
+    for k, batch in enumerate(batches):
+        scores = infer_batch_scores(params, batch, cfg, decoder=decoder)[0]
+        for b, u in enumerate(batch):
+            got, gt_index = calls[k * cfg.batch_size + b]
+            assert gt_index == u.gt_index
+            assert np.array_equal(got, scores[b, :len(u.candidates)])
+            assert np.isfinite(got).all()

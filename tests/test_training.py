@@ -217,6 +217,32 @@ def test_validation_never_calls_posterior(monkeypatch):
     assert sum(batch_sizes) == cfg.max_epochs * units
 
 
+@pytest.mark.parametrize("bad_step, out, kept", [
+    (0, True, "no checkpoint was written"),
+    (3, True, "the best checkpoint, of epoch 0, is retained"),
+    (3, False, "no checkpoint was written"),
+])
+def test_divergence_says_whether_a_best_checkpoint_exists(monkeypatch, tmp_path, bad_step,
+                                                          out, kept):
+    """Training step bad_step (three per epoch) gives a NaN loss."""
+    ds = tiny_data()
+    cfg = tiny_cfg()
+    real, steps = training.forward_batch, []
+
+    def diverging(*args):
+        fw = real(*args)
+        if len(steps) == bad_step:
+            fw.loss.data = fw.loss.data * np.nan
+        steps.append(1)
+        return fw
+
+    monkeypatch.setattr(training, "forward_batch", diverging)
+    out_dir = tmp_path / "run" if out else None
+    with pytest.raises(DivergenceError, match=f"non-finite loss at epoch {bad_step // 3}; {kept}$"):
+        train(ds, ds, tiny_model(ds, cfg), cfg, out_dir=out_dir)
+    assert (tmp_path / "run" / "best.bin").exists() == ("retained" in kept)
+
+
 def test_train_on_an_empty_dataset_raises():
     ds = tiny_data()
     cfg = tiny_cfg()
