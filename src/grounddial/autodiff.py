@@ -17,8 +17,9 @@ through an LSTM cell as a single node, with backpropagation through time
 inside its rule. Its int `index` [T, B] names the row of the input matrix
 that sequence b reads at step t; -1 reads nothing and carries the state.
 Ragged batches pad with -1, and the reverse direction is the same index
-with its rows reversed (leading -1s carry the initial state). Each row of
-the input is read at most once.
+with its rows reversed (leading -1s carry the initial state). A row may be
+read any number of times, so the encoders and the decoder pass the embedding
+matrix and a grid of token ids; each distinct row is projected once per call.
 """
 
 from __future__ import annotations
@@ -168,7 +169,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """2-D matrix product. dA = dC Bᵀ, dB = Aᵀ dC."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shapes do not agree: {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
+    if b.shape[1] == 1:
+        # BLAS's matrix-vector product rounds a row differently with its
+        # position and the row count, which would make a unit's value depend
+        # on its batch; einsum sums each row the same way wherever it sits
+        out = Tensor(np.einsum("ij,jk->ik", a.data, b.data))
+    else:
+        out = Tensor(a.data @ b.data)
     ad, bd = a.data, b.data
 
     def rule(g):
@@ -481,48 +488,53 @@ def cross_entropy_rows(logits: Tensor, targets: Sequence[int]) -> Tensor:
 # ---------------------------------------------------------------------------
 # fused recurrence
 
-def lstm_sequence(xs: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
+                  b: Tensor) -> Tensor:
     """B sequences through one LSTM cell, fused into a single tape node.
 
-    xs: [N, d_in] input rows; index: int [T, B], the row of xs that sequence
-    b reads at step t, or -1 where it reads none and its state is carried
-    unchanged (after its end, or before its start when the index is
-    reversed for the backward direction), with each row of xs read at most
-    once (IndexError otherwise); hc0: [B, 2H] packed initial
-    states (h then c); wx: [d_in, 4H]; wh: [H, 4H]; b: [1, 4H] with gate
-    order i, f, o, g. Returns every step's h as [T*B, H], row t*B + b.
+    table: [N, d_in] input rows; index: int [T, B], the row of table that
+    sequence b reads at step t, or -1 where it reads none and its state is
+    carried unchanged (after its end, or before its start when the index is
+    reversed for the backward direction). A row may be read any number of
+    times, so an embedding matrix indexed by a grid of token ids is a table.
+    hc0: [B, 2H] packed initial states (h then c); wx: [d_in, 4H];
+    wh: [H, 4H]; b: [1, 4H] with gate order i, f, o, g. Returns every step's
+    h as [T*B, H], row t*B + b.
 
-    Each step projects only the rows it reads: as no row is read twice,
-    that is the multiply-adds of one hoisted xs @ wx without its [N, 4H]
-    buffer, which dominated peak memory when every candidate of a batch
-    ran at once. Activations are kept for backpropagation through time
-    only while a tape records; the backward rule makes dwx, dwh, db and
-    dxs one matmul or sum each over all steps.
+    Each distinct row the index reads is projected once per call:
+    table[used] @ wx + b is a [U, 4H] buffer, U at most N, and each step
+    gathers its rows from it. That is the input projection hoisted out of
+    the loop (Appleyard et al., arXiv:1604.01946) without an [N, 4H] or
+    [T*B, 4H] buffer. Activations are kept for backpropagation through time
+    only while a tape records; the backward rule sums each distinct row's
+    gate gradients once and forms d(table), dwx and db from those [U, 4H]
+    sums, and dwh in one matmul over all steps.
     """
     idx = np.asarray(index, dtype=np.intp)
     if idx.ndim != 2:
         raise DimensionError(f"lstm_sequence index must be [T, B], got shape {idx.shape}")
     T, B = idx.shape
     H = wh.shape[0]
-    if (xs.data.ndim != 2 or wx.shape != (xs.shape[1], 4 * H) or wh.shape != (H, 4 * H)
+    if (table.data.ndim != 2 or wx.shape != (table.shape[1], 4 * H) or wh.shape != (H, 4 * H)
             or b.shape != (1, 4 * H) or hc0.shape != (B, 2 * H)):
         raise DimensionError(
-            f"lstm_sequence shapes: xs {xs.shape}, index {idx.shape}, hc0 {hc0.shape}, "
+            f"lstm_sequence shapes: table {table.shape}, index {idx.shape}, hc0 {hc0.shape}, "
             f"wx {wx.shape}, wh {wh.shape}, b {b.shape}"
         )
-    if idx.size and (idx.min() < -1 or idx.max() >= xs.shape[0]):
-        raise IndexError(f"lstm_sequence index outside [-1, {xs.shape[0]})")
+    if idx.size and (idx.min() < -1 or idx.max() >= table.shape[0]):
+        raise IndexError(f"lstm_sequence index outside [-1, {table.shape[0]})")
     live = idx >= 0
     full = live.all(axis=1)
-    rows = idx[live]                                       # step-major, as dz in the rule
-    if rows.size:
-        reads = np.bincount(rows)
-        if reads.max() > 1:
-            raise IndexError(f"lstm_sequence reads row {int(reads.argmax())} of xs "
-                             f"{int(reads.max())} times; each row may be read at most once")
-    inputs = (xs, hc0, wx, wh, b)
+    # the distinct rows read, and for each read (step-major, as dz in the
+    # rule) its row among them
+    used, inv, counts = np.unique(idx[live], return_inverse=True, return_counts=True)
+    local = np.full((T, B), -1, dtype=np.intp)
+    local[live] = inv
+    inputs = (table, hc0, wx, wh, b)
     record = _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
-    xd, wxd, bd, whd = xs.data, wx.data, b.data, wh.data
+    x_used, wxd, whd = table.data[used], wx.data, wh.data
+    proj = x_used @ wxd if used.size else np.zeros((1, 4 * H))
+    proj += b.data
     hs = np.empty((T, B, H))
     if record:
         gates = np.empty((T, B, 4 * H))                    # i, f, o, g after activation
@@ -534,9 +546,9 @@ def lstm_sequence(xs: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor, b: Ten
     z = np.empty((B, 4 * H))                               # step buffers, reused
     zh = np.empty((B, 4 * H))
     for t in range(T):
-        # a -1 row reads xs[-1]; its result is discarded below
-        np.matmul(xd[idx[t]], wxd, out=z)
-        z += bd
+        # the index was range-checked above; a -1 reads row 0 and its
+        # result is discarded below
+        np.take(proj, local[t], axis=0, out=z, mode="clip")
         z += np.matmul(h, whd, out=zh)
         ifo = z[:, :3 * H]                                 # sigmoid of i, f, o, in place
         np.negative(ifo, out=ifo)
@@ -561,7 +573,6 @@ def lstm_sequence(xs: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor, b: Ten
     out = Tensor(hs.reshape(T * B, H))
     if not record:
         return out
-    n_rows = xs.shape[0]
 
     def rule(g):
         g = g.reshape(T, B, H)
@@ -590,10 +601,15 @@ def lstm_sequence(xs: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor, b: Ten
                 dc_prev = np.where(keep, dc_next, dc_prev)
             dh_next, dc_next = dh_prev, dc_prev
         dwh = h_prev.reshape(T * B, H).T @ dz.reshape(T * B, 4 * H)
-        dproj = np.zeros((n_rows, 4 * H))
-        dproj[rows] = dz[live]                             # rows are distinct
-        return (dproj @ wxd.T, np.concatenate([dh_next, dc_next], axis=1),
-                xd.T @ dproj, dwh, dproj.sum(axis=0, keepdims=True))
+        dproj = np.zeros((used.size, 4 * H))               # per distinct row
+        if used.size:
+            starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+            np.add.reduceat(dz[live][np.argsort(inv, kind="stable")], starts, axis=0,
+                            out=dproj)
+        dtable = np.zeros(table.shape)
+        dtable[used] = dproj @ wxd.T
+        return (dtable, np.concatenate([dh_next, dc_next], axis=1),
+                x_used.T @ dproj, dwh, dproj.sum(axis=0, keepdims=True))
 
     return _record(out, inputs, rule)
 

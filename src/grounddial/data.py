@@ -13,6 +13,7 @@ f32 data row-major.
 from __future__ import annotations
 
 import json
+import math
 import re
 import struct
 from dataclasses import dataclass, field
@@ -385,6 +386,12 @@ class SyntheticConfig:
                 f"pairs, only num_colors x num_shapes = {self.num_colors}x{self.num_shapes} "
                 "combinations exist"
             )
+        if _referable_layout(self.num_colors, self.num_shapes, self.mu, self.rounds) is None:
+            raise GenerationError(
+                f"mu {self.mu}, rounds {self.rounds}: no image of {self.mu} objects over "
+                f"num_colors x num_shapes = {self.num_colors}x{self.num_shapes} has {self.rounds} "
+                "uniquely referable ones (a color or a shape no other object has)"
+            )
         if self.d_v < self.num_colors + self.num_shapes:
             raise GenerationError(f"d_v {self.d_v} is below num_colors + num_shapes = "
                                   f"{self.num_colors + self.num_shapes}, too small for one-hot "
@@ -393,6 +400,67 @@ class SyntheticConfig:
         if self.candidates > answers:
             raise GenerationError(f"candidates {self.candidates} exceeds the {answers} distinct "
                                   "answers the vocabulary can supply")
+
+
+def _referable_layout(nc: int, ns: int, mu: int,
+                      rounds: int) -> Optional[tuple[int, int, int]]:
+    """(p, q, n) of an image of mu distinct (color, shape) objects over an
+    nc x ns grid with `rounds` uniquely referable ones, each owning a color
+    or a shape that occurs once in the image; None when no image has them.
+
+    Say p colors and q shapes occur twice or more, and every other color and
+    shape at most once. The n objects with a repeated color and a repeated
+    shape are not referable; the other mu - n are, at most one per once-only
+    color or shape: (nc - p) + (ns - q) of them, but only ns - q when q = 0,
+    as each object then owns a once-only shape, nc - p when p = 0, and
+    min(nc, ns) when both are 0. Each repeated color must occur
+    twice: where the n objects, spread evenly over the p x q repeated pairs,
+    give it fewer, referable objects of that color with once-only shapes
+    make up the rest, and repeated shapes likewise. An image exists exactly
+    when some p, q and n meet these bounds; `_built_objects` builds it.
+    """
+    for p in range(nc + 1):
+        for q in range(ns + 1):
+            c, s = nc - p, ns - q
+            most = (c if q else 0) + (s if p else 0) if p or q else min(c, s)
+            n_min = max(0, mu - most, 2 * q - c, 2 * p - s, 2 * (p + q) - mu)
+            if 2 * max(p, q) <= mu and n_min <= min(p * q, mu - rounds):
+                return p, q, n_min
+    return None
+
+
+def _built_objects(cfg: SyntheticConfig,
+                   rng: np.random.Generator) -> tuple[list[tuple[int, int]], list[int]]:
+    """The image whose layout `_referable_layout` finds, with its colors,
+    shapes and object order shuffled; every object but the n is referable."""
+    p, q, n = _referable_layout(cfg.num_colors, cfg.num_shapes, cfg.mu, cfg.rounds)
+    colors = [int(c) for c in rng.permutation(cfg.num_colors)]
+    shapes = [int(s) for s in rng.permutation(cfg.num_shapes)]
+    # i -> (i mod p, (i + i // lcm) mod q) visits each repeated pair once,
+    # keeping the per-color and per-shape counts within one of each other
+    lcm = math.lcm(p, q)
+    plain = [(i % p, (i + i // lcm) % q) for i in range(n)]
+    short_c = [j for j in range(p) for _ in range(2 - min(2, sum(r == j for r, _ in plain)))]
+    short_s = [j for j in range(q) for _ in range(2 - min(2, sum(c == j for _, c in plain)))]
+    referable = cfg.mu - n
+    # a objects own a once-only color, b a once-only shape, the rest both
+    if p and q:
+        a = max(len(short_s), referable - (cfg.num_shapes - q))
+        b = referable - a
+    elif q:                             # every color is once-only
+        a, b = referable, 0
+    elif p:                             # every shape is once-only
+        a, b = 0, referable
+    else:
+        a = b = 0
+    both = referable - a - b
+    once_c, once_s = colors[p:], shapes[q:]
+    objects = ([(colors[r], shapes[c]) for r, c in plain]
+               + [(once_c[i], shapes[c]) for i, c in enumerate((short_s + [0] * a)[:a])]
+               + [(colors[r], once_s[i]) for i, r in enumerate((short_c + [0] * b)[:b])]
+               + [(once_c[a + i], once_s[b + i]) for i in range(both)])
+    order = [int(i) for i in rng.permutation(cfg.mu)]
+    return [objects[i] for i in order], [pos for pos, i in enumerate(order) if i >= n]
 
 
 def _attribute_words(cfg: SyntheticConfig) -> tuple[list[str], list[str]]:
@@ -409,7 +477,8 @@ def _sample_objects(cfg: SyntheticConfig, rng: np.random.Generator) -> tuple[lis
     (naming one attribute) identifies exactly one object AND the answer (the
     other attribute) matches no other object. Distractor objects draw from
     the remaining attribute values only. When the grid is too tight for that
-    construction, targets fall back to single-attribute uniqueness.
+    construction, targets fall back to single-attribute uniqueness: random
+    object sets, and when 500 draws miss, the one `_built_objects` builds.
     """
     r = cfg.rounds
     nc, ns, mu = cfg.num_colors, cfg.num_shapes, cfg.mu
@@ -470,10 +539,7 @@ def _sample_objects(cfg: SyntheticConfig, rng: np.random.Generator) -> tuple[lis
         ]
         if len(referable) >= cfg.rounds:
             return objects, referable
-    raise GenerationError(
-        f"could not sample {cfg.mu} objects with {cfg.rounds} uniquely referable ones; "
-        "increase colors/shapes or lower rounds"
-    )
+    return _built_objects(cfg, rng)
 
 
 def _make_round(cfg, rng, objects, target_idx, colors, shapes,

@@ -89,10 +89,9 @@ def _teacher_forced_position_losses(h0: Tensor, sequences: Sequence[Sequence[int
         if tokens[-1] != EOS_ID:
             raise ContractError("answer token sequence must end with EOS")
     n = len(seqs)
-    inputs, index = pack_sequences([[BOS_ID] + tokens[:-1] for tokens in seqs])
-    emb = ad.take_rows(embedding, inputs)
+    index = pack_sequences([[BOS_ID] + tokens[:-1] for tokens in seqs], embedding.shape[0])
     hc0 = ad.concat([h0, ad.zeros_const((n, h0.shape[1]))], axis=1)
-    hs = ad.lstm_sequence(emb, index, hc0, params.gen.wx, params.gen.wh, params.gen.b)
+    hs = ad.lstm_sequence(embedding, index, hc0, params.gen.wx, params.gen.wh, params.gen.b)
     # step-major rows t*n + s, regrouped sequence by sequence
     seq_of, step = np.nonzero(index.T >= 0)
     hs = ad.take_rows(hs, step * n + seq_of)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -111,24 +112,22 @@ def init_encoder_params(rng: np.random.Generator, vocab_size: int, d_v: int,
     )
 
 
-def _check_ids(ids: np.ndarray, vocab_size: int) -> None:
+def pack_sequences(seqs: Sequence[Sequence[int]], vocab_size: int) -> np.ndarray:
+    """The [T, B] `lstm_sequence` index of a batch's token ids, for reading
+    the embedding matrix directly.
+
+    Sequence b reads its own tokens in order at steps 0..len-1 and -1 after
+    its end; T is the longest length. A token id outside [0, vocab_size)
+    raises IndexError.
+    """
+    lengths = np.array([len(s) for s in seqs])
+    ids = np.fromiter(chain.from_iterable(seqs), dtype=np.intp, count=int(lengths.sum()))
     bad = (ids < 0) | (ids >= vocab_size)
     if bad.any():
         raise IndexError(f"token id {int(ids[bad][0])} outside vocabulary of size {vocab_size}")
-
-
-def pack_sequences(seqs: Sequence[Sequence[int]]) -> tuple[list[int], np.ndarray]:
-    """Concatenated tokens and the [T, B] `lstm_sequence` index reading them.
-
-    Sequence b reads its own tokens in order at steps 0..len-1 and -1 after
-    its end; T is the longest length.
-    """
-    flat: list[int] = []
-    index = np.full((max(len(s) for s in seqs), len(seqs)), -1, dtype=np.intp)
-    for b, s in enumerate(seqs):
-        index[:len(s), b] = np.arange(len(flat), len(flat) + len(s))
-        flat.extend(s)
-    return flat, index
+    index = np.full((lengths.max(), len(seqs)), -1, dtype=np.intp)
+    index.T[np.arange(lengths.max()) < lengths[:, None]] = ids
+    return index
 
 
 def _distinct(seqs: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -148,13 +147,10 @@ def _bi_lstm(seqs: Sequence[Sequence[int]], enc: BiEncoderParams,
     order, so position p of sequence b is forward row p*B + b and backward
     row (T-1-p)*B + b.
     """
-    flat, index = pack_sequences(seqs)
-    flat = np.asarray(flat, dtype=np.intp)
-    _check_ids(flat, embedding.shape[0])
-    emb = ad.take_rows(embedding, flat)
+    index = pack_sequences(seqs, embedding.shape[0])
     zero = ad.zeros_const((len(seqs), 2 * enc.fwd.wh.shape[0]))
-    h_f = ad.lstm_sequence(emb, index, zero, enc.fwd.wx, enc.fwd.wh, enc.fwd.b)
-    h_b = ad.lstm_sequence(emb, index[::-1], zero, enc.bwd.wx, enc.bwd.wh, enc.bwd.b)
+    h_f = ad.lstm_sequence(embedding, index, zero, enc.fwd.wx, enc.fwd.wh, enc.fwd.b)
+    h_b = ad.lstm_sequence(embedding, index[::-1], zero, enc.bwd.wx, enc.bwd.wh, enc.bwd.b)
     return h_f, h_b, index
 
 

@@ -171,6 +171,11 @@ def distribution_entropy(dist) -> float | np.ndarray:
 
 ABLATION_MODES = ("learned", "mean", "random", "oracle")
 
+# Units per inference pass: 64 ranks a 60-unit benchmark chunk in one pass,
+# and a pass's peak memory grows with it. `evaluate` says what the batching
+# can change.
+EVAL_BATCH_UNITS = 64
+
 
 def _ablated_weights(batch: list[Unit], learned: np.ndarray, mode: str,
                      rng: np.random.Generator) -> np.ndarray:
@@ -201,13 +206,17 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
              with_posterior: bool = False,
              units: Optional[list[Unit]] = None) -> EvalReport:
     """Inference-condition evaluation: ranking and grounding from the prior,
-    over batches of cfg.batch_size units.
+    over batches of EVAL_BATCH_UNITS units.
 
     `cfg` is the configuration the model was trained with. `decoder` defaults
     to the discriminative one only when that run trained the discriminative
-    loss alone. `ablate` replaces the prior before pooling: uniform ("mean"),
+    loss alone; its batch_size is the training minibatch and plays no part
+    here. `ablate` replaces the prior before pooling: uniform ("mean"),
     shuffled among the units of a batch that have the same region count
-    ("random", seeded by `seed`) or the ground truth ("oracle").
+    ("random", seeded by `seed`) or the ground truth ("oracle"). Under the
+    other modes the report and its records do not depend on how the units
+    are batched, down to batches of a few units, where BLAS may round a
+    one-row product differently.
 
     Each batch is one inference pass (`infer_batch_scores`), scored once on
     its [B, N] candidate scores and [B, mu] region weights: one finiteness
@@ -238,7 +247,7 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
     post_entropies: list[np.ndarray] = []
     records: list[dict] = []
     hits = {1: 0, 3: 0}
-    for batch in batch_iterator(units, cfg.batch_size, seed=None):
+    for batch in batch_iterator(units, EVAL_BATCH_UNITS, seed=None):
         g_override = (None if ablate == "learned"
                       else lambda learned: _ablated_weights(batch, learned, ablate, rng))
         scores, weights, posteriors = infer_batch_scores(

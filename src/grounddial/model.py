@@ -58,17 +58,17 @@ LOSS_MODES = ("generative", "discriminative", "multitask")
 @dataclass(frozen=True)
 class TrainConfig:
     """The one description of a run: loss, grounding, model shape, epochs,
-    batches and seed; the optimiser is fixed in `training`. Training records
-    it in every checkpoint, and evaluation reads it back from there, so the
-    prior used at inference is the pipeline that was trained. Invalid values
-    raise ContractError naming the field."""
+    the training minibatch and seed; the optimiser is fixed in `training`.
+    Training records it in every checkpoint, and evaluation reads it back
+    from there, so the prior used at inference is the pipeline that was
+    trained. Invalid values raise ContractError naming the field."""
     loss_mode: str = "generative"
     kl_weight: float = 1.0
     detach_posterior: bool = True
     axis_mode: str = "columns"
     fusion_residual: bool = True
     max_epochs: int = 20
-    batch_size: int = 32
+    batch_size: int = 32    # the training minibatch; evaluate uses EVAL_BATCH_UNITS
     seed: int = 0
     d_q: int = 64
     d_e: int = 64

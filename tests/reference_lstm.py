@@ -1,7 +1,8 @@
 """Per-step LSTM reference: the test oracle for `autodiff.lstm_sequence`.
 
 `lstm_step` is one LSTM step as its own tape node, reading one row of the
-input matrix. `step_sequence` steps it through an `lstm_sequence` index, and
+input matrix. `step_sequence` steps it through an `lstm_sequence` index
+(`step_sequence_loss` does so under the tape, for gradients), and
 the `ref_*` functions are the encoders and decoders written one sequence
 and one step at a time on top of it, so a model forward can be compared
 against the batched path by patching them in. `cross_entropy` (one logits
@@ -141,6 +142,22 @@ def step_sequence(xs: Tensor, index: np.ndarray, hc0: Tensor, wx: Tensor, wh: Te
                 hc = lstm_step(xs, int(index[t, col]), hc, wx, wh, b)
             out[t, col] = hc.data[0, :H]
     return out.reshape(T * B, H)
+
+
+def step_sequence_loss(xs: Tensor, index: np.ndarray, hc0: Tensor, wx: Tensor, wh: Tensor,
+                       b: Tensor, weights: np.ndarray) -> Tensor:
+    """sum over t and b of weights[t, b] . h[t, b] ([T, B, H] weights), with
+    each sequence stepped alone, so a tape records its gradients."""
+    T, B = index.shape
+    H = wh.shape[0]
+    terms = []
+    for col in range(B):
+        hc = ad.take_rows(hc0, [col])
+        for t in range(T):
+            if index[t, col] >= 0:
+                hc = lstm_step(xs, int(index[t, col]), hc, wx, wh, b)
+            terms.append(ad.sum_all(ad.mul(ad.slice_cols(hc, 0, H), Tensor(weights[t, col:col + 1]))))
+    return add_chain(terms)
 
 
 # ---------------------------------------------------------------------------

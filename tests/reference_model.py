@@ -156,16 +156,15 @@ def _position_losses(fused: Tensor, seqs, embedding: Tensor, params) -> Tensor:
     """Per-position -log p(token), every sequence from the state (fused, 0)."""
     n = len(seqs)
     d_q = fused.shape[0]
-    inputs, index = pack_sequences([[BOS_ID] + tokens[:-1] for tokens in seqs])
-    emb = ad.take_rows(embedding, inputs)
+    index = pack_sequences([[BOS_ID] + tokens[:-1] for tokens in seqs], embedding.shape[0])
     h0 = ad.reshape(fused, (1, d_q))
     if n > 1:
         h0 = ad.tile_rows(h0, n)
     hc0 = ad.concat([h0, ad.zeros_const((n, d_q))], axis=1)
-    hs = ad.lstm_sequence(emb, index, hc0, params.gen.wx, params.gen.wh, params.gen.b)
+    hs = ad.lstm_sequence(embedding, index, hc0, params.gen.wx, params.gen.wh, params.gen.b)
     if n > 1:
         hs = ad.take_rows(hs, [t * n + b for b, s in enumerate(seqs) for t in range(len(s))])
-    logits = ad.add(ad.matmul(hs, params.out_w), ad.tile_rows(params.out_b, len(inputs)))
+    logits = ad.add(ad.matmul(hs, params.out_w), ad.tile_rows(params.out_b, hs.shape[0]))
     return ad.cross_entropy_rows(logits, [t for tokens in seqs for t in tokens])
 
 

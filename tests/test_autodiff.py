@@ -16,7 +16,7 @@ from grounddial.autodiff import (
     backward,
     grad_check,
 )
-from reference_lstm import cross_entropy, step_sequence, transpose
+from reference_lstm import cross_entropy, step_sequence, step_sequence_loss, transpose
 
 
 def rng():
@@ -427,12 +427,53 @@ def test_lstm_sequence_index_errors():
         ad.lstm_sequence(xs, [[0, 1]], Tensor(np.zeros((1, 2 * H))), *w)
 
 
-def test_lstm_sequence_rejects_a_row_read_twice():
-    H = 2
-    xs = Tensor(np.zeros((3, 4)))
-    w = [Tensor(np.zeros(s)) for s in [(4, 4 * H), (H, 4 * H), (1, 4 * H)]]
-    with pytest.raises(IndexError, match="row 1 of xs 2 times"):
-        ad.lstm_sequence(xs, [[0, 1], [1, -1]], Tensor(np.zeros((2, 2 * H))), *w)
+def _lstm_grads(loss_of, parts):
+    """Gradients of the scalar loss_of(*parts) with respect to every part."""
+    for t in parts:
+        t.requires_grad, t.grad = True, None
+    with Tape() as tape:
+        loss = loss_of(*parts)
+    backward(loss, tape)
+    grads = [np.zeros_like(t.data) if t.grad is None else t.grad for t in parts]
+    for t in parts:
+        t.requires_grad, t.grad = False, None
+    return grads
+
+
+def assert_lstm_matches_stepping(xs, index, hc0, w, weights):
+    """States within 1e-12 and every gradient within 1e-12 of its tensor's
+    largest entry (with an absolute floor of 1e-15) of stepping each
+    sequence alone through `reference_lstm.lstm_step`."""
+    H = hc0.shape[1] // 2
+    got = ad.lstm_sequence(xs, index, hc0, *w).data
+    assert np.abs(got - step_sequence(xs, index, hc0, *w)).max() <= 1e-12
+    fused = _lstm_grads(lambda x, h, *ws: ad.sum_all(ad.mul(
+        ad.lstm_sequence(x, index, h, *ws), Tensor(weights.reshape(-1, H)))), [xs, hc0, *w])
+    stepped = _lstm_grads(lambda x, h, *ws: step_sequence_loss(x, index, h, *ws, weights),
+                          [xs, hc0, *w])
+    for name, a, b in zip(["table", "hc0", "wx", "wh", "b"], fused, stepped):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max() + 1e-15, name
+
+
+def test_lstm_sequence_reads_a_row_repeatedly_and_accumulates_its_gradient():
+    """Rows read at several steps and by several sequences (an embedding
+    read by token ids): states and gradients match stepping the reference,
+    and a row's table gradient is the sum over its reads."""
+    g = rng()
+    H, d_in = 3, 4
+    xs = Tensor(g.normal(size=(4, d_in)))
+    hc0 = Tensor(g.normal(size=(3, 2 * H)))
+    w = [Tensor(g.normal(size=s)) for s in [(d_in, 4 * H), (H, 4 * H), (1, 4 * H)]]
+    index = np.array([[1, 1, 3],
+                      [1, 0, -1],
+                      [-1, 1, -1]])    # row 1 read four times, row 2 never
+    weights = g.normal(size=(3, 3, H))
+    assert_lstm_matches_stepping(xs, index, hc0, w, weights)
+    assert_lstm_matches_stepping(xs, index[::-1], hc0, w, weights)
+    d_table = _lstm_grads(lambda x, h, *ws: ad.sum_all(ad.mul(
+        ad.lstm_sequence(x, index, h, *ws), Tensor(weights.reshape(-1, H)))), [xs, hc0, *w])[0]
+    assert not d_table[2].any()
+    assert np.abs(d_table[1]).min() > 0
 
 
 def test_lstm_sequence_wide_batch_matches_narrow_batches():
@@ -477,22 +518,27 @@ def test_lstm_sequence_wide_batch_matches_narrow_batches():
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_lstm_sequence_matches_stepping_the_reference(data):
+    """Ragged batches reading any rows of a small table, repeats included:
+    states and gradients match stepping each sequence alone."""
     lengths = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5), label="lengths")
+    n_rows = data.draw(st.integers(1, 8), label="table rows")
+    reads = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=sum(lengths),
+                               max_size=sum(lengths)), label="rows read")
     seed = data.draw(st.integers(0, 2**16), label="seed")
     g = np.random.default_rng(seed)
     H, d_in = 3, 4
     B, T = len(lengths), max(lengths)
-    xs = Tensor(g.normal(size=(sum(lengths), d_in)))
+    xs = Tensor(g.normal(size=(n_rows, d_in)))
     hc0 = Tensor(g.normal(size=(B, 2 * H)))
     w = [Tensor(g.normal(size=s)) for s in [(d_in, 4 * H), (H, 4 * H), (1, 4 * H)]]
+    weights = g.normal(size=(T, B, H))
     index = np.full((T, B), -1)
     start = 0
     for col, n in enumerate(lengths):
-        index[:n, col] = np.arange(start, start + n)
+        index[:n, col] = reads[start:start + n]
         start += n
     for idx in (index, index[::-1]):
-        got = ad.lstm_sequence(xs, idx, hc0, *w).data
-        assert np.abs(got - step_sequence(xs, idx, hc0, *w)).max() <= 1e-12
+        assert_lstm_matches_stepping(xs, idx, hc0, w, weights)
 
 
 def test_grad_check_cross_entropy_rows():

@@ -68,6 +68,28 @@ def test_gen_synth_unsatisfiable_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("mu", ["16", "12"])
+def test_gen_synth_without_enough_referable_objects_exits_2(tmp_path, capsys, mu):
+    """No image of 12 or 16 objects over 4 colors x 4 shapes has 3 objects
+    with a color or a shape of their own."""
+    code = run_cli(["gen-synth", "--out", str(tmp_path / "x"), "--num-images", "2", "--mu", mu,
+                    "--num-colors", "4", "--num-shapes", "4"])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: mu {mu}, rounds 3: ")
+    assert "num_colors x num_shapes = 4x4" in lines[0]
+    assert not (tmp_path / "x").exists()
+
+
+def test_gen_synth_builds_a_setting_random_draws_miss(tmp_path):
+    """6 colors x 6 shapes hold 22 objects with 3 referable ones, though
+    random object sets almost never do."""
+    assert run_cli(["gen-synth", "--out", str(tmp_path / "x"), "--num-images", "2", "--mu", "22",
+                    "--num-colors", "6", "--num-shapes", "6", "--seed", "1"]) == 0
+    raw = json.loads((tmp_path / "x" / "dataset.json").read_text())
+    assert [len(d["rounds"]) for d in raw["dialogs"]] == [3, 3]
+
+
 @pytest.mark.parametrize("extra, field", [
     (["--num-images", "0"], "num_images"),
     (["--seed", "-1"], "seed"),

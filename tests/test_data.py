@@ -432,6 +432,64 @@ def test_synthetic_unsatisfiable_uniqueness():
         generate_synthetic_raw(small_cfg(mu=20, num_colors=4, num_shapes=4))
 
 
+def most_referable_objects(nc, ns):
+    """Brute force over every object set of an nc x ns grid: for each mu, the
+    most uniquely referable objects (a color or a shape no other object has)
+    any set of mu distinct objects holds."""
+    cells = nc * ns
+    sets = (np.arange(2 ** cells)[:, None] >> np.arange(cells)) & 1
+    grid = sets.reshape(-1, nc, ns)
+    once_color = grid.sum(axis=2) == 1
+    once_shape = grid.sum(axis=1) == 1
+    referable = (grid & (once_color[:, :, None] | once_shape[:, None, :])).sum(axis=(1, 2))
+    most = np.zeros(cells + 1, dtype=int)
+    np.maximum.at(most, sets.sum(axis=1), referable)
+    return most
+
+
+def assert_referable_image(objects, referable, cfg):
+    """mu distinct objects on the grid; `referable` lists at least `rounds`
+    positions, each owning a color or a shape no other object has."""
+    assert len(set(objects)) == len(objects) == cfg.mu
+    assert all(0 <= c < cfg.num_colors and 0 <= s < cfg.num_shapes for c, s in objects)
+    colors = np.bincount([c for c, _ in objects], minlength=cfg.num_colors)
+    shapes = np.bincount([s for _, s in objects], minlength=cfg.num_shapes)
+    assert len(set(referable)) == len(referable) >= cfg.rounds
+    assert all(colors[objects[i][0]] == 1 or shapes[objects[i][1]] == 1 for i in referable)
+
+
+def test_synthetic_validate_rejects_exactly_the_settings_no_image_holds():
+    """Every grid up to 4x4, every mu and rounds <= 3: validate accepts a
+    setting exactly when some set of mu objects has `rounds` referable ones,
+    and for each accepted one `_built_objects` builds such a set."""
+    rng = np.random.default_rng(0)
+    for nc in range(1, 5):
+        for ns in range(1, 5):
+            most = most_referable_objects(nc, ns)
+            for mu in range(1, nc * ns + 1):
+                for rounds in range(1, 4):
+                    cfg = small_cfg(mu=mu, num_colors=nc, num_shapes=ns, rounds=rounds,
+                                    candidates=2)
+                    if most[mu] >= rounds:
+                        cfg.validate()
+                        assert_referable_image(*D._built_objects(cfg, rng), cfg)
+                    else:
+                        with pytest.raises(GenerationError, match=f"^mu {mu}, rounds {rounds}:"):
+                            cfg.validate()
+
+
+@pytest.mark.parametrize("grid", [(6, 6, 22, 3), (6, 5, 15, 4), (5, 6, 26, 1)])
+def test_synthetic_builds_an_image_random_draws_miss(grid):
+    """Settings that hold an image, though 500 random object sets rarely do."""
+    nc, ns, mu, rounds = grid
+    cfg = small_cfg(num_images=3, mu=mu, num_colors=nc, num_shapes=ns, rounds=rounds, seed=1)
+    raw, _ = generate_synthetic_raw(cfg)
+    assert [len(d["rounds"]) for d in raw["dialogs"]] == [rounds] * 3
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        assert_referable_image(*D._built_objects(cfg, rng), cfg)
+
+
 def test_synthetic_loader_roundtrip(tmp_path):
     cfg = small_cfg()
     raw, feats = generate_synthetic_raw(cfg)

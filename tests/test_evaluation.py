@@ -384,7 +384,8 @@ def test_every_ablation_encodes_each_batch_once(ablate, with_posterior, monkeypa
     included, in evaluate and in `eval --export-attention [--with-answers]`."""
     synthetic = SyntheticConfig(num_images=8, seed=9)
     ds = generate_synthetic(synthetic)
-    cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4, batch_size=8)
+    monkeypatch.setattr(evaluation, "EVAL_BATCH_UNITS", 8)
+    cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4)
     params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16,
                                d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
     calls = []
@@ -444,7 +445,7 @@ def random_overrides(monkeypatch, params, ds, cfg, seed):
 
 def test_ablate_random_with_one_region_count_permutes_each_batch(tiny_setup, monkeypatch):
     ds, params, cfg = tiny_setup
-    cfg = dataclasses.replace(cfg, batch_size=4)
+    monkeypatch.setattr(evaluation, "EVAL_BATCH_UNITS", 4)
     seen = random_overrides(monkeypatch, params, ds, cfg, seed=7)
     assert [len(batch) for batch, _ in seen] == [4, 4, 1]
     rng = np.random.default_rng(7)
@@ -458,7 +459,8 @@ def test_ablate_random_shuffles_among_units_with_the_same_region_count(monkeypat
     ds = generate_synthetic(SyntheticConfig(num_images=4, seed=9))
     for ex in ds.examples[1::2]:
         ex.region_features = Tensor(ex.region_features.data[:6])
-    cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4, batch_size=5)
+    monkeypatch.setattr(evaluation, "EVAL_BATCH_UNITS", 5)
+    cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4)
     params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16,
                                d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
     params.grounding.w2.data = np.random.default_rng(1).uniform(-1, 1, size=(cfg.d_h, 1))
@@ -504,14 +506,16 @@ def test_evaluate_ranks_each_unit_once_on_its_own_scores(monkeypatch, decoder):
     calls it once per unit, in unit order, with the unit's own scores and no
     -inf padding, also in batches whose units have different candidate counts."""
     ds = generate_synthetic(SyntheticConfig(num_images=4, seed=9))
-    cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4, batch_size=5)
+    size = 5
+    monkeypatch.setattr(evaluation, "EVAL_BATCH_UNITS", size)
+    cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4)
     params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16,
                                d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
     units = []
     for k, u in enumerate(prepare_units(ds, cfg.seq_len, cfg.max_history)):
         n = max(u.gt_index + 1, 10 - 3 * (k % 3))
         units.append(dataclasses.replace(u, candidates=u.candidates[:n], relevance=u.relevance[:n]))
-    batches = [units[k:k + cfg.batch_size] for k in range(0, len(units), cfg.batch_size)]
+    batches = [units[k:k + size] for k in range(0, len(units), size)]
     assert all(len({len(u.candidates) for u in batch}) > 1 for batch in batches)
     calls = []
     real = evaluation.rank_of_gt
@@ -526,7 +530,40 @@ def test_evaluate_ranks_each_unit_once_on_its_own_scores(monkeypatch, decoder):
     for k, batch in enumerate(batches):
         scores = infer_batch_scores(params, batch, cfg, decoder=decoder)[0]
         for b, u in enumerate(batch):
-            got, gt_index = calls[k * cfg.batch_size + b]
+            got, gt_index = calls[k * size + b]
             assert gt_index == u.gt_index
             assert np.array_equal(got, scores[b, :len(u.candidates)])
             assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("with_posterior", [False, True])
+@pytest.mark.parametrize("ablate", ["learned", "mean", "oracle"])
+@pytest.mark.parametrize("decoder", ["generative", "discriminative"])
+def test_evaluation_does_not_depend_on_its_batch(monkeypatch, decoder, ablate, with_posterior):
+    """The report and every attention record are byte-identical whether the
+    units run 8 at a time, EVAL_BATCH_UNITS at a time or all at once, with
+    region and candidate counts that differ within each batch and a prior
+    that is not uniform."""
+    ds = generate_synthetic(SyntheticConfig(num_images=30, seed=9))
+    for ex in ds.examples[1::3]:         # 6 to 8 regions, every ground-truth one kept
+        mu = max(6, 1 + max(i for r in ex.rounds for i in r.gt_grounding))
+        ex.region_features = Tensor(ex.region_features.data[:mu])
+    cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4)
+    params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16,
+                               d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
+    params.grounding.w2.data = np.random.default_rng(1).uniform(-1, 1, size=(cfg.d_h, 1))
+    units = []
+    for k, u in enumerate(prepare_units(ds, cfg.seq_len, cfg.max_history)):
+        n = max(u.gt_index + 1, 10 - 3 * (k % 4))
+        units.append(dataclasses.replace(u, candidates=u.candidates[:n], relevance=u.relevance[:n]))
+    assert len(units) > evaluation.EVAL_BATCH_UNITS
+
+    def run(size):
+        monkeypatch.setattr(evaluation, "EVAL_BATCH_UNITS", size)
+        rep = evaluate(params, ds, cfg, decoder=decoder, ablate=ablate,
+                       with_posterior=with_posterior, units=units)
+        return json.dumps(rep.to_dict()), json.dumps(rep.attention)
+
+    want = run(evaluation.EVAL_BATCH_UNITS)
+    assert run(8) == want
+    assert run(len(units)) == want
