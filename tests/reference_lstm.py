@@ -1,10 +1,12 @@
-"""Per-step LSTM reference: the test oracle for `autodiff.lstm_sequence`.
+"""Per-step LSTM reference: the test oracles for `autodiff.lstm_sequence`.
 
 `lstm_step` is one LSTM step as its own tape node, reading one row of the
 input matrix. `step_sequence` steps it through an `lstm_sequence` index
-(`step_sequence_loss` does so under the tape, for gradients), and
-the `ref_*` functions are the encoders and decoders written one sequence
-and one step at a time on top of it, so a model forward can be compared
+(`step_sequence_loss` does so under the tape, for gradients).
+`lstm_sequence_rows` is the fused op with row-major gates and fresh step
+buffers, which the gate-major op must match bit for bit. The `ref_*`
+functions are the encoders and decoders written one sequence and one step
+at a time on top of `lstm_step`, so a model forward can be compared
 against the batched path by patching them in. `cross_entropy` (one logits
 vector), `add_chain` and `mean_of` are the scalar-at-a-time loss ops the
 oracles sum their per-position and per-unit losses with, and `transpose` the
@@ -158,6 +160,117 @@ def step_sequence_loss(xs: Tensor, index: np.ndarray, hc0: Tensor, wx: Tensor, w
                 hc = lstm_step(xs, int(index[t, col]), hc, wx, wh, b)
             terms.append(ad.sum_all(ad.mul(ad.slice_cols(hc, 0, H), Tensor(weights[t, col:col + 1]))))
     return add_chain(terms)
+
+
+def lstm_sequence_rows(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
+                       b: Tensor) -> Tensor:
+    """`autodiff.lstm_sequence` as it was with row-major gates: each step's
+    activations in one [B, 4H] buffer, i, f, o, g side by side in its
+    columns, and fresh step buffers on every call. The gate-major op must
+    give the same states and gradients bit for bit.
+    """
+    idx = np.asarray(index, dtype=np.intp)
+    if idx.ndim != 2:
+        raise DimensionError(f"lstm_sequence index must be [T, B], got shape {idx.shape}")
+    T, B = idx.shape
+    H = wh.shape[0]
+    if (table.data.ndim != 2 or wx.shape != (table.shape[1], 4 * H) or wh.shape != (H, 4 * H)
+            or b.shape != (1, 4 * H) or hc0.shape != (B, 2 * H)):
+        raise DimensionError(
+            f"lstm_sequence shapes: table {table.shape}, index {idx.shape}, hc0 {hc0.shape}, "
+            f"wx {wx.shape}, wh {wh.shape}, b {b.shape}"
+        )
+    if idx.size and (idx.min() < -1 or idx.max() >= table.shape[0]):
+        raise IndexError(f"lstm_sequence index outside [-1, {table.shape[0]})")
+    live = idx >= 0
+    full = live.all(axis=1)
+    # the distinct rows read, and for each read (step-major, as dz in the
+    # rule) its row among them
+    used, inv, counts = np.unique(idx[live], return_inverse=True, return_counts=True)
+    local = np.full((T, B), -1, dtype=np.intp)
+    local[live] = inv
+    inputs = (table, hc0, wx, wh, b)
+    record = ad._ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
+    x_used, wxd, whd = table.data[used], wx.data, wh.data
+    proj = x_used @ wxd if used.size else np.zeros((1, 4 * H))
+    proj += b.data
+    hs = np.empty((T, B, H))
+    if record:
+        gates = np.empty((T, B, 4 * H))                    # i, f, o, g after activation
+        h_prev = np.empty((T, B, H))
+        c_prev = np.empty((T, B, H))
+        tanh_c = np.empty((T, B, H))
+    h = hc0.data[:, :H]
+    c = hc0.data[:, H:]
+    z = np.empty((B, 4 * H))                               # step buffers, reused
+    zh = np.empty((B, 4 * H))
+    for t in range(T):
+        # the index was range-checked above; a -1 reads row 0 and its
+        # result is discarded below
+        np.take(proj, local[t], axis=0, out=z, mode="clip")
+        z += np.matmul(h, whd, out=zh)
+        ifo = z[:, :3 * H]                                 # sigmoid of i, f, o, in place
+        np.negative(ifo, out=ifo)
+        np.exp(ifo, out=ifo)
+        ifo += 1.0
+        np.reciprocal(ifo, out=ifo)
+        gg = np.tanh(z[:, 3 * H:], out=z[:, 3 * H:])
+        c2 = ifo[:, H:2 * H] * c
+        c2 += ifo[:, :H] * gg
+        tc = np.tanh(c2)
+        h2 = np.multiply(ifo[:, 2 * H:], tc, out=hs[t])
+        if not full[t]:
+            keep = ~live[t, :, None]
+            np.copyto(c2, c, where=keep)
+            np.copyto(h2, h, where=keep)
+        if record:
+            gates[t] = z
+            h_prev[t] = h
+            c_prev[t] = c
+            tanh_c[t] = tc
+        h, c = h2, c2
+    out = Tensor(hs.reshape(T * B, H))
+    if not record:
+        return out
+
+    def rule(g):
+        g = g.reshape(T, B, H)
+        dz = np.zeros((T, B, 4 * H))
+        dh_next = np.zeros((B, H))
+        dc_next = np.zeros((B, H))
+        for t in range(T - 1, -1, -1):
+            dh = g[t] + dh_next
+            i = gates[t, :, :H]
+            f = gates[t, :, H:2 * H]
+            o = gates[t, :, 2 * H:3 * H]
+            gg = gates[t, :, 3 * H:]
+            tc = tanh_c[t]
+            dc = dc_next + dh * o * (1.0 - tc * tc)
+            dzt = dz[t]
+            dzt[:, :H] = dc * gg * i * (1.0 - i)
+            dzt[:, H:2 * H] = dc * c_prev[t] * f * (1.0 - f)
+            dzt[:, 2 * H:3 * H] = dh * tc * o * (1.0 - o)
+            dzt[:, 3 * H:] = dc * i * (1.0 - gg * gg)
+            dh_prev = dzt @ whd.T
+            dc_prev = dc * f
+            if not full[t]:
+                keep = ~live[t, :, None]
+                dzt[~live[t]] = 0.0
+                dh_prev = np.where(keep, dh, dh_prev)
+                dc_prev = np.where(keep, dc_next, dc_prev)
+            dh_next, dc_next = dh_prev, dc_prev
+        dwh = h_prev.reshape(T * B, H).T @ dz.reshape(T * B, 4 * H)
+        dproj = np.zeros((used.size, 4 * H))               # per distinct row
+        if used.size:
+            starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+            np.add.reduceat(dz[live][np.argsort(inv, kind="stable")], starts, axis=0,
+                            out=dproj)
+        dtable = np.zeros(table.shape)
+        dtable[used] = dproj @ wxd.T
+        return (dtable, np.concatenate([dh_next, dc_next], axis=1),
+                x_used.T @ dproj, dwh, dproj.sum(axis=0, keepdims=True))
+
+    return _record(out, inputs, rule)
 
 
 # ---------------------------------------------------------------------------

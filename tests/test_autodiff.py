@@ -16,7 +16,8 @@ from grounddial.autodiff import (
     backward,
     grad_check,
 )
-from reference_lstm import cross_entropy, step_sequence, step_sequence_loss, transpose
+from reference_lstm import (cross_entropy, lstm_sequence_rows, step_sequence, step_sequence_loss,
+                            transpose)
 
 
 def rng():
@@ -68,6 +69,27 @@ def test_matmul_backward():
     g = np.ones((3, 2))
     assert np.allclose(a.grad, g @ b.data.T)
     assert np.allclose(b.grad, a.data.T @ g)
+
+
+@pytest.mark.parametrize("op, shapes", [
+    (ad.matmul, [(3, 4), (4, 2)]),
+    (ad.bmm, [(2, 3, 4), (2, 4, 5)]),
+    (lambda a, b: ad.bmm(a, b, transpose_b=True), [(2, 3, 4), (2, 5, 4)]),
+    (ad.mul, [(3, 4), (3, 4)]),
+], ids=["matmul", "bmm", "bmm_transposed", "mul"])
+def test_product_rules_skip_the_gradient_of_a_constant(op, shapes):
+    """A product's rule forms no gradient for an input that does not require
+    one, and the other input's gradient is the one both inputs get."""
+    g = rng()
+    for const_side in (0, 1):
+        parts = [Tensor(g.normal(size=s), requires_grad=True) for s in shapes]
+        both = _lstm_grads(lambda a, b: ad.sum_all(op(a, b)), parts)
+        parts[1 - const_side].requires_grad = True
+        with Tape() as tape:
+            out = op(*parts)
+        grads = tape.nodes[0].rule(np.ones(out.shape))
+        assert grads[const_side] is None
+        assert grads[1 - const_side].tobytes() == both[1 - const_side].tobytes()
 
 
 @pytest.mark.parametrize("transpose_b", [False, True])
@@ -541,6 +563,116 @@ def test_lstm_sequence_matches_stepping_the_reference(data):
         assert_lstm_matches_stepping(xs, idx, hc0, w, weights)
 
 
+def _free_and_recorded(op, parts, index, weights):
+    """op's states from a call with no tape, its states from a recorded call
+    and the gradients of sum(weights * states) in all five inputs."""
+    free = op(parts[0], index, *parts[1:]).data
+    recorded = []
+
+    def loss(x, *rest):
+        out = op(x, index, *rest)
+        recorded.append(out.data)
+        return ad.sum_all(ad.mul(out, Tensor(weights)))
+
+    grads = _lstm_grads(loss, parts)
+    return [free, recorded[0], *grads]
+
+
+def assert_lstm_is_the_row_major_op(index, parts):
+    """States and all five gradients equal `reference_lstm.lstm_sequence_rows`'
+    bit for bit (-0.0 and 0.0 told apart)."""
+    T, B = index.shape
+    H = parts[3].shape[0]
+    weights = np.random.default_rng(T * B * H).normal(size=(T * B, H))
+    got = _free_and_recorded(ad.lstm_sequence, parts, index, weights)
+    want = _free_and_recorded(lstm_sequence_rows, parts, index, weights)
+    for name, a, b in zip(["free states", "recorded states", "table", "hc0", "wx", "wh", "b"],
+                          got, want):
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _lstm_parts(g, n_rows, d_in, B, H):
+    """table, hc0, wx, wh, b of the given sizes, random normal."""
+    return [Tensor(g.normal(size=s)) for s in
+            [(n_rows, d_in), (B, 2 * H), (d_in, 4 * H), (H, 4 * H), (1, 4 * H)]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lstm_sequence_is_the_row_major_op_bit_for_bit(data):
+    """Gate-major gates and workspace step buffers change no bit. Ragged
+    batches in which a sequence may read nothing, reversed indices, rows
+    read repeatedly, B = 1, and sizes that grow and shrink the workspace
+    from one example to the next."""
+    B = data.draw(st.integers(1, 6), label="B")
+    T = data.draw(st.integers(1, 5), label="T")
+    H = data.draw(st.integers(1, 9), label="H")
+    n_rows = data.draw(st.integers(1, 6), label="table rows")
+    lengths = data.draw(st.lists(st.integers(0, T), min_size=B, max_size=B), label="lengths")
+    reads = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=sum(lengths),
+                               max_size=sum(lengths)), label="rows read")
+    reverse = data.draw(st.booleans(), label="reversed")
+    g = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    index = np.full((T, B), -1)
+    start = 0
+    for col, n in enumerate(lengths):
+        index[:n, col] = reads[start:start + n]
+        start += n
+    assert_lstm_is_the_row_major_op(index[::-1] if reverse else index,
+                                    _lstm_parts(g, n_rows, 4, B, H))
+
+
+def test_lstm_sequence_is_the_row_major_op_at_the_decoders_size():
+    """The generative decoder's evaluation call: 64 units x 10 candidates of
+    2-3 steps, H = 64, reading an embedding."""
+    g = rng()
+    B, H = 640, 64
+    index = g.integers(0, 30, size=(3, B))
+    index[2, g.random(B) < 0.5] = -1
+    assert_lstm_is_the_row_major_op(index, _lstm_parts(g, 30, 32, B, H))
+
+
+def test_lstm_sequence_workspace_is_never_in_a_result(monkeypatch):
+    """The step buffers are reused, never returned or kept by the tape: an
+    output is unchanged by later calls of larger and smaller B and another
+    H, a recorded call's gradients are unchanged by calls made between it
+    and backward, and each workspace buffer is as large as the largest
+    call needs, no larger."""
+    monkeypatch.setattr(ad, "_WORKSPACE", {})
+    g = rng()
+
+    def call(B, H):
+        parts = _lstm_parts(g, 5, 4, B, H)
+        return ad.lstm_sequence(parts[0], g.integers(-1, 5, size=(3, B)), *parts[1:])
+
+    index = g.integers(-1, 5, size=(3, 6))
+    parts = _lstm_parts(g, 5, 4, 6, 3)
+    first = ad.lstm_sequence(parts[0], index, *parts[1:]).data
+    kept = first.copy()
+    others = [(9, 3), (2, 3), (6, 5), (1, 2), (6, 3)]
+    for B, H in others:
+        call(B, H)
+    assert first.tobytes() == kept.tobytes()
+
+    weights = g.normal(size=(3 * 6, 3))
+
+    def grads(calls_between):
+        def loss(x, *rest):
+            out = ad.sum_all(ad.mul(ad.lstm_sequence(x, index, *rest), Tensor(weights)))
+            for B, H in calls_between:
+                call(B, H)
+            return out
+        return _lstm_grads(loss, parts)
+
+    alone = grads([])
+    interleaved = grads(others)
+    for name, a, b in zip(["table", "hc0", "wx", "wh", "b"], interleaved, alone):
+        assert a.tobytes() == b.tobytes(), name
+    most = max(B * H for B, H in others + [(6, 3)])
+    assert ad._WORKSPACE["zh"].size == 4 * most
+    assert ad._WORKSPACE["c"].size == 2 * most
+
+
 def test_grad_check_cross_entropy_rows():
     g = rng()
     targets = [2, 0, 4, 2]
@@ -596,17 +728,36 @@ def test_take_rows_duplicate_accumulation():
     assert a.grad.tolist() == [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]]
 
 
-@pytest.mark.parametrize("indices", [[4, 0, 2, 5], [], [1, 4, 1, 0, 4, 4]],
-                         ids=["distinct", "none", "repeated"])
-def test_take_rows_gradient_is_the_add_at_scatter_bit_for_bit(indices):
+def assert_take_rows_gradient_is_add_at(indices, g):
     a = Tensor(rng().normal(size=(6, 3)), requires_grad=True)
-    g = rng().normal(size=(len(indices), 3))
     with Tape() as tape:
         loss = ad.sum_all(ad.mul(ad.take_rows(a, indices), Tensor(g)))
     backward(loss, tape)
     want = np.zeros((6, 3))
     np.add.at(want, np.asarray(indices, dtype=np.intp), g)
     assert a.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("indices", [[4, 0, 2, 5], [], [1, 4, 1, 0, 4, 4], [3] * 20 + [0, 3, 5, 3]],
+                         ids=["distinct", "none", "repeated", "long_run"])
+def test_take_rows_gradient_is_the_add_at_scatter_bit_for_bit(indices):
+    """A long run of one row too: pairwise summation (`np.add.reduceat`)
+    would round it differently."""
+    assert_take_rows_gradient_is_add_at(indices, rng().normal(size=(len(indices), 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(indices=st.lists(st.integers(0, 5), min_size=1, max_size=40),
+       seed=st.integers(0, 2**16), zero_share=st.sampled_from([0.0, 0.3, 1.0]))
+def test_take_rows_gradient_of_repeated_reads_is_the_add_at_scatter_bit_for_bit(indices, seed,
+                                                                               zero_share):
+    """Unsorted reads with a repeat, and gradients that hold -0.0: np.add.at
+    sums from +0.0, so a row whose gradients are all -0.0 gets +0.0. (When
+    no row repeats, each row is assigned its one gradient, -0.0 included.)"""
+    indices = indices + indices[:1]
+    g = np.random.default_rng(seed).normal(size=(len(indices), 3))
+    g[np.random.default_rng(seed + 1).random(g.shape) < zero_share] = -0.0
+    assert_take_rows_gradient_is_add_at(indices, g)
 
 
 def test_tile_rows():
