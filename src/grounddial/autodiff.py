@@ -4,13 +4,16 @@ Every operation records one node onto the active :class:`Tape`; `backward`
 replays the tape in reverse recording order exactly once. `matmul` is 2-D;
 same-shape elementwise arithmetic and reductions work on any rank --
 there is no implicit broadcasting beyond scaling/shifting by a Python
-scalar, so shape mistakes fail loudly at the op that caused them. All data
-is float64.
+scalar, so shape mistakes fail loudly at the op that caused them. The two
+named exceptions are layers fused into one node each: `affine` adds its
+[1, n] bias row to every row of x @ w, and `layer_norm` broadcasts each
+row's mean and inverse deviation over the row. All data is float64.
 
-`bmm` is the one op beyond 2-D: a batched matrix product over a leading
-axis, [B, m, k] @ [B, k, n]. With it, `masked_softmax` along any axis and
-the elementwise ops, a batch of units runs each attention step as one node
-on [B, ., .] stacks; ragged rows are masked, never packed block-diagonally.
+`bmm` is the one product beyond 2-D: a batched matrix product over the
+leading axes, [B, m, k] @ [B, k, n] or [B, heads, m, k] @ [B, heads, k, n].
+With it, `permute`, `masked_softmax` along any axis and the elementwise ops,
+a batch of units runs each attention step as one node on [B, ., .] stacks,
+every head at once; ragged rows are masked, never packed block-diagonally.
 
 The recurrence is one op, `lstm_sequence`, that runs a batch of sequences
 through an LSTM cell as a single node, with backpropagation through time
@@ -176,48 +179,146 @@ def ones_const(shape) -> Tensor:
 # ---------------------------------------------------------------------------
 # core ops
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product. dA = dC Bᵀ, dB = Aᵀ dC."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul shapes do not agree: {a.shape} x {b.shape}")
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for matrices, each entry rounded the same wherever its row sits."""
     if b.shape[1] == 1:
         # BLAS's matrix-vector product rounds a row differently with its
         # position and the row count, which would make a unit's value depend
         # on its batch; einsum sums each row the same way wherever it sits
-        out = Tensor(np.einsum("ij,jk->ik", a.data, b.data))
-    else:
-        out = Tensor(a.data @ b.data)
+        return np.einsum("ij,jk->ik", a, b)
+    if a.shape[1] == 1:
+        return _outer(a, b)
+    return a @ b
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[m, 1] @ [1, n] as a broadcast product, bit for bit the k=1 GEMM:
+    each entry is rounded once, and adding 0.0 turns a -0.0 into +0.0 as
+    the GEMM's sum from zero does, without the GEMM's call overhead."""
+    out = a * b
+    out += 0.0
+    return out
+
+
+def _product_rule(g: np.ndarray, a: Tensor, b: Tensor) -> tuple:
+    """(dA, dB) of C = A B: dA = dC Bᵀ (a broadcast product when B has one
+    column, so the inner dimension is 1), dB = Aᵀ dC; None for a constant."""
     ad, bd = a.data, b.data
+    if not a.requires_grad:
+        da = None
+    elif bd.shape[1] == 1:
+        da = _outer(g, bd.T)
+    else:
+        da = g @ bd.T
+    return da, ad.T @ g if b.requires_grad else None
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """2-D matrix product. dA = dC Bᵀ, dB = Aᵀ dC."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul shapes do not agree: {a.shape} x {b.shape}")
+    out = Tensor(_product(a.data, b.data))
 
     def rule(g):
-        return (g @ bd.T if a.requires_grad else None,
-                ad.T @ g if b.requires_grad else None)
+        return _product_rule(g, a, b)
 
     return _record(out, (a, b), rule)
 
 
-def bmm(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    """Batched matrix product over the leading axis: [B, m, k] @ [B, k, n].
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b, the [1, n] row b added to every row, as one node.
 
-    With transpose_b, b is [B, n, k] and each slice multiplies by its
+    Its values and gradients are those of adding b tiled to n rows by a
+    ones column: dX = dC wᵀ, dW = xᵀ dC, and db = 1ᵀ dC, the one-row
+    product the tiled form's rule formed.
+    """
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != (1, w.shape[1])):
+        raise DimensionError(f"affine shapes do not agree: {x.shape} x {w.shape} + {b.shape}")
+    out = _product(x.data, w.data)
+    out += b.data
+    n = x.shape[0]
+
+    def rule(g):
+        return (*_product_rule(g, x, w), np.ones((n, 1)).T @ g if b.requires_grad else None)
+
+    return _record(Tensor(out), (x, w, b), rule)
+
+
+def layer_norm(t: Tensor, eps: float = 1e-5) -> Tensor:
+    """Parameter-free layer norm of each row of a matrix, as one node.
+
+    The row sums are the einsum products with a ones column that the
+    composed form (mean, subtract, square, mean, power, multiply) took, and
+    the subtract and the multiply broadcast each row's statistic where that
+    form tiled it by a k=1 product with a ones row. (That product read a
+    -0.0 as +0.0; the one -0.0 it could meet, the variance's gradient, is
+    summed with +0.0 before it reaches a result.) The rule replays the
+    composed form's rules in reverse order, so values and gradients are
+    that form's bit for bit.
+
+    It returns one input gradient, the sum of the composed form's two
+    contributions to it, so it is exact only where `t` has no other
+    consumer whose gradient would be added in between; every call in the
+    package normalizes a fresh sum or product.
+    """
+    if t.data.ndim != 2:
+        raise DimensionError(f"layer_norm needs a matrix, got shape {t.shape}")
+    d = t.shape[1]
+    s = 1.0 / d
+    col = np.ones((d, 1))
+    centered = t.data - np.einsum("ij,jk->ik", t.data, col) * s
+    v_eps = np.einsum("ij,jk->ik", centered * centered, col) * s + float(eps)
+    inv = v_eps ** -0.5                                    # [m, 1]
+    out = Tensor(centered * inv)
+
+    def rule(g):
+        dc = g * inv
+        via_var = ((g * centered) @ col) * -0.5 * v_eps ** -1.5 * s * centered
+        dc = dc + via_var + via_var                        # the square's two factors
+        return (dc + ((-dc) @ col) * s,)
+
+    return _record(out, (t,), rule)
+
+
+def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
+    """a's axes reordered (`np.transpose`), as a contiguous copy; the
+    gradient is the inverse transpose of the output's, a view."""
+    axes = tuple(axes)
+    if sorted(axes) != list(range(a.data.ndim)):
+        raise DimensionError(f"permute axes {axes} for shape {a.shape}")
+    out = Tensor(np.ascontiguousarray(a.data.transpose(axes)))
+    back = tuple(np.argsort(axes))
+
+    def rule(g):
+        return (g.transpose(back),)
+
+    return _record(out, (a,), rule)
+
+
+def bmm(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+    """Batched matrix product over the leading axes: [..., m, k] @ [..., k, n],
+    one or more leading axes, the same on both sides.
+
+    With transpose_b, b is [..., n, k] and each slice multiplies by its
     transpose. dA = dC Bᵀ, dB = Aᵀ dC, slice by slice.
     """
-    k_axis = 2 if transpose_b else 1
-    if (a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0]
-            or a.shape[2] != b.shape[k_axis]):
+    k_axis = -1 if transpose_b else -2
+    if (a.data.ndim < 3 or b.data.ndim != a.data.ndim or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[k_axis]):
         raise DimensionError(f"bmm shapes do not agree: {a.shape} x {b.shape}"
                              f"{' transposed' if transpose_b else ''}")
     ad_ = a.data
-    bd = b.data.transpose(0, 2, 1) if transpose_b else b.data
+    bd = b.data.swapaxes(-1, -2) if transpose_b else b.data
     out = Tensor(np.matmul(ad_, bd))
 
     def rule(g):
-        da = np.matmul(g, bd.transpose(0, 2, 1)) if a.requires_grad else None
+        da = np.matmul(g, bd.swapaxes(-1, -2)) if a.requires_grad else None
         if not b.requires_grad:
             return da, None
         if transpose_b:
-            return da, np.matmul(g.transpose(0, 2, 1), ad_)
-        return da, np.matmul(ad_.transpose(0, 2, 1), g)
+            return da, np.matmul(g.swapaxes(-1, -2), ad_)
+        return da, np.matmul(ad_.swapaxes(-1, -2), g)
 
     return _record(out, (a, b), rule)
 
@@ -400,13 +501,6 @@ def mean_all(a: Tensor) -> Tensor:
         return (np.full(shape, float(g) / n),)
 
     return _record(out, (a,), rule)
-
-
-def tile_rows(row: Tensor, n: int) -> Tensor:
-    """Repeat a [1, d] row n times; the explicit stand-in for broadcasting."""
-    if row.data.ndim != 2 or row.shape[0] != 1:
-        raise DimensionError(f"tile_rows needs a [1, d] row, got {row.shape}")
-    return matmul(ones_const((n, 1)), row)
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +752,8 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
         dproj = np.zeros((used.size, 4 * H))               # per distinct row
         if used.size:
             starts = np.concatenate([[0], np.cumsum(counts[:-1])])
-            np.add.reduceat(dz[live][np.argsort(inv, kind="stable")], starts, axis=0,
+            reads = np.flatnonzero(live)[np.argsort(inv, kind="stable")]
+            np.add.reduceat(np.take(dz.reshape(T * B, 4 * H), reads, axis=0), starts, axis=0,
                             out=dproj)
         dtable = np.zeros(table.shape)
         dtable[used] = dproj @ wxd.T

@@ -71,7 +71,7 @@ def fuse_for_decoder(x: Tensor, mask_x: np.ndarray, v_star: Tensor,
     pool = Tensor((mask / counts).reshape(B, 1, lam))
     ctx = ad.reshape(ad.bmm(pool, x), (B, d_q))
     cat = ad.concat([ctx, v_star], axis=1)            # [B, 2 d_q]
-    return ad.tanh(ad.add(ad.matmul(cat, params.fuse_w), ad.tile_rows(params.fuse_b, B)))
+    return ad.tanh(ad.affine(cat, params.fuse_w, params.fuse_b))
 
 
 def _teacher_forced_position_losses(h0: Tensor, sequences: Sequence[Sequence[int]],
@@ -95,7 +95,7 @@ def _teacher_forced_position_losses(h0: Tensor, sequences: Sequence[Sequence[int
     # step-major rows t*n + s, regrouped sequence by sequence
     seq_of, step = np.nonzero(index.T >= 0)
     hs = ad.take_rows(hs, step * n + seq_of)
-    logits = ad.add(ad.matmul(hs, params.out_w), ad.tile_rows(params.out_b, seq_of.size))
+    logits = ad.affine(hs, params.out_w, params.out_b)
     return ad.cross_entropy_rows(logits, [t for tokens in seqs for t in tokens])
 
 

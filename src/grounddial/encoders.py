@@ -190,7 +190,7 @@ def encode_sentences(seqs: Sequence[Sequence[int]], enc: BiEncoderParams,
     # a state is carried past its sequence's end, so step T-1 holds every final state
     last = np.arange(index.size - n, index.size)
     state = ad.concat([ad.take_rows(h_f, last), ad.take_rows(h_b, last)], axis=1)
-    out = ad.add(ad.matmul(state, enc.proj_w), ad.tile_rows(enc.proj_b, n))
+    out = ad.affine(state, enc.proj_w, enc.proj_b)
     if not all(distinct):
         keep = np.array([[1.0] if s else [0.0] for s in distinct])
         out = ad.mul(out, Tensor(np.repeat(keep, d_q, axis=1)))
@@ -227,7 +227,7 @@ def encode_tokens(seqs: Sequence[Sequence[int]], length: int, params: EncoderPar
     states = ad.concat([ad.take_rows(h_f, pos * n_seq + seq_of),
                         ad.take_rows(h_b, (T - 1 - pos) * n_seq + seq_of)], axis=1)
     n = seq_of.size
-    out = layer_norm_rows(ad.add(ad.matmul(states, enc.proj_w), ad.tile_rows(enc.proj_b, n)))
+    out = ad.layer_norm(ad.affine(states, enc.proj_w, enc.proj_b))
     grid = np.full((n_seq, length), n, dtype=np.intp)
     grid[seq_of, pos] = np.arange(n)
     return gather_rows(out, grid[row_of])
@@ -245,25 +245,14 @@ def encode_history(elements: Sequence[Sequence[int]], params: EncoderParams) -> 
     return encode_sentences(elements, params.history, params.embedding)
 
 
-def layer_norm_rows(t: Tensor, eps: float = 1e-5) -> Tensor:
-    """Parameter-free layer norm over the last axis of a matrix, per row."""
-    m, d = t.shape
-    col = ad.ones_const((d, 1))
-    row = ad.ones_const((1, d))
-    mean = ad.scale(ad.matmul(t, col), 1.0 / d)            # [m, 1]
-    centered = ad.sub(t, ad.matmul(mean, row))
-    var = ad.scale(ad.matmul(ad.mul(centered, centered), col), 1.0 / d)
-    inv = ad.power(ad.add_const(var, eps), -0.5)           # [m, 1]
-    return ad.mul(centered, ad.matmul(inv, row))
-
-
 def fuse_context(Q: Tensor, H: Tensor, mask_q: np.ndarray, mask_h: np.ndarray,
                  params: EncoderParams) -> Tensor:
     """Multi-head attention from question positions over history rows.
 
     Q: [B, lam, d_q] question encodings; H: [B, T, d_q] history rows;
     mask_q [B, lam] and mask_h [B, T] mark the real positions and rows.
-    Heads are concatenated and output-projected, residual-added to Q (when
+    Every head of every unit attends in one [B, n_heads, ., .] stack; the
+    heads are concatenated and output-projected, residual-added to Q (when
     enabled) and layer-normalized; PAD question rows stay zero.
     """
     B, lam, d_q = Q.shape
@@ -279,21 +268,21 @@ def fuse_context(Q: Tensor, H: Tensor, mask_q: np.ndarray, mask_h: np.ndarray,
     dh = d_q // n_h
     q_rows = ad.reshape(Q, (B * lam, d_q))
     h_rows = ad.reshape(H, (B * T, d_q))
-    qp = ad.matmul(q_rows, params.w_q)
-    kp = ad.matmul(h_rows, params.w_k)
-    vp = ad.matmul(h_rows, params.w_v)
-    keys = Tensor(np.broadcast_to(mask_h[:, None, :], (B, lam, T)))
-    heads = []
-    for h in range(n_h):
-        q_h = ad.reshape(ad.slice_cols(qp, h * dh, (h + 1) * dh), (B, lam, dh))
-        k_h = ad.reshape(ad.slice_cols(kp, h * dh, (h + 1) * dh), (B, T, dh))
-        v_h = ad.reshape(ad.slice_cols(vp, h * dh, (h + 1) * dh), (B, T, dh))
-        logits = ad.scale(ad.bmm(q_h, k_h, transpose_b=True), 1.0 / math.sqrt(dh))
-        attn = ad.masked_softmax(logits, axis=2, mask=keys)
-        heads.append(ad.reshape(ad.bmm(attn, v_h), (B * lam, dh)))
-    out = ad.matmul(ad.concat(heads, axis=1), params.w_o)
+
+    def heads(rows: Tensor, n: int) -> Tensor:
+        """[B*n, d_q] projected rows as the [B, n_heads, n, dh] stack."""
+        return ad.permute(ad.reshape(rows, (B, n, n_h, dh)), (0, 2, 1, 3))
+
+    q = heads(ad.matmul(q_rows, params.w_q), lam)
+    k = heads(ad.matmul(h_rows, params.w_k), T)
+    v = heads(ad.matmul(h_rows, params.w_v), T)
+    keys = Tensor(np.broadcast_to(mask_h[:, None, None, :], (B, n_h, lam, T)))
+    logits = ad.scale(ad.bmm(q, k, transpose_b=True), 1.0 / math.sqrt(dh))
+    attended = ad.bmm(ad.masked_softmax(logits, axis=3, mask=keys), v)     # [B, n_heads, lam, dh]
+    concat = ad.reshape(ad.permute(attended, (0, 2, 1, 3)), (B * lam, d_q))
+    out = ad.matmul(concat, params.w_o)
     if params.fusion_residual:
-        out = layer_norm_rows(ad.add(out, q_rows))
+        out = ad.layer_norm(ad.add(out, q_rows))
     keep = np.repeat(mask_q.reshape(B * lam, 1).astype(float), d_q, axis=1)
     return ad.reshape(ad.mul(out, Tensor(keep)), (B, lam, d_q))
 
@@ -306,7 +295,5 @@ def project_regions(raw: Tensor, params: EncoderParams) -> Tensor:
     """
     if raw.shape[1] != params.region_w1.shape[0]:
         raise DimensionError(f"region features {raw.shape} vs projection {params.region_w1.shape}")
-    mu = raw.shape[0]
-    h = ad.relu(ad.add(ad.matmul(raw, params.region_w1), ad.tile_rows(params.region_b1, mu)))
-    out = ad.add(ad.matmul(h, params.region_w2), ad.tile_rows(params.region_b2, mu))
-    return layer_norm_rows(out)
+    h = ad.relu(ad.affine(raw, params.region_w1, params.region_b1))
+    return ad.layer_norm(ad.affine(h, params.region_w2, params.region_b2))

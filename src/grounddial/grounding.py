@@ -107,7 +107,7 @@ def pool_regions(I_x: Tensor, params: GroundingParams,
     """
     B, mu, d_q = I_x.shape
     rows = ad.reshape(I_x, (B * mu, d_q))
-    h = ad.relu(ad.add(ad.matmul(rows, params.w1), ad.tile_rows(params.b1, B * mu)))
+    h = ad.relu(ad.affine(rows, params.w1, params.b1))
     scores = ad.reshape(ad.matmul(h, params.w2), (B, mu))
     weights = ad.masked_softmax(scores, axis=1, mask=Tensor(mask_i))
     pooled = ad.reshape(ad.bmm(ad.reshape(weights, (B, 1, mu)), I_x), (B, d_q))

@@ -7,27 +7,118 @@ of `forward_unit`'s losses, and `model.infer_batch_scores` each unit's
 `infer_unit_scores`, to a stated tolerance. The recurrences are looked up
 as module globals, so tests can patch in the per-step versions from
 `reference_lstm` as well.
+
+The module also keeps the composed forms that the package's one-node
+layers replaced, as bit-for-bit oracles: every product through BLAS
+(`matmul_blas`), the bias row tiled by a ones column (`tile_rows`,
+`affine_tiled`), the layer norm built from ones-vector products
+(`layer_norm_rows`) and multi-head fusion one head at a time
+(`fuse_context_per_head`). `composed_layers()` routes the package through
+them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import pytest
 
 from grounddial import autodiff as ad
-from grounddial.autodiff import DegenerateSliceError, Tensor
+from grounddial import model
+from grounddial.autodiff import DegenerateSliceError, DimensionError, Tensor, _record
 from grounddial.data import BOS_ID, EOS_ID
 from grounddial.encoders import (
     encode_history,
     encode_sentences,
-    layer_norm_rows,
     pack_sequences,
     project_regions,
 )
 from reference_lstm import cross_entropy, transpose
+
+
+# ---------------------------------------------------------------------------
+# the composed layers
+
+def matmul_blas(a: Tensor, b: Tensor) -> Tensor:
+    """`ad.matmul` with every product by BLAS, a k=1 GEMM included (einsum
+    only for a one-column output, as the package forms it)."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul shapes do not agree: {a.shape} x {b.shape}")
+    ad_, bd = a.data, b.data
+    out = Tensor(np.einsum("ij,jk->ik", ad_, bd) if bd.shape[1] == 1 else ad_ @ bd)
+
+    def rule(g):
+        return (g @ bd.T if a.requires_grad else None,
+                ad_.T @ g if b.requires_grad else None)
+
+    return _record(out, (a, b), rule)
+
+
+def tile_rows(row: Tensor, n: int) -> Tensor:
+    """Repeat a [1, d] row n times, as a product with a ones column."""
+    return ad.matmul(ad.ones_const((n, 1)), row)
+
+
+def affine_tiled(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return ad.add(ad.matmul(x, w), tile_rows(b, x.shape[0]))
+
+
+def layer_norm_rows(t: Tensor, eps: float = 1e-5) -> Tensor:
+    """Parameter-free layer norm over the last axis of a matrix, per row."""
+    m, d = t.shape
+    col = ad.ones_const((d, 1))
+    row = ad.ones_const((1, d))
+    mean = ad.scale(ad.matmul(t, col), 1.0 / d)            # [m, 1]
+    centered = ad.sub(t, ad.matmul(mean, row))
+    var = ad.scale(ad.matmul(ad.mul(centered, centered), col), 1.0 / d)
+    inv = ad.power(ad.add_const(var, eps), -0.5)           # [m, 1]
+    return ad.mul(centered, ad.matmul(inv, row))
+
+
+def fuse_context_per_head(Q: Tensor, H: Tensor, mask_q: np.ndarray, mask_h: np.ndarray,
+                          params) -> Tensor:
+    """`encoders.fuse_context` with a batch's heads run one after another."""
+    B, lam, d_q = Q.shape
+    T = H.shape[1]
+    mask_q = np.asarray(mask_q, dtype=bool)
+    mask_h = np.asarray(mask_h, dtype=bool)
+    n_h = params.n_heads
+    dh = d_q // n_h
+    q_rows = ad.reshape(Q, (B * lam, d_q))
+    h_rows = ad.reshape(H, (B * T, d_q))
+    qp = ad.matmul(q_rows, params.w_q)
+    kp = ad.matmul(h_rows, params.w_k)
+    vp = ad.matmul(h_rows, params.w_v)
+    keys = Tensor(np.broadcast_to(mask_h[:, None, :], (B, lam, T)))
+    heads = []
+    for h in range(n_h):
+        q_h = ad.reshape(ad.slice_cols(qp, h * dh, (h + 1) * dh), (B, lam, dh))
+        k_h = ad.reshape(ad.slice_cols(kp, h * dh, (h + 1) * dh), (B, T, dh))
+        v_h = ad.reshape(ad.slice_cols(vp, h * dh, (h + 1) * dh), (B, T, dh))
+        logits = ad.scale(ad.bmm(q_h, k_h, transpose_b=True), 1.0 / math.sqrt(dh))
+        attn = ad.masked_softmax(logits, axis=2, mask=keys)
+        heads.append(ad.reshape(ad.bmm(attn, v_h), (B * lam, dh)))
+    out = ad.matmul(ad.concat(heads, axis=1), params.w_o)
+    if params.fusion_residual:
+        out = layer_norm_rows(ad.add(out, q_rows))
+    keep = np.repeat(mask_q.reshape(B * lam, 1).astype(float), d_q, axis=1)
+    return ad.reshape(ad.mul(out, Tensor(keep)), (B, lam, d_q))
+
+
+@contextlib.contextmanager
+def composed_layers():
+    """Run the package on the composed layers above: `ad.matmul`,
+    `ad.affine`, `ad.layer_norm` and the model's `fuse_context` replaced."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ad, "matmul", matmul_blas)
+        m.setattr(ad, "affine", affine_tiled)
+        m.setattr(ad, "layer_norm", layer_norm_rows)
+        m.setattr(model, "fuse_context", fuse_context_per_head)
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +145,7 @@ def encode_tokens(ids: Sequence[int], mask: Sequence[bool], params, which: str) 
     if n == 0:
         return ad.zeros_const((lam, params.d_q))
     states = _bi_lstm_states(ids[:n], enc, params.embedding)
-    out = ad.add(ad.matmul(states, enc.proj_w), ad.tile_rows(enc.proj_b, n))
+    out = ad.add(ad.matmul(states, enc.proj_w), tile_rows(enc.proj_b, n))
     out = layer_norm_rows(out)
     if n < lam:
         out = ad.concat([out, ad.zeros_const((lam - n, params.d_q))], axis=0)
@@ -117,7 +208,7 @@ def cross_attend(I: Tensor, x: Tensor, mask_x: Sequence[bool], axis_mode: str = 
 def pool_regions(I_x: Tensor, params) -> tuple[Tensor, Tensor]:
     """Weights [mu] over regions and the pooled vector [d_q]."""
     mu, d_q = I_x.shape
-    h = ad.relu(ad.add(ad.matmul(I_x, params.w1), ad.tile_rows(params.b1, mu)))
+    h = ad.relu(ad.add(ad.matmul(I_x, params.w1), tile_rows(params.b1, mu)))
     scores = ad.matmul(h, params.w2)
     w_col = ad.masked_softmax(scores, axis=0, mask=ad.ones_const(scores.shape))
     weights = ad.reshape(w_col, (mu,))
@@ -159,12 +250,12 @@ def _position_losses(fused: Tensor, seqs, embedding: Tensor, params) -> Tensor:
     index = pack_sequences([[BOS_ID] + tokens[:-1] for tokens in seqs], embedding.shape[0])
     h0 = ad.reshape(fused, (1, d_q))
     if n > 1:
-        h0 = ad.tile_rows(h0, n)
+        h0 = tile_rows(h0, n)
     hc0 = ad.concat([h0, ad.zeros_const((n, d_q))], axis=1)
     hs = ad.lstm_sequence(embedding, index, hc0, params.gen.wx, params.gen.wh, params.gen.b)
     if n > 1:
         hs = ad.take_rows(hs, [t * n + b for b, s in enumerate(seqs) for t in range(len(s))])
-    logits = ad.add(ad.matmul(hs, params.out_w), ad.tile_rows(params.out_b, hs.shape[0]))
+    logits = ad.add(ad.matmul(hs, params.out_w), tile_rows(params.out_b, hs.shape[0]))
     return ad.cross_entropy_rows(logits, [t for tokens in seqs for t in tokens])
 
 

@@ -18,6 +18,7 @@ from grounddial.autodiff import (
 )
 from reference_lstm import (cross_entropy, lstm_sequence_rows, step_sequence, step_sequence_loss,
                             transpose)
+from reference_model import composed_layers
 
 
 def rng():
@@ -137,6 +138,93 @@ def test_bmm_random_shapes_match_slice_products_and_grad_check(data):
 
     assert grad_check(lambda t: loss(t, Tensor(b), True), Tensor(a)) < 1e-7
     assert grad_check(lambda t: loss(t, Tensor(a), False), Tensor(b)) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# one-node layers, against the composed forms they replace, byte for byte
+
+def drawn(data, shape, label):
+    """A normal matrix of `shape` with some entries set to +0.0 or -0.0, so
+    that signed zeros are compared too."""
+    g = np.random.default_rng(data.draw(st.integers(0, 2**16), label=label + " seed"))
+    a = g.normal(size=shape) * data.draw(st.sampled_from([1.0, 1e3, 1e-3]), label=label + " scale")
+    share = data.draw(st.sampled_from([0.0, 0.3, 1.0]), label=label + " zeros")
+    a[g.random(shape) < share / 2] = 0.0
+    a[g.random(shape) < share / 2] = -0.0
+    return a
+
+
+def value_and_grads(layer, inputs, g):
+    """The layer's output and each input's gradient under the loss sum(out * g)."""
+    leaves = [Tensor(x.copy(), requires_grad=True) for x in inputs]
+    with Tape() as tape:
+        out = layer(*leaves)
+        loss = ad.sum_all(ad.mul(out, Tensor(g)))
+    backward(loss, tape)
+    return [out.data] + [t.grad for t in leaves]
+
+
+def assert_same_bytes(got, want):
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), k
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_affine_is_the_tiled_bias_form_bit_for_bit(data):
+    """One-row inputs and one-wide products (k or n of 1) included."""
+    m, k, n = (data.draw(st.integers(1, 7), label=name) for name in "mkn")
+    inputs = [drawn(data, (m, k), "x"), drawn(data, (k, n), "w"), drawn(data, (1, n), "b")]
+    g = drawn(data, (m, n), "g")
+    got = value_and_grads(ad.affine, inputs, g)
+    with composed_layers():
+        want = value_and_grads(ad.affine, inputs, g)
+    assert_same_bytes(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_layer_norm_is_the_composed_form_bit_for_bit(data):
+    """One-row and one-column inputs included, and rows of zeros."""
+    m, d = data.draw(st.integers(1, 7), label="m"), data.draw(st.integers(1, 12), label="d")
+    t = drawn(data, (m, d), "t") + data.draw(st.sampled_from([0.0, 5.0]), label="offset")
+    g = drawn(data, (m, d), "g")
+    got = value_and_grads(ad.layer_norm, [t], g)
+    with composed_layers():
+        want = value_and_grads(ad.layer_norm, [t], g)
+    assert_same_bytes(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_matmul_with_inner_dimension_one_is_the_blas_product(data):
+    """[m, 1] @ [1, n] is broadcast, and so is the rule's dA = g bᵀ when b
+    has one column; both give BLAS's k=1 GEMM bit for bit, -0.0 read as +0.0."""
+    m, k, n = (data.draw(st.integers(1, 9), label=name) for name in "mkn")
+    a, b = drawn(data, (m, 1), "a"), drawn(data, (1, n), "b")
+    assert_same_bytes([ad.matmul(Tensor(a), Tensor(b)).data], [a @ b])
+    x, w, g = drawn(data, (m, k), "x"), drawn(data, (k, 1), "w"), drawn(data, (m, 1), "g")
+    grads = value_and_grads(lambda t: ad.matmul(t, Tensor(w)), [x], g)
+    assert_same_bytes(grads[1:], [g @ w.T])
+
+
+def test_permute_copies_and_permutes_the_gradient_back():
+    a = rng().normal(size=(2, 3, 4))
+    g = np.arange(24.0).reshape(4, 2, 3)
+    out, grad = value_and_grads(lambda t: ad.permute(t, (2, 0, 1)), [a], g)
+    assert np.array_equal(out, a.transpose(2, 0, 1)) and out.flags.c_contiguous
+    assert np.array_equal(grad, g.transpose(1, 2, 0))
+    with pytest.raises(DimensionError):
+        ad.permute(Tensor(a), (0, 1))
+
+
+def test_one_node_layers_check_their_shapes():
+    with pytest.raises(DimensionError):
+        ad.affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros((1, 3))))
+    with pytest.raises(DimensionError):
+        ad.affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((1, 4))))
+    with pytest.raises(DimensionError):
+        ad.layer_norm(Tensor(np.zeros((2, 3, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -760,12 +848,13 @@ def test_take_rows_gradient_of_repeated_reads_is_the_add_at_scatter_bit_for_bit(
     assert_take_rows_gradient_is_add_at(indices, g)
 
 
-def test_tile_rows():
+def test_affine_bias_gradient_counts_the_rows():
     row = Tensor([[1.0, 2.0, 3.0]], requires_grad=True)
     with Tape() as tape:
-        tiled = ad.tile_rows(row, 4)
-        loss = ad.sum_all(tiled)
-    assert tiled.shape == (4, 3)
+        out = ad.affine(Tensor(rng().normal(size=(4, 2))), Tensor(np.zeros((2, 3))), row)
+        loss = ad.sum_all(out)
+    assert out.shape == (4, 3)
+    assert np.array_equal(out.data, np.repeat(row.data, 4, axis=0))
     backward(loss, tape)
     assert row.grad.tolist() == [[4.0, 4.0, 4.0]]
 

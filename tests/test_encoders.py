@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grounddial import autodiff as ad
 from grounddial.autodiff import DimensionError, Tensor, grad_check
@@ -11,7 +12,6 @@ from grounddial.encoders import (
     encode_tokens,
     fuse_context,
     init_encoder_params,
-    layer_norm_rows,
     project_regions,
 )
 from grounddial.model import (
@@ -23,6 +23,7 @@ from grounddial.model import (
     prepare_units,
 )
 from reference_lstm import transpose
+from reference_model import composed_layers, fuse_context_per_head
 
 D_Q = 8
 D_E = 8
@@ -134,6 +135,48 @@ def test_history_round_count():
         assert len(unit.history) == t + 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuse_stacked_heads_is_the_per_head_loop_bit_for_bit(data):
+    """Ragged batches with padded question positions and padded history rows
+    (zero rows, as `gather_rows` pads them), one-row inputs, one to four
+    heads, with and without the residual layer norm: outputs and the
+    gradients of Q, H and the four projections are the per-head loop's."""
+    B = data.draw(st.integers(1, 4), label="B")
+    q_len = data.draw(st.lists(st.integers(1, 5), min_size=B, max_size=B), label="q lengths")
+    h_len = data.draw(st.lists(st.integers(1, 7), min_size=B, max_size=B), label="h lengths")
+    n_h = data.draw(st.sampled_from([1, 2, 4]), label="heads")
+    d_q = n_h * data.draw(st.integers(1, 3), label="head width")
+    d_q += d_q % 2                                      # the BiLSTM halves need an even d_q
+    residual = data.draw(st.booleans(), label="residual")
+    g = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    params = init_encoder_params(g, vocab_size=4, d_v=3, d_e=4, d_q=d_q, n_heads=n_h,
+                                 fusion_residual=residual)
+    mask_q = np.arange(max(q_len)) < np.array(q_len)[:, None]
+    mask_h = np.arange(max(h_len)) < np.array(h_len)[:, None]
+    Q = g.normal(size=mask_q.shape + (d_q,)) * mask_q[..., None]
+    H = g.normal(size=mask_h.shape + (d_q,)) * mask_h[..., None]
+    weights = g.normal(size=Q.shape)
+    weights[g.random(Q.shape) < 0.2] = -0.0
+    projections = (params.w_q, params.w_k, params.w_v, params.w_o)
+
+    def run(fuse):
+        for w in projections:
+            w.grad = None
+        q, h = Tensor(Q, requires_grad=True), Tensor(H, requires_grad=True)
+        with ad.Tape() as tape:
+            out = fuse(q, h, mask_q, mask_h, params)
+            loss = ad.sum_all(ad.mul(out, Tensor(weights)))
+        ad.backward(loss, tape)
+        return [out.data, q.grad, h.grad] + [w.grad for w in projections]
+
+    got = run(fuse_context)
+    with composed_layers():
+        want = run(fuse_context_per_head)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), k
+
+
 def test_fuse_single_history_row_is_value_projection(params):
     """With one history row every attention weight is 1, so each head output
     is that row's value projection regardless of the question."""
@@ -211,7 +254,7 @@ def test_project_regions_dim_mismatch(params):
 def test_layer_norm_rows_stats():
     rng = np.random.default_rng(9)
     t = Tensor(rng.normal(size=(4, 16)) * 3 + 1)
-    out = layer_norm_rows(t).data
+    out = ad.layer_norm(t).data
     assert np.abs(out.mean(axis=1)).max() < 1e-9
     assert np.abs(out.std(axis=1) - 1).max() < 1e-3
 

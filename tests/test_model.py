@@ -232,6 +232,42 @@ def test_batch_loss_does_not_depend_on_unit_order(mixed):
 
 
 # ---------------------------------------------------------------------------
+# the one-node layers against the composed graph they replaced
+
+@pytest.mark.parametrize("settings", [
+    dict(loss_mode="multitask"),
+    dict(loss_mode="multitask", axis_mode="rows", detach_posterior=False),
+])
+def test_one_node_layers_give_the_composed_graph_bit_for_bit(mixed, settings):
+    """`affine`, `layer_norm`, the stacked-heads `fuse_context` and the k=1
+    `matmul` against the composed forms (`reference_model.composed_layers`):
+    on a batch with padded history rows, regions and question positions,
+    the losses and every parameter's gradient are byte for byte the same,
+    from a shorter tape."""
+    params, units, cfg = mixed
+    cfg = dataclasses.replace(cfg, **settings)
+
+    def run():
+        for t in named_parameters(params).values():
+            t.grad = None
+        with Tape() as tape:
+            fw = forward_batch(params, units, cfg)
+        backward(fw.loss, tape)
+        losses = [fw.loss.data.tobytes()] + [fw.losses[k].data.tobytes() for k in sorted(fw.losses)]
+        grads = {name: t.grad for name, t in named_parameters(params).items()}
+        return losses, grads, len(tape.nodes)
+
+    losses, grads, nodes = run()
+    with oracle.composed_layers():
+        want_losses, want_grads, want_nodes = run()
+    assert losses == want_losses
+    assert grads.keys() == want_grads.keys()
+    for name, g in want_grads.items():
+        assert g is not None and g.tobytes() == grads[name].tobytes(), name
+    assert nodes < want_nodes
+
+
+# ---------------------------------------------------------------------------
 # tape size
 
 @pytest.mark.parametrize("mode", ["multitask", "generative"])
