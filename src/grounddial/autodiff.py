@@ -29,6 +29,16 @@ the largest call's sizes and is reused by every later call, so evaluation
 does not fault fresh memory in on every batch. No workspace view is
 returned or kept by a tape. Like the process-global active tape, the
 workspace relies on the package running single-threaded.
+
+Without a tape, `lstm_sequence` can also share states: given `start`, the
+row of a smaller hc0 that each sequence starts from, sequences with the
+same start that have read the same rows so far hold one state, computed
+once, and the op returns one row per state with the grid of which row each
+sequence holds. The generative decoder ranks a unit's candidates this way,
+since they all start from the unit's state and read BOS first. A step
+left with one distinct state among several sequences forms its h @ wh on
+two rows, so that BLAS rounds it as it rounds the same row of the unshared
+product, and every state keeps its bits.
 """
 
 from __future__ import annotations
@@ -618,7 +628,7 @@ def _workspace(role: str, *shape: int) -> np.ndarray:
 
 
 def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
-                  b: Tensor) -> Tensor:
+                  b: Tensor, start=None) -> Tensor | tuple[Tensor, np.ndarray]:
     """B sequences through one LSTM cell, fused into a single tape node.
 
     table: [N, d_in] input rows; index: int [T, B], the row of table that
@@ -630,6 +640,23 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
     wh: [H, 4H]; b: [1, 4H] with gate order i, f, o, g. Returns every step's
     h as [T*B, H], row t*B + b.
 
+    With `start` (int [B]), hc0 is [S, 2H] and sequence b starts from its
+    row start[b]. Sequences that start from the same row and have read the
+    same rows so far hold one state, computed once: each step keys the
+    sequences that read by (the state they hold, the row they read), one
+    `np.unique` over an int key, and steps each distinct key once, while a
+    sequence that reads -1 keeps the state it holds. The call then returns
+    (states, grid): one row of h per state a step reached, step by step, and
+    the int [T, B] grid of the row that sequence b holds after step t, -1
+    while it still holds its hc0 row. (Every sequence from its own row,
+    reading at every step, gives the rows above and the grid t*B + b.)
+    This is inference only: under a recording tape `start` raises
+    ContractError. A step with one distinct key but more than one sequence
+    forms its h @ wh on two copies of that row, because BLAS rounds a
+    one-row product (a matrix-vector product) differently from the same
+    row of a larger one; so every state is bit for bit the state the
+    sequence gets without `start`.
+
     Each distinct row the index reads is projected once per call:
     table[used] @ wx + b is a [U, 4H] buffer, U at most N, and each step
     gathers its rows from it. That is the input projection hoisted out of
@@ -640,12 +667,13 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
     a step gathers it into a [4, B, H] buffer and adds the step's one
     h @ wh product ([B, 4H]) through a transposed view, so each gate's
     activation runs on a contiguous [B, H] block. The step buffers (that
-    buffer when no tape records, h @ wh, the c pair, tanh(c) and i*g) are
-    views of the module's workspace: one flat buffer per role, as large as
-    the largest call has needed (about 4 MB for the generative decoder's
-    evaluation batch of 640 sequences, H = 64), overwritten by the next
-    call, which is why calls must not run concurrently. Only the returned
-    states and the recorded activations are allocated per call.
+    buffer when no tape records, h @ wh, the c pair, tanh(c), i*g and the
+    gathered states of shared steps) are views of the module's workspace:
+    one flat buffer per role, as large as the largest call has needed
+    (about 4 MB for the generative decoder's evaluation batch of 640
+    sequences, H = 64), overwritten by the next call, which is why calls
+    must not run concurrently. Only the returned states and the recorded
+    activations are allocated per call.
 
     Activations are kept for backpropagation through time only while a tape
     records, written by the steps straight into a [T, 4, B, H] store. The
@@ -658,14 +686,21 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
         raise DimensionError(f"lstm_sequence index must be [T, B], got shape {idx.shape}")
     T, B = idx.shape
     H = wh.shape[0]
+    shared = start is not None
+    if shared:
+        start = np.asarray(start, dtype=np.intp)
     if (table.data.ndim != 2 or wx.shape != (table.shape[1], 4 * H) or wh.shape != (H, 4 * H)
-            or b.shape != (1, 4 * H) or hc0.shape != (B, 2 * H)):
+            or b.shape != (1, 4 * H) or hc0.data.ndim != 2 or hc0.shape[1] != 2 * H
+            or (start.shape != (B,) if shared else hc0.shape[0] != B)):
         raise DimensionError(
             f"lstm_sequence shapes: table {table.shape}, index {idx.shape}, hc0 {hc0.shape}, "
             f"wx {wx.shape}, wh {wh.shape}, b {b.shape}"
+            + (f", start {start.shape}" if shared else "")
         )
     if idx.size and (idx.min() < -1 or idx.max() >= table.shape[0]):
         raise IndexError(f"lstm_sequence index outside [-1, {table.shape[0]})")
+    if shared and start.size and (start.min() < 0 or start.max() >= hc0.shape[0]):
+        raise IndexError(f"lstm_sequence start outside [0, {hc0.shape[0]})")
     live = idx >= 0
     full = live.all(axis=1)
     # the distinct rows read, and for each read (step-major, as dz in the
@@ -675,33 +710,61 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
     local[live] = inv
     inputs = (table, hc0, wx, wh, b)
     record = _recording(inputs)
+    if shared and record:
+        raise ContractError("lstm_sequence shares states only when no tape records")
     x_used, wxd, whd = table.data[used], wx.data, wh.data
     proj = x_used @ wxd if used.size else np.zeros((1, 4 * H))
     proj += b.data
     proj = np.ascontiguousarray(proj.reshape(-1, 4, H).transpose(1, 0, 2))   # [4, U, H]
-    hs = np.empty((T, B, H))
     if record:
         gates = np.empty((T, 4, B, H))                     # i, f, o, g after activation
         h_prev = np.empty((T, B, H))
         c_prev = np.empty((T, B, H))
         tanh_c = np.empty((T, B, H))
-    else:
-        z = _workspace("z", 4, B, H)
-        tc = _workspace("tanh_c", B, H)
-    zh = _workspace("zh", B, 4 * H)
-    zh_gates = zh.reshape(B, 4, H).transpose(1, 0, 2)
-    c_pair = _workspace("c", 2, B, H)
-    ig = _workspace("ig", B, H)
     h = hc0.data[:, :H]
     c = hc0.data[:, H:]
+    if shared:
+        # h and c of every state: hc0's rows, then each state a step reaches
+        S = hc0.shape[0]
+        hs, cs = np.empty((S + T * B, H)), np.empty((S + T * B, H))
+        hs[:S], cs[:S] = h, c
+        held, top = start.copy(), S     # the state each sequence holds; the rows written
+        grid = np.empty((T, B), dtype=np.intp)
+    else:
+        hs = np.empty((T * B, H))
+        c_pair = _workspace("c", 2, B, H)
     for t in range(T):
+        rows, n = local[t], B
+        if shared:
+            go = rows >= 0
+            uniq, inv = np.unique(held[go] * used.size + rows[go], return_inverse=True)
+            held[go] = top + inv
+            grid[t] = held
+            if not uniq.size:
+                continue
+            prev, rows = np.divmod(uniq, used.size)
+            if uniq.size == 1 < B:                         # a two-row product, see above
+                prev, rows = np.repeat(prev, 2), np.repeat(rows, 2)
+            n = rows.size
+            h = np.take(hs, prev, axis=0, out=_workspace("h_held", n, H))
+            c = np.take(cs, prev, axis=0, out=_workspace("c_held", n, H))
+            # a two-row step's second row lands past `top`, where no state is kept
+            h2, c2 = hs[top:top + n], cs[top:top + n]
+            top += uniq.size
+        else:
+            h2, c2 = hs[t * B:(t + 1) * B], c_pair[t % 2]
+        if shared or t == 0:
+            zh = _workspace("zh", n, 4 * H)
+            ig = _workspace("ig", n, H)
+            if not record:
+                z, tc = _workspace("z", 4, n, H), _workspace("tanh_c", n, H)
         if record:
             z, tc = gates[t], tanh_c[t]
         # the index was range-checked above; a -1 reads row 0 and its
         # result is discarded below
-        np.take(proj, local[t], axis=1, out=z, mode="clip")
+        np.take(proj, rows, axis=1, out=z, mode="clip")
         np.matmul(h, whd, out=zh)
-        z += zh_gates
+        z += zh.reshape(n, 4, H).transpose(1, 0, 2)
         ifo = z[:3]                                        # sigmoid of i, f, o, in place
         np.negative(ifo, out=ifo)
         np.exp(ifo, out=ifo)
@@ -709,11 +772,11 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
         np.reciprocal(ifo, out=ifo)
         i, f, o, gg = z
         np.tanh(gg, out=gg)
-        c2 = np.multiply(f, c, out=c_pair[t % 2])
+        np.multiply(f, c, out=c2)
         c2 += np.multiply(i, gg, out=ig)
         np.tanh(c2, out=tc)
-        h2 = np.multiply(o, tc, out=hs[t])
-        if not full[t]:
+        np.multiply(o, tc, out=h2)
+        if not (shared or full[t]):
             keep = ~live[t, :, None]
             np.copyto(c2, c, where=keep)
             np.copyto(h2, h, where=keep)
@@ -721,7 +784,9 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
             h_prev[t] = h
             c_prev[t] = c
         h, c = h2, c2
-    out = Tensor(hs.reshape(T * B, H))
+    if shared:
+        return Tensor(hs[S:top]), np.maximum(grid - S, -1)
+    out = Tensor(hs)
     if not record:
         return out
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -115,26 +116,53 @@ def generative_rank(fused: Tensor, candidates: Sequence[Sequence[Sequence[int]]]
     unit b's.
 
     N is the most candidates of any unit; a unit with fewer scores -inf past
-    its last. Every candidate of the batch runs in one teacher-forced pass.
-    The mean over a candidate's tokens removes the bias toward short
-    candidates.
+    its last. A candidate is scored on its tokens and then EOS (unless it
+    ends with EOS), teacher-forced from BOS. Every candidate of the batch
+    runs in one `lstm_sequence` call that starts each unit's candidates from
+    its one row (fused[b], 0), so the decoder state of each distinct (unit,
+    input prefix) is computed once: all of a unit's candidates share the
+    state after BOS. The output layer and its log-sum-exp are formed once
+    per distinct state and read at each (candidate, position); the
+    arithmetic is `cross_entropy_rows`', so a score is bit for bit the one
+    of running each candidate as its own sequence. The mean over a
+    candidate's tokens removes the bias toward short candidates.
     """
-    seqs, owner = [], []
-    for b, cands in enumerate(candidates):
-        if not cands:
-            raise ContractError("generative ranking needs at least one candidate")
-        for cand in cands:
-            tokens = list(cand)
-            if not tokens or tokens[-1] != EOS_ID:
-                tokens = tokens + [EOS_ID]
-            seqs.append(tokens)
-            owner.append(b)
-    losses = _teacher_forced_position_losses(ad.take_rows(fused, owner), seqs, embedding,
-                                             params).data
-    lengths = np.array([len(s) for s in seqs])
+    counts = np.fromiter(map(len, candidates), dtype=np.intp, count=len(candidates))
+    if not counts.all():
+        raise ContractError("generative ranking needs at least one candidate")
+    every = list(chain.from_iterable(candidates))
+    n, vocab = len(every), embedding.shape[0]
+    lens = np.fromiter(map(len, every), dtype=np.intp, count=n)
+    ids = np.fromiter(chain.from_iterable(every), dtype=np.intp, count=int(lens.sum()))
+    bad = (ids < 0) | (ids >= vocab)
+    if bad.any():
+        raise IndexError(f"token id {int(ids[bad][0])} outside vocabulary of size {vocab}")
+    has_eos = np.zeros(n, dtype=bool)
+    has_eos[lens > 0] = ids[np.cumsum(lens)[lens > 0] - 1] == EOS_ID
+    lengths = lens + ~has_eos                                # positions scored
+    T = int(lengths.max())
+    targets = np.full((n, T), EOS_ID, dtype=np.intp)
+    targets[np.arange(T) < lens[:, None]] = ids
+    scored = np.arange(T) < lengths[:, None]                 # [n, T]
+    index = np.empty((T, n), dtype=np.intp)
+    index[0] = BOS_ID
+    index[1:] = targets[:, :-1].T
+    index[~scored.T] = -1
+    hc0 = ad.concat([fused, ad.zeros_const(fused.shape)], axis=1)
+    hs, grid = ad.lstm_sequence(embedding, index, hc0, params.gen.wx, params.gen.wh,
+                                params.gen.b, start=np.repeat(np.arange(len(counts)), counts))
+    if hs.shape[0] == 1 < n:
+        # one state read at several positions: a two-row product, as the
+        # positions' own rows would be (BLAS rounds a one-row product otherwise)
+        hs = ad.take_rows(hs, [0, 0])
+    z = ad.affine(hs, params.out_w, params.out_b).data
+    m = z.max(axis=1, keepdims=True)
+    s = np.exp(z - m).sum(axis=1, keepdims=True)
+    log_sum = np.log(s[:, 0]) + m[:, 0]
+    state = grid.T[scored]                                   # candidate by candidate
+    losses = log_sum[state] - z[state, targets[scored]]
     # weights as in generative_loss, so a lone candidate's score is its loss negated bit for bit
     losses = losses * np.repeat(1.0 / lengths, lengths)
-    counts = np.array([len(c) for c in candidates])
     real = np.arange(counts.max()) < counts[:, None]
     scores = np.full(real.shape, -np.inf)
     scores[real] = -np.add.reduceat(losses, np.cumsum(lengths) - lengths)

@@ -14,7 +14,9 @@ layers replaced, as bit-for-bit oracles: every product through BLAS
 `affine_tiled`), the layer norm built from ones-vector products
 (`layer_norm_rows`) and multi-head fusion one head at a time
 (`fuse_context_per_head`). `composed_layers()` routes the package through
-them.
+them. `generative_rank_per_column` is generative ranking as it ran before
+it shared decoder states: each candidate its own sequence from a copy of
+its unit's state, the bit-for-bit oracle of `decoders.generative_rank`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from grounddial import autodiff as ad
 from grounddial import model
 from grounddial.autodiff import DegenerateSliceError, DimensionError, Tensor, _record
 from grounddial.data import BOS_ID, EOS_ID
+from grounddial.decoders import _teacher_forced_position_losses
 from grounddial.encoders import (
     encode_history,
     encode_sentences,
@@ -119,6 +122,30 @@ def composed_layers():
         m.setattr(ad, "layer_norm", layer_norm_rows)
         m.setattr(model, "fuse_context", fuse_context_per_head)
         yield
+
+
+def generative_rank_per_column(fused: Tensor, candidates, embedding: Tensor,
+                               params) -> np.ndarray:
+    """`decoders.generative_rank` with every candidate its own teacher-forced
+    sequence, started from its unit's row of `fused` copied to it, and every
+    position's output distribution formed from its own state row."""
+    seqs, owner = [], []
+    for b, cands in enumerate(candidates):
+        for cand in cands:
+            tokens = list(cand)
+            if not tokens or tokens[-1] != EOS_ID:
+                tokens = tokens + [EOS_ID]
+            seqs.append(tokens)
+            owner.append(b)
+    losses = _teacher_forced_position_losses(ad.take_rows(fused, owner), seqs, embedding,
+                                             params).data
+    lengths = np.array([len(s) for s in seqs])
+    losses = losses * np.repeat(1.0 / lengths, lengths)
+    counts = np.array([len(c) for c in candidates])
+    real = np.arange(counts.max()) < counts[:, None]
+    scores = np.full(real.shape, -np.inf)
+    scores[real] = -np.add.reduceat(losses, np.cumsum(lengths) - lengths)
+    return scores
 
 
 # ---------------------------------------------------------------------------

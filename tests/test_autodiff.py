@@ -761,6 +761,123 @@ def test_lstm_sequence_workspace_is_never_in_a_result(monkeypatch):
     assert ad._WORKSPACE["c"].size == 2 * most
 
 
+@st.composite
+def shared_prefix_grids(draw):
+    """An lstm_sequence index and starts whose columns share prefixes to
+    every depth: each column cuts a few base sequences at any depth and may
+    diverge at its last read. Ragged, reversed, with gaps that carry a
+    state between reads, B of 1 to 9."""
+    T = draw(st.integers(1, 5), label="T")
+    n_rows = draw(st.integers(1, 3), label="table rows")
+    row = st.integers(0, n_rows - 1)
+    bases = draw(st.lists(st.lists(row, min_size=T, max_size=T), min_size=1, max_size=3),
+                 label="bases")
+    B = draw(st.integers(1, 9), label="B")
+    n_starts = draw(st.integers(1, 3), label="hc0 rows")
+    index = np.full((T, B), -1)
+    for b in range(B):
+        reads = list(draw(st.sampled_from(bases)))[:draw(st.integers(0, T))]
+        if reads and draw(st.booleans()):
+            reads[-1] = draw(row)
+        index[:len(reads), b] = reads
+    for t, b in draw(st.lists(st.tuples(st.integers(0, T - 1), st.integers(0, B - 1)),
+                              max_size=3), label="gaps"):
+        index[t, b] = -1
+    start = np.array(draw(st.lists(st.integers(0, n_starts - 1), min_size=B, max_size=B)))
+    reverse = draw(st.booleans(), label="reversed")
+    return (index[::-1] if reverse else index), start, n_rows, n_starts
+
+
+def held_states(states, rows, hc0, start):
+    """[T, B, H]: the state each sequence holds after each step, read from
+    the shared call's states through its grid, or hc0's start row where
+    the grid is -1."""
+    H = states.shape[1]
+    table = np.concatenate([states.data, hc0.data[:, :H]])
+    return table[np.where(rows < 0, states.shape[0] + start, rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=shared_prefix_grids(), H=st.integers(1, 9), seed=st.integers(0, 2**16))
+def test_lstm_sequence_shared_starts_give_each_column_its_state_bit_for_bit(grid, H, seed):
+    """With `start`, each column's state read through the grid is byte-equal
+    to the state of a call without `start` on hc0[start], where every column
+    is its own sequence. A step adds one row per distinct (start, index
+    prefix) among the columns that read; a column that carries keeps its
+    row, and one that has read nothing yet reads -1 (its hc0 row)."""
+    index, start, n_rows, n_starts = grid
+    T, B = index.shape
+    parts = _lstm_parts(np.random.default_rng(seed), n_rows, 4, n_starts, H)
+    states, rows = ad.lstm_sequence(parts[0], index, *parts[1:], start=start)
+    alone = ad.lstm_sequence(parts[0], index, Tensor(parts[1].data[start]), *parts[2:])
+    assert rows.shape == (T, B)
+    held = held_states(states, rows, parts[1], start)
+    assert held.tobytes() == alone.data.reshape(T, B, H).tobytes()
+    top = 0
+    for t in range(T):
+        prefix = [(start[b], *index[:t + 1, b]) for b in range(B)]
+        key = np.array([sorted(set(prefix)).index(k) for k in prefix])
+        state = np.where(rows[t] < 0, -1 - start, rows[t])
+        assert np.array_equal(state[:, None] == state, key[:, None] == key)
+        reads = index[t] >= 0
+        new = len({prefix[b] for b in np.flatnonzero(reads)})
+        assert sorted(set(rows[t, reads])) == list(range(top, top + new))
+        if t:
+            assert np.array_equal(rows[t, ~reads], rows[t - 1, ~reads])
+        else:
+            assert (rows[t, ~reads] == -1).all()
+        top += new
+    assert states.shape == (top, H)
+
+
+@pytest.mark.parametrize("units", [1, 2, 64])
+def test_lstm_sequence_shared_starts_at_the_decoders_size(units):
+    """The generative decoder's ranking call, H = 64: ten candidates per unit
+    read BOS and then one of a few tokens or nothing, so every step-0 state
+    is shared (a one-unit batch has one state there, stepped as two rows)."""
+    g = rng()
+    B, H = 10 * units, 64
+    index = np.stack([np.full(B, 2), g.integers(4, 12, size=B)])
+    index[1, g.random(B) < 0.2] = -1
+    start = np.repeat(np.arange(units), 10)
+    parts = _lstm_parts(g, 30, 32, units, H)
+    states, rows = ad.lstm_sequence(parts[0], index, *parts[1:], start=start)
+    alone = ad.lstm_sequence(parts[0], index, Tensor(parts[1].data[start]), *parts[2:])
+    assert held_states(states, rows, parts[1], start).tobytes() == \
+        alone.data.reshape(2, B, H).tobytes()
+    assert len(set(rows[0])) == units
+
+
+def test_lstm_sequence_with_every_column_its_own_start_is_the_call_without():
+    """Sequences that each start from their own hc0 row and read at every
+    step share nothing: the states are the call's without `start` byte for
+    byte, and the grid is t*B + b."""
+    g = rng()
+    for B, H in ((1, 3), (5, 3), (7, 64)):
+        index = g.integers(0, 4, size=(4, B))
+        parts = _lstm_parts(g, 4, 6, B, H)
+        plain = ad.lstm_sequence(parts[0], index, *parts[1:])
+        states, rows = ad.lstm_sequence(parts[0], index, *parts[1:], start=np.arange(B))
+        assert states.data.tobytes() == plain.data.tobytes()
+        assert np.array_equal(rows, np.arange(4 * B).reshape(4, B))
+
+
+def test_lstm_sequence_shared_starts_are_inference_only_and_checked():
+    """`start` under a recording tape raises ContractError; a start of the
+    wrong shape or outside hc0's rows is rejected."""
+    parts = _lstm_parts(rng(), 4, 6, 2, 3)
+    index = np.array([[0, 1, 1], [2, -1, 3]])
+    with Tape():
+        ad.lstm_sequence(parts[0], index, *parts[1:], start=[0, 1, 1])     # nothing records
+        parts[3].requires_grad = True
+        with pytest.raises(ContractError):
+            ad.lstm_sequence(parts[0], index, *parts[1:], start=[0, 1, 1])
+    with pytest.raises(DimensionError):
+        ad.lstm_sequence(parts[0], index, *parts[1:], start=[0, 1])
+    with pytest.raises(IndexError):
+        ad.lstm_sequence(parts[0], index, *parts[1:], start=[0, 2, 1])
+
+
 def test_grad_check_cross_entropy_rows():
     g = rng()
     targets = [2, 0, 4, 2]

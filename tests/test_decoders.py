@@ -14,6 +14,7 @@ from grounddial.decoders import (
     generative_rank,
     init_decoder_params,
 )
+from reference_model import generative_rank_per_column
 
 D_Q = 8
 D_E = 8
@@ -133,6 +134,45 @@ def test_generative_rank_negates_loss_exactly(params, embedding):
     loss = generative_loss(fused, [gt], embedding, params).item()
     score = generative_rank(fused, [[gt]], embedding, params)[0][0]
     assert score == -loss
+
+
+RANKED = {
+    "one candidate": [[[4]]],
+    "one unit, BOS shared": [[[4], [5, 6], [7], [4, 6]]],
+    "one unit, empty candidates": [[[], []]],
+    "one unit, one state per step": [[[4, 5], [4, 5], [4, 5, EOS_ID]]],
+    "deep prefixes": [[[4, 5, 6], [4, 5], [4, 5, 6, 7], [], [4, 5, 6, EOS_ID]],
+                      [[4, 5, 6], [4], [8, 9, 10, 11]], [[EOS_ID], [5]]],
+    "ragged units": [[[4]], [[5, 6], [6, 5], [7]], [[8], [8], [9, 4]], [[10, 11, 4]]],
+}
+
+
+@pytest.mark.parametrize("d", [8, 64])
+@pytest.mark.parametrize("case", RANKED)
+def test_generative_rank_is_the_per_column_oracle_bit_for_bit(case, d):
+    """Units whose candidates share states at every depth, one state per
+    step, a single state in all (two empty candidates), candidates that end
+    with EOS: the scores are byte-equal to ranking each candidate as its own
+    sequence from a copy of its unit's state, for 24 draws of the units'
+    states."""
+    candidates = RANKED[case]
+    vocab = 29                       # wide enough that BLAS rounds a one-row output layer otherwise
+    params = init_decoder_params(np.random.default_rng(5), vocab, d_e=D_E, d_q=d)
+    embedding = Tensor(np.random.default_rng(6).normal(size=(vocab, D_E)))
+    g = np.random.default_rng(7)
+    for _ in range(24):              # a one-ulp change in a logit moves few scores
+        fused = Tensor(g.normal(size=(len(candidates), d)))
+        got = generative_rank(fused, candidates, embedding, params)
+        want = generative_rank_per_column(fused, candidates, embedding, params)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_generative_rank_rejects_bad_candidates(params, embedding):
+    fused = Tensor(rng().normal(size=(2, D_Q)))
+    with pytest.raises(ContractError):
+        generative_rank(fused, [[[4]], []], embedding, params)
+    with pytest.raises(IndexError):
+        generative_rank(fused, [[[4]], [[VOCAB]]], embedding, params)
 
 
 # ---------------------------------------------------------------------------

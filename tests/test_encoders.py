@@ -286,15 +286,26 @@ def test_encoder_outputs_finite_and_grad_checks(params):
 # ---------------------------------------------------------------------------
 # each distinct sentence is encoded once per batch
 
+class LstmRows(dict):
+    """Rows (sequences) of every `lstm_sequence` call, keyed by id of the
+    cell's wx; `starts` holds, by the same key, the hc0 rows of each call
+    given `start`."""
+
+    def __init__(self):
+        super().__init__()
+        self.starts: dict[int, list[int]] = {}
+
+
 @pytest.fixture
 def lstm_rows(monkeypatch):
-    """Rows (sequences) of every `lstm_sequence` call, keyed by id of the cell's wx."""
-    rows: dict[int, list[int]] = {}
+    rows = LstmRows()
     real = ad.lstm_sequence
 
-    def counting(xs, index, hc0, wx, wh, b):
+    def counting(xs, index, hc0, wx, wh, b, **kwargs):
         rows.setdefault(id(wx), []).append(np.shape(index)[1])
-        return real(xs, index, hc0, wx, wh, b)
+        if kwargs.get("start") is not None:
+            rows.starts.setdefault(id(wx), []).append(hc0.shape[0])
+        return real(xs, index, hc0, wx, wh, b, **kwargs)
 
     monkeypatch.setattr(ad, "lstm_sequence", counting)
     return rows
@@ -331,7 +342,9 @@ def test_encode_history_encodes_each_distinct_sentence_once(lstm_rows):
 def test_every_encoder_runs_each_distinct_sentence_once(lstm_rows):
     """A batch with repeated questions, answers, history sentences and
     candidates: each BiLSTM encoder runs the distinct ones only, and the
-    teacher-forced decoder one sequence per unit."""
+    teacher-forced decoder one sequence per unit in training and, in
+    generative ranking, one per candidate, started from one hc0 row per
+    unit."""
     ds = generate_synthetic(SyntheticConfig(num_images=4, seed=2))
     cfg = TrainConfig(loss_mode="multitask", d_e=D_E, d_q=D_Q, n_heads=N_H, d_h=8)
     units = prepare_units(ds, cfg.seq_len, cfg.max_history)
@@ -360,7 +373,15 @@ def test_every_encoder_runs_each_distinct_sentence_once(lstm_rows):
     assert lstm_rows == {id(dec.gen.wx): [len(units)]}
     lstm_rows.clear()
 
+    assert lstm_rows.starts == {}
+
     infer_batch_scores(params, units, cfg, decoder="discriminative")
     for name in ("question", "history", "cand"):
         assert rows_of(name) == [[n_distinct(sentences[name])]] * 2, name
     assert lstm_rows == {}
+
+    infer_batch_scores(params, units, cfg, decoder="generative")
+    for name in ("question", "history"):
+        assert rows_of(name) == [[n_distinct(sentences[name])]] * 2, name
+    assert lstm_rows == {id(dec.gen.wx): [len(sentences["cand"])]}
+    assert lstm_rows.starts == {id(dec.gen.wx): [len(units)]}

@@ -11,6 +11,7 @@ from grounddial.autodiff import ContractError, InvalidDistributionError, Tensor
 from grounddial.cli import main
 from grounddial.data import (
     SyntheticConfig,
+    dataset_from_dict,
     dump_dataset_json,
     generate_synthetic,
     generate_synthetic_raw,
@@ -37,6 +38,7 @@ from grounddial.model import (
     prepare_units,
 )
 from grounddial.training import save_checkpoint
+from reference_model import generative_rank_per_column
 
 
 # ---------------------------------------------------------------------------
@@ -567,3 +569,69 @@ def test_evaluation_does_not_depend_on_its_batch(monkeypatch, decoder, ablate, w
     want = run(evaluation.EVAL_BATCH_UNITS)
     assert run(8) == want
     assert run(len(units)) == want
+
+
+PREFIX_OPTIONS = ["yes", "yes it is", "no", "no it is not", "", "it is", "yes it is not",
+                  "no it is"]
+
+
+def prefix_dataset():
+    """Hand-built dialogs whose answer options share prefixes beyond BOS
+    ("yes", "yes it is", "yes it is not"; "no", "no it is", "no it is not")
+    and include an option that tokenizes to nothing; each round has 4 to 8
+    of them in a rotated order, each image 6 to 8 regions."""
+    dialogs = []
+    for i in range(12):
+        rounds = []
+        for j in range(3):
+            k = 3 * i + j
+            opts = (PREFIX_OPTIONS[k % 8:] + PREFIX_OPTIONS[:k % 8])[:4 + k % 5]
+            gt = next(n for n, o in enumerate(opts) if o and n >= k % 3)
+            rounds.append({"question": f"is the {['red', 'blue', 'big'][j]} one left ?",
+                           "answer": opts[gt], "answer_options": opts, "gt_index": gt,
+                           "gt_grounding": [k % 6]})
+        dialogs.append({"image_id": f"p{i}", "caption": "objects on a table", "rounds": rounds})
+    ds = dataset_from_dict({"dialogs": dialogs})
+    g = np.random.default_rng(4)
+    for i, ex in enumerate(ds.examples):
+        ex.region_features = Tensor(g.normal(size=(6 + i % 3, 16)))
+    return ds
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 64])
+@pytest.mark.parametrize("data", ["synthetic", "prefixes"])
+def test_generative_ranking_is_the_per_column_oracle(monkeypatch, data, size):
+    """Evaluation batches of 1, 2, 3, 5 and 64 units: generative ranking
+    over shared decoder states gives every batch's scores, the report and
+    every attention record byte for byte as ranking each candidate as its
+    own sequence (`reference_model.generative_rank_per_column`), on
+    single-word synthetic candidates and on candidates sharing deeper
+    prefixes, an empty one included."""
+    ds = prefix_dataset() if data == "prefixes" else generate_synthetic(
+        SyntheticConfig(num_images=30, seed=9))
+    cfg = TrainConfig(d_e=8, d_q=16, n_heads=2, d_h=8, seq_len=10, max_history=4)
+    params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16,
+                               d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
+    params.grounding.w2.data = np.random.default_rng(1).uniform(-1, 1, size=(cfg.d_h, 1))
+    units = prepare_units(ds, cfg.seq_len, cfg.max_history)
+    if data == "prefixes":
+        assert any(c == [] for u in units for c in u.candidates)
+        assert any(len({tuple(c[:2]) for c in u.candidates if len(c) > 2})
+                   < sum(len(c) > 2 for c in u.candidates) for u in units)
+    monkeypatch.setattr(evaluation, "EVAL_BATCH_UNITS", size)
+    shared = model.generative_rank
+
+    def run(rank):
+        scores = []
+
+        def recording(*args):
+            scores.append(rank(*args))
+            return scores[-1]
+
+        monkeypatch.setattr(model, "generative_rank", recording)
+        rep = evaluate(params, ds, cfg, decoder="generative", with_posterior=True, units=units)
+        return json.dumps(rep.to_dict()), json.dumps(rep.attention), [s.tobytes() for s in scores]
+
+    got = run(shared)
+    assert len(got[2]) == math.ceil(len(units) / size)
+    assert got == run(generative_rank_per_column)
