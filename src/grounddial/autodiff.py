@@ -9,6 +9,14 @@ named exceptions are layers fused into one node each: `affine` adds its
 [1, n] bias row to every row of x @ w, and `layer_norm` broadcasts each
 row's mean and inverse deviation over the row. All data is float64.
 
+One rule keeps a row's value free of the batch it sits in: every forward
+product whose left operand has one row is formed on two copies of that row.
+BLAS sends a one-row product to its matrix-vector kernel, which rounds
+otherwise than the GEMM that forms the same row inside a larger product.
+`matmul`, `affine` and both products of `lstm_sequence` (its input
+projection and each step's h @ wh) keep the rule, so a batch of one unit,
+one distinct sentence or one decoder state rounds as a larger batch does.
+
 `bmm` is the one product beyond 2-D: a batched matrix product over the
 leading axes, [B, m, k] @ [B, k, n] or [B, heads, m, k] @ [B, heads, k, n].
 With it, `permute`, `masked_softmax` along any axis and the elementwise ops,
@@ -35,10 +43,7 @@ row of a smaller hc0 that each sequence starts from, sequences with the
 same start that have read the same rows so far hold one state, computed
 once, and the op returns one row per state with the grid of which row each
 sequence holds. The generative decoder ranks a unit's candidates this way,
-since they all start from the unit's state and read BOS first. A step
-left with one distinct state among several sequences forms its h @ wh on
-two rows, so that BLAS rounds it as it rounds the same row of the unshared
-product, and every state keeps its bits.
+since they all start from the unit's state and read BOS first.
 """
 
 from __future__ import annotations
@@ -198,6 +203,10 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.einsum("ij,jk->ik", a, b)
     if a.shape[1] == 1:
         return _outer(a, b)
+    if a.shape[0] == 1:
+        # one row would take BLAS's matrix-vector kernel; two copies of it
+        # take the GEMM, which rounds the row as it does inside a larger product
+        return (np.repeat(a, 2, axis=0) @ b)[:1]
     return a @ b
 
 
@@ -651,11 +660,8 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
     while it still holds its hc0 row. (Every sequence from its own row,
     reading at every step, gives the rows above and the grid t*B + b.)
     This is inference only: under a recording tape `start` raises
-    ContractError. A step with one distinct key but more than one sequence
-    forms its h @ wh on two copies of that row, because BLAS rounds a
-    one-row product (a matrix-vector product) differently from the same
-    row of a larger one; so every state is bit for bit the state the
-    sequence gets without `start`.
+    ContractError. Under the one-row rule (module docstring) every state is
+    bit for bit the state the sequence gets without `start`.
 
     Each distinct row the index reads is projected once per call:
     table[used] @ wx + b is a [U, 4H] buffer, U at most N, and each step
@@ -713,7 +719,7 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
     if shared and record:
         raise ContractError("lstm_sequence shares states only when no tape records")
     x_used, wxd, whd = table.data[used], wx.data, wh.data
-    proj = x_used @ wxd if used.size else np.zeros((1, 4 * H))
+    proj = _product(x_used, wxd) if used.size else np.zeros((1, 4 * H))
     proj += b.data
     proj = np.ascontiguousarray(proj.reshape(-1, 4, H).transpose(1, 0, 2))   # [4, U, H]
     if record:
@@ -743,14 +749,11 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
             if not uniq.size:
                 continue
             prev, rows = np.divmod(uniq, used.size)
-            if uniq.size == 1 < B:                         # a two-row product, see above
-                prev, rows = np.repeat(prev, 2), np.repeat(rows, 2)
             n = rows.size
             h = np.take(hs, prev, axis=0, out=_workspace("h_held", n, H))
             c = np.take(cs, prev, axis=0, out=_workspace("c_held", n, H))
-            # a two-row step's second row lands past `top`, where no state is kept
             h2, c2 = hs[top:top + n], cs[top:top + n]
-            top += uniq.size
+            top += n
         else:
             h2, c2 = hs[t * B:(t + 1) * B], c_pair[t % 2]
         if shared or t == 0:
@@ -763,7 +766,10 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
         # the index was range-checked above; a -1 reads row 0 and its
         # result is discarded below
         np.take(proj, rows, axis=1, out=z, mode="clip")
-        np.matmul(h, whd, out=zh)
+        if n > 1:
+            np.matmul(h, whd, out=zh)
+        else:
+            zh[:] = _product(h, whd)
         z += zh.reshape(n, 4, H).transpose(1, 0, 2)
         ifo = z[:3]                                        # sigmoid of i, f, o, in place
         np.negative(ifo, out=ifo)

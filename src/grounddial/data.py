@@ -18,7 +18,7 @@ import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -68,10 +68,22 @@ class Vocabulary:
             raise ValueError("duplicate tokens in vocabulary")
 
     @classmethod
-    def from_texts(cls, texts: Sequence[str]) -> "Vocabulary":
-        seen = set()
-        for text in texts:
-            seen.update(tokenize(text))
+    def from_texts(cls, texts: Iterable[str],
+                   memo: Optional[dict[str, list[str]]] = None) -> "Vocabulary":
+        """Every token of `texts`, sorted, after the reserved ones.
+
+        Each distinct text is tokenized once. `memo` maps a text to its
+        tokens: a text found there is not tokenized again, and each one
+        tokenized here is added, so a caller that encodes the same texts
+        next (`dataset_from_dict`) tokenizes none of them twice.
+        """
+        memo = {} if memo is None else memo
+        seen: set[str] = set()
+        for text in dict.fromkeys(texts):
+            words = memo.get(text)
+            if words is None:
+                words = memo[text] = tokenize(text)
+            seen.update(words)
         return cls(sorted(seen))
 
     def encode(self, word: str) -> int:
@@ -146,9 +158,10 @@ def _parse_round(obj, dialog: int, index: int) -> Round:
     options = obj["answer_options"]
     if not (isinstance(options, list) and options):
         fail(".answer_options", "must be a non-empty list")
-    for k, option in enumerate(options):
-        if not isinstance(option, str):
-            fail(f".answer_options[{k}]", "must be a string")
+    if not all(isinstance(option, str) for option in options):
+        for k, option in enumerate(options):
+            if not isinstance(option, str):
+                fail(f".answer_options[{k}]", "must be a string")
     gt = obj["gt_index"]
     if not (_is_int(gt) and 0 <= gt < len(options)):
         fail(".gt_index", f"must be in [0, {len(options)})")
@@ -156,16 +169,20 @@ def _parse_round(obj, dialog: int, index: int) -> Round:
     if relevance is not None:
         if not (isinstance(relevance, list) and len(relevance) == len(options)):
             fail(".relevance", "must align with answer_options")
-        values = []
-        for r in relevance:
-            if not (_is_int(r) or isinstance(r, float)):
-                fail(".relevance", "entries must be numbers")
-            if not 0.0 <= r <= 1.0:
-                fail(".relevance", "entries must lie in [0, 1]")
-            values.append(float(r))
-        if values[gt] < max(values) - 1e-12:
+        if all(type(r) is float and 0.0 <= r <= 1.0 for r in relevance):
+            values = relevance[:]
+        else:                   # ints, or an entry the checks below reject
+            values = []
+            for r in relevance:
+                if not (_is_int(r) or isinstance(r, float)):
+                    fail(".relevance", "entries must be numbers")
+                if not 0.0 <= r <= 1.0:
+                    fail(".relevance", "entries must lie in [0, 1]")
+                values.append(float(r))
+        top = max(values)
+        if values[gt] < top - 1e-12:
             fail(".relevance", "gt_index relevance must be maximal or tied-maximal")
-        if max(values) <= 0.0:
+        if top <= 0.0:
             fail(".relevance", "needs at least one positive entry")
         relevance = values
     grounding = obj.get("gt_grounding")
@@ -189,7 +206,11 @@ def dataset_from_dict(raw, split: str = "train",
     """Validate a parsed dataset object and encode its text; no features yet.
 
     When `vocab` is None a vocabulary is built from this dataset's text; pass
-    the training vocabulary for val/test so ids line up.
+    the training vocabulary for val/test so ids line up. Each distinct text
+    (caption, question, answer or option) is tokenized and encoded once per
+    call, through one memo that also feeds `Vocabulary.from_texts`; options
+    repeat across rounds, as a VisDial round's 100 do. Every caption and
+    round still gets token lists of its own, which no other shares.
     """
     _expect(isinstance(raw, dict), "$", "top level must be an object")
     _expect("dialogs" in raw, "$", "missing key 'dialogs'")
@@ -214,22 +235,27 @@ def dataset_from_dict(raw, split: str = "train",
         rounds = [_parse_round(r, i, j) for j, r in enumerate(d["rounds"])]
         examples.append(DialogExample(image_id=d["image_id"], caption=d["caption"], rounds=rounds))
 
+    texts: list[str] = []
+    for ex in examples:
+        texts.append(ex.caption)
+        for r in ex.rounds:
+            texts.append(r.question)
+            texts.append(r.answer)
+            texts.extend(r.candidate_texts)
+    distinct = dict.fromkeys(texts)
+    memo: dict[str, list[str]] = {}         # text -> its tokens
     if vocab is None:
-        texts: list[str] = []
-        for ex in examples:
-            texts.append(ex.caption)
-            for r in ex.rounds:
-                texts.append(r.question)
-                texts.append(r.answer)
-                texts.extend(r.candidate_texts)
-        vocab = Vocabulary.from_texts(texts)
+        vocab = Vocabulary.from_texts(distinct, memo)
+    encode = vocab.token_to_id.get
+    ids = {text: [encode(w, UNK_ID) for w in (memo[text] if text in memo else tokenize(text))]
+           for text in distinct}
 
     for ex in examples:
-        ex.caption_tokens = vocab.encode_text(ex.caption)
+        ex.caption_tokens = ids[ex.caption][:]
         for r in ex.rounds:
-            r.question_tokens = vocab.encode_text(r.question)
-            r.answer_tokens = vocab.encode_text(r.answer)
-            r.candidates = [vocab.encode_text(c) for c in r.candidate_texts]
+            r.question_tokens = ids[r.question][:]
+            r.answer_tokens = ids[r.answer][:]
+            r.candidates = [ids[c][:] for c in r.candidate_texts]
     return DialogDataset(examples=examples, vocab=vocab, split=split)
 
 
@@ -544,6 +570,13 @@ def _sample_objects(cfg: SyntheticConfig, rng: np.random.Generator) -> tuple[lis
 
 def _make_round(cfg, rng, objects, target_idx, colors, shapes,
                 color_counts, shape_counts) -> dict:
+    """One round's dict: a question naming the target's unique attribute,
+    the other attribute as its answer, and `cfg.candidates` shuffled options.
+
+    The words of the other objects, the set of those taken and the deduped
+    lists (`dict.fromkeys`, first occurrence kept) are built once per round;
+    `rng` is drawn in a fixed order, so a config gives the same rounds.
+    """
     c, s = objects[target_idx]
     ask_shape_ok = color_counts[c] == 1
     ask_color_ok = shape_counts[s] == 1
@@ -551,35 +584,33 @@ def _make_round(cfg, rng, objects, target_idx, colors, shapes,
         ask_shape = bool(rng.integers(2))
     else:
         ask_shape = ask_shape_ok
+    color_words = [colors[oc] for i, (oc, _) in enumerate(objects) if i != target_idx]
+    shape_words = [shapes[os] for i, (_, os) in enumerate(objects) if i != target_idx]
     if ask_shape:
         question = f"what shape is the {colors[c]} thing ?"
         answer = shapes[s]
-        same_cat = [shapes[os] for oc, os in objects if (oc, os) != (c, s)]
-        other_cat = [colors[oc] for oc, os in objects if (oc, os) != (c, s)]
+        same_cat, other_cat = shape_words, color_words
         vocab_same, vocab_other = shapes, colors
     else:
         question = f"what color is the {shapes[s]} ?"
         answer = colors[c]
-        same_cat = [colors[oc] for oc, os in objects if (oc, os) != (c, s)]
-        other_cat = [shapes[os] for oc, os in objects if (oc, os) != (c, s)]
+        same_cat, other_cat = color_words, shape_words
         vocab_same, vocab_other = colors, shapes
 
     # candidate pool, most plausible first: gt word, same-category words of
     # other objects, this image's other-category words, then unused
     # attribute vocabulary, then absent (color, shape) pair names as filler
     def dedup(words):
-        seen, out = set(), []
-        for w in words:
-            if w != answer and w not in seen:
-                seen.add(w)
-                out.append(w)
-        return out
+        kept = dict.fromkeys(words)         # first occurrences, in order
+        kept.pop(answer, None)
+        return list(kept)
 
     same_cat = dedup(same_cat)
     other_cat = dedup(other_cat)
     rng.shuffle(same_cat)
     rng.shuffle(other_cat)
-    rest = dedup([w for w in vocab_same + vocab_other if w not in set(same_cat) | set(other_cat)])
+    taken = set(same_cat).union(other_cat)
+    rest = dedup([w for w in vocab_same + vocab_other if w not in taken])
     rng.shuffle(rest)
     pool = [answer] + same_cat + other_cat + rest
     if len(pool) < cfg.candidates:
@@ -589,8 +620,7 @@ def _make_round(cfg, rng, objects, target_idx, colors, shapes,
         rng.shuffle(absent)
         pool += absent
     options = pool[:cfg.candidates]
-    order = rng.permutation(len(options))
-    options = [options[int(k)] for k in order]
+    options = [options[k] for k in rng.permutation(len(options)).tolist()]
     gt_index = options.index(answer)
     same_set = set(same_cat)
     relevance = [1.0 if w == answer else (0.5 if w in same_set else 0.0) for w in options]
@@ -613,8 +643,8 @@ def generate_synthetic_raw(cfg: SyntheticConfig) -> tuple[dict, dict[str, np.nda
     features: dict[str, np.ndarray] = {}
     for img in range(cfg.num_images):
         objects, referable = _sample_objects(cfg, rng)
-        color_counts = np.bincount([c for c, _ in objects], minlength=cfg.num_colors)
-        shape_counts = np.bincount([s for _, s in objects], minlength=cfg.num_shapes)
+        color_counts = np.bincount([c for c, _ in objects], minlength=cfg.num_colors).tolist()
+        shape_counts = np.bincount([s for _, s in objects], minlength=cfg.num_shapes).tolist()
 
         block = np.zeros((cfg.mu, cfg.d_v))
         for i, (c, s) in enumerate(objects):

@@ -151,10 +151,6 @@ def generative_rank(fused: Tensor, candidates: Sequence[Sequence[Sequence[int]]]
     hc0 = ad.concat([fused, ad.zeros_const(fused.shape)], axis=1)
     hs, grid = ad.lstm_sequence(embedding, index, hc0, params.gen.wx, params.gen.wh,
                                 params.gen.b, start=np.repeat(np.arange(len(counts)), counts))
-    if hs.shape[0] == 1 < n:
-        # one state read at several positions: a two-row product, as the
-        # positions' own rows would be (BLAS rounds a one-row product otherwise)
-        hs = ad.take_rows(hs, [0, 0])
     z = ad.affine(hs, params.out_w, params.out_b).data
     m = z.max(axis=1, keepdims=True)
     s = np.exp(z - m).sum(axis=1, keepdims=True)

@@ -215,8 +215,9 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
     shuffled among the units of a batch that have the same region count
     ("random", seeded by `seed`) or the ground truth ("oracle"). Under the
     other modes the report and its records do not depend on how the units
-    are batched, down to batches of a few units, where BLAS may round a
-    one-row product differently.
+    are batched, down to batches of one unit, with one exception: the
+    records' region weights may differ in their last bits with the region
+    count of the batch's widest image, the width each softmax runs over.
 
     Each batch is one inference pass (`infer_batch_scores`), scored once on
     its [B, N] candidate scores and [B, mu] region weights: one finiteness

@@ -4,7 +4,8 @@
 input matrix. `step_sequence` steps it through an `lstm_sequence` index
 (`step_sequence_loss` does so under the tape, for gradients).
 `lstm_sequence_rows` is the fused op with row-major gates and fresh step
-buffers, which the gate-major op must match bit for bit. The `ref_*`
+buffers, which the gate-major op must match bit for bit; like the package,
+it forms a one-row product on two copies of the row (`gemm`). The `ref_*`
 functions are the encoders and decoders written one sequence and one step
 at a time on top of `lstm_step`, so a model forward can be compared
 against the batched path by patching them in. `cross_entropy` (one logits
@@ -162,6 +163,12 @@ def step_sequence_loss(xs: Tensor, index: np.ndarray, hc0: Tensor, wx: Tensor, w
     return add_chain(terms)
 
 
+def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b by BLAS's GEMM: a one-row a is formed on two copies of its row,
+    as the package forms every one-row forward product."""
+    return (np.repeat(a, 2, axis=0) @ b)[:1] if a.shape[0] == 1 else a @ b
+
+
 def lstm_sequence_rows(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
                        b: Tensor) -> Tensor:
     """`autodiff.lstm_sequence` as it was with row-major gates: each step's
@@ -192,7 +199,7 @@ def lstm_sequence_rows(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor
     inputs = (table, hc0, wx, wh, b)
     record = ad._ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
     x_used, wxd, whd = table.data[used], wx.data, wh.data
-    proj = x_used @ wxd if used.size else np.zeros((1, 4 * H))
+    proj = gemm(x_used, wxd) if used.size else np.zeros((1, 4 * H))
     proj += b.data
     hs = np.empty((T, B, H))
     if record:
@@ -208,7 +215,7 @@ def lstm_sequence_rows(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor
         # the index was range-checked above; a -1 reads row 0 and its
         # result is discarded below
         np.take(proj, local[t], axis=0, out=z, mode="clip")
-        z += np.matmul(h, whd, out=zh)
+        z += np.matmul(h, whd, out=zh) if B > 1 else gemm(h, whd)
         ifo = z[:, :3 * H]                                 # sigmoid of i, f, o, in place
         np.negative(ifo, out=ifo)
         np.exp(ifo, out=ifo)

@@ -40,7 +40,7 @@ from grounddial.encoders import (
     pack_sequences,
     project_regions,
 )
-from reference_lstm import cross_entropy, transpose
+from reference_lstm import cross_entropy, gemm, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -48,11 +48,12 @@ from reference_lstm import cross_entropy, transpose
 
 def matmul_blas(a: Tensor, b: Tensor) -> Tensor:
     """`ad.matmul` with every product by BLAS, a k=1 GEMM included (einsum
-    only for a one-column output, as the package forms it)."""
+    only for a one-column output, and a one-row left operand on two copies
+    of its row, as the package forms them)."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shapes do not agree: {a.shape} x {b.shape}")
     ad_, bd = a.data, b.data
-    out = Tensor(np.einsum("ij,jk->ik", ad_, bd) if bd.shape[1] == 1 else ad_ @ bd)
+    out = Tensor(np.einsum("ij,jk->ik", ad_, bd) if bd.shape[1] == 1 else gemm(ad_, bd))
 
     def rule(g):
         return (g @ bd.T if a.requires_grad else None,

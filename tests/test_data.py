@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -199,6 +200,20 @@ def _round_at(raw, dialog, index):
      "$.dialogs[1].rounds[0].answer: must be a string"),
     (lambda d: _round_at(d, 1, 0)["answer_options"].__setitem__(1, ["blue"]),
      "$.dialogs[1].rounds[0].answer_options[1]: must be a string"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("answer_options", ["red", "blue", None, 4]),
+     "$.dialogs[1].rounds[0].answer_options[2]: must be a string"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("relevance", [1.0, "abc"]),
+     "$.dialogs[1].rounds[0].relevance: entries must be numbers"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("relevance", [1.0, False]),
+     "$.dialogs[1].rounds[0].relevance: entries must be numbers"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("relevance", [1.0, 1.5]),
+     "$.dialogs[1].rounds[0].relevance: entries must lie in [0, 1]"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("relevance", [1.0, -0.5]),
+     "$.dialogs[1].rounds[0].relevance: entries must lie in [0, 1]"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("relevance", [1.0, float("nan")]),
+     "$.dialogs[1].rounds[0].relevance: entries must lie in [0, 1]"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("relevance", [1.0, 2]),
+     "$.dialogs[1].rounds[0].relevance: entries must lie in [0, 1]"),
 ])
 def test_bad_round_parse_errors_name_the_path(mutate, message):
     raw = two_image_raw()
@@ -208,10 +223,50 @@ def test_bad_round_parse_errors_name_the_path(mutate, message):
     assert str(e.value) == message
 
 
-def test_relevance_entries_parse_to_floats():
+@pytest.mark.parametrize("given, parsed", [([1, 0.5], [1.0, 0.5]), ([1.0, 0], [1.0, 0.0]),
+                                           ([0.5, 0.25], [0.5, 0.25])])
+def test_relevance_entries_parse_to_floats(given, parsed):
     raw = two_image_raw()
-    _round_at(raw, 0, 0)["relevance"] = [1, 0.5]
-    assert dataset_from_dict(raw).examples[0].rounds[0].relevance == [1.0, 0.5]
+    _round_at(raw, 0, 0)["relevance"] = given
+    got = dataset_from_dict(raw).examples[0].rounds[0].relevance
+    assert got == parsed and all(type(r) is float for r in got)
+    assert got is not given
+
+
+def test_dataset_from_dict_encodes_every_text_as_encode_text_does():
+    """Texts repeated across and within rounds, an option that tokenizes to
+    nothing and words outside a given vocabulary: each caption, question,
+    answer and option gets `encode_text` of its own text, under the
+    vocabulary built from the dataset and under a smaller given one, and
+    every one of those token lists is an object of its own."""
+    options = ["yes", "no", "", "Yes !", "maybe so", "no", "  "]
+    raw = {"dialogs": [
+        {"image_id": f"im{i}", "caption": ["a cat on a mat", "A cat"][i % 2],
+         "rounds": [{"question": ["is it red ?", "is it Red ?"][(i + j) % 2],
+                     "answer": options[(i + j) % 5], "gt_index": 0,
+                     "answer_options": [options[(i + j) % 5]] + options[:1 + (i + 2 * j) % 7]}
+                    for j in range(3)]}
+        for i in range(4)]}
+    texts = [t for d in raw["dialogs"] for t in [d["caption"]] + [
+        u for r in d["rounds"] for u in [r["question"], r["answer"], *r["answer_options"]]]]
+    assert len(set(texts)) < len(texts) and "" in texts
+    built = dataset_from_dict(raw)
+    assert built.vocab.id_to_token == D.RESERVED + sorted({w for t in texts for w in D.tokenize(t)})
+    encoded = dataset_from_dict(raw, vocab=Vocabulary.from_texts(["a cat", "yes no"]))
+    assert D.UNK_ID in encoded.examples[0].caption_tokens          # "on", "mat"
+    for ds in (built, encoded):
+        vocab = ds.vocab
+        lists = []
+        for ex in ds.examples:
+            assert ex.caption_tokens == vocab.encode_text(ex.caption)
+            lists.append(ex.caption_tokens)
+            for r in ex.rounds:
+                assert r.question_tokens == vocab.encode_text(r.question)
+                assert r.answer_tokens == vocab.encode_text(r.answer)
+                assert r.candidates == [vocab.encode_text(c) for c in r.candidate_texts]
+                lists += [r.question_tokens, r.answer_tokens, *r.candidates]
+        assert len({id(tokens) for tokens in lists}) == len(lists)
+        assert [] in lists
 
 
 JSON_VALUES = st.recursive(
@@ -498,13 +553,17 @@ def test_synthetic_loader_roundtrip(tmp_path):
     write_features(tmp_path / "features.bin", feats)
     ds = load_dataset(p, "train")
     direct = generate_synthetic(cfg)
+    assert ds.vocab.id_to_token == direct.vocab.id_to_token
+    assert ds.vocab.token_to_id == direct.vocab.token_to_id
     assert len(ds.examples) == len(direct.examples)
     for a, b in zip(ds.examples, direct.examples):
-        assert a.image_id == b.image_id
+        assert (a.image_id, a.caption, a.caption_tokens) == (b.image_id, b.caption, b.caption_tokens)
         assert np.array_equal(a.region_features.data, b.region_features.data)
+        assert len(a.rounds) == len(b.rounds) == cfg.rounds
         for ra, rb in zip(a.rounds, b.rounds):
-            assert ra.question_tokens == rb.question_tokens
-            assert ra.gt_index == rb.gt_index
+            # every field: texts, question, answer and candidate tokens,
+            # gt_index, relevance and gt_grounding
+            assert dataclasses.asdict(ra) == dataclasses.asdict(rb)
 
 
 # ---------------------------------------------------------------------------

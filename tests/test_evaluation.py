@@ -571,6 +571,33 @@ def test_evaluation_does_not_depend_on_its_batch(monkeypatch, decoder, ablate, w
     assert run(len(units)) == want
 
 
+
+@pytest.mark.parametrize("d_q", [8, 64])
+@pytest.mark.parametrize("decoder", ["generative", "discriminative"])
+def test_batches_of_a_few_units_evaluate_as_64_unit_passes(monkeypatch, decoder, d_q):
+    """Evaluation batches of 1, 2, 3 and 5 units give the report and every
+    attention record, posteriors included, byte for byte as 64-unit passes.
+    A small batch may hold one question, history sentence or decoder state,
+    a one-row product, which BLAS would round apart from the same row of a
+    larger product; the package forms it on two copies of its row (the
+    one-row rule in `autodiff`). Every image has the same region count
+    here: a batch whose images all have fewer regions than the widest one
+    still rounds its attention records otherwise."""
+    ds = generate_synthetic(SyntheticConfig(num_images=30, seed=9))
+    cfg = TrainConfig(d_e=8, d_q=d_q, n_heads=2, d_h=8, seq_len=10, max_history=4)
+    params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16,
+                               d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
+    params.grounding.w2.data = np.random.default_rng(1).uniform(-1, 1, size=(cfg.d_h, 1))
+
+    def run(size):
+        monkeypatch.setattr(evaluation, "EVAL_BATCH_UNITS", size)
+        rep = evaluate(params, ds, cfg, decoder=decoder, with_posterior=True)
+        return json.dumps(rep.to_dict()), json.dumps(rep.attention)
+
+    want = run(64)
+    for size in (1, 2, 3, 5):
+        assert run(size) == want, f"batches of {size} units"
+
 PREFIX_OPTIONS = ["yes", "yes it is", "no", "no it is not", "", "it is", "yes it is not",
                   "no it is"]
 
