@@ -1,7 +1,10 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 Every operation records one node onto the active :class:`Tape`; `backward`
-replays the tape in reverse recording order exactly once. `matmul` is 2-D;
+replays the tape in reverse recording order exactly once, and releases each
+node as it passes it, so the saved arrays and the intermediate gradients
+are freed during the sweep and only the leaves' gradients outlive it. A
+second `backward` on a consumed tape raises. `matmul` is 2-D;
 same-shape elementwise arithmetic and reductions work on any rank --
 there is no implicit broadcasting beyond scaling/shifting by a Python
 scalar, so shape mistakes fail loudly at the op that caused them. The two
@@ -156,24 +159,35 @@ def _record(out: Tensor, inputs: tuple, rule: Callable) -> Tensor:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate .grad of every requires_grad tensor reachable from `loss`.
+    """Populate .grad of every leaf reachable from `loss`, consuming the tape.
 
-    Gradients accumulate additively across multiple uses of a tensor.
+    A leaf is a requires_grad tensor that no node of the tape produced: a
+    parameter, or an input handed to the ops. Gradients accumulate
+    additively across multiple uses of a tensor. Each node is released once
+    the sweep has passed it: its slot stays in `tape.nodes`, but it no longer
+    holds its inputs, output or rule, and its output's .grad is set back to
+    None once its rule has used it. So the graph's saved arrays and every
+    intermediate gradient are freed during the sweep, and a tape can be
+    replayed once only: a second call raises ContractError.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    nodes = tape.nodes
+    if nodes and nodes[-1].rule is None:
+        raise ContractError("backward on a consumed tape: a tape is replayed once only")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
-        out_grad = node.output.grad
-        if out_grad is None:
-            continue
-        for inp, g in zip(node.inputs, node.rule(out_grad)):
-            if g is None or not inp.requires_grad:
-                continue
-            if inp.grad is None:
-                inp.grad = g
-            else:
-                inp.grad = inp.grad + g
+    for node in reversed(nodes):
+        out = node.output
+        if out.grad is not None:
+            for inp, g in zip(node.inputs, node.rule(out.grad)):
+                if g is None or not inp.requires_grad:
+                    continue
+                if inp.grad is None:
+                    inp.grad = g
+                else:
+                    inp.grad = inp.grad + g
+            out.grad = None
+        node.inputs = node.output = node.rule = None
 
 
 # ---------------------------------------------------------------------------

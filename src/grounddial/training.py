@@ -3,7 +3,9 @@
 During training the decoder consumes the posterior visual feature
 (`model.forward_batch`); per-epoch validation is `evaluation.evaluate`,
 which runs the prior alone, and the best checkpoint is selected by
-validation MRR.
+validation MRR. Each step's optimizer update runs with the step's graph
+released: `backward` consumes the tape, so only the parameters' gradients
+outlive it and the step peaks at its forward activations.
 """
 
 from __future__ import annotations
@@ -166,7 +168,9 @@ def train(ds_train: DialogDataset, ds_val: DialogDataset, params: ModelParams,
     """Run the full loop; returns per-epoch logs and the best epoch and MRR.
 
     With out_dir set, writes metrics.jsonl plus best/final checkpoints as it
-    goes, so the best checkpoint survives a later divergence abort.
+    goes, so the best checkpoint survives a later divergence abort. Each
+    Adam step runs after `backward` has consumed the batch's tape, so no
+    saved activation or intermediate gradient of the step is alive during it.
     """
     named = named_parameters(params)
     state = OptimizerState()

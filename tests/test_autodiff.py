@@ -1,5 +1,6 @@
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -427,6 +428,56 @@ def test_no_tape_means_no_grad_tracking():
     x = Tensor([1.0], requires_grad=True)
     y = ad.mul(x, x)
     assert not y.requires_grad
+
+
+def squared_tanh_graph():
+    """(tape, x, w, [m, h, hh, loss]) of sum(tanh(x @ w) ** 2), leaves x and w."""
+    g = rng()
+    x = Tensor(g.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(g.normal(size=(4, 5)), requires_grad=True)
+    with Tape() as tape:
+        m = ad.matmul(x, w)
+        h = ad.tanh(m)
+        hh = ad.mul(h, h)
+        loss = ad.sum_all(hh)
+    return tape, x, w, [m, h, hh, loss]
+
+
+def retaining_backward(loss, tape):
+    """The sweep without releasing anything: every node keeps its inputs,
+    output and rule, and every intermediate tensor its gradient."""
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(tape.nodes):
+        if node.output.grad is None:
+            continue
+        for inp, g in zip(node.inputs, node.rule(node.output.grad)):
+            if g is not None and inp.requires_grad:
+                inp.grad = g if inp.grad is None else inp.grad + g
+
+
+def test_backward_releases_the_tape_and_keeps_the_leaf_gradients():
+    tape, x, w, intermediates = squared_tanh_graph()
+    nodes = len(tape.nodes)
+    activation = weakref.ref(intermediates[0].data)
+    backward(intermediates[-1], tape)
+    assert len(tape.nodes) == nodes
+    assert all(t.grad is None for t in intermediates)
+    del intermediates
+    assert activation() is None, "the tape still holds matmul's output"
+
+    want_tape, want_x, want_w, want_intermediates = squared_tanh_graph()
+    retaining_backward(want_intermediates[-1], want_tape)
+    assert x.grad.tobytes() == want_x.grad.tobytes()
+    assert w.grad.tobytes() == want_w.grad.tobytes()
+
+
+def test_second_backward_on_a_consumed_tape_raises():
+    tape, x, w, intermediates = squared_tanh_graph()
+    backward(intermediates[-1], tape)
+    first = w.grad.copy()
+    with pytest.raises(ContractError, match="consumed tape"):
+        backward(intermediates[-1], tape)
+    assert w.grad.tobytes() == first.tobytes()
 
 
 # ---------------------------------------------------------------------------

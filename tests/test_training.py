@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,41 @@ def test_multitask_mode_trains():
     params = tiny_model(ds, cfg, seed=5)
     result = train(ds, ds, params, cfg)
     assert "L_G" in result.epochs[0] and "L_D" in result.epochs[0]
+
+
+def test_optimizer_step_runs_with_the_graph_released(monkeypatch):
+    """On a step after the first (Adam's m and v exist), the traced peak
+    across backward and adam_step exceeds the memory live at the end of
+    forward_batch by at most the parameters' gradients: they are the only
+    arrays backward creates that outlive it."""
+    ds = generate_synthetic(SyntheticConfig(num_images=5, seed=5, rounds=10, mu=12,
+                                            num_colors=12, num_shapes=12, d_v=24))
+    ds_train = DialogDataset(ds.examples[:4], ds.vocab, "train")
+    ds_val = DialogDataset(ds.examples[4:], ds.vocab, "val")
+    cfg = TrainConfig(loss_mode="generative", batch_size=20, max_epochs=1)
+    real_forward, real_adam, steps = training.forward_batch, training.adam_step, []
+
+    def forward(*args):
+        fw = real_forward(*args)
+        steps.append({"live": tracemalloc.get_traced_memory()[0]})
+        tracemalloc.reset_peak()
+        return fw
+
+    def adam(named, *args):
+        real_adam(named, *args)
+        steps[-1]["peak"] = tracemalloc.get_traced_memory()[1]
+        steps[-1]["grads"] = sum(p.grad.nbytes for p in named.values() if p.grad is not None)
+
+    monkeypatch.setattr(training, "forward_batch", forward)
+    monkeypatch.setattr(training, "adam_step", adam)
+    tracemalloc.start()
+    try:
+        train(ds_train, ds_val, tiny_model(ds, cfg), cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(steps) == 2
+    second = steps[1]
+    assert second["peak"] - second["live"] <= second["grads"], second
 
 
 # ---------------------------------------------------------------------------
