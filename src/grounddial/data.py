@@ -496,63 +496,10 @@ def _attribute_words(cfg: SyntheticConfig) -> tuple[list[str], list[str]]:
 
 
 def _sample_objects(cfg: SyntheticConfig, rng: np.random.Generator) -> tuple[list[tuple[int, int]], list[int]]:
-    """Distinct (color, shape) objects with >= cfg.rounds referable targets.
-
-    Targets are doubly unique when the attribute space allows it: both their
-    color and their shape occur exactly once in the image, so the question
-    (naming one attribute) identifies exactly one object AND the answer (the
-    other attribute) matches no other object. Distractor objects draw from
-    the remaining attribute values only. When the grid is too tight for that
-    construction, targets fall back to single-attribute uniqueness: random
-    object sets, and when 500 draws miss, the one `_built_objects` builds.
-    """
-    r = cfg.rounds
-    nc, ns, mu = cfg.num_colors, cfg.num_shapes, cfg.mu
-    rest = mu - r
-    balanced_ok = (
-        r <= min(nc, ns) and rest >= max(nc - r, ns - r) >= 1
-        and rest <= (nc - r) * (ns - r)
-    )
-    if balanced_ok:
-        # balanced inventory: every color and every shape appears in the
-        # image, so attribute histograms are constant across images and
-        # carry no answer information; targets stay doubly unique
-        colors = [int(c) for c in rng.permutation(nc)]
-        shapes = [int(s) for s in rng.permutation(ns)]
-        objects = list(zip(colors[:r], shapes[:r]))  # doubly-unique targets
-        rc, rs = colors[r:], shapes[r:]
-        want_c = {c: rest // len(rc) + (1 if i < rest % len(rc) else 0)
-                  for i, c in enumerate(rc)}
-        want_s = {s: rest // len(rs) + (1 if i < rest % len(rs) else 0)
-                  for i, s in enumerate(rs)}
-        filler: list[tuple[int, int]] = []
-        for _ in range(rest):
-            c = max(want_c, key=lambda k: (want_c[k], -k))
-            choices = sorted((s for s in rs if want_s[s] > 0 and (c, s) not in filler),
-                             key=lambda s: (-want_s[s], s))
-            if not choices:
-                choices = sorted((s for s in rs if (c, s) not in filler))
-            s = choices[0]
-            filler.append((c, s))
-            want_c[c] -= 1
-            want_s[s] = max(want_s[s] - 1, 0)
-        objects += filler
-        order = [int(i) for i in rng.permutation(mu)]
-        objects = [(int(objects[i][0]), int(objects[i][1])) for i in order]
-        referable = [pos for pos, i in enumerate(order) if i < r]
-        return objects, referable
-    if r <= min(nc, ns) and rest <= (nc - r) * (ns - r) and mu >= r:
-        colors = list(rng.permutation(nc))
-        shapes = list(rng.permutation(ns))
-        objects = list(zip(colors[:r], shapes[:r]))  # doubly-unique targets
-        rest_pairs = [(c, s) for c in colors[r:] for s in shapes[r:]]
-        extra = rng.choice(len(rest_pairs), size=rest, replace=False)
-        objects += [rest_pairs[int(k)] for k in extra]
-        order = [int(i) for i in rng.permutation(mu)]
-        objects = [(int(objects[i][0]), int(objects[i][1])) for i in order]
-        referable = [pos for pos, i in enumerate(order) if i < r]
-        return objects, referable
-
+    """mu distinct (color, shape) objects and the positions of the referable
+    ones, those whose color or shape occurs once in the image: a uniform draw
+    of mu distinct pairs, redrawn until it holds cfg.rounds referable objects,
+    and after 500 misses the image `_built_objects` builds."""
     n_pairs = cfg.num_colors * cfg.num_shapes
     for _ in range(500):
         chosen = rng.choice(n_pairs, size=cfg.mu, replace=False)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -482,6 +483,43 @@ def test_synthetic_answer_not_in_question():
             assert r["answer"] not in r["question"].split()
 
 
+def grounding_free_mrr(raw, feats, cfg, n_rules):
+    """Expected MRR of ranking each round's options by the first `n_rules`
+    of these rules, in order, with a uniform random tie-break. No rule asks
+    which region is the target. R0: the word is of the asked category. R1:
+    it is present in the image. R2: it occurs there exactly once. R1 and R2
+    read the argmax color and shape of each feature row."""
+    colors, shapes = D._attribute_words(cfg)
+    nc, ns = cfg.num_colors, cfg.num_shapes
+    total, count = 0.0, 0
+    for d in raw["dialogs"]:
+        block = feats[d["image_id"]]
+        seen = Counter(colors[i] for i in block[:, :nc].argmax(axis=1))
+        seen.update(shapes[i] for i in block[:, nc:nc + ns].argmax(axis=1))
+        for r in d["rounds"]:
+            asked = shapes if r["question"].startswith("what shape") else colors
+            keys = [(w in asked, seen[w] >= 1, seen[w] == 1)[:n_rules]
+                    for w in r["answer_options"]]
+            gt = keys[r["gt_index"]]
+            above = sum(k > gt for k in keys)
+            tied = keys.count(gt)
+            total += sum(1.0 / rank for rank in range(above + 1, above + tied + 1)) / tied
+            count += 1
+    return total / count
+
+
+def test_synthetic_answer_is_not_told_by_occurring_once():
+    """Without grounding, the rule "the answer occurs exactly once in the
+    image" may lift the MRR of ranking by category and presence by at most
+    0.02: a target's answer must be no rarer in its image than the other
+    words present."""
+    cfg = SyntheticConfig(num_images=2000)
+    raw, feats = generate_synthetic_raw(cfg)
+    present = grounding_free_mrr(raw, feats, cfg, 2)
+    once = grounding_free_mrr(raw, feats, cfg, 3)
+    assert once - present <= 0.02, (present, once)
+
+
 def test_synthetic_unsatisfiable_uniqueness():
     with pytest.raises(GenerationError):
         generate_synthetic_raw(small_cfg(mu=20, num_colors=4, num_shapes=4))
@@ -516,7 +554,8 @@ def assert_referable_image(objects, referable, cfg):
 def test_synthetic_validate_rejects_exactly_the_settings_no_image_holds():
     """Every grid up to 4x4, every mu and rounds <= 3: validate accepts a
     setting exactly when some set of mu objects has `rounds` referable ones,
-    and for each accepted one `_built_objects` builds such a set."""
+    and for each accepted one both `_built_objects` and the sampler the
+    generator calls give such a set."""
     rng = np.random.default_rng(0)
     for nc in range(1, 5):
         for ns in range(1, 5):
@@ -528,6 +567,7 @@ def test_synthetic_validate_rejects_exactly_the_settings_no_image_holds():
                     if most[mu] >= rounds:
                         cfg.validate()
                         assert_referable_image(*D._built_objects(cfg, rng), cfg)
+                        assert_referable_image(*D._sample_objects(cfg, rng), cfg)
                     else:
                         with pytest.raises(GenerationError, match=f"^mu {mu}, rounds {rounds}:"):
                             cfg.validate()
