@@ -696,10 +696,13 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
     activations are allocated per call.
 
     Activations are kept for backpropagation through time only while a tape
-    records, written by the steps straight into a [T, 4, B, H] store. The
+    records, written by the steps straight into a [T, 4, B, H] store, with
+    the c each step started from and its tanh(c). The h each step started
+    from is not stored: it is hc0's h, then the returned states shifted by
+    one step, and the backward rule rebuilds it from those for dwh. The
     backward rule sums each distinct row's gate gradients once and forms
-    d(table), dwx and db from those [U, 4H] sums, and dwh in one matmul over
-    all steps.
+    d(table), dwx and db from those [U, 4H] sums, and dwh in one matmul
+    over all steps.
     """
     idx = np.asarray(index, dtype=np.intp)
     if idx.ndim != 2:
@@ -738,7 +741,6 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
     proj = np.ascontiguousarray(proj.reshape(-1, 4, H).transpose(1, 0, 2))   # [4, U, H]
     if record:
         gates = np.empty((T, 4, B, H))                     # i, f, o, g after activation
-        h_prev = np.empty((T, B, H))
         c_prev = np.empty((T, B, H))
         tanh_c = np.empty((T, B, H))
     h = hc0.data[:, :H]
@@ -801,7 +803,6 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
             np.copyto(c2, c, where=keep)
             np.copyto(h2, h, where=keep)
         if record:
-            h_prev[t] = h
             c_prev[t] = c
         h, c = h2, c2
     if shared:
@@ -833,7 +834,9 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
                 dh_prev = np.where(keep, dh, dh_prev)
                 dc_prev = np.where(keep, dc_next, dc_prev)
             dh_next, dc_next = dh_prev, dc_prev
-        dwh = h_prev.reshape(T * B, H).T @ dz.reshape(T * B, 4 * H)
+        # the state each step started from: hc0's h, then the returned states
+        h_prev = np.concatenate([hc0.data[:, :H], hs[:(T - 1) * B]])[:T * B]
+        dwh = h_prev.T @ dz.reshape(T * B, 4 * H)
         dproj = np.zeros((used.size, 4 * H))               # per distinct row
         if used.size:
             starts = np.concatenate([[0], np.cumsum(counts[:-1])])

@@ -202,7 +202,7 @@ def _eval_parser(sub) -> argparse.ArgumentParser:
                    help="write one JSON line per (image, round) to this path")
     p.add_argument("--with-answers", dest="with_answers", action="store_true",
                    help="also run the answer-aware posterior: its weights in the attention "
-                        "export, its mean entropy in the report")
+                        "export, its mean entropy and top-1 grounding in the report")
     p.add_argument("--report", default=None, help="write the EvalReport JSON here (default stdout)")
     p.add_argument("--seed", type=int, default=0)
     return p

@@ -32,6 +32,7 @@ class EvalReport:
     grounding_top3: Optional[float] = None
     entropy_prior: Optional[float] = None
     entropy_posterior: Optional[float] = None
+    posterior_top1: Optional[float] = None
     # one attention_record per unit, in unit order; not a metric,
     # so to_dict leaves it out
     attention: list[dict] = field(default_factory=list, repr=False)
@@ -229,8 +230,9 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
     own scores. The report keeps each unit's attention record.
     with_posterior additionally runs the answer-aware posterior on the same
     context encoding: each record gets its "posterior" and the report its
-    mean entropy (the Table-3 "with answers" protocol); it never affects the
-    ranking metrics.
+    mean entropy (the Table-3 "with answers" protocol) and, where every unit
+    has gt_grounding, its top-1 hit rate, read with the prior's order and
+    tie rule; it never affects the ranking metrics.
     """
     if ablate not in ABLATION_MODES:
         raise ValueError(f"unknown ablation mode {ablate!r}; know {ABLATION_MODES}")
@@ -248,6 +250,7 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
     post_entropies: list[np.ndarray] = []
     records: list[dict] = []
     hits = {1: 0, 3: 0}
+    post_hits = 0
     for batch in batch_iterator(units, EVAL_BATCH_UNITS, seed=None):
         g_override = (None if ablate == "learned"
                       else lambda learned: _ablated_weights(batch, learned, ablate, rng))
@@ -279,14 +282,15 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
             rel[real] = np.fromiter(chain.from_iterable(u.relevance for u in batch), dtype=float)
             ndcgs.append(ndcg(scores, rel))
         entropies.append(distribution_entropy(weights))
-        if with_posterior:
-            post_entropies.append(distribution_entropy(posteriors))
-
         masked = np.where(regions, weights, -np.inf)
         order = _descending_order(masked)
         gt_mask = _gt_mask([u.gt_grounding for u in batch], masked)
         for k in hits:
             hits[k] += int(_top_k_hits(order, gt_mask, k).sum())
+        if with_posterior:
+            post_entropies.append(distribution_entropy(posteriors))
+            post_order = _descending_order(np.where(regions, posteriors, -np.inf))
+            post_hits += int(_top_k_hits(post_order, gt_mask, 1).sum())
         priors, top3 = weights.tolist(), order[:, :3].tolist()
         post = posteriors.tolist() if with_posterior else None
         for b, (u, mu) in enumerate(zip(batch, mus)):
@@ -305,9 +309,12 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
         entropy_prior=float(np.mean(np.concatenate(entropies))),
         attention=records,
     )
-    if all(u.gt_grounding is not None for u in units):
+    grounded = all(u.gt_grounding is not None for u in units)
+    if grounded:
         report.grounding_top1 = hits[1] / len(units)
         report.grounding_top3 = hits[3] / len(units)
     if with_posterior:
         report.entropy_posterior = float(np.mean(np.concatenate(post_entropies)))
+        if grounded:
+            report.posterior_top1 = post_hits / len(units)
     return report

@@ -1,12 +1,16 @@
 """Run configuration, model parameter container and the batched forward pass.
 
 A training/evaluation unit is one (dialog, round): history is the caption
-plus all earlier question-answer pairs, exactly the per-round prediction
-setup. Units are prepared once per dataset (tokens cut to seq_len, the
-history, constant feature tensors) and reused across epochs. A batch of
-units is packed and runs through every layer together: one op sequence per
-batch, whatever its size, with masks for ragged questions, histories and
-region counts.
+plus the latest earlier question-answer pairs, exactly the per-round
+prediction setup. Units are prepared once per dataset and reused across
+epochs. A unit borrows its round's candidate, relevance and grounding
+lists, and its question and answer unless seq_len cuts them. The history
+rows (the caption and each round's question+answer, cut to seq_len) are
+built once per dialog and shared by its units. Nothing in the package
+writes to a unit's lists: the encoders, decoders and evaluation read them
+or copy what they pack. A batch of units is packed and runs through every
+layer together: one op sequence per batch, whatever its size, with masks
+for ragged questions, histories and region counts.
 
 Packing passes every sentence on as it is, repeats included: that each
 distinct sentence is encoded once per batch is the encoders' rule
@@ -24,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ContractError, DegenerateSliceError, Tensor
-from .data import EOS_ID, DialogDataset, DialogExample
+from .data import EOS_ID, DialogDataset
 from .decoders import (
     DecoderParams,
     discriminative_loss_and_rank,
@@ -159,45 +163,51 @@ def zero_grads(params: ModelParams) -> None:
 class Unit:
     round_index: int
     image_id: str
-    question: list[int]         # question tokens, at most seq_len
-    answer: list[int]           # answer tokens, at most seq_len, for y
+    # The lists are borrowed: the round's own, or rows its dialog's units
+    # share. Only answer_targets, the outer history list and a question or
+    # answer that seq_len cuts are the unit's alone. No one writes to them.
+    question: list[int]         # the round's question tokens, cut to seq_len
+    answer: list[int]           # the round's answer tokens, cut to seq_len, for y
     answer_targets: list[int]   # trimmed answer tokens + EOS
-    history: list[list[int]]
-    candidates: list[list[int]]
+    history: list[list[int]]    # the dialog's shared caption and earlier-round rows
+    candidates: list[list[int]]         # the round's
     gt_index: int
-    relevance: Optional[list[float]]
-    gt_grounding: Optional[list[int]]
+    relevance: Optional[list[float]]    # the round's
+    gt_grounding: Optional[list[int]]   # the round's
     features: Tensor
 
 
-def prepare_unit(ds: DialogDataset, example_index: int, round_index: int,
-                 seq_len: int, max_history: int) -> Unit:
-    ex: DialogExample = ds.examples[example_index]
-    rnd = ex.rounds[round_index]
-    if ex.region_features is None:
-        raise ValueError(f"example {ex.image_id!r} has no region features attached")
-    history = [list(ex.caption_tokens)[:seq_len]]
-    for prev in ex.rounds[:round_index]:
-        history.append((list(prev.question_tokens) + list(prev.answer_tokens))[:seq_len])
-    history = history[:1] + history[max(1, len(history) - max_history + 1):]
-    targets = list(rnd.answer_tokens)[: seq_len - 1] + [EOS_ID]
-    return Unit(
-        round_index=round_index,
-        image_id=ex.image_id,
-        question=list(rnd.question_tokens)[:seq_len],
-        answer=list(rnd.answer_tokens)[:seq_len],
-        answer_targets=targets,
-        history=history,
-        candidates=[list(c) for c in rnd.candidates],
-        gt_index=rnd.gt_index,
-        relevance=list(rnd.relevance) if rnd.relevance is not None else None,
-        gt_grounding=list(rnd.gt_grounding) if rnd.gt_grounding is not None else None,
-        features=ex.region_features,
-    )
+def _cut(tokens: list[int], n: int) -> list[int]:
+    """`tokens` itself if it has at most n, else its first n."""
+    return tokens if len(tokens) <= n else tokens[:n]
 
 
 def prepare_units(ds: DialogDataset, seq_len: int, max_history: int) -> list[Unit]:
-    return [prepare_unit(ds, i, t, seq_len, max_history) for i, t in ds.units()]
+    """Every unit of `ds`, in `ds.units()` order, each dialog walked once.
+    A unit's history is its dialog's caption row, then the rows of at most
+    max_history - 1 of the latest earlier rounds; the module docstring says
+    which lists a unit borrows."""
+    units = []
+    for ex in ds.examples:
+        if ex.rounds and ex.region_features is None:
+            raise ValueError(f"example {ex.image_id!r} has no region features attached")
+        caption = _cut(ex.caption_tokens, seq_len)
+        pairs = [(r.question_tokens + r.answer_tokens)[:seq_len] for r in ex.rounds[:-1]]
+        for t, rnd in enumerate(ex.rounds):
+            units.append(Unit(
+                round_index=t,
+                image_id=ex.image_id,
+                question=_cut(rnd.question_tokens, seq_len),
+                answer=_cut(rnd.answer_tokens, seq_len),
+                answer_targets=rnd.answer_tokens[:seq_len - 1] + [EOS_ID],
+                history=[caption, *pairs[max(0, t + 1 - max_history):t]],
+                candidates=rnd.candidates,
+                gt_index=rnd.gt_index,
+                relevance=rnd.relevance,
+                gt_grounding=rnd.gt_grounding,
+                features=ex.region_features,
+            ))
+    return units
 
 
 @dataclass

@@ -17,6 +17,9 @@ layers replaced, as bit-for-bit oracles: every product through BLAS
 them. `generative_rank_per_column` is generative ranking as it ran before
 it shared decoder states: each candidate its own sequence from a copy of
 its unit's state, the bit-for-bit oracle of `decoders.generative_rank`.
+`prepare_unit` builds one unit with every list its own copy, as the package
+did before units borrowed their round's lists: the oracle of
+`model.prepare_units`.
 """
 
 from __future__ import annotations
@@ -313,6 +316,40 @@ def discriminative_scores(fused: Tensor, candidates, embedding: Tensor, params) 
     d_q = fused.shape[0]
     left = ad.matmul(ad.reshape(fused, (1, d_q)), params.bilinear)
     return ad.reshape(ad.matmul(left, transpose(cand_mat)), (n,))
+
+
+# ---------------------------------------------------------------------------
+# the per-unit builder
+
+def prepare_unit(ds, example_index: int, round_index: int, seq_len: int,
+                 max_history: int) -> model.Unit:
+    """One unit built on its own, every list a fresh copy and the history
+    rebuilt from the caption: the oracle of `model.prepare_units`."""
+    ex = ds.examples[example_index]
+    rnd = ex.rounds[round_index]
+    if ex.region_features is None:
+        raise ValueError(f"example {ex.image_id!r} has no region features attached")
+    history = [list(ex.caption_tokens)[:seq_len]]
+    for prev in ex.rounds[:round_index]:
+        history.append((list(prev.question_tokens) + list(prev.answer_tokens))[:seq_len])
+    history = history[:1] + history[max(1, len(history) - max_history + 1):]
+    return model.Unit(
+        round_index=round_index,
+        image_id=ex.image_id,
+        question=list(rnd.question_tokens)[:seq_len],
+        answer=list(rnd.answer_tokens)[:seq_len],
+        answer_targets=list(rnd.answer_tokens)[: seq_len - 1] + [EOS_ID],
+        history=history,
+        candidates=[list(c) for c in rnd.candidates],
+        gt_index=rnd.gt_index,
+        relevance=list(rnd.relevance) if rnd.relevance is not None else None,
+        gt_grounding=list(rnd.gt_grounding) if rnd.gt_grounding is not None else None,
+        features=ex.region_features,
+    )
+
+
+def prepare_units_per_unit(ds, seq_len: int, max_history: int) -> list:
+    return [prepare_unit(ds, i, t, seq_len, max_history) for i, t in ds.units()]
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,7 @@ def test_eval_ablate_and_export(synth_dir, tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["grounding_top1"] == 1.0  # oracle mode grounds perfectly
+    assert 0 <= report["posterior_top1"] <= 1
     lines = attn.read_text().strip().split("\n")
     assert len(lines) == 12  # 4 images x 3 rounds
     rec = json.loads(lines[0])

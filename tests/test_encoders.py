@@ -125,13 +125,10 @@ def test_history_empty_element_is_zero_row_in_mixed_batch(params):
 
 
 def test_history_round_count():
-    # round t sees caption + t-1 pairs; exercised through model.prepare_unit
-    from grounddial.data import SyntheticConfig, generate_synthetic
-    from grounddial.model import prepare_unit
-
+    # round t (from 0) sees the caption and t earlier pairs; through model.prepare_units
     ds = generate_synthetic(SyntheticConfig(num_images=2, seed=3))
-    for t in range(3):
-        unit = prepare_unit(ds, 0, t, seq_len=12, max_history=11)
+    units = prepare_units(ds, seq_len=12, max_history=11)
+    for unit, (_, t) in zip(units, ds.units()):
         assert len(unit.history) == t + 1
 
 

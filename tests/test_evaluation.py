@@ -345,7 +345,8 @@ def test_evaluate_posterior_diagnostics(tiny_setup):
     assert all("posterior" in rec for rec in rep.attention)
     assert rep.entropy_posterior == pytest.approx(
         np.mean([distribution_entropy(rec["posterior"]) for rec in rep.attention]))
-    ranking = {k: v for k, v in rep.to_dict().items() if k != "entropy_posterior"}
+    ranking = {k: v for k, v in rep.to_dict().items()
+               if k not in ("entropy_posterior", "posterior_top1")}
     assert ranking == evaluate(params, ds, cfg).to_dict()
 
 
@@ -500,6 +501,34 @@ def test_grounding_hits_match_the_records(tiny_setup, ablate):
         want = np.mean([bool(set(rec["top3_prior"][:k]) & set(rec["gt_grounding"]))
                         for rec in rep.attention])
         assert value == want
+
+
+def test_posterior_top1_counts_the_records_posterior_argmax(monkeypatch):
+    """posterior_top1 is the share of records whose posterior argmax, ties
+    to the lower region, is a ground-truth region; on images of different
+    region counts, with a posterior that is not uniform, in 5-unit batches."""
+    ds = generate_synthetic(SyntheticConfig(num_images=12, seed=9))
+    for ex in ds.examples[1::3]:
+        mu = max(6, 1 + max(i for r in ex.rounds for i in r.gt_grounding))
+        ex.region_features = Tensor(ex.region_features.data[:mu])
+    cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4)
+    params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16,
+                               d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
+    params.grounding.w2.data = np.random.default_rng(1).uniform(-1, 1, size=(cfg.d_h, 1))
+    units = prepare_units(ds, cfg.seq_len, cfg.max_history)
+    monkeypatch.setattr(evaluation, "EVAL_BATCH_UNITS", 5)
+    for ablate in ABLATION_MODES:
+        rep = evaluate(params, ds, cfg, ablate=ablate, seed=2, with_posterior=True,
+                       units=units[:29])
+        hits = [int(np.argmax(rec["posterior"])) in rec["gt_grounding"] for rec in rep.attention]
+        assert rep.posterior_top1 == sum(hits) / len(hits)
+        assert rep.to_dict()["posterior_top1"] == rep.posterior_top1
+    assert 0 < sum(hits) < len(hits)
+    assert len({len(rec["posterior"]) for rec in rep.attention}) > 1
+    assert evaluate(params, ds, cfg, units=units[:29]).posterior_top1 is None
+    ungrounded = [units[0], dataclasses.replace(units[1], gt_grounding=None)]
+    rep = evaluate(params, ds, cfg, with_posterior=True, units=ungrounded)
+    assert rep.posterior_top1 is None and rep.entropy_posterior is not None
 
 
 @pytest.mark.parametrize("decoder", ["generative", "discriminative"])

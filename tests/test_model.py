@@ -5,6 +5,7 @@ tape whose size depends neither on the batch size nor on sentence length."""
 
 import contextlib
 import dataclasses
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -16,6 +17,7 @@ from grounddial import autodiff as ad
 from grounddial.autodiff import ContractError, DegenerateSliceError, Tape, Tensor, backward
 from grounddial.data import EOS_ID, SyntheticConfig, generate_synthetic
 from grounddial.model import (
+    Unit,
     forward_batch,
     infer_batch_scores,
     init_model_params,
@@ -313,6 +315,60 @@ def test_prepare_units_keep_the_caption_and_the_latest_rounds(max_history):
         if t and max_history > 1:
             prev = ds.examples[0].rounds[t - 1]
             assert unit.history[-1] == (prev.question_tokens + prev.answer_tokens)[:20]
+
+
+def test_prepare_units_build_what_the_per_unit_builder_copies():
+    """Every field of every unit equals the oracle's fresh copies, and the
+    features are the example's own tensor."""
+    for grid, seed in (({}, 4), (LONG_HISTORY, 5)):
+        ds = generate_synthetic(SyntheticConfig(num_images=3, seed=seed, **grid))
+        ds.examples[1].rounds[0].relevance = None
+        ds.examples[1].rounds[1].gt_grounding = None
+        for seq_len, max_history in ((20, 3), (20, 11), (3, 3), (3, 11)):
+            units = prepare_units(ds, seq_len, max_history)
+            want = oracle.prepare_units_per_unit(ds, seq_len, max_history)
+            assert len(units) == len(want) == len(ds.units())
+            for unit, ref_unit in zip(units, want):
+                for f in dataclasses.fields(Unit):
+                    got, expected = getattr(unit, f.name), getattr(ref_unit, f.name)
+                    assert got is expected if f.name == "features" else got == expected, f.name
+            cut = [len(u.question) < len(ds.examples[i].rounds[t].question_tokens)
+                   for u, (i, t) in zip(units, ds.units())]
+            assert all(cut) if seq_len == 3 else not any(cut)
+
+
+def test_units_borrow_their_rounds_lists_and_share_their_dialogs_rows():
+    ds = generate_synthetic(SyntheticConfig(num_images=2, seed=5, **LONG_HISTORY))
+    for seq_len in (20, 3):
+        units = prepare_units(ds, seq_len, max_history=11)
+        for u, (i, t) in zip(units, ds.units()):
+            rnd = ds.examples[i].rounds[t]
+            assert u.candidates is rnd.candidates
+            assert u.relevance is rnd.relevance and u.gt_grounding is rnd.gt_grounding
+            assert (u.question is rnd.question_tokens) == (seq_len == 20)
+            assert (u.answer is rnd.answer_tokens) == (len(rnd.answer_tokens) <= seq_len)
+        for i, ex in enumerate(ds.examples):
+            dialog = [u for u, (j, _) in zip(units, ds.units()) if j == i]
+            rows = {id(h) for u in dialog for h in u.history}
+            assert len(rows) == len(ex.rounds)          # the caption and R - 1 pairs
+            for u, later in zip(dialog, dialog[1:]):
+                assert all(a is b for a, b in zip(u.history, later.history))
+
+
+def test_prepare_units_allocate_a_third_of_the_per_unit_copies():
+    ds = generate_synthetic(SyntheticConfig(num_images=20, seed=5, **LONG_HISTORY))
+
+    def traced_bytes(build):
+        tracemalloc.start()
+        try:
+            units = build(ds, 20, 11)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(units) == 200
+        return size
+
+    assert traced_bytes(prepare_units) <= traced_bytes(oracle.prepare_units_per_unit) / 3
 
 
 def test_pack_batch_names_a_unit_with_an_empty_question(three_rounds):

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from grounddial import model, training
 from grounddial.autodiff import ContractError, Tensor
 from grounddial.data import DialogDataset, SyntheticConfig, generate_synthetic
+from grounddial.evaluation import ABLATION_MODES, evaluate
 from grounddial.model import forward_batch, init_model_params, named_parameters, prepare_units
 from grounddial.training import (
     DivergenceError,
@@ -271,6 +273,28 @@ def test_multitask_mode_trains():
     params = tiny_model(ds, cfg, seed=5)
     result = train(ds, ds, params, cfg)
     assert "L_G" in result.epochs[0] and "L_D" in result.epochs[0]
+
+
+def dataset_lists(ds):
+    """Every token, relevance and grounding list of the dataset."""
+    return [(ex.caption_tokens, [(r.question_tokens, r.answer_tokens, r.candidates,
+                                  r.relevance, r.gt_grounding) for r in ex.rounds])
+            for ex in ds.examples]
+
+
+def test_training_and_evaluation_leave_the_borrowed_lists_as_they_were():
+    """Units borrow their round's lists, so no layer may write to them."""
+    cfg = tiny_cfg(loss_mode="multitask", max_epochs=1)
+    ds = tiny_data(n=6)
+    before = copy.deepcopy(dataset_lists(ds))
+    params = tiny_model(ds, cfg, seed=5)
+    train(ds, ds, params, cfg)
+    assert dataset_lists(ds) == before
+    for ablate in ABLATION_MODES:
+        for decoder in ("generative", "discriminative"):
+            evaluate(params, ds, cfg, decoder=decoder, ablate=ablate, seed=1,
+                     with_posterior=True)
+            assert dataset_lists(ds) == before, (ablate, decoder)
 
 
 def test_optimizer_step_runs_with_the_graph_released(monkeypatch):
