@@ -472,8 +472,8 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     return _record(out, tuple(parts), rule)
 
 
-def take_rows(a: Tensor, indices) -> Tensor:
-    """Rows a[indices]; gradient scatter-adds back (duplicates accumulate).
+def _scatter_rows(idx: np.ndarray, g: np.ndarray, nrows: int) -> np.ndarray:
+    """The [nrows, d] gradient of reading rows `idx` given the read rows' g.
 
     When no row is read twice, the scatter is a plain assignment. Otherwise
     one `np.bincount` over (row, column) bins adds each entry in reading
@@ -481,6 +481,18 @@ def take_rows(a: Tensor, indices) -> Tensor:
     model's sizes. (`np.add.reduceat` is not that sum: it adds a run
     pairwise.)
     """
+    ncols = g.shape[1]
+    if idx.size and np.bincount(idx).max() > 1:
+        bins = (idx[:, None] * ncols + np.arange(ncols)).ravel()
+        return np.bincount(bins, g.ravel(), minlength=nrows * ncols).reshape(nrows, ncols)
+    acc = np.zeros((nrows, ncols))
+    acc[idx] = g
+    return acc
+
+
+def take_rows(a: Tensor, indices) -> Tensor:
+    """Rows a[indices]; gradient scatter-adds back (duplicates accumulate,
+    see `_scatter_rows`)."""
     if a.data.ndim != 2:
         raise DimensionError(f"take_rows needs a matrix, got shape {a.shape}")
     idx = np.asarray(indices, dtype=np.intp)
@@ -488,15 +500,36 @@ def take_rows(a: Tensor, indices) -> Tensor:
         raise IndexError(f"row index out of range for shape {a.shape}")
     out = Tensor(a.data[idx])
     nrows = a.shape[0]
-    ncols = a.shape[1]
 
     def rule(g):
-        if idx.size and np.bincount(idx).max() > 1:
-            bins = (idx[:, None] * ncols + np.arange(ncols)).ravel()
-            return (np.bincount(bins, g.ravel(), minlength=nrows * ncols).reshape(nrows, ncols),)
-        acc = np.zeros((nrows, ncols))
-        acc[idx] = g
-        return (acc,)
+        return (_scatter_rows(idx, g, nrows),)
+
+    return _record(out, (a,), rule)
+
+
+def gather_rows(a: Tensor, index) -> Tensor:
+    """Rows a[index] stacked to index.shape + [d]; an index equal to len(a)
+    reads a zero row (the padding of ragged stacks), which passes no
+    gradient back. One node, which saves no copy of `a`.
+
+    The gradient is `_scatter_rows` over a with the zero row appended, that
+    row then dropped: whether a row's gradient is assigned or summed from
+    0.0 counts the reads of the pad row too, so a -0.0 comes out as it
+    would from `take_rows` on a padded copy.
+    """
+    if a.data.ndim != 2:
+        raise DimensionError(f"gather_rows needs a matrix, got shape {a.shape}")
+    index = np.asarray(index, dtype=np.intp)
+    idx = index.reshape(-1)
+    nrows, ncols = a.shape
+    if idx.size and (idx.min() < 0 or idx.max() > nrows):
+        raise IndexError(f"row index out of range for shape {a.shape} and its pad row")
+    data = a.data.take(np.minimum(idx, nrows - 1), axis=0)
+    data[np.flatnonzero(idx == nrows)] = 0.0
+    out = Tensor(data.reshape(index.shape + (ncols,)))
+
+    def rule(g):
+        return (_scatter_rows(idx, g.reshape(idx.size, ncols), nrows + 1)[:nrows],)
 
     return _record(out, (a,), rule)
 

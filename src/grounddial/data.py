@@ -209,8 +209,9 @@ def dataset_from_dict(raw, split: str = "train",
     the training vocabulary for val/test so ids line up. Each distinct text
     (caption, question, answer or option) is tokenized and encoded once per
     call, through one memo that also feeds `Vocabulary.from_texts`; options
-    repeat across rounds, as a VisDial round's 100 do. Every caption and
-    round still gets token lists of its own, which no other shares.
+    repeat across rounds, as a VisDial round's 100 do. Every caption,
+    question, answer and option with the same text holds that text's one
+    token list; nothing in the package writes to a token list.
     """
     _expect(isinstance(raw, dict), "$", "top level must be an object")
     _expect("dialogs" in raw, "$", "missing key 'dialogs'")
@@ -251,11 +252,11 @@ def dataset_from_dict(raw, split: str = "train",
            for text in distinct}
 
     for ex in examples:
-        ex.caption_tokens = ids[ex.caption][:]
+        ex.caption_tokens = ids[ex.caption]
         for r in ex.rounds:
-            r.question_tokens = ids[r.question][:]
-            r.answer_tokens = ids[r.answer][:]
-            r.candidates = [ids[c][:] for c in r.candidate_texts]
+            r.question_tokens = ids[r.question]
+            r.answer_tokens = ids[r.answer]
+            r.candidates = [ids[c] for c in r.candidate_texts]
     return DialogDataset(examples=examples, vocab=vocab, split=split)
 
 

@@ -23,7 +23,6 @@ from .encoders import (
     BiEncoderParams,
     LstmCellParams,
     encode_sentences,
-    gather_rows,
     init_bi_encoder,
     init_lstm_cell,
     pack_sequences,
@@ -182,7 +181,7 @@ def discriminative_scores(fused: Tensor, candidates: Sequence[Sequence[Sequence[
     every = [cand for cands in candidates for cand in cands]
     cand_mat = encode_sentences(every, params.cand, embedding)           # [sum N, d_q]
     rows, real = padded_rows(counts, np.arange(len(every)), len(every))
-    cand = gather_rows(cand_mat, rows)                                    # [B, N, d_q]
+    cand = ad.gather_rows(cand_mat, rows)                                 # [B, N, d_q]
     d_q = cand.shape[2]
     left = ad.reshape(ad.matmul(fused, params.bilinear), (n_units, 1, d_q))
     scores = ad.reshape(ad.bmm(left, cand, transpose_b=True), (n_units, n_max))

@@ -154,17 +154,9 @@ def _bi_lstm(seqs: Sequence[Sequence[int]], enc: BiEncoderParams,
     return h_f, h_b, index
 
 
-def gather_rows(rows: Tensor, index: np.ndarray) -> Tensor:
-    """rows[index] stacked to index.shape + [d]; an index equal to len(rows)
-    reads a zero row (the padding of ragged stacks)."""
-    index = np.asarray(index, dtype=np.intp)
-    padded = ad.concat([rows, ad.zeros_const((1, rows.shape[1]))], axis=0)
-    return ad.reshape(ad.take_rows(padded, index.reshape(-1)), index.shape + (rows.shape[1],))
-
-
 def padded_rows(lengths: Sequence[int], rows: Sequence[int], pad: int) -> tuple[np.ndarray, np.ndarray]:
     """[B, max length] grid of the given rows, one unit after another, and its
-    mask; positions past a unit's length hold `pad` (for `gather_rows`)."""
+    mask; positions past a unit's length hold `pad` (for `autodiff.gather_rows`)."""
     lengths = np.asarray(lengths)
     mask = np.arange(lengths.max()) < lengths[:, None]
     grid = np.full(mask.shape, pad, dtype=np.intp)
@@ -230,7 +222,7 @@ def encode_tokens(seqs: Sequence[Sequence[int]], length: int, params: EncoderPar
     out = ad.layer_norm(ad.affine(states, enc.proj_w, enc.proj_b))
     grid = np.full((n_seq, length), n, dtype=np.intp)
     grid[seq_of, pos] = np.arange(n)
-    return gather_rows(out, grid[row_of])
+    return ad.gather_rows(out, grid[row_of])
 
 
 def encode_history(elements: Sequence[Sequence[int]], params: EncoderParams) -> Tensor:

@@ -19,7 +19,32 @@ from .data import DialogDataset, batch_iterator
 from .model import ModelParams, TrainConfig, Unit, infer_batch_scores, prepare_units
 
 
-@dataclass
+@dataclass(eq=False)
+class RecordBatch:
+    """The attention records of one evaluation batch, kept as arrays: the
+    [B, mu] prior rows, the [B, 3] top-3 columns of their descending order
+    and the posterior rows (or None), each row padded past its unit's
+    regions, with each unit's image id, round index, region count and
+    gt_grounding list."""
+    image_ids: list[str]
+    rounds: list[int]
+    mus: list[int]
+    gt_grounding: list[Optional[list[int]]]
+    prior: np.ndarray
+    top3: np.ndarray
+    posterior: Optional[np.ndarray]
+
+    def records(self) -> list[dict]:
+        """One attention_record per unit, its rows cut to its regions."""
+        priors, top3 = self.prior.tolist(), self.top3.tolist()
+        post = None if self.posterior is None else self.posterior.tolist()
+        return [attention_record(image_id, round_idx, priors[b][:mu], top3[b][:mu],
+                                 G=None if post is None else post[b][:mu], gt_grounding=gt)
+                for b, (image_id, round_idx, mu, gt)
+                in enumerate(zip(self.image_ids, self.rounds, self.mus, self.gt_grounding))]
+
+
+@dataclass(eq=False)
 class EvalReport:
     mrr: float
     r_at_1: float
@@ -33,13 +58,24 @@ class EvalReport:
     entropy_prior: Optional[float] = None
     entropy_posterior: Optional[float] = None
     posterior_top1: Optional[float] = None
-    # one attention_record per unit, in unit order; not a metric,
-    # so to_dict leaves it out
-    attention: list[dict] = field(default_factory=list, repr=False)
+    # the region weights of each evaluation batch, in unit order; not a
+    # metric, so to_dict leaves them out, and `attention` builds the records
+    record_batches: list[RecordBatch] = field(default_factory=list, repr=False)
+
+    @property
+    def attention(self) -> list[dict]:
+        """One attention_record per unit, in unit order, built on each read."""
+        return [rec for batch in self.record_batches for rec in batch.records()]
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "attention" and getattr(self, f.name) is not None}
+                if f.name != "record_batches" and getattr(self, f.name) is not None}
+
+    def __eq__(self, other) -> bool:
+        """Equal metrics and equal records, however the units were batched."""
+        if not isinstance(other, EvalReport):
+            return NotImplemented
+        return self.to_dict() == other.to_dict() and self.attention == other.attention
 
 
 def rank_of_gt(scores: Sequence[float], gt_index: int) -> int:
@@ -227,7 +263,10 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
     hits read the weights the batch was ranked with. One stable descending
     order of the weights gives the top-1 and top-3 hits and each record's
     top-3 regions. `rank_of_gt` is still called once per unit, on the unit's
-    own scores. The report keeps each unit's attention record.
+    own scores. The report keeps each batch's region weights and top-3
+    columns as arrays, with each unit's ids, region count and borrowed
+    gt_grounding list but not the unit itself; `EvalReport.attention` builds
+    the per-unit records from them when read.
     with_posterior additionally runs the answer-aware posterior on the same
     context encoding: each record gets its "posterior" and the report its
     mean entropy (the Table-3 "with answers" protocol) and, where every unit
@@ -248,7 +287,7 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
     ndcgs: list[np.ndarray] = []
     entropies: list[np.ndarray] = []
     post_entropies: list[np.ndarray] = []
-    records: list[dict] = []
+    record_batches: list[RecordBatch] = []
     hits = {1: 0, 3: 0}
     post_hits = 0
     for batch in batch_iterator(units, EVAL_BATCH_UNITS, seed=None):
@@ -291,12 +330,9 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
             post_entropies.append(distribution_entropy(posteriors))
             post_order = _descending_order(np.where(regions, posteriors, -np.inf))
             post_hits += int(_top_k_hits(post_order, gt_mask, 1).sum())
-        priors, top3 = weights.tolist(), order[:, :3].tolist()
-        post = posteriors.tolist() if with_posterior else None
-        for b, (u, mu) in enumerate(zip(batch, mus)):
-            records.append(attention_record(u.image_id, u.round_index, priors[b][:mu],
-                                            top3[b][:mu], G=post[b][:mu] if post else None,
-                                            gt_grounding=u.gt_grounding))
+        record_batches.append(RecordBatch(
+            [u.image_id for u in batch], [u.round_index for u in batch], mus,
+            [u.gt_grounding for u in batch], weights, order[:, :3].copy(), posteriors))
 
     report = EvalReport(
         mrr=mrr(ranks),
@@ -307,7 +343,7 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
         n_units=len(units),
         ndcg=float(np.mean(np.concatenate(ndcgs))) if rated else None,
         entropy_prior=float(np.mean(np.concatenate(entropies))),
-        attention=records,
+        record_batches=record_batches,
     )
     grounded = all(u.gt_grounding is not None for u in units)
     if grounded:

@@ -4,13 +4,16 @@ A training/evaluation unit is one (dialog, round): history is the caption
 plus the latest earlier question-answer pairs, exactly the per-round
 prediction setup. Units are prepared once per dataset and reused across
 epochs. A unit borrows its round's candidate, relevance and grounding
-lists, and its question and answer unless seq_len cuts them. The history
-rows (the caption and each round's question+answer, cut to seq_len) are
-built once per dialog and shared by its units. Nothing in the package
-writes to a unit's lists: the encoders, decoders and evaluation read them
-or copy what they pack. A batch of units is packed and runs through every
-layer together: one op sequence per batch, whatever its size, with masks
-for ragged questions, histories and region counts.
+lists, and its question and answer unless seq_len cuts them; a dataset
+gives each distinct text one token list, which every caption, question,
+answer and option with that text holds. The history rows (the caption
+and each round's question+answer, cut to seq_len) are built once per
+dialog and shared by its units. Nothing in the package writes to a unit's
+lists: the encoders, decoders and evaluation read them or copy what they
+pack, and an evaluation report borrows the grounding lists it keeps. A
+batch of units is packed and runs through every layer together: one op
+sequence per batch, whatever its size, with masks for ragged questions,
+histories and region counts.
 
 Packing passes every sentence on as it is, repeats included: that each
 distinct sentence is encoded once per batch is the encoders' rule
@@ -43,7 +46,6 @@ from .encoders import (
     encode_history,
     encode_tokens,
     fuse_context,
-    gather_rows,
     init_encoder_params,
     padded_rows,
     project_regions,
@@ -163,9 +165,10 @@ def zero_grads(params: ModelParams) -> None:
 class Unit:
     round_index: int
     image_id: str
-    # The lists are borrowed: the round's own, or rows its dialog's units
-    # share. Only answer_targets, the outer history list and a question or
-    # answer that seq_len cuts are the unit's alone. No one writes to them.
+    # The lists are borrowed: the round's (a token list is its text's, shared
+    # by every round with that text), or rows its dialog's units share. Only
+    # answer_targets, the outer history list and a question or answer that
+    # seq_len cuts are the unit's alone. No one writes to them.
     question: list[int]         # the round's question tokens, cut to seq_len
     answer: list[int]           # the round's answer tokens, cut to seq_len, for y
     answer_targets: list[int]   # trimmed answer tokens + EOS
@@ -271,9 +274,9 @@ def encode_context(params: ModelParams, batch: Batch) -> tuple[Tensor, Tensor]:
     """Context representations x and projected regions I of a packed batch."""
     enc = params.encoder
     Q = encode_tokens(batch.questions, batch.q_mask.shape[1], enc, "question")
-    H = gather_rows(encode_history(batch.history, enc), batch.history_rows)
+    H = ad.gather_rows(encode_history(batch.history, enc), batch.history_rows)
     x = fuse_context(Q, H, batch.q_mask, batch.history_mask, enc)
-    I = gather_rows(project_regions(batch.regions, enc), batch.region_rows)
+    I = ad.gather_rows(project_regions(batch.regions, enc), batch.region_rows)
     return x, I
 
 

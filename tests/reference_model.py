@@ -19,7 +19,9 @@ it shared decoder states: each candidate its own sequence from a copy of
 its unit's state, the bit-for-bit oracle of `decoders.generative_rank`.
 `prepare_unit` builds one unit with every list its own copy, as the package
 did before units borrowed their round's lists: the oracle of
-`model.prepare_units`.
+`model.prepare_units`. `gather_rows_padded_copy` reads padded rows from a
+copy of the matrix with a zero row appended, three nodes: the bit-for-bit
+oracle of `autodiff.gather_rows`.
 """
 
 from __future__ import annotations
@@ -114,6 +116,14 @@ def fuse_context_per_head(Q: Tensor, H: Tensor, mask_q: np.ndarray, mask_h: np.n
         out = layer_norm_rows(ad.add(out, q_rows))
     keep = np.repeat(mask_q.reshape(B * lam, 1).astype(float), d_q, axis=1)
     return ad.reshape(ad.mul(out, Tensor(keep)), (B, lam, d_q))
+
+
+def gather_rows_padded_copy(rows: Tensor, index: np.ndarray) -> Tensor:
+    """rows[index] stacked to index.shape + [d], an index equal to len(rows)
+    reading the appended zero row."""
+    index = np.asarray(index, dtype=np.intp)
+    padded = ad.concat([rows, ad.zeros_const((1, rows.shape[1]))], axis=0)
+    return ad.reshape(ad.take_rows(padded, index.reshape(-1)), index.shape + (rows.shape[1],))
 
 
 @contextlib.contextmanager

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grounddial import autodiff as ad
 from grounddial.autodiff import (
@@ -19,7 +19,7 @@ from grounddial.autodiff import (
 )
 from reference_lstm import (cross_entropy, lstm_sequence_rows, step_sequence, step_sequence_loss,
                             transpose)
-from reference_model import composed_layers
+from reference_model import composed_layers, gather_rows_padded_copy
 
 
 def rng():
@@ -1014,6 +1014,44 @@ def test_take_rows_gradient_of_repeated_reads_is_the_add_at_scatter_bit_for_bit(
     g = np.random.default_rng(seed).normal(size=(len(indices), 3))
     g[np.random.default_rng(seed + 1).random(g.shape) < zero_share] = -0.0
     assert_take_rows_gradient_is_add_at(indices, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(index=st.integers(1, 4).flatmap(lambda width: st.lists(
+           st.lists(st.integers(0, 5), min_size=width, max_size=width), min_size=1, max_size=6)),
+       seed=st.integers(0, 2**16), zero_share=st.sampled_from([0.0, 0.3, 1.0]))
+@example(index=[[0, 5, 5]], seed=0, zero_share=1.0)
+def test_gather_rows_is_the_padded_copy_bit_for_bit(index, seed, zero_share):
+    """A grid of reads of a 5-row matrix, index 5 the zero pad row: the same
+    rows and gradient as the padded-copy composition, from one tape node
+    instead of three. That includes -0.0: a row read once gets its gradient
+    assigned, unless some row is read twice, the pad row too, when every
+    row's gradient is summed from +0.0."""
+    index = np.array(index)
+    draw = np.random.default_rng(seed)
+    g = draw.normal(size=index.shape + (3,))
+    g[draw.random(g.shape) < zero_share] = -0.0
+    got = []
+    for gather in (ad.gather_rows, gather_rows_padded_copy):
+        a = Tensor(rng().normal(size=(5, 3)), requires_grad=True)
+        with Tape() as tape:
+            out = gather(a, index)
+            nodes = len(tape.nodes)
+            loss = ad.sum_all(ad.mul(out, Tensor(g)))
+        backward(loss, tape)
+        got.append((out.data.tobytes(), out.shape, a.grad.tobytes(), nodes))
+    assert got[0][:3] == got[1][:3]
+    assert (got[0][3], got[1][3]) == (1, 3)
+
+
+def test_gather_rows_reads_the_pad_row_and_take_rows_still_rejects_it():
+    a = Tensor(np.arange(6, dtype=float).reshape(3, 2))
+    assert ad.gather_rows(a, [[2, 3], [3, 0]]).data.tolist() == [[[4, 5], [0, 0]], [[0, 0], [0, 1]]]
+    for bad in ([[4]], [[-1]]):
+        with pytest.raises(IndexError, match="out of range"):
+            ad.gather_rows(a, bad)
+    with pytest.raises(IndexError, match="out of range"):
+        ad.take_rows(a, [3])
 
 
 def test_affine_bias_gradient_counts_the_rows():

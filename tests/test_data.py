@@ -239,7 +239,7 @@ def test_dataset_from_dict_encodes_every_text_as_encode_text_does():
     nothing and words outside a given vocabulary: each caption, question,
     answer and option gets `encode_text` of its own text, under the
     vocabulary built from the dataset and under a smaller given one, and
-    every one of those token lists is an object of its own."""
+    every text's holders share one token list object, no other text's."""
     options = ["yes", "no", "", "Yes !", "maybe so", "no", "  "]
     raw = {"dialogs": [
         {"image_id": f"im{i}", "caption": ["a cat on a mat", "A cat"][i % 2],
@@ -256,18 +256,17 @@ def test_dataset_from_dict_encodes_every_text_as_encode_text_does():
     encoded = dataset_from_dict(raw, vocab=Vocabulary.from_texts(["a cat", "yes no"]))
     assert D.UNK_ID in encoded.examples[0].caption_tokens          # "on", "mat"
     for ds in (built, encoded):
-        vocab = ds.vocab
-        lists = []
-        for ex in ds.examples:
-            assert ex.caption_tokens == vocab.encode_text(ex.caption)
-            lists.append(ex.caption_tokens)
-            for r in ex.rounds:
-                assert r.question_tokens == vocab.encode_text(r.question)
-                assert r.answer_tokens == vocab.encode_text(r.answer)
-                assert r.candidates == [vocab.encode_text(c) for c in r.candidate_texts]
-                lists += [r.question_tokens, r.answer_tokens, *r.candidates]
-        assert len({id(tokens) for tokens in lists}) == len(lists)
-        assert [] in lists
+        held = [(ex.caption, ex.caption_tokens) for ex in ds.examples] + [
+            pair for ex in ds.examples for r in ex.rounds
+            for pair in [(r.question, r.question_tokens), (r.answer, r.answer_tokens),
+                         *zip(r.candidate_texts, r.candidates)]]
+        assert len(held) == len(texts)
+        one = {}
+        for text, tokens in held:
+            assert tokens == ds.vocab.encode_text(text)
+            assert one.setdefault(text, tokens) is tokens
+        assert len({id(tokens) for tokens in one.values()}) == len(one) == len(set(texts))
+        assert one[""] == one["  "] == []
 
 
 JSON_VALUES = st.recursive(

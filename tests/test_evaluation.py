@@ -1,6 +1,9 @@
 import dataclasses
+import gc
 import json
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -491,6 +494,114 @@ def test_evaluate_keeps_attention_records(tiny_setup):
     assert "posterior" in evaluate(params, ds, cfg, with_posterior=True).attention[0]
 
 
+def mixed_regions_setup(num_images, synthetic=None):
+    """Images of mixed region counts (every third one cut to 6 regions or
+    to its last ground-truth one), a small model and a prior that is not
+    uniform."""
+    ds = generate_synthetic(SyntheticConfig(num_images=num_images, seed=9, **(synthetic or {})))
+    for ex in ds.examples[1::3]:
+        mu = max(6, 1 + max(i for r in ex.rounds for i in r.gt_grounding))
+        ex.region_features = Tensor(ex.region_features.data[:mu])
+    cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4)
+    params = init_model_params(np.random.default_rng(0), len(ds.vocab),
+                               d_v=ds.examples[0].region_features.shape[1], d_e=cfg.d_e,
+                               d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
+    params.grounding.w2.data = np.random.default_rng(1).uniform(-1, 1, size=(cfg.d_h, 1))
+    return ds, params, cfg
+
+
+@pytest.mark.parametrize("size", [5, 64])
+@pytest.mark.parametrize("with_posterior", [False, True])
+@pytest.mark.parametrize("decoder", ["generative", "discriminative"])
+def test_report_records_are_each_batchs_attention_records(monkeypatch, decoder, with_posterior,
+                                                          size):
+    """`report.attention` is, dict for dict and in JSON, attention_record of
+    each unit's row of its batch's infer_batch_scores outputs, with the top-3
+    regions of the brute-force oracle; on images of mixed region counts and
+    with one unit lacking gt_grounding. A report of evaluate(units=None)
+    keeps none of the units it prepared, and two reports compare equal
+    exactly when their metrics and their records do."""
+    ds, params, cfg = mixed_regions_setup(12)
+    units = prepare_units(ds, cfg.seq_len, cfg.max_history)
+    units[7] = dataclasses.replace(units[7], gt_grounding=None)
+    monkeypatch.setattr(evaluation, "EVAL_BATCH_UNITS", size)
+    rep = evaluate(params, ds, cfg, decoder=decoder, with_posterior=with_posterior, units=units)
+    want = []
+    for k in range(0, len(units), size):
+        batch = units[k:k + size]
+        _, g, G = infer_batch_scores(params, batch, cfg, decoder=decoder,
+                                     with_posterior=with_posterior)
+        for b, u in enumerate(batch):
+            mu = u.features.shape[0]
+            want.append(attention_record(u.image_id, u.round_index, g[b, :mu],
+                                         oracle_top(g[b, :mu].tolist(), 3),
+                                         G=None if G is None else G[b, :mu],
+                                         gt_grounding=u.gt_grounding))
+    assert len({len(rec["prior"]) for rec in want}) > 1
+    assert rep.attention == want
+    assert json.dumps(rep.attention) == json.dumps(want)
+    assert "gt_grounding" not in rep.attention[7]
+
+    prepared = []
+    real_prepare = evaluation.prepare_units
+
+    def recording(*args):
+        out = real_prepare(*args)
+        prepared.extend(weakref.ref(u) for u in out)
+        return out
+
+    monkeypatch.setattr(evaluation, "prepare_units", recording)
+    own = evaluate(params, ds, cfg, decoder=decoder, with_posterior=with_posterior)
+    gc.collect()
+    assert prepared and all(ref() is None for ref in prepared)
+    assert own.n_units == len(units)
+
+    def with_batches(report, edit):
+        batches = [dataclasses.replace(batch, prior=batch.prior.copy())
+                   for batch in report.record_batches]
+        edit(batches)
+        return dataclasses.replace(report, record_batches=batches)
+
+    batch = next(b for b in rep.record_batches if min(b.mus) < b.prior.shape[1])
+    k, row = rep.record_batches.index(batch), batch.mus.index(min(batch.mus))
+
+    def padding(batches):
+        batches[k].prior[row, -1] = 0.5
+
+    def region(batches):
+        batches[k].prior[row, 0] += 1e-9
+
+    assert rep == evaluate(params, ds, cfg, decoder=decoder, with_posterior=with_posterior,
+                           units=units)
+    assert with_batches(rep, padding) == rep
+    assert with_batches(rep, region) != rep
+    assert dataclasses.replace(rep, mrr=rep.mrr / 2) != rep
+    assert rep != dataclasses.replace(rep, record_batches=rep.record_batches[:-1])
+
+
+@pytest.mark.parametrize("with_posterior", [False, True])
+@pytest.mark.parametrize("synthetic", [{}, dict(rounds=10, mu=12, num_colors=12, num_shapes=12,
+                                                d_v=24)], ids=["default", "long_history"])
+def test_report_keeps_a_third_of_its_records_bytes(synthetic, with_posterior):
+    """Over 600 units, the traced bytes a report keeps alive are at most a
+    third of those of its records built as dicts."""
+    ds, params, cfg = mixed_regions_setup(600 // synthetic.get("rounds", 3), synthetic)
+    units = prepare_units(ds, cfg.seq_len, cfg.max_history)
+    assert len(units) == 600
+    evaluate(params, ds, cfg, with_posterior=with_posterior, units=units)   # warm the workspace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = evaluate(params, ds, cfg, with_posterior=with_posterior, units=units)
+        kept = tracemalloc.get_traced_memory()[0] - base
+        records = rep.attention
+        built = tracemalloc.get_traced_memory()[0] - base - kept
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 600
+    assert kept <= built / 3, (kept, built)
+
+
 @pytest.mark.parametrize("ablate", ABLATION_MODES)
 def test_grounding_hits_match_the_records(tiny_setup, ablate):
     """The top-1 and top-3 accuracies count the same hits as the exported
@@ -507,14 +618,7 @@ def test_posterior_top1_counts_the_records_posterior_argmax(monkeypatch):
     """posterior_top1 is the share of records whose posterior argmax, ties
     to the lower region, is a ground-truth region; on images of different
     region counts, with a posterior that is not uniform, in 5-unit batches."""
-    ds = generate_synthetic(SyntheticConfig(num_images=12, seed=9))
-    for ex in ds.examples[1::3]:
-        mu = max(6, 1 + max(i for r in ex.rounds for i in r.gt_grounding))
-        ex.region_features = Tensor(ex.region_features.data[:mu])
-    cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4)
-    params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16,
-                               d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
-    params.grounding.w2.data = np.random.default_rng(1).uniform(-1, 1, size=(cfg.d_h, 1))
+    ds, params, cfg = mixed_regions_setup(12)
     units = prepare_units(ds, cfg.seq_len, cfg.max_history)
     monkeypatch.setattr(evaluation, "EVAL_BATCH_UNITS", 5)
     for ablate in ABLATION_MODES:
@@ -575,14 +679,7 @@ def test_evaluation_does_not_depend_on_its_batch(monkeypatch, decoder, ablate, w
     units run 8 at a time, EVAL_BATCH_UNITS at a time or all at once, with
     region and candidate counts that differ within each batch and a prior
     that is not uniform."""
-    ds = generate_synthetic(SyntheticConfig(num_images=30, seed=9))
-    for ex in ds.examples[1::3]:         # 6 to 8 regions, every ground-truth one kept
-        mu = max(6, 1 + max(i for r in ex.rounds for i in r.gt_grounding))
-        ex.region_features = Tensor(ex.region_features.data[:mu])
-    cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4)
-    params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16,
-                               d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
-    params.grounding.w2.data = np.random.default_rng(1).uniform(-1, 1, size=(cfg.d_h, 1))
+    ds, params, cfg = mixed_regions_setup(30)
     units = []
     for k, u in enumerate(prepare_units(ds, cfg.seq_len, cfg.max_history)):
         n = max(u.gt_index + 1, 10 - 3 * (k % 4))

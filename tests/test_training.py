@@ -283,7 +283,9 @@ def dataset_lists(ds):
 
 
 def test_training_and_evaluation_leave_the_borrowed_lists_as_they_were():
-    """Units borrow their round's lists, so no layer may write to them."""
+    """Units borrow their round's lists, and a report its units' grounding
+    lists, so no layer may write to them, and a record read from a report
+    holds lists of its own."""
     cfg = tiny_cfg(loss_mode="multitask", max_epochs=1)
     ds = tiny_data(n=6)
     before = copy.deepcopy(dataset_lists(ds))
@@ -292,9 +294,14 @@ def test_training_and_evaluation_leave_the_borrowed_lists_as_they_were():
     assert dataset_lists(ds) == before
     for ablate in ABLATION_MODES:
         for decoder in ("generative", "discriminative"):
-            evaluate(params, ds, cfg, decoder=decoder, ablate=ablate, seed=1,
-                     with_posterior=True)
+            report = evaluate(params, ds, cfg, decoder=decoder, ablate=ablate, seed=1,
+                              with_posterior=True)
             assert dataset_lists(ds) == before, (ablate, decoder)
+            for rec in report.attention:
+                rec["gt_grounding"].append(-1)
+                rec["top3_prior"].reverse()
+            assert dataset_lists(ds) == before, (ablate, decoder)
+            assert report.attention[0]["gt_grounding"][-1] != -1
 
 
 def test_optimizer_step_runs_with_the_graph_released(monkeypatch):
