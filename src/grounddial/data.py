@@ -191,6 +191,8 @@ def _parse_round(obj, dialog: int, index: int) -> Round:
             fail(".gt_grounding", "must be a list of region indices")
         if not grounding:
             fail(".gt_grounding", "must name at least one region")
+        if len(set(grounding)) != len(grounding):
+            fail(".gt_grounding", "must not name a region twice")
     return Round(
         question=obj["question"],
         answer=obj["answer"],
@@ -325,7 +327,8 @@ def load_features(path) -> dict[str, Tensor]:
     """Read a feature file into image_id -> Tensor[mu, d_v] (float64).
 
     A file that is cut short, has bytes past its declared images, holds an
-    id that is not UTF-8, holds one id twice, has blocks of different widths
+    id that is not UTF-8, holds one id twice, has a block with no region
+    (mu 0) or no value per region (d_v 0), has blocks of different widths
     (d_v) or holds a NaN or infinite value raises FeatureFileError naming the
     byte offset.
     """
@@ -359,6 +362,9 @@ def load_features(path) -> dict[str, Tensor]:
         offset += id_len
         need(offset, 8)
         mu, d_v = struct.unpack_from("<II", data, offset)
+        if mu == 0 or d_v == 0:
+            raise FeatureFileError(f"{path}: image id {image_id!r} at byte {offset} has "
+                                   f"{mu} regions of {d_v} values; both must be positive")
         if width is not None and d_v != width:
             raise FeatureFileError(f"{path}: image id {image_id!r} at byte {offset} has "
                                    f"{d_v} values per region, the first image {width}")

@@ -1,4 +1,4 @@
-"""Adam and its fixed learning-rate schedule, checkpoints, and the training loop.
+"""Adam at one constant learning rate, checkpoints, and the training loop.
 
 During training the decoder consumes the posterior visual feature
 (`model.forward_batch`); per-epoch validation is `evaluation.evaluate`,
@@ -32,22 +32,7 @@ from .model import ModelParams, TrainConfig, forward_batch, named_parameters, pr
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-BASE_LR, WARMUP_EPOCHS, DECAY_EVERY, DECAY_FACTOR = 1e-3, 1, 2, 0.75
-
-
-def lr_at(epoch: int) -> float:
-    """The learning rate of a 0-based epoch: linear warm-up, then stepwise decay.
-
-    During WARMUP_EPOCHS the rate ramps from BASE_LR/10 toward BASE_LR;
-    afterwards lr = BASE_LR * DECAY_FACTOR ** floor((epoch - WARMUP_EPOCHS) / DECAY_EVERY).
-    """
-    if epoch < 0:
-        raise ContractError("epoch must be >= 0")
-    lo = BASE_LR / 10.0
-    if epoch < WARMUP_EPOCHS:
-        return lo + (BASE_LR - lo) * (epoch / WARMUP_EPOCHS)
-    steps = (epoch - WARMUP_EPOCHS) // DECAY_EVERY
-    return BASE_LR * DECAY_FACTOR ** steps
+BASE_LR = 1e-3  # the learning rate of every epoch
 
 
 @dataclass
@@ -191,7 +176,6 @@ def train(ds_train: DialogDataset, ds_val: DialogDataset, params: ModelParams,
     epochs: list[dict] = []
     best_epoch, best_mrr = -1, -1.0
     for epoch in range(cfg.max_epochs):
-        lr = lr_at(epoch)
         sums: dict[str, float] = {}
         n_seen = 0
         for batch in batch_iterator(train_units, cfg.batch_size,
@@ -204,7 +188,7 @@ def train(ds_train: DialogDataset, ds_val: DialogDataset, params: ModelParams,
                         if out_dir is not None and best_epoch >= 0 else "no checkpoint was written")
                 raise DivergenceError(f"non-finite loss at epoch {epoch}; {kept}")
             backward(fw.loss, tape)
-            adam_step(named, state, lr)
+            adam_step(named, state, BASE_LR)
             b = len(batch)
             n_seen += b
             for name, value in fw.losses.items():
@@ -212,7 +196,7 @@ def train(ds_train: DialogDataset, ds_val: DialogDataset, params: ModelParams,
 
         report = evaluate(params, ds_val, cfg, units=val_units)
 
-        entry: dict = {"epoch": epoch, "lr": lr, "val": report.to_dict()}
+        entry: dict = {"epoch": epoch, "lr": BASE_LR, "val": report.to_dict()}
         entry.update({name: total / n_seen for name, total in sums.items()})
         epochs.append(entry)
         if not quiet:

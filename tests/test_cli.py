@@ -419,10 +419,25 @@ def _wider_val_features(synth_dir, tmp_path):
             f"those of {synth_dir / 'dataset.json'} 16")
 
 
+def _on(command, make):
+    """A case: `command` on the bad copy of the synthetic set that
+    make(synth_dir, tmp_path) returns with the text its error must name;
+    eval reads a checkpoint trained on the good set."""
+    def case(synth_dir, tmp_path):
+        bad, named = make(synth_dir, tmp_path)
+        if command == "train":
+            return small_train_args(bad.parent, tmp_path / "run"), named
+        assert run_cli(small_train_args(synth_dir, tmp_path / "run")) == 0
+        return (["eval", "--ckpt", str(tmp_path / "run" / "best"), "--data", str(bad),
+                 "--split", "train"], named)
+    case.__name__ = f"{make.__name__}_in_{command}"
+    return case
+
+
 def _non_finite_feature(value, command):
     """A case: `command` on a copy of the synthetic set with one feature of
     its fourth image set to float(value)."""
-    def case(synth_dir, tmp_path):
+    def poisoned(synth_dir, tmp_path):
         fourth = list(load_features(synth_dir / "features.bin"))[3]
 
         def poison(image_id, block):
@@ -432,16 +447,30 @@ def _non_finite_feature(value, command):
             return block
 
         bad = _with_features(synth_dir, tmp_path, "train", poison)
-        if command == "train":
-            argv = small_train_args(bad.parent, tmp_path / "run")
-        else:
-            assert run_cli(small_train_args(synth_dir, tmp_path / "run")) == 0
-            argv = ["eval", "--ckpt", str(tmp_path / "run" / "best"), "--data", str(bad),
-                    "--split", "train"]
-        return argv, (f"{bad.parent / 'features.bin'}: image id {fourth!r} has a non-finite "
-                      "value at byte")
-    case.__name__ = f"_{value}_feature_in_{command}"
-    return case
+        return bad, (f"{bad.parent / 'features.bin'}: image id {fourth!r} has a non-finite "
+                     "value at byte")
+    poisoned.__name__ = f"_{value}_feature"
+    return _on(command, poisoned)
+
+
+def _repeated_grounding_index(synth_dir, tmp_path):
+    def repeat(raw):
+        rnd = raw["dialogs"][2]["rounds"][1]
+        rnd["gt_grounding"] = rnd["gt_grounding"] * 2
+    bad = _bad_copy(synth_dir, tmp_path, repeat)
+    return bad, f"{bad}: $.dialogs[2].rounds[1].gt_grounding: must not name a region twice"
+
+
+def _region_free_image(synth_dir, tmp_path):
+    fourth = list(load_features(synth_dir / "features.bin"))[3]
+    bad = _with_features(synth_dir, tmp_path, "train", lambda k, a: a[:0] if k == fourth else a)
+    return bad, f"{bad.parent / 'features.bin'}: image id {fourth!r} at byte"
+
+
+def _zero_width_features(synth_dir, tmp_path):
+    first = list(load_features(synth_dir / "features.bin"))[0]
+    bad = _with_features(synth_dir, tmp_path, "train", lambda k, a: a[:, :0])
+    return bad, f"{bad.parent / 'features.bin'}: image id {first!r} at byte"
 
 
 def _corrupt_checkpoint(mutate):
@@ -518,6 +547,9 @@ def _huge_first_dim(base):
                                   _wider_val_features,
                                   _non_finite_feature("nan", "train"),
                                   _non_finite_feature("inf", "eval"),
+                                  *(_on(command, make) for make in [
+                                      _repeated_grounding_index, _region_free_image,
+                                      _zero_width_features] for command in ("train", "eval")),
                                   *map(_corrupt_checkpoint, [
                                       _truncated_blob, _trailing_byte, _manifest_not_json,
                                       _manifest_shape_disagrees, _manifest_without_vocab,

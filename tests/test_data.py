@@ -180,6 +180,10 @@ def _round_at(raw, dialog, index):
      "$.dialogs[1].rounds[0].gt_grounding: must be a list of region indices"),
     (lambda d: _round_at(d, 1, 0).__setitem__("gt_grounding", []),
      "$.dialogs[1].rounds[0].gt_grounding: must name at least one region"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("gt_grounding", [2, 2]),
+     "$.dialogs[1].rounds[0].gt_grounding: must not name a region twice"),
+    (lambda d: _round_at(d, 1, 0).__setitem__("gt_grounding", [0, 1, 0]),
+     "$.dialogs[1].rounds[0].gt_grounding: must not name a region twice"),
     (lambda d: d["dialogs"].__setitem__(1, 3), "$.dialogs[1]: dialog must be an object"),
     (lambda d: d["dialogs"][1].pop("rounds"), "$.dialogs[1]: missing key 'rounds'"),
     (lambda d: d["dialogs"][1].__setitem__("rounds", 5), "$.dialogs[1].rounds: must be a list"),
@@ -366,6 +370,18 @@ def test_corrupt_feature_file_names_the_byte(tmp_path, blocks, trailer, message)
     (tmp_path / "f.bin").write_bytes(blob)
     with pytest.raises(FeatureFileError, match=message):
         load_features(tmp_path / "f.bin")
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0)])
+def test_empty_feature_block_names_the_image_and_the_byte(tmp_path, shape):
+    blob = (b"VFEA" + struct.pack("<II", 1, 2) + _image_block(b"a", np.ones(shape))
+            + _image_block(b"b", np.ones(shape)))
+    (tmp_path / "f.bin").write_bytes(blob)
+    # header 12 bytes, then image "a"'s id length and id; its shape is at byte 15
+    with pytest.raises(FeatureFileError) as e:
+        load_features(tmp_path / "f.bin")
+    assert str(e.value) == (f"{tmp_path / 'f.bin'}: image id 'a' at byte 15 has "
+                            f"{shape[0]} regions of {shape[1]} values; both must be positive")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -17,7 +17,6 @@ from grounddial.training import (
     TrainConfig,
     adam_step,
     load_checkpoint,
-    lr_at,
     restore_params,
     save_checkpoint,
     train,
@@ -77,23 +76,20 @@ def test_compose_discriminative():
 
 
 # ---------------------------------------------------------------------------
-# schedule
+# learning rate
 
-def test_lr_schedule_reference_points():
-    # BASE_LR 0.001, WARMUP_EPOCHS 1, DECAY_EVERY 2, DECAY_FACTOR 0.75
-    assert lr_at(1) == 0.001
-    assert lr_at(3) == 0.00075
-    # the closed form 0.001 * 0.75**2 sits one ulp from the decimal literal
-    assert lr_at(5) == pytest.approx(0.0005625, rel=1e-12)
-
-
-def test_lr_warmup_start_is_tenth():
-    assert lr_at(0) == pytest.approx(0.0001, abs=0)
-
-
-def test_lr_non_increasing_after_warmup():
-    rates = [lr_at(e) for e in range(training.WARMUP_EPOCHS, 30)]
-    assert all(a >= b for a, b in zip(rates, rates[1:]))
+def test_every_epoch_trains_at_base_lr(monkeypatch):
+    rates = []
+    step = training.adam_step
+    monkeypatch.setattr(training, "adam_step",
+                        lambda named, state, lr: (rates.append(lr), step(named, state, lr)))
+    ds = tiny_data()
+    cfg = tiny_cfg(max_epochs=3)
+    result = train(ds, ds, tiny_model(ds, cfg), cfg)
+    assert [e["lr"] for e in result.epochs] == [training.BASE_LR] * 3
+    assert len(rates) == 3 * math.ceil(len(prepare_units(ds, cfg.seq_len, cfg.max_history))
+                                       / cfg.batch_size)
+    assert set(rates) == {training.BASE_LR}
 
 
 # ---------------------------------------------------------------------------
