@@ -2,7 +2,8 @@
 ablations, and attention export.
 
 Exit codes: 0 success, 2 usage error (a flag or config value out of range),
-3 data error, 4 numeric divergence.
+3 data error (also an input or output path that cannot be read or
+written), 4 numeric divergence.
 Each field of SyntheticConfig (gen-synth) and TrainConfig (train) is one
 flag, spelled like the field with dashes for underscores: `--max-epochs`
 sets max_epochs and `--no-detach-posterior` clears detach_posterior. The
@@ -274,7 +275,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (ParseError, MissingFeatureError, FeatureFileError, GenerationError,
-            DataError, FileNotFoundError, DegenerateSliceError, InvalidDistributionError) as e:
+            DataError, OSError, DegenerateSliceError, InvalidDistributionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except DivergenceError as e:

@@ -294,7 +294,7 @@ def evaluate(params: ModelParams, ds: DialogDataset, cfg: TrainConfig = TrainCon
         g_override = (None if ablate == "learned"
                       else lambda learned: _ablated_weights(batch, learned, ablate, rng))
         scores, weights, posteriors = infer_batch_scores(
-            params, batch, cfg, decoder=decoder, with_posterior=with_posterior,
+            params, batch, decoder=decoder, with_posterior=with_posterior,
             g_override=g_override)
         n_cands = [len(u.candidates) for u in batch]
         mus = [u.features.shape[0] for u in batch]

@@ -1,10 +1,14 @@
 """Prior and posterior distributions over visual objects and the bridge,
 the KL that pulls the prior toward the answer-informed posterior.
 
-The prior pipeline is cross-attention of projected regions over the context
-followed by self-attention pooling; the posterior runs the same pipeline
-with the answer encoding added onto the context queries, sharing every
-parameter.
+The prior pipeline is cross-attention of projected regions over the context,
+in which each region takes a softmax over the context tokens, followed by
+self-attention pooling; the posterior runs the same pipeline with the
+answer encoding added onto the context queries, sharing every parameter.
+The paper states the other normalisation, each token's softmax over the
+regions. It is not used: it leaves the answer route and the attention
+projections without a gradient at initialisation, and it collapses the
+prior onto one region.
 """
 
 from __future__ import annotations
@@ -51,8 +55,7 @@ def _project_rows(t: Tensor, w: Tensor) -> Tensor:
 
 
 def cross_attend(I: Tensor, queries: Tensor, values: Tensor, mask_x: np.ndarray,
-                 params: GroundingParams, axis_mode: str,
-                 mask_i: np.ndarray) -> tuple[Tensor, Tensor]:
+                 params: GroundingParams, mask_i: np.ndarray) -> tuple[Tensor, Tensor]:
     """Interaction weights P and attended regions I_x = P values + I.
 
     I: [B, mu, d] regions; queries and values: [B, lam, d] context rows;
@@ -62,11 +65,10 @@ def cross_attend(I: Tensor, queries: Tensor, values: Tensor, mask_x: np.ndarray,
 
     P = softmax((I Wi)(queries Wx)ᵀ / sqrt(d)) with the learned att_wi and
     att_wx, so the region/word alignment lives in one directly-trained
-    matrix pair. axis_mode="columns" normalizes over the mu regions within
-    each token column (the stated convention); "rows" normalizes over tokens
-    within each region row. PAD token positions never contribute: their
-    columns of P are zeroed (columns mode) or masked out of the softmax
-    (rows mode).
+    matrix pair. The softmax runs over the real tokens within each region
+    row, so every real region's row of P sums to 1 and P values is a convex
+    mix of the context rows; PAD token positions are masked out of it and
+    get weight exactly 0.
 
     The residual I keeps each attended row's own region content (without it
     the pooled vector is a pure token mix and carries no region information
@@ -89,12 +91,7 @@ def cross_attend(I: Tensor, queries: Tensor, values: Tensor, mask_x: np.ndarray,
                              transpose_b=True), 1.0 / math.sqrt(d))
     tokens = Tensor(np.broadcast_to(mask[:, None, :], (B, mu, lam)))
     regions = Tensor(np.broadcast_to(np.asarray(mask_i, dtype=bool)[:, :, None], (B, mu, lam)))
-    if axis_mode == "columns":
-        P = ad.mul(ad.masked_softmax(logits, axis=1, mask=regions), tokens)
-    elif axis_mode == "rows":
-        P = ad.mul(ad.masked_softmax(logits, axis=2, mask=tokens), regions)
-    else:
-        raise ValueError(f"unknown axis_mode {axis_mode!r}")
+    P = ad.mul(ad.masked_softmax(logits, axis=2, mask=tokens), regions)
     return P, ad.add(ad.bmm(P, values), I)
 
 
@@ -115,16 +112,15 @@ def pool_regions(I_x: Tensor, params: GroundingParams,
 
 
 def prior_ground(I: Tensor, x: Tensor, mask_x: np.ndarray, params: GroundingParams,
-                 axis_mode: str, mask_i: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
+                 mask_i: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
     """Context-only grounding of a batch: returns (g, v_prior, I_x)."""
-    _, I_x = cross_attend(I, x, x, mask_x, params, axis_mode, mask_i)
+    _, I_x = cross_attend(I, x, x, mask_x, params, mask_i)
     g, v_prior = pool_regions(I_x, params, mask_i)
     return g, v_prior, I_x
 
 
 def posterior_ground(I: Tensor, x: Tensor, y: Tensor, mask_x: np.ndarray,
-                     params: GroundingParams, axis_mode: str,
-                     mask_i: np.ndarray) -> tuple[Tensor, Tensor]:
+                     params: GroundingParams, mask_i: np.ndarray) -> tuple[Tensor, Tensor]:
     """Answer-informed grounding: the prior pipeline queried with x + y;
     returns (G, v_post).
 
@@ -135,7 +131,7 @@ def posterior_ground(I: Tensor, x: Tensor, y: Tensor, mask_x: np.ndarray,
     """
     if x.shape != y.shape:
         raise DimensionError(f"x and y must match: {x.shape} vs {y.shape}")
-    _, I_x_post = cross_attend(I, ad.add(x, y), x, mask_x, params, axis_mode, mask_i)
+    _, I_x_post = cross_attend(I, ad.add(x, y), x, mask_x, params, mask_i)
     return pool_regions(I_x_post, params, mask_i)
 
 

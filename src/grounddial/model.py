@@ -63,15 +63,15 @@ LOSS_MODES = ("generative", "discriminative", "multitask")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """The one description of a run: loss, grounding, model shape, epochs,
-    the training minibatch and seed; the optimiser is fixed in `training`.
+    """The one description of a run: losses, bridge, model shape, epochs,
+    the training minibatch and seed; the optimiser is fixed in `training`
+    and the cross-attention normalisation in `grounding`.
     Training records it in every checkpoint, and evaluation reads it back
     from there, so the prior used at inference is the pipeline that was
     trained. Invalid values raise ContractError naming the field."""
     loss_mode: str = "generative"
     kl_weight: float = 1.0
     detach_posterior: bool = True
-    axis_mode: str = "columns"
     fusion_residual: bool = True
     max_epochs: int = 20
     batch_size: int = 32    # the training minibatch; evaluate uses EVAL_BATCH_UNITS
@@ -89,10 +89,8 @@ class TrainConfig:
             allowed = (int, float) if kind is float else kind
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
                 raise ContractError(f"{f.name} must be a {kind.__name__}, got {value!r}")
-        choices = {"loss_mode": LOSS_MODES, "axis_mode": ("columns", "rows")}
-        for name, allowed in choices.items():
-            if getattr(self, name) not in allowed:
-                raise ContractError(f"{name} must be one of {allowed}")
+        if self.loss_mode not in LOSS_MODES:
+            raise ContractError(f"loss_mode must be one of {LOSS_MODES}")
         if not 0 <= self.kl_weight < np.inf:
             raise ContractError(f"kl_weight must be finite and >= 0, got {self.kl_weight}")
         if self.seed < 0:
@@ -280,17 +278,15 @@ def encode_context(params: ModelParams, batch: Batch) -> tuple[Tensor, Tensor]:
     return x, I
 
 
-def _prior(params: ModelParams, batch: Batch, cfg: TrainConfig):
+def _prior(params: ModelParams, batch: Batch):
     x, I = encode_context(params, batch)
-    g, v_prior, I_x = prior_ground(I, x, batch.q_mask, params.grounding, cfg.axis_mode,
-                                   batch.region_mask)
+    g, v_prior, I_x = prior_ground(I, x, batch.q_mask, params.grounding, batch.region_mask)
     return x, I, g, v_prior, I_x
 
 
-def _posterior(params: ModelParams, batch: Batch, cfg: TrainConfig, x: Tensor, I: Tensor):
+def _posterior(params: ModelParams, batch: Batch, x: Tensor, I: Tensor):
     y = encode_tokens(batch.answers, batch.q_mask.shape[1], params.encoder, "answer")
-    return posterior_ground(I, x, y, batch.q_mask, params.grounding, cfg.axis_mode,
-                            batch.region_mask)
+    return posterior_ground(I, x, y, batch.q_mask, params.grounding, batch.region_mask)
 
 
 def forward_batch(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig) -> BatchForward:
@@ -302,8 +298,8 @@ def forward_batch(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig) 
     (`infer_batch_scores`) reads the prior's in their place.
     """
     batch = pack_batch(units)
-    x, I, g, _, _ = _prior(params, batch, cfg)
-    G, v_post = _posterior(params, batch, cfg, x, I)
+    x, I, g, _, _ = _prior(params, batch)
+    G, v_post = _posterior(params, batch, x, I)
     L_KL = bridge_loss(G, g, cfg.detach_posterior)
 
     fused = fuse_for_decoder(x, batch.q_mask, v_post, params.decoder)
@@ -321,8 +317,8 @@ def forward_batch(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig) 
     return BatchForward(loss=loss, losses=losses)
 
 
-def infer_batch_scores(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig, *,
-                       decoder: str, with_posterior: bool = False,
+def infer_batch_scores(params: ModelParams, units: Sequence[Unit], *, decoder: str,
+                       with_posterior: bool = False,
                        g_override: Optional[Callable[[np.ndarray], np.ndarray]] = None
                        ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Inference pass over a batch: the [B, N] candidate scores, the [B, mu]
@@ -338,7 +334,7 @@ def infer_batch_scores(params: ModelParams, units: Sequence[Unit], cfg: TrainCon
     if decoder not in ("generative", "discriminative"):
         raise ValueError(f"unknown decoder {decoder!r}")
     batch = pack_batch(units)
-    x, I, g, v_prior, I_x = _prior(params, batch, cfg)
+    x, I, g, v_prior, I_x = _prior(params, batch)
     weights = g.data
     if g_override is not None:
         weights = np.asarray(g_override(weights), dtype=float)
@@ -347,7 +343,7 @@ def infer_batch_scores(params: ModelParams, units: Sequence[Unit], cfg: TrainCon
                                 f"expected {g.shape}")
         B, mu, d_q = I_x.shape
         v_prior = ad.reshape(ad.bmm(ad.const(weights.reshape(B, 1, mu)), I_x), (B, d_q))
-    posterior = _posterior(params, batch, cfg, x, I)[0].data if with_posterior else None
+    posterior = _posterior(params, batch, x, I)[0].data if with_posterior else None
     fused = fuse_for_decoder(x, batch.q_mask, v_prior, params.decoder)
     candidates = [u.candidates for u in batch.units]
     embedding = params.encoder.embedding

@@ -219,31 +219,21 @@ def fuse_context(Q: Tensor, H: Tensor, mask_q: Sequence[bool], params) -> Tensor
 # ---------------------------------------------------------------------------
 # grounding
 
-def cross_attend(I: Tensor, x: Tensor, mask_x: Sequence[bool], axis_mode: str = "columns",
-                 residual: bool = False, values: Optional[Tensor] = None,
-                 att_wi: Optional[Tensor] = None,
-                 att_wx: Optional[Tensor] = None) -> tuple[Tensor, Tensor]:
-    """P [mu, lam] and I_x = P v (+ I when residual) for one unit."""
+def cross_attend(I: Tensor, queries: Tensor, values: Tensor, mask_x: Sequence[bool],
+                 params) -> tuple[Tensor, Tensor]:
+    """P [mu, lam], each region's softmax over the real tokens, and
+    I_x = P values + I for one unit."""
     mu = I.shape[0]
-    lam = x.shape[0]
+    lam = queries.shape[0]
     mask = np.asarray(mask_x, dtype=bool)
     if not mask.any():
         raise DegenerateSliceError("cross_attend with every token masked")
-    if att_wi is not None:
-        queries = ad.matmul(I, att_wi)
-        keys = ad.matmul(x, att_wx)
-        logits = ad.scale(ad.matmul(queries, transpose(keys)), 1.0 / math.sqrt(I.shape[1]))
-    else:
-        logits = ad.matmul(I, transpose(x))
+    logits = ad.scale(ad.matmul(ad.matmul(I, params.att_wi),
+                                transpose(ad.matmul(queries, params.att_wx))),
+                      1.0 / math.sqrt(I.shape[1]))
     mask_mat = Tensor(np.repeat(mask.reshape(1, lam), mu, axis=0).astype(float))
-    if axis_mode == "columns":
-        P = ad.mul(ad.masked_softmax(logits, axis=0, mask=ad.ones_const(logits.shape)), mask_mat)
-    else:
-        P = ad.masked_softmax(logits, axis=1, mask=mask_mat)
-    I_x = ad.matmul(P, x if values is None else values)
-    if residual:
-        I_x = ad.add(I_x, I)
-    return P, I_x
+    P = ad.masked_softmax(logits, axis=1, mask=mask_mat)
+    return P, ad.add(ad.matmul(P, values), I)
 
 
 def pool_regions(I_x: Tensor, params) -> tuple[Tensor, Tensor]:
@@ -257,16 +247,14 @@ def pool_regions(I_x: Tensor, params) -> tuple[Tensor, Tensor]:
     return weights, pooled
 
 
-def prior_ground(I, x, mask_x, params, axis_mode="columns"):
-    _, I_x = cross_attend(I, x, mask_x, axis_mode, residual=True,
-                          att_wi=params.att_wi, att_wx=params.att_wx)
+def prior_ground(I, x, mask_x, params):
+    _, I_x = cross_attend(I, x, x, mask_x, params)
     g, v_prior = pool_regions(I_x, params)
     return g, v_prior, I_x
 
 
-def posterior_ground(I, x, y, mask_x, params, axis_mode="columns"):
-    _, I_x_post = cross_attend(I, ad.add(x, y), mask_x, axis_mode, residual=True, values=x,
-                               att_wi=params.att_wi, att_wx=params.att_wx)
+def posterior_ground(I, x, y, mask_x, params):
+    _, I_x_post = cross_attend(I, ad.add(x, y), x, mask_x, params)
     G, v_post = pool_regions(I_x_post, params)
     return G, v_post, I_x_post
 
@@ -395,9 +383,9 @@ def encode_unit_answer(params, unit) -> Tensor:
 
 def forward_unit(params, unit, cfg) -> UnitForward:
     x, I, q_mask = encode_unit_context(params, unit)
-    g, _, _ = prior_ground(I, x, q_mask, params.grounding, cfg.axis_mode)
+    g, _, _ = prior_ground(I, x, q_mask, params.grounding)
     y = encode_unit_answer(params, unit)
-    G, v_post, _ = posterior_ground(I, x, y, q_mask, params.grounding, cfg.axis_mode)
+    G, v_post, _ = posterior_ground(I, x, y, q_mask, params.grounding)
     L_KL = ad.kl_divergence(G.detach() if cfg.detach_posterior else G, g)
     fused = fuse_for_decoder(x, q_mask, v_post, params.decoder)
     L_G = L_D = None
@@ -410,10 +398,10 @@ def forward_unit(params, unit, cfg) -> UnitForward:
     return UnitForward(L_G=L_G, L_D=L_D, L_KL=L_KL)
 
 
-def infer_unit_scores(params, unit, cfg, *, decoder: str,
+def infer_unit_scores(params, unit, *, decoder: str,
                       g_override: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     x, I, q_mask = encode_unit_context(params, unit)
-    g, v_prior, I_x = prior_ground(I, x, q_mask, params.grounding, cfg.axis_mode)
+    g, v_prior, I_x = prior_ground(I, x, q_mask, params.grounding)
     if g_override is not None:
         mu, d_q = I_x.shape
         g_col = ad.const(np.asarray(g_override, dtype=float).reshape(mu, 1))
@@ -430,7 +418,7 @@ def infer_unit_scores(params, unit, cfg, *, decoder: str,
     return scores.data.copy(), g_used.copy()
 
 
-def unit_posterior_weights(params, unit, cfg) -> np.ndarray:
+def unit_posterior_weights(params, unit) -> np.ndarray:
     x, I, q_mask = encode_unit_context(params, unit)
     y = encode_unit_answer(params, unit)
-    return posterior_ground(I, x, y, q_mask, params.grounding, cfg.axis_mode)[0].data.copy()
+    return posterior_ground(I, x, y, q_mask, params.grounding)[0].data.copy()

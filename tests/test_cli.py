@@ -169,7 +169,6 @@ def test_manifest_config_reproduces_the_run(synth_dir, tmp_path):
     (["--seed", "-1"], "seed"),
     (["--kl-weight", "nan"], "kl_weight"),
     (["--loss-mode", "gen"], "loss_mode"),
-    (["--axis-mode", "diagonal"], "axis_mode"),
     (["--val-features", "val.bin"], "--val-features"),
 ])
 def test_train_invalid_config_flag_exits_2(synth_dir, tmp_path, capsys, extra, field):
@@ -209,7 +208,6 @@ TRAIN_FLAGS = [  # (argv, field, value): each TrainConfig field away from its de
     (["--loss-mode", "discriminative"], "loss_mode", "discriminative"),
     (["--kl-weight", "0.5"], "kl_weight", 0.5),
     (["--no-detach-posterior"], "detach_posterior", False),
-    (["--axis-mode", "rows"], "axis_mode", "rows"),
     (["--no-fusion-residual"], "fusion_residual", False),
     (["--max-epochs", "2"], "max_epochs", 2),
     (["--batch-size", "3"], "batch_size", 3),
@@ -263,7 +261,7 @@ def test_eval_unknown_checkpoint_config_key_exits_3(synth_dir, tmp_path, capsys)
     manifest_path = out / "best.manifest.json"
     manifest = json.loads(manifest_path.read_text())
     for key, value in [("share_cross_attention", True), ("bridge_variant", "attn_kl"),
-                       ("adam_beta1", 0.9), ("base_lr", 0.001)]:
+                       ("adam_beta1", 0.9), ("base_lr", 0.001), ("axis_mode", "columns")]:
         config = dict(manifest["config"], **{key: value})
         manifest_path.write_text(json.dumps(dict(manifest, config=config)))
         capsys.readouterr()
@@ -274,24 +272,28 @@ def test_eval_unknown_checkpoint_config_key_exits_3(synth_dir, tmp_path, capsys)
 
 
 def test_eval_uses_the_checkpoint_config(synth_dir, tmp_path, capsys):
+    """A setting that only the model's construction reads reaches eval too."""
     out = tmp_path / "run"
-    extra = ["--axis-mode", "rows"]
-    assert run_cli(small_train_args(synth_dir, out, extra=extra)) == 0
+    assert run_cli(small_train_args(synth_dir, out, extra=["--no-fusion-residual"])) == 0
     capsys.readouterr()
     assert run_cli(["eval", "--ckpt", str(out / "best"),
                     "--data", str(synth_dir / "dataset.json"), "--split", "train"]) == 0
     reported = json.loads(capsys.readouterr().out)
 
     tensors, cfg, vocab = load_checkpoint(out / "best")
-    assert cfg.axis_mode == "rows"
+    assert cfg.fusion_residual is False
     ds = load_dataset(synth_dir / "dataset.json", "train", vocab=Vocabulary(vocab))
-    params = init_model_params(np.random.default_rng(0), len(vocab),
-                               d_v=ds.examples[0].region_features.shape[1], d_e=cfg.d_e,
-                               d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
-    restore_params(params, tensors)
-    assert reported == evaluate(params, ds, cfg).to_dict()
-    defaults = dataclasses.replace(cfg, axis_mode="columns")
-    assert reported != evaluate(params, ds, defaults).to_dict()
+
+    def report_with(residual):
+        params = init_model_params(np.random.default_rng(0), len(vocab),
+                                   d_v=ds.examples[0].region_features.shape[1], d_e=cfg.d_e,
+                                   d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h,
+                                   fusion_residual=residual)
+        restore_params(params, tensors)
+        return evaluate(params, ds, cfg).to_dict()
+
+    assert reported == report_with(False)
+    assert reported != report_with(True)
 
 
 def test_eval_ablate_and_export(synth_dir, tmp_path, capsys):
@@ -473,6 +475,31 @@ def _zero_width_features(synth_dir, tmp_path):
     return bad, f"{bad.parent / 'features.bin'}: image id {first!r} at byte"
 
 
+def _train_out_is_a_file(synth_dir, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    return small_train_args(synth_dir, taken), str(taken)
+
+
+def _gen_synth_out_is_a_file(synth_dir, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    return ["gen-synth", "--num-images", "2", "--out", str(taken)], str(taken)
+
+
+def _eval_output_is_a_directory(flag):
+    """A case: eval of a freshly trained checkpoint with `flag` naming a directory."""
+    def case(synth_dir, tmp_path):
+        assert run_cli(small_train_args(synth_dir, tmp_path / "run")) == 0
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        return (["eval", "--ckpt", str(tmp_path / "run" / "best"), "--data",
+                 str(synth_dir / "dataset.json"), "--split", "train", flag, str(folder)],
+                str(folder))
+    case.__name__ = f"_eval_{flag.lstrip('-').replace('-', '_')}_is_a_directory"
+    return case
+
+
 def _corrupt_checkpoint(mutate):
     """A case: eval of a freshly trained best checkpoint after mutate(base)."""
     def case(synth_dir, tmp_path):
@@ -544,7 +571,10 @@ def _huge_first_dim(base):
                                   _non_utf8_feature_id, _no_dialogs,
                                   _oracle_without_gt_grounding, _all_zero_relevance,
                                   _numeric_image_id, _mixed_feature_widths,
-                                  _wider_val_features,
+                                  _wider_val_features, _train_out_is_a_file,
+                                  _gen_synth_out_is_a_file,
+                                  _eval_output_is_a_directory("--report"),
+                                  _eval_output_is_a_directory("--export-attention"),
                                   _non_finite_feature("nan", "train"),
                                   _non_finite_feature("inf", "eval"),
                                   *(_on(command, make) for make in [

@@ -372,12 +372,12 @@ def test_every_encoder_runs_each_distinct_sentence_once(lstm_rows):
 
     assert lstm_rows.starts == {}
 
-    infer_batch_scores(params, units, cfg, decoder="discriminative")
+    infer_batch_scores(params, units, decoder="discriminative")
     for name in ("question", "history", "cand"):
         assert rows_of(name) == [[n_distinct(sentences[name])]] * 2, name
     assert lstm_rows == {}
 
-    infer_batch_scores(params, units, cfg, decoder="generative")
+    infer_batch_scores(params, units, decoder="generative")
     for name in ("question", "history"):
         assert rows_of(name) == [[n_distinct(sentences[name])]] * 2, name
     assert lstm_rows == {id(dec.gen.wx): [len(sentences["cand"])]}

@@ -428,8 +428,8 @@ def test_ablate_deterministic(tiny_setup):
     assert a.to_dict() == b.to_dict()
 
 
-def prior_weights(params, batch, cfg):
-    return infer_batch_scores(params, batch, cfg, decoder="generative")[1]
+def prior_weights(params, batch):
+    return infer_batch_scores(params, batch, decoder="generative")[1]
 
 
 def random_overrides(monkeypatch, params, ds, cfg, seed):
@@ -437,11 +437,11 @@ def random_overrides(monkeypatch, params, ds, cfg, seed):
     evaluate(ablate="random") ranks."""
     seen = []
 
-    def recording(params, batch, cfg, *, decoder, with_posterior, g_override):
+    def recording(params, batch, *, decoder, with_posterior, g_override):
         def record(learned):
             seen.append((batch, g_override(learned)))
             return seen[-1][1]
-        return infer_batch_scores(params, batch, cfg, decoder=decoder,
+        return infer_batch_scores(params, batch, decoder=decoder,
                                   with_posterior=with_posterior, g_override=record)
 
     monkeypatch.setattr(evaluation, "infer_batch_scores", recording)
@@ -456,7 +456,7 @@ def test_ablate_random_with_one_region_count_permutes_each_batch(tiny_setup, mon
     assert [len(batch) for batch, _ in seen] == [4, 4, 1]
     rng = np.random.default_rng(7)
     for batch, override in seen:
-        learned = prior_weights(params, batch, cfg)
+        learned = prior_weights(params, batch)
         want = [learned[int(k)] for k in rng.permutation(len(batch))]
         assert all(np.array_equal(w, v) for w, v in zip(override, want))
 
@@ -474,7 +474,7 @@ def test_ablate_random_shuffles_among_units_with_the_same_region_count(monkeypat
     assert [{u.features.shape[0] for u in batch} for batch, _ in seen] == [{6, 8}, {6, 8}, {6}]
     moved = 0
     for batch, override in seen:
-        learned = prior_weights(params, batch, cfg)
+        learned = prior_weights(params, batch)
         for mu in {u.features.shape[0] for u in batch}:
             same = [b for b, u in enumerate(batch) if u.features.shape[0] == mu]
             got = sorted(tuple(override[b]) for b in same)
@@ -529,7 +529,7 @@ def test_report_records_are_each_batchs_attention_records(monkeypatch, decoder, 
     want = []
     for k in range(0, len(units), size):
         batch = units[k:k + size]
-        _, g, G = infer_batch_scores(params, batch, cfg, decoder=decoder,
+        _, g, G = infer_batch_scores(params, batch, decoder=decoder,
                                      with_posterior=with_posterior)
         for b, u in enumerate(batch):
             mu = u.features.shape[0]
@@ -663,7 +663,7 @@ def test_evaluate_ranks_each_unit_once_on_its_own_scores(monkeypatch, decoder):
     evaluate(params, ds, cfg, decoder=decoder, units=units)
     assert len(calls) == len(units)
     for k, batch in enumerate(batches):
-        scores = infer_batch_scores(params, batch, cfg, decoder=decoder)[0]
+        scores = infer_batch_scores(params, batch, decoder=decoder)[0]
         for b, u in enumerate(batch):
             got, gt_index = calls[k * size + b]
             assert gt_index == u.gt_index

@@ -50,21 +50,22 @@ def dot_product(d):
 # ---------------------------------------------------------------------------
 # cross attention
 
-def test_cross_attend_single_token_rows_mode(params):
+def test_cross_attend_single_token(params):
     g = rng()
     I = one(g.normal(size=(4, D_Q)))
     x = one(g.normal(size=(1, D_Q)))
-    P, I_x = cross_attend(I, x, x, [[True]], params, "rows", every(I))
+    P, I_x = cross_attend(I, x, x, [[True]], params, every(I))
     assert np.allclose(P.data[0], np.ones((4, 1)))
     assert np.allclose(I_x.data[0], np.repeat(x.data[0], 4, axis=0) + I.data[0])
 
 
-def test_cross_attend_zero_regions_uniform_columns(params):
+def test_cross_attend_zero_regions_uniform_rows(params):
+    """Zero logits give each real region a uniform row over the real tokens."""
     g = rng()
     I = one(np.zeros((5, D_Q)))
-    x = one(g.normal(size=(3, D_Q)))
-    P, _ = cross_attend(I, x, x, [[True, True, True]], params, "columns", every(I))
-    assert np.allclose(P.data[0], np.full((5, 3), 0.2))
+    x = one(g.normal(size=(4, D_Q)))
+    P, _ = cross_attend(I, x, x, [[True, True, True, False]], params, every(I))
+    assert np.array_equal(P.data[0], np.repeat([[1 / 3, 1 / 3, 1 / 3, 0.0]], 5, axis=0))
 
 
 def test_cross_attend_hand_evaluated_toy():
@@ -73,29 +74,34 @@ def test_cross_attend_hand_evaluated_toy():
     x = one([[math.log(3.0), 0.0], [0.0, math.log(2.0)]])
     v = one([[1.0, 2.0], [3.0, 4.0]])
     # logits = [[ln3, 0], [0, ln2]]
-    P, I_x = cross_attend(I, x, v, [[True, True]], dot_product(2), "columns", every(I))
-    assert np.allclose(P.data[0, :, 0], [0.75, 0.25], atol=1e-12)
-    assert np.allclose(P.data[0, :, 1], [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
+    P, I_x = cross_attend(I, x, v, [[True, True]], dot_product(2), every(I))
+    assert np.allclose(P.data[0, 0], [0.75, 0.25], atol=1e-12)
+    assert np.allclose(P.data[0, 1], [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
     assert np.allclose(I_x.data[0], P.data[0] @ v.data[0] + I.data[0])
 
 
-def test_cross_attend_pad_columns_zeroed(params):
+def test_cross_attend_rows_sum_to_one_and_padding_weighs_zero(params):
+    """Every real region's row sums to 1 over the real tokens; padding
+    tokens get weight exactly 0 and padding regions zero rows."""
     g = rng()
-    I = one(g.normal(size=(3, D_Q)))
-    x = one(g.normal(size=(4, D_Q)))
-    mask = [[True, True, False, False]]
-    P, I_x = cross_attend(I, x, x, mask, params, "columns", every(I))
-    assert np.array_equal(P.data[0, :, 2:], np.zeros((3, 2)))
-    P2, _ = cross_attend(I, x, x, mask, params, "rows", every(I))
-    assert np.array_equal(P2.data[0, :, 2:], np.zeros((3, 2)))
-    assert np.abs(P2.data[0].sum(axis=1) - 1).max() < 1e-9
+    I = g.normal(size=(2, 4, D_Q))
+    x = g.normal(size=(2, 5, D_Q))
+    mask_x = np.array([[True, True, False, False, False], [True, True, True, True, False]])
+    mask_i = np.array([[True, True, True, False], [True, True, True, True]])
+    P, _ = cross_attend(Tensor(I), Tensor(x), Tensor(x), mask_x, params, mask_i)
+    assert P.shape == (2, 4, 5)
+    assert np.abs(P.data.sum(axis=2)[mask_i] - 1).max() < 1e-12
+    assert (P.data[0, :3, :2] > 0).all() and (P.data[1, :, :4] > 0).all()
+    assert np.array_equal(P.data[0, :, 2:], np.zeros((4, 3)))
+    assert np.array_equal(P.data[1, :, 4], np.zeros(4))
+    assert np.array_equal(P.data[0, 3], np.zeros(5))
 
 
 def test_cross_attend_all_masked_raises(params):
     g = rng()
     I, x = one(g.normal(size=(3, D_Q))), one(g.normal(size=(2, D_Q)))
     with pytest.raises(DegenerateSliceError):
-        cross_attend(I, x, x, [[False, False]], params, "columns", every(I))
+        cross_attend(I, x, x, [[False, False]], params, every(I))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +160,7 @@ def test_prior_simplex_random_inputs(params):
     for _ in range(25):
         I = one(g.normal(size=(7, D_Q)))
         x = one(g.normal(size=(4, D_Q)))
-        gd, v, _ = prior_ground(I, x, [[True, True, True, False]], params, "columns", every(I))
+        gd, v, _ = prior_ground(I, x, [[True, True, True, False]], params, every(I))
         assert gd.data.min() >= 0
         assert abs(gd.data.sum() - 1.0) < 1e-9
         assert v.shape == (1, D_Q)
@@ -166,9 +172,9 @@ def test_prior_permutation_equivariance(params):
     x = one(g.normal(size=(3, D_Q)))
     mask = [[True, True, True]]
     regions = np.ones((1, 6), dtype=bool)
-    g1, v1, _ = prior_ground(one(I_arr), x, mask, params, "columns", regions)
+    g1, v1, _ = prior_ground(one(I_arr), x, mask, params, regions)
     perm = [4, 0, 5, 2, 1, 3]
-    g2, v2, _ = prior_ground(one(I_arr[perm]), x, mask, params, "columns", regions)
+    g2, v2, _ = prior_ground(one(I_arr[perm]), x, mask, params, regions)
     assert np.allclose(g2.data[0], g1.data[0][perm], atol=1e-12)
     assert np.allclose(v2.data, v1.data, atol=1e-12)
 
@@ -178,9 +184,9 @@ def test_posterior_zero_answer_reduces_to_prior_bitwise(params):
     I = one(g.normal(size=(5, D_Q)))
     x = one(g.normal(size=(3, D_Q)))
     mask = [[True, True, False]]
-    gp, vp, _ = prior_ground(I, x, mask, params, "columns", every(I))
+    gp, vp, _ = prior_ground(I, x, mask, params, every(I))
     y = one(np.zeros((3, D_Q)))
-    G, v_post = posterior_ground(I, x, y, mask, params, "columns", every(I))
+    G, v_post = posterior_ground(I, x, y, mask, params, every(I))
     assert np.array_equal(G.data, gp.data)
     assert np.array_equal(v_post.data, vp.data)
 
@@ -191,14 +197,13 @@ def test_posterior_differs_with_nonzero_answer(params):
     x = one(g.normal(size=(3, D_Q)))
     y = one(g.normal(size=(3, D_Q)))
     mask = [[True, True, True]]
-    gp, _, _ = prior_ground(I, x, mask, params, "columns", every(I))
-    G, _ = posterior_ground(I, x, y, mask, params, "columns", every(I))
+    gp, _, _ = prior_ground(I, x, mask, params, every(I))
+    G, _ = posterior_ground(I, x, y, mask, params, every(I))
     assert abs(G.data.sum() - 1.0) < 1e-9
     assert not np.allclose(G.data, gp.data)
 
 
-@pytest.mark.parametrize("axis_mode", ["columns", "rows"])
-def test_ragged_batch_rows_match_single_unit_calls(params, axis_mode):
+def test_ragged_batch_rows_match_single_unit_calls(params):
     """Padding regions and tokens hold garbage here; the masks keep it out."""
     g = rng()
     shapes = [(5, 3), (3, 4), (4, 1)]                       # (regions, real tokens)
@@ -207,13 +212,13 @@ def test_ragged_batch_rows_match_single_unit_calls(params, axis_mode):
     y = g.normal(size=(3, 4, D_Q))
     mask_x = np.array([[t < n for t in range(4)] for _, n in shapes])
     mask_i = np.array([[r < mu for r in range(5)] for mu, _ in shapes])
-    gb, vb, _ = prior_ground(Tensor(I), Tensor(x), mask_x, params, axis_mode, mask_i)
-    Gb, vpb = posterior_ground(Tensor(I), Tensor(x), Tensor(y), mask_x, params, axis_mode, mask_i)
+    gb, vb, _ = prior_ground(Tensor(I), Tensor(x), mask_x, params, mask_i)
+    Gb, vpb = posterior_ground(Tensor(I), Tensor(x), Tensor(y), mask_x, params, mask_i)
     singles = []
     for b, (mu, n) in enumerate(shapes):
         I1, x1, y1 = one(I[b, :mu]), one(x[b, :n]), one(y[b, :n])
-        g1, v1, _ = prior_ground(I1, x1, [[True] * n], params, axis_mode, every(I1))
-        G1, vp1 = posterior_ground(I1, x1, y1, [[True] * n], params, axis_mode, every(I1))
+        g1, v1, _ = prior_ground(I1, x1, [[True] * n], params, every(I1))
+        G1, vp1 = posterior_ground(I1, x1, y1, [[True] * n], params, every(I1))
         assert np.allclose(gb.data[b, :mu], g1.data[0], rtol=1e-12, atol=1e-15)
         assert np.array_equal(gb.data[b, mu:], np.zeros(5 - mu))
         assert np.allclose(vb.data[b], v1.data[0], rtol=1e-12, atol=1e-14)
@@ -229,8 +234,8 @@ def test_ragged_batch_rows_match_single_unit_calls(params, axis_mode):
 def _branches_for(params, I_arr, x_arr, y_arr, mask):
     """(posterior G, prior g) of one unit."""
     I, x, y = one(I_arr), one(x_arr), one(y_arr)
-    g, _, _ = prior_ground(I, x, mask, params, "columns", every(I))
-    G, _ = posterior_ground(I, x, y, mask, params, "columns", every(I))
+    g, _, _ = prior_ground(I, x, mask, params, every(I))
+    G, _ = posterior_ground(I, x, y, mask, params, every(I))
     return G, g
 
 
@@ -267,8 +272,8 @@ def test_bridge_detach_blocks_posterior_gradient(params):
     y = one(g.normal(size=(2, D_Q)), requires_grad=True)
     mask = [[True, True]]
     with Tape() as tape:
-        gp, _, _ = prior_ground(I, x, mask, params, "columns", every(I))
-        G, _ = posterior_ground(I, x, y, mask, params, "columns", every(I))
+        gp, _, _ = prior_ground(I, x, mask, params, every(I))
+        G, _ = posterior_ground(I, x, y, mask, params, every(I))
         loss = bridge_loss(G, gp, detach_posterior=True)
     backward(loss, tape)
     # y feeds only the posterior branch; detached target -> no gradient at all
@@ -283,8 +288,8 @@ def test_bridge_joint_gradient_reaches_posterior(params):
     y = one(g.normal(size=(2, D_Q)), requires_grad=True)
     mask = [[True, True]]
     with Tape() as tape:
-        gp, _, _ = prior_ground(I, x, mask, params, "columns", every(I))
-        G, _ = posterior_ground(I, x, y, mask, params, "columns", every(I))
+        gp, _, _ = prior_ground(I, x, mask, params, every(I))
+        G, _ = posterior_ground(I, x, y, mask, params, every(I))
         loss = bridge_loss(G, gp, detach_posterior=False)
     backward(loss, tape)
     assert y.grad is not None and np.abs(y.grad).max() > 0
@@ -300,7 +305,7 @@ def test_end_to_end_grad_check_prior_plus_bridge(params):
 
     def f(x):
         I = one(I_arr)
-        gp, _, _ = prior_ground(I, x, mask, params, "columns", every(I))
+        gp, _, _ = prior_ground(I, x, mask, params, every(I))
         return bridge_loss(G_fixed, gp, detach_posterior=True)
 
     for seed in range(5):
@@ -319,8 +324,8 @@ def test_end_to_end_grad_check_joint_posterior(params):
     def f(x):
         I = one(I_arr)
         y = one(y_arr)
-        gp, _, _ = prior_ground(I, x, mask, params, "columns", every(I))
-        G, _ = posterior_ground(I, x, y, mask, params, "columns", every(I))
+        gp, _, _ = prior_ground(I, x, mask, params, every(I))
+        G, _ = posterior_ground(I, x, y, mask, params, every(I))
         return bridge_loss(G, gp, detach_posterior=False)
 
     for seed in range(5):

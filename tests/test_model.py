@@ -131,9 +131,9 @@ def assert_same_loss_and_grads(got, want, rtol=1e-9):
     (loss, grads, _), (ref_loss, ref_grads, _) = got, want
     assert loss == pytest.approx(ref_loss, rel=rtol)
     assert {n for n, g in grads.items() if g is None} == {n for n, g in ref_grads.items() if g is None}
-    # some gradients vanish in theory at init (uniform pooling makes the grounded
-    # feature independent of the weights) and are rounding noise in practice, so
-    # the absolute floor scales with the largest gradient
+    # decoder.cand.proj_b's gradient vanishes in theory (it shifts every candidate
+    # score alike) and is rounding noise in practice, so the absolute floor
+    # scales with the largest gradient
     atol = 1e-12 * max(np.abs(g).max() for g in ref_grads.values() if g is not None)
     for name, g in grads.items():
         if g is not None:
@@ -159,11 +159,11 @@ def test_forward_unit_matches_per_step_path(request, fixture, mode, rounds):
 
 @pytest.mark.parametrize("decoder", ["generative", "discriminative"])
 def test_inference_scores_match_per_step_path(three_rounds, decoder):
-    params, units, cfg = three_rounds
+    params, units, _ = three_rounds
     for unit in units:
-        got = oracle.infer_unit_scores(params, unit, cfg, decoder=decoder)[0]
+        got = oracle.infer_unit_scores(params, unit, decoder=decoder)[0]
         with per_step_path():
-            want = oracle.infer_unit_scores(params, unit, cfg, decoder=decoder)[0]
+            want = oracle.infer_unit_scores(params, unit, decoder=decoder)[0]
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
@@ -172,9 +172,9 @@ def test_inference_scores_match_per_step_path(three_rounds, decoder):
 
 @pytest.mark.parametrize("settings", [
     dict(loss_mode="multitask"),
-    dict(loss_mode="generative", axis_mode="rows"),
+    dict(loss_mode="generative"),
     dict(loss_mode="discriminative"),
-    dict(loss_mode="multitask", axis_mode="rows", detach_posterior=False),
+    dict(loss_mode="multitask", detach_posterior=False),
     dict(loss_mode="generative", detach_posterior=False),
 ])
 def test_forward_batch_matches_per_unit_oracle(mixed, settings):
@@ -184,42 +184,58 @@ def test_forward_batch_matches_per_unit_oracle(mixed, settings):
                                oracle_loss_and_grads(params, units, cfg))
 
 
-@pytest.mark.parametrize("axis_mode", ["columns", "rows"])
 @pytest.mark.parametrize("decoder", ["generative", "discriminative"])
-def test_inference_matches_per_unit_oracle(mixed, decoder, axis_mode):
-    params, units, base = mixed
-    cfg = dataclasses.replace(base, axis_mode=axis_mode)
-    scores, g, posteriors = infer_batch_scores(params, units, cfg, decoder=decoder,
+def test_inference_matches_per_unit_oracle(mixed, decoder):
+    params, units, _ = mixed
+    scores, g, posteriors = infer_batch_scores(params, units, decoder=decoder,
                                                with_posterior=True)
     rng = np.random.default_rng(0)
     override = np.zeros(g.shape)
     for k, u in enumerate(units):
         override[k, :u.features.shape[0]] = rng.dirichlet(np.ones(u.features.shape[0]))
-    scores_o, g_o, no_posterior = infer_batch_scores(params, units, cfg, decoder=decoder,
+    scores_o, g_o, no_posterior = infer_batch_scores(params, units, decoder=decoder,
                                                      g_override=lambda learned: override)
     assert no_posterior is None
     assert np.array_equal(g_o, override)
     for k, u in enumerate(units):
         mu = u.features.shape[0]
         assert not g[k, mu:].any() and not posteriors[k, mu:].any()
-        want_s, want_g = oracle.infer_unit_scores(params, u, cfg, decoder=decoder)
+        want_s, want_g = oracle.infer_unit_scores(params, u, decoder=decoder)
         assert np.allclose(scores[k], want_s, rtol=1e-9, atol=1e-12)
         assert np.allclose(g[k, :mu], want_g, rtol=1e-9, atol=1e-15)
-        want_s, want_g = oracle.infer_unit_scores(params, u, cfg, decoder=decoder,
+        want_s, want_g = oracle.infer_unit_scores(params, u, decoder=decoder,
                                                   g_override=override[k, :mu])
         assert np.allclose(scores_o[k], want_s, rtol=1e-9, atol=1e-12)
-        assert np.allclose(posteriors[k, :mu], oracle.unit_posterior_weights(params, u, cfg),
+        assert np.allclose(posteriors[k, :mu], oracle.unit_posterior_weights(params, u),
                            rtol=1e-9, atol=1e-15)
 
 
 def test_g_override_of_the_wrong_shape_raises(mixed):
-    params, units, cfg = mixed
+    params, units, _ = mixed
     with pytest.raises(ContractError, match=r"shape \(12, 11\), expected \(12, 12\)"):
-        infer_batch_scores(params, units, cfg, decoder="generative",
+        infer_batch_scores(params, units, decoder="generative",
                            g_override=lambda learned: learned[:, :-1])
     with pytest.raises(ContractError, match="g_override returned weights of shape"):
-        infer_batch_scores(params, units, cfg, decoder="generative",
+        infer_batch_scores(params, units, decoder="generative",
                            g_override=lambda learned: learned[:-1])
+
+
+def test_init_gives_the_attention_and_the_answer_encoder_a_gradient():
+    """At init `w2 = 0` pools the regions uniformly. Each region's softmax
+    over the tokens still lets the attention projections and the answer
+    encoder, which only the posterior's queries read, move the pooled vector.
+    Synthetic answers are one word, which leaves the answer encoder's
+    recurrent weights nothing to act on, so the answers are lengthened."""
+    ds = generate_synthetic(SyntheticConfig(num_images=4, seed=4))
+    cfg = TrainConfig()
+    params = init_model_params(np.random.default_rng(0), len(ds.vocab),
+                               d_v=ds.examples[0].region_features.shape[1])
+    units = [lengthened(u, u.question[:2]) for u in prepare_units(ds, cfg.seq_len, cfg.max_history)]
+    _, grads, _ = batch_loss_and_grads(params, units, cfg)
+    answer = [name for name in grads if name.startswith("encoder.answer.")]
+    assert answer
+    for name in ["grounding.att_wi", "grounding.att_wx", *answer]:
+        assert np.abs(grads[name]).max() > 1e-6, name
 
 
 def test_batch_loss_does_not_depend_on_unit_order(mixed):
@@ -238,7 +254,7 @@ def test_batch_loss_does_not_depend_on_unit_order(mixed):
 
 @pytest.mark.parametrize("settings", [
     dict(loss_mode="multitask"),
-    dict(loss_mode="multitask", axis_mode="rows", detach_posterior=False),
+    dict(loss_mode="multitask", detach_posterior=False),
 ])
 def test_one_node_layers_give_the_composed_graph_bit_for_bit(mixed, settings):
     """`affine`, `layer_norm`, the stacked-heads `fuse_context` and the k=1
@@ -377,4 +393,4 @@ def test_pack_batch_names_a_unit_with_an_empty_question(three_rounds):
     with pytest.raises(DegenerateSliceError, match=rf"'{units[1].image_id}' round 1"):
         forward_batch(params, [units[0], empty], cfg)
     with pytest.raises(DegenerateSliceError, match="round 1"):
-        infer_batch_scores(params, [empty], cfg, decoder="generative")
+        infer_batch_scores(params, [empty], decoder="generative")
