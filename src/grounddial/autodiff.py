@@ -37,9 +37,13 @@ matrix and a grid of token ids; each distinct row is projected once per call.
 Its gates are stored gate-major ([4, B, H], each gate's block contiguous),
 and its step buffers are views of a module-private workspace that grows to
 the largest call's sizes and is reused by every later call, so evaluation
-does not fault fresh memory in on every batch. No workspace view is
-returned or kept by a tape. Like the process-global active tape, the
-workspace relies on the package running single-threaded.
+does not fault fresh memory in on every batch. The buffers are the gates
+of a step that records nothing, the step's h @ wh product (one row per
+state the step holds), the c pair, and the held c of shared steps; a step
+that records nothing forms i*g and tanh(c) in the rows of h it is about to
+write. No workspace view is returned or kept by a tape. Like the
+process-global active tape, the workspace relies on the package running
+single-threaded.
 
 Without a tape, `lstm_sequence` can also share states: given `start`, the
 row of a smaller hc0 that each sequence starts from, sequences with the
@@ -719,14 +723,18 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
     The gates are stored gate-major: the projection is kept as [4, U, H],
     a step gathers it into a [4, B, H] buffer and adds the step's one
     h @ wh product ([B, 4H]) through a transposed view, so each gate's
-    activation runs on a contiguous [B, H] block. The step buffers (that
-    buffer when no tape records, h @ wh, the c pair, tanh(c), i*g and the
-    gathered states of shared steps) are views of the module's workspace:
-    one flat buffer per role, as large as the largest call has needed
-    (about 4 MB for the generative decoder's evaluation batch of 640
-    sequences, H = 64), overwritten by the next call, which is why calls
-    must not run concurrently. Only the returned states and the recorded
-    activations are allocated per call.
+    activation runs on a contiguous [B, H] block. A shared step forms
+    h @ wh once per state it holds, not once per key, and adds each key's
+    rows of it gate by gate, gathered through the rows of h the step is
+    about to write. With no tape, i*g and then tanh(c) are formed in those
+    rows too, where o scales them in place. The step buffers (the gates
+    when no tape records, h @ wh, the c pair, and the held c of shared
+    steps) are views of the module's workspace: one flat buffer per role,
+    as large as the largest call has needed (1.8 MB for the generative
+    decoder's evaluation batch of 640 sequences from 64 states, H = 64),
+    overwritten by the next call, which is why calls must not run
+    concurrently. Only the returned states, the recorded activations and
+    small per-state rows are allocated per call.
 
     Activations are kept for backpropagation through time only while a tape
     records, written by the steps straight into a [T, 4, B, H] store, with
@@ -735,7 +743,9 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
     one step, and the backward rule rebuilds it from those for dwh. The
     backward rule sums each distinct row's gate gradients once and forms
     d(table), dwx and db from those [U, 4H] sums, and dwh in one matmul
-    over all steps.
+    over all steps. For a constant hc0 it skips the last products toward
+    hc0 and returns no hc0 gradient; a one-step call from a constant zero
+    h also returns none for wh, which never acts there.
     """
     idx = np.asarray(index, dtype=np.intp)
     if idx.ndim != 2:
@@ -779,9 +789,12 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
     h = hc0.data[:, :H]
     c = hc0.data[:, H:]
     if shared:
-        # h and c of every state: hc0's rows, then each state a step reaches
+        # h and c of every state: hc0's rows, then each state a step reaches.
+        # One block for both: two equal blocks freed together would reach
+        # glibc's trim threshold, which the first call's block sets, and
+        # the heap would be trimmed and faulted in again on every call
         S = hc0.shape[0]
-        hs, cs = np.empty((S + T * B, H)), np.empty((S + T * B, H))
+        hs, cs = np.empty((2, S + T * B, H))
         hs[:S], cs[:S] = h, c
         held, top = start.copy(), S     # the state each sequence holds; the rows written
         grid = np.empty((T, B), dtype=np.intp)
@@ -799,27 +812,39 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
                 continue
             prev, rows = np.divmod(uniq, used.size)
             n = rows.size
-            h = np.take(hs, prev, axis=0, out=_workspace("h_held", n, H))
-            c = np.take(cs, prev, axis=0, out=_workspace("c_held", n, H))
+            # into a buffer of its own, in "clip" mode: NumPy copies a take
+            # through a temporary when out overlaps the input, as cs's rows
+            # would, or when it checks the indices ("raise")
+            c = np.take(cs, prev, axis=0, out=_workspace("c_held", n, H), mode="clip")
+            # h @ wh is formed once per state the keys hold; key_state is each key's row of it
+            prev, key_state = np.unique(prev, return_inverse=True)
+            h = hs[prev]
             h2, c2 = hs[top:top + n], cs[top:top + n]
             top += n
         else:
             h2, c2 = hs[t * B:(t + 1) * B], c_pair[t % 2]
         if shared or t == 0:
-            zh = _workspace("zh", n, 4 * H)
-            ig = _workspace("ig", n, H)
+            m = h.shape[0]
+            zh = _workspace("zh", m, 4 * H)
             if not record:
-                z, tc = _workspace("z", 4, n, H), _workspace("tanh_c", n, H)
+                z = _workspace("z", 4, n, H)
         if record:
-            z, tc = gates[t], tanh_c[t]
+            z = gates[t]
         # the index was range-checked above; a -1 reads row 0 and its
         # result is discarded below
         np.take(proj, rows, axis=1, out=z, mode="clip")
-        if n > 1:
+        if m > 1:
             np.matmul(h, whd, out=zh)
         else:
             zh[:] = _product(h, whd)
-        z += zh.reshape(n, 4, H).transpose(1, 0, 2)
+        zh_gates = zh.reshape(m, 4, H).transpose(1, 0, 2)
+        if shared:
+            # each key's rows of the product, gathered gate by gate into the
+            # state rows this step has not written yet
+            for zk, zhk in zip(z, zh_gates):
+                zk += np.take(zhk, key_state, axis=0, out=h2, mode="clip")
+        else:
+            z += zh_gates
         ifo = z[:3]                                        # sigmoid of i, f, o, in place
         np.negative(ifo, out=ifo)
         np.exp(ifo, out=ifo)
@@ -828,7 +853,11 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
         i, f, o, gg = z
         np.tanh(gg, out=gg)
         np.multiply(f, c, out=c2)
-        c2 += np.multiply(i, gg, out=ig)
+        # i*g and then tanh(c) go to the recorded tanh(c), or with no tape
+        # to h's rows, which o then scales in place (a product commutes bit
+        # for bit)
+        tc = tanh_c[t] if record else h2
+        c2 += np.multiply(i, gg, out=tc)
         np.tanh(c2, out=tc)
         np.multiply(o, tc, out=h2)
         if not (shared or full[t]):
@@ -859,17 +888,23 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
             dzt[:, H:2 * H] = dc * c_prev[t] * f * (1.0 - f)
             dzt[:, 2 * H:3 * H] = dh * tc * o * (1.0 - o)
             dzt[:, 3 * H:] = dc * i * (1.0 - gg * gg)
+            if not full[t]:
+                dzt[~live[t]] = 0.0
+            if t == 0 and not hc0.requires_grad:
+                break                                      # the engine drops dhc0
             dh_prev = dzt @ whd.T
             dc_prev = dc * f
             if not full[t]:
                 keep = ~live[t, :, None]
-                dzt[~live[t]] = 0.0
                 dh_prev = np.where(keep, dh, dh_prev)
                 dc_prev = np.where(keep, dc_next, dc_prev)
             dh_next, dc_next = dh_prev, dc_prev
-        # the state each step started from: hc0's h, then the returned states
-        h_prev = np.concatenate([hc0.data[:, :H], hs[:(T - 1) * B]])[:T * B]
-        dwh = h_prev.T @ dz.reshape(T * B, 4 * H)
+        if T == 1 and not (hc0.requires_grad or hc0.data[:, :H].any()):
+            dwh = None                                     # one step from a zero h: wh never acts
+        else:
+            # the state each step started from: hc0's h, then the returned states
+            h_prev = np.concatenate([hc0.data[:, :H], hs[:(T - 1) * B]])[:T * B]
+            dwh = h_prev.T @ dz.reshape(T * B, 4 * H)
         dproj = np.zeros((used.size, 4 * H))               # per distinct row
         if used.size:
             starts = np.concatenate([[0], np.cumsum(counts[:-1])])
@@ -878,8 +913,8 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
                             out=dproj)
         dtable = np.zeros(table.shape)
         dtable[used] = dproj @ wxd.T
-        return (dtable, np.concatenate([dh_next, dc_next], axis=1),
-                x_used.T @ dproj, dwh, dproj.sum(axis=0, keepdims=True))
+        dhc0 = np.concatenate([dh_next, dc_next], axis=1) if hc0.requires_grad else None
+        return dtable, dhc0, x_used.T @ dproj, dwh, dproj.sum(axis=0, keepdims=True)
 
     return _record(out, inputs, rule)
 

@@ -120,7 +120,9 @@ def generative_rank(fused: Tensor, candidates: Sequence[Sequence[Sequence[int]]]
     runs in one `lstm_sequence` call that starts each unit's candidates from
     its one row (fused[b], 0), so the decoder state of each distinct (unit,
     input prefix) is computed once: all of a unit's candidates share the
-    state after BOS. The output layer and its log-sum-exp are formed once
+    state after BOS, and each step forms the recurrent product h @ wh once
+    per state it holds, so the step after BOS forms it once per unit, not
+    once per candidate. The output layer and its log-sum-exp are formed once
     per distinct state and read at each (candidate, position); the
     arithmetic is `cross_entropy_rows`', so a score is bit for bit the one
     of running each candidate as its own sequence. The mean over a

@@ -772,11 +772,13 @@ def test_lstm_sequence_is_the_row_major_op_at_the_decoders_size():
 
 
 def test_lstm_sequence_workspace_is_never_in_a_result(monkeypatch):
-    """The step buffers are reused, never returned or kept by the tape: an
-    output is unchanged by later calls of larger and smaller B and another
-    H, a recorded call's gradients are unchanged by calls made between it
-    and backward, and each workspace buffer is as large as the largest
-    call needs, no larger."""
+    """The step buffers are reused, never returned or kept by the tape: the
+    outputs of a call and of a shared (`start=`) call are unchanged by later
+    calls of larger and smaller B and another H, a recorded call's gradients
+    are unchanged by calls made between it and backward, and each workspace
+    buffer is as large as the largest call needs, no larger. The no-tape
+    steps keep four buffers: the gates, one h @ wh product per held state,
+    the c pair and the held c of shared steps."""
     monkeypatch.setattr(ad, "_WORKSPACE", {})
     g = rng()
 
@@ -787,11 +789,22 @@ def test_lstm_sequence_workspace_is_never_in_a_result(monkeypatch):
     index = g.integers(-1, 5, size=(3, 6))
     parts = _lstm_parts(g, 5, 4, 6, 3)
     first = ad.lstm_sequence(parts[0], index, *parts[1:]).data
-    kept = first.copy()
+    # twelve sequences from two states; the second step holds 2 states and
+    # steps 10 (state, row) keys
+    shared_index = np.array([[0] * 12, [0, 1, 2, 3, 4, 0, 0, 1, 2, 3, 4, 1]])
+    shared_parts = _lstm_parts(g, 5, 4, 2, 4)
+    states, rows = ad.lstm_sequence(shared_parts[0], shared_index, *shared_parts[1:],
+                                    start=np.repeat([0, 1], 6))
+    results = [first, states.data, rows]
+    kept = [a.copy() for a in results]
     others = [(9, 3), (2, 3), (6, 5), (1, 2), (6, 3)]
     for B, H in others:
         call(B, H)
-    assert first.tobytes() == kept.tobytes()
+    for a, b in zip(results, kept):
+        assert a.tobytes() == b.tobytes()
+    assert set(ad._WORKSPACE) == {"z", "zh", "c", "c_held"}
+    assert ad._WORKSPACE["z"].size == 4 * 10 * 4
+    assert ad._WORKSPACE["c_held"].size == 10 * 4
 
     weights = g.normal(size=(3 * 6, 3))
 
@@ -808,6 +821,7 @@ def test_lstm_sequence_workspace_is_never_in_a_result(monkeypatch):
     for name, a, b in zip(["table", "hc0", "wx", "wh", "b"], interleaved, alone):
         assert a.tobytes() == b.tobytes(), name
     most = max(B * H for B, H in others + [(6, 3)])
+    assert set(ad._WORKSPACE) == {"z", "zh", "c", "c_held"}     # recorded steps add none
     assert ad._WORKSPACE["zh"].size == 4 * most
     assert ad._WORKSPACE["c"].size == 2 * most
 

@@ -130,7 +130,11 @@ def batch_loss_and_grads(params, units, cfg):
 def assert_same_loss_and_grads(got, want, rtol=1e-9):
     (loss, grads, _), (ref_loss, ref_grads, _) = got, want
     assert loss == pytest.approx(ref_loss, rel=rtol)
-    assert {n for n, g in grads.items() if g is None} == {n for n, g in ref_grads.items() if g is None}
+    # a weight that never acts (a recurrence one step from a zero state) may
+    # get no gradient where the per-step reference forms one of exact zeros
+    assert {n for n, g in ref_grads.items() if g is None} \
+        <= {n for n, g in grads.items() if g is None} \
+        <= {n for n, g in ref_grads.items() if g is None or not g.any()}
     # decoder.cand.proj_b's gradient vanishes in theory (it shifts every candidate
     # score alike) and is rounding noise in practice, so the absolute floor
     # scales with the largest gradient
