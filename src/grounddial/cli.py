@@ -146,8 +146,8 @@ def _train_config(args) -> TrainConfig:
     settings = {}
     if args.config:
         try:
-            settings = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as e:
+            settings = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as e:      # ValueError: not JSON, or not UTF-8
             raise DataError(f"cannot read config file {args.config}: {e}") from e
         if not isinstance(settings, dict):
             raise ContractError(f"config file {args.config} must hold a JSON object")

@@ -17,8 +17,9 @@ import math
 import re
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -67,30 +68,8 @@ class Vocabulary:
         if len(self.token_to_id) != len(self.id_to_token):
             raise ValueError("duplicate tokens in vocabulary")
 
-    @classmethod
-    def from_texts(cls, texts: Iterable[str],
-                   memo: Optional[dict[str, list[str]]] = None) -> "Vocabulary":
-        """Every token of `texts`, sorted, after the reserved ones.
-
-        Each distinct text is tokenized once. `memo` maps a text to its
-        tokens: a text found there is not tokenized again, and each one
-        tokenized here is added, so a caller that encodes the same texts
-        next (`dataset_from_dict`) tokenizes none of them twice.
-        """
-        memo = {} if memo is None else memo
-        seen: set[str] = set()
-        for text in dict.fromkeys(texts):
-            words = memo.get(text)
-            if words is None:
-                words = memo[text] = tokenize(text)
-            seen.update(words)
-        return cls(sorted(seen))
-
-    def encode(self, word: str) -> int:
-        return self.token_to_id.get(word, UNK_ID)
-
     def encode_text(self, text: str) -> list[int]:
-        return [self.encode(w) for w in tokenize(text)]
+        return [self.token_to_id.get(w, UNK_ID) for w in tokenize(text)]
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -209,9 +188,9 @@ def dataset_from_dict(raw, split: str = "train",
 
     When `vocab` is None a vocabulary is built from this dataset's text; pass
     the training vocabulary for val/test so ids line up. Each distinct text
-    (caption, question, answer or option) is tokenized and encoded once per
-    call, through one memo that also feeds `Vocabulary.from_texts`; options
-    repeat across rounds, as a VisDial round's 100 do. Every caption,
+    (caption, question, answer or option) is tokenized once per call, and the
+    built vocabulary and the encoding both read those tokens; options repeat
+    across rounds, as a VisDial round's 100 do. Every caption,
     question, answer and option with the same text holds that text's one
     token list; nothing in the package writes to a token list.
     """
@@ -245,13 +224,11 @@ def dataset_from_dict(raw, split: str = "train",
             texts.append(r.question)
             texts.append(r.answer)
             texts.extend(r.candidate_texts)
-    distinct = dict.fromkeys(texts)
-    memo: dict[str, list[str]] = {}         # text -> its tokens
+    words = {text: tokenize(text) for text in dict.fromkeys(texts)}
     if vocab is None:
-        vocab = Vocabulary.from_texts(distinct, memo)
+        vocab = Vocabulary(sorted(set(chain.from_iterable(words.values()))))
     encode = vocab.token_to_id.get
-    ids = {text: [encode(w, UNK_ID) for w in (memo[text] if text in memo else tokenize(text))]
-           for text in distinct}
+    ids = {text: [encode(w, UNK_ID) for w in tokens] for text, tokens in words.items()}
 
     for ex in examples:
         ex.caption_tokens = ids[ex.caption]
@@ -269,13 +246,14 @@ def load_dataset(path, split: str = "train", features_path=None,
     `vocab` is as for dataset_from_dict. `features_path` defaults to
     features.bin next to the dataset file; without that file the examples
     get no features, while a given `features_path` that does not exist
-    raises MissingFeatureError naming it. A ParseError names the file.
+    raises MissingFeatureError naming it. A ParseError names the file; a
+    file that is not UTF-8 JSON raises one too.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:         # JSONDecodeError or UnicodeDecodeError
             raise ParseError(f"{path}: $: not valid JSON ({e})") from e
     try:
         ds = dataset_from_dict(raw, split, vocab)

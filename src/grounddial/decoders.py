@@ -41,8 +41,8 @@ class DecoderParams:
     bilinear: Tensor          # [d_q, d_q]
 
 
-def init_decoder_params(rng: np.random.Generator, vocab_size: int,
-                        d_e: int = 64, d_q: int = 64) -> DecoderParams:
+def init_decoder_params(rng: np.random.Generator, vocab_size: int, *,
+                        d_e: int, d_q: int) -> DecoderParams:
     s = 1.0 / math.sqrt(2 * d_q)
     so = 1.0 / math.sqrt(d_q)
     return DecoderParams(

@@ -54,9 +54,9 @@ class EncoderParams:
     region_b1: Tensor           # [1, d_q]
     region_w2: Tensor           # [d_q, d_q]
     region_b2: Tensor           # [1, d_q]
-    n_heads: int = 4
-    d_q: int = 64
-    fusion_residual: bool = True
+    n_heads: int
+    d_q: int
+    fusion_residual: bool
 
     def __post_init__(self):
         if self.d_q % self.n_heads != 0:
@@ -88,9 +88,9 @@ def init_bi_encoder(rng: np.random.Generator, d_in: int, d_q: int) -> BiEncoderP
     )
 
 
-def init_encoder_params(rng: np.random.Generator, vocab_size: int, d_v: int,
-                        d_e: int = 64, d_q: int = 64, n_heads: int = 4,
-                        fusion_residual: bool = True) -> EncoderParams:
+def init_encoder_params(rng: np.random.Generator, vocab_size: int, d_v: int, *,
+                        d_e: int, d_q: int, n_heads: int,
+                        fusion_residual: bool) -> EncoderParams:
     if d_q % 2 != 0:
         raise DimensionError("d_q must be even (forward/backward state halves)")
     return EncoderParams(
@@ -189,9 +189,10 @@ def encode_sentences(seqs: Sequence[Sequence[int]], enc: BiEncoderParams,
     return ad.take_rows(out, row_of)
 
 
-def encode_tokens(seqs: Sequence[Sequence[int]], length: int, params: EncoderParams,
-                  which: str) -> Tensor:
-    """Token-level encodings of a batch of sentences, [B, length, d_q].
+def encode_tokens(seqs: Sequence[Sequence[int]], length: int, enc: BiEncoderParams,
+                  embedding: Tensor) -> Tensor:
+    """Token-level encodings of a batch of sentences, [B, length, d_q],
+    by the question or answer encoder `enc` over the shared `embedding`.
 
     Each sentence runs through the bi-directional LSTM whole; its first
     `length` positions are kept and the positions past its end are exactly
@@ -200,20 +201,14 @@ def encode_tokens(seqs: Sequence[Sequence[int]], length: int, params: EncoderPar
     meaningfully. Each distinct sentence is encoded once and its rows read
     by every sentence equal to it.
     """
-    if which == "question":
-        enc = params.question
-    elif which == "answer":
-        enc = params.answer
-    else:
-        raise ValueError(f"unknown encoder {which!r}")
     if length < 1:
         raise ValueError("encode_tokens needs at least one position")
     seqs = [list(s) for s in seqs]
     if not any(seqs):
-        return ad.zeros_const((len(seqs), length, params.d_q))
+        return ad.zeros_const((len(seqs), length, enc.proj_w.shape[1]))
     distinct, row_of = _distinct(seqs)
     n_seq = len(distinct)
-    h_f, h_b, index = _bi_lstm(distinct, enc, params.embedding)
+    h_f, h_b, index = _bi_lstm(distinct, enc, embedding)
     T = index.shape[0]
     seq_of, pos = np.nonzero(index.T[:, :length] >= 0)            # kept positions, sentence by sentence
     states = ad.concat([ad.take_rows(h_f, pos * n_seq + seq_of),

@@ -117,22 +117,16 @@ def _descending_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, axis=-1, kind="stable")
 
 
-def _as_rows(x) -> tuple[np.ndarray, bool]:
-    """(x as a float matrix, whether x was one 1-D row)."""
-    a = np.asarray(x, dtype=float)
-    return (a[None], True) if a.ndim == 1 else (a, False)
-
-
-def ndcg(scores, relevance) -> float | np.ndarray:
-    """Per row, DCG of the score ordering over ideal DCG, discount
-    1/log2(pos + 1); a float for a 1-D input, else one value per row.
+def ndcg(scores, relevance) -> np.ndarray:
+    """Per row of [B, n] scores, DCG of the score ordering over ideal DCG,
+    discount 1/log2(pos + 1); one value per row.
 
     A row may be padded past its candidates with -inf scores and 0 relevance.
     """
-    s, one = _as_rows(scores)
-    rel, _ = _as_rows(relevance)
-    if s.shape != rel.shape:
-        raise ContractError(f"scores {np.shape(scores)} vs relevance {np.shape(relevance)}")
+    s = np.asarray(scores, dtype=float)
+    rel = np.asarray(relevance, dtype=float)
+    if s.ndim != 2 or s.shape != rel.shape:
+        raise ContractError(f"ndcg takes [B, n] rows: scores {s.shape} vs relevance {rel.shape}")
     if (rel < 0).any() or (rel > 1).any():
         raise ContractError("relevance entries must lie in [0, 1]")
     if (rel.max(axis=1) <= 0).any():
@@ -140,8 +134,7 @@ def ndcg(scores, relevance) -> float | np.ndarray:
     discounts = 1.0 / np.log2(np.arange(2, s.shape[1] + 2))
     dcg = (np.take_along_axis(rel, _descending_order(s), axis=1) * discounts).sum(axis=1)
     ideal = (np.sort(rel, axis=1)[:, ::-1] * discounts).sum(axis=1)
-    out = dcg / ideal
-    return float(out[0]) if one else out
+    return dcg / ideal
 
 
 def _gt_mask(gt_grounding: Sequence[Optional[Sequence[int]]], g: np.ndarray) -> np.ndarray:
@@ -159,22 +152,6 @@ def _gt_mask(gt_grounding: Sequence[Optional[Sequence[int]]], g: np.ndarray) -> 
 
 def _top_k_hits(order: np.ndarray, gt_mask: np.ndarray, top_k: int) -> np.ndarray:
     return np.take_along_axis(gt_mask, order[:, :top_k], axis=1).any(axis=1)
-
-
-def grounding_hit(g, gt_grounding, top_k: int) -> bool | np.ndarray:
-    """Per row of g, whether its top_k regions, ties to the lower index,
-    include one of the row's ground-truth regions.
-
-    A 1-D g is one row, gt_grounding its list of indices, and gives a bool;
-    a [B, mu] g takes one list (or None) per row and gives [B] bools. A row
-    may be padded past its regions with -inf; an index outside a row's
-    regions never hits.
-    """
-    rows, one = _as_rows(g)
-    if one:
-        gt_grounding = [gt_grounding]
-    hits = _top_k_hits(_descending_order(rows), _gt_mask(gt_grounding, rows), top_k)
-    return bool(hits[0]) if one else hits
 
 
 def attention_record(image_id: str, round_idx: int, g: Sequence[float], top3: list[int],
@@ -195,15 +172,16 @@ def attention_record(image_id: str, round_idx: int, g: Sequence[float], top3: li
     return rec
 
 
-def distribution_entropy(dist) -> float | np.ndarray:
-    """Shannon entropy in nats with 0 ln 0 := 0, per row; a float for a 1-D
-    input, else one value per row. A row may be padded with zeros."""
-    p, one = _as_rows(dist)
+def distribution_entropy(dist) -> np.ndarray:
+    """Shannon entropy in nats with 0 ln 0 := 0, one value per row of a
+    [B, n] array. A row may be padded with zeros."""
+    p = np.asarray(dist, dtype=float)
+    if p.ndim != 2:
+        raise ContractError(f"distribution_entropy takes [B, n] rows, got {p.shape}")
     # phrased so that a NaN or infinite entry fails the test
     if not ((p >= 0).all() and (np.abs(p.sum(axis=1) - 1.0) <= 1e-6).all()):
         raise InvalidDistributionError("entropy needs a finite simplex vector")
-    h = -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)
-    return float(h[0]) if one else h
+    return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)
 
 
 ABLATION_MODES = ("learned", "mean", "random", "oracle")

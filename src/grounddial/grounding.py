@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -31,8 +30,7 @@ class GroundingParams:
     w2: Tensor      # [d_h, 1]; no bias: a shift shared by every region leaves the softmax unchanged
 
 
-def init_grounding_params(rng: np.random.Generator, d_q: int, d_h: Optional[int] = None) -> GroundingParams:
-    d_h = d_q if d_h is None else d_h
+def init_grounding_params(rng: np.random.Generator, *, d_q: int, d_h: int) -> GroundingParams:
     s1 = 1.0 / math.sqrt(d_q)
     # near-identity interaction projections: the raw region/context dot
     # product at step 0, with a direct gradient path for learning alignment

@@ -125,13 +125,15 @@ class ModelParams:
     decoder: DecoderParams
 
 
-def init_model_params(rng: np.random.Generator, vocab_size: int, d_v: int,
-                      d_e: int = 64, d_q: int = 64, n_heads: int = 4,
-                      d_h: Optional[int] = None, fusion_residual: bool = True) -> ModelParams:
+def init_model_params(rng: np.random.Generator, vocab_size: int, d_v: int, *,
+                      d_e: int = TrainConfig.d_e, d_q: int = TrainConfig.d_q,
+                      n_heads: int = TrainConfig.n_heads, d_h: int = TrainConfig.d_h,
+                      fusion_residual: bool = TrainConfig.fusion_residual) -> ModelParams:
+    """Fresh parameters; the shape defaults are TrainConfig's."""
     return ModelParams(
         encoder=init_encoder_params(rng, vocab_size, d_v, d_e=d_e, d_q=d_q,
                                     n_heads=n_heads, fusion_residual=fusion_residual),
-        grounding=init_grounding_params(rng, d_q, d_h),
+        grounding=init_grounding_params(rng, d_q=d_q, d_h=d_h),
         decoder=init_decoder_params(rng, vocab_size, d_e=d_e, d_q=d_q),
     )
 
@@ -271,7 +273,7 @@ class BatchForward:
 def encode_context(params: ModelParams, batch: Batch) -> tuple[Tensor, Tensor]:
     """Context representations x and projected regions I of a packed batch."""
     enc = params.encoder
-    Q = encode_tokens(batch.questions, batch.q_mask.shape[1], enc, "question")
+    Q = encode_tokens(batch.questions, batch.q_mask.shape[1], enc.question, enc.embedding)
     H = ad.gather_rows(encode_history(batch.history, enc), batch.history_rows)
     x = fuse_context(Q, H, batch.q_mask, batch.history_mask, enc)
     I = ad.gather_rows(project_regions(batch.regions, enc), batch.region_rows)
@@ -285,7 +287,8 @@ def _prior(params: ModelParams, batch: Batch):
 
 
 def _posterior(params: ModelParams, batch: Batch, x: Tensor, I: Tensor):
-    y = encode_tokens(batch.answers, batch.q_mask.shape[1], params.encoder, "answer")
+    enc = params.encoder
+    y = encode_tokens(batch.answers, batch.q_mask.shape[1], enc.answer, enc.embedding)
     return posterior_ground(I, x, y, batch.q_mask, params.grounding, batch.region_mask)
 
 

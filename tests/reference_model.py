@@ -178,18 +178,18 @@ def _bi_lstm_states(ids: Sequence[int], enc, embedding: Tensor) -> Tensor:
     return ad.concat([h_f, h_b], axis=1)
 
 
-def encode_tokens(ids: Sequence[int], mask: Sequence[bool], params, which: str) -> Tensor:
+def encode_tokens(ids: Sequence[int], mask: Sequence[bool], enc, embedding: Tensor) -> Tensor:
     """Token-level encoding [len(ids), d_q]; PAD rows come out exactly zero."""
-    enc = params.question if which == "question" else params.answer
     lam = len(ids)
+    d_q = enc.proj_w.shape[1]
     n = int(np.count_nonzero(np.asarray(mask, dtype=bool)))
     if n == 0:
-        return ad.zeros_const((lam, params.d_q))
-    states = _bi_lstm_states(ids[:n], enc, params.embedding)
+        return ad.zeros_const((lam, d_q))
+    states = _bi_lstm_states(ids[:n], enc, embedding)
     out = ad.add(ad.matmul(states, enc.proj_w), tile_rows(enc.proj_b, n))
     out = layer_norm_rows(out)
     if n < lam:
-        out = ad.concat([out, ad.zeros_const((lam - n, params.d_q))], axis=0)
+        out = ad.concat([out, ad.zeros_const((lam - n, d_q))], axis=0)
     return out
 
 
@@ -370,7 +370,7 @@ def padded_tokens(unit, which: str) -> tuple[list[int], list[bool]]:
 
 def encode_unit_context(params, unit) -> tuple[Tensor, Tensor, list[bool]]:
     q_ids, q_mask = padded_tokens(unit, "question")
-    Q = encode_tokens(q_ids, q_mask, params.encoder, "question")
+    Q = encode_tokens(q_ids, q_mask, params.encoder.question, params.encoder.embedding)
     H = encode_history(unit.history, params.encoder)
     x = fuse_context(Q, H, q_mask, params.encoder)
     I = project_regions(unit.features, params.encoder)
@@ -378,7 +378,8 @@ def encode_unit_context(params, unit) -> tuple[Tensor, Tensor, list[bool]]:
 
 
 def encode_unit_answer(params, unit) -> Tensor:
-    return encode_tokens(*padded_tokens(unit, "answer"), params.encoder, "answer")
+    return encode_tokens(*padded_tokens(unit, "answer"), params.encoder.answer,
+                         params.encoder.embedding)
 
 
 def forward_unit(params, unit, cfg) -> UnitForward:

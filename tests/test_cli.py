@@ -475,6 +475,18 @@ def _zero_width_features(synth_dir, tmp_path):
     return bad, f"{bad.parent / 'features.bin'}: image id {first!r} at byte"
 
 
+def _non_utf8_dataset(synth_dir, tmp_path):
+    bad = _bad_copy(synth_dir, tmp_path, lambda raw: None)
+    bad.write_bytes(bad.read_bytes().replace(b'"caption": "', b'"caption": "\xff', 1))
+    return bad, str(bad)
+
+
+def _non_utf8_config(synth_dir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"kl_weight": 0.5, "seed": "\xff"}')
+    return small_train_args(synth_dir, tmp_path / "run", extra=["--config", str(config)]), str(config)
+
+
 def _train_out_is_a_file(synth_dir, tmp_path):
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -571,7 +583,7 @@ def _huge_first_dim(base):
                                   _non_utf8_feature_id, _no_dialogs,
                                   _oracle_without_gt_grounding, _all_zero_relevance,
                                   _numeric_image_id, _mixed_feature_widths,
-                                  _wider_val_features, _train_out_is_a_file,
+                                  _wider_val_features, _non_utf8_config, _train_out_is_a_file,
                                   _gen_synth_out_is_a_file,
                                   _eval_output_is_a_directory("--report"),
                                   _eval_output_is_a_directory("--export-attention"),
@@ -579,7 +591,8 @@ def _huge_first_dim(base):
                                   _non_finite_feature("inf", "eval"),
                                   *(_on(command, make) for make in [
                                       _repeated_grounding_index, _region_free_image,
-                                      _zero_width_features] for command in ("train", "eval")),
+                                      _zero_width_features, _non_utf8_dataset]
+                                    for command in ("train", "eval")),
                                   *map(_corrupt_checkpoint, [
                                       _truncated_blob, _trailing_byte, _manifest_not_json,
                                       _manifest_shape_disagrees, _manifest_without_vocab,

@@ -60,7 +60,7 @@ def two_image_raw():
 # tokenization
 
 def test_encode_text_known_words():
-    vocab = Vocabulary.from_texts(["is he standing ?"])
+    vocab = Vocabulary(["is", "he", "standing", "?"])
     ids = vocab.encode_text("Is he standing ?")
     assert len(ids) == 4
     assert all(i >= len(D.RESERVED) for i in ids)
@@ -80,13 +80,13 @@ def test_mask_true_entries_form_prefix():
 
 
 def test_unknown_words_map_to_unk():
-    vocab = Vocabulary.from_texts(["known words"])
+    vocab = Vocabulary(["known", "words"])
     ids = vocab.encode_text("unknown thing")
     assert ids == [D.UNK_ID, D.UNK_ID]
 
 
 def test_vocabulary_reserved_and_bijective():
-    vocab = Vocabulary.from_texts(["b a c"])
+    vocab = Vocabulary(["b", "a", "c"])
     assert vocab.id_to_token[:4] == D.RESERVED
     for i, tok in enumerate(vocab.id_to_token):
         assert vocab.token_to_id[tok] == i
@@ -257,7 +257,7 @@ def test_dataset_from_dict_encodes_every_text_as_encode_text_does():
     assert len(set(texts)) < len(texts) and "" in texts
     built = dataset_from_dict(raw)
     assert built.vocab.id_to_token == D.RESERVED + sorted({w for t in texts for w in D.tokenize(t)})
-    encoded = dataset_from_dict(raw, vocab=Vocabulary.from_texts(["a cat", "yes no"]))
+    encoded = dataset_from_dict(raw, vocab=Vocabulary(["a", "cat", "no", "yes"]))
     assert D.UNK_ID in encoded.examples[0].caption_tokens          # "on", "mat"
     for ds in (built, encoded):
         held = [(ex.caption, ex.caption_tokens) for ex in ds.examples] + [

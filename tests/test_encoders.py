@@ -33,17 +33,17 @@ N_H = 2
 @pytest.fixture
 def params():
     return init_encoder_params(np.random.default_rng(0), vocab_size=12, d_v=6,
-                               d_e=D_E, d_q=D_Q, n_heads=N_H)
+                               d_e=D_E, d_q=D_Q, n_heads=N_H, fusion_residual=True)
 
 
 def test_all_pad_input_gives_zero_matrix(params):
-    out = encode_tokens([[]], 3, params, "question")
+    out = encode_tokens([[]], 3, params.question, params.embedding)
     assert out.shape == (1, 3, D_Q)
     assert np.array_equal(out.data, np.zeros((1, 3, D_Q)))
 
 
 def test_output_shape_and_pad_rows_zero(params):
-    out = encode_tokens([[4, 5]], 4, params, "question")
+    out = encode_tokens([[4, 5]], 4, params.question, params.embedding)
     assert out.shape == (1, 4, D_Q)
     assert np.array_equal(out.data[0, 2:], np.zeros((2, D_Q)))
     assert np.abs(out.data[0, :2]).max() > 0
@@ -51,7 +51,7 @@ def test_output_shape_and_pad_rows_zero(params):
 
 def test_token_id_out_of_vocab(params):
     with pytest.raises(IndexError):
-        encode_tokens([[99]], 1, params, "question")
+        encode_tokens([[99]], 1, params.question, params.embedding)
 
 
 def test_reverse_symmetry_with_swapped_directions(params):
@@ -59,7 +59,7 @@ def test_reverse_symmetry_with_swapped_directions(params):
     halves) swapped must produce the position-reversed encoding."""
     import copy
     ids = [4, 5, 6]
-    fwd_out = encode_tokens([ids], 3, params, "question")
+    fwd_out = encode_tokens([ids], 3, params.question, params.embedding)
 
     swapped = copy.deepcopy(params)
     q = swapped.question
@@ -67,7 +67,7 @@ def test_reverse_symmetry_with_swapped_directions(params):
     h = D_Q // 2
     pw = q.proj_w.data.copy()
     q.proj_w.data = np.concatenate([pw[h:], pw[:h]], axis=0)
-    rev_out = encode_tokens([ids[::-1]], 3, swapped, "question")
+    rev_out = encode_tokens([ids[::-1]], 3, swapped.question, swapped.embedding)
     assert np.allclose(rev_out.data[0], fwd_out.data[0, ::-1], atol=1e-12)
 
 
@@ -75,10 +75,10 @@ def test_batched_tokens_match_one_sentence_at_a_time(params):
     """Ragged sentences in one batch: each keeps its first `length` positions
     (the recurrence still reads it whole) and zero rows past its end."""
     seqs = [[4, 5, 6, 7, 8], [9], [], [10, 11, 4]]
-    out = encode_tokens(seqs, 4, params, "answer").data
+    out = encode_tokens(seqs, 4, params.answer, params.embedding).data
     assert out.shape == (4, 4, D_Q)
     for b, s in enumerate(seqs):
-        alone = encode_tokens([s], max(len(s), 1), params, "answer").data[0]
+        alone = encode_tokens([s], max(len(s), 1), params.answer, params.embedding).data[0]
         n = min(len(s), 4)
         assert np.allclose(out[b, :n], alone[:n], rtol=1e-12, atol=1e-13)
         assert np.array_equal(out[b, n:], np.zeros((4 - n, D_Q)))
@@ -220,7 +220,7 @@ def test_fuse_attention_rows_sum_to_one(params):
 
 def test_project_regions_zero_preserving():
     params = init_encoder_params(np.random.default_rng(5), vocab_size=12, d_v=6,
-                                 d_e=D_E, d_q=D_Q, n_heads=N_H)
+                                 d_e=D_E, d_q=D_Q, n_heads=N_H, fusion_residual=True)
     params.region_b1.data[:] = 0
     params.region_b2.data[:] = 0
     out = project_regions(Tensor(np.zeros((4, 6))), params)
@@ -238,7 +238,7 @@ def test_project_regions_permutation_equivariant(params):
 
 def test_project_regions_full_scale_shape(params):
     big = init_encoder_params(np.random.default_rng(7), vocab_size=12, d_v=2048,
-                              d_e=D_E, d_q=D_Q, n_heads=N_H)
+                              d_e=D_E, d_q=D_Q, n_heads=N_H, fusion_residual=True)
     out = project_regions(Tensor(np.random.default_rng(8).normal(size=(100, 2048))), big)
     assert out.shape == (100, D_Q)
 
@@ -262,7 +262,7 @@ def test_encoder_outputs_finite_and_grad_checks(params):
 
     def f(emb):
         params.embedding = emb
-        Q = encode_tokens([ids], 4, params, "question")
+        Q = encode_tokens([ids], 4, params.question, params.embedding)
         H = ad.reshape(encode_history([[7, 8], [9, 10]], params), (1, 2, D_Q))
         x = fuse_context(Q, H, mask, [[True, True]], params)
         return ad.mean_all(ad.mul(x, x))
@@ -274,7 +274,7 @@ def test_encoder_outputs_finite_and_grad_checks(params):
 
     def f2(t):
         params.question.fwd.wx = t
-        Q = encode_tokens([ids], 4, params, "question")
+        Q = encode_tokens([ids], 4, params.question, params.embedding)
         return ad.mean_all(ad.tanh(Q))
 
     assert grad_check(f2, w, coords=range(0, w.size, 11)) < 1e-6
@@ -324,7 +324,7 @@ def test_encode_history_encodes_each_distinct_sentence_once(lstm_rows):
         rows = batch.history_rows[b][batch.history_mask[b]]
         assert [batch.history[r] for r in rows] == u.history
     params = init_encoder_params(np.random.default_rng(0), vocab_size=len(ds.vocab), d_v=24,
-                                 d_e=D_E, d_q=D_Q, n_heads=N_H)
+                                 d_e=D_E, d_q=D_Q, n_heads=N_H, fusion_residual=True)
     out = encode_history(batch.history, params).data
     cells = (params.history.fwd.wx, params.history.bwd.wx)
     assert [lstm_rows[id(wx)] for wx in cells] == [[10], [10]]

@@ -26,7 +26,6 @@ from grounddial.evaluation import (
     attention_record,
     distribution_entropy,
     evaluate,
-    grounding_hit,
     mean_rank,
     mrr,
     ndcg,
@@ -86,6 +85,14 @@ def oracle_hit(g, gt_grounding, k):
     return bool(set(oracle_top(g, k)) & set(gt_grounding or ()))
 
 
+def top_k_hits(g, gt_grounding, k):
+    """The grounding hits `evaluate` counts: per row of g, whether its top k
+    regions include one of the row's gt_grounding indices."""
+    g = np.asarray(g, dtype=float)
+    return evaluation._top_k_hits(evaluation._descending_order(g),
+                                  evaluation._gt_mask(gt_grounding, g), k)
+
+
 # ---------------------------------------------------------------------------
 # rank_of_gt
 
@@ -133,18 +140,27 @@ def test_mean_rank_values():
 # ndcg
 
 def test_ndcg_ideal_order_is_one():
-    assert ndcg([0.9, 0.5, 0.1], [1.0, 0.5, 0.0]) == pytest.approx(1.0)
+    assert ndcg([[0.9, 0.5, 0.1]], [[1.0, 0.5, 0.0]]) == pytest.approx([1.0])
 
 
 def test_ndcg_two_item_hand_value():
-    val = ndcg([0.1, 0.9], [1.0, 0.0])  # 0-relevance candidate ranked first
+    (val,) = ndcg([[0.1, 0.9]], [[1.0, 0.0]])  # 0-relevance candidate ranked first
     assert val == pytest.approx(1.0 / math.log2(3.0), abs=1e-12)
     assert abs(val - 0.6309) < 1e-4
 
 
 def test_ndcg_all_zero_relevance_errors():
     with pytest.raises(ContractError):
-        ndcg([0.5, 0.5], [0.0, 0.0])
+        ndcg([[1.0, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 0.0]])
+
+
+def test_rowwise_metrics_take_rows_only():
+    with pytest.raises(ContractError):
+        ndcg([0.9, 0.5], [1.0, 0.0])
+    with pytest.raises(ContractError):
+        ndcg([[0.9, 0.5]], [[1.0, 0.0, 0.0]])
+    with pytest.raises(ContractError):
+        distribution_entropy([0.5, 0.5])
 
 
 def test_metrics_match_oracles_on_200_random_instances():
@@ -159,7 +175,8 @@ def test_metrics_match_oracles_on_200_random_instances():
         gt = int(np.argmax(relevance))
         r_impl = rank_of_gt(scores, gt)
         assert r_impl == oracle_rank(list(scores), gt)
-        assert abs(ndcg(scores, relevance) - oracle_ndcg(list(scores), list(relevance))) < 1e-9
+        (val,) = ndcg(scores[None], relevance[None])
+        assert abs(val - oracle_ndcg(list(scores), list(relevance))) < 1e-9
     ranks = [oracle_rank(list(np.random.default_rng(s).normal(size=10)), 3) for s in range(40)]
     assert abs(mrr(ranks) - oracle_mrr(ranks)) < 1e-9
     for k in (1, 5, 10):
@@ -180,15 +197,24 @@ def test_recall_monotonicity_random_runs():
 # grounding accuracy
 
 def test_grounding_one_hot_correct():
-    assert grounding_hit(np.array([0.0, 1.0, 0.0]), [1], top_k=1)
-    assert not grounding_hit(np.array([0.0, 1.0, 0.0]), [2], top_k=1)
+    one_hot = [[0.0, 1.0, 0.0]] * 2
+    assert top_k_hits(one_hot, [[1], [2]], 1).tolist() == [True, False]
 
 
 def test_grounding_uniform_expected_three_eighths():
     """Uniform prior over 8 regions, top-3 by the index tie rule, gt cycling
     over every index: exactly 3 of the 8 hit."""
-    uniform = np.full(8, 1.0 / 8)
-    assert [grounding_hit(uniform, [i], top_k=3) for i in range(8)] == [True] * 3 + [False] * 5
+    uniform = np.full((8, 8), 1.0 / 8)
+    assert top_k_hits(uniform, [[i] for i in range(8)], 3).tolist() == [True] * 3 + [False] * 5
+
+
+def test_grounding_hits_only_real_regions():
+    """An index outside a row's regions, or on a -inf pad, never hits, even
+    where the pad ranks among the top k; a None row hits nothing."""
+    g = np.array([[0.5, 0.5, -np.inf], [0.2, 0.8, -np.inf], [0.9, 0.1, 0.0], [0.9, 0.1, 0.0]])
+    gts = [[2], [-1, 3, 5], None, [-3, 0]]
+    for k in (1, 2, 3):
+        assert top_k_hits(g, gts, k).tolist() == [False, False, False, True]
 
 
 def test_grounding_top1_needs_every_unit_annotated():
@@ -215,15 +241,15 @@ def test_attention_record_shape():
 # entropy
 
 def test_entropy_one_hot_zero():
-    assert distribution_entropy([0.0, 1.0, 0.0]) == 0.0
+    assert distribution_entropy([[0.0, 1.0, 0.0]]).tolist() == [0.0]
 
 
 def test_entropy_uniform_log_mu():
-    assert distribution_entropy([0.25] * 4) == pytest.approx(math.log(4.0))
+    assert distribution_entropy([[0.25] * 4]) == pytest.approx([math.log(4.0)])
 
 
 def test_entropy_hand_value():
-    val = distribution_entropy([0.5, 0.25, 0.25])
+    (val,) = distribution_entropy([[0.5, 0.25, 0.25]])
     assert val == pytest.approx(1.5 * math.log(2.0), abs=1e-12)
     assert abs(val - 1.0397) < 1e-4
 
@@ -231,7 +257,7 @@ def test_entropy_hand_value():
 def test_entropy_invalid():
     for dist in ([0.5, 0.2], [float("nan"), 1.0], [0.5, 0.5, float("nan")], [math.inf, 0.0]):
         with pytest.raises(InvalidDistributionError):
-            distribution_entropy(dist)
+            distribution_entropy([dist])
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +296,18 @@ def padded(rows, fill):
     return out
 
 
-def assert_rowwise(got, per_unit, is_padded):
-    """Equal to the per-unit values bit for bit, or within 1e-12 where padding
-    changed the summation order."""
+def assert_rowwise(f, rows, per_unit_rows, is_padded):
+    """f of a padded batch, row by row: bit for bit f of that padded row given
+    alone as a one-row batch, and f of the unit's own row alone, bit for bit
+    or within 1e-12 where padding changed the summation order."""
+    got = f(*rows)
+    assert got.tolist() == [f(*(r[b:b + 1] for r in rows))[0] for b in range(len(got))]
+    per_unit = [f(*([r] for r in unit))[0] for unit in zip(*per_unit_rows)]
     if is_padded:
         assert np.allclose(got, per_unit, rtol=0, atol=1e-12)
     else:
         assert got.tolist() == per_unit
+    return got
 
 
 @settings(max_examples=200, deadline=None)
@@ -288,20 +319,21 @@ def test_rowwise_helpers_match_the_per_unit_oracles(units):
     scores_padded = any(len(s) != len(scores[0]) for s in scores)
     weights_padded = any(len(w) != len(weights[0]) for w in weights)
 
-    got = ndcg(padded(scores, -np.inf), padded([u["relevance"] for u in units], 0.0))
-    assert_rowwise(got, [ndcg(u["scores"], u["relevance"]) for u in units], scores_padded)
+    relevance = [u["relevance"] for u in units]
+    got = assert_rowwise(ndcg, (padded(scores, -np.inf), padded(relevance, 0.0)),
+                         (scores, relevance), scores_padded)
     assert np.allclose(got, [oracle_ndcg(u["scores"], u["relevance"]) for u in units],
                        rtol=0, atol=1e-12)
 
-    got = distribution_entropy(padded(weights, 0.0))
-    assert_rowwise(got, [distribution_entropy(w) for w in weights], weights_padded)
+    got = assert_rowwise(distribution_entropy, (padded(weights, 0.0),), (weights,),
+                         weights_padded)
     assert np.allclose(got, [oracle_entropy(w) for w in weights], rtol=0, atol=1e-12)
 
     g = padded(weights, -np.inf)
     for k in (1, 3):
         want = [oracle_hit(w, gt, k) for w, gt in zip(weights, gts)]
-        assert grounding_hit(g, gts, k).tolist() == want
-        assert [grounding_hit(w, gt, k) for w, gt in zip(weights, gts)] == want
+        assert top_k_hits(g, gts, k).tolist() == want
+        assert [top_k_hits([w], [gt], k)[0] for w, gt in zip(weights, gts)] == want
     order = evaluation._descending_order(g)
     for b, w in enumerate(weights):
         assert order[b, :min(3, len(w))].tolist() == oracle_top(w, 3)
@@ -347,7 +379,7 @@ def test_evaluate_posterior_diagnostics(tiny_setup):
     assert rep.entropy_posterior is not None
     assert all("posterior" in rec for rec in rep.attention)
     assert rep.entropy_posterior == pytest.approx(
-        np.mean([distribution_entropy(rec["posterior"]) for rec in rep.attention]))
+        np.mean(distribution_entropy([rec["posterior"] for rec in rep.attention])))
     ranking = {k: v for k, v in rep.to_dict().items()
                if k not in ("entropy_posterior", "posterior_top1")}
     assert ranking == evaluate(params, ds, cfg).to_dict()

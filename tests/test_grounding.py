@@ -18,7 +18,7 @@ D_Q = 6
 
 @pytest.fixture
 def params():
-    p = init_grounding_params(np.random.default_rng(0), D_Q)
+    p = init_grounding_params(np.random.default_rng(0), d_q=D_Q, d_h=D_Q)
     # score weights are zero-initialized (uniform start); give them structure
     # so prior/posterior differences are visible to these tests
     p.w2.data = np.random.default_rng(1).uniform(-1.0, 1.0, size=p.w2.shape)
@@ -41,7 +41,7 @@ def every(t):
 
 def dot_product(d):
     """Grounding parameters whose cross-attention logits are the bare I xᵀ."""
-    p = init_grounding_params(np.random.default_rng(0), d)
+    p = init_grounding_params(np.random.default_rng(0), d_q=d, d_h=d)
     p.att_wi.data = math.sqrt(d) * np.eye(d)
     p.att_wx.data = np.eye(d)
     return p
@@ -135,7 +135,7 @@ def test_pool_dominant_row_limit(params):
 
 
 def test_pool_hand_evaluation_toy():
-    p = init_grounding_params(np.random.default_rng(2), 2, d_h=2)
+    p = init_grounding_params(np.random.default_rng(2), d_q=2, d_h=2)
     p.w1.data = np.array([[1.0, 0.0], [0.0, 1.0]])
     p.b1.data = np.array([[0.0, 0.0]])
     p.w2.data = np.array([[1.0], [-1.0]])
