@@ -24,7 +24,8 @@ one distinct sentence or one decoder state rounds as a larger batch does.
 leading axes, [B, m, k] @ [B, k, n] or [B, heads, m, k] @ [B, heads, k, n].
 With it, `permute`, `masked_softmax` along any axis and the elementwise ops,
 a batch of units runs each attention step as one node on [B, ., .] stacks,
-every head at once; ragged rows are masked, never packed block-diagonally.
+every head at once; ragged rows are masked by a bool array, which is no
+tape input, and never packed block-diagonally.
 
 The recurrence is one op, `lstm_sequence`, that runs a batch of sequences
 through an LSTM cell as a single node, with backpropagation through time
@@ -46,7 +47,7 @@ process-global active tape, the workspace relies on the package running
 single-threaded.
 
 Without a tape, `lstm_sequence` can also share states: given `start`, the
-row of a smaller hc0 that each sequence starts from, sequences with the
+row of a smaller h0 that each sequence starts from, sequences with the
 same start that have read the same rows so far hold one state, computed
 once, and the op returns one row per state with the grid of which row each
 sequence holds. The generative decoder ranks a unit's candidates this way,
@@ -192,21 +193,6 @@ def backward(loss: Tensor, tape: Tape) -> None:
                     inp.grad = inp.grad + g
             out.grad = None
         node.inputs = node.output = node.rule = None
-
-
-# ---------------------------------------------------------------------------
-# constants and constructors
-
-def const(data) -> Tensor:
-    return Tensor(data, requires_grad=False)
-
-
-def zeros_const(shape) -> Tensor:
-    return Tensor(np.zeros(shape))
-
-
-def ones_const(shape) -> Tensor:
-    return Tensor(np.ones(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +450,6 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     parts = list(parts)
     if not parts:
         raise ContractError("concat of zero tensors")
-    if len(parts) == 1:
-        return parts[0]
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
     sizes = [p.shape[axis] for p in parts]
     cuts = np.cumsum(sizes)[:-1]
@@ -494,32 +478,17 @@ def _scatter_rows(idx: np.ndarray, g: np.ndarray, nrows: int) -> np.ndarray:
     return acc
 
 
-def take_rows(a: Tensor, indices) -> Tensor:
-    """Rows a[indices]; gradient scatter-adds back (duplicates accumulate,
-    see `_scatter_rows`)."""
-    if a.data.ndim != 2:
-        raise DimensionError(f"take_rows needs a matrix, got shape {a.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise IndexError(f"row index out of range for shape {a.shape}")
-    out = Tensor(a.data[idx])
-    nrows = a.shape[0]
-
-    def rule(g):
-        return (_scatter_rows(idx, g, nrows),)
-
-    return _record(out, (a,), rule)
-
-
 def gather_rows(a: Tensor, index) -> Tensor:
-    """Rows a[index] stacked to index.shape + [d]; an index equal to len(a)
-    reads a zero row (the padding of ragged stacks), which passes no
-    gradient back. One node, which saves no copy of `a`.
+    """Rows a[index] stacked to index.shape + [d], so a 1-D index gives
+    [n, d]; an index equal to len(a) reads a zero row (the padding of
+    ragged stacks), which passes no gradient back. One node, which saves no
+    copy of `a`.
 
-    The gradient is `_scatter_rows` over a with the zero row appended, that
-    row then dropped: whether a row's gradient is assigned or summed from
+    The gradient scatter-adds back, a row read twice accumulating: it is
+    `_scatter_rows` over a with the zero row appended, that row then
+    dropped. Whether a row's gradient is assigned or summed from
     0.0 counts the reads of the pad row too, so a -0.0 comes out as it
-    would from `take_rows` on a padded copy.
+    would from reading a padded copy of `a`.
     """
     if a.data.ndim != 2:
         raise DimensionError(f"gather_rows needs a matrix, got shape {a.shape}")
@@ -576,32 +545,34 @@ def mean_all(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # probability / loss ops
 
-def masked_softmax(logits: Tensor, axis: int, mask: Tensor) -> Tensor:
+def masked_softmax(logits: Tensor, axis: int, mask: np.ndarray) -> Tensor:
     """Exp-normalize each slice along `axis`, stabilized by max-subtraction.
 
-    `mask` has the logits' shape. Masked positions (mask False) come out
+    `mask` is a bool array of the logits' shape (a broadcast view is read
+    as it is), not a tape input. Masked positions (mask False) come out
     exactly 0; a slice with no unmasked entry raises DegenerateSliceError
     rather than producing NaN.
     """
     z = logits.data
     if axis >= z.ndim or axis < -z.ndim:
         raise DimensionError(f"axis {axis} out of range for shape {logits.shape}")
-    mk = mask.data.astype(bool)
-    if mk.shape != z.shape:
+    if not isinstance(mask, np.ndarray) or mask.dtype != bool:
+        raise ContractError(f"masked_softmax needs a bool array mask, got {type(mask).__name__}")
+    if mask.shape != z.shape:
         raise DimensionError(f"mask shape {mask.shape} != logits shape {logits.shape}")
-    if (mk.sum(axis=axis) == 0).any():
+    if (mask.sum(axis=axis) == 0).any():
         raise DegenerateSliceError("softmax slice with every entry masked")
-    m = np.where(mk, z, -np.inf).max(axis=axis, keepdims=True)
-    e = np.where(mk, np.exp(z - m), 0.0)
+    m = np.where(mask, z, -np.inf).max(axis=axis, keepdims=True)
+    e = np.where(mask, np.exp(z - m), 0.0)
     s = e.sum(axis=axis, keepdims=True)
     y = e / s
     out = Tensor(y)
 
     def rule(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        return y * (g - dot), None
+        return (y * (g - dot),)
 
-    return _record(out, (logits, mask), rule)
+    return _record(out, (logits,), rule)
 
 
 def _check_simplex(arr: np.ndarray, name: str) -> None:
@@ -613,16 +584,14 @@ def _check_simplex(arr: np.ndarray, name: str) -> None:
 
 
 def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
-    """Mean over slices of sum p log(p/q); 0 log 0 := 0, q floored at 1e-12.
-
-    Rank-1 input is one slice; rank-2 treats rows as slices of a batch.
-    """
+    """Mean over the rows of [B, n] p and q of sum p log(p/q), each row one
+    distribution; 0 log 0 := 0, q floored at 1e-12."""
     _same_shape(p, q, "kl_divergence")
-    if p.data.ndim not in (1, 2):
-        raise DimensionError(f"kl_divergence expects rank 1 or 2, got shape {p.shape}")
+    if p.data.ndim != 2:
+        raise DimensionError(f"kl_divergence expects [B, n] rows, got shape {p.shape}")
     _check_simplex(p.data, "p")
     _check_simplex(q.data, "q")
-    n_slices = 1 if p.data.ndim == 1 else p.shape[0]
+    n_slices = p.shape[0]
     pd = p.data
     qf = np.maximum(q.data, _LOG_FLOOR)
     support = pd > 0
@@ -687,7 +656,7 @@ def _workspace(role: str, *shape: int) -> np.ndarray:
     return buf[:n].reshape(shape)
 
 
-def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
+def lstm_sequence(table: Tensor, index, h0: Tensor, wx: Tensor, wh: Tensor,
                   b: Tensor, start=None) -> Tensor | tuple[Tensor, np.ndarray]:
     """B sequences through one LSTM cell, fused into a single tape node.
 
@@ -696,11 +665,11 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
     carried unchanged (after its end, or before its start when the index is
     reversed for the backward direction). A row may be read any number of
     times, so an embedding matrix indexed by a grid of token ids is a table.
-    hc0: [B, 2H] packed initial states (h then c); wx: [d_in, 4H];
-    wh: [H, 4H]; b: [1, 4H] with gate order i, f, o, g. Returns every step's
-    h as [T*B, H], row t*B + b.
+    h0: [B, H] initial hidden states; every cell state starts at zero.
+    wx: [d_in, 4H]; wh: [H, 4H]; b: [1, 4H] with gate order i, f, o, g.
+    Returns every step's h as [T*B, H], row t*B + b.
 
-    With `start` (int [B]), hc0 is [S, 2H] and sequence b starts from its
+    With `start` (int [B]), h0 is [S, H] and sequence b starts from its
     row start[b]. Sequences that start from the same row and have read the
     same rows so far hold one state, computed once: each step keys the
     sequences that read by (the state they hold, the row they read), one
@@ -708,7 +677,7 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
     sequence that reads -1 keeps the state it holds. The call then returns
     (states, grid): one row of h per state a step reached, step by step, and
     the int [T, B] grid of the row that sequence b holds after step t, -1
-    while it still holds its hc0 row. (Every sequence from its own row,
+    while it still holds its h0 row. (Every sequence from its own row,
     reading at every step, gives the rows above and the grid t*B + b.)
     This is inference only: under a recording tape `start` raises
     ContractError. Under the one-row rule (module docstring) every state is
@@ -739,13 +708,14 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
     Activations are kept for backpropagation through time only while a tape
     records, written by the steps straight into a [T, 4, B, H] store, with
     the c each step started from and its tanh(c). The h each step started
-    from is not stored: it is hc0's h, then the returned states shifted by
-    one step, and the backward rule rebuilds it from those for dwh. The
+    from is not stored: it is h0, then the returned states shifted by one
+    step, and the backward rule rebuilds it from those for dwh. The
     backward rule sums each distinct row's gate gradients once and forms
     d(table), dwx and db from those [U, 4H] sums, and dwh in one matmul
-    over all steps. For a constant hc0 it skips the last products toward
-    hc0 and returns no hc0 gradient; a one-step call from a constant zero
-    h also returns none for wh, which never acts there.
+    over all steps. It returns dh0 only, as the zero start cell is no
+    input; for a constant h0 it skips the last products toward h0 and
+    returns no h0 gradient, and a one-step call from a constant zero h0
+    also returns none for wh, which never acts there.
     """
     idx = np.asarray(index, dtype=np.intp)
     if idx.ndim != 2:
@@ -756,17 +726,17 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
     if shared:
         start = np.asarray(start, dtype=np.intp)
     if (table.data.ndim != 2 or wx.shape != (table.shape[1], 4 * H) or wh.shape != (H, 4 * H)
-            or b.shape != (1, 4 * H) or hc0.data.ndim != 2 or hc0.shape[1] != 2 * H
-            or (start.shape != (B,) if shared else hc0.shape[0] != B)):
+            or b.shape != (1, 4 * H) or h0.data.ndim != 2 or h0.shape[1] != H
+            or (start.shape != (B,) if shared else h0.shape[0] != B)):
         raise DimensionError(
-            f"lstm_sequence shapes: table {table.shape}, index {idx.shape}, hc0 {hc0.shape}, "
+            f"lstm_sequence shapes: table {table.shape}, index {idx.shape}, h0 {h0.shape}, "
             f"wx {wx.shape}, wh {wh.shape}, b {b.shape}"
             + (f", start {start.shape}" if shared else "")
         )
     if idx.size and (idx.min() < -1 or idx.max() >= table.shape[0]):
         raise IndexError(f"lstm_sequence index outside [-1, {table.shape[0]})")
-    if shared and start.size and (start.min() < 0 or start.max() >= hc0.shape[0]):
-        raise IndexError(f"lstm_sequence start outside [0, {hc0.shape[0]})")
+    if shared and start.size and (start.min() < 0 or start.max() >= h0.shape[0]):
+        raise IndexError(f"lstm_sequence start outside [0, {h0.shape[0]})")
     live = idx >= 0
     full = live.all(axis=1)
     # the distinct rows read, and for each read (step-major, as dz in the
@@ -774,7 +744,7 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
     used, inv, counts = np.unique(idx[live], return_inverse=True, return_counts=True)
     local = np.full((T, B), -1, dtype=np.intp)
     local[live] = inv
-    inputs = (table, hc0, wx, wh, b)
+    inputs = (table, h0, wx, wh, b)
     record = _recording(inputs)
     if shared and record:
         raise ContractError("lstm_sequence shares states only when no tape records")
@@ -786,14 +756,14 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
         gates = np.empty((T, 4, B, H))                     # i, f, o, g after activation
         c_prev = np.empty((T, B, H))
         tanh_c = np.empty((T, B, H))
-    h = hc0.data[:, :H]
-    c = hc0.data[:, H:]
+    h = h0.data
+    c = np.zeros(h.shape)
     if shared:
-        # h and c of every state: hc0's rows, then each state a step reaches.
+        # h and c of every state: h0's rows, then each state a step reaches.
         # One block for both: two equal blocks freed together would reach
         # glibc's trim threshold, which the first call's block sets, and
         # the heap would be trimmed and faulted in again on every call
-        S = hc0.shape[0]
+        S = h0.shape[0]
         hs, cs = np.empty((2, S + T * B, H))
         hs[:S], cs[:S] = h, c
         held, top = start.copy(), S     # the state each sequence holds; the rows written
@@ -890,8 +860,8 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
             dzt[:, 3 * H:] = dc * i * (1.0 - gg * gg)
             if not full[t]:
                 dzt[~live[t]] = 0.0
-            if t == 0 and not hc0.requires_grad:
-                break                                      # the engine drops dhc0
+            if t == 0 and not h0.requires_grad:
+                break                                      # the engine drops dh0
             dh_prev = dzt @ whd.T
             dc_prev = dc * f
             if not full[t]:
@@ -899,11 +869,11 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
                 dh_prev = np.where(keep, dh, dh_prev)
                 dc_prev = np.where(keep, dc_next, dc_prev)
             dh_next, dc_next = dh_prev, dc_prev
-        if T == 1 and not (hc0.requires_grad or hc0.data[:, :H].any()):
+        if T == 1 and not (h0.requires_grad or h0.data.any()):
             dwh = None                                     # one step from a zero h: wh never acts
         else:
-            # the state each step started from: hc0's h, then the returned states
-            h_prev = np.concatenate([hc0.data[:, :H], hs[:(T - 1) * B]])[:T * B]
+            # the state each step started from: h0, then the returned states
+            h_prev = np.concatenate([h0.data, hs[:(T - 1) * B]])[:T * B]
             dwh = h_prev.T @ dz.reshape(T * B, 4 * H)
         dproj = np.zeros((used.size, 4 * H))               # per distinct row
         if used.size:
@@ -913,8 +883,8 @@ def lstm_sequence(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor,
                             out=dproj)
         dtable = np.zeros(table.shape)
         dtable[used] = dproj @ wxd.T
-        dhc0 = np.concatenate([dh_next, dc_next], axis=1) if hc0.requires_grad else None
-        return dtable, dhc0, x_used.T @ dproj, dwh, dproj.sum(axis=0, keepdims=True)
+        dh0 = dh_next if h0.requires_grad else None
+        return dtable, dh0, x_used.T @ dproj, dwh, dproj.sum(axis=0, keepdims=True)
 
     return _record(out, inputs, rule)
 

@@ -105,9 +105,8 @@ def _gen_synth_parser(sub) -> argparse.ArgumentParser:
 
 def cmd_gen_synth(args) -> int:
     started = time.time()
-    cfg = SyntheticConfig(**_given(args, SyntheticConfig))
     try:
-        cfg.validate()
+        cfg = SyntheticConfig(**_given(args, SyntheticConfig))
     except GenerationError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -274,8 +273,8 @@ def main(argv=None) -> int:
     handlers = {"gen-synth": cmd_gen_synth, "train": cmd_train, "eval": cmd_eval}
     try:
         return handlers[args.command](args)
-    except (ParseError, MissingFeatureError, FeatureFileError, GenerationError,
-            DataError, OSError, DegenerateSliceError, InvalidDistributionError) as e:
+    except (ParseError, MissingFeatureError, FeatureFileError, DataError, OSError,
+            DegenerateSliceError, InvalidDistributionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except DivergenceError as e:

@@ -68,9 +68,6 @@ class Vocabulary:
         if len(self.token_to_id) != len(self.id_to_token):
             raise ValueError("duplicate tokens in vocabulary")
 
-    def encode_text(self, text: str) -> list[int]:
-        return [self.token_to_id.get(w, UNK_ID) for w in tokenize(text)]
-
     def __len__(self) -> int:
         return len(self.id_to_token)
 
@@ -370,8 +367,10 @@ COLOR_WORDS = ["red", "blue", "green", "yellow", "purple", "orange", "pink", "br
 SHAPE_WORDS = ["circle", "square", "triangle", "star", "diamond", "hexagon", "oval", "cross", "heart", "ring"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticConfig:
+    """The synthetic task's settings; construction raises GenerationError
+    naming the first field that cannot be generated."""
     num_images: int = 500
     mu: int = 8                 # objects per image
     num_colors: int = 6
@@ -382,8 +381,7 @@ class SyntheticConfig:
     d_v: int = 16
     seed: int = 7
 
-    def validate(self) -> None:
-        """Raise GenerationError naming the first field that cannot be generated."""
+    def __post_init__(self) -> None:
         for name in ("num_images", "mu", "num_colors", "num_shapes", "rounds", "candidates", "d_v"):
             if getattr(self, name) < 1:
                 raise GenerationError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -397,12 +395,9 @@ class SyntheticConfig:
                 f"pairs, only num_colors x num_shapes = {self.num_colors}x{self.num_shapes} "
                 "combinations exist"
             )
-        if _referable_layout(self.num_colors, self.num_shapes, self.mu, self.rounds) is None:
-            raise GenerationError(
-                f"mu {self.mu}, rounds {self.rounds}: no image of {self.mu} objects over "
-                f"num_colors x num_shapes = {self.num_colors}x{self.num_shapes} has {self.rounds} "
-                "uniquely referable ones (a color or a shape no other object has)"
-            )
+        if self.rounds > self.mu:
+            raise GenerationError(f"mu {self.mu}, rounds {self.rounds}: an image of {self.mu} "
+                                  f"objects cannot have {self.rounds} referable ones")
         if self.d_v < self.num_colors + self.num_shapes:
             raise GenerationError(f"d_v {self.d_v} is below num_colors + num_shapes = "
                                   f"{self.num_colors + self.num_shapes}, too small for one-hot "
@@ -411,6 +406,13 @@ class SyntheticConfig:
         if self.candidates > answers:
             raise GenerationError(f"candidates {self.candidates} exceeds the {answers} distinct "
                                   "answers the vocabulary can supply")
+        # last: the search scans the num_colors x num_shapes grid
+        if _referable_layout(self.num_colors, self.num_shapes, self.mu, self.rounds) is None:
+            raise GenerationError(
+                f"mu {self.mu}, rounds {self.rounds}: no image of {self.mu} objects over "
+                f"num_colors x num_shapes = {self.num_colors}x{self.num_shapes} has {self.rounds} "
+                "uniquely referable ones (a color or a shape no other object has)"
+            )
 
 
 def _referable_layout(nc: int, ns: int, mu: int,
@@ -568,7 +570,6 @@ def _make_round(cfg, rng, objects, target_idx, colors, shapes,
 
 def generate_synthetic_raw(cfg: SyntheticConfig) -> tuple[dict, dict[str, np.ndarray]]:
     """Build the dataset dict and feature map; a pure function of cfg."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     colors, shapes = _attribute_words(cfg)
     dialogs = []

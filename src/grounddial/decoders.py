@@ -90,11 +90,10 @@ def _teacher_forced_position_losses(h0: Tensor, sequences: Sequence[Sequence[int
             raise ContractError("answer token sequence must end with EOS")
     n = len(seqs)
     index = pack_sequences([[BOS_ID] + tokens[:-1] for tokens in seqs], embedding.shape[0])
-    hc0 = ad.concat([h0, ad.zeros_const((n, h0.shape[1]))], axis=1)
-    hs = ad.lstm_sequence(embedding, index, hc0, params.gen.wx, params.gen.wh, params.gen.b)
+    hs = ad.lstm_sequence(embedding, index, h0, params.gen.wx, params.gen.wh, params.gen.b)
     # step-major rows t*n + s, regrouped sequence by sequence
     seq_of, step = np.nonzero(index.T >= 0)
-    hs = ad.take_rows(hs, step * n + seq_of)
+    hs = ad.gather_rows(hs, step * n + seq_of)
     logits = ad.affine(hs, params.out_w, params.out_b)
     return ad.cross_entropy_rows(logits, [t for tokens in seqs for t in tokens])
 
@@ -149,8 +148,7 @@ def generative_rank(fused: Tensor, candidates: Sequence[Sequence[Sequence[int]]]
     index[0] = BOS_ID
     index[1:] = targets[:, :-1].T
     index[~scored.T] = -1
-    hc0 = ad.concat([fused, ad.zeros_const(fused.shape)], axis=1)
-    hs, grid = ad.lstm_sequence(embedding, index, hc0, params.gen.wx, params.gen.wh,
+    hs, grid = ad.lstm_sequence(embedding, index, fused, params.gen.wx, params.gen.wh,
                                 params.gen.b, start=np.repeat(np.arange(len(counts)), counts))
     z = ad.affine(hs, params.out_w, params.out_b).data
     m = z.max(axis=1, keepdims=True)

@@ -148,7 +148,7 @@ def _bi_lstm(seqs: Sequence[Sequence[int]], enc: BiEncoderParams,
     row (T-1-p)*B + b.
     """
     index = pack_sequences(seqs, embedding.shape[0])
-    zero = ad.zeros_const((len(seqs), 2 * enc.fwd.wh.shape[0]))
+    zero = Tensor(np.zeros((len(seqs), enc.fwd.wh.shape[0])))
     h_f = ad.lstm_sequence(embedding, index, zero, enc.fwd.wx, enc.fwd.wh, enc.fwd.b)
     h_b = ad.lstm_sequence(embedding, index[::-1], zero, enc.bwd.wx, enc.bwd.wh, enc.bwd.b)
     return h_f, h_b, index
@@ -175,18 +175,18 @@ def encode_sentences(seqs: Sequence[Sequence[int]], enc: BiEncoderParams,
     seqs = [list(s) for s in seqs]
     d_q = enc.proj_w.shape[1]
     if not any(seqs):
-        return ad.zeros_const((len(seqs), d_q))
+        return Tensor(np.zeros((len(seqs), d_q)))
     distinct, row_of = _distinct(seqs)
     n = len(distinct)
     h_f, h_b, index = _bi_lstm(distinct, enc, embedding)
     # a state is carried past its sequence's end, so step T-1 holds every final state
     last = np.arange(index.size - n, index.size)
-    state = ad.concat([ad.take_rows(h_f, last), ad.take_rows(h_b, last)], axis=1)
+    state = ad.concat([ad.gather_rows(h_f, last), ad.gather_rows(h_b, last)], axis=1)
     out = ad.affine(state, enc.proj_w, enc.proj_b)
     if not all(distinct):
         keep = np.array([[1.0] if s else [0.0] for s in distinct])
         out = ad.mul(out, Tensor(np.repeat(keep, d_q, axis=1)))
-    return ad.take_rows(out, row_of)
+    return ad.gather_rows(out, row_of)
 
 
 def encode_tokens(seqs: Sequence[Sequence[int]], length: int, enc: BiEncoderParams,
@@ -205,14 +205,14 @@ def encode_tokens(seqs: Sequence[Sequence[int]], length: int, enc: BiEncoderPara
         raise ValueError("encode_tokens needs at least one position")
     seqs = [list(s) for s in seqs]
     if not any(seqs):
-        return ad.zeros_const((len(seqs), length, enc.proj_w.shape[1]))
+        return Tensor(np.zeros((len(seqs), length, enc.proj_w.shape[1])))
     distinct, row_of = _distinct(seqs)
     n_seq = len(distinct)
     h_f, h_b, index = _bi_lstm(distinct, enc, embedding)
     T = index.shape[0]
     seq_of, pos = np.nonzero(index.T[:, :length] >= 0)            # kept positions, sentence by sentence
-    states = ad.concat([ad.take_rows(h_f, pos * n_seq + seq_of),
-                        ad.take_rows(h_b, (T - 1 - pos) * n_seq + seq_of)], axis=1)
+    states = ad.concat([ad.gather_rows(h_f, pos * n_seq + seq_of),
+                        ad.gather_rows(h_b, (T - 1 - pos) * n_seq + seq_of)], axis=1)
     n = seq_of.size
     out = ad.layer_norm(ad.affine(states, enc.proj_w, enc.proj_b))
     grid = np.full((n_seq, length), n, dtype=np.intp)
@@ -263,7 +263,7 @@ def fuse_context(Q: Tensor, H: Tensor, mask_q: np.ndarray, mask_h: np.ndarray,
     q = heads(ad.matmul(q_rows, params.w_q), lam)
     k = heads(ad.matmul(h_rows, params.w_k), T)
     v = heads(ad.matmul(h_rows, params.w_v), T)
-    keys = Tensor(np.broadcast_to(mask_h[:, None, None, :], (B, n_h, lam, T)))
+    keys = np.broadcast_to(mask_h[:, None, None, :], (B, n_h, lam, T))
     logits = ad.scale(ad.bmm(q, k, transpose_b=True), 1.0 / math.sqrt(dh))
     attended = ad.bmm(ad.masked_softmax(logits, axis=3, mask=keys), v)     # [B, n_heads, lam, dh]
     concat = ad.reshape(ad.permute(attended, (0, 2, 1, 3)), (B * lam, d_q))

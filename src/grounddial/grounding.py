@@ -87,7 +87,7 @@ def cross_attend(I: Tensor, queries: Tensor, values: Tensor, mask_x: np.ndarray,
                                    f"{int(empty.argmax())} masked")
     logits = ad.scale(ad.bmm(_project_rows(I, params.att_wi), _project_rows(queries, params.att_wx),
                              transpose_b=True), 1.0 / math.sqrt(d))
-    tokens = Tensor(np.broadcast_to(mask[:, None, :], (B, mu, lam)))
+    tokens = np.broadcast_to(mask[:, None, :], (B, mu, lam))
     regions = Tensor(np.broadcast_to(np.asarray(mask_i, dtype=bool)[:, :, None], (B, mu, lam)))
     P = ad.mul(ad.masked_softmax(logits, axis=2, mask=tokens), regions)
     return P, ad.add(ad.bmm(P, values), I)
@@ -104,7 +104,7 @@ def pool_regions(I_x: Tensor, params: GroundingParams,
     rows = ad.reshape(I_x, (B * mu, d_q))
     h = ad.relu(ad.affine(rows, params.w1, params.b1))
     scores = ad.reshape(ad.matmul(h, params.w2), (B, mu))
-    weights = ad.masked_softmax(scores, axis=1, mask=Tensor(mask_i))
+    weights = ad.masked_softmax(scores, axis=1, mask=np.asarray(mask_i, dtype=bool))
     pooled = ad.reshape(ad.bmm(ad.reshape(weights, (B, 1, mu)), I_x), (B, d_q))
     return weights, pooled
 

@@ -345,7 +345,7 @@ def infer_batch_scores(params: ModelParams, units: Sequence[Unit], *, decoder: s
             raise ContractError(f"g_override returned weights of shape {weights.shape}, "
                                 f"expected {g.shape}")
         B, mu, d_q = I_x.shape
-        v_prior = ad.reshape(ad.bmm(ad.const(weights.reshape(B, 1, mu)), I_x), (B, d_q))
+        v_prior = ad.reshape(ad.bmm(Tensor(weights.reshape(B, 1, mu)), I_x), (B, d_q))
     posterior = _posterior(params, batch, x, I)[0].data if with_posterior else None
     fused = fuse_for_decoder(x, batch.q_mask, v_prior, params.decoder)
     candidates = [u.candidates for u in batch.units]

@@ -2,16 +2,18 @@
 
 `lstm_step` is one LSTM step as its own tape node, reading one row of the
 input matrix. `step_sequence` steps it through an `lstm_sequence` index
-(`step_sequence_loss` does so under the tape, for gradients).
-`lstm_sequence_rows` is the fused op with row-major gates and fresh step
-buffers, which the gate-major op must match bit for bit; like the package,
-it forms a one-row product on two copies of the row (`gemm`). The `ref_*`
-functions are the encoders and decoders written one sequence and one step
-at a time on top of `lstm_step`, so a model forward can be compared
-against the batched path by patching them in. `cross_entropy` (one logits
-vector), `add_chain` and `mean_of` are the scalar-at-a-time loss ops the
-oracles sum their per-position and per-unit losses with, and `transpose` the
-2-D transpose the per-unit oracles take their dot products with.
+from the packed states [h0, 0] (`step_sequence_loss` does so under the
+tape, for gradients). `lstm_sequence_rows` is the fused op with row-major
+gates, fresh step buffers and a packed initial state [h, c]; started from
+[h0, 0], it must give the gate-major op's states and gradients bit for
+bit. Like the package, it forms a one-row product on two copies of the
+row (`gemm`). The `ref_*` functions are the encoders and decoders written
+one sequence and one step at a time on top of `lstm_step`, so a model
+forward can be compared against the batched path by patching them in.
+`cross_entropy` (one logits vector), `add_chain` and `mean_of` are the
+scalar-at-a-time loss ops the oracles sum their per-position and per-unit
+losses with, and `transpose` the 2-D transpose the per-unit oracles take
+their dot products with.
 """
 
 from __future__ import annotations
@@ -132,14 +134,15 @@ def lstm_step(xs: Tensor, row: int, hc: Tensor, wx: Tensor, wh: Tensor, b: Tenso
     return _record(out, (xs, hc, wx, wh, b), rule)
 
 
-def step_sequence(xs: Tensor, index: np.ndarray, hc0: Tensor, wx: Tensor, wh: Tensor,
+def step_sequence(xs: Tensor, index: np.ndarray, h0: Tensor, wx: Tensor, wh: Tensor,
                   b: Tensor) -> np.ndarray:
-    """Every step's h, [T*B, H] with row t*B + b, by stepping each sequence alone."""
+    """Every step's h, [T*B, H] with row t*B + b, by stepping each sequence
+    alone from the state (h0 row, 0)."""
     T, B = index.shape
     H = wh.shape[0]
     out = np.empty((T, B, H))
     for col in range(B):
-        hc = Tensor(hc0.data[col:col + 1])
+        hc = Tensor(np.concatenate([h0.data[col:col + 1], np.zeros((1, H))], axis=1))
         for t in range(T):
             if index[t, col] >= 0:
                 hc = lstm_step(xs, int(index[t, col]), hc, wx, wh, b)
@@ -147,15 +150,16 @@ def step_sequence(xs: Tensor, index: np.ndarray, hc0: Tensor, wx: Tensor, wh: Te
     return out.reshape(T * B, H)
 
 
-def step_sequence_loss(xs: Tensor, index: np.ndarray, hc0: Tensor, wx: Tensor, wh: Tensor,
+def step_sequence_loss(xs: Tensor, index: np.ndarray, h0: Tensor, wx: Tensor, wh: Tensor,
                        b: Tensor, weights: np.ndarray) -> Tensor:
     """sum over t and b of weights[t, b] . h[t, b] ([T, B, H] weights), with
-    each sequence stepped alone, so a tape records its gradients."""
+    each sequence stepped alone from (h0 row, 0), so a tape records its
+    gradients."""
     T, B = index.shape
     H = wh.shape[0]
     terms = []
     for col in range(B):
-        hc = ad.take_rows(hc0, [col])
+        hc = ad.concat([ad.gather_rows(h0, [col]), Tensor(np.zeros((1, H)))], axis=1)
         for t in range(T):
             if index[t, col] >= 0:
                 hc = lstm_step(xs, int(index[t, col]), hc, wx, wh, b)
@@ -173,8 +177,9 @@ def lstm_sequence_rows(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor
                        b: Tensor) -> Tensor:
     """`autodiff.lstm_sequence` as it was with row-major gates: each step's
     activations in one [B, 4H] buffer, i, f, o, g side by side in its
-    columns, and fresh step buffers on every call. The gate-major op must
-    give the same states and gradients bit for bit.
+    columns, fresh step buffers on every call, and the packed initial state
+    hc0 [B, 2H] (h then c). From hc0 = [h0, 0] the gate-major op must give
+    the same states and gradients bit for bit.
     """
     idx = np.asarray(index, dtype=np.intp)
     if idx.ndim != 2:
@@ -286,20 +291,20 @@ def lstm_sequence_rows(table: Tensor, index, hc0: Tensor, wx: Tensor, wh: Tensor
 def ref_bi_lstm_states(ids: Sequence[int], enc, embedding: Tensor) -> Tensor:
     n = len(ids)
     hidden = enc.fwd.wh.shape[0]
-    emb = ad.take_rows(embedding, list(ids))
-    hc = ad.zeros_const((1, 2 * hidden))
+    emb = ad.gather_rows(embedding, list(ids))
+    hc = Tensor(np.zeros((1, 2 * hidden)))
     fwd_states = []
     for t in range(n):
         hc = lstm_step(emb, t, hc, enc.fwd.wx, enc.fwd.wh, enc.fwd.b)
         fwd_states.append(hc)
-    hc = ad.zeros_const((1, 2 * hidden))
+    hc = Tensor(np.zeros((1, 2 * hidden)))
     bwd_states = []
     for t in range(n - 1, -1, -1):
         hc = lstm_step(emb, t, hc, enc.bwd.wx, enc.bwd.wh, enc.bwd.b)
         bwd_states.append(hc)
     h_f = ad.slice_cols(ad.concat(fwd_states, axis=0), 0, hidden)
     h_b_rev = ad.slice_cols(ad.concat(bwd_states, axis=0), 0, hidden)
-    h_b = ad.take_rows(h_b_rev, list(range(n - 1, -1, -1))) if n > 1 else h_b_rev
+    h_b = ad.gather_rows(h_b_rev, list(range(n - 1, -1, -1))) if n > 1 else h_b_rev
     return ad.concat([h_f, h_b], axis=1)
 
 
@@ -308,13 +313,13 @@ def ref_encode_sentence(ids: Sequence[int], enc, embedding: Tensor) -> Tensor:
     ids = list(ids)
     hidden = enc.fwd.wh.shape[0]
     if not ids:
-        return ad.zeros_const((1, enc.proj_w.shape[1]))
-    emb = ad.take_rows(embedding, ids)
-    hc = ad.zeros_const((1, 2 * hidden))
+        return Tensor(np.zeros((1, enc.proj_w.shape[1])))
+    emb = ad.gather_rows(embedding, ids)
+    hc = Tensor(np.zeros((1, 2 * hidden)))
     for t in range(len(ids)):
         hc = lstm_step(emb, t, hc, enc.fwd.wx, enc.fwd.wh, enc.fwd.b)
     final_f = ad.slice_cols(hc, 0, hidden)
-    hc = ad.zeros_const((1, 2 * hidden))
+    hc = Tensor(np.zeros((1, 2 * hidden)))
     for t in range(len(ids) - 1, -1, -1):
         hc = lstm_step(emb, t, hc, enc.bwd.wx, enc.bwd.wh, enc.bwd.b)
     final_b = ad.slice_cols(hc, 0, hidden)
@@ -341,8 +346,8 @@ def ref_position_losses(fused: Tensor, tokens: Sequence[int], embedding: Tensor,
     tokens = list(tokens)
     d_q = fused.shape[0]
     vocab = params.out_w.shape[1]
-    emb = ad.take_rows(embedding, [BOS_ID] + tokens[:-1])
-    hc = ad.concat([ad.reshape(fused, (1, d_q)), ad.zeros_const((1, d_q))], axis=1)
+    emb = ad.gather_rows(embedding, [BOS_ID] + tokens[:-1])
+    hc = ad.concat([ad.reshape(fused, (1, d_q)), Tensor(np.zeros((1, d_q)))], axis=1)
     losses = []
     for t, target in enumerate(tokens):
         hc = lstm_step(emb, t, hc, params.gen.wx, params.gen.wh, params.gen.b)

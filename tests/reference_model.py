@@ -20,8 +20,8 @@ its unit's state, the bit-for-bit oracle of `decoders.generative_rank`.
 `prepare_unit` builds one unit with every list its own copy, as the package
 did before units borrowed their round's lists: the oracle of
 `model.prepare_units`. `gather_rows_padded_copy` reads padded rows from a
-copy of the matrix with a zero row appended, three nodes: the bit-for-bit
-oracle of `autodiff.gather_rows`.
+copy of the matrix with a zero row appended, in plain NumPy: the
+bit-for-bit oracle of `autodiff.gather_rows`.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def matmul_blas(a: Tensor, b: Tensor) -> Tensor:
 
 def tile_rows(row: Tensor, n: int) -> Tensor:
     """Repeat a [1, d] row n times, as a product with a ones column."""
-    return ad.matmul(ad.ones_const((n, 1)), row)
+    return ad.matmul(Tensor(np.ones((n, 1))), row)
 
 
 def affine_tiled(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -79,8 +79,8 @@ def affine_tiled(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def layer_norm_rows(t: Tensor, eps: float = 1e-5) -> Tensor:
     """Parameter-free layer norm over the last axis of a matrix, per row."""
     m, d = t.shape
-    col = ad.ones_const((d, 1))
-    row = ad.ones_const((1, d))
+    col = Tensor(np.ones((d, 1)))
+    row = Tensor(np.ones((1, d)))
     mean = ad.scale(ad.matmul(t, col), 1.0 / d)            # [m, 1]
     centered = ad.sub(t, ad.matmul(mean, row))
     var = ad.scale(ad.matmul(ad.mul(centered, centered), col), 1.0 / d)
@@ -102,7 +102,7 @@ def fuse_context_per_head(Q: Tensor, H: Tensor, mask_q: np.ndarray, mask_h: np.n
     qp = ad.matmul(q_rows, params.w_q)
     kp = ad.matmul(h_rows, params.w_k)
     vp = ad.matmul(h_rows, params.w_v)
-    keys = Tensor(np.broadcast_to(mask_h[:, None, :], (B, lam, T)))
+    keys = np.broadcast_to(mask_h[:, None, :], (B, lam, T))
     heads = []
     for h in range(n_h):
         q_h = ad.reshape(ad.slice_cols(qp, h * dh, (h + 1) * dh), (B, lam, dh))
@@ -120,10 +120,23 @@ def fuse_context_per_head(Q: Tensor, H: Tensor, mask_q: np.ndarray, mask_h: np.n
 
 def gather_rows_padded_copy(rows: Tensor, index: np.ndarray) -> Tensor:
     """rows[index] stacked to index.shape + [d], an index equal to len(rows)
-    reading the appended zero row."""
+    reading the appended zero row. The gradient is `np.add.at` into the
+    padded copy, its zero row then dropped; where no row, the pad row
+    included, is read twice it is assigned instead, so a -0.0 is kept."""
     index = np.asarray(index, dtype=np.intp)
-    padded = ad.concat([rows, ad.zeros_const((1, rows.shape[1]))], axis=0)
-    return ad.reshape(ad.take_rows(padded, index.reshape(-1)), index.shape + (rows.shape[1],))
+    n, d = rows.shape
+    out = Tensor(np.concatenate([rows.data, np.zeros((1, d))])[index])
+    flat = index.reshape(-1)
+
+    def rule(g):
+        acc = np.zeros((n + 1, d))
+        if len(set(flat.tolist())) == flat.size:
+            acc[flat] = g.reshape(-1, d)
+        else:
+            np.add.at(acc, flat, g.reshape(-1, d))
+        return (acc[:n],)
+
+    return _record(out, (rows,), rule)
 
 
 @contextlib.contextmanager
@@ -151,7 +164,7 @@ def generative_rank_per_column(fused: Tensor, candidates, embedding: Tensor,
                 tokens = tokens + [EOS_ID]
             seqs.append(tokens)
             owner.append(b)
-    losses = _teacher_forced_position_losses(ad.take_rows(fused, owner), seqs, embedding,
+    losses = _teacher_forced_position_losses(ad.gather_rows(fused, owner), seqs, embedding,
                                              params).data
     lengths = np.array([len(s) for s in seqs])
     losses = losses * np.repeat(1.0 / lengths, lengths)
@@ -169,12 +182,12 @@ def _bi_lstm_states(ids: Sequence[int], enc, embedding: Tensor) -> Tensor:
     """Per-position concat of forward/backward hidden states, [n, 2H]."""
     n = len(ids)
     hidden = enc.fwd.wh.shape[0]
-    emb = ad.take_rows(embedding, list(ids))
+    emb = ad.gather_rows(embedding, list(ids))
     index = np.arange(n).reshape(n, 1)
-    zero = ad.zeros_const((1, 2 * hidden))
+    zero = Tensor(np.zeros((1, hidden)))
     h_f = ad.lstm_sequence(emb, index, zero, enc.fwd.wx, enc.fwd.wh, enc.fwd.b)
     h_b_rev = ad.lstm_sequence(emb, index[::-1], zero, enc.bwd.wx, enc.bwd.wh, enc.bwd.b)
-    h_b = ad.take_rows(h_b_rev, list(range(n - 1, -1, -1)))
+    h_b = ad.gather_rows(h_b_rev, list(range(n - 1, -1, -1)))
     return ad.concat([h_f, h_b], axis=1)
 
 
@@ -184,12 +197,12 @@ def encode_tokens(ids: Sequence[int], mask: Sequence[bool], enc, embedding: Tens
     d_q = enc.proj_w.shape[1]
     n = int(np.count_nonzero(np.asarray(mask, dtype=bool)))
     if n == 0:
-        return ad.zeros_const((lam, d_q))
+        return Tensor(np.zeros((lam, d_q)))
     states = _bi_lstm_states(ids[:n], enc, embedding)
     out = ad.add(ad.matmul(states, enc.proj_w), tile_rows(enc.proj_b, n))
     out = layer_norm_rows(out)
     if n < lam:
-        out = ad.concat([out, ad.zeros_const((lam - n, d_q))], axis=0)
+        out = ad.concat([out, Tensor(np.zeros((lam - n, d_q)))], axis=0)
     return out
 
 
@@ -207,7 +220,7 @@ def fuse_context(Q: Tensor, H: Tensor, mask_q: Sequence[bool], params) -> Tensor
         k_h = ad.slice_cols(kp, h * dh, (h + 1) * dh)
         v_h = ad.slice_cols(vp, h * dh, (h + 1) * dh)
         logits = ad.scale(ad.matmul(q_h, transpose(k_h)), 1.0 / math.sqrt(dh))
-        attn = ad.masked_softmax(logits, axis=1, mask=ad.ones_const(logits.shape))
+        attn = ad.masked_softmax(logits, axis=1, mask=np.ones(logits.shape, dtype=bool))
         heads.append(ad.matmul(attn, v_h))
     out = ad.matmul(ad.concat(heads, axis=1), params.w_o)
     if params.fusion_residual:
@@ -231,8 +244,7 @@ def cross_attend(I: Tensor, queries: Tensor, values: Tensor, mask_x: Sequence[bo
     logits = ad.scale(ad.matmul(ad.matmul(I, params.att_wi),
                                 transpose(ad.matmul(queries, params.att_wx))),
                       1.0 / math.sqrt(I.shape[1]))
-    mask_mat = Tensor(np.repeat(mask.reshape(1, lam), mu, axis=0).astype(float))
-    P = ad.masked_softmax(logits, axis=1, mask=mask_mat)
+    P = ad.masked_softmax(logits, axis=1, mask=np.repeat(mask.reshape(1, lam), mu, axis=0))
     return P, ad.add(ad.matmul(P, values), I)
 
 
@@ -241,7 +253,7 @@ def pool_regions(I_x: Tensor, params) -> tuple[Tensor, Tensor]:
     mu, d_q = I_x.shape
     h = ad.relu(ad.add(ad.matmul(I_x, params.w1), tile_rows(params.b1, mu)))
     scores = ad.matmul(h, params.w2)
-    w_col = ad.masked_softmax(scores, axis=0, mask=ad.ones_const(scores.shape))
+    w_col = ad.masked_softmax(scores, axis=0, mask=np.ones(scores.shape, dtype=bool))
     weights = ad.reshape(w_col, (mu,))
     pooled = ad.reshape(ad.matmul(transpose(w_col), I_x), (d_q,))
     return weights, pooled
@@ -280,10 +292,9 @@ def _position_losses(fused: Tensor, seqs, embedding: Tensor, params) -> Tensor:
     h0 = ad.reshape(fused, (1, d_q))
     if n > 1:
         h0 = tile_rows(h0, n)
-    hc0 = ad.concat([h0, ad.zeros_const((n, d_q))], axis=1)
-    hs = ad.lstm_sequence(embedding, index, hc0, params.gen.wx, params.gen.wh, params.gen.b)
+    hs = ad.lstm_sequence(embedding, index, h0, params.gen.wx, params.gen.wh, params.gen.b)
     if n > 1:
-        hs = ad.take_rows(hs, [t * n + b for b, s in enumerate(seqs) for t in range(len(s))])
+        hs = ad.gather_rows(hs, [t * n + b for b, s in enumerate(seqs) for t in range(len(s))])
     logits = ad.add(ad.matmul(hs, params.out_w), tile_rows(params.out_b, hs.shape[0]))
     return ad.cross_entropy_rows(logits, [t for tokens in seqs for t in tokens])
 
@@ -387,7 +398,9 @@ def forward_unit(params, unit, cfg) -> UnitForward:
     g, _, _ = prior_ground(I, x, q_mask, params.grounding)
     y = encode_unit_answer(params, unit)
     G, v_post, _ = posterior_ground(I, x, y, q_mask, params.grounding)
-    L_KL = ad.kl_divergence(G.detach() if cfg.detach_posterior else G, g)
+    mu = g.shape[0]
+    L_KL = ad.kl_divergence(ad.reshape(G.detach() if cfg.detach_posterior else G, (1, mu)),
+                            ad.reshape(g, (1, mu)))
     fused = fuse_for_decoder(x, q_mask, v_post, params.decoder)
     L_G = L_D = None
     embedding = params.encoder.embedding
@@ -405,7 +418,7 @@ def infer_unit_scores(params, unit, *, decoder: str,
     g, v_prior, I_x = prior_ground(I, x, q_mask, params.grounding)
     if g_override is not None:
         mu, d_q = I_x.shape
-        g_col = ad.const(np.asarray(g_override, dtype=float).reshape(mu, 1))
+        g_col = Tensor(np.asarray(g_override, dtype=float).reshape(mu, 1))
         v_prior = ad.reshape(ad.matmul(transpose(g_col), I_x), (d_q,))
         g_used = np.asarray(g_override, dtype=float)
     else:

@@ -59,12 +59,18 @@ def two_image_raw():
 # ---------------------------------------------------------------------------
 # tokenization
 
-def test_encode_text_known_words():
+def caption_ids(vocab, text):
+    """The token ids `dataset_from_dict` gives a caption under `vocab`."""
+    raw = {"dialogs": [{"image_id": "im0", "caption": text, "rounds": []}]}
+    return dataset_from_dict(raw, vocab=vocab).examples[0].caption_tokens
+
+
+def test_known_words_encode_past_the_reserved_ids():
     vocab = Vocabulary(["is", "he", "standing", "?"])
-    ids = vocab.encode_text("Is he standing ?")
+    ids = caption_ids(vocab, "Is he standing ?")
     assert len(ids) == 4
     assert all(i >= len(D.RESERVED) for i in ids)
-    assert vocab.encode_text("") == []
+    assert caption_ids(vocab, "") == []
 
 
 def test_mask_true_entries_form_prefix():
@@ -81,7 +87,7 @@ def test_mask_true_entries_form_prefix():
 
 def test_unknown_words_map_to_unk():
     vocab = Vocabulary(["known", "words"])
-    ids = vocab.encode_text("unknown thing")
+    ids = caption_ids(vocab, "unknown thing")
     assert ids == [D.UNK_ID, D.UNK_ID]
 
 
@@ -238,10 +244,11 @@ def test_relevance_entries_parse_to_floats(given, parsed):
     assert got is not given
 
 
-def test_dataset_from_dict_encodes_every_text_as_encode_text_does():
+def test_dataset_from_dict_encodes_every_text_by_its_tokens():
     """Texts repeated across and within rounds, an option that tokenizes to
     nothing and words outside a given vocabulary: each caption, question,
-    answer and option gets `encode_text` of its own text, under the
+    answer and option gets the ids of its own text's tokens, UNK for a word
+    outside the vocabulary, under the
     vocabulary built from the dataset and under a smaller given one, and
     every text's holders share one token list object, no other text's."""
     options = ["yes", "no", "", "Yes !", "maybe so", "no", "  "]
@@ -267,7 +274,7 @@ def test_dataset_from_dict_encodes_every_text_as_encode_text_does():
         assert len(held) == len(texts)
         one = {}
         for text, tokens in held:
-            assert tokens == ds.vocab.encode_text(text)
+            assert tokens == [ds.vocab.token_to_id.get(w, D.UNK_ID) for w in D.tokenize(text)]
             assert one.setdefault(text, tokens) is tokens
         assert len({id(tokens) for tokens in one.values()}) == len(one) == len(set(texts))
         assert one[""] == one["  "] == []
@@ -540,6 +547,26 @@ def test_synthetic_unsatisfiable_uniqueness():
         generate_synthetic_raw(small_cfg(mu=20, num_colors=4, num_shapes=4))
 
 
+@pytest.mark.parametrize("setting, prefix", [
+    (dict(mu=4, rounds=5, d_v=4000), "mu 4, rounds 5: "),
+    (dict(mu=8, d_v=16), "d_v 16 "),
+    (dict(mu=8, d_v=4000, candidates=5_000_000), "candidates 5000000 "),
+])
+def test_synthetic_config_rejects_before_searching_the_grid(monkeypatch, setting, prefix):
+    """On a 2000 x 2000 grid, more rounds than objects, a small d_v and too
+    many candidates are rejected without the layout search, which scans the
+    grid's (p, q) pairs; the config is frozen once built."""
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        small_cfg().mu = 4
+
+    def search(*args):
+        raise AssertionError("the layout search ran")
+
+    monkeypatch.setattr(D, "_referable_layout", search)
+    with pytest.raises(GenerationError, match=f"^{prefix}"):
+        SyntheticConfig(num_colors=2000, num_shapes=2000, **setting)
+
+
 def most_referable_objects(nc, ns):
     """Brute force over every object set of an nc x ns grid: for each mu, the
     most uniquely referable objects (a color or a shape no other object has)
@@ -566,8 +593,8 @@ def assert_referable_image(objects, referable, cfg):
     assert all(colors[objects[i][0]] == 1 or shapes[objects[i][1]] == 1 for i in referable)
 
 
-def test_synthetic_validate_rejects_exactly_the_settings_no_image_holds():
-    """Every grid up to 4x4, every mu and rounds <= 3: validate accepts a
+def test_synthetic_config_rejects_exactly_the_settings_no_image_holds():
+    """Every grid up to 4x4, every mu and rounds <= 3: the config accepts a
     setting exactly when some set of mu objects has `rounds` referable ones,
     and for each accepted one both `_built_objects` and the sampler the
     generator calls give such a set."""
@@ -577,15 +604,15 @@ def test_synthetic_validate_rejects_exactly_the_settings_no_image_holds():
             most = most_referable_objects(nc, ns)
             for mu in range(1, nc * ns + 1):
                 for rounds in range(1, 4):
-                    cfg = small_cfg(mu=mu, num_colors=nc, num_shapes=ns, rounds=rounds,
-                                    candidates=2)
+                    setting = dict(mu=mu, num_colors=nc, num_shapes=ns, rounds=rounds,
+                                   candidates=2)
                     if most[mu] >= rounds:
-                        cfg.validate()
+                        cfg = small_cfg(**setting)
                         assert_referable_image(*D._built_objects(cfg, rng), cfg)
                         assert_referable_image(*D._sample_objects(cfg, rng), cfg)
                     else:
                         with pytest.raises(GenerationError, match=f"^mu {mu}, rounds {rounds}:"):
-                            cfg.validate()
+                            small_cfg(**setting)
 
 
 @pytest.mark.parametrize("grid", [(6, 6, 22, 3), (6, 5, 15, 4), (5, 6, 26, 1)])

@@ -214,7 +214,7 @@ def test_fuse_attention_rows_sum_to_one(params):
     q_h = Tensor(rng.normal(size=(5, 4)))
     k_h = Tensor(rng.normal(size=(3, 4)))
     logits = ad.scale(ad.matmul(q_h, transpose(k_h)), 0.5)
-    attn = ad.masked_softmax(logits, axis=1, mask=ad.ones_const(logits.shape))
+    attn = ad.masked_softmax(logits, axis=1, mask=np.ones(logits.shape, dtype=bool))
     assert np.abs(attn.data.sum(axis=1) - 1).max() < 1e-9
 
 
