@@ -85,6 +85,7 @@ class ContractError(ValueError):
 
 
 _LOG_FLOOR = 1e-12  # floor inside log(q) for KL; p entries of 0 contribute 0
+_NORM_EPS = 1e-5    # added to each row's variance in layer_norm
 
 
 class Tensor:
@@ -268,7 +269,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(Tensor(out), (x, w, b), rule)
 
 
-def layer_norm(t: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(t: Tensor) -> Tensor:
     """Parameter-free layer norm of each row of a matrix, as one node.
 
     The row sums are the einsum products with a ones column that the
@@ -291,7 +292,7 @@ def layer_norm(t: Tensor, eps: float = 1e-5) -> Tensor:
     s = 1.0 / d
     col = np.ones((d, 1))
     centered = t.data - np.einsum("ij,jk->ik", t.data, col) * s
-    v_eps = np.einsum("ij,jk->ik", centered * centered, col) * s + float(eps)
+    v_eps = np.einsum("ij,jk->ik", centered * centered, col) * s + _NORM_EPS
     inv = v_eps ** -0.5                                    # [m, 1]
     out = Tensor(centered * inv)
 

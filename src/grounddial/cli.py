@@ -6,7 +6,7 @@ Exit codes: 0 success, 2 usage error (a flag or config value out of range),
 written), 4 numeric divergence.
 Each field of SyntheticConfig (gen-synth) and TrainConfig (train) is one
 flag, spelled like the field with dashes for underscores: `--max-epochs`
-sets max_epochs and `--no-detach-posterior` clears detach_posterior. The
+sets max_epochs and `--no-fusion-residual` clears fusion_residual. The
 defaults live only in the dataclasses. A JSON config file (train --config)
 uses TrainConfig field names, as recorded in a run's manifest.json; given
 flags override the file, and the file overrides TrainConfig's defaults. All

@@ -365,6 +365,7 @@ def load_features(path) -> dict[str, Tensor]:
 
 COLOR_WORDS = ["red", "blue", "green", "yellow", "purple", "orange", "pink", "brown", "gray", "cyan"]
 SHAPE_WORDS = ["circle", "square", "triangle", "star", "diamond", "hexagon", "oval", "cross", "heart", "ring"]
+_LAYOUT_BLOCK = 1 << 16  # (p, q) pairs, row-major, that `_referable_layout` checks at once
 
 
 @dataclass(frozen=True)
@@ -432,18 +433,20 @@ def _referable_layout(nc: int, ns: int, mu: int,
     make up the rest, and repeated shapes likewise. An image exists exactly
     when some p, q and n meet these bounds; `_built_objects` builds it.
     """
-    for p in range(nc + 1):
-        for q in range(ns + 1):
-            c, s = nc - p, ns - q
-            most = (c if q else 0) + (s if p else 0) if p or q else min(c, s)
-            n_min = max(0, mu - most, 2 * q - c, 2 * p - s, 2 * (p + q) - mu)
-            if 2 * max(p, q) <= mu and n_min <= min(p * q, mu - rounds):
-                return p, q, n_min
+    cols = min(ns, mu // 2) + 1         # no p or q above mu // 2 fits
+    cells = (min(nc, mu // 2) + 1) * cols
+    for start in range(0, cells, _LAYOUT_BLOCK):
+        p, q = np.divmod(np.arange(start, min(start + _LAYOUT_BLOCK, cells)), cols)
+        c, s = nc - p, ns - q
+        most = np.where(p | q, c * (q > 0) + s * (p > 0), np.minimum(c, s))
+        n_min = np.max([mu - most, 2 * q - c, 2 * p - s, 2 * (p + q) - mu], axis=0).clip(0)
+        hit = np.flatnonzero(n_min <= np.minimum(p * q, mu - rounds))
+        if hit.size:
+            return int(p[hit[0]]), int(q[hit[0]]), int(n_min[hit[0]])
     return None
 
 
-def _built_objects(cfg: SyntheticConfig,
-                   rng: np.random.Generator) -> tuple[list[tuple[int, int]], list[int]]:
+def _built_objects(cfg: SyntheticConfig, rng: np.random.Generator) -> list[tuple[int, int]]:
     """The image whose layout `_referable_layout` finds, with its colors,
     shapes and object order shuffled; every object but the n is referable."""
     p, q, n = _referable_layout(cfg.num_colors, cfg.num_shapes, cfg.mu, cfg.rounds)
@@ -472,8 +475,7 @@ def _built_objects(cfg: SyntheticConfig,
                + [(once_c[i], shapes[c]) for i, c in enumerate((short_s + [0] * a)[:a])]
                + [(colors[r], once_s[i]) for i, r in enumerate((short_c + [0] * b)[:b])]
                + [(once_c[a + i], once_s[b + i]) for i in range(both)])
-    order = [int(i) for i in rng.permutation(cfg.mu)]
-    return [objects[i] for i in order], [pos for pos, i in enumerate(order) if i >= n]
+    return [objects[int(i)] for i in rng.permutation(cfg.mu)]
 
 
 def _attribute_words(cfg: SyntheticConfig) -> tuple[list[str], list[str]]:
@@ -482,24 +484,22 @@ def _attribute_words(cfg: SyntheticConfig) -> tuple[list[str], list[str]]:
     return colors, shapes
 
 
-def _sample_objects(cfg: SyntheticConfig, rng: np.random.Generator) -> tuple[list[tuple[int, int]], list[int]]:
-    """mu distinct (color, shape) objects and the positions of the referable
-    ones, those whose color or shape occurs once in the image: a uniform draw
-    of mu distinct pairs, redrawn until it holds cfg.rounds referable objects,
-    and after 500 misses the image `_built_objects` builds."""
+def _sample_objects(cfg: SyntheticConfig, rng: np.random.Generator) -> tuple[list, list, list, list]:
+    """mu distinct (color, shape) objects, the positions of the referable
+    ones (a color or a shape no other object has), and each color's and each
+    shape's count: a uniform draw of mu distinct pairs, redrawn until it holds
+    cfg.rounds referable objects; after 500 misses, `_built_objects`'s image."""
     n_pairs = cfg.num_colors * cfg.num_shapes
-    for _ in range(500):
-        chosen = rng.choice(n_pairs, size=cfg.mu, replace=False)
-        objects = [(int(p) // cfg.num_shapes, int(p) % cfg.num_shapes) for p in chosen]
-        color_counts = np.bincount([c for c, _ in objects], minlength=cfg.num_colors)
-        shape_counts = np.bincount([s for _, s in objects], minlength=cfg.num_shapes)
-        referable = [
-            i for i, (c, s) in enumerate(objects)
-            if color_counts[c] == 1 or shape_counts[s] == 1
-        ]
+    for attempt in range(501):
+        objects = ([(int(p) // cfg.num_shapes, int(p) % cfg.num_shapes)
+                    for p in rng.choice(n_pairs, size=cfg.mu, replace=False)]
+                   if attempt < 500 else _built_objects(cfg, rng))
+        color_counts = np.bincount([c for c, _ in objects], minlength=cfg.num_colors).tolist()
+        shape_counts = np.bincount([s for _, s in objects], minlength=cfg.num_shapes).tolist()
+        referable = [i for i, (c, s) in enumerate(objects)
+                     if color_counts[c] == 1 or shape_counts[s] == 1]
         if len(referable) >= cfg.rounds:
-            return objects, referable
-    return _built_objects(cfg, rng)
+            return objects, referable, color_counts, shape_counts
 
 
 def _make_round(cfg, rng, objects, target_idx, colors, shapes,
@@ -575,9 +575,7 @@ def generate_synthetic_raw(cfg: SyntheticConfig) -> tuple[dict, dict[str, np.nda
     dialogs = []
     features: dict[str, np.ndarray] = {}
     for img in range(cfg.num_images):
-        objects, referable = _sample_objects(cfg, rng)
-        color_counts = np.bincount([c for c, _ in objects], minlength=cfg.num_colors).tolist()
-        shape_counts = np.bincount([s for _, s in objects], minlength=cfg.num_shapes).tolist()
+        objects, referable, color_counts, shape_counts = _sample_objects(cfg, rng)
 
         block = np.zeros((cfg.mu, cfg.d_v))
         for i, (c, s) in enumerate(objects):
@@ -603,10 +601,10 @@ def generate_synthetic_raw(cfg: SyntheticConfig) -> tuple[dict, dict[str, np.nda
     return dataset, features
 
 
-def generate_synthetic(cfg: SyntheticConfig, split: str = "train") -> DialogDataset:
-    """In-memory dataset with features attached; deterministic given cfg."""
+def generate_synthetic(cfg: SyntheticConfig) -> DialogDataset:
+    """In-memory "train" dataset with features attached; deterministic given cfg."""
     raw, features = generate_synthetic_raw(cfg)
-    ds = dataset_from_dict(raw, split)
+    ds = dataset_from_dict(raw)
     for ex in ds.examples:
         ex.region_features = Tensor(features[ex.image_id])
     return ds

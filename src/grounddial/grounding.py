@@ -133,12 +133,12 @@ def posterior_ground(I: Tensor, x: Tensor, y: Tensor, mask_x: np.ndarray,
     return pool_regions(I_x_post, params, mask_i)
 
 
-def bridge_loss(G: Tensor, g: Tensor, detach_posterior: bool = True) -> Tensor:
+def bridge_loss(G: Tensor, g: Tensor) -> Tensor:
     """KL(posterior G, prior g) over region weights, [B, mu] each, averaged
     over the units of the batch; padding regions weigh 0 on both sides.
 
-    With detach_posterior the posterior is a constant target, so no gradient
-    reaches tensors only the posterior branch uses.
+    The posterior is a detached target: no gradient of the KL reaches it,
+    since one that does lets the posterior collapse onto the prior.
     """
-    return ad.kl_divergence(G.detach() if detach_posterior else G, g)
+    return ad.kl_divergence(G.detach(), g)
 

@@ -71,7 +71,6 @@ class TrainConfig:
     trained. Invalid values raise ContractError naming the field."""
     loss_mode: str = "generative"
     kl_weight: float = 1.0
-    detach_posterior: bool = True
     fusion_residual: bool = True
     max_epochs: int = 20
     batch_size: int = 32    # the training minibatch; evaluate uses EVAL_BATCH_UNITS
@@ -303,7 +302,7 @@ def forward_batch(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig) 
     batch = pack_batch(units)
     x, I, g, _, _ = _prior(params, batch)
     G, v_post = _posterior(params, batch, x, I)
-    L_KL = bridge_loss(G, g, cfg.detach_posterior)
+    L_KL = bridge_loss(G, g)
 
     fused = fuse_for_decoder(x, batch.q_mask, v_post, params.decoder)
     embedding = params.encoder.embedding

@@ -106,9 +106,10 @@ def test_gen_synth_invalid_setting_exits_2_naming_the_field(tmp_path, capsys, ex
     assert not (tmp_path / "x").exists()
 
 
-def test_unknown_flag_usage_error(synth_dir, tmp_path):
+@pytest.mark.parametrize("flag", ["--bogus", "--no-detach-posterior"])
+def test_unknown_flag_usage_error(synth_dir, tmp_path, flag):
     with pytest.raises(SystemExit) as e:
-        run_cli(small_train_args(synth_dir, tmp_path / "t", extra=["--bogus"]))
+        run_cli(small_train_args(synth_dir, tmp_path / "t", extra=[flag]))
     assert e.value.code == 2
     assert not (tmp_path / "t").exists()  # no partial outputs on usage errors
 
@@ -183,6 +184,7 @@ def test_train_invalid_config_flag_exits_2(synth_dir, tmp_path, capsys, extra, f
     ({"epocs": 1}, "epocs"),
     ({"max_epochs": "1"}, "max_epochs"),
     ({"base_lr": 0.001}, "base_lr"),
+    ({"detach_posterior": True}, "detach_posterior"),
 ])
 def test_train_bad_config_file_exits_2(synth_dir, tmp_path, capsys, settings, field):
     cfg_path = tmp_path / "cfg.json"
@@ -207,7 +209,6 @@ def test_every_train_flag_sets_a_config_field():
 TRAIN_FLAGS = [  # (argv, field, value): each TrainConfig field away from its default
     (["--loss-mode", "discriminative"], "loss_mode", "discriminative"),
     (["--kl-weight", "0.5"], "kl_weight", 0.5),
-    (["--no-detach-posterior"], "detach_posterior", False),
     (["--no-fusion-residual"], "fusion_residual", False),
     (["--max-epochs", "2"], "max_epochs", 2),
     (["--batch-size", "3"], "batch_size", 3),
@@ -261,7 +262,8 @@ def test_eval_unknown_checkpoint_config_key_exits_3(synth_dir, tmp_path, capsys)
     manifest_path = out / "best.manifest.json"
     manifest = json.loads(manifest_path.read_text())
     for key, value in [("share_cross_attention", True), ("bridge_variant", "attn_kl"),
-                       ("adam_beta1", 0.9), ("base_lr", 0.001), ("axis_mode", "columns")]:
+                       ("adam_beta1", 0.9), ("base_lr", 0.001), ("axis_mode", "columns"),
+                       ("detach_posterior", True)]:
         config = dict(manifest["config"], **{key: value})
         manifest_path.write_text(json.dumps(dict(manifest, config=config)))
         capsys.readouterr()

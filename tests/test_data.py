@@ -582,15 +582,20 @@ def most_referable_objects(nc, ns):
     return most
 
 
-def assert_referable_image(objects, referable, cfg):
-    """mu distinct objects on the grid; `referable` lists at least `rounds`
-    positions, each owning a color or a shape no other object has."""
+def assert_referable_image(cfg, objects, *sampled):
+    """mu distinct objects on the grid, at least `rounds` of them referable,
+    owning a color or a shape no other object has. `sampled`, when given, is
+    the rest of what `_sample_objects` returns: the referable positions, and
+    how many objects have each color and each shape."""
     assert len(set(objects)) == len(objects) == cfg.mu
     assert all(0 <= c < cfg.num_colors and 0 <= s < cfg.num_shapes for c, s in objects)
-    colors = np.bincount([c for c, _ in objects], minlength=cfg.num_colors)
-    shapes = np.bincount([s for _, s in objects], minlength=cfg.num_shapes)
-    assert len(set(referable)) == len(referable) >= cfg.rounds
-    assert all(colors[objects[i][0]] == 1 or shapes[objects[i][1]] == 1 for i in referable)
+    colors = Counter(c for c, _ in objects)
+    shapes = Counter(s for _, s in objects)
+    referable = [i for i, (c, s) in enumerate(objects) if colors[c] == 1 or shapes[s] == 1]
+    assert len(referable) >= cfg.rounds
+    if sampled:
+        assert sampled == (referable, [colors[c] for c in range(cfg.num_colors)],
+                           [shapes[s] for s in range(cfg.num_shapes)])
 
 
 def test_synthetic_config_rejects_exactly_the_settings_no_image_holds():
@@ -608,11 +613,38 @@ def test_synthetic_config_rejects_exactly_the_settings_no_image_holds():
                                    candidates=2)
                     if most[mu] >= rounds:
                         cfg = small_cfg(**setting)
-                        assert_referable_image(*D._built_objects(cfg, rng), cfg)
-                        assert_referable_image(*D._sample_objects(cfg, rng), cfg)
+                        assert_referable_image(cfg, D._built_objects(cfg, rng))
+                        assert_referable_image(cfg, *D._sample_objects(cfg, rng))
                     else:
                         with pytest.raises(GenerationError, match=f"^mu {mu}, rounds {rounds}:"):
                             small_cfg(**setting)
+
+
+def referable_layout_loop(nc, ns, mu, rounds):
+    """`_referable_layout` as one (p, q) pair at a time, in row-major order."""
+    for p in range(nc + 1):
+        for q in range(ns + 1):
+            c, s = nc - p, ns - q
+            most = (c if q else 0) + (s if p else 0) if p or q else min(c, s)
+            n_min = max(0, mu - most, 2 * q - c, 2 * p - s, 2 * (p + q) - mu)
+            if 2 * max(p, q) <= mu and n_min <= min(p * q, mu - rounds):
+                return p, q, n_min
+    return None
+
+
+@pytest.mark.parametrize("block, side", [(D._LAYOUT_BLOCK, 8), (5, 4)])
+def test_referable_layout_is_the_pairwise_scan(monkeypatch, block, side):
+    """Every grid up to side x side, mu up to its size and rounds up to mu:
+    the block scan finds the loop's first (p, q, n), as Python ints, also
+    where a block ends inside a row."""
+    monkeypatch.setattr(D, "_LAYOUT_BLOCK", block)
+    for nc in range(1, side + 1):
+        for ns in range(1, side + 1):
+            for mu in range(1, nc * ns + 1):
+                for rounds in range(1, mu + 1):
+                    got = D._referable_layout(nc, ns, mu, rounds)
+                    assert got == referable_layout_loop(nc, ns, mu, rounds), (nc, ns, mu, rounds)
+                    assert got is None or all(type(v) is int for v in got)
 
 
 @pytest.mark.parametrize("grid", [(6, 6, 22, 3), (6, 5, 15, 4), (5, 6, 26, 1)])
@@ -624,7 +656,9 @@ def test_synthetic_builds_an_image_random_draws_miss(grid):
     assert [len(d["rounds"]) for d in raw["dialogs"]] == [rounds] * 3
     rng = np.random.default_rng(0)
     for _ in range(20):
-        assert_referable_image(*D._built_objects(cfg, rng), cfg)
+        assert_referable_image(cfg, D._built_objects(cfg, rng))
+    for _ in range(3):          # the sampler's fallback reads the built image
+        assert_referable_image(cfg, *D._sample_objects(cfg, rng))
 
 
 def test_synthetic_loader_roundtrip(tmp_path):

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from grounddial.autodiff import DegenerateSliceError, Tape, Tensor, backward, grad_check
+from grounddial.autodiff import (
+    DegenerateSliceError,
+    Tape,
+    Tensor,
+    backward,
+    grad_check,
+    mul,
+    sum_all,
+)
 from grounddial.grounding import (
     bridge_loss,
     cross_attend,
@@ -274,25 +282,11 @@ def test_bridge_detach_blocks_posterior_gradient(params):
     with Tape() as tape:
         gp, _, _ = prior_ground(I, x, mask, params, every(I))
         G, _ = posterior_ground(I, x, y, mask, params, every(I))
-        loss = bridge_loss(G, gp, detach_posterior=True)
+        loss = bridge_loss(G, gp)
     backward(loss, tape)
     # y feeds only the posterior branch; detached target -> no gradient at all
     assert y.grad is None
     assert x.grad is not None and np.abs(x.grad).max() > 0
-
-
-def test_bridge_joint_gradient_reaches_posterior(params):
-    g = rng()
-    I = one(g.normal(size=(4, D_Q)))
-    x = one(g.normal(size=(2, D_Q)), requires_grad=True)
-    y = one(g.normal(size=(2, D_Q)), requires_grad=True)
-    mask = [[True, True]]
-    with Tape() as tape:
-        gp, _, _ = prior_ground(I, x, mask, params, every(I))
-        G, _ = posterior_ground(I, x, y, mask, params, every(I))
-        loss = bridge_loss(G, gp, detach_posterior=False)
-    backward(loss, tape)
-    assert y.grad is not None and np.abs(y.grad).max() > 0
 
 
 def test_end_to_end_grad_check_prior_plus_bridge(params):
@@ -306,7 +300,7 @@ def test_end_to_end_grad_check_prior_plus_bridge(params):
     def f(x):
         I = one(I_arr)
         gp, _, _ = prior_ground(I, x, mask, params, every(I))
-        return bridge_loss(G_fixed, gp, detach_posterior=True)
+        return bridge_loss(G_fixed, gp)
 
     for seed in range(5):
         x = Tensor(np.random.default_rng(seed).normal(size=(1, 2, D_Q)))
@@ -314,19 +308,21 @@ def test_end_to_end_grad_check_prior_plus_bridge(params):
 
 
 def test_end_to_end_grad_check_joint_posterior(params):
-    """With detach off, the analytic gradient is the total derivative through
-    both branches and must match finite differences."""
+    """Gradient fidelity of the posterior branch the decoder reads in
+    training: a loss on v_post reaches x through the pooling weights G, the
+    x + y queries and the attended values, and must match finite
+    differences."""
     g = rng()
     I_arr = g.normal(size=(4, D_Q))
     y_arr = g.normal(size=(2, D_Q))
+    w = Tensor(g.normal(size=(1, D_Q)))
     mask = [[True, True]]
 
     def f(x):
         I = one(I_arr)
         y = one(y_arr)
-        gp, _, _ = prior_ground(I, x, mask, params, every(I))
-        G, _ = posterior_ground(I, x, y, mask, params, every(I))
-        return bridge_loss(G, gp, detach_posterior=False)
+        _, v_post = posterior_ground(I, x, y, mask, params, every(I))
+        return sum_all(mul(v_post, w))
 
     for seed in range(5):
         x = Tensor(np.random.default_rng(seed).normal(size=(1, 2, D_Q)))

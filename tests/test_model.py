@@ -178,8 +178,6 @@ def test_inference_scores_match_per_step_path(three_rounds, decoder):
     dict(loss_mode="multitask"),
     dict(loss_mode="generative"),
     dict(loss_mode="discriminative"),
-    dict(loss_mode="multitask", detach_posterior=False),
-    dict(loss_mode="generative", detach_posterior=False),
 ])
 def test_forward_batch_matches_per_unit_oracle(mixed, settings):
     params, units, cfg = mixed
@@ -256,18 +254,14 @@ def test_batch_loss_does_not_depend_on_unit_order(mixed):
 # ---------------------------------------------------------------------------
 # the one-node layers against the composed graph they replaced
 
-@pytest.mark.parametrize("settings", [
-    dict(loss_mode="multitask"),
-    dict(loss_mode="multitask", detach_posterior=False),
-])
-def test_one_node_layers_give_the_composed_graph_bit_for_bit(mixed, settings):
+def test_one_node_layers_give_the_composed_graph_bit_for_bit(mixed):
     """`affine`, `layer_norm`, the stacked-heads `fuse_context` and the k=1
     `matmul` against the composed forms (`reference_model.composed_layers`):
     on a batch with padded history rows, regions and question positions,
     the losses and every parameter's gradient are byte for byte the same,
     from a shorter tape."""
     params, units, cfg = mixed
-    cfg = dataclasses.replace(cfg, **settings)
+    cfg = dataclasses.replace(cfg, loss_mode="multitask")
 
     def run():
         for t in named_parameters(params).values():

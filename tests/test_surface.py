@@ -6,15 +6,24 @@ public method, must be named somewhere in `src/grounddial` or in
 last part of a "module.function" string such as the benchmark's tracer
 patches. A definition does not name itself. The exempt names serve only the
 test harness and the test oracles.
+
+Every defaulted parameter of a function in `src/grounddial` must be passed,
+by keyword or by position, by some call in `src/grounddial` or in the
+benchmark's non-test files; a parameter that no such call passes is a
+constant. Calls match functions by bare name, and a call to a class counts
+for its `__init__`.
 """
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "grounddial"
 
 EXEMPT = {"grad_check", "sub", "add_const", "power", "slice_cols"}
+# the test harness, and the CLI entry point, whose argv only tests pass
+EXEMPT_DEFAULTS = {"autodiff.grad_check", "cli.main"}
 
 
 def _trees(paths):
@@ -61,3 +70,64 @@ def test_every_public_name_is_called_by_the_package_or_the_benchmark():
     unused = [f"{module}.{qualified}" for module, qualified, name in defined_names(trees)
               if name not in used and name not in EXEMPT]
     assert not unused, f"public names nothing calls: {unused}"
+
+
+def defaulted_parameters(trees_by_module):
+    """(module, function, position, parameter) of every parameter with a
+    default, nested functions included; an `__init__` is named by its
+    class, a method's positions do not count self or cls, and a keyword-only
+    parameter has position None."""
+    out = []
+
+    def visit(module, node):
+        for child in ast.iter_child_nodes(node):
+            visit(module, child)
+            if not isinstance(child, ast.FunctionDef):
+                continue
+            name = node.name if child.name == "__init__" else child.name
+            static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+            skip = 1 if isinstance(node, ast.ClassDef) and not static else 0
+            args = child.args
+            positional = [*args.posonlyargs, *args.args]
+            first = len(positional) - len(args.defaults)
+            out.extend((module, name, k - skip, a.arg)
+                       for k, a in enumerate(positional) if k >= first)
+            out.extend((module, name, None, a.arg)
+                       for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+
+    for module, tree in trees_by_module.items():
+        visit(module, tree)
+    return out
+
+
+def passed_arguments(trees):
+    """Bare callee name -> (the keywords its calls pass, how many leading
+    positions they pass); "**" stands for every keyword, and a *args call
+    passes every position."""
+    passed = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            keywords, positions = passed.get(name, (set(), 0))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords |= {kw.arg or "**" for kw in node.keywords}
+            passed[name] = keywords, max(positions, math.inf if starred else len(node.args))
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package_or_the_benchmark():
+    sources = sorted(PACKAGE.glob("*.py"))
+    trees = dict(zip((p.stem for p in sources), _trees(sources)))
+    bench = [p for p in sorted((ROOT / "perfbench").glob("*.py"))
+             if not p.name.startswith("test_")]
+    passed = passed_arguments([*trees.values(), *_trees(bench)])
+    never = []
+    for module, name, position, param in defaulted_parameters(trees):
+        keywords, positions = passed.get(name, (set(), 0))
+        if f"{module}.{name}" in EXEMPT_DEFAULTS or {param, "**"} & keywords:
+            continue
+        if position is None or position >= positions:
+            never.append(f"{module}.{name}({param}=)")
+    assert not never, f"defaulted parameters no call passes: {never}"
