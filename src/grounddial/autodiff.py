@@ -684,7 +684,8 @@ def lstm_sequence(table: Tensor, index, h0: Tensor, wx: Tensor, wh: Tensor,
     ContractError. Under the one-row rule (module docstring) every state is
     bit for bit the state the sequence gets without `start`.
 
-    Each distinct row the index reads is projected once per call:
+    Each distinct row the index reads is projected once per call (found by
+    one count per table row, O(N + T*B)):
     table[used] @ wx + b is a [U, 4H] buffer, U at most N, and each step
     gathers its rows from it. That is the input projection hoisted out of
     the loop (Appleyard et al., arXiv:1604.01946) without an [N, 4H] or
@@ -741,8 +742,13 @@ def lstm_sequence(table: Tensor, index, h0: Tensor, wx: Tensor, wh: Tensor,
     live = idx >= 0
     full = live.all(axis=1)
     # the distinct rows read, and for each read (step-major, as dz in the
-    # rule) its row among them
-    used, inv, counts = np.unique(idx[live], return_inverse=True, return_counts=True)
+    # rule) its row among them: the sorted arrays `np.unique` gives, from
+    # one count per table row in place of its sort
+    read_rows = idx[live]
+    bins = np.bincount(read_rows, minlength=table.shape[0])
+    used = np.flatnonzero(bins)
+    counts = bins[used]
+    inv = (np.cumsum(bins > 0) - 1)[read_rows]
     local = np.full((T, B), -1, dtype=np.intp)
     local[live] = inv
     inputs = (table, h0, wx, wh, b)

@@ -10,6 +10,13 @@ which serve the question, answer, history and candidate encoders, run each
 distinct sentence of a batch through the BiLSTM once and hand every input
 its rows through one gather. Callers pass sentences as they come, repeats
 included.
+
+The row-wise layers past the BiLSTMs keep the same rule with rows the
+caller has made distinct: `project_regions` takes each distinct image's
+regions once, and `fuse_context` takes one row per distinct history
+sentence, forms its key and value products on those rows and gathers the
+products into each unit's [B, T] grid only then, where attention makes
+them depend on the unit.
 """
 
 from __future__ import annotations
@@ -232,38 +239,39 @@ def encode_history(elements: Sequence[Sequence[int]], params: EncoderParams) -> 
     return encode_sentences(elements, params.history, params.embedding)
 
 
-def fuse_context(Q: Tensor, H: Tensor, mask_q: np.ndarray, mask_h: np.ndarray,
+def fuse_context(Q: Tensor, H: Tensor, mask_q: np.ndarray, rows_h: np.ndarray,
                  params: EncoderParams) -> Tensor:
     """Multi-head attention from question positions over history rows.
 
-    Q: [B, lam, d_q] question encodings; H: [B, T, d_q] history rows;
-    mask_q [B, lam] and mask_h [B, T] mark the real positions and rows.
-    Every head of every unit attends in one [B, n_heads, ., .] stack; the
-    heads are concatenated and output-projected, residual-added to Q (when
-    enabled) and layer-normalized; PAD question rows stay zero.
+    Q: [B, lam, d_q] question encodings, mask_q [B, lam] its real positions;
+    H: [S, d_q] history rows, each distinct sentence once, and rows_h the
+    int [B, T] grid of the row each unit reads, S where it has none. The key
+    and value products are formed on H's rows and then gathered into the
+    grid. Every head of every unit attends in one [B, n_heads, ., .] stack;
+    the heads are concatenated and output-projected, residual-added to Q
+    (when enabled) and layer-normalized; PAD question rows stay zero.
     """
     B, lam, d_q = Q.shape
-    T = H.shape[1]
-    if H.data.ndim != 3 or H.shape[0] != B or H.shape[2] != d_q or d_q != params.d_q:
+    rows_h = np.asarray(rows_h, dtype=np.intp)
+    if H.data.ndim != 2 or H.shape[1] != d_q or d_q != params.d_q:
         raise DimensionError(f"fuse_context shapes: Q {Q.shape}, H {H.shape}, d_q {params.d_q}")
     mask_q = np.asarray(mask_q, dtype=bool)
-    mask_h = np.asarray(mask_h, dtype=bool)
-    if mask_q.shape != (B, lam) or mask_h.shape != (B, T):
-        raise DimensionError(f"fuse_context masks {mask_q.shape}, {mask_h.shape} "
-                             f"for Q {Q.shape}, H {H.shape}")
+    if mask_q.shape != (B, lam) or rows_h.ndim != 2 or rows_h.shape[0] != B:
+        raise DimensionError(f"fuse_context mask {mask_q.shape} and history grid "
+                             f"{rows_h.shape} for Q {Q.shape}")
+    T = rows_h.shape[1]
     n_h = params.n_heads
     dh = d_q // n_h
     q_rows = ad.reshape(Q, (B * lam, d_q))
-    h_rows = ad.reshape(H, (B * T, d_q))
 
-    def heads(rows: Tensor, n: int) -> Tensor:
-        """[B*n, d_q] projected rows as the [B, n_heads, n, dh] stack."""
-        return ad.permute(ad.reshape(rows, (B, n, n_h, dh)), (0, 2, 1, 3))
+    def heads(t: Tensor, n: int) -> Tensor:
+        """[B, n, d_q] or [B*n, d_q] projected rows as the [B, n_heads, n, dh] stack."""
+        return ad.permute(ad.reshape(t, (B, n, n_h, dh)), (0, 2, 1, 3))
 
     q = heads(ad.matmul(q_rows, params.w_q), lam)
-    k = heads(ad.matmul(h_rows, params.w_k), T)
-    v = heads(ad.matmul(h_rows, params.w_v), T)
-    keys = np.broadcast_to(mask_h[:, None, None, :], (B, n_h, lam, T))
+    k = heads(ad.gather_rows(ad.matmul(H, params.w_k), rows_h), T)
+    v = heads(ad.gather_rows(ad.matmul(H, params.w_v), rows_h), T)
+    keys = np.broadcast_to((rows_h < H.shape[0])[:, None, None, :], (B, n_h, lam, T))
     logits = ad.scale(ad.bmm(q, k, transpose_b=True), 1.0 / math.sqrt(dh))
     attended = ad.bmm(ad.masked_softmax(logits, axis=3, mask=keys), v)     # [B, n_heads, lam, dh]
     concat = ad.reshape(ad.permute(attended, (0, 2, 1, 3)), (B * lam, d_q))
@@ -275,7 +283,8 @@ def fuse_context(Q: Tensor, H: Tensor, mask_q: np.ndarray, mask_h: np.ndarray,
 
 
 def project_regions(raw: Tensor, params: EncoderParams) -> Tensor:
-    """Row-wise two-layer perceptron (linear -> ReLU -> linear), [mu, d_q].
+    """Row-wise two-layer perceptron (linear -> ReLU -> linear), [R, d_q]
+    for the [R, d_v] features of a batch's distinct images.
 
     Rows are layer-normalized onto the same scale as the token encodings;
     otherwise the region content is drowned by attended text downstream.

@@ -5,6 +5,10 @@ The prior pipeline is cross-attention of projected regions over the context,
 in which each region takes a softmax over the context tokens, followed by
 self-attention pooling; the posterior runs the same pipeline with the
 answer encoding added onto the context queries, sharing every parameter.
+The region side of both is formed once per batch by `gather_regions`:
+the projected regions come as each distinct image's rows once, the
+region-side product I·att_wi runs on those rows, and only then are it and
+the rows gathered into each unit's grid, which both branches read.
 The paper states the other normalisation, each token's softmax over the
 regions. It is not used: it leaves the answer route and the attention
 projections without a gradient at initialisation, and it collapses the
@@ -46,20 +50,47 @@ def init_grounding_params(rng: np.random.Generator, *, d_q: int, d_h: int) -> Gr
     )
 
 
+@dataclass
+class UnitRegions:
+    """A batch's projected regions as its units read them, zero past each
+    unit's regions: I [B, mu, d], the region-side attention product
+    keys = I·att_wi [B, mu, d], and mask, bool [B, mu], the real regions."""
+    I: Tensor
+    keys: Tensor
+    mask: np.ndarray
+
+
+def gather_regions(I: Tensor, rows_i: np.ndarray, params: GroundingParams) -> UnitRegions:
+    """The regions of a batch's units from its distinct region rows.
+
+    I: [R, d] region rows, each distinct image's once; rows_i: int [B, mu],
+    the row of I that each unit's region reads, R for a padding region.
+    I·att_wi is formed on the R rows, and it and I are then gathered into
+    the grid.
+    """
+    rows_i = np.asarray(rows_i, dtype=np.intp)
+    if I.data.ndim != 2 or rows_i.ndim != 2:
+        raise DimensionError(f"gather_regions takes [R, d] rows and a [B, mu] grid, got "
+                             f"{I.shape} and {rows_i.shape}")
+    return UnitRegions(I=ad.gather_rows(I, rows_i),
+                       keys=ad.gather_rows(ad.matmul(I, params.att_wi), rows_i),
+                       mask=rows_i < I.shape[0])
+
+
 def _project_rows(t: Tensor, w: Tensor) -> Tensor:
     """[B, n, d] @ [d, d'] applied row by row, [B, n, d']."""
     B, n, d = t.shape
     return ad.reshape(ad.matmul(ad.reshape(t, (B * n, d)), w), (B, n, w.shape[1]))
 
 
-def cross_attend(I: Tensor, queries: Tensor, values: Tensor, mask_x: np.ndarray,
-                 params: GroundingParams, mask_i: np.ndarray) -> tuple[Tensor, Tensor]:
+def cross_attend(regions: UnitRegions, queries: Tensor, values: Tensor, mask_x: np.ndarray,
+                 params: GroundingParams) -> tuple[Tensor, Tensor]:
     """Interaction weights P and attended regions I_x = P values + I.
 
-    I: [B, mu, d] regions; queries and values: [B, lam, d] context rows;
-    mask_x: bool [B, lam] real tokens; mask_i: bool [B, mu] real regions.
-    Returns P [B, mu, lam] and I_x [B, mu, d]; padding regions give zero
-    rows of P.
+    regions: the units' [B, mu, d] region rows and their region-side
+    product, from `gather_regions`; queries and values: [B, lam, d] context
+    rows; mask_x: bool [B, lam] real tokens. Returns P [B, mu, lam] and
+    I_x [B, mu, d]; padding regions give zero rows of P and of I_x.
 
     P = softmax((I Wi)(queries Wx)ᵀ / sqrt(d)) with the learned att_wi and
     att_wx, so the region/word alignment lives in one directly-trained
@@ -72,7 +103,8 @@ def cross_attend(I: Tensor, queries: Tensor, values: Tensor, mask_x: np.ndarray,
     the pooled vector is a pure token mix and carries no region information
     at all).
     """
-    if (I.data.ndim != 3 or queries.data.ndim != 3 or I.shape[0] != queries.shape[0]
+    I = regions.I
+    if (queries.data.ndim != 3 or I.shape[0] != queries.shape[0]
             or I.shape[2] != queries.shape[2]):
         raise DimensionError(f"cross_attend shapes do not fit: I {I.shape}, "
                              f"queries {queries.shape}")
@@ -85,11 +117,11 @@ def cross_attend(I: Tensor, queries: Tensor, values: Tensor, mask_x: np.ndarray,
     if empty.any():
         raise DegenerateSliceError(f"cross_attend with every token of batch row "
                                    f"{int(empty.argmax())} masked")
-    logits = ad.scale(ad.bmm(_project_rows(I, params.att_wi), _project_rows(queries, params.att_wx),
+    logits = ad.scale(ad.bmm(regions.keys, _project_rows(queries, params.att_wx),
                              transpose_b=True), 1.0 / math.sqrt(d))
     tokens = np.broadcast_to(mask[:, None, :], (B, mu, lam))
-    regions = Tensor(np.broadcast_to(np.asarray(mask_i, dtype=bool)[:, :, None], (B, mu, lam)))
-    P = ad.mul(ad.masked_softmax(logits, axis=2, mask=tokens), regions)
+    real = Tensor(np.broadcast_to(regions.mask[:, :, None], (B, mu, lam)))
+    P = ad.mul(ad.masked_softmax(logits, axis=2, mask=tokens), real)
     return P, ad.add(ad.bmm(P, values), I)
 
 
@@ -109,18 +141,23 @@ def pool_regions(I_x: Tensor, params: GroundingParams,
     return weights, pooled
 
 
-def prior_ground(I: Tensor, x: Tensor, mask_x: np.ndarray, params: GroundingParams,
-                 mask_i: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
-    """Context-only grounding of a batch: returns (g, v_prior, I_x)."""
-    _, I_x = cross_attend(I, x, x, mask_x, params, mask_i)
-    g, v_prior = pool_regions(I_x, params, mask_i)
+def prior_ground(regions: UnitRegions, x: Tensor, mask_x: np.ndarray,
+                 params: GroundingParams) -> tuple[Tensor, Tensor, Tensor]:
+    """Context-only grounding of a batch: returns (g, v_prior, I_x).
+
+    regions: the units' regions from `gather_regions`; x: [B, lam, d]
+    context rows, mask_x their real tokens.
+    """
+    _, I_x = cross_attend(regions, x, x, mask_x, params)
+    g, v_prior = pool_regions(I_x, params, regions.mask)
     return g, v_prior, I_x
 
 
-def posterior_ground(I: Tensor, x: Tensor, y: Tensor, mask_x: np.ndarray,
-                     params: GroundingParams, mask_i: np.ndarray) -> tuple[Tensor, Tensor]:
+def posterior_ground(regions: UnitRegions, x: Tensor, y: Tensor, mask_x: np.ndarray,
+                     params: GroundingParams) -> tuple[Tensor, Tensor]:
     """Answer-informed grounding: the prior pipeline queried with x + y;
-    returns (G, v_post).
+    returns (G, v_post). regions are the units' regions from
+    `gather_regions`, the ones the prior reads; x and y are [B, lam, d].
 
     Shares every parameter with the prior. The answer steers where the
     attention looks (the x + y queries) while the attended content stays x,
@@ -129,8 +166,8 @@ def posterior_ground(I: Tensor, x: Tensor, y: Tensor, mask_x: np.ndarray,
     """
     if x.shape != y.shape:
         raise DimensionError(f"x and y must match: {x.shape} vs {y.shape}")
-    _, I_x_post = cross_attend(I, ad.add(x, y), x, mask_x, params, mask_i)
-    return pool_regions(I_x_post, params, mask_i)
+    _, I_x_post = cross_attend(regions, ad.add(x, y), x, mask_x, params)
+    return pool_regions(I_x_post, params, regions.mask)
 
 
 def bridge_loss(G: Tensor, g: Tensor) -> Tensor:

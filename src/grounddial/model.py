@@ -12,13 +12,22 @@ dialog and shared by its units. Nothing in the package writes to a unit's
 lists: the encoders, decoders and evaluation read them or copy what they
 pack, and an evaluation report borrows the grounding lists it keeps. A
 batch of units is packed and runs through every layer together: one op
-sequence per batch, whatever its size, with masks for ragged questions,
-histories and region counts.
+sequence per batch, whatever its size, with a mask for ragged questions
+and a pad index in the row grids of ragged histories and region counts.
 
-Packing passes every sentence on as it is, repeats included: that each
-distinct sentence is encoded once per batch is the encoders' rule
-(`encoders.encode_sentences` and `encoders.encode_tokens`), not this
-module's.
+A layer that acts on one row at a time runs on the distinct rows of a
+batch, and the per-unit [B, n] grid of row indices is read only where rows
+start to depend on their unit (attention logits, residuals, pooling). So
+packing keeps each distinct image's feature block once (the units of an
+example share its `region_features` Tensor, which is the key) and each
+distinct history sentence once, with [B, n] grids that index them:
+`encoders.project_regions` and the grounding's region-side product run
+once per image (`grounding.gather_regions`, whose rows the prior and the
+posterior share), and `encoders.fuse_context` forms its key and value
+products once per history sentence. Questions, answers and candidates are
+passed on as they are, repeats included: that each distinct sentence is
+encoded once per batch is the encoders' rule (`encoders.encode_sentences`
+and `encoders.encode_tokens`).
 """
 
 from __future__ import annotations
@@ -52,7 +61,9 @@ from .encoders import (
 )
 from .grounding import (
     GroundingParams,
+    UnitRegions,
     bridge_loss,
+    gather_regions,
     init_grounding_params,
     posterior_ground,
     prior_ground,
@@ -217,18 +228,33 @@ class Batch:
     """Units packed for one forward pass: token lists, masks and row indices.
 
     lam is the longest question of the batch, T its most history elements
-    and mu its most regions; the masks mark what is real in each padded row.
+    and mu its most regions; q_mask marks the real positions of each padded
+    question. `history` and `regions` hold each distinct sentence and image
+    once, in order of first occurrence, and the row grids index them as
+    `autodiff.gather_rows` reads them: a position past a unit's history or
+    regions holds the pad index.
     """
     units: list[Unit]
     questions: list[list[int]]
     answers: list[list[int]]
     q_mask: np.ndarray         # [B, lam]
-    history: list[list[int]]   # every unit's history sentences, unit by unit
+    history: list[list[int]]   # each distinct history sentence once
     history_rows: np.ndarray   # [B, T] row of `history`; len(history) pads
-    history_mask: np.ndarray   # [B, T]
-    regions: Tensor            # [sum of mu, d_v] every unit's features, unit by unit
+    regions: Tensor            # [R, d_v] each distinct image's features once, image by image
     region_rows: np.ndarray    # [B, mu] row of `regions`; len(regions) pads
-    region_mask: np.ndarray    # [B, mu]
+
+
+def _first_of_each(items: Sequence, key: Callable) -> tuple[list, np.ndarray]:
+    """The items whose key has not come before, in order, and for every item
+    the row of its key among them."""
+    row_of_key: dict = {}
+    firsts, rows = [], []
+    for item in items:
+        row = row_of_key.setdefault(key(item), len(firsts))
+        if row == len(firsts):
+            firsts.append(item)
+        rows.append(row)
+    return firsts, np.array(rows, dtype=np.intp)
 
 
 def pack_batch(units: Sequence[Unit]) -> Batch:
@@ -242,11 +268,13 @@ def pack_batch(units: Sequence[Unit]) -> Batch:
                                        "empty question")
     lengths = [len(u.question) for u in units]
     q_mask = np.arange(max(lengths)) < np.asarray(lengths)[:, None]
-    history = [h for u in units for h in u.history]
-    history_rows, history_mask = padded_rows([len(u.history) for u in units],
-                                             np.arange(len(history)), len(history))
-    mus = [u.features.shape[0] for u in units]
-    region_rows, region_mask = padded_rows(mus, np.arange(sum(mus)), sum(mus))
+    history, history_of = _first_of_each([h for u in units for h in u.history], tuple)
+    history_rows, _ = padded_rows([len(u.history) for u in units], history_of, len(history))
+    images, image_of = _first_of_each([u.features for u in units], id)
+    mus = np.array([f.shape[0] for f in images])
+    first_row = np.cumsum(mus) - mus
+    region_rows = np.where(np.arange(mus.max()) < mus[image_of][:, None],
+                           first_row[image_of][:, None] + np.arange(mus.max()), mus.sum())
     return Batch(
         units=units,
         questions=[u.question for u in units],
@@ -254,10 +282,8 @@ def pack_batch(units: Sequence[Unit]) -> Batch:
         q_mask=q_mask,
         history=history,
         history_rows=history_rows,
-        history_mask=history_mask,
-        regions=Tensor(np.concatenate([u.features.data for u in units], axis=0)),
+        regions=Tensor(np.concatenate([f.data for f in images], axis=0)),
         region_rows=region_rows,
-        region_mask=region_mask,
     )
 
 
@@ -270,25 +296,26 @@ class BatchForward:
 
 
 def encode_context(params: ModelParams, batch: Batch) -> tuple[Tensor, Tensor]:
-    """Context representations x and projected regions I of a packed batch."""
+    """Context representations x [B, lam, d_q] of a packed batch, and its
+    projected regions I [R, d_q], one row per row of `batch.regions`."""
     enc = params.encoder
     Q = encode_tokens(batch.questions, batch.q_mask.shape[1], enc.question, enc.embedding)
-    H = ad.gather_rows(encode_history(batch.history, enc), batch.history_rows)
-    x = fuse_context(Q, H, batch.q_mask, batch.history_mask, enc)
-    I = ad.gather_rows(project_regions(batch.regions, enc), batch.region_rows)
-    return x, I
+    H = encode_history(batch.history, enc)
+    x = fuse_context(Q, H, batch.q_mask, batch.history_rows, enc)
+    return x, project_regions(batch.regions, enc)
 
 
 def _prior(params: ModelParams, batch: Batch):
     x, I = encode_context(params, batch)
-    g, v_prior, I_x = prior_ground(I, x, batch.q_mask, params.grounding, batch.region_mask)
-    return x, I, g, v_prior, I_x
+    regions = gather_regions(I, batch.region_rows, params.grounding)
+    g, v_prior, I_x = prior_ground(regions, x, batch.q_mask, params.grounding)
+    return x, regions, g, v_prior, I_x
 
 
-def _posterior(params: ModelParams, batch: Batch, x: Tensor, I: Tensor):
+def _posterior(params: ModelParams, batch: Batch, x: Tensor, regions: UnitRegions):
     enc = params.encoder
     y = encode_tokens(batch.answers, batch.q_mask.shape[1], enc.answer, enc.embedding)
-    return posterior_ground(I, x, y, batch.q_mask, params.grounding, batch.region_mask)
+    return posterior_ground(regions, x, y, batch.q_mask, params.grounding)
 
 
 def forward_batch(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig) -> BatchForward:
@@ -300,8 +327,8 @@ def forward_batch(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig) 
     (`infer_batch_scores`) reads the prior's in their place.
     """
     batch = pack_batch(units)
-    x, I, g, _, _ = _prior(params, batch)
-    G, v_post = _posterior(params, batch, x, I)
+    x, regions, g, _, _ = _prior(params, batch)
+    G, v_post = _posterior(params, batch, x, regions)
     L_KL = bridge_loss(G, g)
 
     fused = fuse_for_decoder(x, batch.q_mask, v_post, params.decoder)
@@ -336,7 +363,7 @@ def infer_batch_scores(params: ModelParams, units: Sequence[Unit], *, decoder: s
     if decoder not in ("generative", "discriminative"):
         raise ValueError(f"unknown decoder {decoder!r}")
     batch = pack_batch(units)
-    x, I, g, v_prior, I_x = _prior(params, batch)
+    x, regions, g, v_prior, I_x = _prior(params, batch)
     weights = g.data
     if g_override is not None:
         weights = np.asarray(g_override(weights), dtype=float)
@@ -345,7 +372,7 @@ def infer_batch_scores(params: ModelParams, units: Sequence[Unit], *, decoder: s
                                 f"expected {g.shape}")
         B, mu, d_q = I_x.shape
         v_prior = ad.reshape(ad.bmm(Tensor(weights.reshape(B, 1, mu)), I_x), (B, d_q))
-    posterior = _posterior(params, batch, x, I)[0].data if with_posterior else None
+    posterior = _posterior(params, batch, x, regions)[0].data if with_posterior else None
     fused = fuse_for_decoder(x, batch.q_mask, v_prior, params.decoder)
     candidates = [u.candidates for u in batch.units]
     embedding = params.encoder.embedding

@@ -22,6 +22,14 @@ did before units borrowed their round's lists: the oracle of
 `model.prepare_units`. `gather_rows_padded_copy` reads padded rows from a
 copy of the matrix with a zero row appended, in plain NumPy: the
 bit-for-bit oracle of `autodiff.gather_rows`.
+
+`gather_first()` routes the model's context encoding and grounding through
+the composition the package ran before it gathered late: every unit's
+history sentences and image regions packed unit by unit, repeats included,
+and gathered into the [B, n] grids before the key, value, region and
+region-side products. Its inference is the package's bit for bit, and its
+losses and gradients agree to the last bits of the shared weights'
+gradients, which the package sums over duplicate rows before the product.
 """
 
 from __future__ import annotations
@@ -43,8 +51,10 @@ from grounddial.encoders import (
     encode_history,
     encode_sentences,
     pack_sequences,
+    padded_rows,
     project_regions,
 )
+from grounddial.grounding import pool_regions as pool_region_rows
 from reference_lstm import cross_entropy, gemm, transpose
 
 
@@ -88,21 +98,20 @@ def layer_norm_rows(t: Tensor, eps: float = 1e-5) -> Tensor:
     return ad.mul(centered, ad.matmul(inv, row))
 
 
-def fuse_context_per_head(Q: Tensor, H: Tensor, mask_q: np.ndarray, mask_h: np.ndarray,
+def fuse_context_per_head(Q: Tensor, H: Tensor, mask_q: np.ndarray, rows_h: np.ndarray,
                           params) -> Tensor:
     """`encoders.fuse_context` with a batch's heads run one after another."""
     B, lam, d_q = Q.shape
-    T = H.shape[1]
+    rows_h = np.asarray(rows_h, dtype=np.intp)
+    T = rows_h.shape[1]
     mask_q = np.asarray(mask_q, dtype=bool)
-    mask_h = np.asarray(mask_h, dtype=bool)
     n_h = params.n_heads
     dh = d_q // n_h
     q_rows = ad.reshape(Q, (B * lam, d_q))
-    h_rows = ad.reshape(H, (B * T, d_q))
     qp = ad.matmul(q_rows, params.w_q)
-    kp = ad.matmul(h_rows, params.w_k)
-    vp = ad.matmul(h_rows, params.w_v)
-    keys = np.broadcast_to(mask_h[:, None, :], (B, lam, T))
+    kp = ad.reshape(ad.gather_rows(ad.matmul(H, params.w_k), rows_h), (B * T, d_q))
+    vp = ad.reshape(ad.gather_rows(ad.matmul(H, params.w_v), rows_h), (B * T, d_q))
+    keys = np.broadcast_to((rows_h < H.shape[0])[:, None, :], (B, lam, T))
     heads = []
     for h in range(n_h):
         q_h = ad.reshape(ad.slice_cols(qp, h * dh, (h + 1) * dh), (B, lam, dh))
@@ -137,6 +146,98 @@ def gather_rows_padded_copy(rows: Tensor, index: np.ndarray) -> Tensor:
         return (acc[:n],)
 
     return _record(out, (rows,), rule)
+
+
+# ---------------------------------------------------------------------------
+# the gather-first composition
+
+def fuse_context_gather_first(Q: Tensor, H: Tensor, mask_q: np.ndarray, mask_h: np.ndarray,
+                              params) -> Tensor:
+    """`encoders.fuse_context` on history rows already gathered into the
+    [B, T, d_q] grid, mask_h marking the real ones."""
+    B, lam, d_q = Q.shape
+    T = H.shape[1]
+    mask_q = np.asarray(mask_q, dtype=bool)
+    mask_h = np.asarray(mask_h, dtype=bool)
+    n_h = params.n_heads
+    dh = d_q // n_h
+    q_rows = ad.reshape(Q, (B * lam, d_q))
+    h_rows = ad.reshape(H, (B * T, d_q))
+
+    def heads(rows: Tensor, n: int) -> Tensor:
+        return ad.permute(ad.reshape(rows, (B, n, n_h, dh)), (0, 2, 1, 3))
+
+    q = heads(ad.matmul(q_rows, params.w_q), lam)
+    k = heads(ad.matmul(h_rows, params.w_k), T)
+    v = heads(ad.matmul(h_rows, params.w_v), T)
+    keys = np.broadcast_to(mask_h[:, None, None, :], (B, n_h, lam, T))
+    logits = ad.scale(ad.bmm(q, k, transpose_b=True), 1.0 / math.sqrt(dh))
+    attended = ad.bmm(ad.masked_softmax(logits, axis=3, mask=keys), v)
+    concat = ad.reshape(ad.permute(attended, (0, 2, 1, 3)), (B * lam, d_q))
+    out = ad.matmul(concat, params.w_o)
+    if params.fusion_residual:
+        out = ad.layer_norm(ad.add(out, q_rows))
+    keep = np.repeat(mask_q.reshape(B * lam, 1).astype(float), d_q, axis=1)
+    return ad.reshape(ad.mul(out, Tensor(keep)), (B, lam, d_q))
+
+
+def cross_attend_gather_first(I: Tensor, queries: Tensor, values: Tensor, mask_x: np.ndarray,
+                              params, mask_i: np.ndarray) -> Tensor:
+    """`grounding.cross_attend`'s I_x on regions already gathered into the
+    [B, mu, d] grid, mask_i marking the real ones."""
+    B, mu, d = I.shape
+    lam = queries.shape[1]
+
+    def project(t: Tensor, w: Tensor) -> Tensor:
+        n = t.shape[1]
+        return ad.reshape(ad.matmul(ad.reshape(t, (B * n, d)), w), (B, n, d))
+
+    logits = ad.scale(ad.bmm(project(I, params.att_wi), project(queries, params.att_wx),
+                             transpose_b=True), 1.0 / math.sqrt(d))
+    tokens = np.broadcast_to(np.asarray(mask_x, dtype=bool)[:, None, :], (B, mu, lam))
+    regions = Tensor(np.broadcast_to(np.asarray(mask_i, dtype=bool)[:, :, None], (B, mu, lam)))
+    P = ad.mul(ad.masked_softmax(logits, axis=2, mask=tokens), regions)
+    return ad.add(ad.bmm(P, values), I)
+
+
+def prior_gather_first(params, batch: model.Batch):
+    """`model._prior` packing every unit's history sentences and regions
+    unit by unit, repeats included, and gathering them into the grids
+    before any product: (x, I, g, v_prior, I_x), I the [B, mu, d] grid."""
+    enc, units = params.encoder, batch.units
+    history = [h for u in units for h in u.history]
+    history_rows, history_mask = padded_rows([len(u.history) for u in units],
+                                             np.arange(len(history)), len(history))
+    mus = [u.features.shape[0] for u in units]
+    region_rows, region_mask = padded_rows(mus, np.arange(sum(mus)), sum(mus))
+    regions = Tensor(np.concatenate([u.features.data for u in units], axis=0))
+    Q = model.encode_tokens(batch.questions, batch.q_mask.shape[1], enc.question, enc.embedding)
+    H = ad.gather_rows(encode_history(history, enc), history_rows)
+    x = fuse_context_gather_first(Q, H, batch.q_mask, history_mask, enc)
+    I = ad.gather_rows(project_regions(regions, enc), region_rows)
+    I_x = cross_attend_gather_first(I, x, x, batch.q_mask, params.grounding, region_mask)
+    g, v_prior = pool_region_rows(I_x, params.grounding, region_mask)
+    return x, I, g, v_prior, I_x
+
+
+def posterior_gather_first(params, batch: model.Batch, x: Tensor, I: Tensor):
+    """`model._posterior` on the grid I of `prior_gather_first`: (G, v_post)."""
+    enc = params.encoder
+    y = model.encode_tokens(batch.answers, batch.q_mask.shape[1], enc.answer, enc.embedding)
+    mus = [u.features.shape[0] for u in batch.units]
+    region_mask = np.arange(max(mus)) < np.array(mus)[:, None]
+    I_x_post = cross_attend_gather_first(I, ad.add(x, y), x, batch.q_mask, params.grounding,
+                                         region_mask)
+    return pool_region_rows(I_x_post, params.grounding, region_mask)
+
+
+@contextlib.contextmanager
+def gather_first():
+    """Run the model's prior and posterior on the gather-first composition."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(model, "_prior", prior_gather_first)
+        m.setattr(model, "_posterior", posterior_gather_first)
+        yield
 
 
 @contextlib.contextmanager

@@ -79,8 +79,10 @@ def test_mask_true_entries_form_prefix():
     units = prepare_units(ds, seq_len=20, max_history=3)
     batch = pack_batch(units)
     for mask, lengths in [(batch.q_mask, [len(u.question) for u in units]),
-                          (batch.history_mask, [len(u.history) for u in units]),
-                          (batch.region_mask, [u.features.shape[0] for u in units])]:
+                          (batch.history_rows < len(batch.history),
+                           [len(u.history) for u in units]),
+                          (batch.region_rows < batch.regions.shape[0],
+                           [u.features.shape[0] for u in units])]:
         for row, n in zip(mask, lengths):
             assert row.tolist() == [True] * n + [False] * (len(row) - n)
 

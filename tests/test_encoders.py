@@ -85,17 +85,18 @@ def test_batched_tokens_match_one_sentence_at_a_time(params):
 
 
 def test_fuse_ragged_history_matches_one_unit_at_a_time(params):
-    """Padding history rows hold garbage here; the history mask keeps them out."""
+    """Each unit attends over the history rows its grid names, a row shared
+    between units included; the rows it does not name, and its padding
+    positions, are kept out."""
     rng = np.random.default_rng(10)
     Q = rng.normal(size=(2, 3, D_Q))
-    H = rng.normal(size=(2, 4, D_Q))
+    H = rng.normal(size=(7, D_Q))
     mask_q = np.array([[True, True, True], [True, False, False]])
-    rows = [4, 2]
-    mask_h = np.array([[t < n for t in range(4)] for n in rows])
-    x = fuse_context(Tensor(Q), Tensor(H), mask_q, mask_h, params).data
-    for b, n in enumerate(rows):
-        alone = fuse_context(Tensor(Q[b:b + 1]), Tensor(H[b:b + 1, :n]), mask_q[b:b + 1],
-                             [[True] * n], params).data[0]
+    rows_h = np.array([[0, 1, 2, 3], [5, 2, 7, 7]])
+    x = fuse_context(Tensor(Q), Tensor(H), mask_q, rows_h, params).data
+    for b, n in enumerate([4, 2]):
+        alone = fuse_context(Tensor(Q[b:b + 1]), Tensor(H[rows_h[b, :n]]), mask_q[b:b + 1],
+                             [list(range(n))], params).data[0]
         assert np.allclose(x[b], alone, rtol=1e-12, atol=1e-13)
 
 
@@ -135,13 +136,15 @@ def test_history_round_count():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_fuse_stacked_heads_is_the_per_head_loop_bit_for_bit(data):
-    """Ragged batches with padded question positions and padded history rows
-    (zero rows, as `gather_rows` pads them), one-row inputs, one to four
-    heads, with and without the residual layer norm: outputs and the
-    gradients of Q, H and the four projections are the per-head loop's."""
+    """Ragged batches with padded question positions and padded history
+    positions (the pad row of `gather_rows`), history rows that several
+    units read, one-row inputs, one to four heads, with and without the
+    residual layer norm: outputs and the gradients of Q, H and the four
+    projections are the per-head loop's."""
     B = data.draw(st.integers(1, 4), label="B")
     q_len = data.draw(st.lists(st.integers(1, 5), min_size=B, max_size=B), label="q lengths")
     h_len = data.draw(st.lists(st.integers(1, 7), min_size=B, max_size=B), label="h lengths")
+    S = data.draw(st.integers(1, 7), label="distinct history rows")
     n_h = data.draw(st.sampled_from([1, 2, 4]), label="heads")
     d_q = n_h * data.draw(st.integers(1, 3), label="head width")
     d_q += d_q % 2                                      # the BiLSTM halves need an even d_q
@@ -151,8 +154,9 @@ def test_fuse_stacked_heads_is_the_per_head_loop_bit_for_bit(data):
                                  fusion_residual=residual)
     mask_q = np.arange(max(q_len)) < np.array(q_len)[:, None]
     mask_h = np.arange(max(h_len)) < np.array(h_len)[:, None]
+    rows_h = np.where(mask_h, g.integers(0, S, size=mask_h.shape), S)
     Q = g.normal(size=mask_q.shape + (d_q,)) * mask_q[..., None]
-    H = g.normal(size=mask_h.shape + (d_q,)) * mask_h[..., None]
+    H = g.normal(size=(S, d_q))
     weights = g.normal(size=Q.shape)
     weights[g.random(Q.shape) < 0.2] = -0.0
     projections = (params.w_q, params.w_k, params.w_v, params.w_o)
@@ -162,7 +166,7 @@ def test_fuse_stacked_heads_is_the_per_head_loop_bit_for_bit(data):
             w.grad = None
         q, h = Tensor(Q, requires_grad=True), Tensor(H, requires_grad=True)
         with ad.Tape() as tape:
-            out = fuse(q, h, mask_q, mask_h, params)
+            out = fuse(q, h, mask_q, rows_h, params)
             loss = ad.sum_all(ad.mul(out, Tensor(weights)))
         ad.backward(loss, tape)
         return [out.data, q.grad, h.grad] + [w.grad for w in projections]
@@ -180,10 +184,10 @@ def test_fuse_single_history_row_is_value_projection(params):
     rng = np.random.default_rng(1)
     lam = 3
     Q = Tensor(rng.normal(size=(1, lam, D_Q)))
-    H = Tensor(rng.normal(size=(1, 1, D_Q)))
+    H = Tensor(rng.normal(size=(1, D_Q)))
     params.fusion_residual = False
-    x = fuse_context(Q, H, [[True] * lam], [[True]], params)
-    vp = H.data[0] @ params.w_v.data
+    x = fuse_context(Q, H, [[True] * lam], [[0]], params)
+    vp = H.data @ params.w_v.data
     expect = vp @ params.w_o.data
     assert np.allclose(x.data[0], np.repeat(expect, lam, axis=0))
 
@@ -191,21 +195,24 @@ def test_fuse_single_history_row_is_value_projection(params):
 def test_fuse_output_shape_and_masked_rows_zero(params):
     rng = np.random.default_rng(2)
     Q = Tensor(rng.normal(size=(1, 4, D_Q)))
-    H = Tensor(rng.normal(size=(1, 2, D_Q)))
-    x = fuse_context(Q, H, [[True, True, False, False]], [[True, True]], params)
+    H = Tensor(rng.normal(size=(2, D_Q)))
+    x = fuse_context(Q, H, [[True, True, False, False]], [[0, 1]], params)
     assert x.shape == (1, 4, D_Q)
     assert np.array_equal(x.data[0, 2:], np.zeros((2, D_Q)))
 
 
 def test_fuse_duplicate_history_row_invariant(params):
-    """Duplicating a history row renormalizes but leaves the output unchanged."""
+    """Duplicating a history row, as a second copy or as a second read of
+    one row, renormalizes but leaves the output unchanged."""
     rng = np.random.default_rng(3)
     Q = Tensor(rng.normal(size=(1, 2, D_Q)))
-    H1 = Tensor(rng.normal(size=(1, 1, D_Q)))
-    H2 = Tensor(np.concatenate([H1.data, H1.data], axis=1))
-    a = fuse_context(Q, H1, [[True, True]], [[True]], params)
-    b = fuse_context(Q, H2, [[True, True]], [[True, True]], params)
+    H1 = Tensor(rng.normal(size=(1, D_Q)))
+    H2 = Tensor(np.concatenate([H1.data, H1.data], axis=0))
+    a = fuse_context(Q, H1, [[True, True]], [[0]], params)
+    b = fuse_context(Q, H2, [[True, True]], [[0, 1]], params)
+    c = fuse_context(Q, H1, [[True, True]], [[0, 0]], params)
     assert np.allclose(a.data, b.data, atol=1e-12)
+    assert np.array_equal(b.data, c.data)
 
 
 def test_fuse_attention_rows_sum_to_one(params):
@@ -263,8 +270,8 @@ def test_encoder_outputs_finite_and_grad_checks(params):
     def f(emb):
         params.embedding = emb
         Q = encode_tokens([ids], 4, params.question, params.embedding)
-        H = ad.reshape(encode_history([[7, 8], [9, 10]], params), (1, 2, D_Q))
-        x = fuse_context(Q, H, mask, [[True, True]], params)
+        H = encode_history([[7, 8], [9, 10]], params)
+        x = fuse_context(Q, H, mask, [[0, 1]], params)
         return ad.mean_all(ad.mul(x, x))
 
     err = grad_check(f, params.embedding, coords=range(0, 96, 7))
@@ -313,26 +320,30 @@ def n_distinct(seqs) -> int:
 
 
 def test_encode_history_encodes_each_distinct_sentence_once(lstm_rows):
-    """The ten rounds of one dialog hand 55 history sentences to the history
-    encoder, in each unit's order; only the caption and nine pairs run."""
+    """The ten rounds of one dialog hold 55 history sentences, which packing
+    keeps as the caption and nine pairs with each unit's grid in its order;
+    the encoder given them twice over runs only those ten."""
     ds = generate_synthetic(SyntheticConfig(num_images=1, seed=5, rounds=10, mu=12, num_colors=12,
                                             num_shapes=12, d_v=24))
     units = prepare_units(ds, seq_len=20, max_history=11)
     batch = pack_batch(units)
-    assert len(batch.history) == 55
+    real = batch.history_rows < len(batch.history)
+    assert real.sum() == 55
+    assert batch.history == units[-1].history
     for b, u in enumerate(units):
-        rows = batch.history_rows[b][batch.history_mask[b]]
+        rows = batch.history_rows[b][real[b]]
         assert [batch.history[r] for r in rows] == u.history
     params = init_encoder_params(np.random.default_rng(0), vocab_size=len(ds.vocab), d_v=24,
                                  d_e=D_E, d_q=D_Q, n_heads=N_H, fusion_residual=True)
-    out = encode_history(batch.history, params).data
+    given = batch.history + batch.history
+    out = encode_history(given, params).data
     cells = (params.history.fwd.wx, params.history.bwd.wx)
     assert [lstm_rows[id(wx)] for wx in cells] == [[10], [10]]
     first = {}
-    for r, sentence in enumerate(batch.history):
+    for r, sentence in enumerate(given):
         k = first.setdefault(tuple(sentence), r)
         assert np.array_equal(out[r], out[k])
-    alone = encode_history(batch.history[-1:], params).data[0]
+    alone = encode_history(given[-1:], params).data[0]
     assert np.allclose(out[-1], alone, rtol=1e-12, atol=1e-13)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from grounddial.autodiff import (
     DegenerateSliceError,
+    DimensionError,
     Tape,
     Tensor,
     backward,
@@ -15,6 +16,7 @@ from grounddial.autodiff import (
 from grounddial.grounding import (
     bridge_loss,
     cross_attend,
+    gather_regions,
     init_grounding_params,
     pool_regions,
     posterior_ground,
@@ -47,6 +49,12 @@ def every(t):
     return np.ones(t.shape[:2], dtype=bool)
 
 
+def unit(I, params):
+    """The regions of a one-unit batch that reads each row of the [n, d]
+    region matrix I once, in order."""
+    return gather_regions(I, np.arange(I.shape[0])[None], params)
+
+
 def dot_product(d):
     """Grounding parameters whose cross-attention logits are the bare I xᵀ."""
     p = init_grounding_params(np.random.default_rng(0), d_q=d, d_h=d)
@@ -60,44 +68,56 @@ def dot_product(d):
 
 def test_cross_attend_single_token(params):
     g = rng()
-    I = one(g.normal(size=(4, D_Q)))
+    I = Tensor(g.normal(size=(4, D_Q)))
     x = one(g.normal(size=(1, D_Q)))
-    P, I_x = cross_attend(I, x, x, [[True]], params, every(I))
+    P, I_x = cross_attend(unit(I, params), x, x, [[True]], params)
     assert np.allclose(P.data[0], np.ones((4, 1)))
-    assert np.allclose(I_x.data[0], np.repeat(x.data[0], 4, axis=0) + I.data[0])
+    assert np.allclose(I_x.data[0], np.repeat(x.data[0], 4, axis=0) + I.data)
 
 
 def test_cross_attend_zero_regions_uniform_rows(params):
     """Zero logits give each real region a uniform row over the real tokens."""
     g = rng()
-    I = one(np.zeros((5, D_Q)))
+    I = Tensor(np.zeros((5, D_Q)))
     x = one(g.normal(size=(4, D_Q)))
-    P, _ = cross_attend(I, x, x, [[True, True, True, False]], params, every(I))
+    P, _ = cross_attend(unit(I, params), x, x, [[True, True, True, False]], params)
     assert np.array_equal(P.data[0], np.repeat([[1 / 3, 1 / 3, 1 / 3, 0.0]], 5, axis=0))
 
 
 def test_cross_attend_hand_evaluated_toy():
     # mu=2, lam=2: logits I x^T chosen by hand, values v apart from the queries
-    I = one([[1.0, 0.0], [0.0, 1.0]])
+    I = Tensor([[1.0, 0.0], [0.0, 1.0]])
     x = one([[math.log(3.0), 0.0], [0.0, math.log(2.0)]])
     v = one([[1.0, 2.0], [3.0, 4.0]])
     # logits = [[ln3, 0], [0, ln2]]
-    P, I_x = cross_attend(I, x, v, [[True, True]], dot_product(2), every(I))
+    p = dot_product(2)
+    P, I_x = cross_attend(unit(I, p), x, v, [[True, True]], p)
     assert np.allclose(P.data[0, 0], [0.75, 0.25], atol=1e-12)
     assert np.allclose(P.data[0, 1], [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
-    assert np.allclose(I_x.data[0], P.data[0] @ v.data[0] + I.data[0])
+    assert np.allclose(I_x.data[0], P.data[0] @ v.data[0] + I.data)
 
 
 def test_cross_attend_rows_sum_to_one_and_padding_weighs_zero(params):
     """Every real region's row sums to 1 over the real tokens; padding
-    tokens get weight exactly 0 and padding regions zero rows."""
+    tokens get weight exactly 0 and padding regions zero rows of P and of
+    I_x. Each unit reads its regions from the shared rows through its grid,
+    one row read by both."""
     g = rng()
-    I = g.normal(size=(2, 4, D_Q))
+    I = g.normal(size=(6, D_Q))
     x = g.normal(size=(2, 5, D_Q))
     mask_x = np.array([[True, True, False, False, False], [True, True, True, True, False]])
-    mask_i = np.array([[True, True, True, False], [True, True, True, True]])
-    P, _ = cross_attend(Tensor(I), Tensor(x), Tensor(x), mask_x, params, mask_i)
-    assert P.shape == (2, 4, 5)
+    rows_i = np.array([[0, 1, 2, 6], [3, 1, 4, 5]])
+    mask_i = rows_i < 6
+    P, I_x = cross_attend(gather_regions(Tensor(I), rows_i, params), Tensor(x), Tensor(x),
+                          mask_x, params)
+    assert P.shape == (2, 4, 5) and I_x.shape == (2, 4, D_Q)
+    assert np.array_equal(I_x.data[0, 3], np.zeros(D_Q))
+    for b in range(2):
+        P_b, I_x_b = cross_attend(unit(Tensor(I[rows_i[b][mask_i[b]]]), params),
+                                  Tensor(x[b:b + 1]), Tensor(x[b:b + 1]), mask_x[b:b + 1],
+                                  params)
+        assert np.allclose(P.data[b][mask_i[b]], P_b.data[0], rtol=1e-12, atol=1e-15)
+        assert np.allclose(I_x.data[b][mask_i[b]], I_x_b.data[0], rtol=1e-12, atol=1e-14)
     assert np.abs(P.data.sum(axis=2)[mask_i] - 1).max() < 1e-12
     assert (P.data[0, :3, :2] > 0).all() and (P.data[1, :, :4] > 0).all()
     assert np.array_equal(P.data[0, :, 2:], np.zeros((4, 3)))
@@ -105,11 +125,29 @@ def test_cross_attend_rows_sum_to_one_and_padding_weighs_zero(params):
     assert np.array_equal(P.data[0, 3], np.zeros(5))
 
 
+def test_gather_regions_reads_each_units_rows(params):
+    """Each unit's rows, and their product with att_wi formed once per
+    distinct row, come out in its grid, bit for bit the rows the product
+    gives when every unit's copy is formed; padding positions are zero rows
+    and masked out."""
+    g = rng()
+    I = g.normal(size=(6, D_Q))
+    rows_i = np.array([[0, 1, 2, 6], [3, 1, 4, 5], [1, 6, 6, 6]])
+    mask_i = rows_i < 6
+    regions = gather_regions(Tensor(I), rows_i, params)
+    copies = np.concatenate([I, np.zeros((1, D_Q))])[rows_i]
+    assert np.array_equal(regions.mask, mask_i)
+    assert np.array_equal(regions.I.data, copies)
+    assert regions.keys.data.tobytes() == (copies.reshape(12, D_Q) @ params.att_wi.data).tobytes()
+    with pytest.raises(DimensionError):
+        gather_regions(Tensor(copies), rows_i, params)
+
+
 def test_cross_attend_all_masked_raises(params):
     g = rng()
-    I, x = one(g.normal(size=(3, D_Q))), one(g.normal(size=(2, D_Q)))
+    I, x = Tensor(g.normal(size=(3, D_Q))), one(g.normal(size=(2, D_Q)))
     with pytest.raises(DegenerateSliceError):
-        cross_attend(I, x, x, [[False, False]], params, every(I))
+        cross_attend(unit(I, params), x, x, [[False, False]], params)
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +204,9 @@ def test_pool_hand_evaluation_toy():
 def test_prior_simplex_random_inputs(params):
     g = rng()
     for _ in range(25):
-        I = one(g.normal(size=(7, D_Q)))
+        I = Tensor(g.normal(size=(7, D_Q)))
         x = one(g.normal(size=(4, D_Q)))
-        gd, v, _ = prior_ground(I, x, [[True, True, True, False]], params, every(I))
+        gd, v, _ = prior_ground(unit(I, params), x, [[True, True, True, False]], params)
         assert gd.data.min() >= 0
         assert abs(gd.data.sum() - 1.0) < 1e-9
         assert v.shape == (1, D_Q)
@@ -179,54 +217,58 @@ def test_prior_permutation_equivariance(params):
     I_arr = g.normal(size=(6, D_Q))
     x = one(g.normal(size=(3, D_Q)))
     mask = [[True, True, True]]
-    regions = np.ones((1, 6), dtype=bool)
-    g1, v1, _ = prior_ground(one(I_arr), x, mask, params, regions)
+    regions = np.arange(6)[None]
+    g1, v1, _ = prior_ground(gather_regions(Tensor(I_arr), regions, params), x, mask, params)
     perm = [4, 0, 5, 2, 1, 3]
-    g2, v2, _ = prior_ground(one(I_arr[perm]), x, mask, params, regions)
+    g2, v2, _ = prior_ground(gather_regions(Tensor(I_arr[perm]), regions, params), x, mask,
+                             params)
     assert np.allclose(g2.data[0], g1.data[0][perm], atol=1e-12)
     assert np.allclose(v2.data, v1.data, atol=1e-12)
 
 
 def test_posterior_zero_answer_reduces_to_prior_bitwise(params):
     g = rng()
-    I = one(g.normal(size=(5, D_Q)))
+    I = Tensor(g.normal(size=(5, D_Q)))
     x = one(g.normal(size=(3, D_Q)))
     mask = [[True, True, False]]
-    gp, vp, _ = prior_ground(I, x, mask, params, every(I))
+    gp, vp, _ = prior_ground(unit(I, params), x, mask, params)
     y = one(np.zeros((3, D_Q)))
-    G, v_post = posterior_ground(I, x, y, mask, params, every(I))
+    G, v_post = posterior_ground(unit(I, params), x, y, mask, params)
     assert np.array_equal(G.data, gp.data)
     assert np.array_equal(v_post.data, vp.data)
 
 
 def test_posterior_differs_with_nonzero_answer(params):
     g = rng()
-    I = one(g.normal(size=(5, D_Q)))
+    I = Tensor(g.normal(size=(5, D_Q)))
     x = one(g.normal(size=(3, D_Q)))
     y = one(g.normal(size=(3, D_Q)))
     mask = [[True, True, True]]
-    gp, _, _ = prior_ground(I, x, mask, params, every(I))
-    G, _ = posterior_ground(I, x, y, mask, params, every(I))
+    gp, _, _ = prior_ground(unit(I, params), x, mask, params)
+    G, _ = posterior_ground(unit(I, params), x, y, mask, params)
     assert abs(G.data.sum() - 1.0) < 1e-9
     assert not np.allclose(G.data, gp.data)
 
 
 def test_ragged_batch_rows_match_single_unit_calls(params):
-    """Padding regions and tokens hold garbage here; the masks keep it out."""
+    """Padding tokens hold garbage here and the masks keep it out; the
+    region rows a unit's grid does not name, rows other units read, are
+    kept out too."""
     g = rng()
     shapes = [(5, 3), (3, 4), (4, 1)]                       # (regions, real tokens)
-    I = g.normal(size=(3, 5, D_Q))
+    I = g.normal(size=(9, D_Q))
+    rows_i = np.array([[0, 1, 2, 3, 4], [5, 6, 7, 9, 9], [2, 8, 0, 6, 9]])
     x = g.normal(size=(3, 4, D_Q))
     y = g.normal(size=(3, 4, D_Q))
     mask_x = np.array([[t < n for t in range(4)] for _, n in shapes])
-    mask_i = np.array([[r < mu for r in range(5)] for mu, _ in shapes])
-    gb, vb, _ = prior_ground(Tensor(I), Tensor(x), mask_x, params, mask_i)
-    Gb, vpb = posterior_ground(Tensor(I), Tensor(x), Tensor(y), mask_x, params, mask_i)
+    regions = gather_regions(Tensor(I), rows_i, params)
+    gb, vb, _ = prior_ground(regions, Tensor(x), mask_x, params)
+    Gb, vpb = posterior_ground(regions, Tensor(x), Tensor(y), mask_x, params)
     singles = []
     for b, (mu, n) in enumerate(shapes):
-        I1, x1, y1 = one(I[b, :mu]), one(x[b, :n]), one(y[b, :n])
-        g1, v1, _ = prior_ground(I1, x1, [[True] * n], params, every(I1))
-        G1, vp1 = posterior_ground(I1, x1, y1, [[True] * n], params, every(I1))
+        I1, x1, y1 = Tensor(I[rows_i[b, :mu]]), one(x[b, :n]), one(y[b, :n])
+        g1, v1, _ = prior_ground(unit(I1, params), x1, [[True] * n], params)
+        G1, vp1 = posterior_ground(unit(I1, params), x1, y1, [[True] * n], params)
         assert np.allclose(gb.data[b, :mu], g1.data[0], rtol=1e-12, atol=1e-15)
         assert np.array_equal(gb.data[b, mu:], np.zeros(5 - mu))
         assert np.allclose(vb.data[b], v1.data[0], rtol=1e-12, atol=1e-14)
@@ -241,9 +283,9 @@ def test_ragged_batch_rows_match_single_unit_calls(params):
 
 def _branches_for(params, I_arr, x_arr, y_arr, mask):
     """(posterior G, prior g) of one unit."""
-    I, x, y = one(I_arr), one(x_arr), one(y_arr)
-    g, _, _ = prior_ground(I, x, mask, params, every(I))
-    G, _ = posterior_ground(I, x, y, mask, params, every(I))
+    I, x, y = Tensor(I_arr), one(x_arr), one(y_arr)
+    g, _, _ = prior_ground(unit(I, params), x, mask, params)
+    G, _ = posterior_ground(unit(I, params), x, y, mask, params)
     return G, g
 
 
@@ -275,13 +317,13 @@ def test_bridge_nonnegative_kl(params):
 
 def test_bridge_detach_blocks_posterior_gradient(params):
     g = rng()
-    I = one(g.normal(size=(4, D_Q)))
+    I = Tensor(g.normal(size=(4, D_Q)))
     x = one(g.normal(size=(2, D_Q)), requires_grad=True)
     y = one(g.normal(size=(2, D_Q)), requires_grad=True)
     mask = [[True, True]]
     with Tape() as tape:
-        gp, _, _ = prior_ground(I, x, mask, params, every(I))
-        G, _ = posterior_ground(I, x, y, mask, params, every(I))
+        gp, _, _ = prior_ground(unit(I, params), x, mask, params)
+        G, _ = posterior_ground(unit(I, params), x, y, mask, params)
         loss = bridge_loss(G, gp)
     backward(loss, tape)
     # y feeds only the posterior branch; detached target -> no gradient at all
@@ -298,8 +340,8 @@ def test_end_to_end_grad_check_prior_plus_bridge(params):
     mask = [[True, True]]
 
     def f(x):
-        I = one(I_arr)
-        gp, _, _ = prior_ground(I, x, mask, params, every(I))
+        I = Tensor(I_arr)
+        gp, _, _ = prior_ground(unit(I, params), x, mask, params)
         return bridge_loss(G_fixed, gp)
 
     for seed in range(5):
@@ -319,9 +361,9 @@ def test_end_to_end_grad_check_joint_posterior(params):
     mask = [[True, True]]
 
     def f(x):
-        I = one(I_arr)
+        I = Tensor(I_arr)
         y = one(y_arr)
-        _, v_post = posterior_ground(I, x, y, mask, params, every(I))
+        _, v_post = posterior_ground(unit(I, params), x, y, mask, params)
         return sum_all(mul(v_post, w))
 
     for seed in range(5):

@@ -1,7 +1,9 @@
 """Model-level checks of the batched forward pass: equivalence with the
 per-unit oracle (`reference_model`, itself checked against the per-step
-recurrences of `reference_lstm`), invariance to the order of a batch, and a
-tape whose size depends neither on the batch size nor on sentence length."""
+recurrences of `reference_lstm`) and with the gather-first composition,
+row-wise layers that run once per distinct image and history sentence,
+invariance to the order of a batch, and a tape whose size depends neither
+on the batch size nor on sentence length."""
 
 import contextlib
 import dataclasses
@@ -22,6 +24,7 @@ from grounddial.model import (
     infer_batch_scores,
     init_model_params,
     named_parameters,
+    pack_batch,
     prepare_units,
 )
 from grounddial.training import TrainConfig
@@ -249,6 +252,66 @@ def test_batch_loss_does_not_depend_on_unit_order(mixed):
     assert abs(loss_p - loss) <= 1e-12 * abs(loss)
     for name, g in grads.items():
         assert np.allclose(grads_p[name], g, rtol=1e-9, atol=1e-12), name
+
+
+# ---------------------------------------------------------------------------
+# late gathers against the gather-first composition
+
+def test_late_gather_is_the_gather_first_composition(mixed):
+    """Twelve units on three images, with history sentences that several
+    units hold: inference with either decoder, the posterior included, is
+    the gather-first composition's bit for bit, as is the training loss;
+    each gradient agrees to 1e-12 of its largest entry, as duplicate rows'
+    gradients are now summed before the shared weights' products."""
+    params, units, cfg = mixed
+    cfg = dataclasses.replace(cfg, loss_mode="multitask")
+    batch = pack_batch(units)
+    assert batch.regions.shape[0] < sum(u.features.shape[0] for u in units)
+    assert len(batch.history) < (batch.history_rows < len(batch.history)).sum()
+    for decoder in ("generative", "discriminative"):
+        got = infer_batch_scores(params, units, decoder=decoder, with_posterior=True)
+        with oracle.gather_first():
+            want = infer_batch_scores(params, units, decoder=decoder, with_posterior=True)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), decoder
+    loss, grads, _ = batch_loss_and_grads(params, units, cfg)
+    with oracle.gather_first():
+        want_loss, want_grads, _ = batch_loss_and_grads(params, units, cfg)
+    assert loss == want_loss
+    assert grads.keys() == want_grads.keys()
+    for name, g in want_grads.items():
+        if g is None:
+            assert grads[name] is None, name
+        else:
+            assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+
+def test_row_wise_layers_run_once_per_distinct_image_and_history_sentence(mixed):
+    """The packed regions hold each image's features once, and on the tape
+    the region projection, the region-side attention product (once for
+    both branches) and the key and value products take one row per
+    distinct region or history sentence, not one per unit's copy."""
+    params, units, cfg = mixed
+    images = list({id(u.features): u.features for u in units}.values())
+    batch = pack_batch(units)
+    assert np.array_equal(batch.regions.data, np.concatenate([f.data for f in images]))
+    n_regions = batch.regions.shape[0]
+    for b, u in enumerate(units):
+        rows = batch.region_rows[b]
+        assert np.array_equal(batch.regions.data[rows[rows < n_regions]], u.features.data)
+    n_history = len({tuple(h) for u in units for h in u.history})
+    assert n_history == len(batch.history) < (batch.history_rows < n_history).sum()
+    enc, grd = params.encoder, params.grounding
+    weights = {id(enc.region_w1), id(grd.att_wi), id(enc.w_k), id(enc.w_v)}
+    with Tape() as tape:
+        forward_batch(params, units, cfg)
+    rows: dict[int, list[int]] = {}
+    for node in tape.nodes:
+        for t in node.inputs[1:]:
+            if id(t) in weights:
+                rows.setdefault(id(t), []).append(node.inputs[0].shape[0])
+    assert rows == {id(enc.region_w1): [n_regions], id(grd.att_wi): [n_regions],
+                    id(enc.w_k): [n_history], id(enc.w_v): [n_history]}
 
 
 # ---------------------------------------------------------------------------

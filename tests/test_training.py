@@ -205,9 +205,9 @@ def test_validation_never_calls_posterior(monkeypatch):
     batch_sizes = []
     real = model.posterior_ground
 
-    def counting(I, *args):
-        batch_sizes.append(I.shape[0])
-        return real(I, *args)
+    def counting(I, x, *args):
+        batch_sizes.append(x.shape[0])
+        return real(I, x, *args)
 
     monkeypatch.setattr(model, "posterior_ground", counting)
     train(ds, ds, tiny_model(ds, cfg, seed=4), cfg)
