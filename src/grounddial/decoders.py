@@ -170,18 +170,19 @@ def discriminative_scores(fused: Tensor, candidates: Sequence[Sequence[Sequence[
 
     N is the most candidates of any unit; a unit with fewer scores -inf past
     its last. Every candidate of the batch is encoded in one batch by the
-    candidate encoder's own BiLSTM (final states, projected); an empty
-    candidate is a zero row. Each unit is scored against its own candidates
-    only.
+    candidate encoder's own BiLSTM (final states, projected), each distinct
+    candidate once; an empty candidate is a zero row. The [B, N] candidate
+    grid is read from those distinct rows in one gather, and each unit is
+    scored against its own candidates only.
     """
     counts = [len(cands) for cands in candidates]
     if not all(counts):
         raise ContractError("discriminative scoring needs at least one candidate")
     n_units, n_max = len(counts), max(counts)
     every = [cand for cands in candidates for cand in cands]
-    cand_mat = encode_sentences(every, params.cand, embedding)           # [sum N, d_q]
-    rows, real = padded_rows(counts, np.arange(len(every)), len(every))
-    cand = ad.gather_rows(cand_mat, rows)                                 # [B, N, d_q]
+    distinct, row_of = encode_sentences(every, params.cand, embedding)   # [S, d_q]
+    rows, real = padded_rows(counts, row_of, distinct.shape[0])
+    cand = ad.gather_rows(distinct, rows)                                 # [B, N, d_q]
     d_q = cand.shape[2]
     left = ad.reshape(ad.matmul(fused, params.bilinear), (n_units, 1, d_q))
     scores = ad.reshape(ad.bmm(left, cand, transpose_b=True), (n_units, n_max))

@@ -5,18 +5,21 @@ sentence-level history encoding, multi-head fusion of question and history,
 and row-wise MLP projection of raw region features.
 
 A sentence's encoding depends only on its tokens and its encoder. This
-module is where that rule lives: `encode_sentences` and `encode_tokens`,
-which serve the question, answer, history and candidate encoders, run each
-distinct sentence of a batch through the BiLSTM once and hand every input
-its rows through one gather. Callers pass sentences as they come, repeats
-included.
+module is where that rule lives, and the one place that finds a batch's
+distinct sentences (`first_of_each`, keyed by the token tuple). Callers
+pass sentences as they come, repeats included, and each distinct sentence
+runs through the BiLSTM once. `encode_sentences` and `encode_history`
+return what they computed: one row per distinct sentence, in order of
+first occurrence, and for each input the row it reads, so the caller
+gathers each row into its own grid in one step. `encode_tokens`, whose
+positions are per-unit grids already, hands every input its rows through
+one gather.
 
-The row-wise layers past the BiLSTMs keep the same rule with rows the
-caller has made distinct: `project_regions` takes each distinct image's
-regions once, and `fuse_context` takes one row per distinct history
-sentence, forms its key and value products on those rows and gathers the
-products into each unit's [B, T] grid only then, where attention makes
-them depend on the unit.
+The row-wise layers past the BiLSTMs keep the same rule with distinct
+rows: `project_regions` takes each distinct image's regions once, and
+`fuse_context` takes `encode_history`'s rows, forms its key and value
+products on them and gathers the products into each unit's [B, T] grid
+only then, where attention makes them depend on the unit.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -137,12 +140,17 @@ def pack_sequences(seqs: Sequence[Sequence[int]], vocab_size: int) -> np.ndarray
     return index
 
 
-def _distinct(seqs: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The distinct sequences in order of first occurrence, and for each
-    input the row of its sequence among them."""
-    rows: dict[tuple, int] = {}
-    row_of = np.array([rows.setdefault(tuple(s), len(rows)) for s in seqs], dtype=np.intp)
-    return list(rows), row_of
+def first_of_each(items: Sequence, key: Callable) -> tuple[list, np.ndarray]:
+    """The items whose key has not come before, in order, and for every item
+    the row of its key among them."""
+    row_of_key: dict = {}
+    firsts, rows = [], []
+    for item in items:
+        row = row_of_key.setdefault(key(item), len(firsts))
+        if row == len(firsts):
+            firsts.append(item)
+        rows.append(row)
+    return firsts, np.array(rows, dtype=np.intp)
 
 
 def _bi_lstm(seqs: Sequence[Sequence[int]], enc: BiEncoderParams,
@@ -172,19 +180,19 @@ def padded_rows(lengths: Sequence[int], rows: Sequence[int], pad: int) -> tuple[
 
 
 def encode_sentences(seqs: Sequence[Sequence[int]], enc: BiEncoderParams,
-                     embedding: Tensor) -> Tensor:
-    """One projected final-state vector per sentence, [B, d_q], in one batch.
+                     embedding: Tensor) -> tuple[Tensor, np.ndarray]:
+    """One projected final-state vector per distinct sentence, in one batch.
 
-    The final forward and backward states are concatenated and projected;
-    an empty sentence gives an exactly zero row. Each distinct sentence is
-    encoded once and its row read by every sentence equal to it.
+    Returns the [S, d_q] rows of the S distinct sentences, in order of
+    first occurrence, and the int [len(seqs)] row each input reads. The
+    final forward and backward states are concatenated and projected; an
+    empty sentence gives an exactly zero row.
     """
-    seqs = [list(s) for s in seqs]
-    d_q = enc.proj_w.shape[1]
-    if not any(seqs):
-        return Tensor(np.zeros((len(seqs), d_q)))
-    distinct, row_of = _distinct(seqs)
+    distinct, row_of = first_of_each(seqs, tuple)
     n = len(distinct)
+    d_q = enc.proj_w.shape[1]
+    if not any(distinct):
+        return Tensor(np.zeros((n, d_q))), row_of
     h_f, h_b, index = _bi_lstm(distinct, enc, embedding)
     # a state is carried past its sequence's end, so step T-1 holds every final state
     last = np.arange(index.size - n, index.size)
@@ -193,7 +201,7 @@ def encode_sentences(seqs: Sequence[Sequence[int]], enc: BiEncoderParams,
     if not all(distinct):
         keep = np.array([[1.0] if s else [0.0] for s in distinct])
         out = ad.mul(out, Tensor(np.repeat(keep, d_q, axis=1)))
-    return ad.gather_rows(out, row_of)
+    return out, row_of
 
 
 def encode_tokens(seqs: Sequence[Sequence[int]], length: int, enc: BiEncoderParams,
@@ -210,10 +218,9 @@ def encode_tokens(seqs: Sequence[Sequence[int]], length: int, enc: BiEncoderPara
     """
     if length < 1:
         raise ValueError("encode_tokens needs at least one position")
-    seqs = [list(s) for s in seqs]
-    if not any(seqs):
+    distinct, row_of = first_of_each(seqs, tuple)
+    if not any(distinct):
         return Tensor(np.zeros((len(seqs), length, enc.proj_w.shape[1])))
-    distinct, row_of = _distinct(seqs)
     n_seq = len(distinct)
     h_f, h_b, index = _bi_lstm(distinct, enc, embedding)
     T = index.shape[0]
@@ -227,8 +234,10 @@ def encode_tokens(seqs: Sequence[Sequence[int]], length: int, enc: BiEncoderPara
     return ad.gather_rows(out, grid[row_of])
 
 
-def encode_history(elements: Sequence[Sequence[int]], params: EncoderParams) -> Tensor:
-    """One sentence-level vector per history element, [T, d_q].
+def encode_history(elements: Sequence[Sequence[int]],
+                   params: EncoderParams) -> tuple[Tensor, np.ndarray]:
+    """One sentence-level vector per distinct history element: the [S, d_q]
+    rows and the row each element reads, as `encode_sentences` gives them.
 
     Each element (caption, or a concatenated question-answer pair) gets its
     own bi-directional pass, all elements in one batch; the final
@@ -244,12 +253,13 @@ def fuse_context(Q: Tensor, H: Tensor, mask_q: np.ndarray, rows_h: np.ndarray,
     """Multi-head attention from question positions over history rows.
 
     Q: [B, lam, d_q] question encodings, mask_q [B, lam] its real positions;
-    H: [S, d_q] history rows, each distinct sentence once, and rows_h the
-    int [B, T] grid of the row each unit reads, S where it has none. The key
-    and value products are formed on H's rows and then gathered into the
-    grid. Every head of every unit attends in one [B, n_heads, ., .] stack;
-    the heads are concatenated and output-projected, residual-added to Q
-    (when enabled) and layer-normalized; PAD question rows stay zero.
+    H: [S, d_q] history rows, each distinct sentence once (`encode_history`),
+    and rows_h the int [B, T] grid of the row each unit reads, S where it
+    has none. The key and value products are formed on H's rows and then
+    gathered into the grid. Every head of every unit attends in one
+    [B, n_heads, ., .] stack; the heads are concatenated and
+    output-projected, residual-added to Q (when enabled) and
+    layer-normalized; PAD question rows stay zero.
     """
     B, lam, d_q = Q.shape
     rows_h = np.asarray(rows_h, dtype=np.intp)

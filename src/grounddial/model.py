@@ -19,15 +19,16 @@ A layer that acts on one row at a time runs on the distinct rows of a
 batch, and the per-unit [B, n] grid of row indices is read only where rows
 start to depend on their unit (attention logits, residuals, pooling). So
 packing keeps each distinct image's feature block once (the units of an
-example share its `region_features` Tensor, which is the key) and each
-distinct history sentence once, with [B, n] grids that index them:
-`encoders.project_regions` and the grounding's region-side product run
-once per image (`grounding.gather_regions`, whose rows the prior and the
-posterior share), and `encoders.fuse_context` forms its key and value
-products once per history sentence. Questions, answers and candidates are
-passed on as they are, repeats included: that each distinct sentence is
-encoded once per batch is the encoders' rule (`encoders.encode_sentences`
-and `encoders.encode_tokens`).
+example share its `region_features` Tensor, which is the key), with a
+[B, mu] grid that indexes it: `encoders.project_regions` and the
+grounding's region-side product run once per image
+(`grounding.gather_regions`, whose rows the prior and the posterior
+share). Sentences are passed on as they are, repeats included: finding a
+batch's distinct sentences is the encoders' rule. `encoders.encode_history`
+returns one row per distinct history sentence and the row each unit's
+element reads, from which `encode_context` builds the [B, T] grid that
+`encoders.fuse_context` reads, so its key and value products run once per
+history sentence.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .encoders import (
     EncoderParams,
     encode_history,
     encode_tokens,
+    first_of_each,
     fuse_context,
     init_encoder_params,
     padded_rows,
@@ -166,11 +168,6 @@ def named_parameters(params: ModelParams) -> dict[str, Tensor]:
     return out
 
 
-def zero_grads(params: ModelParams) -> None:
-    for t in named_parameters(params).values():
-        t.grad = None
-
-
 @dataclass
 class Unit:
     round_index: int
@@ -227,34 +224,20 @@ def prepare_units(ds: DialogDataset, seq_len: int, max_history: int) -> list[Uni
 class Batch:
     """Units packed for one forward pass: token lists, masks and row indices.
 
-    lam is the longest question of the batch, T its most history elements
-    and mu its most regions; q_mask marks the real positions of each padded
-    question. `history` and `regions` hold each distinct sentence and image
-    once, in order of first occurrence, and the row grids index them as
-    `autodiff.gather_rows` reads them: a position past a unit's history or
-    regions holds the pad index.
+    lam is the longest question of the batch and mu its most regions;
+    q_mask marks the real positions of each padded question. `history` is
+    every unit's history rows, unit after unit, repeats included.
+    `regions` holds each distinct image's features once, in order of first
+    occurrence, and region_rows indexes it as `autodiff.gather_rows` reads
+    it: a position past a unit's regions holds the pad index.
     """
     units: list[Unit]
     questions: list[list[int]]
     answers: list[list[int]]
     q_mask: np.ndarray         # [B, lam]
-    history: list[list[int]]   # each distinct history sentence once
-    history_rows: np.ndarray   # [B, T] row of `history`; len(history) pads
+    history: list[list[int]]   # every unit's history rows, in unit order
     regions: Tensor            # [R, d_v] each distinct image's features once, image by image
     region_rows: np.ndarray    # [B, mu] row of `regions`; len(regions) pads
-
-
-def _first_of_each(items: Sequence, key: Callable) -> tuple[list, np.ndarray]:
-    """The items whose key has not come before, in order, and for every item
-    the row of its key among them."""
-    row_of_key: dict = {}
-    firsts, rows = [], []
-    for item in items:
-        row = row_of_key.setdefault(key(item), len(firsts))
-        if row == len(firsts):
-            firsts.append(item)
-        rows.append(row)
-    return firsts, np.array(rows, dtype=np.intp)
 
 
 def pack_batch(units: Sequence[Unit]) -> Batch:
@@ -268,9 +251,7 @@ def pack_batch(units: Sequence[Unit]) -> Batch:
                                        "empty question")
     lengths = [len(u.question) for u in units]
     q_mask = np.arange(max(lengths)) < np.asarray(lengths)[:, None]
-    history, history_of = _first_of_each([h for u in units for h in u.history], tuple)
-    history_rows, _ = padded_rows([len(u.history) for u in units], history_of, len(history))
-    images, image_of = _first_of_each([u.features for u in units], id)
+    images, image_of = first_of_each([u.features for u in units], id)
     mus = np.array([f.shape[0] for f in images])
     first_row = np.cumsum(mus) - mus
     region_rows = np.where(np.arange(mus.max()) < mus[image_of][:, None],
@@ -280,8 +261,7 @@ def pack_batch(units: Sequence[Unit]) -> Batch:
         questions=[u.question for u in units],
         answers=[u.answer for u in units],
         q_mask=q_mask,
-        history=history,
-        history_rows=history_rows,
+        history=[h for u in units for h in u.history],
         regions=Tensor(np.concatenate([f.data for f in images], axis=0)),
         region_rows=region_rows,
     )
@@ -300,8 +280,9 @@ def encode_context(params: ModelParams, batch: Batch) -> tuple[Tensor, Tensor]:
     projected regions I [R, d_q], one row per row of `batch.regions`."""
     enc = params.encoder
     Q = encode_tokens(batch.questions, batch.q_mask.shape[1], enc.question, enc.embedding)
-    H = encode_history(batch.history, enc)
-    x = fuse_context(Q, H, batch.q_mask, batch.history_rows, enc)
+    H, history_of = encode_history(batch.history, enc)
+    rows_h, _ = padded_rows([len(u.history) for u in batch.units], history_of, H.shape[0])
+    x = fuse_context(Q, H, batch.q_mask, rows_h, enc)
     return x, project_regions(batch.regions, enc)
 
 

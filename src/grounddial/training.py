@@ -28,7 +28,7 @@ from .autodiff import (
 )
 from .data import DialogDataset, batch_iterator
 from .evaluation import evaluate
-from .model import ModelParams, TrainConfig, forward_batch, named_parameters, prepare_units, zero_grads
+from .model import ModelParams, TrainConfig, forward_batch, named_parameters, prepare_units
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -180,7 +180,8 @@ def train(ds_train: DialogDataset, ds_val: DialogDataset, params: ModelParams,
         n_seen = 0
         for batch in batch_iterator(train_units, cfg.batch_size,
                                     seed=cfg.seed * 1_000_003 + epoch):
-            zero_grads(params)
+            for t in named.values():
+                t.grad = None
             with Tape() as tape:
                 fw = forward_batch(params, batch, cfg)
             if not np.isfinite(fw.loss.data).all():

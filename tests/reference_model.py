@@ -27,9 +27,11 @@ bit-for-bit oracle of `autodiff.gather_rows`.
 the composition the package ran before it gathered late: every unit's
 history sentences and image regions packed unit by unit, repeats included,
 and gathered into the [B, n] grids before the key, value, region and
-region-side products. Its inference is the package's bit for bit, and its
-losses and gradients agree to the last bits of the shared weights'
-gradients, which the package sums over duplicate rows before the product.
+region-side products (the history rows from the distinct rows that
+`encoders.encode_history` returns, in one gather). Its inference is the
+package's bit for bit, and its losses and gradients agree to the last bits
+of the shared weights' gradients, which the package sums over duplicate
+rows before the product.
 """
 
 from __future__ import annotations
@@ -43,12 +45,11 @@ import numpy as np
 import pytest
 
 from grounddial import autodiff as ad
-from grounddial import model
+from grounddial import encoders, model
 from grounddial.autodiff import DegenerateSliceError, DimensionError, Tensor, _record
 from grounddial.data import BOS_ID, EOS_ID
 from grounddial.decoders import _teacher_forced_position_losses
 from grounddial.encoders import (
-    encode_history,
     encode_sentences,
     pack_sequences,
     padded_rows,
@@ -205,14 +206,14 @@ def prior_gather_first(params, batch: model.Batch):
     unit by unit, repeats included, and gathering them into the grids
     before any product: (x, I, g, v_prior, I_x), I the [B, mu, d] grid."""
     enc, units = params.encoder, batch.units
-    history = [h for u in units for h in u.history]
-    history_rows, history_mask = padded_rows([len(u.history) for u in units],
-                                             np.arange(len(history)), len(history))
+    history, history_of = encoders.encode_history(batch.history, enc)
+    history_rows, history_mask = padded_rows([len(u.history) for u in units], history_of,
+                                             history.shape[0])
     mus = [u.features.shape[0] for u in units]
     region_rows, region_mask = padded_rows(mus, np.arange(sum(mus)), sum(mus))
     regions = Tensor(np.concatenate([u.features.data for u in units], axis=0))
     Q = model.encode_tokens(batch.questions, batch.q_mask.shape[1], enc.question, enc.embedding)
-    H = ad.gather_rows(encode_history(history, enc), history_rows)
+    H = ad.gather_rows(history, history_rows)
     x = fuse_context_gather_first(Q, H, batch.q_mask, history_mask, enc)
     I = ad.gather_rows(project_regions(regions, enc), region_rows)
     I_x = cross_attend_gather_first(I, x, x, batch.q_mask, params.grounding, region_mask)
@@ -305,6 +306,13 @@ def encode_tokens(ids: Sequence[int], mask: Sequence[bool], enc, embedding: Tens
     if n < lam:
         out = ad.concat([out, Tensor(np.zeros((lam - n, d_q)))], axis=0)
     return out
+
+
+def encode_history(elements, params) -> Tensor:
+    """One row per history element, [T, d_q], read from the distinct rows
+    `encoders.encode_history` returns."""
+    rows, row_of = encoders.encode_history(elements, params)
+    return ad.gather_rows(rows, row_of)
 
 
 def fuse_context(Q: Tensor, H: Tensor, mask_q: Sequence[bool], params) -> Tensor:
@@ -422,7 +430,7 @@ def generative_rank(fused: Tensor, candidates, embedding: Tensor, params) -> Ten
 
 def discriminative_scores(fused: Tensor, candidates, embedding: Tensor, params) -> Tensor:
     n = len(candidates)
-    cand_mat = encode_sentences(candidates, params.cand, embedding)
+    cand_mat = ad.gather_rows(*encode_sentences(candidates, params.cand, embedding))
     d_q = fused.shape[0]
     left = ad.matmul(ad.reshape(fused, (1, d_q)), params.bilinear)
     return ad.reshape(ad.matmul(left, transpose(cand_mat)), (n,))

@@ -74,13 +74,12 @@ def test_known_words_encode_past_the_reserved_ids():
 
 
 def test_mask_true_entries_form_prefix():
-    """A packed batch's masks mark a prefix of each padded row."""
+    """A packed batch's masks mark a prefix of each padded row (the history
+    grid, built from the encoders' rows, is checked in `test_model`)."""
     ds = generate_synthetic(small_cfg(num_images=2))
     units = prepare_units(ds, seq_len=20, max_history=3)
     batch = pack_batch(units)
     for mask, lengths in [(batch.q_mask, [len(u.question) for u in units]),
-                          (batch.history_rows < len(batch.history),
-                           [len(u.history) for u in units]),
                           (batch.region_rows < batch.regions.shape[0],
                            [u.features.shape[0] for u in units])]:
         for row, n in zip(mask, lengths):

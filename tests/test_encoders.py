@@ -100,15 +100,23 @@ def test_fuse_ragged_history_matches_one_unit_at_a_time(params):
         assert np.allclose(x[b], alone, rtol=1e-12, atol=1e-13)
 
 
+def element_rows(elements, params) -> np.ndarray:
+    """Each element's encoding, [len(elements), d_q], read from the distinct
+    rows `encode_history` returns."""
+    rows, row_of = encode_history(elements, params)
+    return rows.data[row_of]
+
+
 def test_history_caption_only_shape(params):
-    out = encode_history([[4, 5]], params)
-    assert out.shape == (1, D_Q)
+    rows, row_of = encode_history([[4, 5]], params)
+    assert rows.shape == (1, D_Q)
+    assert row_of.tolist() == [0]
 
 
 def test_history_row_locality(params):
     elems = [[4, 5], [6, 7], [8, 9]]
-    base = encode_history(elems, params).data
-    permuted = encode_history([elems[0], elems[2], elems[1]], params).data
+    base = element_rows(elems, params)
+    permuted = element_rows([elems[0], elems[2], elems[1]], params)
     assert np.allclose(permuted[0], base[0])
     assert np.allclose(permuted[1], base[2])
     assert np.allclose(permuted[2], base[1])
@@ -117,12 +125,13 @@ def test_history_row_locality(params):
 def test_history_empty_element_is_zero_row_in_mixed_batch(params):
     params.history.proj_b.data[:] = 0.5  # an empty element must not pick up the bias
     elems = [[4, 5], [], [6, 7, 8]]
-    out = encode_history(elems, params).data
+    out = element_rows(elems, params)
     assert out.shape == (3, D_Q)
     assert np.array_equal(out[1], np.zeros(D_Q))
-    assert np.allclose(out[0], encode_history([elems[0]], params).data[0], rtol=0, atol=1e-12)
-    assert np.allclose(out[2], encode_history([elems[2]], params).data[0], rtol=0, atol=1e-12)
-    assert np.array_equal(encode_history([[], []], params).data, np.zeros((2, D_Q)))
+    assert np.allclose(out[0], element_rows([elems[0]], params)[0], rtol=0, atol=1e-12)
+    assert np.allclose(out[2], element_rows([elems[2]], params)[0], rtol=0, atol=1e-12)
+    rows, row_of = encode_history([[], []], params)
+    assert np.array_equal(rows.data, np.zeros((1, D_Q))) and row_of.tolist() == [0, 0]
 
 
 def test_history_round_count():
@@ -270,8 +279,8 @@ def test_encoder_outputs_finite_and_grad_checks(params):
     def f(emb):
         params.embedding = emb
         Q = encode_tokens([ids], 4, params.question, params.embedding)
-        H = encode_history([[7, 8], [9, 10]], params)
-        x = fuse_context(Q, H, mask, [[0, 1]], params)
+        H, rows = encode_history([[7, 8], [9, 10]], params)
+        x = fuse_context(Q, H, mask, [rows], params)
         return ad.mean_all(ad.mul(x, x))
 
     err = grad_check(f, params.embedding, coords=range(0, 96, 7))
@@ -321,30 +330,27 @@ def n_distinct(seqs) -> int:
 
 def test_encode_history_encodes_each_distinct_sentence_once(lstm_rows):
     """The ten rounds of one dialog hold 55 history sentences, which packing
-    keeps as the caption and nine pairs with each unit's grid in its order;
-    the encoder given them twice over runs only those ten."""
+    passes on unit by unit: the encoder runs the caption and nine pairs
+    once, returns their rows in order of first occurrence and the row each
+    of the 55 reads, and given them twice over still runs only those ten."""
     ds = generate_synthetic(SyntheticConfig(num_images=1, seed=5, rounds=10, mu=12, num_colors=12,
                                             num_shapes=12, d_v=24))
     units = prepare_units(ds, seq_len=20, max_history=11)
     batch = pack_batch(units)
-    real = batch.history_rows < len(batch.history)
-    assert real.sum() == 55
-    assert batch.history == units[-1].history
-    for b, u in enumerate(units):
-        rows = batch.history_rows[b][real[b]]
-        assert [batch.history[r] for r in rows] == u.history
+    assert batch.history == [h for u in units for h in u.history]
+    assert len(batch.history) == 55
     params = init_encoder_params(np.random.default_rng(0), vocab_size=len(ds.vocab), d_v=24,
                                  d_e=D_E, d_q=D_Q, n_heads=N_H, fusion_residual=True)
     given = batch.history + batch.history
-    out = encode_history(given, params).data
+    rows, row_of = encode_history(given, params)
     cells = (params.history.fwd.wx, params.history.bwd.wx)
     assert [lstm_rows[id(wx)] for wx in cells] == [[10], [10]]
-    first = {}
-    for r, sentence in enumerate(given):
-        k = first.setdefault(tuple(sentence), r)
-        assert np.array_equal(out[r], out[k])
-    alone = encode_history(given[-1:], params).data[0]
-    assert np.allclose(out[-1], alone, rtol=1e-12, atol=1e-13)
+    distinct = units[-1].history
+    assert rows.shape == (10, D_Q)
+    assert [distinct[r] for r in row_of] == given
+    for r, sentence in enumerate(distinct):
+        alone = encode_history([sentence], params)[0].data[0]
+        assert np.allclose(rows.data[r], alone, rtol=1e-12, atol=1e-13)
 
 
 def test_every_encoder_runs_each_distinct_sentence_once(lstm_rows):

@@ -2,12 +2,14 @@
 per-unit oracle (`reference_model`, itself checked against the per-step
 recurrences of `reference_lstm`) and with the gather-first composition,
 row-wise layers that run once per distinct image and history sentence,
+distinct sentences found once per batch and read in one gather,
 invariance to the order of a batch, and a tape whose size depends neither
 on the batch size nor on sentence length."""
 
 import contextlib
 import dataclasses
 import tracemalloc
+from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 import reference_lstm as ref
 import reference_model as oracle
 from grounddial import autodiff as ad
+from grounddial import encoders, model
 from grounddial.autodiff import ContractError, DegenerateSliceError, Tape, Tensor, backward
 from grounddial.data import EOS_ID, SyntheticConfig, generate_synthetic
 from grounddial.model import (
@@ -267,7 +270,7 @@ def test_late_gather_is_the_gather_first_composition(mixed):
     cfg = dataclasses.replace(cfg, loss_mode="multitask")
     batch = pack_batch(units)
     assert batch.regions.shape[0] < sum(u.features.shape[0] for u in units)
-    assert len(batch.history) < (batch.history_rows < len(batch.history)).sum()
+    assert len({tuple(h) for h in batch.history}) < len(batch.history)
     for decoder in ("generative", "discriminative"):
         got = infer_batch_scores(params, units, decoder=decoder, with_posterior=True)
         with oracle.gather_first():
@@ -299,8 +302,8 @@ def test_row_wise_layers_run_once_per_distinct_image_and_history_sentence(mixed)
     for b, u in enumerate(units):
         rows = batch.region_rows[b]
         assert np.array_equal(batch.regions.data[rows[rows < n_regions]], u.features.data)
-    n_history = len({tuple(h) for u in units for h in u.history})
-    assert n_history == len(batch.history) < (batch.history_rows < n_history).sum()
+    n_history = len({tuple(h) for h in batch.history})
+    assert n_history < len(batch.history)
     enc, grd = params.encoder, params.grounding
     weights = {id(enc.region_w1), id(grd.att_wi), id(enc.w_k), id(enc.w_v)}
     with Tape() as tape:
@@ -312,6 +315,85 @@ def test_row_wise_layers_run_once_per_distinct_image_and_history_sentence(mixed)
                 rows.setdefault(id(t), []).append(node.inputs[0].shape[0])
     assert rows == {id(enc.region_w1): [n_regions], id(grd.att_wi): [n_regions],
                     id(enc.w_k): [n_history], id(enc.w_v): [n_history]}
+
+
+# ---------------------------------------------------------------------------
+# distinct sentences, found once per batch
+
+def test_each_batch_finds_its_distinct_sentences_once(mixed, monkeypatch):
+    """The mixed batch with three of its units again, so questions,
+    answers, candidates and history rows all repeat. In training and in
+    inference by either decoder: each history sentence is tuple-keyed once
+    for each unit row that holds it, as the encoders find the distinct
+    ones and packing passes the rows on as they come; `fuse_context` reads
+    one row per distinct history sentence, in order of first occurrence,
+    through a grid whose real positions are a prefix of each unit's row,
+    its sentences in order; and no `gather_rows` call reads every row of
+    its input in order, or another gather's output.
+
+    A third of the units are two tokens longer. Were every answer and
+    candidate one token long, the reads of their final states would be
+    every row in order; the op sequence stays the same whatever the
+    sentence lengths (`test_tape_size_does_not_grow_with_sentence_length`),
+    so those reads stay."""
+    params, units, cfg = mixed
+    units = units + units[:3]
+    cfg = dataclasses.replace(cfg, loss_mode="multitask")
+    history = [tuple(h) for h in pack_batch(units).history]
+    assert history == [tuple(h) for u in units for h in u.history]
+    distinct = list(dict.fromkeys(history))
+    others = [[u.question for u in units], [u.answer for u in units],
+              [c for u in units for c in u.candidates]]
+    for seqs in [history, *others]:
+        assert len({tuple(s) for s in seqs}) < len(seqs)
+    assert not set(distinct) & {tuple(s) for seqs in others for s in seqs}
+
+    keyed = Counter()
+
+    def counting_tuple(items=()):
+        key = tuple(items)
+        keyed[key] += 1
+        return key
+
+    for module in (encoders, model):
+        monkeypatch.setattr(module, "tuple", counting_tuple, raising=False)
+    gathers, grids = [], []
+    gather_rows, fuse_context = ad.gather_rows, model.fuse_context
+
+    def recording_gather(a, index):
+        out = gather_rows(a, index)
+        gathers.append((a, np.asarray(index), out))
+        return out
+
+    def recording_fuse(Q, H, mask_q, rows_h, enc):
+        grids.append((H.shape[0], np.asarray(rows_h)))
+        return fuse_context(Q, H, mask_q, rows_h, enc)
+
+    monkeypatch.setattr(ad, "gather_rows", recording_gather)
+    monkeypatch.setattr(model, "fuse_context", recording_fuse)
+    runs = {"training": lambda: forward_batch(params, units, cfg)}
+    for decoder in ("generative", "discriminative"):
+        runs[decoder] = lambda decoder=decoder: infer_batch_scores(
+            params, units, decoder=decoder, with_posterior=True)
+    for name, run in runs.items():
+        keyed.clear()
+        gathers.clear()
+        grids.clear()
+        run()
+        assert {s: keyed[s] for s in distinct} == Counter(history), name
+        (n_rows, rows_h), = grids
+        assert n_rows == len(distinct), name
+        real = rows_h < n_rows
+        for b, u in enumerate(units):
+            n = len(u.history)
+            assert real[b].tolist() == [True] * n + [False] * (real.shape[1] - n), name
+            assert [distinct[r] for r in rows_h[b, :n]] == [tuple(h) for h in u.history], name
+        made = {id(out) for _, _, out in gathers}
+        for a, index, _ in gathers:
+            assert id(a) not in made, name
+            flat = index.reshape(-1)
+            assert not (flat.size == a.shape[0]
+                        and np.array_equal(flat, np.arange(flat.size))), name
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ public method, must be named somewhere in `src/grounddial` or in
 `perfbench/*.py`: as a name, an attribute, a `from ... import` name, or the
 last part of a "module.function" string such as the benchmark's tracer
 patches. A definition does not name itself. The exempt names serve only the
-test harness and the test oracles.
+test harness and the test oracles. A private top-level function or class
+must be named there too, so a helper that a merge leaves behind is caught.
 
 Every defaulted parameter of a function in `src/grounddial` must be passed,
 by keyword or by position, by some call in `src/grounddial` or in the
@@ -62,14 +63,29 @@ def used_names(trees, modules):
     return used
 
 
-def test_every_public_name_is_called_by_the_package_or_the_benchmark():
+def package_trees_and_used_names():
+    """The package's trees by module, and every name the package and the
+    benchmark's files use."""
     sources = sorted(PACKAGE.glob("*.py"))
     trees = dict(zip((p.stem for p in sources), _trees(sources)))
     used = used_names([*trees.values(), *_trees(sorted((ROOT / "perfbench").glob("*.py")))],
                       set(trees))
+    return trees, used
+
+
+def test_every_public_name_is_called_by_the_package_or_the_benchmark():
+    trees, used = package_trees_and_used_names()
     unused = [f"{module}.{qualified}" for module, qualified, name in defined_names(trees)
               if name not in used and name not in EXEMPT]
     assert not unused, f"public names nothing calls: {unused}"
+
+
+def test_every_private_helper_is_named_by_the_package_or_the_benchmark():
+    trees, used = package_trees_and_used_names()
+    unused = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and node.name not in used]
+    assert not unused, f"private helpers nothing names: {unused}"
 
 
 def defaulted_parameters(trees_by_module):
