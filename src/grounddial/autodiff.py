@@ -56,9 +56,7 @@ since they all start from the unit's state and read BOS first.
 
 from __future__ import annotations
 
-import io
 import math
-import struct
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -111,10 +109,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        """Same values, cut from the tape (no gradient flows through)."""
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -584,31 +578,29 @@ def _check_simplex(arr: np.ndarray, name: str) -> None:
         raise InvalidDistributionError(f"{name} slices do not sum to 1 (max dev {np.abs(sums - 1.0).max():.3g})")
 
 
-def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
+def kl_divergence(p: np.ndarray, q: Tensor) -> Tensor:
     """Mean over the rows of [B, n] p and q of sum p log(p/q), each row one
-    distribution; 0 log 0 := 0, q floored at 1e-12."""
-    _same_shape(p, q, "kl_divergence")
-    if p.data.ndim != 2:
+    distribution; 0 log 0 := 0, q floored at 1e-12. The target p is an
+    array, so the gradient reaches q only."""
+    if p.shape != q.shape:
+        raise DimensionError(f"kl_divergence shapes differ: {p.shape} vs {q.shape}")
+    if p.ndim != 2:
         raise DimensionError(f"kl_divergence expects [B, n] rows, got shape {p.shape}")
-    _check_simplex(p.data, "p")
+    _check_simplex(p, "p")
     _check_simplex(q.data, "q")
     n_slices = p.shape[0]
-    pd = p.data
     qf = np.maximum(q.data, _LOG_FLOOR)
-    support = pd > 0
-    lp = np.log(np.where(support, pd, 1.0))
+    support = p > 0
+    lp = np.log(np.where(support, p, 1.0))
     lq = np.log(qf)
-    val = float(np.where(support, pd * (lp - lq), 0.0).sum()) / n_slices
+    val = float(np.where(support, p * (lp - lq), 0.0).sum()) / n_slices
     out = Tensor(val)
     q_active = q.data > _LOG_FLOOR
 
     def rule(g):
-        gs = float(g) / n_slices
-        dp = np.where(support, (lp - lq + 1.0) * gs, 0.0)
-        dq = np.where(q_active, -(pd / qf) * gs, 0.0)
-        return dp, dq
+        return (np.where(q_active, -(p / qf) * (float(g) / n_slices), 0.0),)
 
-    return _record(out, (p, q), rule)
+    return _record(out, (q,), rule)
 
 
 def cross_entropy_rows(logits: Tensor, targets: Sequence[int]) -> Tensor:
@@ -937,36 +929,3 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
     finally:
         x.requires_grad = was
         x.grad = None
-
-
-# ---------------------------------------------------------------------------
-# binary tensor serialization: u32 rank, u32 dims..., f64 data (little-endian)
-
-def write_tensor(fh, t: Tensor) -> None:
-    shape = t.shape
-    fh.write(struct.pack("<I", len(shape)))
-    if shape:
-        fh.write(struct.pack(f"<{len(shape)}I", *shape))
-    fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-
-
-def _read_exactly(fh, n: int, what: str) -> bytes:
-    """n bytes of a seekable stream, compared with the bytes it has left
-    before reading, so that a corrupt header cannot ask for gigabytes."""
-    here = fh.tell()
-    left = fh.seek(0, io.SEEK_END) - here
-    fh.seek(here)
-    if n > left:
-        raise ValueError(f"truncated tensor stream: {what} needs {n} bytes, {left} remain")
-    return fh.read(n)
-
-
-def read_tensor(fh) -> Tensor:
-    (rank,) = struct.unpack("<I", _read_exactly(fh, 4, "the rank"))
-    dims = struct.unpack(f"<{rank}I", _read_exactly(fh, 4 * rank, "the dims"))
-    count = 1
-    for d in dims:
-        count *= d
-    payload = _read_exactly(fh, 8 * count, f"the data of shape {dims}")
-    arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
-    return Tensor(arr)

@@ -236,7 +236,7 @@ def cmd_eval(args) -> int:
     try:
         restore_params(params, tensors)
     except ValueError as e:
-        raise DataError(f"manifest mismatch between checkpoint and model: {e}") from e
+        raise DataError(f"checkpoint {base} does not fit the model: {e}") from e
 
     report = evaluate(params, ds, cfg, decoder=args.decoder, ablate=args.ablate,
                       seed=args.seed, with_posterior=args.with_answers)

@@ -174,8 +174,8 @@ def bridge_loss(G: Tensor, g: Tensor) -> Tensor:
     """KL(posterior G, prior g) over region weights, [B, mu] each, averaged
     over the units of the batch; padding regions weigh 0 on both sides.
 
-    The posterior is a detached target: no gradient of the KL reaches it,
-    since one that does lets the posterior collapse onto the prior.
+    The posterior enters as an array, a constant target: a KL gradient that
+    reached it would let the posterior collapse onto the prior.
     """
-    return ad.kl_divergence(G.detach(), g)
+    return ad.kl_divergence(G.data, g)
 

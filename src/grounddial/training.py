@@ -11,6 +11,7 @@ outlive it and the step peaks at its forward activations.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -23,8 +24,6 @@ from .autodiff import (
     Tape,
     Tensor,
     backward,
-    read_tensor,
-    write_tensor,
 )
 from .data import DialogDataset, batch_iterator
 from .evaluation import evaluate
@@ -73,17 +72,17 @@ def adam_step(named: dict[str, Tensor], state: OptimizerState, lr: float) -> Non
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: tensor blobs in manifest order plus a JSON manifest
+# checkpoints: a JSON manifest of each tensor's name and shape, and a blob of
+# their little-endian float64 data, back to back in manifest order
 
 def save_checkpoint(base: Path, named: dict[str, Tensor], cfg: TrainConfig,
                     vocab_tokens: list[str], extra: Optional[dict] = None) -> None:
     base = Path(base)
-    names = list(named)
     with open(base.with_suffix(".bin"), "wb") as fh:
-        for name in names:
-            write_tensor(fh, named[name])
+        for t in named.values():
+            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
     manifest = {
-        "tensors": [{"name": n, "shape": list(named[n].shape)} for n in names],
+        "tensors": [{"name": n, "shape": list(t.shape)} for n, t in named.items()],
         "config": cfg.to_dict(),
         "vocab": vocab_tokens,
     }
@@ -93,12 +92,18 @@ def save_checkpoint(base: Path, named: dict[str, Tensor], cfg: TrainConfig,
         json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
+def _is_shape(shape) -> bool:
+    return isinstance(shape, list) and all(
+        isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape)
+
+
 def load_checkpoint(base: Path) -> tuple[dict[str, np.ndarray], TrainConfig, list[str]]:
     """Read what save_checkpoint wrote. A manifest that is not a JSON object
-    with "tensors" (a list of {"name": str, "shape": list}), "config" and
-    "vocab" (a list of strings), or a blob that is cut short, disagrees with
-    it or has bytes past its last tensor, raises ValueError; an invalid
-    config raises ContractError, itself a ValueError."""
+    with "tensors" (a list of {"name": str, "shape": list of ints >= 0}),
+    "config" and "vocab" (a list of strings), or a blob whose size is not
+    that of the shapes' float64 data, raises ValueError; an invalid config
+    raises ContractError, itself a ValueError. The size is compared before
+    any data is read, so a corrupt shape cannot ask for gigabytes."""
     base = Path(base)
     manifest = json.loads(base.with_suffix(".manifest.json").read_text())
     if not isinstance(manifest, dict):
@@ -108,24 +113,21 @@ def load_checkpoint(base: Path) -> tuple[dict[str, np.ndarray], TrainConfig, lis
         raise ValueError(f"manifest lacks {sorted(missing)}")
     entries, vocab = manifest["tensors"], manifest["vocab"]
     if not isinstance(entries, list) or not all(
-            isinstance(e, dict) and isinstance(e.get("name"), str) and isinstance(e.get("shape"), list)
+            isinstance(e, dict) and isinstance(e.get("name"), str) and _is_shape(e.get("shape"))
             for e in entries):
-        raise ValueError('"tensors" is not a list of objects with a string "name" and a list "shape"')
+        raise ValueError('"tensors" is not a list of objects with a string "name" '
+                         'and a "shape" of non-negative ints')
     if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab):
         raise ValueError('"vocab" is not a list of strings')
     cfg = TrainConfig.from_dict(manifest["config"])
-    tensors: dict[str, np.ndarray] = {}
-    with open(base.with_suffix(".bin"), "rb") as fh:
-        for entry in entries:
-            t = read_tensor(fh)
-            if list(t.shape) != entry["shape"]:
-                raise ValueError(
-                    f"manifest mismatch for {entry['name']!r}: "
-                    f"file has {t.shape}, manifest says {entry['shape']}")
-            tensors[entry["name"]] = t.data
-        trailing = len(fh.read())
-    if trailing:
-        raise ValueError(f"{trailing} bytes past the last tensor")
+    counts = [math.prod(e["shape"]) for e in entries]
+    blob = base.with_suffix(".bin")
+    size, expected = blob.stat().st_size, 8 * sum(counts)
+    if size != expected:
+        raise ValueError(f"{blob} holds {size} bytes where the manifest's shapes need {expected}")
+    data = np.frombuffer(blob.read_bytes(), dtype="<f8").astype(np.float64)
+    pieces = np.split(data, np.cumsum(counts[:-1], dtype=np.intp))
+    tensors = {e["name"]: a.reshape(e["shape"]) for e, a in zip(entries, pieces)}
     return tensors, cfg, vocab
 
 

@@ -508,7 +508,7 @@ def forward_unit(params, unit, cfg) -> UnitForward:
     y = encode_unit_answer(params, unit)
     G, v_post, _ = posterior_ground(I, x, y, q_mask, params.grounding)
     mu = g.shape[0]
-    L_KL = ad.kl_divergence(ad.reshape(G.detach(), (1, mu)), ad.reshape(g, (1, mu)))
+    L_KL = ad.kl_divergence(G.data.reshape(1, mu), ad.reshape(g, (1, mu)))
     fused = fuse_for_decoder(x, q_mask, v_post, params.decoder)
     L_G = L_D = None
     embedding = params.encoder.embedding

@@ -1,4 +1,3 @@
-import io
 import math
 import weakref
 
@@ -319,19 +318,19 @@ def test_softmax_argmax_shift_invariant():
 # kl divergence
 
 def test_kl_identical_distributions_zero():
-    p = Tensor([[0.2, 0.3, 0.5]])
+    p = np.array([[0.2, 0.3, 0.5]])
     assert abs(ad.kl_divergence(p, Tensor([[0.2, 0.3, 0.5]])).item()) < 1e-12
 
 
 def test_kl_hand_value():
-    val = ad.kl_divergence(Tensor([[0.5, 0.5]]), Tensor([[0.25, 0.75]])).item()
+    val = ad.kl_divergence(np.array([[0.5, 0.5]]), Tensor([[0.25, 0.75]])).item()
     expect = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
     assert abs(val - expect) < 1e-12
     assert abs(val - 0.14384) < 5e-6
 
 
 def test_kl_single_support_point():
-    val = ad.kl_divergence(Tensor([[1.0, 0.0]]), Tensor([[0.5, 0.5]])).item()
+    val = ad.kl_divergence(np.array([[1.0, 0.0]]), Tensor([[0.5, 0.5]])).item()
     assert abs(val - math.log(2.0)) < 1e-12
 
 
@@ -342,11 +341,11 @@ def test_kl_nonnegative_random():
         q = g.random(5) + 1e-3
         p /= p.sum()
         q /= q.sum()
-        assert ad.kl_divergence(Tensor(p[None]), Tensor(q[None])).item() >= 0.0
+        assert ad.kl_divergence(p[None], Tensor(q[None])).item() >= 0.0
 
 
 def test_kl_batch_mean_over_rows():
-    p = Tensor([[0.5, 0.5], [1.0, 0.0]])
+    p = np.array([[0.5, 0.5], [1.0, 0.0]])
     q = Tensor([[0.25, 0.75], [0.5, 0.5]])
     single = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
     assert abs(ad.kl_divergence(p, q).item() - (single + math.log(2.0)) / 2) < 1e-12
@@ -354,12 +353,14 @@ def test_kl_batch_mean_over_rows():
 
 def test_kl_invalid_inputs():
     with pytest.raises(InvalidDistributionError):
-        ad.kl_divergence(Tensor([[0.7, 0.7]]), Tensor([[0.5, 0.5]]))
+        ad.kl_divergence(np.array([[0.7, 0.7]]), Tensor([[0.5, 0.5]]))
     with pytest.raises(InvalidDistributionError):
-        ad.kl_divergence(Tensor([[-0.1, 1.1]]), Tensor([[0.5, 0.5]]))
+        ad.kl_divergence(np.array([[-0.1, 1.1]]), Tensor([[0.5, 0.5]]))
     for shape in ((2,), (1, 1, 2)):          # rows of a [B, n] batch only
         with pytest.raises(DimensionError):
-            ad.kl_divergence(Tensor(np.full(shape, 0.5)), Tensor(np.full(shape, 0.5)))
+            ad.kl_divergence(np.full(shape, 0.5), Tensor(np.full(shape, 0.5)))
+    with pytest.raises(DimensionError, match="shapes differ"):
+        ad.kl_divergence(np.full((1, 2), 0.5), Tensor(np.full((1, 4), 0.25)))
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +515,8 @@ def test_grad_check_constant_function():
 @pytest.mark.parametrize("build", [
     lambda t: ad.mean_all(ad.tanh(ad.matmul(t, transpose(t)))),
     lambda t: ad.kl_divergence(
+        np.full((1, t.size), 1.0 / t.size),
         softmax(ad.reshape(t, (1, t.size)), axis=1),
-        Tensor(np.full((1, t.size), 1.0 / t.size)),
     ),
     lambda t: ad.sum_all(ad.cross_entropy_rows(ad.reshape(ad.tanh(t), (1, t.size)), [1])),
     lambda t: squared_gap(ad.relu(ad.add_const(t, 0.7)), Tensor(np.ones((2, 3)))),
@@ -991,8 +992,8 @@ def test_grad_check_random_points_under_tolerance():
 
     def f(t):
         h = ad.relu(ad.add_const(ad.matmul(t, w), 0.5))
-        p = softmax(ad.reshape(h, (1, h.size)), axis=1)
-        return ad.kl_divergence(p, Tensor(np.full((1, h.size), 1.0 / h.size)))
+        q = softmax(ad.reshape(h, (1, h.size)), axis=1)
+        return ad.kl_divergence(np.full((1, h.size), 1.0 / h.size), q)
 
     for seed in range(5):
         x = Tensor(np.random.default_rng(seed).normal(size=(2, 3)))
@@ -1107,27 +1108,3 @@ def test_tape_does_not_nest():
         with pytest.raises(ContractError):
             with Tape():
                 pass
-
-
-# ---------------------------------------------------------------------------
-# serialization round-trip
-
-def test_tensor_serialization_roundtrip():
-    g = rng()
-    for shape in [(), (3,), (2, 4), (2, 3, 2)]:
-        t = Tensor(g.normal(size=shape))
-        buf = io.BytesIO()
-        ad.write_tensor(buf, t)
-        buf.seek(0)
-        back = ad.read_tensor(buf)
-        assert back.shape == t.shape
-        assert np.array_equal(back.data, t.data)
-
-
-def test_tensor_serialization_truncated():
-    t = Tensor(np.ones((4, 4)))
-    buf = io.BytesIO()
-    ad.write_tensor(buf, t)
-    short = io.BytesIO(buf.getvalue()[:-8])
-    with pytest.raises(ValueError):
-        ad.read_tensor(short)

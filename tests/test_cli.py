@@ -185,6 +185,7 @@ def test_train_invalid_config_flag_exits_2(synth_dir, tmp_path, capsys, extra, f
     ({"max_epochs": "1"}, "max_epochs"),
     ({"base_lr": 0.001}, "base_lr"),
     ({"detach_posterior": True}, "detach_posterior"),
+    ([], "cfg.json"),                          # not an object: the file is named
 ])
 def test_train_bad_config_file_exits_2(synth_dir, tmp_path, capsys, settings, field):
     cfg_path = tmp_path / "cfg.json"
@@ -576,9 +577,16 @@ def _vocab_repeats_a_token(base):
 
 
 def _huge_first_dim(base):
-    blob = bytearray(base.with_suffix(".bin").read_bytes())
-    blob[4:8] = (4_000_000_000).to_bytes(4, "little")  # 32 GB of data declared
-    base.with_suffix(".bin").write_bytes(bytes(blob))
+    # 2 TB of data declared: the size check must refuse it before any read
+    _edit_manifest(base, lambda m: m["tensors"][0].update(shape=[4_000_000_000, 64]))
+
+
+def _shape_entry(value):
+    """A case: the first tensor's first dimension replaced by `value`."""
+    def mutate(base):
+        _edit_manifest(base, lambda m: m["tensors"][0]["shape"].__setitem__(0, value))
+    mutate.__name__ = f"_shape_entry_{value!r}"
+    return mutate
 
 
 @pytest.mark.parametrize("case", [_val_without_features, _mistyped_features,
@@ -600,7 +608,8 @@ def _huge_first_dim(base):
                                       _manifest_shape_disagrees, _manifest_without_vocab,
                                       _tensors_not_objects, _tensors_an_object,
                                       _tensor_without_name, _vocab_not_a_list,
-                                      _vocab_repeats_a_token, _huge_first_dim])])
+                                      _vocab_repeats_a_token, _huge_first_dim,
+                                      *map(_shape_entry, [-1, 2.5, True])])])
 def test_data_errors_exit_3_naming_the_input(synth_dir, tmp_path, capsys, case):
     argv, named = case(synth_dir, tmp_path)
     capsys.readouterr()

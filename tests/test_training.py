@@ -157,14 +157,15 @@ def test_adam_deterministic_trajectory():
 # ---------------------------------------------------------------------------
 # training loop
 
-def test_train_runs_and_logs(tmp_path):
+def test_train_runs_and_logs(tmp_path, capsys):
     cfg = tiny_cfg()
     ds = tiny_data()
     params = tiny_model(ds, cfg, seed=1)
-    result = train(ds, ds, params, cfg, out_dir=tmp_path)
+    result = train(ds, ds, params, cfg, out_dir=tmp_path, quiet=False)
     assert len(result.epochs) == cfg.max_epochs
     lines = (tmp_path / "metrics.jsonl").read_text().strip().split("\n")
     assert len(lines) == cfg.max_epochs
+    assert capsys.readouterr().out.splitlines() == lines   # verbose: each line printed too
     entry = json.loads(lines[0])
     assert {"epoch", "lr", "L_KL", "L_G", "val"} <= set(entry)
     assert (tmp_path / "best.bin").exists()
@@ -344,6 +345,8 @@ def test_checkpoint_roundtrip(tmp_path):
     params = tiny_model(ds, cfg, seed=6)
     named = named_parameters(params)
     save_checkpoint(tmp_path / "ck", named, cfg, ds.vocab.id_to_token)
+    # the blob is the float64 data alone; the manifest holds the shapes
+    assert (tmp_path / "ck.bin").stat().st_size == 8 * sum(t.size for t in named.values())
     tensors, cfg2, vocab = load_checkpoint(tmp_path / "ck")
     assert cfg2.to_dict() == cfg.to_dict()
     assert vocab == ds.vocab.id_to_token
@@ -365,3 +368,42 @@ def test_checkpoint_manifest_mismatch(tmp_path):
     with pytest.raises(ValueError) as e:
         restore_params(params_big, tensors)
     assert "mismatch" in str(e.value)
+
+
+@pytest.mark.parametrize("first, message", [
+    # gigabytes declared: the blob's size refuses them before any data is read
+    (4_000_000_000, r"holds \d+ bytes where the manifest's shapes need \d+$"),
+    *((bad, "non-negative ints") for bad in (-1, 2.5, True)),
+], ids=["huge", "negative", "float", "bool"])
+def test_load_refuses_a_bad_manifest_shape(tmp_path, first, message):
+    cfg = tiny_cfg()
+    ds = tiny_data(n=2)
+    save_checkpoint(tmp_path / "ck", named_parameters(tiny_model(ds, cfg)), cfg,
+                    ds.vocab.id_to_token)
+    path = tmp_path / "ck.manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["tensors"][0]["shape"][0] = first
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(tmp_path / "ck")
+
+
+@pytest.mark.parametrize("edit", ["drop", "add"])
+def test_restore_refuses_a_different_parameter_set_naming_the_tensor(edit):
+    cfg = tiny_cfg()
+    ds = tiny_data(n=2)
+    params = tiny_model(ds, cfg, seed=7)
+    tensors = {name: t.data for name, t in named_parameters(params).items()}
+    if edit == "drop":
+        name = "decoder.bilinear"
+        del tensors[name]
+    else:
+        name = "decoder.extra"
+        tensors[name] = np.zeros((2, 2))
+    with pytest.raises(ValueError, match=f"parameter set differs on .*{name}"):
+        restore_params(params, tensors)
+
+
+def test_train_config_from_dict_refuses_a_non_object():
+    with pytest.raises(ContractError, match="JSON object, got list"):
+        TrainConfig.from_dict([])
