@@ -6,10 +6,12 @@ Exit codes: 0 success, 2 usage error (a flag or config value out of range),
 written), 4 numeric divergence.
 Each field of SyntheticConfig (gen-synth) and TrainConfig (train) is one
 flag, spelled like the field with dashes for underscores: `--max-epochs`
-sets max_epochs and `--no-fusion-residual` clears fusion_residual. The
-defaults live only in the dataclasses. A JSON config file (train --config)
-uses TrainConfig field names, as recorded in a run's manifest.json; given
-flags override the file, and the file overrides TrainConfig's defaults. All
+sets max_epochs, and a bool field's `--no-` flag clears it. The defaults
+live only in the dataclasses, the model's shape included: train and eval
+build the model from a TrainConfig with `model.init_params_for`, eval from
+the one its checkpoint recorded. A JSON config file (train --config) uses
+TrainConfig field names, as recorded in a run's manifest.json; given flags
+override the file, and the file overrides TrainConfig's defaults. All
 randomness flows from the seed.
 """
 
@@ -40,7 +42,7 @@ from .data import (
     write_features,
 )
 from .evaluation import evaluate
-from .model import init_model_params
+from .model import init_params_for
 from .training import DivergenceError, TrainConfig, load_checkpoint, restore_params, train
 
 EXIT_OK = 0
@@ -173,9 +175,7 @@ def cmd_train(args) -> int:
     if val_d_v != d_v:
         raise DataError(f"the features of {args.val_data} have {val_d_v} values per region, "
                         f"those of {args.data} {d_v}")
-    params = init_model_params(np.random.default_rng(cfg.seed), len(ds_train.vocab),
-                               d_v=d_v, d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads,
-                               d_h=cfg.d_h, fusion_residual=cfg.fusion_residual)
+    params = init_params_for(cfg, np.random.default_rng(cfg.seed), len(ds_train.vocab), d_v)
     out_dir = Path(args.out)
     result = train(ds_train, ds_val, params, cfg, out_dir=out_dir, quiet=not args.verbose)
     _write_manifest(out_dir, "train", cfg.to_dict(), cfg.seed,
@@ -230,9 +230,7 @@ def cmd_eval(args) -> int:
                     raise DataError(f"--ablate oracle needs gt_grounding, which image_id "
                                     f"{ex.image_id!r} round {t} of {args.data} lacks")
     d_v = ds.examples[0].region_features.shape[1]
-    params = init_model_params(np.random.default_rng(0), len(vocab), d_v=d_v,
-                               d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads,
-                               d_h=cfg.d_h, fusion_residual=cfg.fusion_residual)
+    params = init_params_for(cfg, np.random.default_rng(0), len(vocab), d_v)
     try:
         restore_params(params, tensors)
     except ValueError as e:

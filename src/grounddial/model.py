@@ -138,16 +138,27 @@ class ModelParams:
 
 
 def init_model_params(rng: np.random.Generator, vocab_size: int, d_v: int, *,
-                      d_e: int = TrainConfig.d_e, d_q: int = TrainConfig.d_q,
-                      n_heads: int = TrainConfig.n_heads, d_h: int = TrainConfig.d_h,
-                      fusion_residual: bool = TrainConfig.fusion_residual) -> ModelParams:
-    """Fresh parameters; the shape defaults are TrainConfig's."""
+                      d_e: int, d_q: int, n_heads: int, d_h: int,
+                      fusion_residual: bool) -> ModelParams:
+    """Fresh parameters of the given shape, drawn from rng in a fixed order.
+    A model of a run is built by `init_params_for`, which reads the shape
+    from the run's TrainConfig."""
     return ModelParams(
         encoder=init_encoder_params(rng, vocab_size, d_v, d_e=d_e, d_q=d_q,
                                     n_heads=n_heads, fusion_residual=fusion_residual),
         grounding=init_grounding_params(rng, d_q=d_q, d_h=d_h),
         decoder=init_decoder_params(rng, vocab_size, d_e=d_e, d_q=d_q),
     )
+
+
+def init_params_for(cfg: TrainConfig, rng: np.random.Generator, vocab_size: int,
+                    d_v: int) -> ModelParams:
+    """Fresh parameters of the model cfg describes, for a vocabulary of
+    vocab_size tokens and d_v values per region: the one place that reads
+    a config's shape fields, so training and evaluation build one model."""
+    return init_model_params(rng, vocab_size, d_v, d_e=cfg.d_e, d_q=cfg.d_q,
+                             n_heads=cfg.n_heads, d_h=cfg.d_h,
+                             fusion_residual=cfg.fusion_residual)
 
 
 def _walk(obj, prefix: str, out: dict) -> None:

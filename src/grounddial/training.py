@@ -132,13 +132,20 @@ def load_checkpoint(base: Path) -> tuple[dict[str, np.ndarray], TrainConfig, lis
 
 
 def restore_params(params: ModelParams, tensors: dict[str, np.ndarray]) -> None:
+    """Copy a checkpoint's tensors into params. Every name and shape is
+    checked before any parameter is written, so a checkpoint that does not
+    fit raises ValueError with params untouched."""
     named = named_parameters(params)
-    if set(named) != set(tensors):
-        missing = set(named) ^ set(tensors)
-        raise ValueError(f"manifest mismatch: parameter set differs on {sorted(missing)}")
+    lacks, extra = sorted(set(named) - set(tensors)), sorted(set(tensors) - set(named))
+    if lacks or extra:
+        sides = ([f"the checkpoint lacks {lacks}"] if lacks else []) + (
+            [f"the checkpoint has {extra}, which the model does not"] if extra else [])
+        raise ValueError(f"manifest mismatch: {'; '.join(sides)}")
+    wrong = [f"{name!r}: model {named[name].shape}, checkpoint {arr.shape}"
+             for name, arr in tensors.items() if named[name].shape != arr.shape]
+    if wrong:
+        raise ValueError(f"manifest mismatch for {'; '.join(wrong)}")
     for name, arr in tensors.items():
-        if named[name].shape != arr.shape:
-            raise ValueError(f"manifest mismatch for {name!r}: {named[name].shape} vs {arr.shape}")
         named[name].data = arr.copy()
 
 

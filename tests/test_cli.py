@@ -19,7 +19,7 @@ from grounddial.data import (
     write_features,
 )
 from grounddial.evaluation import evaluate
-from grounddial.model import init_model_params
+from grounddial.model import init_params_for
 from grounddial.training import TrainConfig, load_checkpoint, restore_params, save_checkpoint
 
 
@@ -288,10 +288,9 @@ def test_eval_uses_the_checkpoint_config(synth_dir, tmp_path, capsys):
     ds = load_dataset(synth_dir / "dataset.json", "train", vocab=Vocabulary(vocab))
 
     def report_with(residual):
-        params = init_model_params(np.random.default_rng(0), len(vocab),
-                                   d_v=ds.examples[0].region_features.shape[1], d_e=cfg.d_e,
-                                   d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h,
-                                   fusion_residual=residual)
+        params = init_params_for(dataclasses.replace(cfg, fusion_residual=residual),
+                                 np.random.default_rng(0), len(vocab),
+                                 ds.examples[0].region_features.shape[1])
         restore_params(params, tensors)
         return evaluate(params, ds, cfg).to_dict()
 

@@ -364,7 +364,7 @@ def test_every_encoder_runs_each_distinct_sentence_once(lstm_rows):
     units = prepare_units(ds, cfg.seq_len, cfg.max_history)
     units = units + units[:3]
     params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16, d_e=D_E,
-                               d_q=D_Q, n_heads=N_H, d_h=8)
+                               d_q=D_Q, n_heads=N_H, d_h=8, fusion_residual=True)
     sentences = {
         "question": [u.question for u in units],
         "answer": [u.answer for u in units],

@@ -35,7 +35,7 @@ from grounddial.evaluation import (
 from grounddial.model import (
     TrainConfig,
     infer_batch_scores,
-    init_model_params,
+    init_params_for,
     named_parameters,
     prepare_units,
 )
@@ -220,8 +220,7 @@ def test_grounding_hits_only_real_regions():
 def test_grounding_top1_needs_every_unit_annotated():
     ds = generate_synthetic(SyntheticConfig(num_images=2, seed=9))
     cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4)
-    params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16,
-                               d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
+    params = init_params_for(cfg, np.random.default_rng(0), len(ds.vocab), 16)
     ds.examples[1].rounds[2].gt_grounding = None
     rep = evaluate(params, ds, cfg)
     assert rep.grounding_top1 is None and rep.grounding_top3 is None
@@ -346,9 +345,8 @@ def test_rowwise_helpers_match_the_per_unit_oracles(units):
 def tiny_setup():
     ds = generate_synthetic(SyntheticConfig(num_images=3, seed=9))
     cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4)
-    params = init_model_params(np.random.default_rng(0), len(ds.vocab),
-                               d_v=ds.examples[0].region_features.shape[1],
-                               d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
+    params = init_params_for(cfg, np.random.default_rng(0), len(ds.vocab),
+                             ds.examples[0].region_features.shape[1])
     return ds, params, cfg
 
 
@@ -424,8 +422,7 @@ def test_every_ablation_encodes_each_batch_once(ablate, with_posterior, monkeypa
     ds = generate_synthetic(synthetic)
     monkeypatch.setattr(evaluation, "EVAL_BATCH_UNITS", 8)
     cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4)
-    params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16,
-                               d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
+    params = init_params_for(cfg, np.random.default_rng(0), len(ds.vocab), 16)
     calls = []
     real = model.encode_context
 
@@ -499,8 +496,7 @@ def test_ablate_random_shuffles_among_units_with_the_same_region_count(monkeypat
         ex.region_features = Tensor(ex.region_features.data[:6])
     monkeypatch.setattr(evaluation, "EVAL_BATCH_UNITS", 5)
     cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4)
-    params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16,
-                               d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
+    params = init_params_for(cfg, np.random.default_rng(0), len(ds.vocab), 16)
     params.grounding.w2.data = np.random.default_rng(1).uniform(-1, 1, size=(cfg.d_h, 1))
     seen = random_overrides(monkeypatch, params, ds, cfg, seed=3)
     assert [{u.features.shape[0] for u in batch} for batch, _ in seen] == [{6, 8}, {6, 8}, {6}]
@@ -535,9 +531,8 @@ def mixed_regions_setup(num_images, synthetic=None):
         mu = max(6, 1 + max(i for r in ex.rounds for i in r.gt_grounding))
         ex.region_features = Tensor(ex.region_features.data[:mu])
     cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4)
-    params = init_model_params(np.random.default_rng(0), len(ds.vocab),
-                               d_v=ds.examples[0].region_features.shape[1], d_e=cfg.d_e,
-                               d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
+    params = init_params_for(cfg, np.random.default_rng(0), len(ds.vocab),
+                             ds.examples[0].region_features.shape[1])
     params.grounding.w2.data = np.random.default_rng(1).uniform(-1, 1, size=(cfg.d_h, 1))
     return ds, params, cfg
 
@@ -676,8 +671,7 @@ def test_evaluate_ranks_each_unit_once_on_its_own_scores(monkeypatch, decoder):
     size = 5
     monkeypatch.setattr(evaluation, "EVAL_BATCH_UNITS", size)
     cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4)
-    params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16,
-                               d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
+    params = init_params_for(cfg, np.random.default_rng(0), len(ds.vocab), 16)
     units = []
     for k, u in enumerate(prepare_units(ds, cfg.seq_len, cfg.max_history)):
         n = max(u.gt_index + 1, 10 - 3 * (k % 3))
@@ -743,8 +737,7 @@ def test_batches_of_a_few_units_evaluate_as_64_unit_passes(monkeypatch, decoder,
     still rounds its attention records otherwise."""
     ds = generate_synthetic(SyntheticConfig(num_images=30, seed=9))
     cfg = TrainConfig(d_e=8, d_q=d_q, n_heads=2, d_h=8, seq_len=10, max_history=4)
-    params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16,
-                               d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
+    params = init_params_for(cfg, np.random.default_rng(0), len(ds.vocab), 16)
     params.grounding.w2.data = np.random.default_rng(1).uniform(-1, 1, size=(cfg.d_h, 1))
 
     def run(size):
@@ -795,8 +788,7 @@ def test_generative_ranking_is_the_per_column_oracle(monkeypatch, data, size):
     ds = prefix_dataset() if data == "prefixes" else generate_synthetic(
         SyntheticConfig(num_images=30, seed=9))
     cfg = TrainConfig(d_e=8, d_q=16, n_heads=2, d_h=8, seq_len=10, max_history=4)
-    params = init_model_params(np.random.default_rng(0), len(ds.vocab), d_v=16,
-                               d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
+    params = init_params_for(cfg, np.random.default_rng(0), len(ds.vocab), 16)
     params.grounding.w2.data = np.random.default_rng(1).uniform(-1, 1, size=(cfg.d_h, 1))
     units = prepare_units(ds, cfg.seq_len, cfg.max_history)
     if data == "prefixes":

@@ -26,6 +26,7 @@ from grounddial.model import (
     forward_batch,
     infer_batch_scores,
     init_model_params,
+    init_params_for,
     named_parameters,
     pack_batch,
     prepare_units,
@@ -41,8 +42,8 @@ def setup(rounds_cfg: dict, seed: int, num_images: int = 1, region_counts=()):
     for ex, mu in zip(ds.examples, region_counts):
         ex.region_features = Tensor(ex.region_features.data[:mu])
     cfg = TrainConfig()
-    params = init_model_params(np.random.default_rng(seed), len(ds.vocab),
-                               d_v=ds.examples[0].region_features.shape[1])
+    params = init_params_for(cfg, np.random.default_rng(seed), len(ds.vocab),
+                             ds.examples[0].region_features.shape[1])
     # zero-initialized pooling scores make every prior uniform; give them structure
     params.grounding.w2.data = np.random.default_rng(seed + 1).uniform(
         -1.0, 1.0, size=params.grounding.w2.shape)
@@ -228,6 +229,49 @@ def test_g_override_of_the_wrong_shape_raises(mixed):
                            g_override=lambda learned: learned[:-1])
 
 
+# where each shape field of a TrainConfig shows in the model it builds
+SHAPE_READINGS = {
+    "d_e": lambda p: p.encoder.embedding.shape[1],
+    "d_q": lambda p: p.encoder.w_q.shape,
+    "n_heads": lambda p: p.encoder.n_heads,
+    "d_h": lambda p: p.grounding.w1.shape[1],
+    "fusion_residual": lambda p: p.encoder.fusion_residual,
+}
+SMALL_SHAPE = dict(d_e=8, d_q=8, n_heads=2, d_h=8, fusion_residual=True)
+OTHER_SHAPE = dict(d_e=12, d_q=16, n_heads=8, d_h=12, fusion_residual=False)
+
+
+@pytest.mark.parametrize("field", sorted(SHAPE_READINGS))
+def test_every_shape_field_reaches_the_model(field):
+    """A config that changes one shape field builds a model that differs
+    in that field's place, and only there."""
+    def readings(cfg):
+        params = init_params_for(cfg, np.random.default_rng(0), 10, 6)
+        return {name: read(params) for name, read in SHAPE_READINGS.items()}
+
+    base = TrainConfig(**SMALL_SHAPE)
+    before = readings(base)
+    after = readings(dataclasses.replace(base, **{field: OTHER_SHAPE[field]}))
+    assert after[field] != before[field]
+    assert {k: v for k, v in after.items() if k != field} == \
+        {k: v for k, v in before.items() if k != field}
+
+
+def test_init_params_for_draws_what_the_explicit_call_draws():
+    """With every shape field off its default, the config's model is the
+    explicit `init_model_params` call's, byte for byte, from the same seed."""
+    assert all(OTHER_SHAPE[f] != getattr(TrainConfig, f) for f in OTHER_SHAPE)
+    built = init_params_for(TrainConfig(**OTHER_SHAPE), np.random.default_rng(3), 10, 6)
+    explicit = init_model_params(np.random.default_rng(3), 10, 6, **OTHER_SHAPE)
+    assert (built.encoder.n_heads, built.encoder.fusion_residual) == \
+        (explicit.encoder.n_heads, explicit.encoder.fusion_residual)
+    a, b = named_parameters(built), named_parameters(explicit)
+    assert list(a) == list(b)
+    for name in a:
+        assert a[name].shape == b[name].shape, name
+        assert a[name].data.tobytes() == b[name].data.tobytes(), name
+
+
 def test_init_gives_the_attention_and_the_answer_encoder_a_gradient():
     """At init `w2 = 0` pools the regions uniformly. Each region's softmax
     over the tokens still lets the attention projections and the answer
@@ -236,8 +280,8 @@ def test_init_gives_the_attention_and_the_answer_encoder_a_gradient():
     recurrent weights nothing to act on, so the answers are lengthened."""
     ds = generate_synthetic(SyntheticConfig(num_images=4, seed=4))
     cfg = TrainConfig()
-    params = init_model_params(np.random.default_rng(0), len(ds.vocab),
-                               d_v=ds.examples[0].region_features.shape[1])
+    params = init_params_for(cfg, np.random.default_rng(0), len(ds.vocab),
+                             ds.examples[0].region_features.shape[1])
     units = [lengthened(u, u.question[:2]) for u in prepare_units(ds, cfg.seq_len, cfg.max_history)]
     _, grads, _ = batch_loss_and_grads(params, units, cfg)
     answer = [name for name in grads if name.startswith("encoder.answer.")]

@@ -8,6 +8,9 @@ patches. A definition does not name itself. The exempt names serve only the
 test harness and the test oracles. A private top-level function or class
 must be named there too, so a helper that a merge leaves behind is caught.
 
+A model is built from its TrainConfig in one place: `model.init_params_for`
+is the package's only caller of `init_model_params`.
+
 Every defaulted parameter of a function in `src/grounddial` must be passed,
 by keyword or by position, by some call in `src/grounddial` or in the
 benchmark's non-test files; a parameter that no such call passes is a
@@ -147,3 +150,13 @@ def test_every_defaulted_parameter_is_passed_by_the_package_or_the_benchmark():
         if position is None or position >= positions:
             never.append(f"{module}.{name}({param}=)")
     assert not never, f"defaulted parameters no call passes: {never}"
+
+
+def test_only_init_params_for_calls_init_model_params():
+    trees, _ = package_trees_and_used_names()
+    callers = [f"{module}.{getattr(top, 'name', '<module>')}"
+               for module, tree in trees.items() for top in tree.body
+               for node in ast.walk(top) if isinstance(node, ast.Call)
+               and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+               == "init_model_params"]
+    assert callers == ["model.init_params_for"], callers

@@ -10,7 +10,7 @@ from grounddial import model, training
 from grounddial.autodiff import ContractError, Tensor
 from grounddial.data import DialogDataset, SyntheticConfig, generate_synthetic
 from grounddial.evaluation import ABLATION_MODES, evaluate
-from grounddial.model import forward_batch, init_model_params, named_parameters, prepare_units
+from grounddial.model import forward_batch, init_params_for, named_parameters, prepare_units
 from grounddial.training import (
     DivergenceError,
     OptimizerState,
@@ -35,9 +35,8 @@ def tiny_data(n=3, seed=5):
 
 
 def tiny_model(ds, cfg, seed=0):
-    return init_model_params(np.random.default_rng(seed), len(ds.vocab),
-                             d_v=ds.examples[0].region_features.shape[1],
-                             d_e=cfg.d_e, d_q=cfg.d_q, n_heads=cfg.n_heads, d_h=cfg.d_h)
+    return init_params_for(cfg, np.random.default_rng(seed), len(ds.vocab),
+                           ds.examples[0].region_features.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -388,20 +387,44 @@ def test_load_refuses_a_bad_manifest_shape(tmp_path, first, message):
         load_checkpoint(tmp_path / "ck")
 
 
-@pytest.mark.parametrize("edit", ["drop", "add"])
-def test_restore_refuses_a_different_parameter_set_naming_the_tensor(edit):
+@pytest.mark.parametrize("edit, message", [
+    ("drop", r"^manifest mismatch: the checkpoint lacks \['decoder\.bilinear'\]$"),
+    ("add", r"^manifest mismatch: the checkpoint has \['decoder\.extra'\], "
+            r"which the model does not$"),
+    ("rename", r"^manifest mismatch: the checkpoint lacks \['decoder\.bilinear'\]; "
+               r"the checkpoint has \['decoder\.extra'\], which the model does not$"),
+    ("reshape", r"^manifest mismatch for 'decoder\.bilinear': "
+                r"model \(8, 8\), checkpoint \(2, 2\)$"),
+], ids=["drop", "add", "rename", "reshape"])
+def test_restore_refuses_a_different_parameter_set_naming_the_tensor(edit, message):
     cfg = tiny_cfg()
     ds = tiny_data(n=2)
     params = tiny_model(ds, cfg, seed=7)
     tensors = {name: t.data for name, t in named_parameters(params).items()}
-    if edit == "drop":
-        name = "decoder.bilinear"
-        del tensors[name]
-    else:
-        name = "decoder.extra"
-        tensors[name] = np.zeros((2, 2))
-    with pytest.raises(ValueError, match=f"parameter set differs on .*{name}"):
+    if edit in ("drop", "rename"):
+        del tensors["decoder.bilinear"]
+    if edit in ("add", "rename"):
+        tensors["decoder.extra"] = np.zeros((2, 2))
+    if edit == "reshape":
+        tensors["decoder.bilinear"] = np.zeros((2, 2))
+    with pytest.raises(ValueError, match=message):
         restore_params(params, tensors)
+
+
+def test_restore_checks_every_tensor_before_writing_any():
+    """A checkpoint whose last tensor has the wrong shape is refused with
+    every parameter as it was, the ones it lists first included."""
+    cfg = tiny_cfg()
+    ds = tiny_data(n=2)
+    params = tiny_model(ds, cfg, seed=7)
+    before = {name: t.data.copy() for name, t in named_parameters(params).items()}
+    tensors = {name: t.data for name, t in named_parameters(tiny_model(ds, cfg, seed=8)).items()}
+    last = list(tensors)[-1]
+    tensors[last] = np.zeros((3, 3))
+    with pytest.raises(ValueError, match=f"for {last!r}: model"):
+        restore_params(params, tensors)
+    for name, t in named_parameters(params).items():
+        assert np.array_equal(t.data, before[name]), name
 
 
 def test_train_config_from_dict_refuses_a_non_object():
