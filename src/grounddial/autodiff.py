@@ -6,9 +6,9 @@ node as it passes it, so the saved arrays and the intermediate gradients
 are freed during the sweep and only the leaves' gradients outlive it. A
 second `backward` on a consumed tape raises. `matmul` is 2-D;
 same-shape elementwise arithmetic and reductions work on any rank --
-there is no implicit broadcasting beyond scaling/shifting by a Python
-scalar, so shape mistakes fail loudly at the op that caused them. The two
-named exceptions are layers fused into one node each: `affine` adds its
+there is no implicit broadcasting beyond scaling by a Python scalar, so
+shape mistakes fail loudly at the op that caused them. The two named
+exceptions are layers fused into one node each: `affine` adds its
 [1, n] bias row to every row of x @ w, and `layer_norm` broadcasts each
 row's mean and inverse deviation over the row. All data is float64.
 
@@ -57,7 +57,7 @@ since they all start from the unit's state and read BOS first.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -368,16 +368,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), rule)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-    out = Tensor(a.data - b.data)
-
-    def rule(g):
-        return g, -g
-
-    return _record(out, (a, b), rule)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
     out = Tensor(a.data * b.data)
@@ -396,27 +386,6 @@ def scale(a: Tensor, s: float) -> Tensor:
 
     def rule(g):
         return (g * s,)
-
-    return _record(out, (a,), rule)
-
-
-def add_const(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.data + float(c))
-
-    def rule(g):
-        return (g,)
-
-    return _record(out, (a,), rule)
-
-
-def power(a: Tensor, p: float) -> Tensor:
-    """Elementwise a**p with constant exponent; caller keeps a in the domain."""
-    p = float(p)
-    out = Tensor(a.data ** p)
-    ad = a.data
-
-    def rule(g):
-        return (g * p * ad ** (p - 1.0),)
 
     return _record(out, (a,), rule)
 
@@ -498,20 +467,6 @@ def gather_rows(a: Tensor, index) -> Tensor:
 
     def rule(g):
         return (_scatter_rows(idx, g.reshape(idx.size, ncols), nrows + 1)[:nrows],)
-
-    return _record(out, (a,), rule)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"slice_cols needs a matrix, got shape {a.shape}")
-    out = Tensor(a.data[:, start:stop].copy())
-    shape = a.shape
-
-    def rule(g):
-        acc = np.zeros(shape)
-        acc[:, start:stop] = g
-        return (acc,)
 
     return _record(out, (a,), rule)
 
@@ -886,46 +841,3 @@ def lstm_sequence(table: Tensor, index, h0: Tensor, wx: Tensor, wh: Tensor,
         return dtable, dh0, x_used.T @ dproj, dwh, dproj.sum(axis=0, keepdims=True)
 
     return _record(out, inputs, rule)
-
-
-# ---------------------------------------------------------------------------
-# verification harness
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
-               coords: Optional[Iterable] = None) -> float:
-    """Max relative error between tape gradients of f and central differences.
-
-    f must be scalar-valued and built from ops in this module. `coords`
-    optionally restricts the check to a subset of flat indices of x; the
-    default checks every coordinate.
-    """
-    was = x.requires_grad
-    x.requires_grad = True
-    x.grad = None
-    try:
-        with Tape() as tape:
-            loss = f(x)
-        backward(loss, tape)
-        analytic = x.grad.copy() if x.grad is not None else np.zeros_like(x.data)
-        x.grad = None
-        flat = x.data.reshape(-1)
-        aflat = analytic.reshape(-1)
-        if coords is None:
-            coords = range(flat.size)
-        worst = 0.0
-        for k in coords:
-            orig = flat[k]
-            flat[k] = orig + h
-            fp = f(x).item()
-            flat[k] = orig - h
-            fm = f(x).item()
-            flat[k] = orig
-            numeric = (fp - fm) / (2.0 * h)
-            a = aflat[k]
-            err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-            if err > worst:
-                worst = err
-        return worst
-    finally:
-        x.requires_grad = was
-        x.grad = None

@@ -114,10 +114,10 @@ def generative_rank(fused: Tensor, candidates: Sequence[Sequence[Sequence[int]]]
     unit b's.
 
     N is the most candidates of any unit; a unit with fewer scores -inf past
-    its last. A candidate is scored on its tokens and then EOS (unless it
-    ends with EOS), teacher-forced from BOS. Every candidate of the batch
-    runs in one `lstm_sequence` call that starts each unit's candidates from
-    its one row (fused[b], 0), so the decoder state of each distinct (unit,
+    its last. A candidate is scored on its tokens and then EOS,
+    teacher-forced from BOS. Every candidate of the batch runs in one
+    `lstm_sequence` call that starts each unit's candidates from its one
+    row (fused[b], 0), so the decoder state of each distinct (unit,
     input prefix) is computed once: all of a unit's candidates share the
     state after BOS, and each step forms the recurrent product h @ wh once
     per state it holds, so the step after BOS forms it once per unit, not
@@ -137,9 +137,7 @@ def generative_rank(fused: Tensor, candidates: Sequence[Sequence[Sequence[int]]]
     bad = (ids < 0) | (ids >= vocab)
     if bad.any():
         raise IndexError(f"token id {int(ids[bad][0])} outside vocabulary of size {vocab}")
-    has_eos = np.zeros(n, dtype=bool)
-    has_eos[lens > 0] = ids[np.cumsum(lens)[lens > 0] - 1] == EOS_ID
-    lengths = lens + ~has_eos                                # positions scored
+    lengths = lens + 1                                       # positions scored: tokens, EOS
     T = int(lengths.max())
     targets = np.full((n, T), EOS_ID, dtype=np.intp)
     targets[np.arange(T) < lens[:, None]] = ids

@@ -71,12 +71,6 @@ class EvalReport:
         return {f.name: getattr(self, f.name) for f in fields(self)
                 if f.name != "record_batches" and getattr(self, f.name) is not None}
 
-    def __eq__(self, other) -> bool:
-        """Equal metrics and equal records, however the units were batched."""
-        if not isinstance(other, EvalReport):
-            return NotImplemented
-        return self.to_dict() == other.to_dict() and self.attention == other.attention
-
 
 def rank_of_gt(scores: Sequence[float], gt_index: int) -> int:
     """1-based rank of the gt candidate under descending score; a tied gt

@@ -12,8 +12,9 @@ one sequence and one step at a time on top of `lstm_step`, so a model
 forward can be compared against the batched path by patching them in.
 `cross_entropy` (one logits vector), `add_chain` and `mean_of` are the
 scalar-at-a-time loss ops the oracles sum their per-position and per-unit
-losses with, and `transpose` the 2-D transpose the per-unit oracles take
-their dot products with.
+losses with, `transpose` the 2-D transpose the per-unit oracles take
+their dot products with, and `columns` the column slice they read a packed
+state's h or one head's columns with, composed from the package's ops.
 """
 
 from __future__ import annotations
@@ -75,6 +76,13 @@ def transpose(a: Tensor) -> Tensor:
         return (g.T.copy(),)
 
     return _record(out, (a,), rule)
+
+
+def columns(a: Tensor, start: int, stop: int) -> Tensor:
+    """Columns start:stop of a matrix: its transpose's rows gathered and
+    transposed back, so the gradient is zero outside the columns."""
+    rows = ad.gather_rows(ad.permute(a, (1, 0)), np.arange(start, stop))
+    return ad.permute(rows, (1, 0))
 
 
 def lstm_step(xs: Tensor, row: int, hc: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
@@ -163,7 +171,7 @@ def step_sequence_loss(xs: Tensor, index: np.ndarray, h0: Tensor, wx: Tensor, wh
         for t in range(T):
             if index[t, col] >= 0:
                 hc = lstm_step(xs, int(index[t, col]), hc, wx, wh, b)
-            terms.append(ad.sum_all(ad.mul(ad.slice_cols(hc, 0, H), Tensor(weights[t, col:col + 1]))))
+            terms.append(ad.sum_all(ad.mul(columns(hc, 0, H), Tensor(weights[t, col:col + 1]))))
     return add_chain(terms)
 
 
@@ -302,8 +310,8 @@ def ref_bi_lstm_states(ids: Sequence[int], enc, embedding: Tensor) -> Tensor:
     for t in range(n - 1, -1, -1):
         hc = lstm_step(emb, t, hc, enc.bwd.wx, enc.bwd.wh, enc.bwd.b)
         bwd_states.append(hc)
-    h_f = ad.slice_cols(ad.concat(fwd_states, axis=0), 0, hidden)
-    h_b_rev = ad.slice_cols(ad.concat(bwd_states, axis=0), 0, hidden)
+    h_f = columns(ad.concat(fwd_states, axis=0), 0, hidden)
+    h_b_rev = columns(ad.concat(bwd_states, axis=0), 0, hidden)
     h_b = ad.gather_rows(h_b_rev, list(range(n - 1, -1, -1))) if n > 1 else h_b_rev
     return ad.concat([h_f, h_b], axis=1)
 
@@ -318,11 +326,11 @@ def ref_encode_sentence(ids: Sequence[int], enc, embedding: Tensor) -> Tensor:
     hc = Tensor(np.zeros((1, 2 * hidden)))
     for t in range(len(ids)):
         hc = lstm_step(emb, t, hc, enc.fwd.wx, enc.fwd.wh, enc.fwd.b)
-    final_f = ad.slice_cols(hc, 0, hidden)
+    final_f = columns(hc, 0, hidden)
     hc = Tensor(np.zeros((1, 2 * hidden)))
     for t in range(len(ids) - 1, -1, -1):
         hc = lstm_step(emb, t, hc, enc.bwd.wx, enc.bwd.wh, enc.bwd.b)
-    final_b = ad.slice_cols(hc, 0, hidden)
+    final_b = columns(hc, 0, hidden)
     state = ad.concat([final_f, final_b], axis=1)
     return ad.add(ad.matmul(state, enc.proj_w), enc.proj_b)
 
@@ -351,7 +359,7 @@ def ref_position_losses(fused: Tensor, tokens: Sequence[int], embedding: Tensor,
     losses = []
     for t, target in enumerate(tokens):
         hc = lstm_step(emb, t, hc, params.gen.wx, params.gen.wh, params.gen.b)
-        h = ad.slice_cols(hc, 0, d_q)
+        h = columns(hc, 0, d_q)
         logits = ad.add(ad.matmul(h, params.out_w), params.out_b)
         losses.append(cross_entropy(ad.reshape(logits, (vocab,)), target))
     return losses
@@ -364,9 +372,7 @@ def ref_generative_loss(fused: Tensor, answer_tokens, embedding: Tensor, params)
 def ref_generative_rank(fused: Tensor, candidates, embedding: Tensor, params) -> Tensor:
     scores = []
     for cand in candidates:
-        tokens = list(cand)
-        if not tokens or tokens[-1] != EOS_ID:
-            tokens = tokens + [EOS_ID]
+        tokens = list(cand) + [EOS_ID]
         total = sum(l.item() for l in ref_position_losses(fused, tokens, embedding, params))
         scores.append(-total / len(tokens))
     return Tensor(np.asarray(scores))

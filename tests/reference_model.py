@@ -11,9 +11,9 @@ as module globals, so tests can patch in the per-step versions from
 The module also keeps the composed forms that the package's one-node
 layers replaced, as bit-for-bit oracles: every product through BLAS
 (`matmul_blas`), the bias row tiled by a ones column (`tile_rows`,
-`affine_tiled`), the layer norm built from ones-vector products
-(`layer_norm_rows`) and multi-head fusion one head at a time
-(`fuse_context_per_head`). `composed_layers()` routes the package through
+`affine_tiled`), the layer norm built from ones-vector products and an
+elementwise `power` (`layer_norm_rows`) and multi-head fusion one head at
+a time (`fuse_context_per_head`). `composed_layers()` routes the package through
 them. `generative_rank_per_column` is generative ranking as it ran before
 it shared decoder states: each candidate its own sequence from a copy of
 its unit's state, the bit-for-bit oracle of `decoders.generative_rank`.
@@ -56,7 +56,7 @@ from grounddial.encoders import (
     project_regions,
 )
 from grounddial.grounding import pool_regions as pool_region_rows
-from reference_lstm import cross_entropy, gemm, transpose
+from reference_lstm import columns, cross_entropy, gemm, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -87,15 +87,28 @@ def affine_tiled(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ad.add(ad.matmul(x, w), tile_rows(b, x.shape[0]))
 
 
+def power(a: Tensor, p: float) -> Tensor:
+    """Elementwise a**p with a constant exponent; the caller keeps a in the
+    domain."""
+    p = float(p)
+    out = Tensor(a.data ** p)
+    ad_ = a.data
+
+    def rule(g):
+        return (g * p * ad_ ** (p - 1.0),)
+
+    return _record(out, (a,), rule)
+
+
 def layer_norm_rows(t: Tensor, eps: float = 1e-5) -> Tensor:
     """Parameter-free layer norm over the last axis of a matrix, per row."""
     m, d = t.shape
     col = Tensor(np.ones((d, 1)))
     row = Tensor(np.ones((1, d)))
     mean = ad.scale(ad.matmul(t, col), 1.0 / d)            # [m, 1]
-    centered = ad.sub(t, ad.matmul(mean, row))
+    centered = ad.add(t, ad.scale(ad.matmul(mean, row), -1.0))
     var = ad.scale(ad.matmul(ad.mul(centered, centered), col), 1.0 / d)
-    inv = ad.power(ad.add_const(var, eps), -0.5)           # [m, 1]
+    inv = power(ad.add(var, Tensor(np.full(var.shape, eps))), -0.5)   # [m, 1]
     return ad.mul(centered, ad.matmul(inv, row))
 
 
@@ -115,9 +128,9 @@ def fuse_context_per_head(Q: Tensor, H: Tensor, mask_q: np.ndarray, rows_h: np.n
     keys = np.broadcast_to((rows_h < H.shape[0])[:, None, :], (B, lam, T))
     heads = []
     for h in range(n_h):
-        q_h = ad.reshape(ad.slice_cols(qp, h * dh, (h + 1) * dh), (B, lam, dh))
-        k_h = ad.reshape(ad.slice_cols(kp, h * dh, (h + 1) * dh), (B, T, dh))
-        v_h = ad.reshape(ad.slice_cols(vp, h * dh, (h + 1) * dh), (B, T, dh))
+        q_h = ad.reshape(columns(qp, h * dh, (h + 1) * dh), (B, lam, dh))
+        k_h = ad.reshape(columns(kp, h * dh, (h + 1) * dh), (B, T, dh))
+        v_h = ad.reshape(columns(vp, h * dh, (h + 1) * dh), (B, T, dh))
         logits = ad.scale(ad.bmm(q_h, k_h, transpose_b=True), 1.0 / math.sqrt(dh))
         attn = ad.masked_softmax(logits, axis=2, mask=keys)
         heads.append(ad.reshape(ad.bmm(attn, v_h), (B * lam, dh)))
@@ -261,10 +274,7 @@ def generative_rank_per_column(fused: Tensor, candidates, embedding: Tensor,
     seqs, owner = [], []
     for b, cands in enumerate(candidates):
         for cand in cands:
-            tokens = list(cand)
-            if not tokens or tokens[-1] != EOS_ID:
-                tokens = tokens + [EOS_ID]
-            seqs.append(tokens)
+            seqs.append(list(cand) + [EOS_ID])
             owner.append(b)
     losses = _teacher_forced_position_losses(ad.gather_rows(fused, owner), seqs, embedding,
                                              params).data
@@ -325,9 +335,9 @@ def fuse_context(Q: Tensor, H: Tensor, mask_q: Sequence[bool], params) -> Tensor
     vp = ad.matmul(H, params.w_v)
     heads = []
     for h in range(n_h):
-        q_h = ad.slice_cols(qp, h * dh, (h + 1) * dh)
-        k_h = ad.slice_cols(kp, h * dh, (h + 1) * dh)
-        v_h = ad.slice_cols(vp, h * dh, (h + 1) * dh)
+        q_h = columns(qp, h * dh, (h + 1) * dh)
+        k_h = columns(kp, h * dh, (h + 1) * dh)
+        v_h = columns(vp, h * dh, (h + 1) * dh)
         logits = ad.scale(ad.matmul(q_h, transpose(k_h)), 1.0 / math.sqrt(dh))
         attn = ad.masked_softmax(logits, axis=1, mask=np.ones(logits.shape, dtype=bool))
         heads.append(ad.matmul(attn, v_h))
@@ -413,12 +423,7 @@ def generative_loss(fused: Tensor, answer_tokens, embedding: Tensor, params) -> 
 
 
 def generative_rank(fused: Tensor, candidates, embedding: Tensor, params) -> Tensor:
-    seqs = []
-    for cand in candidates:
-        tokens = list(cand)
-        if not tokens or tokens[-1] != EOS_ID:
-            tokens = tokens + [EOS_ID]
-        seqs.append(tokens)
+    seqs = [list(cand) + [EOS_ID] for cand in candidates]
     losses = _position_losses(fused, seqs, embedding, params).data
     scores, start = [], 0
     for tokens in seqs:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import struct
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -97,6 +98,31 @@ def test_vocabulary_reserved_and_bijective():
     assert vocab.id_to_token[:4] == D.RESERVED
     for i, tok in enumerate(vocab.id_to_token):
         assert vocab.token_to_id[tok] == i
+
+
+SPELLED_RESERVED = ["<pad> <unk> <bos> <eos>", "<eos>", "eos"]
+
+
+@pytest.mark.parametrize("vocab", [None, Vocabulary([*D.RESERVED, "eos", "<", ">", *D.RESERVED])],
+                         ids=["built", "listing_the_reserved_tokens"])
+def test_text_never_encodes_to_pad_bos_or_eos(vocab):
+    """Captions, questions, answers and options that spell the reserved
+    tokens hold no PAD, BOS or EOS id: the tokenizer splits "<eos>" into
+    "<", "eos" and ">", and the vocabulary keeps the reserved ids for the
+    reserved strings. So no candidate the generative decoder ranks ends
+    with EOS."""
+    raw = {"dialogs": [{"image_id": f"im{k}", "caption": text,
+                        "rounds": [{"question": text, "answer": text,
+                                    "answer_options": SPELLED_RESERVED, "gt_index": k}]}
+                       for k, text in enumerate(SPELLED_RESERVED)]}
+    ds = dataset_from_dict(raw, vocab=vocab)
+    assert ds.vocab.id_to_token[:4] == D.RESERVED
+    texts = [ids for ex in ds.examples
+             for ids in (ex.caption_tokens, *chain.from_iterable(
+                 (r.question_tokens, r.answer_tokens, *r.candidates) for r in ex.rounds))]
+    assert len(texts) == 3 * (3 + len(SPELLED_RESERVED))
+    assert all(texts)
+    assert {D.PAD_ID, D.BOS_ID, D.EOS_ID}.isdisjoint(chain.from_iterable(texts))
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +447,8 @@ def test_every_cut_or_changed_byte_loads_or_raises_feature_file_error(feature_fi
     at = data.draw(st.integers(0, len(blob) - 1), label="at")
     byte = data.draw(st.integers(0, 255), label="byte")
     for corrupt in (blob[:cut], blob[:at] + bytes([byte]) + blob[at + 1:]):
+        # a fresh file: truncating a written one in place is slow on some file systems
+        path.unlink(missing_ok=True)
         path.write_bytes(corrupt)
         try:
             load_features(path)

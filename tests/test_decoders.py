@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from grounddial import autodiff as ad
-from grounddial.autodiff import ContractError, DegenerateSliceError, Tensor, grad_check
+from grounddial.autodiff import ContractError, DegenerateSliceError, Tensor
 from grounddial.data import BOS_ID, EOS_ID
 from grounddial.decoders import (
     discriminative_loss_and_rank,
@@ -14,6 +14,7 @@ from grounddial.decoders import (
     generative_rank,
     init_decoder_params,
 )
+from gradcheck import grad_check
 from reference_model import generative_rank_per_column
 
 D_Q = 8
@@ -129,10 +130,10 @@ def test_generative_rank_duplicate_candidates_tie(params, embedding):
 
 
 def test_generative_rank_negates_loss_exactly(params, embedding):
+    """A candidate is scored on its tokens and then EOS."""
     fused = Tensor(rng().normal(size=(1, D_Q)))
-    gt = [4, 9, EOS_ID]
-    loss = generative_loss(fused, [gt], embedding, params).item()
-    score = generative_rank(fused, [[gt]], embedding, params)[0][0]
+    loss = generative_loss(fused, [[4, 9, EOS_ID]], embedding, params).item()
+    score = generative_rank(fused, [[[4, 9]]], embedding, params)[0][0]
     assert score == -loss
 
 
@@ -151,10 +152,10 @@ RANKED = {
 @pytest.mark.parametrize("case", RANKED)
 def test_generative_rank_is_the_per_column_oracle_bit_for_bit(case, d):
     """Units whose candidates share states at every depth, one state per
-    step, a single state in all (two empty candidates), candidates that end
-    with EOS: the scores are byte-equal to ranking each candidate as its own
-    sequence from a copy of its unit's state, for 24 draws of the units'
-    states."""
+    step, a single state in all (two empty candidates), candidates that hold
+    the EOS id as an ordinary token: the scores are byte-equal to ranking
+    each candidate as its own sequence from a copy of its unit's state, for
+    24 draws of the units' states."""
     candidates = RANKED[case]
     vocab = 29                       # wide enough that BLAS rounds a one-row output layer otherwise
     params = init_decoder_params(np.random.default_rng(5), vocab, d_e=D_E, d_q=d)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grounddial import autodiff as ad
-from grounddial.autodiff import DimensionError, Tensor, grad_check
+from grounddial.autodiff import DimensionError, Tensor
 from grounddial.data import SyntheticConfig, generate_synthetic
 from grounddial.encoders import (
     encode_history,
@@ -22,6 +22,7 @@ from grounddial.model import (
     pack_batch,
     prepare_units,
 )
+from gradcheck import grad_check
 from reference_lstm import transpose
 from reference_model import composed_layers, fuse_context_per_head
 

@@ -9,7 +9,6 @@ from grounddial.autodiff import (
     Tape,
     Tensor,
     backward,
-    grad_check,
     mul,
     sum_all,
 )
@@ -22,6 +21,7 @@ from grounddial.grounding import (
     posterior_ground,
     prior_ground,
 )
+from gradcheck import grad_check
 
 D_Q = 6
 

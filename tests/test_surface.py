@@ -4,9 +4,9 @@ Every public top-level function or class of `src/grounddial`, and every
 public method, must be named somewhere in `src/grounddial` or in
 `perfbench/*.py`: as a name, an attribute, a `from ... import` name, or the
 last part of a "module.function" string such as the benchmark's tracer
-patches. A definition does not name itself. The exempt names serve only the
-test harness and the test oracles. A private top-level function or class
-must be named there too, so a helper that a merge leaves behind is caught.
+patches. A definition does not name itself. A private top-level function or
+class must be named there too, so a helper that a merge leaves behind is
+caught.
 
 A model is built from its TrainConfig in one place: `model.init_params_for`
 is the package's only caller of `init_model_params`.
@@ -25,9 +25,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "grounddial"
 
-EXEMPT = {"grad_check", "sub", "add_const", "power", "slice_cols"}
-# the test harness, and the CLI entry point, whose argv only tests pass
-EXEMPT_DEFAULTS = {"autodiff.grad_check", "cli.main"}
+# the CLI entry point, whose argv only tests pass
+EXEMPT_DEFAULTS = {"cli.main"}
 
 
 def _trees(paths):
@@ -79,7 +78,7 @@ def package_trees_and_used_names():
 def test_every_public_name_is_called_by_the_package_or_the_benchmark():
     trees, used = package_trees_and_used_names()
     unused = [f"{module}.{qualified}" for module, qualified, name in defined_names(trees)
-              if name not in used and name not in EXEMPT]
+              if name not in used]
     assert not unused, f"public names nothing calls: {unused}"
 
 
