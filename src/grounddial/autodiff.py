@@ -525,12 +525,15 @@ def masked_softmax(logits: Tensor, axis: int, mask: np.ndarray) -> Tensor:
     return _record(out, (logits,), rule)
 
 
-def _check_simplex(arr: np.ndarray, name: str) -> None:
-    if (arr < 0).any():
-        raise InvalidDistributionError(f"{name} has negative entries")
-    sums = arr.sum(axis=-1)
-    if np.abs(sums - 1.0).max() > 1e-6:
-        raise InvalidDistributionError(f"{name} slices do not sum to 1 (max dev {np.abs(sums - 1.0).max():.3g})")
+def check_simplex(arr: np.ndarray, name: str) -> None:
+    """Raise InvalidDistributionError naming `name` unless every last-axis
+    slice of arr is a distribution: entries >= 0 that sum to 1 within 1e-6.
+    Both tests are phrased so that a NaN or infinite entry fails them."""
+    if not (arr >= 0).all():
+        raise InvalidDistributionError(f"{name} has a negative or NaN entry")
+    dev = np.abs(arr.sum(axis=-1) - 1.0)
+    if not (dev <= 1e-6).all():
+        raise InvalidDistributionError(f"{name} slices do not sum to 1 (max dev {dev.max():.3g})")
 
 
 def kl_divergence(p: np.ndarray, q: Tensor) -> Tensor:
@@ -541,8 +544,8 @@ def kl_divergence(p: np.ndarray, q: Tensor) -> Tensor:
         raise DimensionError(f"kl_divergence shapes differ: {p.shape} vs {q.shape}")
     if p.ndim != 2:
         raise DimensionError(f"kl_divergence expects [B, n] rows, got shape {p.shape}")
-    _check_simplex(p, "p")
-    _check_simplex(q.data, "q")
+    check_simplex(p, "p")
+    check_simplex(q.data, "q")
     n_slices = p.shape[0]
     qf = np.maximum(q.data, _LOG_FLOOR)
     support = p > 0

@@ -56,12 +56,10 @@ class DataError(RuntimeError):
 
 
 def _load(path, split: str, features, vocab) -> DialogDataset:
-    """A dataset with its features attached and at least one round."""
+    """A dataset, with its features, that holds at least one round."""
     ds = load_dataset(path, split, features, vocab=vocab)
     if not ds.units():
         raise DataError(f"{path} holds no dialog rounds")
-    if any(ex.region_features is None for ex in ds.examples):
-        raise DataError(f"no feature file found for {path}")
     return ds
 
 

@@ -8,6 +8,10 @@ Dataset JSON: { "version": "1.0", "dialogs": [ { "image_id", "caption",
 Feature file (binary, little-endian): magic "VFEA", u32 version=1,
 u32 num_images, then per image: u16 id-length, UTF-8 id, u32 mu, u32 d_v,
 f32 data row-major.
+
+A dataset exists only with its images' features: `dataset_from_dict`, its
+one constructor, attaches each image's [mu, d_v] float64 array and checks
+the rounds' gt_grounding against it. A dataset file needs its feature file.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
-
 PAD_ID = 0
 UNK_ID = 1
 BOS_ID = 2
@@ -39,8 +41,8 @@ class ParseError(ValueError):
 
 
 class MissingFeatureError(KeyError):
-    """A given feature file does not exist, or an image_id in the dataset
-    has no block in the feature file."""
+    """A dataset's feature file does not exist, or an image_id in the
+    dataset has no feature block."""
 
     def __str__(self) -> str:
         return str(self.args[0])      # the message, without KeyError's quotes
@@ -90,8 +92,8 @@ class DialogExample:
     image_id: str
     caption: str
     rounds: list[Round]
+    region_features: np.ndarray     # [mu, d_v] float64, shared by the dialog's units
     caption_tokens: list[int] = field(default_factory=list)
-    region_features: Optional[Tensor] = None
 
 
 @dataclass
@@ -179,12 +181,17 @@ def _parse_round(obj, dialog: int, index: int) -> Round:
     )
 
 
-def dataset_from_dict(raw, split: str = "train",
+def dataset_from_dict(raw, features: dict[str, np.ndarray], split: str = "train",
                       vocab: Optional[Vocabulary] = None) -> DialogDataset:
-    """Validate a parsed dataset object and encode its text; no features yet.
+    """Validate a parsed dataset object, attach its features and encode its text.
 
-    When `vocab` is None a vocabulary is built from this dataset's text; pass
-    the training vocabulary for val/test so ids line up. Each distinct text
+    `features` maps image_id to its [mu, d_v] float64 array, which each
+    example of that image holds. A dialog whose image has no block raises
+    MissingFeatureError naming the image_id, and a gt_grounding index
+    outside [0, mu) raises ParseError.
+
+    When `vocab` is None a vocabulary is built from this dataset's text;
+    pass the training vocabulary for val/test so ids line up. Each distinct text
     (caption, question, answer or option) is tokenized once per call, and the
     built vocabulary and the encoding both read those tokens; options repeat
     across rounds, as a VisDial round's 100 do. Every caption,
@@ -212,7 +219,17 @@ def dataset_from_dict(raw, split: str = "train",
         if not isinstance(d["rounds"], list):
             raise ParseError(f"$.dialogs[{i}].rounds: must be a list")
         rounds = [_parse_round(r, i, j) for j, r in enumerate(d["rounds"])]
-        examples.append(DialogExample(image_id=d["image_id"], caption=d["caption"], rounds=rounds))
+        image_id = d["image_id"]
+        if image_id not in features:
+            raise MissingFeatureError(f"no features for image_id {image_id!r}")
+        block = features[image_id]
+        mu = block.shape[0]
+        for j, r in enumerate(rounds):
+            if r.gt_grounding is not None and not all(0 <= k < mu for k in r.gt_grounding):
+                raise ParseError(f"$.dialogs[{i}].rounds[{j}].gt_grounding: region indices "
+                                 f"must lie in [0, {mu}), the regions of image_id {image_id!r}")
+        examples.append(DialogExample(image_id=image_id, caption=d["caption"], rounds=rounds,
+                                      region_features=block))
 
     texts: list[str] = []
     for ex in examples:
@@ -238,13 +255,14 @@ def dataset_from_dict(raw, split: str = "train",
 
 def load_dataset(path, split: str = "train", features_path=None,
                  vocab: Optional[Vocabulary] = None) -> DialogDataset:
-    """Materialize a dataset file; example order is file order.
+    """Materialize a dataset file and its features; example order is file order.
 
-    `vocab` is as for dataset_from_dict. `features_path` defaults to
-    features.bin next to the dataset file; without that file the examples
-    get no features, while a given `features_path` that does not exist
-    raises MissingFeatureError naming it. A ParseError names the file; a
-    file that is not UTF-8 JSON raises one too.
+    `vocab` is as for dataset_from_dict. The feature file is required: it
+    is `features_path`, or else features.bin next to the dataset file, and
+    one that does not exist raises MissingFeatureError naming it. A
+    ParseError names the dataset file; a file that is not UTF-8 JSON raises
+    one too. An image with no block raises MissingFeatureError naming the
+    feature file.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -252,29 +270,16 @@ def load_dataset(path, split: str = "train", features_path=None,
             raw = json.load(fh)
         except ValueError as e:         # JSONDecodeError or UnicodeDecodeError
             raise ParseError(f"{path}: $: not valid JSON ({e})") from e
+    features_path = Path(features_path) if features_path is not None else path.parent / "features.bin"
+    if not features_path.exists():
+        raise MissingFeatureError(f"feature file {features_path} does not exist")
+    features = load_features(features_path)
     try:
-        ds = dataset_from_dict(raw, split, vocab)
+        return dataset_from_dict(raw, features, split, vocab)
     except ParseError as e:
         raise ParseError(f"{path}: {e}") from None
-
-    given = features_path is not None
-    features_path = Path(features_path) if given else path.parent / "features.bin"
-    if not features_path.exists():
-        if given:
-            raise MissingFeatureError(f"feature file {features_path} does not exist")
-        return ds
-    feats = load_features(features_path)
-    for i, ex in enumerate(ds.examples):
-        if ex.image_id not in feats:
-            raise MissingFeatureError(f"no features for image_id {ex.image_id!r} in {features_path}")
-        ex.region_features = feats[ex.image_id]
-        mu = ex.region_features.shape[0]
-        for j, r in enumerate(ex.rounds):
-            if r.gt_grounding is not None and not all(0 <= k < mu for k in r.gt_grounding):
-                raise ParseError(f"{path}: $.dialogs[{i}].rounds[{j}].gt_grounding: region "
-                                 f"indices must lie in [0, {mu}), the regions of image_id "
-                                 f"{ex.image_id!r}")
-    return ds
+    except MissingFeatureError as e:
+        raise MissingFeatureError(f"{e} in {features_path}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +303,8 @@ def write_features(path, features: dict[str, np.ndarray]) -> None:
             fh.write(arr.tobytes())
 
 
-def load_features(path) -> dict[str, Tensor]:
-    """Read a feature file into image_id -> Tensor[mu, d_v] (float64).
+def load_features(path) -> dict[str, np.ndarray]:
+    """Read a feature file into image_id -> [mu, d_v] float64 array.
 
     A file that is cut short, has bytes past its declared images, holds an
     id that is not UTF-8, holds one id twice, has a block with no region
@@ -320,7 +325,7 @@ def load_features(path) -> dict[str, Tensor]:
     if version != 1:
         raise FeatureFileError(f"{path}: unsupported version {version} at byte 4")
     offset = 12
-    out: dict[str, Tensor] = {}
+    out: dict[str, np.ndarray] = {}
     width: Optional[int] = None
     for _ in range(num_images):
         need(offset, 2)
@@ -353,7 +358,7 @@ def load_features(path) -> dict[str, Tensor]:
             raise FeatureFileError(f"{path}: image id {image_id!r} has a non-finite value "
                                    f"at byte {offset + 4 * int(finite.argmin())}")
         offset += 4 * count
-        out[image_id] = Tensor(block.astype(np.float64).reshape(mu, d_v))
+        out[image_id] = block.astype(np.float64).reshape(mu, d_v)
     if offset != len(data):
         raise FeatureFileError(f"{path}: {len(data) - offset} bytes past the last of "
                                f"{num_images} images, at byte {offset}")
@@ -604,10 +609,7 @@ def generate_synthetic_raw(cfg: SyntheticConfig) -> tuple[dict, dict[str, np.nda
 def generate_synthetic(cfg: SyntheticConfig) -> DialogDataset:
     """In-memory "train" dataset with features attached; deterministic given cfg."""
     raw, features = generate_synthetic_raw(cfg)
-    ds = dataset_from_dict(raw)
-    for ex in ds.examples:
-        ex.region_features = Tensor(features[ex.image_id])
-    return ds
+    return dataset_from_dict(raw, features)
 
 
 def dump_dataset_json(dataset_dict: dict) -> str:

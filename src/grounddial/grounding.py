@@ -125,32 +125,34 @@ def cross_attend(regions: UnitRegions, queries: Tensor, values: Tensor, mask_x: 
     return P, ad.add(ad.bmm(P, values), I)
 
 
-def pool_regions(I_x: Tensor, params: GroundingParams,
-                 mask_i: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Self-attention pooling: weights over regions and the pooled vector.
-
-    weights [B, mu] = softmax over the real regions of ReLU(I_x W1 + b1) W2;
-    pooled [B, d_q] is the weight-averaged row of I_x.
-    """
+def region_weights(I_x: Tensor, params: GroundingParams, mask_i: np.ndarray) -> Tensor:
+    """Self-attention pooling weights [B, mu] over the attended regions I_x
+    [B, mu, d_q]: a softmax over the real regions (mask_i) of
+    ReLU(I_x W1 + b1) W2."""
     B, mu, d_q = I_x.shape
     rows = ad.reshape(I_x, (B * mu, d_q))
     h = ad.relu(ad.affine(rows, params.w1, params.b1))
     scores = ad.reshape(ad.matmul(h, params.w2), (B, mu))
-    weights = ad.masked_softmax(scores, axis=1, mask=np.asarray(mask_i, dtype=bool))
-    pooled = ad.reshape(ad.bmm(ad.reshape(weights, (B, 1, mu)), I_x), (B, d_q))
-    return weights, pooled
+    return ad.masked_softmax(scores, axis=1, mask=np.asarray(mask_i, dtype=bool))
+
+
+def pool(weights: Tensor, I_x: Tensor) -> Tensor:
+    """The pooled vector [B, d_q]: each unit's rows of I_x [B, mu, d_q]
+    averaged under its [B, mu] weights."""
+    B, mu, d_q = I_x.shape
+    return ad.reshape(ad.bmm(ad.reshape(weights, (B, 1, mu)), I_x), (B, d_q))
 
 
 def prior_ground(regions: UnitRegions, x: Tensor, mask_x: np.ndarray,
-                 params: GroundingParams) -> tuple[Tensor, Tensor, Tensor]:
-    """Context-only grounding of a batch: returns (g, v_prior, I_x).
+                 params: GroundingParams) -> tuple[Tensor, Tensor]:
+    """Context-only grounding of a batch: returns (g, I_x), which `pool`
+    turns into the prior's pooled vector where it is read.
 
     regions: the units' regions from `gather_regions`; x: [B, lam, d]
     context rows, mask_x their real tokens.
     """
     _, I_x = cross_attend(regions, x, x, mask_x, params)
-    g, v_prior = pool_regions(I_x, params, regions.mask)
-    return g, v_prior, I_x
+    return region_weights(I_x, params, regions.mask), I_x
 
 
 def posterior_ground(regions: UnitRegions, x: Tensor, y: Tensor, mask_x: np.ndarray,
@@ -167,7 +169,8 @@ def posterior_ground(regions: UnitRegions, x: Tensor, y: Tensor, mask_x: np.ndar
     if x.shape != y.shape:
         raise DimensionError(f"x and y must match: {x.shape} vs {y.shape}")
     _, I_x_post = cross_attend(regions, ad.add(x, y), x, mask_x, params)
-    return pool_regions(I_x_post, params, regions.mask)
+    G = region_weights(I_x_post, params, regions.mask)
+    return G, pool(G, I_x_post)
 
 
 def bridge_loss(G: Tensor, g: Tensor) -> Tensor:

@@ -19,7 +19,7 @@ A layer that acts on one row at a time runs on the distinct rows of a
 batch, and the per-unit [B, n] grid of row indices is read only where rows
 start to depend on their unit (attention logits, residuals, pooling). So
 packing keeps each distinct image's feature block once (the units of an
-example share its `region_features` Tensor, which is the key), with a
+example share its `region_features` array, which is the key), with a
 [B, mu] grid that indexes it: `encoders.project_regions` and the
 grounding's region-side product run once per image
 (`grounding.gather_regions`, whose rows the prior and the posterior
@@ -67,6 +67,7 @@ from .grounding import (
     bridge_loss,
     gather_regions,
     init_grounding_params,
+    pool,
     posterior_ground,
     prior_ground,
 )
@@ -195,7 +196,7 @@ class Unit:
     gt_index: int
     relevance: Optional[list[float]]    # the round's
     gt_grounding: Optional[list[int]]   # the round's
-    features: Tensor
+    features: np.ndarray                # [mu, d_v], the dialog's region_features
 
 
 def _cut(tokens: list[int], n: int) -> list[int]:
@@ -210,8 +211,6 @@ def prepare_units(ds: DialogDataset, seq_len: int, max_history: int) -> list[Uni
     which lists a unit borrows."""
     units = []
     for ex in ds.examples:
-        if ex.rounds and ex.region_features is None:
-            raise ValueError(f"example {ex.image_id!r} has no region features attached")
         caption = _cut(ex.caption_tokens, seq_len)
         pairs = [(r.question_tokens + r.answer_tokens)[:seq_len] for r in ex.rounds[:-1]]
         for t, rnd in enumerate(ex.rounds):
@@ -239,8 +238,10 @@ class Batch:
     q_mask marks the real positions of each padded question. `history` is
     every unit's history rows, unit after unit, repeats included.
     `regions` holds each distinct image's features once, in order of first
-    occurrence, and region_rows indexes it as `autodiff.gather_rows` reads
-    it: a position past a unit's regions holds the pad index.
+    occurrence (images are told apart by the identity of the `features`
+    array their units share), and region_rows indexes it as
+    `autodiff.gather_rows` reads it: a position past a unit's regions holds
+    the pad index.
     """
     units: list[Unit]
     questions: list[list[int]]
@@ -273,7 +274,7 @@ def pack_batch(units: Sequence[Unit]) -> Batch:
         answers=[u.answer for u in units],
         q_mask=q_mask,
         history=[h for u in units for h in u.history],
-        regions=Tensor(np.concatenate([f.data for f in images], axis=0)),
+        regions=Tensor(np.concatenate(images, axis=0)),
         region_rows=region_rows,
     )
 
@@ -300,8 +301,8 @@ def encode_context(params: ModelParams, batch: Batch) -> tuple[Tensor, Tensor]:
 def _prior(params: ModelParams, batch: Batch):
     x, I = encode_context(params, batch)
     regions = gather_regions(I, batch.region_rows, params.grounding)
-    g, v_prior, I_x = prior_ground(regions, x, batch.q_mask, params.grounding)
-    return x, regions, g, v_prior, I_x
+    g, I_x = prior_ground(regions, x, batch.q_mask, params.grounding)
+    return x, regions, g, I_x
 
 
 def _posterior(params: ModelParams, batch: Batch, x: Tensor, regions: UnitRegions):
@@ -319,7 +320,7 @@ def forward_batch(params: ModelParams, units: Sequence[Unit], cfg: TrainConfig) 
     (`infer_batch_scores`) reads the prior's in their place.
     """
     batch = pack_batch(units)
-    x, regions, g, _, _ = _prior(params, batch)
+    x, regions, g, _ = _prior(params, batch)
     G, v_post = _posterior(params, batch, x, regions)
     L_KL = bridge_loss(G, g)
 
@@ -355,15 +356,14 @@ def infer_batch_scores(params: ModelParams, units: Sequence[Unit], *, decoder: s
     if decoder not in ("generative", "discriminative"):
         raise ValueError(f"unknown decoder {decoder!r}")
     batch = pack_batch(units)
-    x, regions, g, v_prior, I_x = _prior(params, batch)
+    x, regions, g, I_x = _prior(params, batch)
     weights = g.data
     if g_override is not None:
         weights = np.asarray(g_override(weights), dtype=float)
         if weights.shape != g.shape:
             raise ContractError(f"g_override returned weights of shape {weights.shape}, "
                                 f"expected {g.shape}")
-        B, mu, d_q = I_x.shape
-        v_prior = ad.reshape(ad.bmm(Tensor(weights.reshape(B, 1, mu)), I_x), (B, d_q))
+    v_prior = pool(Tensor(weights), I_x)
     posterior = _posterior(params, batch, x, regions)[0].data if with_posterior else None
     fused = fuse_for_decoder(x, batch.q_mask, v_prior, params.decoder)
     candidates = [u.candidates for u in batch.units]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -77,10 +78,10 @@ def adam_step(named: dict[str, Tensor], state: OptimizerState, lr: float) -> Non
 
 def save_checkpoint(base: Path, named: dict[str, Tensor], cfg: TrainConfig,
                     vocab_tokens: list[str], extra: Optional[dict] = None) -> None:
+    """Write base.bin and base.manifest.json as sibling temporaries, then
+    rename them over the old pair, the blob first: an error while writing
+    (a full disk) leaves the previous checkpoint whole. Nothing is fsynced."""
     base = Path(base)
-    with open(base.with_suffix(".bin"), "wb") as fh:
-        for t in named.values():
-            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
     manifest = {
         "tensors": [{"name": n, "shape": list(t.shape)} for n, t in named.items()],
         "config": cfg.to_dict(),
@@ -88,8 +89,18 @@ def save_checkpoint(base: Path, named: dict[str, Tensor], cfg: TrainConfig,
     }
     if extra:
         manifest.update(extra)
-    base.with_suffix(".manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    blob, meta = (base.with_suffix(suffix + ".tmp") for suffix in (".bin", ".manifest.json"))
+    try:
+        with open(blob, "wb") as fh:
+            for t in named.values():
+                fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        meta.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+        os.replace(blob, base.with_suffix(".bin"))
+        os.replace(meta, base.with_suffix(".manifest.json"))
+    except BaseException:
+        blob.unlink(missing_ok=True)
+        meta.unlink(missing_ok=True)
+        raise
 
 
 def _is_shape(shape) -> bool:

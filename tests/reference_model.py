@@ -55,7 +55,7 @@ from grounddial.encoders import (
     padded_rows,
     project_regions,
 )
-from grounddial.grounding import pool_regions as pool_region_rows
+from grounddial.grounding import pool, region_weights
 from reference_lstm import columns, cross_entropy, gemm, transpose
 
 
@@ -217,21 +217,20 @@ def cross_attend_gather_first(I: Tensor, queries: Tensor, values: Tensor, mask_x
 def prior_gather_first(params, batch: model.Batch):
     """`model._prior` packing every unit's history sentences and regions
     unit by unit, repeats included, and gathering them into the grids
-    before any product: (x, I, g, v_prior, I_x), I the [B, mu, d] grid."""
+    before any product: (x, I, g, I_x), I the [B, mu, d] grid."""
     enc, units = params.encoder, batch.units
     history, history_of = encoders.encode_history(batch.history, enc)
     history_rows, history_mask = padded_rows([len(u.history) for u in units], history_of,
                                              history.shape[0])
     mus = [u.features.shape[0] for u in units]
     region_rows, region_mask = padded_rows(mus, np.arange(sum(mus)), sum(mus))
-    regions = Tensor(np.concatenate([u.features.data for u in units], axis=0))
+    regions = Tensor(np.concatenate([u.features for u in units], axis=0))
     Q = model.encode_tokens(batch.questions, batch.q_mask.shape[1], enc.question, enc.embedding)
     H = ad.gather_rows(history, history_rows)
     x = fuse_context_gather_first(Q, H, batch.q_mask, history_mask, enc)
     I = ad.gather_rows(project_regions(regions, enc), region_rows)
     I_x = cross_attend_gather_first(I, x, x, batch.q_mask, params.grounding, region_mask)
-    g, v_prior = pool_region_rows(I_x, params.grounding, region_mask)
-    return x, I, g, v_prior, I_x
+    return x, I, region_weights(I_x, params.grounding, region_mask), I_x
 
 
 def posterior_gather_first(params, batch: model.Batch, x: Tensor, I: Tensor):
@@ -242,7 +241,8 @@ def posterior_gather_first(params, batch: model.Batch, x: Tensor, I: Tensor):
     region_mask = np.arange(max(mus)) < np.array(mus)[:, None]
     I_x_post = cross_attend_gather_first(I, ad.add(x, y), x, batch.q_mask, params.grounding,
                                          region_mask)
-    return pool_region_rows(I_x_post, params.grounding, region_mask)
+    G = region_weights(I_x_post, params.grounding, region_mask)
+    return G, pool(G, I_x_post)
 
 
 @contextlib.contextmanager
@@ -450,8 +450,6 @@ def prepare_unit(ds, example_index: int, round_index: int, seq_len: int,
     rebuilt from the caption: the oracle of `model.prepare_units`."""
     ex = ds.examples[example_index]
     rnd = ex.rounds[round_index]
-    if ex.region_features is None:
-        raise ValueError(f"example {ex.image_id!r} has no region features attached")
     history = [list(ex.caption_tokens)[:seq_len]]
     for prev in ex.rounds[:round_index]:
         history.append((list(prev.question_tokens) + list(prev.answer_tokens))[:seq_len])
@@ -498,7 +496,7 @@ def encode_unit_context(params, unit) -> tuple[Tensor, Tensor, list[bool]]:
     Q = encode_tokens(q_ids, q_mask, params.encoder.question, params.encoder.embedding)
     H = encode_history(unit.history, params.encoder)
     x = fuse_context(Q, H, q_mask, params.encoder)
-    I = project_regions(unit.features, params.encoder)
+    I = project_regions(Tensor(unit.features), params.encoder)
     return x, I, q_mask
 
 

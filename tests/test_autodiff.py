@@ -351,6 +351,14 @@ def test_kl_batch_mean_over_rows():
     assert abs(ad.kl_divergence(p, q).item() - (single + math.log(2.0)) / 2) < 1e-12
 
 
+def test_kl_rejects_a_nan_row_on_either_side():
+    nan_row = np.array([[np.nan, 0.5]])
+    with pytest.raises(InvalidDistributionError):
+        ad.kl_divergence(nan_row, Tensor([[0.5, 0.5]]))
+    with pytest.raises(InvalidDistributionError):
+        ad.kl_divergence(np.array([[0.5, 0.5]]), Tensor(nan_row))
+
+
 def test_kl_invalid_inputs():
     with pytest.raises(InvalidDistributionError):
         ad.kl_divergence(np.array([[0.7, 0.7]]), Tensor([[0.5, 0.5]]))

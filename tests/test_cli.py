@@ -357,7 +357,7 @@ def _bad_copy(synth_dir, tmp_path, mutate, features=True):
 def _val_without_features(synth_dir, tmp_path):
     bad = _bad_copy(synth_dir, tmp_path, lambda raw: raw.update(split="val"), features=False)
     return (small_train_args(synth_dir, tmp_path / "run", extra=["--val-data", str(bad)]),
-            f"no feature file found for {bad}")
+            f"feature file {bad.parent / 'features.bin'} does not exist")
 
 
 def _mistyped_features(synth_dir, tmp_path):
@@ -404,7 +404,7 @@ def _with_features(synth_dir, tmp_path, split, widen):
     """A copy of the synthetic set, as `split`, whose feature blocks are
     those of `widen(image_id, block)`."""
     bad = _bad_copy(synth_dir, tmp_path, lambda raw: raw.update(split=split), features=False)
-    feats = {k: widen(k, t.data) for k, t in load_features(synth_dir / "features.bin").items()}
+    feats = {k: widen(k, a) for k, a in load_features(synth_dir / "features.bin").items()}
     write_features(bad.parent / "features.bin", feats)
     return bad
 

@@ -35,11 +35,23 @@ def small_cfg(**kw):
     return SyntheticConfig(**base)
 
 
+def feature_blocks(raw, mu=4, d_v=4):
+    """A [mu, d_v] block for each string image_id of a dataset dict, however
+    malformed the rest of it is, so that a test reaches the parser."""
+    dialogs = raw.get("dialogs") if isinstance(raw, dict) else None
+    if not isinstance(dialogs, list):
+        return {}
+    return {d["image_id"]: np.zeros((mu, d_v)) for d in dialogs
+            if isinstance(d, dict) and isinstance(d.get("image_id"), str)}
+
+
 def write_dataset(tmp_path, raw, features=None, name="data.json"):
+    """The dataset file, with features.bin beside it: `features`, or else
+    `feature_blocks(raw)`."""
     p = tmp_path / name
     p.write_text(json.dumps(raw))
-    if features is not None:
-        write_features(tmp_path / "features.bin", features)
+    write_features(tmp_path / "features.bin",
+                   feature_blocks(raw) if features is None else features)
     return p
 
 
@@ -63,7 +75,7 @@ def two_image_raw():
 def caption_ids(vocab, text):
     """The token ids `dataset_from_dict` gives a caption under `vocab`."""
     raw = {"dialogs": [{"image_id": "im0", "caption": text, "rounds": []}]}
-    return dataset_from_dict(raw, vocab=vocab).examples[0].caption_tokens
+    return dataset_from_dict(raw, feature_blocks(raw), vocab=vocab).examples[0].caption_tokens
 
 
 def test_known_words_encode_past_the_reserved_ids():
@@ -115,7 +127,7 @@ def test_text_never_encodes_to_pad_bos_or_eos(vocab):
                         "rounds": [{"question": text, "answer": text,
                                     "answer_options": SPELLED_RESERVED, "gt_index": k}]}
                        for k, text in enumerate(SPELLED_RESERVED)]}
-    ds = dataset_from_dict(raw, vocab=vocab)
+    ds = dataset_from_dict(raw, feature_blocks(raw), vocab=vocab)
     assert ds.vocab.id_to_token[:4] == D.RESERVED
     texts = [ids for ex in ds.examples
              for ids in (ex.caption_tokens, *chain.from_iterable(
@@ -160,8 +172,34 @@ def test_missing_feature_error(tmp_path):
     raw = two_image_raw()
     feats = {"a": np.zeros((2, 4), dtype=np.float32)}  # no features for "b"
     p = write_dataset(tmp_path, raw, feats)
-    with pytest.raises(MissingFeatureError):
+    with pytest.raises(MissingFeatureError) as e:
         load_dataset(p, "train")
+    assert str(e.value) == f"no features for image_id 'b' in {tmp_path / 'features.bin'}"
+
+
+def test_a_feature_map_without_an_image_raises_naming_it():
+    with pytest.raises(MissingFeatureError) as e:
+        dataset_from_dict(two_image_raw(), {"a": np.zeros((2, 4))})
+    assert str(e.value) == "no features for image_id 'b'"
+
+
+def test_a_dataset_file_needs_its_feature_file(tmp_path):
+    p = tmp_path / "data.json"
+    p.write_text(json.dumps(two_image_raw()))
+    for given in (None, tmp_path / "other.bin"):
+        with pytest.raises(MissingFeatureError) as e:
+            load_dataset(p, "train", given)
+        assert str(e.value) == f"feature file {given or tmp_path / 'features.bin'} does not exist"
+
+
+@pytest.mark.parametrize("region", [-1, 3])
+def test_gt_grounding_outside_the_image_is_rejected_in_memory(region):
+    raw = two_image_raw()
+    _round_at(raw, 1, 0)["gt_grounding"] = [0, region]
+    with pytest.raises(ParseError) as e:
+        dataset_from_dict(raw, {"a": np.zeros((2, 4)), "b": np.zeros((3, 4))})
+    assert str(e.value) == ("$.dialogs[1].rounds[0].gt_grounding: region indices "
+                            "must lie in [0, 3), the regions of image_id 'b'")
 
 
 @pytest.mark.parametrize("region", [-1, 3])
@@ -257,7 +295,7 @@ def test_bad_round_parse_errors_name_the_path(mutate, message):
     raw = two_image_raw()
     mutate(raw)
     with pytest.raises(ParseError) as e:
-        dataset_from_dict(raw)
+        dataset_from_dict(raw, feature_blocks(raw))
     assert str(e.value) == message
 
 
@@ -266,7 +304,7 @@ def test_bad_round_parse_errors_name_the_path(mutate, message):
 def test_relevance_entries_parse_to_floats(given, parsed):
     raw = two_image_raw()
     _round_at(raw, 0, 0)["relevance"] = given
-    got = dataset_from_dict(raw).examples[0].rounds[0].relevance
+    got = dataset_from_dict(raw, feature_blocks(raw)).examples[0].rounds[0].relevance
     assert got == parsed and all(type(r) is float for r in got)
     assert got is not given
 
@@ -289,9 +327,10 @@ def test_dataset_from_dict_encodes_every_text_by_its_tokens():
     texts = [t for d in raw["dialogs"] for t in [d["caption"]] + [
         u for r in d["rounds"] for u in [r["question"], r["answer"], *r["answer_options"]]]]
     assert len(set(texts)) < len(texts) and "" in texts
-    built = dataset_from_dict(raw)
+    built = dataset_from_dict(raw, feature_blocks(raw))
     assert built.vocab.id_to_token == D.RESERVED + sorted({w for t in texts for w in D.tokenize(t)})
-    encoded = dataset_from_dict(raw, vocab=Vocabulary(["a", "cat", "no", "yes"]))
+    encoded = dataset_from_dict(raw, feature_blocks(raw),
+                                vocab=Vocabulary(["a", "cat", "no", "yes"]))
     assert D.UNK_ID in encoded.examples[0].caption_tokens          # "on", "mat"
     for ds in (built, encoded):
         held = [(ex.caption, ex.caption_tokens) for ex in ds.examples] + [
@@ -348,7 +387,7 @@ def test_any_one_value_replaced_parses_or_raises_parse_error(path, value):
         node = node[key]
     node[path[-1]] = value
     try:
-        dataset_from_dict(raw)
+        dataset_from_dict(raw, feature_blocks(raw))
     except ParseError as e:
         assert str(e).startswith("$")
     else:
@@ -703,7 +742,7 @@ def test_synthetic_loader_roundtrip(tmp_path):
     assert len(ds.examples) == len(direct.examples)
     for a, b in zip(ds.examples, direct.examples):
         assert (a.image_id, a.caption, a.caption_tokens) == (b.image_id, b.caption, b.caption_tokens)
-        assert np.array_equal(a.region_features.data, b.region_features.data)
+        assert np.array_equal(a.region_features, b.region_features)
         assert len(a.rounds) == len(b.rounds) == cfg.rounds
         for ra, rb in zip(a.rounds, b.rounds):
             # every field: texts, question, answer and candidate tokens,

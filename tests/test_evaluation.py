@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grounddial import evaluation, model
-from grounddial.autodiff import ContractError, InvalidDistributionError, Tensor
+from grounddial.autodiff import ContractError, InvalidDistributionError
 from grounddial.cli import main
 from grounddial.data import (
     SyntheticConfig,
@@ -499,7 +499,7 @@ def test_ablate_random_with_one_region_count_permutes_each_batch(tiny_setup, mon
 def test_ablate_random_shuffles_among_units_with_the_same_region_count(monkeypatch):
     ds = generate_synthetic(SyntheticConfig(num_images=4, seed=9))
     for ex in ds.examples[1::2]:
-        ex.region_features = Tensor(ex.region_features.data[:6])
+        ex.region_features = ex.region_features[:6]
     monkeypatch.setattr(evaluation, "EVAL_BATCH_UNITS", 5)
     cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4)
     params = init_params_for(cfg, np.random.default_rng(0), len(ds.vocab), 16)
@@ -535,7 +535,7 @@ def mixed_regions_setup(num_images, synthetic=None):
     ds = generate_synthetic(SyntheticConfig(num_images=num_images, seed=9, **(synthetic or {})))
     for ex in ds.examples[1::3]:
         mu = max(6, 1 + max(i for r in ex.rounds for i in r.gt_grounding))
-        ex.region_features = Tensor(ex.region_features.data[:mu])
+        ex.region_features = ex.region_features[:mu]
     cfg = TrainConfig(d_e=8, d_q=8, n_heads=2, d_h=8, seq_len=10, max_history=4)
     params = init_params_for(cfg, np.random.default_rng(0), len(ds.vocab),
                              ds.examples[0].region_features.shape[1])
@@ -776,11 +776,9 @@ def prefix_dataset():
                            "answer": opts[gt], "answer_options": opts, "gt_index": gt,
                            "gt_grounding": [k % 6]})
         dialogs.append({"image_id": f"p{i}", "caption": "objects on a table", "rounds": rounds})
-    ds = dataset_from_dict({"dialogs": dialogs})
     g = np.random.default_rng(4)
-    for i, ex in enumerate(ds.examples):
-        ex.region_features = Tensor(g.normal(size=(6 + i % 3, 16)))
-    return ds
+    features = {d["image_id"]: g.normal(size=(6 + i % 3, 16)) for i, d in enumerate(dialogs)}
+    return dataset_from_dict({"dialogs": dialogs}, features)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 5, 64])

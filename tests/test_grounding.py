@@ -17,9 +17,10 @@ from grounddial.grounding import (
     cross_attend,
     gather_regions,
     init_grounding_params,
-    pool_regions,
+    pool,
     posterior_ground,
     prior_ground,
+    region_weights,
 )
 from gradcheck import grad_check
 
@@ -156,7 +157,8 @@ def test_cross_attend_all_masked_raises(params):
 def test_pool_identical_rows_uniform_weights(params):
     row = rng().normal(size=(1, D_Q))
     I_x = one(np.repeat(row, 5, axis=0))
-    w, pooled = pool_regions(I_x, params, every(I_x))
+    w = region_weights(I_x, params, every(I_x))
+    pooled = pool(w, I_x)
     assert np.allclose(w.data[0], np.full(5, 0.2))
     assert np.allclose(pooled.data[0], row[0])
 
@@ -165,7 +167,7 @@ def test_pool_dominant_row_limit(params):
     g = rng()
     I_x_arr = g.normal(size=(4, D_Q))
     I_x = one(I_x_arr)
-    w, _ = pool_regions(I_x, params, every(I_x))
+    w = region_weights(I_x, params, every(I_x))
     # push row 2's score up by +30 via a shift on its hidden activation
     h = np.maximum(I_x_arr @ params.w1.data + params.b1.data, 0.0)
     scores = h @ params.w2.data
@@ -176,7 +178,8 @@ def test_pool_dominant_row_limit(params):
     # same through the op when the shift is baked into the inputs
     shifted = scores  # hand result only; structural check of the op below
     same = one(np.repeat(I_x_arr[2:3], 4, axis=0))
-    w2, pooled2 = pool_regions(same, params, every(same))
+    w2 = region_weights(same, params, every(same))
+    pooled2 = pool(w2, same)
     assert np.allclose(pooled2.data[0], (w2.data.reshape(1, 4) @ np.repeat(I_x_arr[2:3], 4, axis=0))[0])
 
 
@@ -186,7 +189,8 @@ def test_pool_hand_evaluation_toy():
     p.b1.data = np.array([[0.0, 0.0]])
     p.w2.data = np.array([[1.0], [-1.0]])
     I_x = one([[1.0, 2.0], [0.0, 0.0], [-3.0, 1.0]])
-    w, pooled = pool_regions(I_x, p, every(I_x))
+    w = region_weights(I_x, p, every(I_x))
+    pooled = pool(w, I_x)
     scores = np.array([
         max(1.0, 0) * 1 + max(2.0, 0) * -1,
         0.0,
@@ -206,7 +210,8 @@ def test_prior_simplex_random_inputs(params):
     for _ in range(25):
         I = Tensor(g.normal(size=(7, D_Q)))
         x = one(g.normal(size=(4, D_Q)))
-        gd, v, _ = prior_ground(unit(I, params), x, [[True, True, True, False]], params)
+        gd, I_x = prior_ground(unit(I, params), x, [[True, True, True, False]], params)
+        v = pool(gd, I_x)
         assert gd.data.min() >= 0
         assert abs(gd.data.sum() - 1.0) < 1e-9
         assert v.shape == (1, D_Q)
@@ -218,10 +223,11 @@ def test_prior_permutation_equivariance(params):
     x = one(g.normal(size=(3, D_Q)))
     mask = [[True, True, True]]
     regions = np.arange(6)[None]
-    g1, v1, _ = prior_ground(gather_regions(Tensor(I_arr), regions, params), x, mask, params)
+    g1, I_x1 = prior_ground(gather_regions(Tensor(I_arr), regions, params), x, mask, params)
     perm = [4, 0, 5, 2, 1, 3]
-    g2, v2, _ = prior_ground(gather_regions(Tensor(I_arr[perm]), regions, params), x, mask,
-                             params)
+    g2, I_x2 = prior_ground(gather_regions(Tensor(I_arr[perm]), regions, params), x, mask,
+                            params)
+    v1, v2 = pool(g1, I_x1), pool(g2, I_x2)
     assert np.allclose(g2.data[0], g1.data[0][perm], atol=1e-12)
     assert np.allclose(v2.data, v1.data, atol=1e-12)
 
@@ -231,7 +237,8 @@ def test_posterior_zero_answer_reduces_to_prior_bitwise(params):
     I = Tensor(g.normal(size=(5, D_Q)))
     x = one(g.normal(size=(3, D_Q)))
     mask = [[True, True, False]]
-    gp, vp, _ = prior_ground(unit(I, params), x, mask, params)
+    gp, I_x = prior_ground(unit(I, params), x, mask, params)
+    vp = pool(gp, I_x)
     y = one(np.zeros((3, D_Q)))
     G, v_post = posterior_ground(unit(I, params), x, y, mask, params)
     assert np.array_equal(G.data, gp.data)
@@ -244,7 +251,7 @@ def test_posterior_differs_with_nonzero_answer(params):
     x = one(g.normal(size=(3, D_Q)))
     y = one(g.normal(size=(3, D_Q)))
     mask = [[True, True, True]]
-    gp, _, _ = prior_ground(unit(I, params), x, mask, params)
+    gp, _ = prior_ground(unit(I, params), x, mask, params)
     G, _ = posterior_ground(unit(I, params), x, y, mask, params)
     assert abs(G.data.sum() - 1.0) < 1e-9
     assert not np.allclose(G.data, gp.data)
@@ -262,12 +269,14 @@ def test_ragged_batch_rows_match_single_unit_calls(params):
     y = g.normal(size=(3, 4, D_Q))
     mask_x = np.array([[t < n for t in range(4)] for _, n in shapes])
     regions = gather_regions(Tensor(I), rows_i, params)
-    gb, vb, _ = prior_ground(regions, Tensor(x), mask_x, params)
+    gb, I_xb = prior_ground(regions, Tensor(x), mask_x, params)
+    vb = pool(gb, I_xb)
     Gb, vpb = posterior_ground(regions, Tensor(x), Tensor(y), mask_x, params)
     singles = []
     for b, (mu, n) in enumerate(shapes):
         I1, x1, y1 = Tensor(I[rows_i[b, :mu]]), one(x[b, :n]), one(y[b, :n])
-        g1, v1, _ = prior_ground(unit(I1, params), x1, [[True] * n], params)
+        g1, I_x1 = prior_ground(unit(I1, params), x1, [[True] * n], params)
+        v1 = pool(g1, I_x1)
         G1, vp1 = posterior_ground(unit(I1, params), x1, y1, [[True] * n], params)
         assert np.allclose(gb.data[b, :mu], g1.data[0], rtol=1e-12, atol=1e-15)
         assert np.array_equal(gb.data[b, mu:], np.zeros(5 - mu))
@@ -284,7 +293,7 @@ def test_ragged_batch_rows_match_single_unit_calls(params):
 def _branches_for(params, I_arr, x_arr, y_arr, mask):
     """(posterior G, prior g) of one unit."""
     I, x, y = Tensor(I_arr), one(x_arr), one(y_arr)
-    g, _, _ = prior_ground(unit(I, params), x, mask, params)
+    g, _ = prior_ground(unit(I, params), x, mask, params)
     G, _ = posterior_ground(unit(I, params), x, y, mask, params)
     return G, g
 
@@ -322,7 +331,7 @@ def test_bridge_detach_blocks_posterior_gradient(params):
     y = one(g.normal(size=(2, D_Q)), requires_grad=True)
     mask = [[True, True]]
     with Tape() as tape:
-        gp, _, _ = prior_ground(unit(I, params), x, mask, params)
+        gp, _ = prior_ground(unit(I, params), x, mask, params)
         G, _ = posterior_ground(unit(I, params), x, y, mask, params)
         loss = bridge_loss(G, gp)
     backward(loss, tape)
@@ -341,7 +350,7 @@ def test_end_to_end_grad_check_prior_plus_bridge(params):
 
     def f(x):
         I = Tensor(I_arr)
-        gp, _, _ = prior_ground(unit(I, params), x, mask, params)
+        gp, _ = prior_ground(unit(I, params), x, mask, params)
         return bridge_loss(G_fixed, gp)
 
     for seed in range(5):

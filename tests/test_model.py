@@ -19,7 +19,7 @@ import reference_lstm as ref
 import reference_model as oracle
 from grounddial import autodiff as ad
 from grounddial import encoders, model
-from grounddial.autodiff import ContractError, DegenerateSliceError, Tape, Tensor, backward
+from grounddial.autodiff import ContractError, DegenerateSliceError, Tape, backward
 from grounddial.data import EOS_ID, SyntheticConfig, generate_synthetic
 from grounddial.model import (
     Unit,
@@ -40,7 +40,7 @@ def setup(rounds_cfg: dict, seed: int, num_images: int = 1, region_counts=()):
     """Params, units and config; image i keeps only region_counts[i] regions."""
     ds = generate_synthetic(SyntheticConfig(num_images=num_images, seed=seed, **rounds_cfg))
     for ex, mu in zip(ds.examples, region_counts):
-        ex.region_features = Tensor(ex.region_features.data[:mu])
+        ex.region_features = ex.region_features[:mu]
     cfg = TrainConfig()
     params = init_params_for(cfg, np.random.default_rng(seed), len(ds.vocab),
                              ds.examples[0].region_features.shape[1])
@@ -345,7 +345,7 @@ def test_row_wise_layers_run_once_per_distinct_image_and_history_sentence(mixed)
     n_regions = batch.regions.shape[0]
     for b, u in enumerate(units):
         rows = batch.region_rows[b]
-        assert np.array_equal(batch.regions.data[rows[rows < n_regions]], u.features.data)
+        assert np.array_equal(batch.regions.data[rows[rows < n_regions]], u.features)
     n_history = len({tuple(h) for h in batch.history})
     assert n_history < len(batch.history)
     enc, grd = params.encoder, params.grounding

@@ -8,6 +8,9 @@ patches. A definition does not name itself. A private top-level function or
 class must be named there too, so a helper that a merge leaves behind is
 caught.
 
+The layering is pinned: `autodiff` and `data` import no module of the
+package, so the engine and the dataset stand below the model.
+
 A model is built from its TrainConfig in one place: `model.init_params_for`
 is the package's only caller of `init_model_params`.
 
@@ -159,3 +162,18 @@ def test_only_init_params_for_calls_init_model_params():
                and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
                == "init_model_params"]
     assert callers == ["model.init_params_for"], callers
+
+
+def _imports_the_package(node) -> bool:
+    """Whether an import statement names a module of the package."""
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "grounddial"
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "grounddial" for alias in node.names)
+
+
+def test_autodiff_and_data_import_no_package_module():
+    trees, _ = package_trees_and_used_names()
+    found = [f"{module}: {ast.unparse(node)}" for module in ("autodiff", "data")
+             for node in ast.walk(trees[module]) if _imports_the_package(node)]
+    assert not found, found

@@ -167,8 +167,8 @@ def test_train_runs_and_logs(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == lines   # verbose: each line printed too
     entry = json.loads(lines[0])
     assert {"epoch", "lr", "L_KL", "L_G", "val"} <= set(entry)
-    assert (tmp_path / "best.bin").exists()
-    assert (tmp_path / "final.manifest.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "best.bin", "best.manifest.json", "final.bin", "final.manifest.json", "metrics.jsonl"]
 
 
 def test_train_deterministic_logs():
@@ -353,6 +353,29 @@ def test_checkpoint_roundtrip(tmp_path):
     restore_params(params2, tensors)
     for name, t in named_parameters(params2).items():
         assert np.array_equal(t.data, named[name].data)
+
+
+def test_a_failed_rewrite_leaves_the_previous_checkpoint_whole(tmp_path):
+    """An error while the blob is written (a full disk, say) leaves the
+    checkpoint of the last good save byte for byte, and no temporary."""
+    cfg = tiny_cfg()
+    ds = tiny_data(n=2)
+    named = named_parameters(tiny_model(ds, cfg, seed=6))
+    save_checkpoint(tmp_path / "ck", named, cfg, ds.vocab.id_to_token, {"epoch": 0})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    class FullDisk:
+        shape = (1,)
+
+        @property
+        def data(self):
+            raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError):
+        save_checkpoint(tmp_path / "ck", {"a": FullDisk(), **named}, cfg,
+                        ds.vocab.id_to_token, {"epoch": 1})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert sorted(before) == ["ck.bin", "ck.manifest.json"]
 
 
 def test_checkpoint_manifest_mismatch(tmp_path):
