@@ -11,8 +11,10 @@ live only in the dataclasses, the model's shape included: train and eval
 build the model from a TrainConfig with `model.init_params_for`, eval from
 the one its checkpoint recorded. A JSON config file (train --config) uses
 TrainConfig field names, as recorded in a run's manifest.json; given flags
-override the file, and the file overrides TrainConfig's defaults. All
-randomness flows from the seed.
+override the file, and the file overrides TrainConfig's defaults. A
+checkpoint (a run's best.ckpt, final.ckpt) is one file holding its
+TrainConfig, vocabulary and weights; eval --ckpt names it with or without
+the .ckpt suffix. All randomness flows from the seed.
 """
 
 from __future__ import annotations
@@ -177,8 +179,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     result = train(ds_train, ds_val, params, cfg, out_dir=out_dir, quiet=not args.verbose)
     _write_manifest(out_dir, "train", cfg.to_dict(), cfg.seed,
-                    ["metrics.jsonl", "best.bin", "best.manifest.json",
-                     "final.bin", "final.manifest.json"], started)
+                    ["metrics.jsonl", "best.ckpt", "final.ckpt"], started)
     print(f"trained {cfg.max_epochs} epochs; best val MRR {result.best_mrr:.4f} "
           f"at epoch {result.best_epoch}; artifacts in {out_dir}")
     return EXIT_OK
@@ -189,7 +190,7 @@ def cmd_train(args) -> int:
 
 def _eval_parser(sub) -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint in the inference condition")
-    p.add_argument("--ckpt", required=True, help="checkpoint base path (best / best.bin)")
+    p.add_argument("--ckpt", required=True, help="checkpoint base path (best / best.ckpt)")
     p.add_argument("--data", required=True)
     p.add_argument("--features", default=None)
     p.add_argument("--split", default="val")
@@ -211,14 +212,12 @@ def cmd_eval(args) -> int:
         print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
         return EXIT_USAGE
     base = Path(args.ckpt)
-    if base.suffix == ".bin":
-        base = base.with_suffix("")
     try:
         tensors, cfg, vocab_tokens = load_checkpoint(base)
         vocab = Vocabulary(vocab_tokens)
     except FileNotFoundError as e:
         raise DataError(f"checkpoint not found: {e}") from e
-    except ValueError as e:  # a corrupt blob or manifest, an invalid config or vocabulary
+    except ValueError as e:  # a corrupt checkpoint file, an invalid config or vocabulary
         raise DataError(f"checkpoint {base} cannot be loaded: {e}") from e
     ds = _load(args.data, args.split, args.features, vocab)
     if args.ablate == "oracle":

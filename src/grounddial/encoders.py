@@ -65,12 +65,7 @@ class EncoderParams:
     region_w2: Tensor           # [d_q, d_q]
     region_b2: Tensor           # [1, d_q]
     n_heads: int
-    d_q: int
     fusion_residual: bool
-
-    def __post_init__(self):
-        if self.d_q % self.n_heads != 0:
-            raise DimensionError(f"d_q={self.d_q} not divisible by n_heads={self.n_heads}")
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
@@ -101,8 +96,6 @@ def init_bi_encoder(rng: np.random.Generator, d_in: int, d_q: int) -> BiEncoderP
 def init_encoder_params(rng: np.random.Generator, vocab_size: int, d_v: int, *,
                         d_e: int, d_q: int, n_heads: int,
                         fusion_residual: bool) -> EncoderParams:
-    if d_q % 2 != 0:
-        raise DimensionError("d_q must be even (forward/backward state halves)")
     return EncoderParams(
         embedding=Tensor(rng.uniform(-0.5, 0.5, size=(vocab_size, d_e)), requires_grad=True),
         question=init_bi_encoder(rng, d_e, d_q),
@@ -117,7 +110,6 @@ def init_encoder_params(rng: np.random.Generator, vocab_size: int, d_v: int, *,
         region_w2=_uniform(rng, (d_q, d_q), d_q),
         region_b2=Tensor(np.zeros((1, d_q)), requires_grad=True),
         n_heads=n_heads,
-        d_q=d_q,
         fusion_residual=fusion_residual,
     )
 
@@ -263,8 +255,8 @@ def fuse_context(Q: Tensor, H: Tensor, mask_q: np.ndarray, rows_h: np.ndarray,
     """
     B, lam, d_q = Q.shape
     rows_h = np.asarray(rows_h, dtype=np.intp)
-    if H.data.ndim != 2 or H.shape[1] != d_q or d_q != params.d_q:
-        raise DimensionError(f"fuse_context shapes: Q {Q.shape}, H {H.shape}, d_q {params.d_q}")
+    if H.data.ndim != 2 or H.shape[1] != d_q:
+        raise DimensionError(f"fuse_context shapes: Q {Q.shape}, H {H.shape}")
     mask_q = np.asarray(mask_q, dtype=bool)
     if mask_q.shape != (B, lam) or rows_h.ndim != 2 or rows_h.shape[0] != B:
         raise DimensionError(f"fuse_context mask {mask_q.shape} and history grid "
@@ -299,7 +291,5 @@ def project_regions(raw: Tensor, params: EncoderParams) -> Tensor:
     Rows are layer-normalized onto the same scale as the token encodings;
     otherwise the region content is drowned by attended text downstream.
     """
-    if raw.shape[1] != params.region_w1.shape[0]:
-        raise DimensionError(f"region features {raw.shape} vs projection {params.region_w1.shape}")
     h = ad.relu(ad.affine(raw, params.region_w1, params.region_b1))
     return ad.layer_norm(ad.affine(h, params.region_w2, params.region_b2))

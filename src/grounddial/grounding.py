@@ -166,8 +166,6 @@ def posterior_ground(regions: UnitRegions, x: Tensor, y: Tensor, mask_x: np.ndar
     so the answer cannot tunnel straight into v_post and the posterior is
     forced to earn its sharpness by selecting answer-consistent regions.
     """
-    if x.shape != y.shape:
-        raise DimensionError(f"x and y must match: {x.shape} vs {y.shape}")
     _, I_x_post = cross_attend(regions, ad.add(x, y), x, mask_x, params)
     G = region_weights(I_x_post, params, regions.mask)
     return G, pool(G, I_x_post)

@@ -73,15 +73,16 @@ def adam_step(named: dict[str, Tensor], state: OptimizerState, lr: float) -> Non
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: a JSON manifest of each tensor's name and shape, and a blob of
-# their little-endian float64 data, back to back in manifest order
+# checkpoints: one file, base.ckpt, that holds a JSON manifest of each
+# tensor's name and shape as its first line, then the tensors' little-endian
+# float64 data, back to back in manifest order
 
 def save_checkpoint(base: Path, named: dict[str, Tensor], cfg: TrainConfig,
                     vocab_tokens: list[str], extra: Optional[dict] = None) -> None:
-    """Write base.bin and base.manifest.json as sibling temporaries, then
-    rename them over the old pair, the blob first: an error while writing
-    (a full disk) leaves the previous checkpoint whole. Nothing is fsynced."""
-    base = Path(base)
+    """Write base.ckpt.tmp, then rename it over base.ckpt in one step: an
+    error while writing (a full disk) leaves the previous checkpoint whole.
+    Nothing is fsynced."""
+    path = Path(base).with_suffix(".ckpt")
     manifest = {
         "tensors": [{"name": n, "shape": list(t.shape)} for n, t in named.items()],
         "config": cfg.to_dict(),
@@ -89,17 +90,16 @@ def save_checkpoint(base: Path, named: dict[str, Tensor], cfg: TrainConfig,
     }
     if extra:
         manifest.update(extra)
-    blob, meta = (base.with_suffix(suffix + ".tmp") for suffix in (".bin", ".manifest.json"))
+    tmp = path.with_suffix(".ckpt.tmp")
     try:
-        with open(blob, "wb") as fh:
+        with open(tmp, "wb") as fh:
+            # JSON text holds no raw newline, so one ends the manifest line
+            fh.write(json.dumps(manifest, sort_keys=True).encode() + b"\n")
             for t in named.values():
                 fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-        meta.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-        os.replace(blob, base.with_suffix(".bin"))
-        os.replace(meta, base.with_suffix(".manifest.json"))
+        os.replace(tmp, path)
     except BaseException:
-        blob.unlink(missing_ok=True)
-        meta.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -109,14 +109,19 @@ def _is_shape(shape) -> bool:
 
 
 def load_checkpoint(base: Path) -> tuple[dict[str, np.ndarray], TrainConfig, list[str]]:
-    """Read what save_checkpoint wrote. A manifest that is not a JSON object
-    with "tensors" (a list of {"name": str, "shape": list of ints >= 0}),
-    "config" and "vocab" (a list of strings), or a blob whose size is not
-    that of the shapes' float64 data, raises ValueError; an invalid config
-    raises ContractError, itself a ValueError. The size is compared before
-    any data is read, so a corrupt shape cannot ask for gigabytes."""
-    base = Path(base)
-    manifest = json.loads(base.with_suffix(".manifest.json").read_text())
+    """Read what save_checkpoint wrote. A file with no manifest line, a
+    manifest that is not a JSON object with "tensors" (a list of
+    {"name": str, "shape": list of ints >= 0}), "config" and "vocab" (a list
+    of strings), or data whose size is not that of the shapes' float64
+    values, raises ValueError; an invalid config raises ContractError, itself
+    a ValueError. The size is compared before any array is formed, so a
+    corrupt shape cannot ask for gigabytes."""
+    path = Path(base).with_suffix(".ckpt")
+    raw = path.read_bytes()
+    end = raw.find(b"\n")
+    if end < 0:
+        raise ValueError(f"{path} holds no manifest line")
+    manifest = json.loads(raw[:end])
     if not isinstance(manifest, dict):
         raise ValueError("manifest is not a JSON object")
     missing = {"tensors", "config", "vocab"} - set(manifest)
@@ -132,11 +137,11 @@ def load_checkpoint(base: Path) -> tuple[dict[str, np.ndarray], TrainConfig, lis
         raise ValueError('"vocab" is not a list of strings')
     cfg = TrainConfig.from_dict(manifest["config"])
     counts = [math.prod(e["shape"]) for e in entries]
-    blob = base.with_suffix(".bin")
-    size, expected = blob.stat().st_size, 8 * sum(counts)
+    size, expected = len(raw) - end - 1, 8 * sum(counts)
     if size != expected:
-        raise ValueError(f"{blob} holds {size} bytes where the manifest's shapes need {expected}")
-    data = np.frombuffer(blob.read_bytes(), dtype="<f8").astype(np.float64)
+        raise ValueError(f"{path} holds {size} data bytes where the manifest's shapes "
+                         f"need {expected}")
+    data = np.frombuffer(raw, dtype="<f8", offset=end + 1).astype(np.float64)
     pieces = np.split(data, np.cumsum(counts[:-1], dtype=np.intp))
     tensors = {e["name"]: a.reshape(e["shape"]) for e, a in zip(entries, pieces)}
     return tensors, cfg, vocab

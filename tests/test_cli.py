@@ -118,10 +118,10 @@ def test_train_and_eval_roundtrip(synth_dir, tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli(small_train_args(synth_dir, out)) == 0
     assert (out / "metrics.jsonl").exists()
-    assert (out / "best.bin").exists()
+    assert (out / "best.ckpt").exists()
     capsys.readouterr()
 
-    code = run_cli(["eval", "--ckpt", str(out / "best.bin"),
+    code = run_cli(["eval", "--ckpt", str(out / "best.ckpt"),
                     "--data", str(synth_dir / "dataset.json"), "--split", "train"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
@@ -134,8 +134,8 @@ def test_train_determinism_byte_identical(synth_dir, tmp_path):
     assert run_cli(small_train_args(synth_dir, out1)) == 0
     assert run_cli(small_train_args(synth_dir, out2)) == 0
     assert (out1 / "metrics.jsonl").read_bytes() == (out2 / "metrics.jsonl").read_bytes()
-    assert (out1 / "best.bin").read_bytes() == (out2 / "best.bin").read_bytes()
-    assert (out1 / "final.bin").read_bytes() == (out2 / "final.bin").read_bytes()
+    assert (out1 / "best.ckpt").read_bytes() == (out2 / "best.ckpt").read_bytes()
+    assert (out1 / "final.ckpt").read_bytes() == (out2 / "final.ckpt").read_bytes()
 
 
 def test_train_config_file_with_flag_override(synth_dir, tmp_path):
@@ -161,7 +161,7 @@ def test_manifest_config_reproduces_the_run(synth_dir, tmp_path):
     assert run_cli(["train", "--data", str(synth_dir / "dataset.json"),
                     "--out", str(second), "--config", str(cfg_path)]) == 0
     assert (first / "metrics.jsonl").read_bytes() == (second / "metrics.jsonl").read_bytes()
-    assert (first / "best.bin").read_bytes() == (second / "best.bin").read_bytes()
+    assert (first / "best.ckpt").read_bytes() == (second / "best.ckpt").read_bytes()
 
 
 @pytest.mark.parametrize("extra, field", [
@@ -260,13 +260,12 @@ def test_eval_unknown_checkpoint_config_key_exits_3(synth_dir, tmp_path, capsys)
     """Keys of deleted settings included: such a checkpoint is refused, naming the key."""
     out = tmp_path / "run"
     assert run_cli(small_train_args(synth_dir, out)) == 0
-    manifest_path = out / "best.manifest.json"
-    manifest = json.loads(manifest_path.read_text())
+    saved = (out / "best.ckpt").read_bytes()
     for key, value in [("share_cross_attention", True), ("bridge_variant", "attn_kl"),
                        ("adam_beta1", 0.9), ("base_lr", 0.001), ("axis_mode", "columns"),
                        ("detach_posterior", True)]:
-        config = dict(manifest["config"], **{key: value})
-        manifest_path.write_text(json.dumps(dict(manifest, config=config)))
+        (out / "best.ckpt").write_bytes(saved)
+        _edit_manifest(out / "best", lambda m: m["config"].update({key: value}))
         capsys.readouterr()
         code = run_cli(["eval", "--ckpt", str(out / "best"),
                         "--data", str(synth_dir / "dataset.json"), "--split", "train"])
@@ -527,24 +526,27 @@ def _corrupt_checkpoint(mutate):
 
 
 def _edit_manifest(base, edit):
-    path = base.with_suffix(".manifest.json")
-    manifest = json.loads(path.read_text())
+    """Rewrite the manifest line of base.ckpt after edit(manifest), keeping its data bytes."""
+    path = base.with_suffix(".ckpt")
+    line, data = path.read_bytes().split(b"\n", 1)
+    manifest = json.loads(line)
     edit(manifest)
-    path.write_text(json.dumps(manifest))
+    path.write_bytes(json.dumps(manifest).encode() + b"\n" + data)
 
 
 def _truncated_blob(base):
-    blob = base.with_suffix(".bin")
-    blob.write_bytes(blob.read_bytes()[:-5])
+    path = base.with_suffix(".ckpt")
+    path.write_bytes(path.read_bytes()[:-5])
 
 
 def _trailing_byte(base):
-    blob = base.with_suffix(".bin")
-    blob.write_bytes(blob.read_bytes() + b"\0")
+    path = base.with_suffix(".ckpt")
+    path.write_bytes(path.read_bytes() + b"\0")
 
 
 def _manifest_not_json(base):
-    base.with_suffix(".manifest.json").write_text('{"tensors": [')
+    path = base.with_suffix(".ckpt")
+    path.write_bytes(b'{"tensors": [\n' + path.read_bytes().split(b"\n", 1)[1])
 
 
 def _manifest_shape_disagrees(base):
@@ -640,6 +642,23 @@ def test_eval_of_a_nan_weight_exits_4_naming_the_unit(synth_dir, tmp_path, capsy
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert f"image_id {first!r} round 0" in lines[0]
+
+
+def test_eval_ckpt_with_or_without_its_suffix_names_one_file(synth_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli(small_train_args(synth_dir, out)) == 0
+    reports = []
+    for ckpt in ("best", "best.ckpt"):
+        reports.append(tmp_path / f"{ckpt}.json")
+        assert run_cli(["eval", "--ckpt", str(out / ckpt), "--report", str(reports[-1]),
+                        "--data", str(synth_dir / "dataset.json"), "--split", "train"]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    capsys.readouterr()
+    assert run_cli(["eval", "--ckpt", str(out / "nope"),
+                    "--data", str(synth_dir / "dataset.json"), "--split", "train"]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: checkpoint not found")
+    assert str(out / "nope.ckpt") in lines[0]
 
 
 def test_eval_missing_checkpoint_exits_3(synth_dir, tmp_path, capsys):

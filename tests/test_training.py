@@ -1,14 +1,16 @@
 import copy
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grounddial import model, training
 from grounddial.autodiff import ContractError, Tensor
-from grounddial.data import DialogDataset, SyntheticConfig, generate_synthetic
+from grounddial.data import DialogDataset, SyntheticConfig, Vocabulary, generate_synthetic
 from grounddial.evaluation import ABLATION_MODES, evaluate
 from grounddial.model import forward_batch, init_params_for, named_parameters, prepare_units
 from grounddial.training import (
@@ -168,7 +170,7 @@ def test_train_runs_and_logs(tmp_path, capsys):
     entry = json.loads(lines[0])
     assert {"epoch", "lr", "L_KL", "L_G", "val"} <= set(entry)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "best.bin", "best.manifest.json", "final.bin", "final.manifest.json", "metrics.jsonl"]
+        "best.ckpt", "final.ckpt", "metrics.jsonl"]
 
 
 def test_train_deterministic_logs():
@@ -239,7 +241,7 @@ def test_divergence_says_whether_a_best_checkpoint_exists(monkeypatch, tmp_path,
     out_dir = tmp_path / "run" if out else None
     with pytest.raises(DivergenceError, match=f"non-finite loss at epoch {bad_step // 3}; {kept}$"):
         train(ds, ds, tiny_model(ds, cfg), cfg, out_dir=out_dir)
-    assert (tmp_path / "run" / "best.bin").exists() == ("retained" in kept)
+    assert (tmp_path / "run" / "best.ckpt").exists() == ("retained" in kept)
 
 
 def test_train_on_an_empty_dataset_raises():
@@ -344,8 +346,12 @@ def test_checkpoint_roundtrip(tmp_path):
     params = tiny_model(ds, cfg, seed=6)
     named = named_parameters(params)
     save_checkpoint(tmp_path / "ck", named, cfg, ds.vocab.id_to_token)
-    # the blob is the float64 data alone; the manifest holds the shapes
-    assert (tmp_path / "ck.bin").stat().st_size == 8 * sum(t.size for t in named.values())
+    # one manifest line holds the shapes; the float64 data alone follows it
+    line = (tmp_path / "ck.ckpt").read_bytes().split(b"\n", 1)[0]
+    assert json.loads(line)["tensors"] == [
+        {"name": n, "shape": list(t.shape)} for n, t in named.items()]
+    assert (tmp_path / "ck.ckpt").stat().st_size == (
+        len(line) + 1 + 8 * sum(t.size for t in named.values()))
     tensors, cfg2, vocab = load_checkpoint(tmp_path / "ck")
     assert cfg2.to_dict() == cfg.to_dict()
     assert vocab == ds.vocab.id_to_token
@@ -355,9 +361,10 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(t.data, named[name].data)
 
 
-def test_a_failed_rewrite_leaves_the_previous_checkpoint_whole(tmp_path):
-    """An error while the blob is written (a full disk, say) leaves the
-    checkpoint of the last good save byte for byte, and no temporary."""
+def test_a_failed_rewrite_leaves_the_previous_checkpoint_whole(tmp_path, monkeypatch):
+    """An error while the data is written (a full disk, say) or while the
+    file is renamed into place leaves the checkpoint of the last good save
+    byte for byte, and no temporary."""
     cfg = tiny_cfg()
     ds = tiny_data(n=2)
     named = named_parameters(tiny_model(ds, cfg, seed=6))
@@ -375,7 +382,58 @@ def test_a_failed_rewrite_leaves_the_previous_checkpoint_whole(tmp_path):
         save_checkpoint(tmp_path / "ck", {"a": FullDisk(), **named}, cfg,
                         ds.vocab.id_to_token, {"epoch": 1})
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-    assert sorted(before) == ["ck.bin", "ck.manifest.json"]
+    assert sorted(before) == ["ck.ckpt"]
+
+    renames = []
+
+    def interrupted(src, dst):
+        renames.append((src, dst))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        save_checkpoint(tmp_path / "ck", named, cfg, ds.vocab.id_to_token, {"epoch": 1})
+    assert renames == [(tmp_path / "ck.ckpt.tmp", tmp_path / "ck.ckpt")]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert json.loads(before["ck.ckpt"].split(b"\n", 1)[0])["epoch"] == 0
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """(directory, bytes) of a d_q=4 model's checkpoint: 12 tokens, 16 values per region."""
+    cfg = TrainConfig(d_q=4, d_e=4, n_heads=2, d_h=4)
+    vocab = Vocabulary([f"w{i}" for i in range(8)])
+    named = named_parameters(init_params_for(cfg, np.random.default_rng(0), len(vocab), 16))
+    out = tmp_path_factory.mktemp("fuzz")
+    save_checkpoint(out / "ck", named, cfg, vocab.id_to_token, {"epoch": 0})
+    return out, (out / "ck.ckpt").read_bytes()
+
+
+def _cut(data, spot):
+    return data[:spot % len(data)]
+
+
+def _one_byte_of_the_line_changed(data, spot, delta):
+    i = spot % data.index(b"\n")
+    return data[:i] + bytes([(data[i] + delta) % 256]) + data[i + 1:]
+
+
+@settings(max_examples=500, deadline=None)
+@given(spot=st.integers(0, 2 ** 16), delta=st.integers(1, 255), cut=st.booleans())
+def test_a_damaged_checkpoint_loads_or_raises_value_error(tiny_checkpoint, spot, delta, cut):
+    """What eval does with a checkpoint cut anywhere or with one byte of its
+    manifest line changed either succeeds or raises ValueError, which the
+    CLI reports as a data error."""
+    out, data = tiny_checkpoint
+    damaged = _cut(data, spot) if cut else _one_byte_of_the_line_changed(data, spot, delta)
+    base = out / f"case{len(list(out.iterdir()))}"
+    base.with_suffix(".ckpt").write_bytes(damaged)   # a fresh name: no truncating rewrite
+    try:
+        tensors, cfg, tokens = load_checkpoint(base)
+        vocab = Vocabulary(tokens)
+        restore_params(init_params_for(cfg, np.random.default_rng(0), len(vocab), 16), tensors)
+    except ValueError:
+        pass
 
 
 def test_checkpoint_manifest_mismatch(tmp_path):
@@ -393,8 +451,8 @@ def test_checkpoint_manifest_mismatch(tmp_path):
 
 
 @pytest.mark.parametrize("first, message", [
-    # gigabytes declared: the blob's size refuses them before any data is read
-    (4_000_000_000, r"holds \d+ bytes where the manifest's shapes need \d+$"),
+    # gigabytes declared: the data's size refuses them before any array is formed
+    (4_000_000_000, r"holds \d+ data bytes where the manifest's shapes need \d+$"),
     *((bad, "non-negative ints") for bad in (-1, 2.5, True)),
 ], ids=["huge", "negative", "float", "bool"])
 def test_load_refuses_a_bad_manifest_shape(tmp_path, first, message):
@@ -402,10 +460,11 @@ def test_load_refuses_a_bad_manifest_shape(tmp_path, first, message):
     ds = tiny_data(n=2)
     save_checkpoint(tmp_path / "ck", named_parameters(tiny_model(ds, cfg)), cfg,
                     ds.vocab.id_to_token)
-    path = tmp_path / "ck.manifest.json"
-    manifest = json.loads(path.read_text())
+    path = tmp_path / "ck.ckpt"
+    line, data = path.read_bytes().split(b"\n", 1)
+    manifest = json.loads(line)
     manifest["tensors"][0]["shape"][0] = first
-    path.write_text(json.dumps(manifest))
+    path.write_bytes(json.dumps(manifest).encode() + b"\n" + data)
     with pytest.raises(ValueError, match=message):
         load_checkpoint(tmp_path / "ck")
 
