@@ -12,9 +12,11 @@ build the model from a TrainConfig with `model.init_params_for`, eval from
 the one its checkpoint recorded. A JSON config file (train --config) uses
 TrainConfig field names, as recorded in a run's manifest.json; given flags
 override the file, and the file overrides TrainConfig's defaults. A
-checkpoint (a run's best.ckpt, final.ckpt) is one file holding its
-TrainConfig, vocabulary and weights; eval --ckpt names it with or without
-the .ckpt suffix. All randomness flows from the seed.
+feature file (gen-synth's features.bin) and a checkpoint (a run's
+best.ckpt, final.ckpt) are array files, the one layout `data` describes;
+a checkpoint holds its TrainConfig, vocabulary and weights. eval --ckpt
+names one with or without the .ckpt suffix, which is appended unless the
+name ends in it. All randomness flows from the seed.
 """
 
 from __future__ import annotations

@@ -1,13 +1,18 @@
-"""Dataset schema, tokenization, region-feature files, batching, and the
-synthetic grounding task generator.
+"""Dataset schema, tokenization, array files (region features and
+checkpoints), batching, and the synthetic grounding task generator.
 
 Dataset JSON: { "version": "1.0", "dialogs": [ { "image_id", "caption",
 "rounds": [ { "question", "answer", "answer_options", "gt_index",
 "relevance"?, "gt_grounding"? } ] } ] }.
 
-Feature file (binary, little-endian): magic "VFEA", u32 version=1,
-u32 num_images, then per image: u16 id-length, UTF-8 id, u32 mu, u32 d_v,
-f32 data row-major.
+Array file, the one on-disk format of named float arrays (a feature
+file, a checkpoint): one line of JSON with sorted keys, a header's fields
+and "tensors", the list of each array's {"name", "shape"} in file order;
+then the arrays' little-endian data, row-major and back to back in that
+order. `write_arrays` writes one and `read_arrays` reads it back. A feature
+file holds float32 arrays, one [mu, d_v] block named by its image_id, and
+no header field; a checkpoint (`training.save_checkpoint`) holds float64
+arrays and its config, vocabulary and epoch.
 
 A dataset exists only with its images' features: `dataset_from_dict`, its
 one constructor, attaches each image's [mu, d_v] float64 array and checks
@@ -18,8 +23,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
-import struct
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -49,7 +54,8 @@ class MissingFeatureError(KeyError):
 
 
 class FeatureFileError(ValueError):
-    """Feature file is corrupt; message reports the byte offset."""
+    """Feature file is corrupt; message names the file and, where one
+    applies, the image_id."""
 
 
 class GenerationError(ValueError):
@@ -283,86 +289,105 @@ def load_dataset(path, split: str = "train", features_path=None,
 
 
 # ---------------------------------------------------------------------------
-# region feature files
+# array files and region feature files
 
-_MAGIC = b"VFEA"
+def write_arrays(path, arrays: dict[str, np.ndarray], dtype: str, header: dict) -> None:
+    """Write `arrays` as `dtype` to path.tmp, then rename it over path in
+    one step: an error while writing (a full disk) leaves the previous file
+    whole. Nothing is fsynced."""
+    path = Path(path)
+    manifest = {**header,
+                "tensors": [{"name": n, "shape": list(a.shape)} for n, a in arrays.items()]}
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            # JSON text holds no raw newline, so one ends the manifest line
+            fh.write(json.dumps(manifest, sort_keys=True).encode() + b"\n")
+            for a in arrays.values():
+                fh.write(np.ascontiguousarray(a, dtype=dtype).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_arrays(path, dtype: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read what write_arrays wrote: (the manifest, name -> float64 array).
+
+    A file with no manifest line, a manifest that is not a JSON object whose
+    "tensors" is a list of {"name": str, "shape": list of ints >= 0} naming
+    no array twice, or data whose size is not that of the shapes' `dtype`
+    values, raises ValueError naming the file. The size is compared before
+    any array is formed, so a corrupt shape cannot ask for gigabytes."""
+    raw = Path(path).read_bytes()
+    end = raw.find(b"\n")
+    if end < 0:
+        raise ValueError(f"{path} holds no manifest line")
+    try:
+        manifest = json.loads(raw[:end].decode("utf-8"))
+    except (ValueError, RecursionError) as e:   # not UTF-8, not JSON, or nested too deep
+        raise ValueError(f"{path}: manifest line is not UTF-8 JSON ({e})") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest is not a JSON object")
+    entries = manifest.get("tensors")
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("name"), str)
+            and isinstance(e.get("shape"), list) and all(_is_int(d) and d >= 0 for d in e["shape"])
+            for e in entries):
+        raise ValueError(f'{path}: manifest "tensors" is not a list of objects with a string '
+                         '"name" and a "shape" of non-negative ints')
+    seen: set[str] = set()
+    for e in entries:
+        if e["name"] in seen:
+            raise ValueError(f"{path}: manifest names {e['name']!r} twice")
+        seen.add(e["name"])
+    counts = [math.prod(e["shape"]) for e in entries]
+    size, expected = len(raw) - end - 1, np.dtype(dtype).itemsize * sum(counts)
+    if size != expected:
+        raise ValueError(f"{path} holds {size} data bytes where the manifest's shapes "
+                         f"need {expected}")
+    data = np.frombuffer(raw, dtype=dtype, offset=end + 1).astype(np.float64)
+    pieces = np.split(data, np.cumsum(counts[:-1], dtype=np.intp))
+    return manifest, {e["name"]: a.reshape(e["shape"]) for e, a in zip(entries, pieces)}
 
 
 def write_features(path, features: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", 1, len(features)))
-        for image_id, block in features.items():
-            arr = np.ascontiguousarray(block, dtype="<f4")
-            if arr.ndim != 2:
-                raise ValueError(f"feature block for {image_id!r} must be [mu, d_v]")
-            ident = image_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(ident)))
-            fh.write(ident)
-            fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-            fh.write(arr.tobytes())
+    """Write image_id -> [mu, d_v] blocks as a float32 array file; every
+    block is checked before the file is touched."""
+    blocks = {image_id: np.asarray(block) for image_id, block in features.items()}
+    for image_id, block in blocks.items():
+        if block.ndim != 2:
+            raise ValueError(f"feature block for {image_id!r} must be [mu, d_v]")
+    write_arrays(path, blocks, "<f4", {})
 
 
 def load_features(path) -> dict[str, np.ndarray]:
     """Read a feature file into image_id -> [mu, d_v] float64 array.
 
-    A file that is cut short, has bytes past its declared images, holds an
-    id that is not UTF-8, holds one id twice, has a block with no region
-    (mu 0) or no value per region (d_v 0), has blocks of different widths
-    (d_v) or holds a NaN or infinite value raises FeatureFileError naming the
-    byte offset.
+    A file that `read_arrays` refuses, a block that is not [mu, d_v] with
+    mu and d_v at least 1, blocks of different widths (d_v), or a NaN or
+    infinite value raises FeatureFileError naming the file and, past the
+    manifest's own checks, the image_id.
     """
-    data = Path(path).read_bytes()
-
-    def need(offset: int, count: int) -> None:
-        if offset + count > len(data):
-            raise FeatureFileError(f"{path}: truncated at byte {len(data)}, needed {offset + count}")
-
-    need(0, 12)
-    if data[:4] != _MAGIC:
-        raise FeatureFileError(f"{path}: bad magic at byte 0")
-    version, num_images = struct.unpack_from("<II", data, 4)
-    if version != 1:
-        raise FeatureFileError(f"{path}: unsupported version {version} at byte 4")
-    offset = 12
-    out: dict[str, np.ndarray] = {}
+    try:
+        _, blocks = read_arrays(path, "<f4")
+    except ValueError as e:
+        raise FeatureFileError(str(e)) from None
     width: Optional[int] = None
-    for _ in range(num_images):
-        need(offset, 2)
-        (id_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        need(offset, id_len)
-        try:
-            image_id = data[offset:offset + id_len].decode("utf-8")
-        except UnicodeDecodeError:
-            raise FeatureFileError(f"{path}: image id at byte {offset} is not UTF-8") from None
-        if image_id in out:
-            raise FeatureFileError(f"{path}: image id {image_id!r} at byte {offset} "
-                                   "appears twice")
-        offset += id_len
-        need(offset, 8)
-        mu, d_v = struct.unpack_from("<II", data, offset)
-        if mu == 0 or d_v == 0:
-            raise FeatureFileError(f"{path}: image id {image_id!r} at byte {offset} has "
-                                   f"{mu} regions of {d_v} values; both must be positive")
-        if width is not None and d_v != width:
-            raise FeatureFileError(f"{path}: image id {image_id!r} at byte {offset} has "
-                                   f"{d_v} values per region, the first image {width}")
-        width = d_v
-        offset += 8
-        count = mu * d_v
-        need(offset, 4 * count)
-        block = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-        finite = np.isfinite(block)
+    for image_id, block in blocks.items():
+        where = f"{path}: image id {image_id!r}"
+        if block.ndim != 2 or 0 in block.shape:
+            raise FeatureFileError(f"{where} has shape {list(block.shape)}; a block is "
+                                   "[mu, d_v] with mu and d_v at least 1")
+        if width is not None and block.shape[1] != width:
+            raise FeatureFileError(f"{where} has {block.shape[1]} values per region, "
+                                   f"the first image {width}")
+        width = block.shape[1]
+        finite = np.isfinite(block).all(axis=1)
         if not finite.all():
-            raise FeatureFileError(f"{path}: image id {image_id!r} has a non-finite value "
-                                   f"at byte {offset + 4 * int(finite.argmin())}")
-        offset += 4 * count
-        out[image_id] = block.astype(np.float64).reshape(mu, d_v)
-    if offset != len(data):
-        raise FeatureFileError(f"{path}: {len(data) - offset} bytes past the last of "
-                               f"{num_images} images, at byte {offset}")
-    return out
+            raise FeatureFileError(f"{where} has a non-finite value in region "
+                                   f"{int(finite.argmin())}")
+    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,6 @@ outlive it and the step peaks at its forward activations.
 from __future__ import annotations
 
 import json
-import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -26,7 +24,7 @@ from .autodiff import (
     Tensor,
     backward,
 )
-from .data import DialogDataset, batch_iterator
+from .data import DialogDataset, batch_iterator, read_arrays, write_arrays
 from .evaluation import evaluate
 from .model import ModelParams, TrainConfig, forward_batch, named_parameters, prepare_units
 
@@ -73,78 +71,37 @@ def adam_step(named: dict[str, Tensor], state: OptimizerState, lr: float) -> Non
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: one file, base.ckpt, that holds a JSON manifest of each
-# tensor's name and shape as its first line, then the tensors' little-endian
-# float64 data, back to back in manifest order
+# checkpoints: one array file (see `data`), base.ckpt, of float64 tensors
+# whose header holds "config", "vocab" and "epoch"
+
+def _checkpoint_path(base) -> Path:
+    """base with .ckpt appended, unless its name already ends in it."""
+    base = Path(base)
+    return base if base.name.endswith(".ckpt") else base.with_name(base.name + ".ckpt")
+
 
 def save_checkpoint(base: Path, named: dict[str, Tensor], cfg: TrainConfig,
-                    vocab_tokens: list[str], extra: Optional[dict] = None) -> None:
-    """Write base.ckpt.tmp, then rename it over base.ckpt in one step: an
-    error while writing (a full disk) leaves the previous checkpoint whole.
-    Nothing is fsynced."""
-    path = Path(base).with_suffix(".ckpt")
-    manifest = {
-        "tensors": [{"name": n, "shape": list(t.shape)} for n, t in named.items()],
-        "config": cfg.to_dict(),
-        "vocab": vocab_tokens,
-    }
-    if extra:
-        manifest.update(extra)
-    tmp = path.with_suffix(".ckpt.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            # JSON text holds no raw newline, so one ends the manifest line
-            fh.write(json.dumps(manifest, sort_keys=True).encode() + b"\n")
-            for t in named.values():
-                fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _is_shape(shape) -> bool:
-    return isinstance(shape, list) and all(
-        isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape)
+                    vocab_tokens: list[str], epoch: int) -> None:
+    """Write base.ckpt through `write_arrays`: an error while writing leaves
+    the previous checkpoint whole."""
+    write_arrays(_checkpoint_path(base), {n: t.data for n, t in named.items()}, "<f8",
+                 {"config": cfg.to_dict(), "vocab": vocab_tokens, "epoch": epoch})
 
 
 def load_checkpoint(base: Path) -> tuple[dict[str, np.ndarray], TrainConfig, list[str]]:
-    """Read what save_checkpoint wrote. A file with no manifest line, a
-    manifest that is not a JSON object with "tensors" (a list of
-    {"name": str, "shape": list of ints >= 0}), "config" and "vocab" (a list
-    of strings), or data whose size is not that of the shapes' float64
-    values, raises ValueError; an invalid config raises ContractError, itself
-    a ValueError. The size is compared before any array is formed, so a
-    corrupt shape cannot ask for gigabytes."""
-    path = Path(base).with_suffix(".ckpt")
-    raw = path.read_bytes()
-    end = raw.find(b"\n")
-    if end < 0:
-        raise ValueError(f"{path} holds no manifest line")
-    manifest = json.loads(raw[:end])
-    if not isinstance(manifest, dict):
-        raise ValueError("manifest is not a JSON object")
-    missing = {"tensors", "config", "vocab"} - set(manifest)
+    """Read what save_checkpoint wrote. A file that `read_arrays` refuses,
+    or a manifest without "config" and "vocab" (a list of strings), raises
+    ValueError; an invalid config raises ContractError, itself a
+    ValueError."""
+    path = _checkpoint_path(base)
+    manifest, tensors = read_arrays(path, "<f8")
+    missing = {"config", "vocab"} - set(manifest)
     if missing:
-        raise ValueError(f"manifest lacks {sorted(missing)}")
-    entries, vocab = manifest["tensors"], manifest["vocab"]
-    if not isinstance(entries, list) or not all(
-            isinstance(e, dict) and isinstance(e.get("name"), str) and _is_shape(e.get("shape"))
-            for e in entries):
-        raise ValueError('"tensors" is not a list of objects with a string "name" '
-                         'and a "shape" of non-negative ints')
+        raise ValueError(f"{path}: manifest lacks {sorted(missing)}")
+    vocab = manifest["vocab"]
     if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab):
-        raise ValueError('"vocab" is not a list of strings')
-    cfg = TrainConfig.from_dict(manifest["config"])
-    counts = [math.prod(e["shape"]) for e in entries]
-    size, expected = len(raw) - end - 1, 8 * sum(counts)
-    if size != expected:
-        raise ValueError(f"{path} holds {size} data bytes where the manifest's shapes "
-                         f"need {expected}")
-    data = np.frombuffer(raw, dtype="<f8", offset=end + 1).astype(np.float64)
-    pieces = np.split(data, np.cumsum(counts[:-1], dtype=np.intp))
-    tensors = {e["name"]: a.reshape(e["shape"]) for e, a in zip(entries, pieces)}
-    return tensors, cfg, vocab
+        raise ValueError(f'{path}: "vocab" is not a list of strings')
+    return tensors, TrainConfig.from_dict(manifest["config"]), vocab
 
 
 def restore_params(params: ModelParams, tensors: dict[str, np.ndarray]) -> None:
@@ -236,9 +193,9 @@ def train(ds_train: DialogDataset, ds_val: DialogDataset, params: ModelParams,
             best_epoch = epoch
             if out_dir is not None:
                 save_checkpoint(out_dir / "best", named, cfg, ds_train.vocab.id_to_token,
-                                {"epoch": epoch})
+                                epoch)
 
     if out_dir is not None:
         save_checkpoint(out_dir / "final", named, cfg, ds_train.vocab.id_to_token,
-                        {"epoch": cfg.max_epochs - 1})
+                        cfg.max_epochs - 1)
     return TrainResult(epochs=epochs, best_epoch=best_epoch, best_mrr=best_mrr)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -366,11 +367,23 @@ def _mistyped_features(synth_dir, tmp_path):
 
 def _non_utf8_feature_id(synth_dir, tmp_path):
     bad = _bad_copy(synth_dir, tmp_path, lambda raw: None)
-    features = bytearray((bad.parent / "features.bin").read_bytes())
-    features[14] = 0xFF                 # the first image id, after the header and its length
-    (bad.parent / "features.bin").write_bytes(bytes(features))
+    path = bad.parent / "features.bin"
+    # the first image id's first letter, in the manifest line
+    path.write_bytes(path.read_bytes().replace(b'"name": "s', b'"name": "\xff', 1))
     return (small_train_args(bad.parent, tmp_path / "run"),
-            f"{bad.parent / 'features.bin'}: image id at byte 14 is not UTF-8")
+            f"{path}: manifest line is not UTF-8 JSON")
+
+
+def _vfea_features(synth_dir, tmp_path):
+    """A feature file of the retired binary layout: magic, version, count,
+    then each image's id and [mu, d_v] float32 block."""
+    bad = _bad_copy(synth_dir, tmp_path, lambda raw: None)
+    path = bad.parent / "features.bin"
+    feats = load_features(synth_dir / "features.bin")
+    path.write_bytes(b"VFEA" + struct.pack("<II", 1, len(feats)) + b"".join(
+        struct.pack("<H", len(i)) + i.encode() + struct.pack("<II", *a.shape)
+        + a.astype("<f4").tobytes() for i, a in feats.items()))
+    return small_train_args(bad.parent, tmp_path / "run"), str(path)
 
 
 def _no_dialogs(synth_dir, tmp_path):
@@ -412,7 +425,8 @@ def _mixed_feature_widths(synth_dir, tmp_path):
     second = list(load_features(synth_dir / "features.bin"))[1]
     bad = _with_features(synth_dir, tmp_path, "train",
                          lambda k, a: np.pad(a, ((0, 0), (0, k == second))))
-    return small_train_args(bad.parent, tmp_path / "run"), f"image id {second!r} at byte"
+    return (small_train_args(bad.parent, tmp_path / "run"),
+            f"{bad.parent / 'features.bin'}: image id {second!r} has 17 values per region")
 
 
 def _wider_val_features(synth_dir, tmp_path):
@@ -451,7 +465,7 @@ def _non_finite_feature(value, command):
 
         bad = _with_features(synth_dir, tmp_path, "train", poison)
         return bad, (f"{bad.parent / 'features.bin'}: image id {fourth!r} has a non-finite "
-                     "value at byte")
+                     "value in region 0")
     poisoned.__name__ = f"_{value}_feature"
     return _on(command, poisoned)
 
@@ -467,13 +481,13 @@ def _repeated_grounding_index(synth_dir, tmp_path):
 def _region_free_image(synth_dir, tmp_path):
     fourth = list(load_features(synth_dir / "features.bin"))[3]
     bad = _with_features(synth_dir, tmp_path, "train", lambda k, a: a[:0] if k == fourth else a)
-    return bad, f"{bad.parent / 'features.bin'}: image id {fourth!r} at byte"
+    return bad, f"{bad.parent / 'features.bin'}: image id {fourth!r} has shape [0, 16]"
 
 
 def _zero_width_features(synth_dir, tmp_path):
     first = list(load_features(synth_dir / "features.bin"))[0]
     bad = _with_features(synth_dir, tmp_path, "train", lambda k, a: a[:, :0])
-    return bad, f"{bad.parent / 'features.bin'}: image id {first!r} at byte"
+    return bad, f"{bad.parent / 'features.bin'}: image id {first!r} has shape [8, 0]"
 
 
 def _non_utf8_dataset(synth_dir, tmp_path):
@@ -591,7 +605,7 @@ def _shape_entry(value):
 
 
 @pytest.mark.parametrize("case", [_val_without_features, _mistyped_features,
-                                  _non_utf8_feature_id, _no_dialogs,
+                                  _non_utf8_feature_id, _vfea_features, _no_dialogs,
                                   _oracle_without_gt_grounding, _all_zero_relevance,
                                   _numeric_image_id, _mixed_feature_widths,
                                   _wider_val_features, _non_utf8_config, _train_out_is_a_file,
@@ -633,7 +647,7 @@ def test_eval_of_a_nan_weight_exits_4_naming_the_unit(synth_dir, tmp_path, capsy
     assert run_cli(small_train_args(synth_dir, out)) == 0
     tensors, cfg, vocab = load_checkpoint(out / "best")
     tensors["decoder.bilinear"][0, 0] = np.nan
-    save_checkpoint(out / "best", {k: Tensor(v) for k, v in tensors.items()}, cfg, vocab)
+    save_checkpoint(out / "best", {k: Tensor(v) for k, v in tensors.items()}, cfg, vocab, 0)
     first = json.loads((synth_dir / "dataset.json").read_text())["dialogs"][0]["image_id"]
     capsys.readouterr()
     code = run_cli(["eval", "--ckpt", str(out / "best"), "--decoder", "discriminative",
@@ -645,14 +659,23 @@ def test_eval_of_a_nan_weight_exits_4_naming_the_unit(synth_dir, tmp_path, capsy
 
 
 def test_eval_ckpt_with_or_without_its_suffix_names_one_file(synth_dir, tmp_path, capsys):
+    """.ckpt is appended unless the name ends in it, so a dotted name such
+    as best.old names best.old.ckpt, not best.ckpt."""
     out = tmp_path / "run"
     assert run_cli(small_train_args(synth_dir, out)) == 0
-    reports = []
-    for ckpt in ("best", "best.ckpt"):
-        reports.append(tmp_path / f"{ckpt}.json")
-        assert run_cli(["eval", "--ckpt", str(out / ckpt), "--report", str(reports[-1]),
+    tensors, cfg, vocab = load_checkpoint(out / "best")
+    rng = np.random.default_rng(0)
+    save_checkpoint(out / "best.old", {k: Tensor(v + rng.normal(size=v.shape))
+                                       for k, v in tensors.items()}, cfg, vocab, 0)
+    reports = {}
+    for ckpt in ("best", "best.ckpt", "best.old", "best.old.ckpt"):
+        reports[ckpt] = tmp_path / f"{ckpt}.json"
+        assert run_cli(["eval", "--ckpt", str(out / ckpt), "--report", str(reports[ckpt]),
                         "--data", str(synth_dir / "dataset.json"), "--split", "train"]) == 0
-    assert reports[0].read_bytes() == reports[1].read_bytes()
+    text = {ckpt: path.read_bytes() for ckpt, path in reports.items()}
+    assert text["best"] == text["best.ckpt"]
+    assert text["best.old"] == text["best.old.ckpt"]
+    assert text["best.old"] != text["best"]
     capsys.readouterr()
     assert run_cli(["eval", "--ckpt", str(out / "nope"),
                     "--data", str(synth_dir / "dataset.json"), "--split", "train"]) == 3

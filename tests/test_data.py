@@ -1,6 +1,6 @@
 import dataclasses
 import json
-import struct
+import os
 from collections import Counter
 from itertools import chain
 
@@ -415,58 +415,88 @@ def test_feature_full_scale_header(tmp_path):
     assert back["big"].shape == (100, 2048)
 
 
-def test_feature_truncation_reports_offset(tmp_path):
+def test_feature_truncation_names_the_file(tmp_path):
     feats = {"img0": np.ones((4, 4), dtype=np.float32)}
     path = tmp_path / "f.bin"
     write_features(path, feats)
     blob = path.read_bytes()
     (tmp_path / "cut.bin").write_bytes(blob[:-10])
-    with pytest.raises(FeatureFileError) as e:
+    with pytest.raises(FeatureFileError, match="holds 54 data bytes where the manifest's "
+                                               "shapes need 64$") as e:
         load_features(tmp_path / "cut.bin")
-    assert "byte" in str(e.value)
+    assert str(e.value).startswith(str(tmp_path / "cut.bin"))
 
 
-def _image_block(image_id: bytes, block: np.ndarray) -> bytes:
-    return (struct.pack("<H", len(image_id)) + image_id + struct.pack("<II", *block.shape)
-            + block.astype("<f4").tobytes())
+def _array_file(entries, blocks, trailer=b""):
+    """Bytes of a feature file whose manifest lists `entries`, each a
+    (name, shape), followed by the blocks' float32 data and `trailer`."""
+    line = json.dumps({"tensors": [{"name": n, "shape": list(shape)} for n, shape in entries]})
+    return (line.encode() + b"\n" + b"".join(np.asarray(b, "<f4").tobytes() for b in blocks)
+            + trailer)
 
 
-@pytest.mark.parametrize("blocks, trailer, message", [
-    ([b"a", b"\xff\xfe"], b"", "image id at byte 41 is not UTF-8"),
-    ([b"a"], b"\x00\x01", "2 bytes past the last of 1 images, at byte 39"),
-    ([b"a", b"a"], b"", "image id 'a' at byte 41 appears twice"),
-])
-def test_corrupt_feature_file_names_the_byte(tmp_path, blocks, trailer, message):
-    block = np.ones((2, 2), dtype=np.float32)
-    blob = (b"VFEA" + struct.pack("<II", 1, len(blocks))
-            + b"".join(_image_block(i, block) for i in blocks) + trailer)
+_TWO_BY_TWO = np.ones((2, 2))
+
+
+@pytest.mark.parametrize("blob, message", [
+    (_array_file([("a", [2, 2])], [_TWO_BY_TWO]).replace(b'"a"', b'"\xff"'),
+     ": manifest line is not UTF-8 JSON"),
+    (_array_file([("a", [2, 2])], [_TWO_BY_TWO], b"\x00\x01"),
+     " holds 18 data bytes where the manifest's shapes need 16"),
+    (_array_file([("a", [2, 2]), ("a", [2, 2])], [_TWO_BY_TWO] * 2),
+     ": manifest names 'a' twice"),
+    (b"[" * 100_000 + b"\n", ": manifest line is not UTF-8 JSON"),
+    (np.ones(4, "<f4").tobytes(), " holds no manifest line"),
+    (b"[]\n", ": manifest is not a JSON object"),
+    (b'{"tensors": [{"name": "a", "shape": [2, -2]}]}\n',
+     ': manifest "tensors" is not a list of objects with a string "name" and a "shape" '
+     "of non-negative ints"),
+], ids=["non-utf8-id", "trailing-bytes", "repeated-id", "nested-too-deep", "no-manifest-line",
+        "not-an-object", "negative-shape"])
+def test_corrupt_feature_file_names_the_file(tmp_path, blob, message):
     (tmp_path / "f.bin").write_bytes(blob)
-    with pytest.raises(FeatureFileError, match=message):
-        load_features(tmp_path / "f.bin")
-
-
-@pytest.mark.parametrize("shape", [(0, 2), (2, 0)])
-def test_empty_feature_block_names_the_image_and_the_byte(tmp_path, shape):
-    blob = (b"VFEA" + struct.pack("<II", 1, 2) + _image_block(b"a", np.ones(shape))
-            + _image_block(b"b", np.ones(shape)))
-    (tmp_path / "f.bin").write_bytes(blob)
-    # header 12 bytes, then image "a"'s id length and id; its shape is at byte 15
     with pytest.raises(FeatureFileError) as e:
         load_features(tmp_path / "f.bin")
-    assert str(e.value) == (f"{tmp_path / 'f.bin'}: image id 'a' at byte 15 has "
-                            f"{shape[0]} regions of {shape[1]} values; both must be positive")
+    assert str(e.value).startswith(f"{tmp_path / 'f.bin'}{message}")
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0), (4,), (1, 2, 2)])
+def test_a_block_that_is_not_mu_by_d_v_names_the_image(tmp_path, shape):
+    blob = _array_file([("a", shape), ("b", shape)], [np.ones(shape)] * 2)
+    (tmp_path / "f.bin").write_bytes(blob)
+    with pytest.raises(FeatureFileError) as e:
+        load_features(tmp_path / "f.bin")
+    assert str(e.value) == (f"{tmp_path / 'f.bin'}: image id 'a' has shape {list(shape)}; "
+                            "a block is [mu, d_v] with mu and d_v at least 1")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_non_finite_feature_names_the_image_and_the_byte(tmp_path, value):
+def test_non_finite_feature_names_the_image_and_the_region(tmp_path, value):
     block = np.ones((2, 2), dtype=np.float32)
     block[1, 0] = value
-    blob = (b"VFEA" + struct.pack("<II", 1, 2) + _image_block(b"a", np.ones((2, 2)))
-            + _image_block(b"b", block))
-    (tmp_path / "f.bin").write_bytes(blob)
-    # header 12 bytes, image "a" 2 + 1 + 8 + 16, image "b" 2 + 1 + 8, then two values
-    with pytest.raises(FeatureFileError, match="image id 'b' has a non-finite value at byte 58"):
+    write_features(tmp_path / "f.bin", {"a": np.ones((2, 2)), "b": block})
+    with pytest.raises(FeatureFileError, match="image id 'b' has a non-finite value in region 1$"):
         load_features(tmp_path / "f.bin")
+
+
+def test_a_failed_rewrite_leaves_the_previous_feature_file_whole(tmp_path, monkeypatch):
+    """A block that is not [mu, d_v], found past the first, or an error
+    while the file is renamed into place leaves the last good file byte for
+    byte, and no temporary."""
+    write_features(tmp_path / "f.bin", {"a": np.ones((1, 2))})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(ValueError, match="feature block for 'b' must be"):
+        write_features(tmp_path / "f.bin", {"a": np.ones((1, 2)), "b": np.ones(2)})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_features(tmp_path / "f.bin", {"a": np.zeros((3, 2))})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert sorted(before) == ["f.bin"]
 
 
 @pytest.fixture(scope="module")
@@ -492,7 +522,7 @@ def test_every_cut_or_changed_byte_loads_or_raises_feature_file_error(feature_fi
         try:
             load_features(path)
         except FeatureFileError as e:
-            assert "byte" in str(e)
+            assert str(e).startswith(str(path))
 
 
 def test_feature_roundtrip_identity_on_maps():

@@ -443,7 +443,7 @@ def test_every_ablation_encodes_each_batch_once(ablate, with_posterior, monkeypa
     raw, features = generate_synthetic_raw(synthetic)
     (tmp_path / "dataset.json").write_text(dump_dataset_json(raw))
     write_features(tmp_path / "features.bin", features)
-    save_checkpoint(tmp_path / "best", named_parameters(params), cfg, ds.vocab.id_to_token)
+    save_checkpoint(tmp_path / "best", named_parameters(params), cfg, ds.vocab.id_to_token, 0)
     exported = tmp_path / "attention.jsonl"
     calls.clear()
     assert main(["eval", "--ckpt", str(tmp_path / "best"), "--data", str(tmp_path / "dataset.json"),

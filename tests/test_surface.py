@@ -14,6 +14,10 @@ package, so the engine and the dataset stand below the model.
 A model is built from its TrainConfig in one place: `model.init_params_for`
 is the package's only caller of `init_model_params`.
 
+Named float arrays have one on-disk format: `data.write_arrays` and
+`data.read_arrays` are the package's only code that turns arrays into bytes
+or reads them back, and no module imports `struct`.
+
 Every defaulted parameter of a function in `src/grounddial` must be passed,
 by keyword or by position, by some call in `src/grounddial` or in the
 benchmark's non-test files; a parameter that no such call passes is a
@@ -176,4 +180,17 @@ def test_autodiff_and_data_import_no_package_module():
     trees, _ = package_trees_and_used_names()
     found = [f"{module}: {ast.unparse(node)}" for module in ("autodiff", "data")
              for node in ast.walk(trees[module]) if _imports_the_package(node)]
+    assert not found, found
+
+
+def test_only_the_array_file_functions_turn_arrays_into_bytes():
+    trees, _ = package_trees_and_used_names()
+    found = sorted(
+        f"{module}.{getattr(top, 'name', '<module>')}: {ast.unparse(node)}"
+        for module, tree in trees.items() for top in tree.body for node in ast.walk(top)
+        if (isinstance(node, ast.Attribute) and node.attr in ("tobytes", "frombuffer")
+            and (module, getattr(top, "name", None)) not in {("data", "write_arrays"),
+                                                             ("data", "read_arrays")})
+        or (isinstance(node, ast.Import) and any(a.name == "struct" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "struct"))
     assert not found, found

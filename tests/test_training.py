@@ -345,11 +345,14 @@ def test_checkpoint_roundtrip(tmp_path):
     ds = tiny_data(n=2)
     params = tiny_model(ds, cfg, seed=6)
     named = named_parameters(params)
-    save_checkpoint(tmp_path / "ck", named, cfg, ds.vocab.id_to_token)
-    # one manifest line holds the shapes; the float64 data alone follows it
+    save_checkpoint(tmp_path / "ck", named, cfg, ds.vocab.id_to_token, 3)
+    # one sorted manifest line holds the header and the shapes; the float64
+    # data alone follows it
     line = (tmp_path / "ck.ckpt").read_bytes().split(b"\n", 1)[0]
-    assert json.loads(line)["tensors"] == [
-        {"name": n, "shape": list(t.shape)} for n, t in named.items()]
+    assert line == json.dumps({
+        "config": cfg.to_dict(), "epoch": 3, "vocab": ds.vocab.id_to_token,
+        "tensors": [{"name": n, "shape": list(t.shape)} for n, t in named.items()]},
+        sort_keys=True).encode()
     assert (tmp_path / "ck.ckpt").stat().st_size == (
         len(line) + 1 + 8 * sum(t.size for t in named.values()))
     tensors, cfg2, vocab = load_checkpoint(tmp_path / "ck")
@@ -368,19 +371,23 @@ def test_a_failed_rewrite_leaves_the_previous_checkpoint_whole(tmp_path, monkeyp
     cfg = tiny_cfg()
     ds = tiny_data(n=2)
     named = named_parameters(tiny_model(ds, cfg, seed=6))
-    save_checkpoint(tmp_path / "ck", named, cfg, ds.vocab.id_to_token, {"epoch": 0})
+    save_checkpoint(tmp_path / "ck", named, cfg, ds.vocab.id_to_token, 0)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
     class FullDisk:
+        """A tensor whose data fails to reach the file, after the manifest line."""
         shape = (1,)
 
         @property
         def data(self):
+            return self
+
+        def __array__(self, dtype=None, copy=None):
             raise OSError(28, "No space left on device")
 
     with pytest.raises(OSError):
-        save_checkpoint(tmp_path / "ck", {"a": FullDisk(), **named}, cfg,
-                        ds.vocab.id_to_token, {"epoch": 1})
+        save_checkpoint(tmp_path / "ck", {**named, "z": FullDisk()}, cfg,
+                        ds.vocab.id_to_token, 1)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     assert sorted(before) == ["ck.ckpt"]
 
@@ -392,7 +399,7 @@ def test_a_failed_rewrite_leaves_the_previous_checkpoint_whole(tmp_path, monkeyp
 
     monkeypatch.setattr(os, "replace", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        save_checkpoint(tmp_path / "ck", named, cfg, ds.vocab.id_to_token, {"epoch": 1})
+        save_checkpoint(tmp_path / "ck", named, cfg, ds.vocab.id_to_token, 1)
     assert renames == [(tmp_path / "ck.ckpt.tmp", tmp_path / "ck.ckpt")]
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     assert json.loads(before["ck.ckpt"].split(b"\n", 1)[0])["epoch"] == 0
@@ -405,7 +412,7 @@ def tiny_checkpoint(tmp_path_factory):
     vocab = Vocabulary([f"w{i}" for i in range(8)])
     named = named_parameters(init_params_for(cfg, np.random.default_rng(0), len(vocab), 16))
     out = tmp_path_factory.mktemp("fuzz")
-    save_checkpoint(out / "ck", named, cfg, vocab.id_to_token, {"epoch": 0})
+    save_checkpoint(out / "ck", named, cfg, vocab.id_to_token, 0)
     return out, (out / "ck.ckpt").read_bytes()
 
 
@@ -441,7 +448,7 @@ def test_checkpoint_manifest_mismatch(tmp_path):
     ds = tiny_data(n=2)
     params = tiny_model(ds, cfg, seed=7)
     named = named_parameters(params)
-    save_checkpoint(tmp_path / "ck", named, cfg, ds.vocab.id_to_token)
+    save_checkpoint(tmp_path / "ck", named, cfg, ds.vocab.id_to_token, 0)
     tensors, _, _ = load_checkpoint(tmp_path / "ck")
     other_cfg = tiny_cfg(d_q=16, d_h=16)
     params_big = tiny_model(ds, other_cfg, seed=8)
@@ -450,22 +457,38 @@ def test_checkpoint_manifest_mismatch(tmp_path):
     assert "mismatch" in str(e.value)
 
 
+def _saved_with_a_manifest_edit(tmp_path, edit):
+    """Save a tiny model's checkpoint, then rewrite its manifest line after
+    edit(manifest), keeping its data bytes."""
+    cfg = tiny_cfg()
+    ds = tiny_data(n=2)
+    save_checkpoint(tmp_path / "ck", named_parameters(tiny_model(ds, cfg)), cfg,
+                    ds.vocab.id_to_token, 0)
+    path = tmp_path / "ck.ckpt"
+    line, data = path.read_bytes().split(b"\n", 1)
+    manifest = json.loads(line)
+    edit(manifest)
+    path.write_bytes(json.dumps(manifest).encode() + b"\n" + data)
+
+
 @pytest.mark.parametrize("first, message", [
     # gigabytes declared: the data's size refuses them before any array is formed
     (4_000_000_000, r"holds \d+ data bytes where the manifest's shapes need \d+$"),
     *((bad, "non-negative ints") for bad in (-1, 2.5, True)),
 ], ids=["huge", "negative", "float", "bool"])
 def test_load_refuses_a_bad_manifest_shape(tmp_path, first, message):
-    cfg = tiny_cfg()
-    ds = tiny_data(n=2)
-    save_checkpoint(tmp_path / "ck", named_parameters(tiny_model(ds, cfg)), cfg,
-                    ds.vocab.id_to_token)
-    path = tmp_path / "ck.ckpt"
-    line, data = path.read_bytes().split(b"\n", 1)
-    manifest = json.loads(line)
-    manifest["tensors"][0]["shape"][0] = first
-    path.write_bytes(json.dumps(manifest).encode() + b"\n" + data)
+    _saved_with_a_manifest_edit(tmp_path, lambda m: m["tensors"][0]["shape"].__setitem__(0, first))
     with pytest.raises(ValueError, match=message):
+        load_checkpoint(tmp_path / "ck")
+
+
+def test_load_refuses_a_manifest_that_names_a_tensor_twice(tmp_path):
+    """Each name keeps its own shape, so the data's size alone would pass."""
+    def repeat(manifest):
+        tensors = manifest["tensors"]
+        tensors[1]["name"] = tensors[0]["name"]
+    _saved_with_a_manifest_edit(tmp_path, repeat)
+    with pytest.raises(ValueError, match=r"manifest names '[^']+' twice$"):
         load_checkpoint(tmp_path / "ck")
 
 
